@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck test race check checksweep nocd-smoke bench benchall benchguard figs quickfigs fuzz clean
+.PHONY: all build vet fmtcheck test race check checksweep nocd-smoke bench benchall benchguard flatbench-check figs quickfigs fuzz clean
 
 # Tier-1 flow: build, static checks, tests, then the race detector over
 # the whole module — the sweep engine's worker pool must stay race-clean.
@@ -52,6 +52,13 @@ bench:
 # exactly as CI does.
 benchguard:
 	$(GO) run ./cmd/benchguard
+
+# flatbench-check vets and tests the flatbench module (bench/ is a Go
+# module of its own, so `go build ./... && go test ./...` at the root
+# does not cover it): an internal/... signature change that breaks the
+# benchmark fails here instead of in the benchmark pipeline.
+flatbench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # benchall runs the full benchmark suite (paper figures + ablations).
 benchall:

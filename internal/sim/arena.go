@@ -3,17 +3,17 @@ package sim
 import "math/bits"
 
 // arena owns the cycle core's recycled memory: the packet freelist and
-// spare event-calendar backing arrays. Every steady-state allocation site
-// of the hot loop drains from here instead of the heap — delivered packets
-// and outgrown calendar slots return their memory, so once the network
-// reaches its working set a Step performs no allocations at all (the
-// contract BenchmarkSimulatorCycles and TestStepZeroAlloc pin).
+// spare calendar backing arrays, one pool per calendar element type. Every
+// steady-state allocation site of the hot loop drains from here instead of
+// the heap — delivered packets and outgrown calendar lists return their
+// memory, so once the network reaches its working set a Step performs no
+// allocations at all (the contract BenchmarkSimulatorCycles and
+// TestStepZeroAlloc pin).
 type arena struct {
-	packets []*Packet
-	// evFree[c] holds spare event blocks of capacity exactly 1<<c. Blocks
-	// are always power-of-two sized, so an outgrown slot's array is
-	// reusable verbatim by the next slot reaching that size.
-	evFree [28][][]event
+	packets  []*Packet
+	flits    blockPool[flitEv]
+	credits  blockPool[creditEv]
+	delivers blockPool[deliverEv]
 }
 
 // allocPacket takes a packet from the freelist or allocates one.
@@ -32,31 +32,39 @@ func (a *arena) freePacket(p *Packet) {
 	a.packets = append(a.packets, p)
 }
 
-// minEventClass is the smallest event block handed out: 1<<3 = 8 events.
-const minEventClass = 3
+// minBlockClass is the smallest block handed out: 1<<3 = 8 elements.
+const minBlockClass = 3
 
-// growEvents returns a block with room beyond len(old), carrying over
-// old's contents; old's backing array (always pow-2 capacity) goes back on
-// the free list for another calendar slot to reuse.
-func (a *arena) growEvents(old []event) []event {
-	class := minEventClass
+// blockPool recycles the backing arrays of one calendar list type.
+// free[c] holds spare blocks of capacity exactly 1<<c. Blocks are always
+// power-of-two sized, so an outgrown list's array is reusable verbatim by
+// the next list reaching that size.
+type blockPool[T any] struct {
+	free [28][][]T
+}
+
+// grow returns a block with room beyond len(old), carrying over old's
+// contents; old's backing array (always pow-2 capacity) goes back on the
+// free list for another calendar slot to reuse.
+func (bp *blockPool[T]) grow(old []T) []T {
+	class := minBlockClass
 	if cap(old) > 0 {
 		class = bits.Len(uint(cap(old))) // cap is 1<<(class-1): next class up
-		if class < minEventClass {
-			class = minEventClass
+		if class < minBlockClass {
+			class = minBlockClass
 		}
 	}
-	var grown []event
-	if free := a.evFree[class]; len(free) > 0 {
+	var grown []T
+	if free := bp.free[class]; len(free) > 0 {
 		grown = free[len(free)-1][:0]
-		a.evFree[class] = free[:len(free)-1]
+		bp.free[class] = free[:len(free)-1]
 	} else {
-		grown = make([]event, 0, 1<<uint(class))
+		grown = make([]T, 0, 1<<uint(class))
 	}
 	grown = append(grown, old...)
-	if cap(old) >= 1<<minEventClass {
+	if cap(old) >= 1<<minBlockClass {
 		oc := bits.Len(uint(cap(old))) - 1
-		a.evFree[oc] = append(a.evFree[oc], old[:0])
+		bp.free[oc] = append(bp.free[oc], old[:0])
 	}
 	return grown
 }

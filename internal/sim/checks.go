@@ -129,30 +129,27 @@ func (a ChannelAudit) Outstanding() int {
 // accounting. It is O(channels + calendar) and intended for sanitizer
 // strides and end-of-run checks, not the per-cycle hot path.
 func (n *Network) AuditChannels(visit func(ChannelAudit)) {
-	key := func(r topo.RouterID, port, vc int) int64 {
-		return int64(r)<<32 | int64(port)<<16 | int64(vc)
-	}
-	flits := map[int64]int{}   // (downstream router, in port, vc) -> count
-	credits := map[int64]int{} // (upstream router, out port, vc) -> count
-	count := func(ev event) {
-		switch ev.kind {
-		case evFlit:
-			flits[key(topo.RouterID(ev.router), int(ev.port), int(ev.vc))]++
-		case evCredit:
-			credits[key(topo.RouterID(ev.router), int(ev.port), int(ev.vc))]++
-		}
-	}
+	flits := map[int64]int{}   // (downstream router, input VC index) -> count
+	credits := map[int32]int{} // network-wide output VC index -> count
 	for _, sh := range n.sh {
-		for _, evs := range sh.calendar {
-			for _, ev := range evs {
-				count(ev)
+		for i := range sh.cal {
+			for _, ev := range sh.cal[i].flits {
+				flits[int64(ev.router)<<32|int64(ev.in>>1)]++
+			}
+			for _, ev := range sh.cal[i].credits {
+				credits[ev.ovc]++
 			}
 		}
 		// Cross-shard events staged at the last barrier but not yet
 		// drained into their target's calendar.
-		for _, box := range sh.outbox {
+		for _, box := range sh.outFlits {
 			for _, x := range box {
-				count(x.ev)
+				flits[int64(x.ev.router)<<32|int64(x.ev.in>>1)]++
+			}
+		}
+		for _, box := range sh.outCredits {
+			for _, x := range box {
+				credits[x.ovc]++
 			}
 		}
 	}
@@ -163,17 +160,19 @@ func (n *Network) AuditChannels(visit func(ChannelAudit)) {
 			if op.kind != topo.Network {
 				continue
 			}
-			down := &n.routers[op.peer].in[op.peerPort]
+			down := &n.routers[op.peer]
 			for v := 0; v < n.vcs; v++ {
+				ivc := int32(op.peerIn>>1) + int32(v)
+				ovc := int32(p)<<n.vcShift + int32(v)
 				visit(ChannelAudit{
 					Router:          topo.RouterID(r),
 					Port:            p,
 					VC:              v,
 					Depth:           n.vcDepth,
-					Credits:         op.credits[v],
-					Buffered:        down.vcs[v].count,
-					FlitsInFlight:   flits[key(op.peer, op.peerPort, v)],
-					CreditsInFlight: credits[key(topo.RouterID(r), p, v)],
+					Credits:         int(rt.ovc[ovc].credits),
+					Buffered:        int(down.vq[ivc].count),
+					FlitsInFlight:   flits[int64(op.peer)<<32|int64(ivc)],
+					CreditsInFlight: credits[(rt.outBase+int32(p))<<n.vcShift+int32(v)],
 				})
 			}
 		}
@@ -209,53 +208,48 @@ const (
 // for a viable site.
 func (n *Network) InjectFault(k FaultKind, r topo.RouterID, port, vc int) error {
 	rt := &n.routers[r]
-	switch k {
-	case FaultDropFlit:
+	if vc < 0 || vc >= n.vcs {
+		return fmt.Errorf("sim: fault needs a VC in [0,%d), got %d", n.vcs, vc)
+	}
+	if k == FaultDropFlit {
 		if port < 0 || port >= len(rt.in) || rt.in[port].kind != topo.Network {
 			return fmt.Errorf("sim: fault needs a network input port, got router %d port %d", r, port)
 		}
-		ip := &rt.in[port]
-		q := &ip.vcs[vc]
-		if q.empty() {
+		ivc := int32(port)<<n.vcShift | int32(vc)
+		q := &rt.vq[ivc]
+		if q.count == 0 {
 			return fmt.Errorf("sim: router %d in port %d vc %d is empty", r, port, vc)
 		}
-		q.pop()
-		if q.empty() {
-			n.shardFor(int32(r)).clearVC(rt, ip, vc)
+		rt.pop(q)
+		if q.count == 0 {
+			n.shardFor(int32(r)).clearVC(rt, ivc)
 		}
 		return nil
-	case FaultLeakCredit, FaultDupCredit:
-		if port < 0 || port >= len(rt.out) || rt.out[port].credits == nil {
-			return fmt.Errorf("sim: fault needs a network output port, got router %d port %d", r, port)
+	}
+	if port < 0 || port >= len(rt.out) || rt.out[port].kind != topo.Network {
+		return fmt.Errorf("sim: fault needs a network output port, got router %d port %d", r, port)
+	}
+	ov := &rt.ovc[port<<n.vcShift|vc]
+	switch k {
+	case FaultLeakCredit:
+		if ov.credits <= 0 {
+			return fmt.Errorf("sim: router %d out port %d vc %d has no credit to leak", r, port, vc)
 		}
-		if k == FaultLeakCredit {
-			if rt.out[port].credits[vc] <= 0 {
-				return fmt.Errorf("sim: router %d out port %d vc %d has no credit to leak", r, port, vc)
-			}
-			rt.out[port].credits[vc]--
-		} else {
-			rt.out[port].credits[vc]++
-		}
-		return nil
+		ov.credits--
+	case FaultDupCredit:
+		ov.credits++
 	case FaultFreeVC:
-		if port < 0 || port >= len(rt.out) || rt.out[port].owner == nil {
-			return fmt.Errorf("sim: fault needs a network output port, got router %d port %d", r, port)
-		}
-		if rt.out[port].owner[vc] == nil {
+		if ov.owner == nil {
 			return fmt.Errorf("sim: router %d out port %d vc %d is not owned", r, port, vc)
 		}
-		rt.out[port].owner[vc] = nil
-		return nil
+		ov.owner = nil
 	case FaultSeizeVC:
-		if port < 0 || port >= len(rt.out) || rt.out[port].owner == nil {
-			return fmt.Errorf("sim: fault needs a network output port, got router %d port %d", r, port)
-		}
-		if rt.out[port].owner[vc] != nil {
+		if ov.owner != nil {
 			return fmt.Errorf("sim: router %d out port %d vc %d is already owned", r, port, vc)
 		}
-		rt.out[port].owner[vc] = &Packet{ID: -1}
-		return nil
+		ov.owner = &Packet{ID: -1}
 	default:
 		return fmt.Errorf("sim: unknown fault kind %d", k)
 	}
+	return nil
 }

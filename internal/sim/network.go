@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"flatnet/internal/rng"
@@ -54,107 +55,231 @@ type flit struct {
 	tail bool
 }
 
-// vcq is a fixed-capacity flit FIFO: one virtual-channel buffer. The
-// routing decision applies to the packet currently being forwarded (from
-// its head flit reaching the queue head until its tail flit departs);
-// per-VC FIFO channel order guarantees packets never interleave within
-// one input VC.
+// vcq is the header of one virtual-channel buffer: a fixed-capacity flit
+// FIFO. The flit at the head of the queue lives in the header itself; the
+// flits behind it wait in a ring of slots in the owning router's flit
+// slab. A VC holding a single flit — the common case below saturation —
+// is therefore served from its header alone and never touches the slab.
+// The routing decision applies to the packet currently being forwarded
+// (from its head flit reaching the queue head until its tail flit
+// departs); per-VC FIFO channel order guarantees packets never interleave
+// within one input VC.
+//
+// Headers are indexed by input-VC index ivc = port<<vcShift | vc, which is
+// also the switch allocator's request key. A header is 32 bytes so two
+// share a cache line and none straddles one (TestHotLayoutSizes).
 type vcq struct {
-	buf      []flit
-	head     int
-	count    int
-	routed   bool   // current packet has a routing decision
-	headSent bool   // current packet's head flit has departed
-	out      OutRef // the decision, valid when routed
+	hpkt  *Packet // packet of the flit at the head of the queue, valid while count > 0
+	base  int32   // first slot of this VC's ring in router.flits
+	cap   int32   // queue capacity; 0 for the padding VCs of a terminal port
+	head  int32   // ring position of the second flit in the queue
+	count int32   // flits queued, the head flit included
+	out   int32   // the routing decision as an output-VC index (port<<vcShift | vc), valid when routed
+
+	htail    bool // the head flit is a tail flit
+	routed   bool // current packet has a routing decision
+	headSent bool // current packet's head flit has departed
 }
 
-func (q *vcq) full() bool  { return q.count == len(q.buf) }
-func (q *vcq) empty() bool { return q.count == 0 }
-
-func (q *vcq) peek() flit { return q.buf[q.head] }
-
-func (q *vcq) push(f flit) {
-	q.buf[(q.head+q.count)%len(q.buf)] = f
+// push appends f to q. The ring wraps by compare, not by division.
+func (rt *router) push(q *vcq, f flit) {
+	if q.count == 0 {
+		q.hpkt, q.htail = f.pkt, f.tail
+	} else {
+		pos := q.head + q.count - 1
+		if pos >= q.cap {
+			pos -= q.cap
+		}
+		rt.flits[q.base+pos] = f
+	}
 	q.count++
 }
 
-func (q *vcq) pop() flit {
-	f := q.buf[q.head]
-	q.buf[q.head] = flit{}
-	q.head = (q.head + 1) % len(q.buf)
+// pop removes and returns the flit at the head of q, promoting the next
+// flit from the ring into the header. A ring that empties restarts at
+// slot 0, so a lightly loaded VC keeps reusing one cache line instead of
+// cycling through its whole ring.
+func (rt *router) pop(q *vcq) flit {
+	f := flit{pkt: q.hpkt, tail: q.htail}
 	q.count--
+	if q.count > 0 {
+		slot := &rt.flits[q.base+q.head]
+		q.hpkt, q.htail = slot.pkt, slot.tail
+		*slot = flit{}
+		q.head++
+		if q.head == q.cap || q.count == 1 {
+			q.head = 0
+		}
+	} else {
+		q.hpkt = nil
+	}
+	// A tail flit ends the packet's routing decision; anything else means
+	// the packet's head has now departed.
+	q.headSent = !f.tail
 	if f.tail {
 		q.routed = false
-		q.headSent = false
-	} else {
-		q.headSent = true
 	}
 	return f
 }
 
+// nth returns the k-th flit of q counting from the head, k in [0, count).
+func (rt *router) nth(q *vcq, k int32) flit {
+	if k == 0 {
+		return flit{pkt: q.hpkt, tail: q.htail}
+	}
+	pos := q.head + k - 1
+	if pos >= q.cap {
+		pos -= q.cap
+	}
+	return rt.flits[q.base+pos]
+}
+
+// inPort is the static description of one input port.
 type inPort struct {
-	kind     topo.PortKind
-	peer     topo.RouterID // upstream router for Network inputs
-	peerPort int
+	kind topo.PortKind
 	// creditLat is the cycles a credit takes to reach the upstream
 	// router: the reverse-channel latency (mirrors the forward channel).
-	creditLat int
-	// occ has bit v set when vcs[v] is non-empty, so the per-cycle route
-	// and switch loops skip empty buffers without touching their memory —
-	// the dominant cost on large, lightly-loaded networks. This caps the
-	// simulator at 64 VCs (checked in New).
-	occ uint64
-	vcs []vcq
+	creditLat int32
+	peer      int32 // upstream router for Network inputs
+	// credOVC is the network-wide output-VC index of VC 0 of the upstream
+	// output port: where this port's credits return to.
+	credOVC int32
 }
 
+// outPort is the per-output-port scalar state. It is 64 bytes, one cache
+// line (TestHotLayoutSizes); per-VC state lives in router.ovc.
 type outPort struct {
-	kind       topo.PortKind
-	peer       topo.RouterID
-	peerPort   int
-	node       topo.NodeID
-	latency    int
-	credits    []int     // per VC free slots downstream; nil for Terminal outputs
-	pending    []int     // queue estimate per VC (routed here + in flight + downstream occupancy)
-	delta      []int     // same-cycle reservations, folded into pending after allocation
-	pendingSum int       // sum of pending over VCs, maintained incrementally for O(1) QueueEstPort
-	deltaSum   int       // sum of delta over VCs
-	owner      []*Packet // per VC: packet holding the downstream VC (wormhole); nil entries mean free
-	rr         int       // round-robin pointer for switch allocation
-	nextFree   int64     // first cycle at which the channel can transmit another flit
-	flitsSent  int64     // traffic counter for utilization reporting
+	nextFree   int64  // first cycle at which the channel can transmit another flit
+	flitsSent  int64  // traffic counter for utilization reporting
+	peer       int32  // downstream router (Network outputs)
+	peerIn     uint32 // flit-event address of the downstream port's VC 0: (peerPort<<vcShift)<<1
+	node       int32  // attached node (Terminal outputs)
+	latency    int32
+	pendingSum int32 // sum of pending over VCs, maintained incrementally for O(1) QueueEstPort
+	rr         int32 // round-robin pointer for switch allocation: the last granted request key
+	// This cycle's requesters, a list linked through router.reqNext in
+	// ascending request-key order; valid while nreq > 0.
+	reqHead int32
+	reqTail int32
+	nreq    int32
+	router  int32 // owning router, for resolving credit events back to (router, port)
+	kind    topo.PortKind
 }
 
+// outVC is the per-output-VC flow-control state, indexed like vcq by
+// ovc = port<<vcShift | vc.
+type outVC struct {
+	owner   *Packet // packet holding the downstream VC (wormhole); nil means free
+	credits int32   // free slots downstream; unused for Terminal outputs
+	pending int32   // queue estimate (routed here + in flight + downstream occupancy)
+}
+
+// router holds one router's views into the network-wide state slabs plus
+// its scheduling bitsets. All per-port and per-VC state of a router is
+// contiguous, so a router visit walks a few dense arrays instead of
+// chasing one heap object per port.
 type router struct {
-	id  topo.RouterID
-	in  []inPort
-	out []outPort
-	rng *rng.Source
+	id     topo.RouterID
+	occVCs int32 // occupied input VCs; > 0 keeps the router on the active worklist
+	// outBase is the network-wide index of out[0]: credit events address
+	// output VCs network-wide so they need not name the router.
+	outBase int32
 
-	occVCs  int32     // occupied input VCs; > 0 keeps the router on the active worklist
-	touched []int32   // (port*vcs + vc) entries with nonzero delta this cycle
-	grants  []int16   // per-input-port grants this cycle
-	reqs    [][]int32 // per-output requester list, entries are (inport*vcs... see reqKey)
-	granted []bool    // per-reqKey grant scratch for the age arbiter; nil unless AgeArbiter
+	occ    []uint64 // bit ivc set while input VC ivc holds a flit
+	reqOut []uint64 // bit p set while output port p has requesters this cycle
+
+	vq    []vcq  // input VC headers by ivc
+	flits []flit // the input VCs' ring slots
+	in    []inPort
+	out   []outPort
+	ovc   []outVC // output VC state by ovc
+	rng   *rng.Source
+
+	reqNext []int32 // request-list links by request key: the next requester of the same output
+	touched []int32 // this cycle's decisions awaiting the fold into pending (greedy allocation only)
+	grants  []int16 // per-input-port grants this cycle; maintained only when Speedup > 0
+	granted []bool  // per-request-key grant scratch for the age arbiter; nil unless AgeArbiter
 }
 
-// event kinds for the cycle calendar.
-const (
-	evFlit uint8 = iota
-	evCredit
-	evDeliver
-)
+// carve returns the n-element window of slab starting at off, capped so an
+// append can never run into a neighbour's window.
+func carve[T any](slab []T, off, n int) []T { return slab[off : off+n : off+n] }
 
-type event struct {
-	kind uint8
-	tail bool
-	// vc is the virtual channel for evFlit/evCredit. For evDeliver it
-	// instead carries the event's scheduling delay (cycles between
-	// traverse and delivery), which the parallel merge uses to recover
-	// the scheduling cycle; nothing else reads it for deliveries.
-	vc     int32
-	router int32
-	port   int32
+// routerWords returns the 64-bit words a router's scheduling bitsets (one
+// bit per input VC index, one per output port) take in the shared word
+// slab, rounded up to whole cache lines: the sets are written on every
+// buffer transition, and neighbouring routers may belong to different
+// worker shards.
+func routerWords(inVCs, outPorts int) int {
+	return ((inVCs+63)/64 + (outPorts+63)/64 + 7) &^ 7
+}
+
+// inVCs returns how many virtual channels input port ip buffers: the
+// algorithm's VC count for a network port, one (holding the full per-port
+// buffering) for a terminal port, none for an unused slot.
+func (n *Network) inVCs(ip *inPort) int {
+	switch ip.kind {
+	case topo.Network:
+		return n.vcs
+	case topo.Terminal:
+		return 1
+	}
+	return 0
+}
+
+// eachInputVC visits every input VC buffer of rt in (port, vc) order,
+// skipping the padding headers that round a port's VC count up to the
+// index stride. This is the order snapshots serialise buffers in.
+func (n *Network) eachInputVC(rt *router, visit func(port, vc int, q *vcq)) {
+	for p := range rt.in {
+		for v, nv := 0, n.inVCs(&rt.in[p]); v < nv; v++ {
+			visit(p, v, &rt.vq[p<<n.vcShift+v])
+		}
+	}
+}
+
+// The cycle calendar holds three homogeneous event lists per slot instead
+// of one tagged list. Flit arrivals touch only input VCs, credit returns
+// only output VCs, deliveries only counters and callbacks, so draining the
+// lists one after another is equivalent to draining the interleaved
+// scheduling order as long as each list keeps its own scheduling order
+// (DESIGN.md §10). The element sizes are guarded by TestHotLayoutSizes.
+
+// flitEv is a flit arriving at an input VC.
+type flitEv struct {
 	pkt    *Packet
+	router int32
+	in     uint32 // ivc<<1 | tail
+}
+
+// creditEv is a credit returning to an output VC.
+type creditEv struct {
+	ovc int32 // network-wide output-VC index
+	// pos is the length of the slot's flit list when the credit was
+	// scheduled. Nothing on the hot path reads it; Snapshot uses it to
+	// write flits and credits back in their interleaved scheduling order,
+	// which the file format pins.
+	pos uint32
+}
+
+// deliverEv is a flit leaving an ejection channel.
+type deliverEv struct {
+	pkt  *Packet
+	node int32 // the ejection channel's terminal
+	// dt is delay<<1 | tail, where delay is the cycles between traverse
+	// and delivery; the parallel merge uses it to recover the scheduling
+	// cycle.
+	dt int32
+}
+
+func (ev *deliverEv) tail() bool   { return ev.dt&1 != 0 }
+func (ev *deliverEv) delay() int64 { return int64(ev.dt >> 1) }
+
+// calSlot is one cycle of the calendar ring.
+type calSlot struct {
+	flits    []flitEv
+	credits  []creditEv
+	delivers []deliverEv
 }
 
 // Network is one instantiated simulation: a topology graph, a routing
@@ -175,12 +300,23 @@ type Network struct {
 
 	vcs     int
 	vcDepth int
+	// vcShift and vcMask pack (port, vc) into one index, port<<vcShift | vc,
+	// with the VC count rounded up to a power of two so unpacking is a
+	// shift and a mask.
+	vcShift uint
+	vcMask  int32
 
 	cycle   int64
+	calPos  int // cycle % calLen, advanced with cycle
 	routers []router
 	sources []source
 	maxLat  int
 	calLen  int // calendar ring length (shared by every shard)
+
+	// Network-wide slabs behind the routers' per-router views. outs and
+	// ovc are also indexed directly by credit events.
+	outs []outPort
+	ovc  []outVC
 
 	// Sharded scheduler state. sh always holds at least the bootstrap
 	// shard 0; par is true once partition() split the network across
@@ -263,76 +399,139 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 	if depth < 1 {
 		depth = 1
 	}
+	shift := uint(bits.Len(uint(vcs - 1)))
+	// A port's slot budget covers either split: vcs rings of depth flits
+	// (network input) or one ring of the full per-port buffering (terminal).
+	portSlots := cfg.BufPerPort
+	if vcs*depth > portSlots {
+		portSlots = vcs * depth
+	}
+	var nIn, nOut, nSlots, nWords int
+	for r := range g.Routers {
+		rd := &g.Routers[r]
+		nIn += len(rd.In)
+		nOut += len(rd.Out)
+		for p := range rd.In {
+			if rd.In[p].Kind != topo.Unused {
+				nSlots += portSlots
+			}
+		}
+		nWords += routerWords(len(rd.In)<<shift, len(rd.Out))
+	}
+	// State indices and flit counts are 32-bit: VC indices, ring slots, and
+	// queue estimates, which reserve a whole packet per routed input VC.
+	if nIn<<shift > math.MaxInt32/2 || nOut<<shift > math.MaxInt32 || nSlots > math.MaxInt32 ||
+		cfg.PacketSize > math.MaxInt32/(nIn<<shift+1) {
+		return nil, fmt.Errorf("sim: network too large for the simulator's 32-bit state (%d input ports, %d output ports, %d VCs, %d flits per port, %d flits per packet)",
+			nIn, nOut, vcs, portSlots, cfg.PacketSize)
+	}
 	n := &Network{
 		g:         g,
 		alg:       alg,
 		cfg:       cfg,
 		vcs:       vcs,
 		vcDepth:   depth,
+		vcShift:   shift,
+		vcMask:    int32(1)<<shift - 1,
 		measStart: -1,
 		measEnd:   -1,
+		outs:      make([]outPort, nOut),
+		ovc:       make([]outVC, nOut<<shift),
+	}
+	// Every router's state is carved out of a handful of network-wide
+	// slabs: contiguous per router, and a few allocations per network
+	// instead of several per port.
+	vqSlab := make([]vcq, nIn<<shift)
+	flitSlab := make([]flit, nSlots)
+	inSlab := make([]inPort, nIn)
+	wordSlab := make([]uint64, nWords)
+	touchedSlab := make([]int32, nIn*vcs)
+	nextSlab := make([]int32, nIn<<shift)
+	var grantSlab []int16
+	if cfg.Speedup > 0 {
+		grantSlab = make([]int16, nIn)
+	}
+	var grantedSlab []bool
+	if cfg.AgeArbiter {
+		grantedSlab = make([]bool, nIn<<shift)
 	}
 	master := rng.New(cfg.Seed)
 	n.routers = make([]router, len(g.Routers))
+	outBase := 0
+	for r := range g.Routers {
+		n.routers[r].outBase = int32(outBase)
+		outBase += len(g.Routers[r].Out)
+	}
 	maxLat := 1
+	var inOff, slotOff, wordOff int
 	for r := range g.Routers {
 		rd := &g.Routers[r]
 		rt := &n.routers[r]
 		rt.id = topo.RouterID(r)
 		rt.rng = rng.New(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(r+1)))
-		rt.in = make([]inPort, len(rd.In))
+		nin, nout := len(rd.In), len(rd.Out)
+		rt.in = carve(inSlab, inOff, nin)
+		rt.vq = carve(vqSlab, inOff<<shift, nin<<shift)
+		rt.reqNext = carve(nextSlab, inOff<<shift, nin<<shift)
+		// touched holds at most one entry per occupied input VC.
+		rt.touched = carve(touchedSlab, inOff*vcs, nin*vcs)[:0]
+		if grantSlab != nil {
+			rt.grants = carve(grantSlab, inOff, nin)
+		}
+		if grantedSlab != nil {
+			rt.granted = carve(grantedSlab, inOff<<shift, nin<<shift)
+		}
+		inOff += nin
+		ob := int(rt.outBase)
+		rt.out = carve(n.outs, ob, nout)
+		rt.ovc = carve(n.ovc, ob<<shift, nout<<shift)
+		occWords := (nin<<shift + 63) / 64
+		rt.occ = carve(wordSlab, wordOff, occWords)
+		rt.reqOut = carve(wordSlab, wordOff+occWords, (nout+63)/64)
+		wordOff += routerWords(nin<<shift, nout)
+		slot0 := slotOff
 		for p := range rd.In {
 			ip := &rt.in[p]
 			ip.kind = rd.In[p].Kind
-			ip.peer = rd.In[p].Peer
-			ip.peerPort = rd.In[p].PeerPort
-			if ip.kind == topo.Network {
-				ip.creditLat = g.Routers[ip.peer].Out[ip.peerPort].Latency
+			if ip.kind == topo.Unused {
+				continue
 			}
+			base := int32(slotOff - slot0)
+			slotOff += portSlots
+			q0 := p << shift
 			switch ip.kind {
 			case topo.Network:
-				ip.vcs = make([]vcq, vcs)
-				for v := range ip.vcs {
-					ip.vcs[v].buf = make([]flit, depth)
+				ip.peer = int32(rd.In[p].Peer)
+				ip.creditLat = int32(g.Routers[ip.peer].Out[rd.In[p].PeerPort].Latency)
+				ip.credOVC = (n.routers[ip.peer].outBase + int32(rd.In[p].PeerPort)) << shift
+				for v := 0; v < vcs; v++ {
+					rt.vq[q0+v].base = base + int32(v*depth)
+					rt.vq[q0+v].cap = int32(depth)
 				}
 			case topo.Terminal:
 				// The terminal (injection) buffer is a single logical VC
 				// holding the full per-port buffering.
-				ip.vcs = make([]vcq, 1)
-				ip.vcs[0].buf = make([]flit, cfg.BufPerPort)
+				rt.vq[q0].base = base
+				rt.vq[q0].cap = int32(cfg.BufPerPort)
 			}
 		}
-		rt.out = make([]outPort, len(rd.Out))
+		rt.flits = carve(flitSlab, slot0, slotOff-slot0)
 		for p := range rd.Out {
 			op := &rt.out[p]
 			op.kind = rd.Out[p].Kind
-			op.peer = rd.Out[p].Peer
-			op.peerPort = rd.Out[p].PeerPort
-			op.node = rd.Out[p].Node
-			op.latency = rd.Out[p].Latency
-			if op.latency > maxLat {
-				maxLat = op.latency
+			op.router = int32(r)
+			op.peer = int32(rd.Out[p].Peer)
+			op.peerIn = uint32(rd.Out[p].PeerPort) << shift << 1
+			op.node = int32(rd.Out[p].Node)
+			op.latency = int32(rd.Out[p].Latency)
+			if int(op.latency) > maxLat {
+				maxLat = int(op.latency)
 			}
-			switch op.kind {
-			case topo.Network:
-				op.credits = make([]int, vcs)
-				for v := range op.credits {
-					op.credits[v] = depth
+			if op.kind == topo.Network {
+				for v := 0; v < vcs; v++ {
+					rt.ovc[p<<shift+v].credits = int32(depth)
 				}
-				op.pending = make([]int, vcs)
-				op.delta = make([]int, vcs)
-				op.owner = make([]*Packet, vcs)
-			case topo.Terminal:
-				op.pending = make([]int, vcs)
-				op.delta = make([]int, vcs)
 			}
-		}
-		rt.grants = make([]int16, len(rd.In))
-		rt.reqs = make([][]int32, len(rd.Out))
-		// touched holds at most one entry per occupied input VC.
-		rt.touched = make([]int32, 0, len(rd.In)*vcs)
-		if cfg.AgeArbiter {
-			rt.granted = make([]bool, len(rd.In)*(vcs+1))
 		}
 	}
 	n.maxLat = maxLat
@@ -343,14 +542,15 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 	n.calLen = maxLat + cfg.RouterDelay + cfg.BufPerPort + 2
 	n.sources = make([]source, g.NumNodes)
 	for i := range n.sources {
-		n.sources[i].node = topo.NodeID(i)
-		n.sources[i].rng = master.Split()
+		s := &n.sources[i]
+		s.rng = master.Split()
+		s.router = int32(g.NodeRouter[i])
+		s.ivc = int32(g.InjPort[i]) << shift
 	}
 	// The bootstrap shard covers the whole network; it is the sequential
 	// scheduler, and stays in place unless SetWorkers partitions it at
 	// the first Step.
 	n.sh = []*shard{newShard(n, 0, 0, len(g.Routers), 0, g.NumNodes)}
-	_ = master
 	return n, nil
 }
 
@@ -366,36 +566,106 @@ func (n *Network) VCs() int { return n.vcs }
 // VCDepth returns the per-VC buffer depth in flits.
 func (n *Network) VCDepth() int { return n.vcDepth }
 
-// schedule enqueues an event delay cycles in the future. Slot growth goes
-// through the shard's arena so backing arrays are recycled across
-// calendar slots and the steady state schedules without allocating. In
-// parallel mode, events addressed to a router owned by another shard are
-// staged into that shard's outbox instead; the target drains it at the
-// next cycle barrier (delay >= 1 for every cross-shard event, so the
-// event cannot be due before the target looks).
-func (sh *shard) schedule(delay int, ev event) {
+// slot returns the calendar slot delay cycles ahead (0 <= delay < calLen).
+func (sh *shard) slot(delay int) *calSlot {
+	i := sh.n.calPos + delay
+	if i >= len(sh.cal) {
+		i -= len(sh.cal)
+	}
+	return &sh.cal[i]
+}
+
+// scheduleFlit enqueues a flit arrival at input VC in>>1 of router, delay
+// cycles in the future. List growth goes through the shard's arena so
+// backing arrays are recycled across calendar slots and the steady state
+// schedules without allocating. In parallel mode, events addressed to a
+// router owned by another shard are staged into that shard's outbox
+// instead; the target drains it at the next cycle barrier (delay >= 1 for
+// every cross-shard event, so the event cannot be due before the target
+// looks).
+//
+// The schedule helpers take scalars and build the element in place: an
+// event struct passed by value is assembled on the stack with narrow
+// stores and reloaded wide, a store-forwarding stall on every flit hop.
+func (sh *shard) scheduleFlit(delay int, router int32, in uint32, pkt *Packet) {
 	n := sh.n
+	ev := flitEv{pkt: pkt, router: router, in: in}
 	if n.par {
-		if tgt := n.shardOf[ev.router]; int(tgt) != sh.idx {
-			sh.outbox[tgt] = append(sh.outbox[tgt], xev{at: n.cycle + int64(delay), ev: ev})
+		if tgt := n.shardOf[router]; int(tgt) != sh.idx {
+			sh.outFlits[tgt] = append(sh.outFlits[tgt], xflit{at: n.cycle + int64(delay), ev: ev})
 			return
 		}
 	}
-	slot := (n.cycle + int64(delay)) % int64(len(sh.calendar))
-	evs := sh.calendar[slot]
-	if len(evs) == cap(evs) {
-		evs = sh.arena.growEvents(evs)
-	}
-	sh.calendar[slot] = append(evs, ev)
+	sh.slot(delay).addFlit(&sh.arena, ev)
 }
 
-// wakeVC marks input VC (ip, vc) occupied and puts the router on the
+// scheduleCredit enqueues a credit return to network-wide output VC ovc,
+// which belongs to router.
+func (sh *shard) scheduleCredit(delay int, router, ovc int32) {
+	n := sh.n
+	if n.par {
+		if tgt := n.shardOf[router]; int(tgt) != sh.idx {
+			sh.outCredits[tgt] = append(sh.outCredits[tgt], xcredit{at: n.cycle + int64(delay), ovc: ovc})
+			return
+		}
+	}
+	sh.slot(delay).addCredit(&sh.arena, ovc)
+}
+
+// scheduleDeliver enqueues a delivery at node's ejection channel. A
+// delivery is always local to the scheduling shard.
+func (sh *shard) scheduleDeliver(delay int, node int32, tail bool, pkt *Packet) {
+	dt := int32(delay) << 1
+	if tail {
+		dt |= 1
+	}
+	sh.slot(delay).addDeliver(&sh.arena, deliverEv{pkt: pkt, node: node, dt: dt})
+}
+
+// The add helpers append to one of a slot's lists, growing it through
+// the arena; growth is outlined so the append itself inlines into the
+// schedule helpers.
+
+func (s *calSlot) addFlit(a *arena, ev flitEv) {
+	if len(s.flits) == cap(s.flits) {
+		a.growFlits(s)
+	}
+	s.flits = append(s.flits, ev)
+}
+
+// addCredit appends a credit and stamps its position among the slot's
+// flits (see creditEv.pos).
+func (s *calSlot) addCredit(a *arena, ovc int32) {
+	if len(s.credits) == cap(s.credits) {
+		a.growCredits(s)
+	}
+	s.credits = append(s.credits, creditEv{ovc: ovc, pos: uint32(len(s.flits))})
+}
+
+func (s *calSlot) addDeliver(a *arena, ev deliverEv) {
+	if len(s.delivers) == cap(s.delivers) {
+		a.growDelivers(s)
+	}
+	s.delivers = append(s.delivers, ev)
+}
+
+//go:noinline
+func (a *arena) growFlits(s *calSlot) { s.flits = a.flits.grow(s.flits) }
+
+//go:noinline
+func (a *arena) growCredits(s *calSlot) { s.credits = a.credits.grow(s.credits) }
+
+//go:noinline
+func (a *arena) growDelivers(s *calSlot) { s.delivers = a.delivers.grow(s.delivers) }
+
+// wakeVC marks input VC ivc of rt occupied and puts the router on the
 // shard's active worklist. Idempotent when the bit is already set.
-func (sh *shard) wakeVC(rt *router, ip *inPort, vc int) {
-	if ip.occ&(1<<uint(vc)) != 0 {
+func (sh *shard) wakeVC(rt *router, ivc int32) {
+	w, bit := ivc>>6, uint64(1)<<(uint(ivc)&63)
+	if rt.occ[w]&bit != 0 {
 		return
 	}
-	ip.occ |= 1 << uint(vc)
+	rt.occ[w] |= bit
 	if rt.occVCs == 0 {
 		r := uint(int(rt.id) - sh.r0)
 		sh.activeR[r>>6] |= 1 << (r & 63)
@@ -403,10 +673,10 @@ func (sh *shard) wakeVC(rt *router, ip *inPort, vc int) {
 	rt.occVCs++
 }
 
-// clearVC marks input VC (ip, vc) empty, dropping the router from the
+// clearVC marks input VC ivc of rt empty, dropping the router from the
 // worklist when it was its last occupied VC. The bit must be set.
-func (sh *shard) clearVC(rt *router, ip *inPort, vc int) {
-	ip.occ &^= 1 << uint(vc)
+func (sh *shard) clearVC(rt *router, ivc int32) {
+	rt.occ[ivc>>6] &^= 1 << (uint(ivc) & 63)
 	rt.occVCs--
 	if rt.occVCs == 0 {
 		r := uint(int(rt.id) - sh.r0)
@@ -443,44 +713,67 @@ func (n *Network) Step() {
 	if n.checks != nil {
 		n.checks.EndCycle()
 	}
+	n.advanceCycle()
+}
+
+// advanceCycle moves simulation time forward one cycle, keeping the
+// calendar position in step so no schedule or drain divides.
+func (n *Network) advanceCycle() {
 	n.cycle++
+	n.calPos++
+	if n.calPos == n.calLen {
+		n.calPos = 0
+	}
 }
 
 // processEvents applies flit arrivals, credit returns and deliveries
-// scheduled for the current cycle. In parallel mode deliveries are
-// deferred to the shard's pendDel list; the coordinator replays them in
-// the exact sequential order at the phase barrier (mergeDeliveries).
+// scheduled for the current cycle, one homogeneous list after another. In
+// parallel mode deliveries are left in place as the shard's pendDel list;
+// the coordinator replays them in the exact sequential order at the phase
+// barrier (mergeDeliveries).
 func (sh *shard) processEvents() {
 	n := sh.n
 	if n.par {
 		sh.drainInboxes()
 	}
-	slot := n.cycle % int64(len(sh.calendar))
-	evs := sh.calendar[slot]
-	sh.calendar[slot] = evs[:0]
-	for _, ev := range evs {
-		switch ev.kind {
-		case evFlit:
-			rt := &n.routers[ev.router]
-			ip := &rt.in[ev.port]
-			ip.vcs[ev.vc].push(flit{pkt: ev.pkt, tail: ev.tail})
-			sh.wakeVC(rt, ip, int(ev.vc))
-		case evCredit:
-			op := &n.routers[ev.router].out[ev.port]
-			op.credits[ev.vc]++
-			op.pending[ev.vc]--
-			op.pendingSum--
-			if n.checks != nil {
-				n.checks.CreditReturn(topo.RouterID(ev.router), int(ev.port), int(ev.vc), op.credits[ev.vc])
-			}
-		case evDeliver:
-			if n.par {
-				sh.pendDel = append(sh.pendDel, ev)
-				continue
-			}
-			n.deliverEvent(sh, ev)
+	s := &sh.cal[n.calPos]
+	for i := range s.flits {
+		ev := &s.flits[i]
+		rt := &n.routers[ev.router]
+		ivc := int32(ev.in >> 1)
+		rt.push(&rt.vq[ivc], flit{pkt: ev.pkt, tail: ev.in&1 != 0})
+		sh.wakeVC(rt, ivc)
+	}
+	s.flits = s.flits[:0]
+	for _, ev := range s.credits {
+		ov := &n.ovc[ev.ovc]
+		ov.credits++
+		ov.pending--
+		n.outs[ev.ovc>>n.vcShift].pendingSum--
+		if n.checks != nil {
+			r, port, vc := n.creditTarget(ev.ovc)
+			n.checks.CreditReturn(topo.RouterID(r), port, vc, int(ov.credits))
 		}
 	}
+	s.credits = s.credits[:0]
+	if n.par {
+		// Nothing schedules into the current slot (every delay is >= 1),
+		// so the list stays intact until the merge has replayed it.
+		sh.pendDel = s.delivers
+	} else {
+		for i := range s.delivers {
+			n.deliverEvent(sh, &s.delivers[i])
+		}
+	}
+	s.delivers = s.delivers[:0]
+}
+
+// creditTarget resolves a network-wide output-VC index to its router,
+// output port and VC.
+func (n *Network) creditTarget(ovc int32) (router int32, port, vc int) {
+	gp := ovc >> n.vcShift
+	router = n.outs[gp].router
+	return router, int(gp - n.routers[router].outBase), int(ovc & n.vcMask)
 }
 
 // deliverEvent applies one ejection event: counters, hooks, transfer
@@ -488,32 +781,33 @@ func (sh *shard) processEvents() {
 // owns the packet's source, so steady-state packet objects circulate
 // back to the arena they are allocated from). Runs on the caller thread:
 // inline in the sequential scheduler, from mergeDeliveries in parallel.
-func (n *Network) deliverEvent(home *shard, ev event) {
+func (n *Network) deliverEvent(home *shard, ev *deliverEv) {
 	n.flitsDelivered++
+	pkt, tail := ev.pkt, ev.tail()
 	if n.tracer != nil {
 		n.tracer.Record(telemetry.FlitEvent{
-			Cycle: n.cycle, Kind: telemetry.EvEject, Packet: ev.pkt.ID,
-			Src: int(ev.pkt.Src), Dst: int(ev.pkt.Dst),
-			Router: int(ev.router), Port: int(ev.port), VC: -1, Tail: ev.tail,
+			Cycle: n.cycle, Kind: telemetry.EvEject, Packet: pkt.ID,
+			Src: int(pkt.Src), Dst: int(pkt.Dst),
+			Router: int(n.g.EjRouter[ev.node]), Port: n.g.EjPort[ev.node], VC: -1, Tail: tail,
 		})
 	}
 	if n.checks != nil {
-		n.checks.Eject(ev.pkt, topo.RouterID(ev.router), int(ev.port), ev.tail)
+		n.checks.Eject(pkt, n.g.EjRouter[ev.node], n.g.EjPort[ev.node], tail)
 	}
-	if !ev.tail {
+	if !tail {
 		return
 	}
 	n.deliveredTotal++
-	if ev.pkt.Measured {
+	if pkt.Measured {
 		n.measDelivered++
 	}
 	if n.xfers != nil {
-		n.completeTransfer(ev.pkt)
+		n.completeTransfer(pkt)
 	}
 	if n.onDeliver != nil {
-		n.onDeliver(ev.pkt, n.cycle)
+		n.onDeliver(pkt, n.cycle)
 	}
-	home.arena.freePacket(ev.pkt)
+	home.arena.freePacket(pkt)
 }
 
 // inject moves flits from source backlogs into their routers' terminal
@@ -565,18 +859,18 @@ func (sh *shard) injectSource(i int) bool {
 			p.ID = n.nextID
 			n.nextID++
 		}
-		p.Src = s.node
+		p.Src = topo.NodeID(i)
 		if a.hasDst {
-			p.Dst = a.dst
+			p.Dst = topo.NodeID(a.dst)
 		} else {
-			p.Dst = n.wl.Dest(s.node, s.rng)
+			p.Dst = n.wl.Dest(topo.NodeID(i), s.rng)
 		}
 		p.Phase = PhaseNew
 		p.InjectCycle = a.ts
 		p.NetworkCycle = n.cycle
 		p.Measured = a.ts >= n.measStart && a.ts < n.measEnd
 		s.cur = p
-		s.remaining = n.cfg.PacketSize
+		s.remaining = int32(n.cfg.PacketSize)
 		sh.injected++
 		if n.par {
 			// Transfer registration and the materialization callback touch
@@ -594,28 +888,25 @@ func (sh *shard) injectSource(i int) bool {
 			}
 		}
 	}
-	r := n.g.NodeRouter[s.node]
-	inPort := n.g.InjPort[s.node]
-	rt := &n.routers[r]
-	ip := &rt.in[inPort]
-	q := &ip.vcs[0]
-	if q.full() {
+	rt := &n.routers[s.router]
+	q := &rt.vq[s.ivc]
+	if q.count == q.cap {
 		return true
 	}
 	s.remaining--
 	tail := s.remaining == 0
-	q.push(flit{pkt: s.cur, tail: tail})
-	sh.wakeVC(rt, ip, 0)
+	rt.push(q, flit{pkt: s.cur, tail: tail})
+	sh.wakeVC(rt, s.ivc)
 	sh.flitsInjected++
 	if n.tracer != nil {
 		n.tracer.Record(telemetry.FlitEvent{
 			Cycle: n.cycle, Kind: telemetry.EvInject, Packet: s.cur.ID,
 			Src: int(s.cur.Src), Dst: int(s.cur.Dst),
-			Router: int(r), Port: inPort, VC: 0, Tail: tail,
+			Router: int(s.router), Port: int(s.ivc >> n.vcShift), VC: 0, Tail: tail,
 		})
 	}
 	if n.checks != nil {
-		n.checks.Inject(s.cur, r, inPort, tail)
+		n.checks.Inject(s.cur, rt.id, int(s.ivc>>n.vcShift), tail)
 	}
 	if tail {
 		s.cur = nil
@@ -632,26 +923,16 @@ func (n *Network) PacketSize() int { return n.cfg.PacketSize }
 // Used by conservation tests.
 func (n *Network) Inventory() (buffered, inFlight int) {
 	for r := range n.routers {
-		for p := range n.routers[r].in {
-			for v := range n.routers[r].in[p].vcs {
-				buffered += n.routers[r].in[p].vcs[v].count
-			}
+		for i := range n.routers[r].vq {
+			buffered += int(n.routers[r].vq[i].count)
 		}
 	}
 	for _, sh := range n.sh {
-		for _, evs := range sh.calendar {
-			for _, ev := range evs {
-				if ev.kind == evFlit || ev.kind == evDeliver {
-					inFlight++
-				}
-			}
+		for i := range sh.cal {
+			inFlight += len(sh.cal[i].flits) + len(sh.cal[i].delivers)
 		}
-		for _, box := range sh.outbox {
-			for _, x := range box {
-				if x.ev.kind == evFlit || x.ev.kind == evDeliver {
-					inFlight++
-				}
-			}
+		for _, box := range sh.outFlits {
+			inFlight += len(box)
 		}
 	}
 	return buffered, inFlight

@@ -30,21 +30,25 @@ const (
 )
 
 // Packet is a single-flit packet traversing the network.
+//
+// The fields are ordered so the struct is exactly 64 bytes — one cache
+// line, and one allocator size class, so packets never straddle lines
+// (TestHotLayoutSizes guards it). Phase, Measured and Inter share a word.
 type Packet struct {
 	ID  int64
 	Src topo.NodeID
 	Dst topo.NodeID
 
 	// Routing state, owned by the routing algorithm.
-	Phase   int8
-	Inter   int32  // intermediate router for two-phase routes; -1 when unset
-	DimMask uint32 // remaining-dimension bitmask for ascent-style routes
+	Phase    int8
+	Measured bool   // injected during the measurement window
+	Inter    int32  // intermediate router for two-phase routes; -1 when unset
+	DimMask  uint32 // remaining-dimension bitmask for ascent-style routes
 
 	Hops int // inter-router channels traversed so far
 
 	InjectCycle  int64 // cycle the packet arrived at its source queue
 	NetworkCycle int64 // cycle the packet entered its source router's buffer
-	Measured     bool  // injected during the measurement window
 }
 
 // reset clears a recycled packet.

@@ -87,6 +87,14 @@ func TestShardMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+	for _, c := range hardRouterCases(t) {
+		seq := runShardScheduler(t, c.ff, c.alg, c.cfg, c.load, c.cycles, 1)
+		if len(seq) == 0 {
+			t.Fatalf("%s delivered nothing", c.name)
+		}
+		par := runShardScheduler(t, c.ff, c.alg, c.cfg, c.load, c.cycles, 3)
+		diffDeliveries(t, seq, par, c.name)
+	}
 }
 
 // TestShardCountersMatchSequential pins the bookkeeping surface, not just
@@ -273,18 +281,30 @@ func TestStepZeroAllocParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.SetPattern(traffic.NewUniform(n.NumNodes()))
-	for i := 0; i < 2000; i++ {
-		n.GenerateBernoulli(0.5)
-		n.Step()
-	}
-	avg := testing.AllocsPerRun(400, func() {
-		n.GenerateBernoulli(0.5)
-		n.Step()
-	})
-	// Allow a tiny slack for rare worklist/outbox growth events that the
-	// warmup did not reach, mirroring TestStepZeroAlloc.
-	if avg > 0.05 {
-		t.Fatalf("parallel steady-state Step allocates: %.3f allocs/op", avg)
+	// Both generation paths, as in TestStepZeroAlloc: the direct Bernoulli
+	// draw, then Generate through the installed traffic.Source at a load
+	// where sources rarely drain.
+	for _, gen := range []func(){
+		func() { n.GenerateBernoulli(0.5) },
+		func() {
+			if err := n.Generate(0.8); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		for i := 0; i < 2000; i++ {
+			gen()
+			n.Step()
+		}
+		avg := testing.AllocsPerRun(400, func() {
+			gen()
+			n.Step()
+		})
+		// Allow a tiny slack for rare worklist/outbox growth events that the
+		// warmup did not reach, mirroring TestStepZeroAlloc.
+		if avg > 0.05 {
+			t.Fatalf("parallel steady-state Step allocates: %.3f allocs/op", avg)
+		}
 	}
 }
 

@@ -130,11 +130,9 @@ func (n *Network) sampleProbes() {
 	p.Samples++
 	for r := range n.routers {
 		rt := &n.routers[r]
-		for q := range rt.in {
-			ip := &rt.in[q]
-			for occ := ip.occ; occ != 0; occ &= occ - 1 {
-				v := bits.TrailingZeros64(occ)
-				c := ip.vcs[v].count
+		for w, word := range rt.occ {
+			for ; word != 0; word &= word - 1 {
+				c := int(rt.vq[w<<6+bits.TrailingZeros64(word)].count)
 				p.OccFlits += int64(c)
 				p.OccVCs++
 				if c > p.MaxVCOcc {

@@ -9,71 +9,106 @@ import (
 )
 
 // routeAllocate runs route computation for every un-routed buffer head of
-// the shard's routers. Greedy allocation reads start-of-cycle estimates;
-// sequential allocation additionally sees the reservations (delta) of
-// decisions made earlier in the same cycle, in input-port order (§3.1).
-// Only routers on the active worklist (holding at least one buffered
-// flit) are visited, in ascending router order — the same order the full
-// scan would use — so idle routers cost no work.
+// the shard's routers and collects the cycle's switch requests. Greedy
+// allocation reads start-of-cycle estimates; sequential allocation
+// additionally sees the reservations of decisions made earlier in the
+// same cycle, in input-port order (§3.1). Only routers on the active
+// worklist (holding at least one buffered flit) are visited, in ascending
+// router order — the same order the full scan would use — so idle routers
+// cost no work.
 func (sh *shard) routeAllocate() {
 	n := sh.n
-	sh.view.seq = n.alg.Sequential()
+	seq := n.alg.Sequential()
 	if n.stepAll {
 		for r := sh.r0; r < sh.r1; r++ {
-			sh.routeRouter(&n.routers[r])
+			sh.routeRouter(&n.routers[r], seq)
 		}
 	} else {
 		for w := range sh.activeR {
 			for word := sh.activeR[w]; word != 0; word &= word - 1 {
-				sh.routeRouter(&n.routers[sh.r0+w<<6+bits.TrailingZeros64(word)])
+				sh.routeRouter(&n.routers[sh.r0+w<<6+bits.TrailingZeros64(word)], seq)
 			}
 		}
 	}
 	sh.view.rt = nil
 }
 
-// routeRouter routes every un-routed buffer head of one router.
-func (sh *shard) routeRouter(rt *router) {
+// routeRouter makes one pass over the occupied input VCs of a router, in
+// ascending (port, vc) order: it routes every un-routed buffer head, and
+// files every routed head that can bid this cycle on its output's request
+// list. Nothing between this pass and the router's switch allocation
+// changes the state a bid depends on (credits and VC ownership move only
+// in processEvents and in the router's own traverse), so collecting
+// requests here is equivalent to a second scan at switch time.
+//
+// A decision reserves the whole packet (queue estimates are in flits) on
+// its output VC. Under a sequential allocator the reservation lands in
+// the estimate at once, so later inputs of the same cycle see it; under a
+// greedy one it is parked on rt.touched and folded in after the pass, so
+// every input decides against the start-of-cycle estimates.
+func (sh *shard) routeRouter(rt *router, seq bool) {
 	n := sh.n
 	sh.view.rt = rt
-	for p := range rt.in {
-		ip := &rt.in[p]
-		for occ := ip.occ; occ != 0; occ &= occ - 1 {
-			v := bits.TrailingZeros64(occ)
-			q := &ip.vcs[v]
-			if q.routed {
-				continue
+	shift := n.vcShift
+	ps := int32(n.cfg.PacketSize)
+	for w, word := range rt.occ {
+		for ; word != 0; word &= word - 1 {
+			ivc := int32(w<<6 + bits.TrailingZeros64(word))
+			q := &rt.vq[ivc]
+			if !q.routed {
+				pkt := q.hpkt
+				dec := n.alg.Route(&sh.view, pkt)
+				q.out = int32(dec.Port)<<shift | int32(dec.VC)
+				q.routed = true
+				if n.checks != nil {
+					n.checks.Route(pkt, rt.id, dec.Port, dec.VC)
+				}
+				if n.tracer != nil {
+					n.tracer.Record(telemetry.FlitEvent{
+						Cycle: n.cycle, Kind: telemetry.EvRoute, Packet: pkt.ID,
+						Src: int(pkt.Src), Dst: int(pkt.Dst),
+						Router: int(rt.id), Port: dec.Port, VC: dec.VC,
+					})
+				}
+				if seq {
+					rt.ovc[q.out].pending += ps
+					rt.out[dec.Port].pendingSum += ps
+				} else {
+					rt.touched = append(rt.touched, q.out)
+				}
 			}
-			dec := n.alg.Route(&sh.view, q.peek().pkt)
-			q.out = dec
-			q.routed = true
-			if n.checks != nil {
-				n.checks.Route(q.peek().pkt, rt.id, dec.Port, dec.VC)
+			port := q.out >> shift
+			op := &rt.out[port]
+			if op.kind == topo.Network {
+				ov := &rt.ovc[q.out]
+				if ov.credits <= 0 {
+					if n.probes != nil {
+						n.probes.CreditStalls++
+					}
+					continue // no downstream space: do not bid
+				}
+				if !q.headSent && ov.owner != nil {
+					if n.probes != nil {
+						n.probes.VCStalls++
+					}
+					continue // downstream VC still owned by another packet
+				}
+			} else if op.nextFree-n.cycle >= int64(n.cfg.BufPerPort) {
+				continue // ejection staging queue full
 			}
-			if n.tracer != nil {
-				pkt := q.peek().pkt
-				n.tracer.Record(telemetry.FlitEvent{
-					Cycle: n.cycle, Kind: telemetry.EvRoute, Packet: pkt.ID,
-					Src: int(pkt.Src), Dst: int(pkt.Dst),
-					Router: int(rt.id), Port: dec.Port, VC: dec.VC,
-				})
+			if op.nreq == 0 {
+				op.reqHead = ivc
+				rt.reqOut[port>>6] |= 1 << (uint(port) & 63)
+			} else {
+				rt.reqNext[op.reqTail] = ivc
 			}
-			// Queue estimates are in flits: reserve the whole packet.
-			op := &rt.out[dec.Port]
-			op.delta[dec.VC] += n.cfg.PacketSize
-			op.deltaSum += n.cfg.PacketSize
-			rt.touched = append(rt.touched, int32(dec.Port)*int32(n.vcs)+int32(dec.VC))
+			op.reqTail = ivc
+			op.nreq++
 		}
 	}
-	// Fold this cycle's reservations into the stable estimates.
 	for _, t := range rt.touched {
-		port, vc := int(t)/n.vcs, int(t)%n.vcs
-		op := &rt.out[port]
-		d := op.delta[vc]
-		op.pending[vc] += d
-		op.pendingSum += d
-		op.deltaSum -= d
-		op.delta[vc] = 0
+		rt.ovc[t].pending += ps
+		rt.out[t>>shift].pendingSum += ps
 	}
 	rt.touched = rt.touched[:0]
 }
@@ -84,7 +119,8 @@ func (sh *shard) routeRouter(rt *router) {
 // on the far end of the channel, plus packets already routed to that
 // output in this router. Under a sequential allocator the estimate also
 // includes reservations made earlier in the same cycle; under a greedy
-// allocator all inputs see the same start-of-cycle snapshot.
+// allocator all inputs see the same start-of-cycle snapshot (routeRouter
+// applies the reservations accordingly, so the accessors just read).
 //
 // RouterView is a concrete struct (not an interface) so the per-flit Route
 // call performs no interface conversion and its accessors inline — part of
@@ -95,9 +131,8 @@ func (sh *shard) routeRouter(rt *router) {
 // internal/routing) is what makes Route safe to run on shards in
 // parallel.
 type RouterView struct {
-	n   *Network
-	rt  *router
-	seq bool
+	n  *Network
+	rt *router
 }
 
 // Cycle returns the current simulation cycle.
@@ -112,19 +147,11 @@ func (v *RouterView) RNG() *rng.Source { return v.rt.rng }
 
 // QueueEst returns the queue-length estimate for (port, vc).
 func (v *RouterView) QueueEst(port, vc int) int {
-	op := &v.rt.out[port]
-	if v.seq {
-		return op.pending[vc] + op.delta[vc]
-	}
-	return op.pending[vc]
+	return int(v.rt.ovc[port<<v.n.vcShift|vc].pending)
 }
 
-// QueueEstPort returns the estimate summed over all VCs of port. The sums
-// are maintained incrementally, so this is O(1) regardless of VC count.
+// QueueEstPort returns the estimate summed over all VCs of port. The sum
+// is maintained incrementally, so this is O(1) regardless of VC count.
 func (v *RouterView) QueueEstPort(port int) int {
-	op := &v.rt.out[port]
-	if v.seq {
-		return op.pendingSum + op.deltaSum
-	}
-	return op.pendingSum
+	return int(v.rt.out[port].pendingSum)
 }

@@ -23,14 +23,14 @@ import (
 //	                    hooks, then advances the cycle.
 //
 // Determinism argument (why results are bit-identical to workers=1):
-//   - Cross-shard events are only evFlit and evCredit. Within one
-//     calendar slot their processing order is irrelevant: at most one
-//     flit per (router, input port, VC) arrives per cycle (the upstream
-//     channel serializes on nextFree), so flit pushes hit distinct FIFOs,
-//     and credit returns are commutative increments. Each target drains
-//     its inboxes in ascending source-shard order anyway, so even the
-//     slot contents are deterministic.
-//   - evDeliver events are always shard-local (a terminal output of the
+//   - Cross-shard events are only flit arrivals and credit returns.
+//     Within one calendar slot their processing order is irrelevant: at
+//     most one flit per (router, input port, VC) arrives per cycle (the
+//     upstream channel serializes on nextFree), so flit pushes hit
+//     distinct FIFOs, and credit returns are commutative increments.
+//     Each target drains its inboxes in ascending source-shard order
+//     anyway, so even the slot contents are deterministic.
+//   - Deliveries are always shard-local (a terminal output of the
 //     shard's own router) and carry their scheduling delay; the merge
 //     replays them ordered by (scheduling cycle, shard), which equals
 //     the order the sequential calendar slot would hold them in:
@@ -54,11 +54,17 @@ const (
 	phaseAlloc               // inject + route + switch allocation
 )
 
-// xev is one cross-shard event staged in an outbox: the event plus its
-// absolute due cycle (the outbox cannot rely on slot position for time).
-type xev struct {
+// xflit and xcredit are cross-shard events staged in an outbox: the event
+// plus its absolute due cycle (the outbox cannot rely on slot position
+// for time).
+type xflit struct {
 	at int64
-	ev event
+	ev flitEv
+}
+
+type xcredit struct {
+	at  int64
+	ovc int32
 }
 
 // matEntry is one deferred packet materialization (parallel mode):
@@ -79,9 +85,9 @@ type shard struct {
 	s0  int
 	s1  int
 
-	calendar [][]event
-	arena    arena
-	view     RouterView
+	cal   []calSlot
+	arena arena
+	view  RouterView
 
 	// activeR bit (r - r0) is set while router r holds a buffered flit;
 	// activeS bit (i - s0) while source i has injection work. Local
@@ -89,14 +95,16 @@ type shard struct {
 	activeR []uint64
 	activeS []uint64
 
-	// outbox[t] stages events for shard t, written during this shard's
-	// phases and drained by t at the start of its next phase A. nil for
-	// the bootstrap shard (sequential mode never stages).
-	outbox [][]xev
+	// outFlits[t] and outCredits[t] stage events for shard t, written
+	// during this shard's phases and drained by t at the start of its next
+	// phase A. nil for the bootstrap shard (sequential mode never stages).
+	outFlits   [][]xflit
+	outCredits [][]xcredit
 
-	// pendDel collects this cycle's deferred evDeliver events in slot
-	// order (sorted by scheduling cycle); delCur is the merge cursor.
-	pendDel []event
+	// pendDel is this cycle's deferred delivery list — the due slot's own
+	// list, in slot order (sorted by scheduling cycle); delCur is the
+	// merge cursor.
+	pendDel []deliverEv
 	delCur  int
 
 	// mat collects this cycle's deferred materializations in source order.
@@ -113,9 +121,9 @@ type shard struct {
 func newShard(n *Network, idx, r0, r1, s0, s1 int) *shard {
 	sh := &shard{
 		n: n, idx: idx, r0: r0, r1: r1, s0: s0, s1: s1,
-		calendar: make([][]event, n.calLen),
-		activeR:  make([]uint64, (r1-r0+63)/64),
-		activeS:  make([]uint64, (s1-s0+63)/64),
+		cal:     make([]calSlot, n.calLen),
+		activeR: make([]uint64, (r1-r0+63)/64),
+		activeS: make([]uint64, (s1-s0+63)/64),
 	}
 	sh.view.n = n
 	return sh
@@ -233,7 +241,8 @@ func (n *Network) partition(k int) {
 			node++
 		}
 		sh := newShard(n, i, r0, r1, s0, node)
-		sh.outbox = make([][]xev, k)
+		sh.outFlits = make([][]xflit, k)
+		sh.outCredits = make([][]xcredit, k)
 		n.sh[i] = sh
 		for r := r0; r < r1; r++ {
 			n.shardOf[r] = int32(i)
@@ -262,14 +271,20 @@ func (n *Network) partition(k int) {
 			sh.activeR[lr>>6] |= 1 << (lr & 63)
 		}
 	}
-	for slot := range boot.calendar {
-		for _, ev := range boot.calendar[slot] {
-			sh := n.sh[n.shardOf[ev.router]]
-			evs := sh.calendar[slot]
-			if len(evs) == cap(evs) {
-				evs = sh.arena.growEvents(evs)
+	for i := range boot.cal {
+		bs := &boot.cal[i]
+		bs.eachArrival(func(fe *flitEv, ce *creditEv) {
+			if fe != nil {
+				sh := n.sh[n.shardOf[fe.router]]
+				sh.cal[i].addFlit(&sh.arena, *fe)
+				return
 			}
-			sh.calendar[slot] = append(evs, ev)
+			sh := n.sh[n.shardOf[n.outs[ce.ovc>>n.vcShift].router]]
+			sh.cal[i].addCredit(&sh.arena, ce.ovc)
+		})
+		for _, ev := range bs.delivers {
+			sh := n.sh[n.shardOf[n.g.EjRouter[ev.node]]]
+			sh.cal[i].addDeliver(&sh.arena, ev)
 		}
 	}
 	n.sh[0].injected = boot.injected
@@ -329,7 +344,24 @@ func (n *Network) stepParallel() {
 		<-n.pool.done
 	}
 	n.applyMaterialized()
-	n.cycle++
+	n.advanceCycle()
+}
+
+// eachArrival visits the slot's flit arrivals and credit returns in the
+// order they were scheduled, interleaved as a single tagged list would
+// hold them: a credit stamped pos follows the first pos flits. Exactly
+// one argument of visit is non-nil per call.
+func (s *calSlot) eachArrival(visit func(*flitEv, *creditEv)) {
+	f := 0
+	for c := range s.credits {
+		for ; f < len(s.flits) && f < int(s.credits[c].pos); f++ {
+			visit(&s.flits[f], nil)
+		}
+		visit(nil, &s.credits[c])
+	}
+	for ; f < len(s.flits); f++ {
+		visit(&s.flits[f], nil)
+	}
 }
 
 // drainInboxes moves events staged for this shard into its calendar, in
@@ -338,20 +370,20 @@ func (n *Network) stepParallel() {
 // touched by exactly one shard per phase, so the barrier alternation
 // makes this race-free.
 func (sh *shard) drainInboxes() {
-	for _, src := range sh.n.sh {
-		box := src.outbox[sh.idx]
-		if len(box) == 0 {
-			continue
-		}
-		for _, x := range box {
-			slot := x.at % int64(len(sh.calendar))
-			evs := sh.calendar[slot]
-			if len(evs) == cap(evs) {
-				evs = sh.arena.growEvents(evs)
+	n := sh.n
+	for _, src := range n.sh {
+		if box := src.outFlits[sh.idx]; len(box) > 0 {
+			for i := range box {
+				sh.slot(int(box[i].at-n.cycle)).addFlit(&sh.arena, box[i].ev)
 			}
-			sh.calendar[slot] = append(evs, x.ev)
+			src.outFlits[sh.idx] = box[:0]
 		}
-		src.outbox[sh.idx] = box[:0]
+		if box := src.outCredits[sh.idx]; len(box) > 0 {
+			for i := range box {
+				sh.slot(int(box[i].at-n.cycle)).addCredit(&sh.arena, box[i].ovc)
+			}
+			src.outCredits[sh.idx] = box[:0]
+		}
 	}
 }
 
@@ -361,15 +393,6 @@ func (sh *shard) drainInboxes() {
 // k-way merge therefore reproduces the sequential slot order exactly.
 // Runs on the coordinator between the phase barriers.
 func (n *Network) mergeDeliveries() {
-	active := 0
-	for _, sh := range n.sh {
-		if len(sh.pendDel) > 0 {
-			active++
-		}
-	}
-	if active == 0 {
-		return
-	}
 	for {
 		best := -1
 		var bestAt int64
@@ -377,9 +400,9 @@ func (n *Network) mergeDeliveries() {
 			if sh.delCur >= len(sh.pendDel) {
 				continue
 			}
-			// ev.vc carries the delay stamped at schedule time; the
-			// scheduling cycle is now minus that delay.
-			at := n.cycle - int64(sh.pendDel[sh.delCur].vc)
+			// The scheduling cycle is now minus the delay stamped at
+			// schedule time.
+			at := n.cycle - sh.pendDel[sh.delCur].delay()
 			if best < 0 || at < bestAt {
 				best, bestAt = i, at
 			}
@@ -388,15 +411,12 @@ func (n *Network) mergeDeliveries() {
 			break
 		}
 		sh := n.sh[best]
-		ev := sh.pendDel[sh.delCur]
+		ev := &sh.pendDel[sh.delCur]
 		sh.delCur++
 		n.deliverEvent(n.sh[n.shardOfNode[ev.pkt.Src]], ev)
 	}
 	for _, sh := range n.sh {
-		for i := range sh.pendDel {
-			sh.pendDel[i] = event{}
-		}
-		sh.pendDel = sh.pendDel[:0]
+		sh.pendDel = nil
 		sh.delCur = 0
 	}
 }

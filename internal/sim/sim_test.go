@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"flatnet/internal/core"
 	"flatnet/internal/topo"
@@ -332,27 +333,111 @@ func TestLoadSweepStopsAfterSaturation(t *testing.T) {
 // the pools, calendar slots and scratch buffers have been grown during
 // warmup, a steady-state generate+step cycle performs no heap
 // allocations. Any per-cycle allocation (a fresh event node, a scratch
-// map, an escaping view) shows up as an average of >= 1 here.
+// map, an escaping view) shows up as an average of >= 1 here. Both
+// generation paths are held to it: the direct Bernoulli draw, and
+// Generate through a traffic.Source at a load where sources rarely drain.
 func TestStepZeroAlloc(t *testing.T) {
 	f := testFF(t, 4, 2)
-	n, err := New(f.Graph(), &minimalAlg{f}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		gen  func(n *Network)
+	}{
+		{"bernoulli", func(n *Network) { n.GenerateBernoulli(0.5) }},
+		{"source", func(n *Network) {
+			if err := n.Generate(0.8); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		n, err := New(f.Graph(), &minimalAlg{f}, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.SetSource(traffic.NewBernoulli(traffic.NewUniform(f.NumNodes))); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000; i++ {
+			c.gen(n)
+			n.Step()
+		}
+		avg := testing.AllocsPerRun(500, func() {
+			c.gen(n)
+			n.Step()
+		})
+		// Rare amortized growth (a source backlog high-water mark, a pool
+		// append) may still allocate once in a while; a per-cycle allocation
+		// averages >= 1.
+		if avg >= 0.5 {
+			t.Fatalf("%s: steady-state cycle allocates: %.2f allocs/cycle, want ~0", c.name, avg)
+		}
 	}
-	n.SetPattern(traffic.NewUniform(f.NumNodes))
-	for i := 0; i < 2000; i++ {
-		n.GenerateBernoulli(0.5)
-		n.Step()
+}
+
+// TestSourceBacklogIsRing holds the source backlog to ring behaviour: a
+// source that never fully drains must keep reusing its storage. (As an
+// append-only window it kept growing — and reallocating — until a full
+// drain or a 1024-entry compaction threshold.)
+func TestSourceBacklogIsRing(t *testing.T) {
+	var s source
+	next, want := int64(0), int64(0)
+	for i := 0; i < 3; i++ {
+		s.pushTimestamp(next)
+		next++
 	}
-	avg := testing.AllocsPerRun(500, func() {
-		n.GenerateBernoulli(0.5)
-		n.Step()
-	})
-	// Rare amortized growth (a source backlog high-water mark, a pool
-	// append) may still allocate once in a while; a per-cycle allocation
-	// averages >= 1.
-	if avg >= 0.5 {
-		t.Fatalf("steady-state cycle allocates: %.2f allocs/cycle, want ~0", avg)
+	for i := 0; i < 10000; i++ {
+		s.pushTimestamp(next)
+		next++
+		if got := s.peekTS(); got != want {
+			t.Fatalf("peek %d: got timestamp %d, want %d", i, got, want)
+		}
+		if got := s.pop().ts; got != want {
+			t.Fatalf("pop %d: got timestamp %d, want %d", i, got, want)
+		}
+		want++
+		if s.backlogLen() != 3 {
+			t.Fatalf("backlog %d, want 3", s.backlogLen())
+		}
+	}
+	if len(s.q) > 8 {
+		t.Fatalf("backlog of 3-4 arrivals grew its storage to %d entries", len(s.q))
+	}
+	// Growth while wrapped keeps FIFO order.
+	for i := 0; i < 20; i++ {
+		s.pushTimestamp(next)
+		next++
+	}
+	for s.backlogLen() > 0 {
+		if got := s.pop().ts; got != want {
+			t.Fatalf("after growth: got timestamp %d, want %d", got, want)
+		}
+		want++
+	}
+	if want != next {
+		t.Fatalf("drained %d arrivals, pushed %d", want, next)
+	}
+}
+
+// TestHotLayoutSizes guards the cycle core's memory layout (DESIGN.md
+// §10): a field added to one of these types must not silently push a
+// packet or an output port across a cache line, or fatten the calendar.
+func TestHotLayoutSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Packet", unsafe.Sizeof(Packet{}), 64},
+		{"flitEv", unsafe.Sizeof(flitEv{}), 16},
+		{"creditEv", unsafe.Sizeof(creditEv{}), 8},
+		{"deliverEv", unsafe.Sizeof(deliverEv{}), 16},
+		{"vcq", unsafe.Sizeof(vcq{}), 32},
+		{"outPort", unsafe.Sizeof(outPort{}), 64},
+		{"outVC", unsafe.Sizeof(outVC{}), 16},
+		{"source", unsafe.Sizeof(source{}), 64},
+		{"arrival", unsafe.Sizeof(arrival{}), 24},
+	} {
+		if c.got != c.want {
+			t.Errorf("sizeof(%s) = %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sort"
 
 	"flatnet/internal/snapshot"
@@ -36,7 +37,7 @@ import (
 //     restores into a sequential network whose freshly minted IDs stay
 //     above every live one, preserving all age-arbiter comparisons.
 //
-// Restored state that is provably empty between Steps (delta sums,
+// Restored state that is provably empty between Steps (the greedy fold list,
 // request lists, deferred-delivery buffers, arena freelists) is simply
 // recomputed or left at its zero value.
 
@@ -93,10 +94,8 @@ func (n *Network) snapshotCaps() (maxEvents, maxPackets int) {
 	bufFlits := 0
 	for r := range n.routers {
 		outPorts += len(n.routers[r].out)
-		for p := range n.routers[r].in {
-			for v := range n.routers[r].in[p].vcs {
-				bufFlits += len(n.routers[r].in[p].vcs[v].buf)
-			}
+		for i := range n.routers[r].vq {
+			bufFlits += int(n.routers[r].vq[i].cap)
 		}
 	}
 	// Per output channel: staged flits are credit/backlog bounded by the
@@ -109,13 +108,37 @@ func (n *Network) snapshotCaps() (maxEvents, maxPackets int) {
 	return maxEvents, maxPackets
 }
 
-// snapEvent is one calendar or outbox event tagged with its absolute due
-// cycle for canonical ordering.
+// Event kind tags of the snapshot's event section.
+const (
+	evFlit = iota
+	evCredit
+	evDeliver
+)
+
+// snapEvent is one calendar or outbox event in the file's flat form,
+// tagged with its absolute due cycle for canonical ordering.
 type snapEvent struct {
 	due   int64
 	sched int64 // deliveries: cycle the delivery was scheduled in
-	del   bool
-	ev    event
+	kind  uint8
+	tail  bool
+	// vc is the virtual channel of a flit or credit; for a delivery, its
+	// scheduling delay.
+	vc     int32
+	router int32
+	port   int32
+	pkt    *Packet
+}
+
+func (n *Network) snapFlit(due int64, ev *flitEv) snapEvent {
+	ivc := int32(ev.in >> 1)
+	return snapEvent{due: due, kind: evFlit, tail: ev.in&1 != 0,
+		vc: ivc & n.vcMask, router: ev.router, port: ivc >> n.vcShift, pkt: ev.pkt}
+}
+
+func (n *Network) snapCredit(due int64, ovc int32) snapEvent {
+	r, port, vc := n.creditTarget(ovc)
+	return snapEvent{due: due, kind: evCredit, vc: int32(vc), router: r, port: int32(port)}
 }
 
 // Snapshot writes the network's complete state to w in the
@@ -157,23 +180,33 @@ func (n *Network) Snapshot(w io.Writer) error {
 	// so deliveries land in exactly the sequential processing order.
 	var evs []snapEvent
 	for _, sh := range n.sh {
-		cl := int64(len(sh.calendar))
-		for delta := int64(0); delta < cl; delta++ {
-			slot := (n.cycle + delta) % cl
-			for _, ev := range sh.calendar[slot] {
-				se := snapEvent{due: n.cycle + delta, ev: ev}
-				if ev.kind == evDeliver {
-					se.del = true
-					se.sched = se.due - int64(ev.vc)
+		for delta := 0; delta < len(sh.cal); delta++ {
+			due := n.cycle + int64(delta)
+			s := sh.slot(delta)
+			s.eachArrival(func(fe *flitEv, ce *creditEv) {
+				if fe != nil {
+					evs = append(evs, n.snapFlit(due, fe))
+				} else {
+					evs = append(evs, n.snapCredit(due, ce.ovc))
 				}
-				evs = append(evs, se)
+			})
+			for i := range s.delivers {
+				ev := &s.delivers[i]
+				evs = append(evs, snapEvent{due: due, sched: due - ev.delay(), kind: evDeliver,
+					tail: ev.tail(), vc: int32(ev.delay()), router: int32(n.g.EjRouter[ev.node]),
+					port: int32(n.g.EjPort[ev.node]), pkt: ev.pkt})
 			}
 		}
 	}
 	for _, sh := range n.sh {
-		for _, box := range sh.outbox {
+		for _, box := range sh.outFlits {
+			for i := range box {
+				evs = append(evs, n.snapFlit(box[i].at, &box[i].ev))
+			}
+		}
+		for _, box := range sh.outCredits {
 			for _, x := range box {
-				evs = append(evs, snapEvent{due: x.at, ev: x.ev})
+				evs = append(evs, n.snapCredit(x.at, x.ovc))
 			}
 		}
 	}
@@ -181,10 +214,11 @@ func (n *Network) Snapshot(w io.Writer) error {
 		if evs[i].due != evs[j].due {
 			return evs[i].due < evs[j].due
 		}
-		if evs[i].del != evs[j].del {
-			return !evs[i].del
+		di, dj := evs[i].kind == evDeliver, evs[j].kind == evDeliver
+		if di != dj {
+			return !di
 		}
-		if evs[i].del {
+		if di {
 			return evs[i].sched < evs[j].sched
 		}
 		return false
@@ -206,25 +240,21 @@ func (n *Network) Snapshot(w io.Writer) error {
 	}
 	for r := range n.routers {
 		rt := &n.routers[r]
-		for p := range rt.in {
-			ip := &rt.in[p]
-			for v := range ip.vcs {
-				q := &ip.vcs[v]
-				for k := 0; k < q.count; k++ {
-					addPkt(q.buf[(q.head+k)%len(q.buf)].pkt)
-				}
+		n.eachInputVC(rt, func(_, _ int, q *vcq) {
+			for k := int32(0); k < q.count; k++ {
+				addPkt(rt.nth(q, k).pkt)
 			}
-		}
+		})
 		for p := range rt.out {
-			for _, o := range rt.out[p].owner {
-				if o != nil {
+			for v := 0; v < n.vcs; v++ {
+				if o := rt.ovc[p<<n.vcShift+v].owner; o != nil {
 					addPkt(o)
 				}
 			}
 		}
 	}
 	for i := range evs {
-		if p := evs[i].ev.pkt; p != nil {
+		if p := evs[i].pkt; p != nil {
 			addPkt(p)
 		}
 	}
@@ -251,8 +281,8 @@ func (n *Network) Snapshot(w io.Writer) error {
 	}
 	for i := range n.sources {
 		s := &n.sources[i]
-		for k := s.head; k < len(s.q); k++ {
-			addXfer(s.q[k].xfer)
+		for k := 0; k < s.backlogLen(); k++ {
+			addXfer(s.at(k).xfer)
 		}
 	}
 	type livePair struct{ pkt, xfer int }
@@ -346,45 +376,44 @@ func (n *Network) Snapshot(w io.Writer) error {
 		for _, word := range st {
 			sw.U64(word)
 		}
-		for p := range rt.in {
-			ip := &rt.in[p]
-			for v := range ip.vcs {
-				q := &ip.vcs[v]
-				sw.Uvarint(uint64(q.count))
-				for k := 0; k < q.count; k++ {
-					f := q.buf[(q.head+k)%len(q.buf)]
-					sw.Uvarint(uint64(pktIdx[f.pkt]))
-					sw.Bool(f.tail)
-				}
-				sw.Bool(q.routed)
-				sw.Bool(q.headSent)
-				if q.routed {
-					sw.Uvarint(uint64(q.out.Port))
-					sw.Uvarint(uint64(q.out.VC))
-				}
+		n.eachInputVC(rt, func(_, _ int, q *vcq) {
+			sw.Uvarint(uint64(q.count))
+			for k := int32(0); k < q.count; k++ {
+				f := rt.nth(q, k)
+				sw.Uvarint(uint64(pktIdx[f.pkt]))
+				sw.Bool(f.tail)
 			}
-		}
+			sw.Bool(q.routed)
+			sw.Bool(q.headSent)
+			if q.routed {
+				sw.Uvarint(uint64(q.out >> n.vcShift))
+				sw.Uvarint(uint64(q.out & n.vcMask))
+			}
+		})
 		for p := range rt.out {
 			op := &rt.out[p]
 			switch op.kind {
 			case topo.Network:
 				for v := 0; v < n.vcs; v++ {
-					sw.Varint(int64(op.credits[v]))
-					sw.Varint(int64(op.pending[v]))
-					if op.owner[v] != nil {
-						sw.Varint(int64(pktIdx[op.owner[v]]))
+					ov := &rt.ovc[p<<n.vcShift+v]
+					sw.Varint(int64(ov.credits))
+					sw.Varint(int64(ov.pending))
+					if ov.owner != nil {
+						sw.Varint(int64(pktIdx[ov.owner]))
 					} else {
 						sw.Varint(-1)
 					}
 				}
 			case topo.Terminal:
 				for v := 0; v < n.vcs; v++ {
-					sw.Varint(int64(op.pending[v]))
+					sw.Varint(int64(rt.ovc[p<<n.vcShift+v].pending))
 				}
 			default:
 				continue // Unused ports carry no state
 			}
-			sw.Varint(int64(op.rr))
+			// The file stores the round-robin pointer in its original
+			// request-key encoding, inport*(vcs+1) + vc.
+			sw.Varint(int64(op.rr>>n.vcShift)*int64(n.vcs+1) + int64(op.rr&n.vcMask))
 			sw.Varint(op.nextFree)
 			sw.Varint(op.flitsSent)
 		}
@@ -404,8 +433,8 @@ func (n *Network) Snapshot(w io.Writer) error {
 		}
 		sw.Varint(int64(s.remaining))
 		sw.Uvarint(uint64(s.backlogLen()))
-		for k := s.head; k < len(s.q); k++ {
-			a := &s.q[k]
+		for k := 0; k < s.backlogLen(); k++ {
+			a := s.at(k)
 			sw.Varint(a.ts)
 			sw.Varint(int64(a.dst))
 			sw.Bool(a.hasDst)
@@ -418,13 +447,13 @@ func (n *Network) Snapshot(w io.Writer) error {
 	for i := range evs {
 		se := &evs[i]
 		sw.Uvarint(uint64(se.due - n.cycle))
-		sw.Uvarint(uint64(se.ev.kind))
-		sw.Bool(se.ev.tail)
-		sw.Varint(int64(se.ev.vc))
-		sw.Uvarint(uint64(se.ev.router))
-		sw.Varint(int64(se.ev.port))
-		if se.ev.pkt != nil {
-			sw.Varint(int64(pktIdx[se.ev.pkt]))
+		sw.Uvarint(uint64(se.kind))
+		sw.Bool(se.tail)
+		sw.Varint(int64(se.vc))
+		sw.Uvarint(uint64(se.router))
+		sw.Varint(int64(se.port))
+		if se.pkt != nil {
+			sw.Varint(int64(pktIdx[se.pkt]))
 		} else {
 			sw.Varint(-1)
 		}
@@ -500,6 +529,7 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 
 	r.Section(secScalars)
 	n.cycle = r.Varint()
+	n.calPos = int(n.cycle % int64(n.calLen))
 	n.nextID = r.Varint()
 	n.deliveredTotal = r.Varint()
 	n.flitsDelivered = r.Varint()
@@ -595,55 +625,63 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 			st[w] = r.U64()
 		}
 		rt.rng.SetState(st)
-		for p := range rt.in {
-			ip := &rt.in[p]
-			for v := range ip.vcs {
-				q := &ip.vcs[v]
-				cnt := r.Count(len(q.buf), "buffered flit")
-				for k := 0; k < cnt; k++ {
-					pk := pktAt("buffered packet")
-					tail := r.Bool()
-					if r.Err() != nil {
-						return nil, r.Err()
-					}
-					q.push(flit{pkt: pk, tail: tail})
+		n.eachInputVC(rt, func(p, v int, q *vcq) {
+			cnt := r.Count(int(q.cap), "buffered flit")
+			for k := 0; k < cnt; k++ {
+				pk := pktAt("buffered packet")
+				tail := r.Bool()
+				if r.Err() != nil {
+					return
 				}
-				q.routed = r.Bool()
-				q.headSent = r.Bool()
-				if q.routed {
-					q.out.Port = r.Count(len(rt.out)-1, "routed output port")
-					q.out.VC = r.Count(n.vcs-1, "routed output VC")
-				}
-				if !q.empty() {
-					sh.wakeVC(rt, ip, v)
-				}
+				rt.push(q, flit{pkt: pk, tail: tail})
 			}
+			q.routed = r.Bool()
+			q.headSent = r.Bool()
+			if q.routed {
+				port := r.Count(len(rt.out)-1, "routed output port")
+				vc := r.Count(n.vcs-1, "routed output VC")
+				q.out = int32(port)<<n.vcShift | int32(vc)
+			}
+			if q.count != 0 {
+				sh.wakeVC(rt, int32(p)<<n.vcShift|int32(v))
+			}
+		})
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		for p := range rt.out {
 			op := &rt.out[p]
 			switch op.kind {
 			case topo.Network:
 				for v := 0; v < n.vcs; v++ {
-					op.credits[v] = int(r.Varint())
-					op.pending[v] = int(r.Varint())
-					op.owner[v] = optPkt("VC owner")
-					if r.Err() == nil && (op.credits[v] < 0 || op.credits[v] > n.vcDepth || op.pending[v] < 0) {
+					ov := &rt.ovc[p<<n.vcShift+v]
+					credits, pending := r.Varint(), r.Varint()
+					ov.owner = optPkt("VC owner")
+					if r.Err() == nil && (credits < 0 || credits > int64(n.vcDepth) || pending < 0 || pending > math.MaxInt32) {
 						return nil, fmt.Errorf("sim: snapshot router %d out %d vc %d has invalid flow-control state", ri, p, v)
 					}
-					op.pendingSum += op.pending[v]
+					ov.credits, ov.pending = int32(credits), int32(pending)
+					op.pendingSum += ov.pending
 				}
 			case topo.Terminal:
 				for v := 0; v < n.vcs; v++ {
-					op.pending[v] = int(r.Varint())
-					if r.Err() == nil && op.pending[v] < 0 {
-						return nil, fmt.Errorf("sim: snapshot router %d out %d vc %d has negative pending", ri, p, v)
+					pending := r.Varint()
+					if r.Err() == nil && (pending < 0 || pending > math.MaxInt32) {
+						return nil, fmt.Errorf("sim: snapshot router %d out %d vc %d has invalid pending count", ri, p, v)
 					}
-					op.pendingSum += op.pending[v]
+					rt.ovc[p<<n.vcShift+v].pending = int32(pending)
+					op.pendingSum += int32(pending)
 				}
 			default:
 				continue
 			}
-			op.rr = int(r.Varint())
+			// Back from the file's inport*(vcs+1) + vc encoding to a
+			// request key.
+			rr := r.Varint()
+			if r.Err() == nil && (rr < 0 || rr/int64(n.vcs+1) >= int64(len(rt.in)) || rr%int64(n.vcs+1) >= int64(n.vcs)) {
+				return nil, fmt.Errorf("sim: snapshot router %d out %d has invalid round-robin pointer %d", ri, p, rr)
+			}
+			op.rr = int32(rr/int64(n.vcs+1))<<n.vcShift | int32(rr%int64(n.vcs+1))
 			op.nextFree = r.Varint()
 			op.flitsSent = r.Varint()
 		}
@@ -661,23 +699,25 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 		}
 		s.rng.SetState(st)
 		s.cur = optPkt("mid-injection packet")
-		s.remaining = int(r.Varint())
-		if r.Err() == nil && (s.remaining < 0 || s.remaining > n.cfg.PacketSize) {
-			return nil, fmt.Errorf("sim: snapshot source %d has invalid flit remainder %d", i, s.remaining)
+		remaining := r.Varint()
+		if r.Err() == nil && (remaining < 0 || remaining > int64(n.cfg.PacketSize)) {
+			return nil, fmt.Errorf("sim: snapshot source %d has invalid flit remainder %d", i, remaining)
 		}
+		s.remaining = int32(remaining)
 		nb := r.Count(1<<30, "backlog arrival")
 		for k := 0; k < nb; k++ {
 			var a arrival
 			a.ts = r.Varint()
-			a.dst = topo.NodeID(r.Varint())
+			dst := r.Varint()
 			a.hasDst = r.Bool()
 			xi := r.Varint()
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			if a.hasDst && (int(a.dst) < 0 || int(a.dst) >= g.NumNodes) {
-				return nil, fmt.Errorf("sim: snapshot source %d backlog destination %d out of range", i, a.dst)
+			if a.hasDst && (dst < 0 || dst >= int64(g.NumNodes)) || !a.hasDst && dst != 0 {
+				return nil, fmt.Errorf("sim: snapshot source %d backlog destination %d out of range", i, dst)
 			}
+			a.dst = int32(dst)
 			if xi >= 0 {
 				if xi >= int64(nx) {
 					return nil, fmt.Errorf("sim: snapshot source %d backlog transfer index %d out of range", i, xi)
@@ -696,49 +736,53 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 	for k := 0; k < nev; k++ {
 		delta := r.Count(n.calLen-1, "event due delta")
 		kind := r.Uvarint()
-		var ev event
-		ev.kind = uint8(kind)
-		ev.tail = r.Bool()
-		ev.vc = int32(r.Varint())
-		ev.router = int32(r.Count(len(n.routers)-1, "event router"))
-		ev.port = int32(r.Varint())
-		ev.pkt = optPkt("event packet")
+		tail := r.Bool()
+		vc := r.Varint()
+		router := r.Count(len(n.routers)-1, "event router")
+		port := r.Varint()
+		pkt := optPkt("event packet")
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
 		if err != nil {
 			return nil, err
 		}
-		rt := &n.routers[ev.router]
-		switch ev.kind {
+		rt := &n.routers[router]
+		s := sh.slot(delta)
+		switch kind {
 		case evFlit:
-			if int(ev.port) < 0 || int(ev.port) >= len(rt.in) ||
-				int(ev.vc) < 0 || int(ev.vc) >= len(rt.in[ev.port].vcs) || ev.pkt == nil {
+			if port < 0 || port >= int64(len(rt.in)) ||
+				vc < 0 || vc >= int64(n.inVCs(&rt.in[port])) || pkt == nil {
 				return nil, fmt.Errorf("sim: snapshot flit event %d is malformed", k)
 			}
+			in := uint32(port)<<n.vcShift<<1 | uint32(vc)<<1
+			if tail {
+				in |= 1
+			}
+			s.addFlit(&sh.arena, flitEv{pkt: pkt, router: int32(router), in: in})
 		case evCredit:
-			if int(ev.port) < 0 || int(ev.port) >= len(rt.out) ||
-				rt.out[ev.port].credits == nil ||
-				int(ev.vc) < 0 || int(ev.vc) >= n.vcs || ev.pkt != nil {
+			if port < 0 || port >= int64(len(rt.out)) ||
+				rt.out[port].kind != topo.Network ||
+				vc < 0 || vc >= int64(n.vcs) || pkt != nil {
 				return nil, fmt.Errorf("sim: snapshot credit event %d is malformed", k)
 			}
+			s.addCredit(&sh.arena, (rt.outBase+int32(port))<<n.vcShift+int32(vc))
 		case evDeliver:
 			// vc carries the scheduling delay for deliveries; it only
 			// orders the parallel merge, so bound it to the calendar ring.
-			if int(ev.port) < 0 || int(ev.port) >= len(rt.out) ||
-				rt.out[ev.port].kind != topo.Terminal ||
-				ev.vc < 0 || int(ev.vc) >= n.calLen || ev.pkt == nil {
+			if port < 0 || port >= int64(len(rt.out)) ||
+				rt.out[port].kind != topo.Terminal ||
+				vc < 0 || vc >= int64(n.calLen) || pkt == nil {
 				return nil, fmt.Errorf("sim: snapshot delivery event %d is malformed", k)
 			}
+			dt := int32(vc) << 1
+			if tail {
+				dt |= 1
+			}
+			s.addDeliver(&sh.arena, deliverEv{pkt: pkt, node: rt.out[port].node, dt: dt})
 		default:
 			return nil, fmt.Errorf("sim: snapshot event %d has unknown kind %d", k, kind)
 		}
-		slot := (n.cycle + int64(delta)) % int64(n.calLen)
-		evsl := sh.calendar[slot]
-		if len(evsl) == cap(evsl) {
-			evsl = sh.arena.growEvents(evsl)
-		}
-		sh.calendar[slot] = append(evsl, ev)
 	}
 	if err != nil {
 		return nil, err

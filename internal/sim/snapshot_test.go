@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"flatnet/internal/core"
@@ -448,4 +450,51 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pinnedSnapshot builds the fixed-seed network behind
+// testdata/pinned_clos_k4.snap and returns its snapshot bytes: a 4-ary
+// 2-flat under CLOS AD with two-flit packets, stepped to mid-load so the
+// file holds buffered flits, owned VCs, staged deliveries and
+// interleaved flit and credit events.
+func pinnedSnapshot(t *testing.T) []byte {
+	t.Helper()
+	ff, err := core.NewFlatFly(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := routing.NewFlatFlyAlgorithm("clos", ff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := sim.New(ff.Graph(), alg, sim.Config{Seed: 11, BufPerPort: 16, PacketSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.SetPattern(traffic.NewUniform(n.NumNodes()))
+	n.SetMeasurementWindow(100, 200)
+	for i := 0; i < 200; i++ {
+		n.GenerateBernoulli(0.7)
+		n.Step()
+	}
+	var buf bytes.Buffer
+	if err := n.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotBytesPinned holds the snapshot encoding to a file written
+// before the cycle core's data-layout pass: the in-memory layout of
+// calendars, buffers and request keys may change, the bytes of a
+// snapshot (canonical event order included) may not.
+func TestSnapshotBytesPinned(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "pinned_clos_k4.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pinnedSnapshot(t); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot bytes drifted from the pinned file (%d vs %d bytes)", len(got), len(want))
+	}
 }

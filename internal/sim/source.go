@@ -15,40 +15,69 @@ import (
 // this is statistically identical to drawing at arrival time and keeps
 // memory proportional to backlog length, not packet size.
 type source struct {
-	node topo.NodeID
-	rng  *rng.Source
+	rng *rng.Source
 
 	// cur is the packet currently streaming its flits into the terminal
 	// input buffer; remaining counts its flits yet to inject.
-	cur       *Packet
-	remaining int
+	cur *Packet
 
-	// backlog of pending arrivals, stored as a sliding window.
-	q    []arrival
-	head int
+	// Backlog of pending arrivals: a ring over q, so a source that never
+	// fully drains reuses its storage instead of sliding through (and
+	// regrowing) an append-only window. q only grows when the backlog
+	// outgrows it.
+	q     []arrival
+	head  int32
+	count int32
+
+	remaining int32
+
+	// router and ivc address the terminal input VC this source injects
+	// into. The source's node is its index in Network.sources.
+	router int32
+	ivc    int32
 }
 
 // arrival is one generated-but-not-yet-materialized packet. Pattern-based
 // arrivals draw their destination at materialization time; trace-based
 // arrivals carry it explicitly. Transfer arrivals (StartTransfer)
 // additionally carry the handle their delivery is credited to.
+//
+// A saturated source queues one arrival per offered packet for the whole
+// run, so the backlog's footprint is what a saturated job's memory comes
+// to: the struct is packed into 24 bytes.
 type arrival struct {
 	ts     int64
-	dst    topo.NodeID
-	hasDst bool
 	xfer   *Transfer
+	dst    int32 // destination node, meaningful when hasDst
+	hasDst bool
 }
 
-func (s *source) backlogLen() int { return len(s.q) - s.head }
+func (s *source) backlogLen() int { return int(s.count) }
+
+// at returns the k-th pending arrival, k in [0, count).
+func (s *source) at(k int) *arrival {
+	i := int(s.head) + k
+	if i >= len(s.q) {
+		i -= len(s.q)
+	}
+	return &s.q[i]
+}
 
 func (s *source) push(a arrival) {
-	// Compact occasionally so memory stays proportional to backlog.
-	if s.head > 1024 && s.head*2 > len(s.q) {
-		n := copy(s.q, s.q[s.head:])
-		s.q = s.q[:n]
-		s.head = 0
+	if int(s.count) == len(s.q) {
+		// Double a small ring; grow a large one by a quarter, as append
+		// does, so a long backlog is not held at up to twice its size.
+		size := max(4, 2*len(s.q))
+		if len(s.q) >= 256 {
+			size = len(s.q) + len(s.q)/4
+		}
+		grown := make([]arrival, size)
+		n := copy(grown, s.q[s.head:])
+		copy(grown[n:], s.q[:s.head])
+		s.q, s.head = grown, 0
 	}
-	s.q = append(s.q, a)
+	s.count++
+	*s.at(int(s.count) - 1) = a
 }
 
 func (s *source) pushTimestamp(t int64) { s.push(arrival{ts: t}) }
@@ -61,18 +90,19 @@ func (n *Network) pushArrival(i int, ts int64) {
 }
 
 func (s *source) pushTraced(t int64, dst topo.NodeID) {
-	s.push(arrival{ts: t, dst: dst, hasDst: true})
+	s.push(arrival{ts: t, dst: int32(dst), hasDst: true})
 }
 
 func (s *source) peekTS() int64 { return s.q[s.head].ts }
 
 func (s *source) pop() arrival {
 	a := s.q[s.head]
+	s.q[s.head] = arrival{}
 	s.head++
-	if s.head == len(s.q) {
-		s.q = s.q[:0]
+	if int(s.head) == len(s.q) {
 		s.head = 0
 	}
+	s.count--
 	return a
 }
 
@@ -138,7 +168,7 @@ func (n *Network) Generate(load float64) error {
 	ps := n.cfg.PacketSize
 	for i := range n.sources {
 		s := &n.sources[i]
-		for k := wl.Arrivals(s.node, load, ps, s.rng); k > 0; k-- {
+		for k := wl.Arrivals(topo.NodeID(i), load, ps, s.rng); k > 0; k-- {
 			s.pushTimestamp(c)
 			n.wakeSource(i)
 			if c >= n.measStart && c < n.measEnd {

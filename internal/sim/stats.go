@@ -93,16 +93,14 @@ func (n *Network) LoadImbalance() (max, mean, ratio float64) {
 func (n *Network) BufferOccupancy() (total int, mean float64, max int) {
 	vcs := 0
 	for r := range n.routers {
-		for p := range n.routers[r].in {
-			for v := range n.routers[r].in[p].vcs {
-				c := n.routers[r].in[p].vcs[v].count
-				total += c
-				vcs++
-				if c > max {
-					max = c
-				}
+		n.eachInputVC(&n.routers[r], func(_, _ int, q *vcq) {
+			c := int(q.count)
+			total += c
+			vcs++
+			if c > max {
+				max = c
 			}
-		}
+		})
 	}
 	if vcs > 0 {
 		mean = float64(total) / float64(vcs)

@@ -7,14 +7,6 @@ import (
 	"flatnet/internal/topo"
 )
 
-// reqKey packs an (inport, vc) requester into an int32 for the per-output
-// request lists.
-func (n *Network) reqKey(inport, vc int) int32 { return int32(inport)*int32(n.vcs+1) + int32(vc) }
-
-func (n *Network) reqUnpack(key int32) (inport, vc int) {
-	return int(key) / (n.vcs + 1), int(key) % (n.vcs + 1)
-}
-
 // switchAllocate moves routed buffer heads through the crossbar and onto
 // their output channels. Each output channel transmits one flit per cycle
 // (serialized via nextFree), but the crossbar itself can deliver several
@@ -25,6 +17,10 @@ func (n *Network) reqUnpack(key int32) (inport, vc int) {
 // downstream credits exist (which also bounds the per-channel staging
 // backlog to the downstream buffer size), and cfg.Speedup, when non-zero,
 // caps both the grants per input port and per output port in a cycle.
+//
+// The requests were filed by routeRouter: per output, a list of input-VC
+// indices in ascending order, with the requested outputs marked in
+// rt.reqOut. Only those outputs are visited.
 func (sh *shard) switchAllocate() {
 	n := sh.n
 	if n.stepAll {
@@ -44,229 +40,232 @@ func (sh *shard) switchAllocate() {
 func (sh *shard) switchRouter(rt *router) {
 	n := sh.n
 	speedup := n.cfg.Speedup
-	// Collect requests.
-	anyReq := false
-	for p := range rt.in {
-		ip := &rt.in[p]
-		rt.grants[p] = 0
-		for occ := ip.occ; occ != 0; occ &= occ - 1 {
-			v := bits.TrailingZeros64(occ)
-			q := &ip.vcs[v]
-			if !q.routed {
-				continue
-			}
-			op := &rt.out[q.out.Port]
-			if op.credits != nil && op.credits[q.out.VC] <= 0 {
-				if n.probes != nil {
-					n.probes.CreditStalls++
-				}
-				continue // no downstream space: do not bid
-			}
-			if op.credits == nil && op.nextFree-n.cycle >= int64(n.cfg.BufPerPort) {
-				continue // ejection staging queue full
-			}
-			if !q.headSent && op.owner != nil && op.owner[q.out.VC] != nil {
-				if n.probes != nil {
-					n.probes.VCStalls++
-				}
-				continue // downstream VC still owned by another packet
-			}
-			rt.reqs[q.out.Port] = append(rt.reqs[q.out.Port], n.reqKey(p, v))
-			anyReq = true
-		}
+	if speedup > 0 {
+		clear(rt.grants)
 	}
-	if !anyReq {
-		return
-	}
-	for p := range rt.out {
-		reqs := rt.reqs[p]
-		if len(reqs) == 0 {
+	for w, word := range rt.reqOut {
+		if word == 0 {
 			continue
 		}
-		op := &rt.out[p]
-		if n.cfg.AgeArbiter {
-			granted := sh.grantByAge(rt, op, reqs, speedup)
+		rt.reqOut[w] = 0
+		for ; word != 0; word &= word - 1 {
+			op := &rt.out[w<<6+bits.TrailingZeros64(word)]
+			nreq := op.nreq
+			op.nreq = 0
+			granted := int32(0)
+			switch {
+			case nreq == 1 && speedup == 0:
+				// A lone requester passed every grant condition when it
+				// bid, and nothing has been granted on this output since.
+				if !n.cfg.AgeArbiter {
+					op.rr = op.reqHead
+				}
+				sh.traverse(rt, op.reqHead)
+				granted = 1
+			case n.cfg.AgeArbiter:
+				granted = sh.grantByAge(rt, op, nreq)
+			default:
+				granted = sh.grantRoundRobin(rt, op, nreq)
+			}
 			if n.probes != nil {
 				n.probes.Grants += int64(granted)
-				n.probes.Conflicts += int64(len(reqs) - granted)
+				n.probes.Conflicts += int64(nreq - granted)
 			}
-			rt.reqs[p] = reqs[:0]
-			continue
 		}
-		outGrants := 0
-		rr0 := int32(op.rr)
-		// Round-robin: start from the first requester whose key is
-		// strictly greater than the pointer, wrapping; skip
-		// speedup-saturated inputs and (for terminals) a busy channel.
-		for pass := 0; pass < 2; pass++ {
-			for _, key := range reqs {
-				if pass == 0 && key <= rr0 {
-					continue
-				}
-				if pass == 1 && key > rr0 {
-					break
-				}
-				if speedup > 0 && outGrants >= speedup {
-					break
-				}
-				if op.credits == nil && op.nextFree-n.cycle >= int64(n.cfg.BufPerPort) {
-					break // ejection staging queue full
-				}
-				inport, vc := n.reqUnpack(key)
-				if speedup > 0 && int(rt.grants[inport]) >= speedup {
-					continue
-				}
-				q := &rt.in[inport].vcs[vc]
-				if op.credits != nil && op.credits[q.out.VC] <= 0 {
+	}
+}
+
+// grantRoundRobin arbitrates one output among its nreq requesters: start
+// from the first requester whose key is strictly greater than the
+// round-robin pointer, wrapping; skip speedup-saturated inputs and (for
+// terminals) a busy channel. It returns the number of grants issued.
+func (sh *shard) grantRoundRobin(rt *router, op *outPort, nreq int32) int32 {
+	n := sh.n
+	speedup := n.cfg.Speedup
+	terminal := op.kind != topo.Network
+	outGrants := int32(0)
+	rr0 := op.rr
+	for pass := 0; pass < 2; pass++ {
+		key := op.reqHead
+		for i := int32(0); i < nreq; i, key = i+1, rt.reqNext[key] {
+			if pass == 0 && key <= rr0 {
+				continue
+			}
+			if pass == 1 && key > rr0 {
+				break
+			}
+			if speedup > 0 && int(outGrants) >= speedup {
+				break
+			}
+			if terminal && op.nextFree-n.cycle >= int64(n.cfg.BufPerPort) {
+				break // ejection staging queue full
+			}
+			inport := key >> n.vcShift
+			if speedup > 0 && int(rt.grants[inport]) >= speedup {
+				continue
+			}
+			q := &rt.vq[key]
+			if !terminal {
+				ov := &rt.ovc[q.out]
+				if ov.credits <= 0 {
 					continue // credit consumed by an earlier grant this cycle
 				}
-				if !q.headSent && op.owner != nil && op.owner[q.out.VC] != nil {
+				if !q.headSent && ov.owner != nil {
 					continue // VC acquired by an earlier grant this cycle
 				}
-				op.rr = int(key)
-				rt.grants[inport]++
-				outGrants++
-				sh.traverse(rt, inport, vc)
 			}
+			op.rr = key
+			if speedup > 0 {
+				rt.grants[inport]++
+			}
+			outGrants++
+			sh.traverse(rt, key)
 		}
-		if n.probes != nil {
-			n.probes.Grants += int64(outGrants)
-			n.probes.Conflicts += int64(len(reqs) - outGrants)
-		}
-		rt.reqs[p] = reqs[:0]
 	}
+	return outGrants
 }
 
 // grantByAge performs oldest-first switch allocation for one output:
 // repeatedly grant the eligible requester whose head packet has the
 // earliest injection cycle (ties by packet ID), until speedup or credits
 // run out. It returns the number of grants issued.
-func (sh *shard) grantByAge(rt *router, op *outPort, reqs []int32, speedup int) int {
+func (sh *shard) grantByAge(rt *router, op *outPort, nreq int32) int32 {
 	n := sh.n
-	outGrants := 0
-	// granted is preallocated per-router scratch indexed by reqKey; it is
-	// cleared below by walking reqs, so no per-cycle map is built.
+	speedup := n.cfg.Speedup
+	terminal := op.kind != topo.Network
+	outGrants := int32(0)
+	// granted is preallocated per-router scratch indexed by request key; it
+	// is cleared on the way out by walking the list, so no per-cycle map
+	// is built.
 	granted := rt.granted
-	defer func() {
-		for _, key := range reqs {
-			granted[key] = false
-		}
-	}()
-	for {
-		if speedup > 0 && outGrants >= speedup {
-			return outGrants
-		}
+scan:
+	for speedup == 0 || int(outGrants) < speedup {
 		best := int32(-1)
 		var bestAge int64
 		var bestID int64
-		for _, key := range reqs {
+		key := op.reqHead
+		for i := int32(0); i < nreq; i, key = i+1, rt.reqNext[key] {
 			if granted[key] {
 				continue
 			}
-			inport, vc := n.reqUnpack(key)
-			if speedup > 0 && int(rt.grants[inport]) >= speedup {
+			if speedup > 0 && int(rt.grants[key>>n.vcShift]) >= speedup {
 				continue
 			}
-			q := &rt.in[inport].vcs[vc]
-			if q.empty() {
+			q := &rt.vq[key]
+			if q.count == 0 {
 				continue
 			}
-			if op.credits != nil && op.credits[q.out.VC] <= 0 {
-				continue
+			if terminal {
+				if op.nextFree-n.cycle >= int64(n.cfg.BufPerPort) {
+					break scan
+				}
+			} else {
+				ov := &rt.ovc[q.out]
+				if ov.credits <= 0 {
+					continue
+				}
+				if !q.headSent && ov.owner != nil {
+					continue
+				}
 			}
-			if op.credits == nil && op.nextFree-n.cycle >= int64(n.cfg.BufPerPort) {
-				return outGrants
-			}
-			if !q.headSent && op.owner != nil && op.owner[q.out.VC] != nil {
-				continue
-			}
-			pkt := q.peek().pkt
+			pkt := q.hpkt
 			if best < 0 || pkt.InjectCycle < bestAge ||
 				(pkt.InjectCycle == bestAge && pkt.ID < bestID) {
 				best, bestAge, bestID = key, pkt.InjectCycle, pkt.ID
 			}
 		}
 		if best < 0 {
-			return outGrants
+			break
 		}
 		granted[best] = true
-		inport, vc := n.reqUnpack(best)
-		rt.grants[inport]++
+		if speedup > 0 {
+			rt.grants[best>>n.vcShift]++
+		}
 		outGrants++
-		sh.traverse(rt, inport, vc)
+		sh.traverse(rt, best)
 	}
+	key := op.reqHead
+	for i := int32(0); i < nreq; i, key = i+1, rt.reqNext[key] {
+		granted[key] = false
+	}
+	return outGrants
 }
 
-// traverse pops the granted flit and sends it down its output channel,
-// serializing transmission to one flit per cycle per channel, and returns
-// a credit upstream for network inputs.
-func (sh *shard) traverse(rt *router, inport, vc int) {
+// traverse pops the granted flit of input VC ivc and sends it down its
+// output channel, serializing transmission to one flit per cycle per
+// channel, and returns a credit upstream for network inputs.
+func (sh *shard) traverse(rt *router, ivc int32) {
 	n := sh.n
-	ip := &rt.in[inport]
-	q := &ip.vcs[vc]
-	dec := q.out
+	q := &rt.vq[ivc]
+	ovc := q.out
 	isHead := !q.headSent
-	f := q.pop()
-	if q.empty() {
-		sh.clearVC(rt, ip, vc)
+	f := rt.pop(q)
+	if q.count == 0 {
+		sh.clearVC(rt, ivc)
 	}
-	op := &rt.out[dec.Port]
+	ip := &rt.in[ivc>>n.vcShift]
 	if ip.kind == topo.Network {
 		// Return a credit to the upstream router for the freed slot; it
 		// travels the reverse channel, so it takes the channel latency.
-		sh.schedule(ip.creditLat, event{kind: evCredit, router: int32(ip.peer), port: int32(ip.peerPort), vc: int32(vc)})
+		sh.scheduleCredit(int(ip.creditLat), ip.peer, ip.credOVC+ivc&n.vcMask)
 	}
+	port, vc := int(ovc>>n.vcShift), int(ovc&n.vcMask)
+	op := &rt.out[port]
 	depart := n.cycle
 	if op.nextFree > depart {
 		depart = op.nextFree
 	}
 	op.nextFree = depart + 1
 	op.flitsSent++
-	delay := int(depart-n.cycle) + op.latency
+	delay := int(depart-n.cycle) + int(op.latency)
 	if n.tracer != nil {
 		if isHead && op.kind == topo.Network {
 			n.tracer.Record(telemetry.FlitEvent{
 				Cycle: n.cycle, Kind: telemetry.EvVCAlloc, Packet: f.pkt.ID,
 				Src: int(f.pkt.Src), Dst: int(f.pkt.Dst),
-				Router: int(rt.id), Port: dec.Port, VC: dec.VC, Tail: f.tail,
+				Router: int(rt.id), Port: port, VC: vc, Tail: f.tail,
 			})
 		}
 		n.tracer.Record(telemetry.FlitEvent{
 			Cycle: n.cycle, Kind: telemetry.EvXbar, Packet: f.pkt.ID,
 			Src: int(f.pkt.Src), Dst: int(f.pkt.Dst),
-			Router: int(rt.id), Port: dec.Port, VC: dec.VC, Tail: f.tail,
+			Router: int(rt.id), Port: port, VC: vc, Tail: f.tail,
 		})
 	}
 	switch op.kind {
 	case topo.Network:
-		op.credits[dec.VC]--
+		ov := &rt.ovc[ovc]
+		ov.credits--
 		if n.checks != nil {
-			n.checks.CreditConsume(rt.id, dec.Port, dec.VC, op.credits[dec.VC])
+			n.checks.CreditConsume(rt.id, port, vc, int(ov.credits))
 			if isHead {
-				n.checks.VCAcquire(f.pkt, op.owner[dec.VC], rt.id, dec.Port, dec.VC)
+				n.checks.VCAcquire(f.pkt, ov.owner, rt.id, port, vc)
 			}
 			if f.tail {
-				n.checks.VCRelease(f.pkt, rt.id, dec.Port, dec.VC)
+				n.checks.VCRelease(f.pkt, rt.id, port, vc)
 			}
 		}
 		// Wormhole VC allocation: the head flit acquires the downstream
 		// VC, the tail flit releases it (a single-flit packet does both
 		// in one traversal, leaving it free).
 		if isHead && !f.tail {
-			op.owner[dec.VC] = f.pkt
+			ov.owner = f.pkt
 		} else if f.tail && !isHead {
-			op.owner[dec.VC] = nil
+			ov.owner = nil
 		}
 		if isHead {
 			f.pkt.Hops++
 		}
+		in := op.peerIn | uint32(vc)<<1
+		if f.tail {
+			in |= 1
+		}
 		// The next router's pipeline delay is charged on arrival.
-		sh.schedule(delay+n.cfg.RouterDelay, event{kind: evFlit, tail: f.tail, router: int32(op.peer), port: int32(op.peerPort), vc: int32(dec.VC), pkt: f.pkt})
+		sh.scheduleFlit(delay+n.cfg.RouterDelay, op.peer, in, f.pkt)
 	case topo.Terminal:
-		op.pending[dec.VC]--
+		ov := &rt.ovc[ovc]
+		ov.pending--
 		op.pendingSum--
-		// A delivery is always local to this shard; vc carries the delay
-		// so the parallel merge can recover the scheduling cycle.
-		sh.schedule(delay, event{kind: evDeliver, tail: f.tail, router: int32(rt.id), port: int32(dec.Port), vc: int32(delay), pkt: f.pkt})
+		sh.scheduleDeliver(delay, op.node, f.tail, f.pkt)
 	}
 }

@@ -88,6 +88,55 @@ func TestWorklistMatchesStepAll(t *testing.T) {
 			diffDeliveries(t, full, work, alg)
 		}
 	}
+	// The allocator paths beyond the default router: oldest-first
+	// arbitration under a speedup cap, wormhole packets, and a router with
+	// more than 64 ports (the 64-ary 2-flat has 127, so its occupancy and
+	// request sets span several words).
+	for _, c := range hardRouterCases(t) {
+		full := runScheduler(t, c.ff, c.alg, c.cfg, c.load, c.cycles, true)
+		work := runScheduler(t, c.ff, c.alg, c.cfg, c.load, c.cycles, false)
+		if len(full) == 0 {
+			t.Fatalf("%s delivered nothing", c.name)
+		}
+		diffDeliveries(t, full, work, c.name)
+	}
+}
+
+// routerCase is one scheduler-equivalence configuration.
+type routerCase struct {
+	name   string
+	ff     *core.FlatFly
+	alg    string
+	cfg    sim.Config
+	load   float64
+	cycles int
+}
+
+// hardRouterCases lists the configurations that stress the switch
+// allocator's request lists and multi-word port sets; the worklist and
+// shard equivalence tests both run them.
+func hardRouterCases(t *testing.T) []routerCase {
+	t.Helper()
+	ff4, err := core.NewFlatFly(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff64, err := core.NewFlatFly(64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []routerCase
+	for _, alg := range []string{"ugal", "clos"} {
+		cases = append(cases,
+			routerCase{alg + "/age+speedup1", ff4, alg, sim.Config{Seed: 2, BufPerPort: 16, AgeArbiter: true, Speedup: 1}, 0.9, 300},
+			routerCase{alg + "/age+speedup2+4flit", ff4, alg, sim.Config{Seed: 3, BufPerPort: 16, AgeArbiter: true, Speedup: 2, PacketSize: 4}, 0.9, 300},
+			routerCase{alg + "/4flit", ff4, alg, sim.Config{Seed: 4, BufPerPort: 16, PacketSize: 4}, 0.9, 300},
+		)
+	}
+	return append(cases,
+		routerCase{"64-ary/min", ff64, "min", sim.DefaultConfig(), 0.6, 40},
+		routerCase{"64-ary/clos+age+speedup1+4flit", ff64, "clos", sim.Config{Seed: 5, BufPerPort: 16, AgeArbiter: true, Speedup: 1, PacketSize: 4}, 0.6, 40},
+	)
 }
 
 // FuzzWorklistEquivalence fuzzes simulator configurations (topology
@@ -100,6 +149,9 @@ func FuzzWorklistEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(2), uint8(8), uint8(1), uint8(4), uint8(80), uint64(2))
 	f.Add(uint8(3), uint8(2), uint8(4), uint8(4), uint8(2), uint8(6), uint8(60), uint64(3))
 	f.Add(uint8(4), uint8(3), uint8(3), uint8(32), uint8(0), uint8(2), uint8(90), uint64(4))
+	// Four-flit packets under a speedup cap of 1 and 2, near saturation.
+	f.Add(uint8(2), uint8(0), uint8(4), uint8(3), uint8(1), uint8(3), uint8(95), uint64(5))
+	f.Add(uint8(2), uint8(1), uint8(2), uint8(1), uint8(2), uint8(3), uint8(85), uint64(6))
 	f.Fuzz(func(t *testing.T, k, n, algSel, buf, speedup, pktSize, loadPct uint8, seed uint64) {
 		ks := 2 + int(k)%3 // 2..4
 		ns := 2 + int(n)%2 // 2..3

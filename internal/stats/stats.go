@@ -281,11 +281,18 @@ func (s *Series) MaxY() float64 {
 // Quantile returns the q-th (0..1) quantile of data by linear interpolation.
 // It copies and sorts the input. An empty slice yields 0.
 func Quantile(data []float64, q float64) float64 {
-	if len(data) == 0 {
-		return 0
-	}
 	sorted := append([]float64(nil), data...)
 	sort.Float64s(sorted)
+	return SortedQuantile(sorted, q)
+}
+
+// SortedQuantile is Quantile for data already sorted ascending: it reads
+// the slice in place, so a caller that needs several quantiles of one
+// sample sorts once. An empty slice yields 0.
+func SortedQuantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if q <= 0 {
 		return sorted[0]
 	}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -75,8 +76,10 @@ func (r *LatencyRecorder) Snapshot() LatencySnapshot {
 		s.MeanUS = r.sum / float64(r.count)
 	}
 	r.mu.Unlock()
-	s.P50US = stats.Quantile(window, 0.50)
-	s.P95US = stats.Quantile(window, 0.95)
-	s.P99US = stats.Quantile(window, 0.99)
+	// One sort serves all three quantiles; window is a private copy.
+	sort.Float64s(window)
+	s.P50US = stats.SortedQuantile(window, 0.50)
+	s.P95US = stats.SortedQuantile(window, 0.95)
+	s.P99US = stats.SortedQuantile(window, 0.99)
 	return s
 }

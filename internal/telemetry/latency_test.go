@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"flatnet/internal/stats"
 )
 
 func TestLatencyRecorderQuantiles(t *testing.T) {
@@ -27,6 +29,32 @@ func TestLatencyRecorderQuantiles(t *testing.T) {
 	}
 	if s.MaxUS != 100 {
 		t.Fatalf("max %.2f, want 100", s.MaxUS)
+	}
+}
+
+// TestLatencyRecorderMatchesQuantile holds Snapshot's sort-once quantiles
+// to stats.Quantile of the same window, on unsorted observations that
+// have wrapped the ring.
+func TestLatencyRecorderMatchesQuantile(t *testing.T) {
+	r := NewLatencyRecorder(257)
+	var recent []float64
+	x := uint32(12345)
+	for i := 0; i < 1000; i++ {
+		x = x*1664525 + 1013904223
+		us := float64(x>>12) / 8 // exact in binary, so Observe's round trip is lossless
+		r.Observe(time.Duration(us * float64(time.Microsecond)))
+		recent = append(recent, us)
+	}
+	recent = recent[len(recent)-257:]
+	s := r.Snapshot()
+	for _, c := range []struct {
+		name string
+		got  float64
+		q    float64
+	}{{"p50", s.P50US, 0.50}, {"p95", s.P95US, 0.95}, {"p99", s.P99US, 0.99}} {
+		if want := stats.Quantile(recent, c.q); c.got != want {
+			t.Errorf("%s = %v, stats.Quantile gives %v", c.name, c.got, want)
+		}
 	}
 }
 
