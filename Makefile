@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck test race check checksweep nocd-smoke bench benchall benchguard flatbench-check figs quickfigs fuzz clean
+.PHONY: all build vet fmtcheck onebuilder test race check checksweep nocd-smoke bench benchall benchguard flatbench-check figs quickfigs fuzz clean
 
 # Tier-1 flow: build, static checks, tests, then the race detector over
 # the whole module — the sweep engine's worker pool must stay race-clean.
@@ -19,6 +19,13 @@ fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# onebuilder fails if a topology or routing constructor is called from a
+# front end instead of through internal/spec's family table.
+onebuilder:
+	@out=$$(grep -rnE '(core|topo|flatnet)\.(New(FlatFly|Butterfly|FoldedClos|Hypercube|SlimFly|Dragonfly|Torus|GHC)|TaperedClosForNodes)\(|(routing|flatnet)\.New[A-Za-z]*(Algorithm|Dest|Adaptive|ECube|DOR)\(' \
+		internal/sweep internal/nocsvc cmd/flatsim cmd/flattopo --include='*.go' | grep -v _test.go); \
+	if [ -n "$$out" ]; then echo "build networks through internal/spec, not:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -32,7 +39,7 @@ checksweep:
 	$(GO) run ./cmd/sweep -check -k 4 -n 2 -loads 0.2,0.6 \
 		-warmup 200 -measure 200 -sat=false >/dev/null
 
-check: build vet fmtcheck test race checksweep
+check: build vet fmtcheck onebuilder test race checksweep
 
 # nocd-smoke builds the real nocd binary, launches it on an ephemeral
 # port, drives open -> batch_estimate -> stats -> close through the
@@ -74,7 +81,6 @@ quickfigs:
 	$(GO) run ./cmd/paperfigs -quick -out results
 
 fuzz:
-	$(GO) test -fuzz=FuzzReadTrace -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzTraceReplay -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzInvariants -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzShardEquivalence -fuzztime=30s ./internal/sim/

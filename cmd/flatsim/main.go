@@ -14,7 +14,6 @@
 //	flatsim -topo ff -k 16 -n 2 -pattern uniform -burst-peak 0.9 -burst-len 24 -load 0.3
 //	flatsim -topo ff -k 16 -n 2 -pattern hotspot -hot 0,5 -hotfrac 0.2 -load 0.3
 //	flatsim -topo ff -k 8 -n 2 -alg ugal -collective allreduce -chunk 4
-//	flatsim -topo ff -k 16 -n 2 -trace run.trace               # replay a trace
 //	flatsim -topo ff -k 8 -n 2 -load 0.4 -trace-out wl.jsonl   # record a workload
 //	flatsim -topo ff -k 8 -n 2 -trace-in wl.jsonl -workers 4   # replay it
 //	flatsim -pattern help                                      # list the registry
@@ -26,10 +25,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -37,20 +38,21 @@ import (
 
 	"flatnet"
 	"flatnet/internal/sim"
+	"flatnet/internal/spec"
 )
 
 func main() {
 	var o runOpts
-	flag.StringVar(&o.topo, "topo", "ff", "topology: ff | butterfly | clos | hypercube | sf | df")
-	flag.IntVar(&o.k, "k", 32, "ary (terminals per router for ff/clos groups)")
-	flag.IntVar(&o.n, "n", 2, "stages (ff/butterfly: network has k^n nodes)")
-	flag.IntVar(&o.dims, "dims", 10, "hypercube dimensions")
-	flag.IntVar(&o.taper, "taper", 2, "folded-Clos taper (terminals/uplinks ratio)")
-	flag.IntVar(&o.q, "q", 5, "Slim Fly field size (odd prime power)")
-	flag.IntVar(&o.gh, "gh", 2, "dragonfly global channels per router")
-	flag.IntVar(&o.ga, "ga", 0, "dragonfly routers per group (0 = balanced 2h)")
-	flag.IntVar(&o.conc, "p", 0, "sf/df terminals per router (0 = balanced default)")
-	flag.StringVar(&o.alg, "alg", "clos", "ff algorithm: min | val | ugal | ugal-s | clos (sf/df: min | val | ugal | ugal-s)")
+	flag.StringVar(&o.Topo, "topo", "ff", "topology: ff | butterfly | clos | hypercube | sf | df")
+	flag.IntVar(&o.K, "k", 32, "ary (terminals per router for ff/clos groups)")
+	flag.IntVar(&o.N, "n", 2, "stages (ff/butterfly: network has k^n nodes)")
+	flag.IntVar(&o.Dims, "dims", 10, "hypercube dimensions")
+	flag.IntVar(&o.Taper, "taper", 2, "folded-Clos taper (terminals/uplinks ratio)")
+	flag.IntVar(&o.Q, "q", 5, "Slim Fly field size (odd prime power)")
+	flag.IntVar(&o.GH, "gh", 2, "dragonfly global channels per router")
+	flag.IntVar(&o.GA, "ga", 0, "dragonfly routers per group (0 = balanced 2h)")
+	flag.IntVar(&o.P, "p", 0, "sf/df terminals per router (0 = balanced default)")
+	flag.StringVar(&o.Alg, "alg", "clos", "ff algorithm: min | val | ugal | ugal-s | clos (sf/df: min | val | ugal | ugal-s)")
 	flag.StringVar(&o.pattern, "pattern", "uniform", "traffic pattern from the registry ('help' lists every name and alias)")
 	flag.StringVar(&o.hot, "hot", "", "comma-separated hot terminals for the hotspot pattern / incast sink (default 0)")
 	flag.Float64Var(&o.hotfrac, "hotfrac", 0, "fraction of hotspot traffic directed at the hot set (0 = default 0.1)")
@@ -61,7 +63,6 @@ func main() {
 	flag.IntVar(&o.batch, "batch", 0, "run a batch experiment of this size instead of open-loop")
 	flag.StringVar(&o.collective, "collective", "", "run a collective schedule to completion: alltoall | allreduce (-load adds background traffic)")
 	flag.IntVar(&o.chunk, "chunk", 1, "packets per transfer for -collective")
-	flag.StringVar(&o.trace, "trace", "", "replay a text trace file (cycle src dst per line) instead of synthetic traffic")
 	flag.StringVar(&o.traceIn, "trace-in", "", "replay a JSONL workload trace (one {\"cycle\",\"src\",\"dst\",\"size\"} object per line), streamed with bounded memory")
 	flag.StringVar(&o.traceOut, "trace-out", "", "record the run's injections to this JSONL workload trace (single -load runs)")
 	flag.IntVar(&o.window, "window", 0, "run a closed-loop request-reply workload with this many outstanding requests per node")
@@ -109,21 +110,13 @@ func main() {
 // runOpts collects every flag; run is pure in it, which is what the
 // tests drive.
 type runOpts struct {
-	topo       string
-	k, n       int
-	dims       int
-	taper      int
-	q          int
-	gh, ga     int
-	conc       int
+	spec.Flags // the topology and routing flags
 	analytic   bool
-	alg        string
 	pattern    string
 	hot        string
 	hotfrac    float64
 	burstPeak  float64
 	burstLen   float64
-	trace      string
 	traceIn    string
 	traceOut   string
 	collective string
@@ -180,124 +173,61 @@ func run(o runOpts) error {
 		fmt.Fprintf(os.Stderr, "flatsim: serving metrics on http://%s/debug/vars\n", srv.Addr())
 	}
 
+	net, err := o.Net()
+	if err != nil {
+		return err
+	}
 	if o.analytic {
-		if o.sweep || o.batch > 0 || o.trace != "" || o.window > 0 || o.check ||
+		if o.sweep || o.batch > 0 || o.window > 0 || o.check ||
 			o.flitTrace != "" || o.checkpoint != "" || o.restore != "" {
 			return fmt.Errorf("-analytic is a pure graph evaluation; drop the simulation flags")
 		}
-		return runAnalytic(o)
+		return runAnalytic(net)
 	}
-
-	var (
-		g     *flatnet.Graph
-		alg   flatnet.Algorithm
-		nodes int
-		conc  int // concentration for group patterns
-		err   error
-	)
-	switch o.topo {
-	case "ff":
-		ff, e := flatnet.NewFlatFly(o.k, o.n)
-		if e != nil {
-			return e
-		}
-		alg, err = flatnet.NewFlatFlyAlgorithm(o.alg, ff)
-		if err != nil {
-			return err
-		}
-		g, nodes, conc = ff.Graph(), ff.NumNodes, ff.K
-		fmt.Printf("topology: %s (N=%d, routers=%d, radix k'=%d), routing: %s\n",
-			ff.Name(), ff.NumNodes, ff.NumRouters, ff.Radix, alg.Name())
-	case "butterfly":
-		b, e := flatnet.NewButterfly(o.k, o.n)
-		if e != nil {
-			return e
-		}
-		alg = flatnet.NewButterflyDest(b)
-		g, nodes, conc = b.Graph(), b.NumNodes, b.K
-		fmt.Printf("topology: %s (N=%d), routing: destination-based\n", b.Name(), b.NumNodes)
-	case "clos":
-		if o.taper < 1 {
-			return fmt.Errorf("taper must be >= 1")
-		}
-		fc, e := flatnet.NewFoldedClos(o.k, o.k/o.taper, o.k, max(1, o.k/(2*o.taper)))
-		if e != nil {
-			return e
-		}
-		alg = flatnet.NewFoldedClosAdaptive(fc)
-		g, nodes, conc = fc.Graph(), fc.NumNodes, fc.Terminals
-		fmt.Printf("topology: %s (N=%d), routing: adaptive sequential\n", fc.Name(), fc.NumNodes)
-	case "hypercube":
-		h, e := flatnet.NewHypercube(o.dims)
-		if e != nil {
-			return e
-		}
-		alg = flatnet.NewECube(h)
-		g, nodes, conc = h.Graph(), h.NumNodes, 1
-		fmt.Printf("topology: %s (N=%d), routing: e-cube\n", h.Name(), h.NumNodes)
-	case "sf":
-		s, e := flatnet.NewSlimFly(o.q, o.conc)
-		if e != nil {
-			return e
-		}
-		alg, err = flatnet.NewSlimFlyAlgorithm(o.alg, s)
-		if err != nil {
-			return err
-		}
-		g, nodes, conc = s.Graph(), s.NumNodes, s.P
-		fmt.Printf("topology: %s (N=%d, routers=%d, degree k'=%d, diameter %d), routing: %s\n",
-			s.Name(), s.NumNodes, s.NumRouters, s.NetworkDegree, s.Diameter(), alg.Name())
-	case "df":
-		d, e := flatnet.NewDragonfly(o.conc, o.ga, o.gh)
-		if e != nil {
-			return e
-		}
-		alg, err = flatnet.NewDragonflyAlgorithm(o.alg, d)
-		if err != nil {
-			return err
-		}
-		// Group patterns treat one group's terminals as the unit, which is
-		// what makes -pattern worstcase the dragonfly adversary.
-		g, nodes, conc = d.Graph(), d.NumNodes, d.A*d.P
-		fmt.Printf("topology: %s (N=%d, routers=%d, groups=%d), routing: %s\n",
-			d.Name(), d.NumNodes, d.NumRouters, d.Groups, alg.Name())
-	default:
-		return fmt.Errorf("unknown topology %q", o.topo)
+	t, alg, conc, err := net.Build()
+	if err != nil {
+		return err
 	}
+	g := t.Graph()
+	fmt.Printf("topology: %s (N=%d, routers=%d%s), routing: %s\n", t.Name(), g.NumNodes, g.NumRouters(), detail(t), alg.Name())
 
 	hot, err := parseHotList(o.hot)
 	if err != nil {
 		return err
 	}
-	p, err := flatnet.BuildPattern(o.pattern, flatnet.PatternCtx{
-		Nodes: nodes, Seed: o.seed, Concentration: conc,
-		HotSet: hot, HotFraction: o.hotfrac,
-	})
-	if err != nil {
-		return fmt.Errorf("%w (try -pattern help)", err)
-	}
-
-	cfg := flatnet.Config{Seed: o.seed, BufPerPort: o.buf}
-
-	if o.check && (o.trace != "" || o.traceIn != "" || o.window > 0) {
-		return fmt.Errorf("-check applies to open-loop runs (-load, -sweep, -batch, -collective)")
-	}
 	if o.burstPeak > 0 {
-		if o.batch > 0 || o.window > 0 || o.trace != "" || o.traceIn != "" {
+		if o.batch > 0 || o.window > 0 || o.traceIn != "" {
 			return fmt.Errorf("-burst-peak applies to open-loop runs (-load, -sweep, -collective)")
 		}
 		if o.burstPeak > 1 {
 			return fmt.Errorf("-burst-peak must be in (0, 1], got %g", o.burstPeak)
 		}
 	}
-	if o.traceIn != "" && (o.sweep || o.batch > 0 || o.window > 0 || o.trace != "" ||
+	p, src, err := spec.Workload{
+		Pattern: o.pattern, Hot: hot, HotFraction: o.hotfrac,
+		BurstPeak: o.burstPeak, BurstLen: o.burstLen,
+	}.Build(g.NumNodes, conc, o.seed)
+	var unknown *flatnet.UnknownPatternError
+	if errors.As(err, &unknown) {
+		return fmt.Errorf("%w (try -pattern help)", err)
+	}
+	if err != nil {
+		return err
+	}
+
+	cfg := flatnet.Config{Seed: o.seed, BufPerPort: o.buf}
+
+	if o.check && (o.traceIn != "" || o.window > 0) {
+		return fmt.Errorf("-check applies to open-loop runs (-load, -sweep, -batch, -collective)")
+	}
+	if o.traceIn != "" && (o.sweep || o.batch > 0 || o.window > 0 ||
 		o.flitTrace != "" || o.checkpoint != "" || o.restore != "" || o.traceOut != "") {
 		return fmt.Errorf("-trace-in replays a recorded workload; drop the synthetic-traffic flags")
 	}
-	if o.traceOut != "" && (o.sweep || o.batch > 0 || o.window > 0 || o.trace != "" || o.collective != "") {
+	if o.traceOut != "" && (o.sweep || o.batch > 0 || o.window > 0 || o.collective != "") {
 		return fmt.Errorf("-trace-out records single-point open-loop runs (-load)")
 	}
-	if o.collective != "" && (o.sweep || o.batch > 0 || o.window > 0 || o.trace != "" ||
+	if o.collective != "" && (o.sweep || o.batch > 0 || o.window > 0 ||
 		o.traceIn != "" || o.checkpoint != "" || o.restore != "" || o.flitTrace != "") {
 		return fmt.Errorf("-collective runs one schedule to completion; drop the other mode flags")
 	}
@@ -311,16 +241,13 @@ func run(o runOpts) error {
 		case o.flitTrace != "":
 			fmt.Fprintln(os.Stderr, "flatsim: -flittrace forces the sequential scheduler; ignoring -workers")
 			o.workers = 1
-		case o.trace != "":
-			fmt.Fprintln(os.Stderr, "flatsim: text trace replay is sequential; ignoring -workers (-trace-in replays in parallel)")
-			o.workers = 1
 		case o.traceOut != "":
 			fmt.Fprintln(os.Stderr, "flatsim: -trace-out forces the sequential scheduler; ignoring -workers")
 			o.workers = 1
 		}
 	}
 	if o.checkpoint != "" || o.restore != "" {
-		if o.sweep || o.batch > 0 || o.trace != "" || o.window > 0 {
+		if o.sweep || o.batch > 0 || o.window > 0 {
 			return fmt.Errorf("-checkpoint/-restore apply to single-point open-loop runs (-load)")
 		}
 		if o.check || o.flitTrace != "" || o.traceOut != "" {
@@ -328,16 +255,12 @@ func run(o runOpts) error {
 		}
 	}
 
-	if o.trace != "" {
-		return runTrace(g, alg, cfg, o.trace, o.stop)
-	}
-
 	if o.traceIn != "" {
 		return runTraceJSONL(g, alg, cfg, o)
 	}
 
 	if o.collective != "" {
-		return runCollective(g, alg, cfg, p, o)
+		return runCollective(g, alg, cfg, src, o)
 	}
 
 	if o.window > 0 {
@@ -377,7 +300,7 @@ func run(o runOpts) error {
 	}
 
 	if !o.sweep {
-		return runPoint(g, alg, cfg, p, o)
+		return runPoint(g, alg, cfg, src, o)
 	}
 
 	loads := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}
@@ -392,7 +315,7 @@ func run(o runOpts) error {
 		}
 		loads = kept
 	}
-	rc := flatnet.RunConfig{Pattern: p, Burst: burstConfig(o), Warmup: o.warmup, Measure: o.measure, Stop: o.stop, Workers: o.workers}
+	rc := flatnet.RunConfig{Source: src, Warmup: o.warmup, Measure: o.measure, Stop: o.stop, Workers: o.workers}
 	checked := func() error { return nil }
 	if o.check {
 		checked = flatnet.ArmCheck(&rc, flatnet.CheckConfig{})
@@ -421,30 +344,8 @@ func run(o runOpts) error {
 // runAnalytic evaluates the selected topology graph-analytically —
 // no simulation, so instances far beyond cycle-accurate reach (100k+
 // endpoints) report in well under a second.
-func runAnalytic(o runOpts) error {
-	var (
-		tp  flatnet.Topology
-		err error
-	)
-	switch o.topo {
-	case "ff":
-		tp, err = flatnet.NewFlatFly(o.k, o.n)
-	case "butterfly":
-		tp, err = flatnet.NewButterfly(o.k, o.n)
-	case "clos":
-		if o.taper < 1 {
-			return fmt.Errorf("taper must be >= 1")
-		}
-		tp, err = flatnet.NewFoldedClos(o.k, o.k/o.taper, o.k, max(1, o.k/(2*o.taper)))
-	case "hypercube":
-		tp, err = flatnet.NewHypercube(o.dims)
-	case "sf":
-		tp, err = flatnet.NewSlimFly(o.q, o.conc)
-	case "df":
-		tp, err = flatnet.NewDragonfly(o.conc, o.ga, o.gh)
-	default:
-		return fmt.Errorf("unknown topology %q", o.topo)
-	}
+func runAnalytic(net spec.Net) error {
+	tp, err := net.Topology()
 	if err != nil {
 		return err
 	}
@@ -468,9 +369,9 @@ func runAnalytic(o runOpts) error {
 // runPoint measures a single open-loop load point with probes attached,
 // reporting latency percentiles and the hottest channels, and optionally
 // recording a flit trace.
-func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, p flatnet.Pattern, o runOpts) error {
+func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src flatnet.Source, o runOpts) error {
 	rc := flatnet.RunConfig{
-		Load: o.load, Pattern: p, Burst: burstConfig(o),
+		Load: o.load, Source: src,
 		Warmup: o.warmup, Measure: o.measure,
 		Stop: o.stop, Workers: o.workers,
 	}
@@ -602,50 +503,45 @@ func writeFlitTrace(path string, t *flatnet.Tracer) error {
 	return werr
 }
 
+// detail is the family-specific part of the topology header line.
+func detail(t flatnet.Topology) string {
+	switch t := t.(type) {
+	case *flatnet.FlatFly:
+		return fmt.Sprintf(", radix k'=%d", t.Radix)
+	case *flatnet.SlimFly:
+		return fmt.Sprintf(", degree k'=%d, diameter %d", t.NetworkDegree, t.Diameter())
+	case *flatnet.Dragonfly:
+		return fmt.Sprintf(", groups=%d", t.Groups)
+	}
+	return ""
+}
+
 // parseHotList parses the -hot comma-separated terminal list.
-func parseHotList(s string) ([]flatnet.NodeID, error) {
+func parseHotList(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
 	parts := strings.Split(s, ",")
-	hot := make([]flatnet.NodeID, 0, len(parts))
+	hot := make([]int, 0, len(parts))
 	for _, part := range parts {
-		var id int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &id); err != nil || id < 0 {
+		id, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || id < 0 {
 			return nil, fmt.Errorf("-hot: bad terminal %q (want a comma-separated list of node ids)", part)
 		}
-		hot = append(hot, flatnet.NodeID(id))
+		hot = append(hot, id)
 	}
 	return hot, nil
 }
 
-// burstConfig returns the on/off arrival process selected by
-// -burst-peak/-burst-len, nil for the default Bernoulli process.
-func burstConfig(o runOpts) *flatnet.BurstConfig {
-	if o.burstPeak <= 0 {
-		return nil
-	}
-	return &flatnet.BurstConfig{Peak: o.burstPeak, AvgBurst: o.burstLen}
-}
-
 // runCollective executes one collective schedule to completion,
 // optionally contending with background traffic at -load.
-func runCollective(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, p flatnet.Pattern, o runOpts) error {
+func runCollective(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src flatnet.Source, o runOpts) error {
 	cc := flatnet.CollectiveConfig{
 		Kind: o.collective, Packets: o.chunk,
 		Warmup: o.warmup, Stop: o.stop, Workers: o.workers,
 	}
 	if o.loadSet && o.load > 0 {
-		cc.Load = o.load
-		if bc := burstConfig(o); bc != nil {
-			src, err := flatnet.NewOnOffSource(p, bc.Peak, bc.AvgBurst)
-			if err != nil {
-				return err
-			}
-			cc.Source = src
-		} else {
-			cc.Pattern = p
-		}
+		cc.Load, cc.Source = o.load, src
 	}
 	var san *flatnet.Sanitizer
 	if o.check {
@@ -706,50 +602,4 @@ func runTraceJSONL(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, 
 	fmt.Printf("replayed %d packets in %d cycles; avg latency %.2f cycles\n",
 		injected, n.Cycle(), avg)
 	return nil
-}
-
-// runTrace replays a recorded trace to completion and reports latency.
-func runTrace(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, path string, stop func() bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	entries, err := flatnet.ReadTrace(f)
-	if err != nil {
-		return err
-	}
-	n, err := flatnet.NewNetwork(g, alg, cfg)
-	if err != nil {
-		return err
-	}
-	var latSum float64
-	var delivered int64
-	n.OnDeliver(func(p *flatnet.Packet, cycle int64) {
-		latSum += float64(cycle - p.InjectCycle)
-		delivered++
-	})
-	if err := n.LoadTrace(entries); err != nil {
-		return err
-	}
-	limit := int64(len(entries))*100 + 10000
-	for delivered < int64(len(entries)) && n.Cycle() < limit {
-		if stop != nil && n.Cycle()&0xff == 0 && stop() {
-			return fmt.Errorf("trace replay at cycle %d: %w", n.Cycle(), sim.ErrStopped)
-		}
-		n.Step()
-	}
-	if delivered < int64(len(entries)) {
-		return fmt.Errorf("trace did not complete: %d/%d delivered by cycle %d", delivered, len(entries), n.Cycle())
-	}
-	fmt.Printf("replayed %d packets in %d cycles; avg latency %.2f cycles\n",
-		delivered, n.Cycle(), latSum/float64(delivered))
-	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

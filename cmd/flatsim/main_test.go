@@ -3,41 +3,125 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"flatnet"
+	"flatnet/internal/nocsvc"
+	"flatnet/internal/spec"
+	"flatnet/internal/sweep"
 )
 
 // opts returns a baseline runOpts the tests tweak per case.
 func opts() runOpts {
 	return runOpts{
-		topo: "ff", k: 8, n: 2, dims: 6, taper: 2,
-		alg: "clos", pattern: "uniform",
-		load: 0.2, warmup: 200, measure: 200, seed: 1, buf: 32,
+		Flags:   spec.Flags{Topo: "ff", K: 8, N: 2, Dims: 6, Taper: 2, Alg: "clos"},
+		pattern: "uniform",
+		load:    0.2, warmup: 200, measure: 200, seed: 1, buf: 32,
 		traceCap: 1 << 14,
 	}
 }
 
 func TestRunOpenLoop(t *testing.T) {
-	for _, topo := range []string{"ff", "butterfly", "clos", "hypercube"} {
+	for _, topo := range []string{"ff", "butterfly", "clos", "hypercube", "sf", "df"} {
 		o := opts()
-		o.topo = topo
+		o.Topo = topo
+		if topo == "sf" || topo == "df" {
+			o.Q, o.GH, o.Alg = 5, 2, "ugal"
+		}
 		if err := run(o); err != nil {
 			t.Errorf("%s: %v", topo, err)
+		}
+		o.analytic = true
+		if err := run(o); err != nil {
+			t.Errorf("%s -analytic: %v", topo, err)
+		}
+	}
+}
+
+// TestFrontEndsAgree pins the three front ends to one network: the
+// sweep job, the nocd open request and the flatsim flags that each
+// describe "the 64-terminal X" convert to equal spec.Net values — in
+// particular the three historical folded-Clos taper formulas are one.
+func TestFrontEndsAgree(t *testing.T) {
+	cases := []struct {
+		name string
+		job  sweep.Job
+		open *nocsvc.OpenParams // nil: not on the nocd wire
+		mut  func(o *runOpts)
+	}{
+		{"flatfly", sweep.Job{Net: "flatfly", K: 8, N: 2, Alg: "CLOS AD"},
+			&nocsvc.OpenParams{Topology: "flatfly", K: 8, N: 2, Routing: "CLOS AD"},
+			func(o *runOpts) { o.Topo, o.Alg = "ff", "CLOS AD" }},
+		{"butterfly", sweep.Job{Net: "butterfly", K: 8, N: 2},
+			&nocsvc.OpenParams{Topology: "butterfly", K: 8, N: 2},
+			func(o *runOpts) { o.Topo = "butterfly" }},
+		{"2:1 folded Clos", sweep.Job{Net: "foldedclos", K: 8, Uplinks: 4, Leaves: 8, Middles: 2},
+			&nocsvc.OpenParams{Topology: "foldedclos", K: 8, N: 2},
+			func(o *runOpts) { o.Topo = "clos" }},
+		{"hypercube", sweep.Job{Net: "hypercube", N: 6},
+			&nocsvc.OpenParams{Topology: "hypercube", N: 6},
+			func(o *runOpts) { o.Topo = "hypercube" }},
+		{"slimfly", sweep.Job{Net: "slimfly", Q: 5, Alg: "ugal"}, nil,
+			func(o *runOpts) { o.Topo, o.Q, o.Alg = "sf", 5, "ugal" }},
+		{"dragonfly", sweep.Job{Net: "dragonfly", H: 2, Alg: "ugal-s"}, nil,
+			func(o *runOpts) { o.Topo, o.GH, o.Alg = "df", 2, "ugal-s" }},
+	}
+	for _, c := range cases {
+		want, _ := c.job.Spec()
+		o := opts()
+		c.mut(&o)
+		if got, err := o.Net(); err != nil || got != want {
+			t.Errorf("%s: flatsim flags give %+v (%v), the sweep job %+v", c.name, got, err, want)
+		}
+		if c.open != nil {
+			if got, _, err := c.open.Spec(); err != nil || got != want {
+				t.Errorf("%s: nocd open gives %+v (%v), the sweep job %+v", c.name, got, err, want)
+			}
+		}
+		tp, err := want.Topology()
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		} else if n := tp.Graph().NumNodes; c.open != nil && n != 64 {
+			t.Errorf("%s: %d terminals, want 64", c.name, n)
+		}
+	}
+}
+
+func TestParseHotList(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []int
+		bad  bool
+	}{
+		{"", nil, false},
+		{"0", []int{0}, false},
+		{"1, 3,7", []int{1, 3, 7}, false},
+		{"5x", nil, true},
+		{"1 2", nil, true},
+		{"-1", nil, true},
+		{"3,,4", nil, true},
+		{",", nil, true},
+		{"0x10", nil, true},
+	}
+	for _, c := range cases {
+		got, err := parseHotList(c.in)
+		if (err != nil) != c.bad || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("parseHotList(%q) = %v, %v; want %v, error %t", c.in, got, err, c.want, c.bad)
 		}
 	}
 }
 
 func TestRunSweepAndBatch(t *testing.T) {
 	o := opts()
-	o.k, o.alg, o.pattern, o.load = 4, "ugal-s", "worstcase", 0
+	o.K, o.Alg, o.pattern, o.load = 4, "ugal-s", "worstcase", 0
 	o.sweep = true
 	o.warmup, o.measure = 100, 100
 	if err := run(o); err != nil {
 		t.Errorf("sweep: %v", err)
 	}
 	o = opts()
-	o.k, o.alg, o.pattern, o.load = 4, "clos", "worstcase", 0
+	o.K, o.Alg, o.pattern, o.load = 4, "clos", "worstcase", 0
 	o.batch = 4
 	o.warmup, o.measure = 100, 100
 	if err := run(o); err != nil {
@@ -48,7 +132,7 @@ func TestRunSweepAndBatch(t *testing.T) {
 func TestRunPatterns(t *testing.T) {
 	for _, p := range []string{"uniform", "worstcase", "bitcomp", "tornado"} {
 		o := opts()
-		o.k, o.alg, o.pattern, o.load = 4, "min", p, 0.1
+		o.K, o.Alg, o.pattern, o.load = 4, "min", p, 0.1
 		o.warmup, o.measure = 100, 100
 		if err := run(o); err != nil {
 			t.Errorf("%s: %v", p, err)
@@ -58,12 +142,12 @@ func TestRunPatterns(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	o := opts()
-	o.topo = "bogus"
+	o.Topo = "bogus"
 	if err := run(o); err == nil {
 		t.Error("unknown topology accepted")
 	}
 	o = opts()
-	o.alg = "bogus"
+	o.Alg = "bogus"
 	if err := run(o); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
@@ -73,7 +157,7 @@ func TestRunErrors(t *testing.T) {
 		t.Error("unknown pattern accepted")
 	}
 	o = opts()
-	o.topo, o.taper = "clos", 0
+	o.Topo, o.Taper = "clos", 0
 	if err := run(o); err == nil {
 		t.Error("zero taper accepted")
 	}
@@ -82,7 +166,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunCheckpointRestore(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "warm.snap")
 	o := opts()
-	o.k, o.warmup, o.measure = 4, 100, 100
+	o.K, o.warmup, o.measure = 4, 100, 100
 	o.checkpoint = snap
 	if err := run(o); err != nil {
 		t.Fatalf("checkpoint run: %v", err)
@@ -91,7 +175,7 @@ func TestRunCheckpointRestore(t *testing.T) {
 		t.Fatalf("checkpoint file: %v (size %v)", err, fi)
 	}
 	o = opts()
-	o.k, o.warmup, o.measure = 4, 100, 100
+	o.K, o.warmup, o.measure = 4, 100, 100
 	o.restore = snap
 	if err := run(o); err != nil {
 		t.Fatalf("restore run: %v", err)
@@ -116,20 +200,22 @@ func TestRunCheckpointRestore(t *testing.T) {
 
 func TestRunTraceReplay(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "t.trace")
-	if err := os.WriteFile(path, []byte("# test\n0 0 15\n1 3 8\n"), 0o644); err != nil {
+	path := filepath.Join(dir, "t.jsonl")
+	hand := `{"cycle":0,"src":0,"dst":15}` + "\n" + `{"cycle":1,"src":3,"dst":8,"size":2}` + "\n"
+	if err := os.WriteFile(path, []byte(hand), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	o := opts()
-	o.k, o.load = 4, 0
-	o.warmup, o.measure = 100, 100
-	o.trace = path
+	o.K = 4
+	o.traceIn = path
 	if err := run(o); err != nil {
-		t.Errorf("trace replay: %v", err)
+		t.Errorf("hand-written trace replay: %v", err)
 	}
-	o.trace = filepath.Join(dir, "missing")
+	if err := os.WriteFile(path, []byte(hand+`{"cycle":0,"src":99,"dst":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := run(o); err == nil {
-		t.Error("missing trace file accepted")
+		t.Error("trace with an out-of-range source and a decreasing cycle accepted")
 	}
 }
 
@@ -137,25 +223,27 @@ func TestRunWorkloads(t *testing.T) {
 	// Every registry name (and the sweep aliases) is accepted.
 	for _, p := range []string{"hotspot", "incast", "shuffle", "transpose", "randperm", "HS", "UR"} {
 		o := opts()
-		o.k, o.alg, o.pattern, o.load = 4, "min", p, 0.1
+		o.K, o.Alg, o.pattern, o.load = 4, "min", p, 0.1
 		o.warmup, o.measure = 100, 100
 		if err := run(o); err != nil {
 			t.Errorf("%s: %v", p, err)
 		}
 	}
 	o := opts()
-	o.k, o.alg, o.pattern, o.load = 4, "min", "hotspot", 0.1
+	o.K, o.Alg, o.pattern, o.load = 4, "min", "hotspot", 0.1
 	o.hot, o.hotfrac = "1,3", 0.3
 	o.warmup, o.measure = 100, 100
 	if err := run(o); err != nil {
 		t.Errorf("parameterized hotspot: %v", err)
 	}
-	o.hot = "1,x"
-	if err := run(o); err == nil {
-		t.Error("malformed -hot accepted")
+	for _, bad := range []string{"1,x", "5x", "1 2"} {
+		o.hot = bad
+		if err := run(o); err == nil {
+			t.Errorf("malformed -hot %q accepted", bad)
+		}
 	}
 	o = opts()
-	o.k, o.load = 4, 0.2
+	o.K, o.load = 4, 0.2
 	o.burstPeak, o.burstLen = 0.8, 12
 	o.warmup, o.measure = 100, 100
 	if err := run(o); err != nil {
@@ -172,13 +260,13 @@ func TestRunWorkloads(t *testing.T) {
 
 func TestRunCollectives(t *testing.T) {
 	o := opts()
-	o.k, o.alg = 4, "min"
+	o.K, o.Alg = 4, "min"
 	o.collective, o.chunk = "alltoall", 2
 	if err := run(o); err != nil {
 		t.Errorf("quiet alltoall: %v", err)
 	}
 	o = opts()
-	o.k, o.alg = 4, "min"
+	o.K, o.Alg = 4, "min"
 	o.collective = "allreduce"
 	o.load, o.loadSet = 0.2, true
 	o.warmup = 100
@@ -196,14 +284,14 @@ func TestRunWorkloadTraceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wl.jsonl")
 	o := opts()
-	o.k, o.load = 4, 0.2
+	o.K, o.load = 4, 0.2
 	o.warmup, o.measure = 100, 100
 	o.traceOut = path
 	if err := run(o); err != nil {
 		t.Fatalf("record: %v", err)
 	}
 	o = opts()
-	o.k = 4
+	o.K = 4
 	o.traceIn = path
 	o.workers = 4
 	if err := run(o); err != nil {
@@ -221,7 +309,7 @@ func TestRunWorkloadTraceRoundTrip(t *testing.T) {
 
 func TestRunClosedLoop(t *testing.T) {
 	o := opts()
-	o.k, o.load = 4, 0
+	o.K, o.load = 4, 0
 	o.window = 2
 	o.warmup, o.measure = 200, 400
 	if err := run(o); err != nil {
@@ -236,7 +324,7 @@ func TestRunFlitTrace(t *testing.T) {
 	for _, name := range []string{"t.json", "t.jsonl"} {
 		path := filepath.Join(dir, name)
 		o := opts()
-		o.k, o.load = 4, 0.1
+		o.K, o.load = 4, 0.1
 		o.warmup, o.measure = 100, 100
 		o.flitTrace = path
 		if err := run(o); err != nil {
@@ -266,7 +354,7 @@ func TestRunFlitTrace(t *testing.T) {
 // (the endpoint itself is covered in internal/telemetry).
 func TestRunListen(t *testing.T) {
 	o := opts()
-	o.k = 4
+	o.K = 4
 	o.warmup, o.measure = 100, 100
 	o.listen = "127.0.0.1:0"
 	if err := run(o); err != nil {

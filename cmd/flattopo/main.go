@@ -12,95 +12,56 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"flatnet"
+	"flatnet/internal/spec"
 	"flatnet/internal/topo"
 )
 
 func main() {
-	var (
-		topoName = flag.String("topo", "ff", "topology: ff | butterfly | clos | hypercube | torus | ghc")
-		k        = flag.Int("k", 8, "ary")
-		n        = flag.Int("n", 2, "stages / dimensions+1")
-		dims     = flag.Int("dims", 6, "hypercube dimensions")
-		taper    = flag.Int("taper", 2, "folded-Clos taper")
-		dot      = flag.Bool("dot", false, "emit Graphviz DOT instead of a summary")
-	)
+	var f spec.Flags
+	flag.StringVar(&f.Topo, "topo", "ff", "topology: ff | butterfly | clos | hypercube | torus | ghc")
+	flag.IntVar(&f.K, "k", 8, "ary")
+	flag.IntVar(&f.N, "n", 2, "stages / dimensions+1")
+	flag.IntVar(&f.Dims, "dims", 6, "hypercube dimensions")
+	flag.IntVar(&f.Taper, "taper", 2, "folded-Clos taper")
+	dot := flag.Bool("dot", false, "emit Graphviz DOT instead of a summary")
 	flag.Parse()
-	if err := run(*topoName, *k, *n, *dims, *taper, *dot); err != nil {
+	if err := run(os.Stdout, f, *dot); err != nil {
 		fmt.Fprintln(os.Stderr, "flattopo:", err)
 		os.Exit(1)
 	}
 }
 
-func run(topoName string, k, n, dims, taper int, dot bool) error {
-	var t flatnet.Topology
-	switch topoName {
-	case "ff":
-		ff, err := flatnet.NewFlatFly(k, n)
-		if err != nil {
-			return err
-		}
-		t = ff
-	case "butterfly":
-		b, err := flatnet.NewButterfly(k, n)
-		if err != nil {
-			return err
-		}
-		t = b
-	case "clos":
-		fc, err := flatnet.NewFoldedClos(k, k/taper, k, maxInt(1, k/(2*taper)))
-		if err != nil {
-			return err
-		}
-		t = fc
-	case "hypercube":
-		h, err := flatnet.NewHypercube(dims)
-		if err != nil {
-			return err
-		}
-		t = h
-	case "torus":
-		tr, err := flatnet.NewTorus(k, n)
-		if err != nil {
-			return err
-		}
-		t = tr
-	case "ghc":
-		g, err := flatnet.NewGHC([]int{k, k})
-		if err != nil {
-			return err
-		}
-		t = g
-	default:
-		return fmt.Errorf("unknown topology %q", topoName)
+func run(w io.Writer, f spec.Flags, dot bool) error {
+	net, err := f.Net()
+	if err != nil {
+		return err
+	}
+	t, err := net.Topology()
+	if err != nil {
+		return err
 	}
 	g := t.Graph()
 	if dot {
-		return topo.WriteDOT(os.Stdout, g)
+		return topo.WriteDOT(w, g)
 	}
-	fmt.Printf("topology:   %s\n", t.Name())
-	fmt.Printf("nodes:      %d\n", g.NumNodes)
-	fmt.Printf("routers:    %d\n", g.NumRouters())
-	fmt.Printf("channels:   %d unidirectional\n", g.CountChannels())
+	fmt.Fprintf(w, "topology:   %s\n", t.Name())
+	fmt.Fprintf(w, "nodes:      %d\n", g.NumNodes)
+	fmt.Fprintf(w, "routers:    %d\n", g.NumRouters())
+	fmt.Fprintf(w, "channels:   %d unidirectional\n", g.CountChannels())
 	maxDeg := 0
 	for r := 0; r < g.NumRouters(); r++ {
 		if d := g.Degree(flatnet.RouterID(r)); d > maxDeg {
 			maxDeg = d
 		}
 	}
-	fmt.Printf("max degree: %d ports\n", maxDeg)
+	fmt.Fprintf(w, "max degree: %d ports\n", maxDeg)
 	if err := g.Validate(); err != nil {
 		return fmt.Errorf("graph INVALID: %w", err)
 	}
-	fmt.Println("graph:      valid")
+	fmt.Fprintln(w, "graph:      valid")
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -33,6 +33,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -41,6 +42,7 @@ import (
 	"flatnet/internal/sim"
 	"flatnet/internal/sweep"
 	"flatnet/internal/telemetry"
+	"flatnet/internal/traffic"
 )
 
 // cliConfig carries the parsed grid spec.
@@ -72,7 +74,7 @@ func main() {
 	var (
 		cfg      cliConfig
 		algs     = flag.String("algs", "MIN AD,VAL,UGAL,UGAL-S,CLOS AD", "comma-separated routing algorithms")
-		patterns = flag.String("patterns", "UR,WC", "comma-separated traffic patterns (UR,WC,BC,TP,SH,TOR,RP)")
+		patterns = flag.String("patterns", "UR,WC", "comma-separated traffic patterns ("+patternList()+")")
 		loads    = flag.String("loads", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.95,0.98", "comma-separated offered loads, ascending")
 		seed     = flag.Uint64("seed", 1, "simulation seed (every job derives its RNG from this)")
 		outPath  = flag.String("out", "", "output file ('' = stdout)")
@@ -248,6 +250,17 @@ func (cfg cliConfig) describe() string {
 	default:
 		return fmt.Sprintf("k=%d n=%d", j.K, j.N)
 	}
+}
+
+// patternList is the -patterns vocabulary: the short form of every
+// internal/traffic registry pattern.
+func patternList() string {
+	var short []string
+	for a := range traffic.Aliases() {
+		short = append(short, a)
+	}
+	sort.Strings(short)
+	return strings.Join(short, ",")
 }
 
 // runAnalytic evaluates the network as a single graph-analytic job —

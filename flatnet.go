@@ -152,8 +152,6 @@ type (
 	Config = sim.Config
 	// RunConfig describes one open-loop measurement.
 	RunConfig = sim.RunConfig
-	// BurstConfig selects bursty (on/off) injection in RunConfig.
-	BurstConfig = sim.BurstConfig
 	// ClosedLoopConfig describes a request-reply workload.
 	ClosedLoopConfig = sim.ClosedLoopConfig
 	// ClosedLoopResult reports a closed-loop run.
@@ -210,10 +208,6 @@ var (
 	SaturationThroughput = sim.SaturationThroughput
 	// RunBatch executes the Fig. 5 batch experiment.
 	RunBatch = sim.RunBatch
-	// ReadTrace and WriteTrace serialize traffic traces in the legacy
-	// whitespace text format.
-	ReadTrace  = sim.ReadTrace
-	WriteTrace = sim.WriteTrace
 	// WriteWorkloadJSONL and ReadWorkloadJSONL serialize workload traces
 	// in the JSONL format ({"cycle":C,"src":S,"dst":D,"size":K} lines);
 	// NewTraceScanner streams one for Network.ReplayTrace without

@@ -226,6 +226,9 @@ func TestGoldenCorpusWarmRestored(t *testing.T) {
 	if *update {
 		t.Skip("corpus is regenerated by TestGoldenCorpus")
 	}
+	if sanitizerForced {
+		t.Skip("-tags=check: sanitized engines ignore the warm store")
+	}
 	var loadJobs []sweep.Job
 	wantSaved := int64(0)
 	for _, j := range goldenJobs {

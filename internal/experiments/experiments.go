@@ -14,8 +14,8 @@ import (
 
 	"flatnet/internal/core"
 	"flatnet/internal/sim"
+	"flatnet/internal/spec"
 	"flatnet/internal/sweep"
-	"flatnet/internal/topo"
 )
 
 // Scale selects the fidelity of the simulation experiments.
@@ -203,77 +203,49 @@ func Fig6On(eng *sweep.Engine, patternName string, s Scale) ([]TopoSeries, error
 	for c := 1; c < n; c <<= 1 {
 		dims++
 	}
-	base := s.job("", patternName)
+	// The folded Clos in the §3.3 convention: 2:1 tapered, so its
+	// bisection equals the flattened butterfly's.
+	clos, err := spec.TaperedClos(s.K, s.N, 2)
+	if err != nil {
+		return nil, err
+	}
 	// Every topology sees the worst-case pattern at the flattened
 	// butterfly's concentration so the comparison is like-for-like.
-	base.Conc = f.K
-	type entry struct {
-		topoName string
-		mut      func(j *sweep.Job)
-	}
-	entries := []entry{
-		{fmt.Sprintf("%d-ary %d-flat", s.K, s.N), func(j *sweep.Job) {
-			j.Alg = "CLOS AD"
-		}},
-		{fmt.Sprintf("%d-ary %d-fly", s.K, s.N), func(j *sweep.Job) {
-			j.Net, j.Alg = "butterfly", "destination"
-		}},
-		{"folded Clos", func(j *sweep.Job) {
-			j.Net, j.Alg = "foldedclos", "adaptive sequential"
-			j.K, j.N = f.K, 0
-			j.Uplinks, j.Leaves, j.Middles = f.K/2, f.NumRouters, maxInt(1, f.K/4)
-		}},
-		{fmt.Sprintf("%d-cube", dims), func(j *sweep.Job) {
-			j.Net, j.Alg = "hypercube", "e-cube"
-			j.K, j.N = 0, dims
-		}},
-	}
-	specs := make([]sweep.SeriesSpec, len(entries))
-	for i, e := range entries {
-		j := base
-		e.mut(&j)
+	flat := s.job("CLOS AD", patternName)
+	flat.Conc = f.K
+	fly, fc, cube := flat, flat, flat
+	fly.Net, fly.Alg = "butterfly", "destination"
+	fc.Net, fc.Alg = clos.Family, "adaptive sequential"
+	fc.K, fc.N = clos.K, 0
+	fc.Uplinks, fc.Leaves, fc.Middles = clos.Uplinks, clos.Leaves, clos.Middles
+	cube.Net, cube.Alg = "hypercube", "e-cube"
+	cube.K, cube.N = 0, dims
+	jobs := []sweep.Job{flat, fly, fc, cube}
+	specs := make([]sweep.SeriesSpec, len(jobs))
+	for i, j := range jobs {
 		specs[i] = sweep.SeriesSpec{Base: j, Loads: s.Loads, Saturation: true}
 	}
 	res, err := seqEngine(eng).RunSeries(context.Background(), specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig6: %w", err)
 	}
-	// Topology display names come from the constructors so the figure
-	// labels match the rest of the repo.
-	names, algNames, err := fig6Names(s, f, dims)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TopoSeries, len(entries))
-	for i := range entries {
+	out := make([]TopoSeries, len(jobs))
+	for i, j := range jobs {
+		// The display name comes from the job's own topology so the
+		// figure labels match the rest of the repo.
+		net, _ := j.Spec()
+		t, err := net.Topology()
+		if err != nil {
+			return nil, err
+		}
 		out[i] = TopoSeries{
-			Topology:             names[i],
-			Algorithm:            algNames[i],
+			Topology:             t.Name(),
+			Algorithm:            j.Alg,
 			Points:               res[i].Points,
 			SaturationThroughput: res[i].SaturationThroughput,
 		}
 	}
 	return out, nil
-}
-
-// fig6Names reproduces the display names the topology and routing
-// constructors report, without building simulation state.
-func fig6Names(s Scale, f *core.FlatFly, dims int) (topoNames, algNames []string, err error) {
-	bf, err := topo.NewButterfly(s.K, s.N)
-	if err != nil {
-		return nil, nil, err
-	}
-	fc, err := topo.NewFoldedClos(f.K, f.K/2, f.NumRouters, maxInt(1, f.K/4))
-	if err != nil {
-		return nil, nil, err
-	}
-	hc, err := topo.NewHypercube(dims)
-	if err != nil {
-		return nil, nil, err
-	}
-	topoNames = []string{f.Name(), bf.Name(), fc.Name(), hc.Name()}
-	algNames = []string{"CLOS AD", "destination", "adaptive sequential", "e-cube"}
-	return topoNames, algNames, nil
 }
 
 // ConfigSeries is one (k, n') configuration's Fig. 12 result.
@@ -329,11 +301,4 @@ func Fig12On(eng *sweep.Engine, alg string, nodes int, loads []float64, s Scale)
 		out[i] = ConfigSeries{Config: c, Points: res[i].Points, SaturationThroughput: res[i].SaturationThroughput}
 	}
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

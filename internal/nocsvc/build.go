@@ -1,9 +1,11 @@
 package nocsvc
 
 import (
-	"flatnet/internal/core"
-	"flatnet/internal/routing"
+	"cmp"
+	"fmt"
+
 	"flatnet/internal/sim"
+	"flatnet/internal/spec"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
@@ -47,127 +49,53 @@ func (p *OpenParams) normalize() {
 	}
 }
 
-// buildNetwork materializes a session's channel graph, routing algorithm
-// and simulator configuration from normalized OpenParams. It also
-// reports the topology's concentration (terminals per router group),
-// which seeds the group traffic patterns. maxNodes is the server's
-// admission-control cap on topology size; 0 means no cap.
-func buildNetwork(p OpenParams, maxNodes int) (*topo.Graph, sim.Algorithm, sim.Config, int, *Error) {
-	var (
-		g    *topo.Graph
-		alg  sim.Algorithm
-		conc int
-	)
-	switch p.Topology {
-	case "flatfly":
-		f, err := core.NewFlatFly(p.K, p.N)
-		if err != nil {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: %v", err)
-		}
-		r := p.Routing
-		if r == "" {
-			r = "min"
-		}
-		alg, err = routing.NewFlatFlyAlgorithm(r, f)
-		if err != nil {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: %v", err)
-		}
-		g = f.Graph()
-		conc = f.K
-	case "butterfly":
-		b, err := topo.NewButterfly(p.K, p.N)
-		if err != nil {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: %v", err)
-		}
-		if p.Routing != "" && p.Routing != "destination" {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest,
-				"open: butterfly supports routing \"destination\", not %q", p.Routing)
-		}
-		alg = routing.NewButterflyDest(b)
-		g = b.Graph()
-		conc = p.K
-	case "foldedclos":
-		// The §3.3 equal-bisection convention: 2:1 tapered, K terminals
-		// per leaf, K^N total terminals (mirrors cmd/flatsim's -taper 2).
-		fc, err := topo.TaperedClosForNodes(pow(p.K, p.N), 2*p.K)
-		if err != nil {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: %v", err)
-		}
-		if p.Routing != "" && p.Routing != "adaptive sequential" {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest,
-				"open: foldedclos supports routing \"adaptive sequential\", not %q", p.Routing)
-		}
-		alg = routing.NewFoldedClosAdaptive(fc)
-		g = fc.Graph()
-		conc = p.K
-	case "hypercube":
-		h, err := topo.NewHypercube(p.N)
-		if err != nil {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: %v", err)
-		}
-		if p.Routing != "" && p.Routing != "e-cube" {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest,
-				"open: hypercube supports routing \"e-cube\", not %q", p.Routing)
-		}
-		alg = routing.NewECube(h)
-		g = h.Graph()
-		conc = 1
-	default:
-		return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: unknown topology %q", p.Topology)
-	}
-	if maxNodes > 0 && g.NumNodes > maxNodes {
-		return nil, nil, sim.Config{}, 0, errf(CodeBadRequest,
-			"open: topology has %d terminals, above the server cap of %d", g.NumNodes, maxNodes)
-	}
-	cfg := sim.Config{
-		Seed:       p.Seed,
-		BufPerPort: p.BufPerPort,
-		PacketSize: p.PacketSize,
-	}
-	return g, alg, cfg, conc, nil
+// Spec converts the wire parameters to the shared network and workload
+// descriptions. The wire speaks the compact (topology, k, n) vocabulary:
+// K^N terminals for flatfly, butterfly and foldedclos — the latter in the
+// §3.3 equal-bisection convention, 2:1 tapered with K terminals per leaf
+// — and N dimensions for hypercube.
+func (p OpenParams) Spec() (spec.Net, spec.Workload, error) {
+	net, err := spec.Flags{Topo: p.Topology, K: p.K, N: p.N, Dims: p.N, Taper: 2}.Net()
+	net.Alg = p.Routing
+	return net, spec.Workload{
+		Pattern: p.Pattern, Hot: p.Hot, HotFraction: p.HotFraction,
+		BurstPeak: p.BurstPeak, BurstLen: p.BurstLen,
+	}, err
 }
 
-// buildWorkload materializes a session's background workload source
-// from normalized OpenParams: the registry pattern (group patterns use
-// the topology's concentration, hotspot/incast the params' hot set)
-// wrapped in either the default Bernoulli arrival process or, when
-// burst_peak is set, the two-state on/off process. A source carries no
-// identity in a snapshot beyond its name and mutable state, so a clone
-// rebuilds an identical one from the same params.
-func buildWorkload(p OpenParams, nodes, conc int) (traffic.Source, error) {
-	hot := make([]topo.NodeID, len(p.Hot))
-	for i, h := range p.Hot {
-		hot[i] = topo.NodeID(h)
-	}
-	pat, err := traffic.Build(p.Pattern, traffic.BuildCtx{
-		Nodes:         nodes,
-		Seed:          p.Seed,
-		Concentration: conc,
-		HotSet:        hot,
-		HotFraction:   p.HotFraction,
-	})
+// build materializes a session's channel graph, routing algorithm,
+// simulator configuration and background workload source from normalized
+// OpenParams. A source carries no identity in a snapshot beyond its name
+// and mutable state, so a clone rebuilds an identical one from the same
+// params. maxNodes is the server's admission-control cap on topology
+// size; 0 means no cap.
+func build(p OpenParams, maxNodes int) (g *topo.Graph, alg sim.Algorithm, cfg sim.Config, src traffic.Source, err error) {
+	net, wl, err := p.Spec()
 	if err != nil {
-		return nil, err
+		return
 	}
-	if p.BurstPeak > 0 {
-		return traffic.NewOnOff(pat, p.BurstPeak, p.BurstLen)
+	// The wire's (k, n) names K^N terminals — 2^N for the hypercube, whose
+	// Net takes no K — so an over-cap request is refused before anything
+	// that size is built.
+	nodes := 1
+	for i := 0; i < p.N && nodes <= maxNodes; i++ {
+		nodes *= cmp.Or(net.K, 2)
 	}
-	return traffic.NewBernoulli(pat), nil
-}
-
-// pow returns k^n without overflow surprises for protocol-bounded
-// inputs (k <= 1024, n <= 20): it saturates at a value any maxNodes cap
-// rejects.
-func pow(k, n int) int {
-	const lim = 1 << 30
-	v := 1
-	for i := 0; i < n; i++ {
-		v *= k
-		if v <= 0 || v > lim {
-			return lim
-		}
+	if maxNodes > 0 && nodes > maxNodes {
+		err = fmt.Errorf("topology has at least %d terminals, above the server cap of %d", nodes, maxNodes)
+		return
 	}
-	return v
+	t, alg, conc, err := net.Build()
+	if err != nil {
+		return
+	}
+	g = t.Graph()
+	if _, src, err = wl.Build(g.NumNodes, conc, p.Seed); err != nil {
+		err = fmt.Errorf("workload: %w", err)
+		return
+	}
+	cfg = sim.Config{Seed: p.Seed, BufPerPort: p.BufPerPort, PacketSize: p.PacketSize}
+	return
 }
 
 // packetsFor converts a transfer size in bytes into whole packets given

@@ -105,12 +105,14 @@ func newSessionFromSnapshot(id string, p OpenParams, snap []byte, maxNodes, maxI
 // buildSession is the shared constructor: snap == nil builds cold and
 // warms; otherwise the network is restored from the snapshot bytes.
 func buildSession(id string, p OpenParams, snap []byte, maxNodes, maxInflight int, budget int64, defaultWorkers int) (*session, *Error) {
-	g, alg, cfg, conc, perr := buildNetwork(p, maxNodes)
-	if perr != nil {
-		return nil, perr
+	// A snapshot stashes only the workload's name and mutable state; the
+	// clone re-derives the source from the (normalized) params and
+	// SetSource re-applies the stashed state.
+	g, alg, cfg, src, err := build(p, maxNodes)
+	if err != nil {
+		return nil, errf(CodeBadRequest, "open: %v", err)
 	}
 	var n *sim.Network
-	var err error
 	if snap != nil {
 		n, err = sim.Restore(bytes.NewReader(snap), g, alg, cfg)
 		if err != nil {
@@ -133,14 +135,6 @@ func buildSession(id string, p OpenParams, snap []byte, maxNodes, maxInflight in
 		}
 	} else {
 		workers = 1
-	}
-	// A snapshot stashes only the workload's name and mutable state; the
-	// clone re-derives the source from the (normalized) params and
-	// SetSource re-applies the stashed state.
-	src, err := buildWorkload(p, g.NumNodes, conc)
-	if err != nil {
-		n.Close()
-		return nil, errf(CodeBadRequest, "open: workload: %v", err)
 	}
 	if err := n.SetSource(src); err != nil {
 		n.Close()

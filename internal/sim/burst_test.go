@@ -129,7 +129,7 @@ func TestRunLoadPointWithBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	burst := base
-	burst.Burst = &BurstConfig{Peak: 1.0, AvgBurst: 25}
+	burst.Source = mustOnOff(t, traffic.NewWorstCase(8, 8), 1.0, 25)
 	by, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), burst)
 	if err != nil {
 		t.Fatal(err)
@@ -137,28 +137,21 @@ func TestRunLoadPointWithBurst(t *testing.T) {
 	if by.AvgLatency < 1.5*bern.AvgLatency {
 		t.Fatalf("bursty run latency %.2f should exceed Bernoulli %.2f", by.AvgLatency, bern.AvgLatency)
 	}
-	// An explicit Source produces the identical run as the equivalent
-	// Burst shorthand.
-	srcRun := base
-	srcRun.Pattern = nil
-	srcRun.Source = mustOnOff(t, traffic.NewWorstCase(8, 8), 1.0, 25)
-	bySrc, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), srcRun)
+	// Source takes precedence: dropping the now-ignored Pattern changes
+	// nothing.
+	srcOnly := burst
+	srcOnly.Pattern = nil
+	bySrc, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), srcOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bySrc != by {
-		t.Fatalf("Source run %+v differs from Burst run %+v", bySrc, by)
+		t.Fatalf("Source-only run %+v differs from Source+Pattern run %+v", bySrc, by)
 	}
-	// Invalid burst parameters surface as errors.
+	// The source's LoadValidator rejects a load its peak cannot offer.
 	bad := base
-	bad.Burst = &BurstConfig{Peak: 0.01, AvgBurst: 25} // peak < load
+	bad.Source = mustOnOff(t, traffic.NewWorstCase(8, 8), 0.01, 25) // peak < load
 	if _, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), bad); err == nil {
 		t.Error("peak below load accepted")
-	}
-	// Source and Burst are mutually exclusive.
-	both := burst
-	both.Source = srcRun.Source
-	if _, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), both); err == nil {
-		t.Error("Source together with Burst accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"strings"
 	"testing"
 
 	"flatnet/internal/check"
@@ -10,46 +9,6 @@ import (
 	"flatnet/internal/sim"
 	"flatnet/internal/traffic"
 )
-
-// FuzzReadTrace exercises the trace parser with arbitrary input: it must
-// never panic, and every successfully parsed entry must be well-formed
-// (non-negative fields) and round-trip through WriteTrace.
-func FuzzReadTrace(f *testing.F) {
-	f.Add("# cycle src dst\n0 1 2\n")
-	f.Add("5 0 0\n\n7 3 1\n")
-	f.Add("")
-	f.Add("garbage\n")
-	f.Add("-1 2 3\n")
-	f.Add("1 2\n")
-	f.Add("999999999999999999999 1 1\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		entries, err := sim.ReadTrace(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		for _, e := range entries {
-			if e.Cycle < 0 || e.Src < 0 || e.Dst < 0 {
-				t.Fatalf("parser accepted negative fields: %+v", e)
-			}
-		}
-		var sb strings.Builder
-		if err := sim.WriteTrace(&sb, entries); err != nil {
-			t.Fatalf("WriteTrace failed on parsed entries: %v", err)
-		}
-		back, err := sim.ReadTrace(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		if len(back) != len(entries) {
-			t.Fatalf("round trip changed entry count: %d -> %d", len(entries), len(back))
-		}
-		for i := range entries {
-			if back[i] != entries[i] {
-				t.Fatalf("entry %d changed: %+v -> %+v", i, entries[i], back[i])
-			}
-		}
-	})
-}
 
 // FuzzInvariants drives fuzzed simulator configurations — topology
 // shape, buffering, switch speedup, packet size, algorithm, load and

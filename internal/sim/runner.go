@@ -33,21 +33,17 @@ type RunConfig struct {
 	// capacity for unit-capacity networks).
 	Load float64
 	// Pattern generates destinations; it is wrapped in the default
-	// Bernoulli arrival process (or the on/off process when Burst is
-	// set). Ignored when Source is non-nil.
+	// Bernoulli arrival process. Ignored when Source is non-nil.
 	Pattern traffic.Pattern
 	// Source, when non-nil, is the full workload driving the run — both
-	// arrival and destination process. It takes precedence over Pattern
-	// and is mutually exclusive with Burst.
+	// arrival and destination process (e.g. traffic.NewOnOff for bursty
+	// arrivals). It takes precedence over Pattern.
 	Source traffic.Source
 	// Warmup, Measure are window lengths in cycles.
 	Warmup, Measure int
 	// MaxCycles bounds the total simulation; if labeled packets have not
 	// drained by then the run reports Saturated. 0 picks a default.
 	MaxCycles int
-	// Burst, when non-nil, switches injection from Bernoulli to the
-	// bursty on/off process (traffic.OnOff) at the same average load.
-	Burst *BurstConfig
 	// Stop, when non-nil, is polled every few hundred cycles; returning
 	// true aborts the run with an error wrapping ErrStopped. It is the
 	// hook for context cancellation and wall-clock budgets, and it never
@@ -97,14 +93,6 @@ type RunConfig struct {
 	Resume io.Reader
 }
 
-// BurstConfig parameterizes on/off injection for RunLoadPoint.
-type BurstConfig struct {
-	// Peak is the ON-state injection rate in flits per node per cycle.
-	Peak float64
-	// AvgBurst is the mean ON-state duration in cycles.
-	AvgBurst float64
-}
-
 // LoadPointResult reports one (topology, algorithm, pattern, load) sample.
 type LoadPointResult struct {
 	Load float64
@@ -143,22 +131,11 @@ func RunLoadPoint(g *topo.Graph, alg Algorithm, cfg Config, rc RunConfig) (LoadP
 		return LoadPointResult{}, fmt.Errorf("sim: warmup and measure windows must be positive")
 	}
 	src := rc.Source
-	if src != nil && rc.Burst != nil {
-		return LoadPointResult{}, fmt.Errorf("sim: RunConfig.Source and RunConfig.Burst are mutually exclusive")
-	}
 	if src == nil {
 		if rc.Pattern == nil {
 			return LoadPointResult{}, fmt.Errorf("sim: RunConfig needs a Pattern or a Source")
 		}
-		if rc.Burst != nil {
-			var err error
-			src, err = traffic.NewOnOff(rc.Pattern, rc.Burst.Peak, rc.Burst.AvgBurst)
-			if err != nil {
-				return LoadPointResult{}, err
-			}
-		} else {
-			src = traffic.NewBernoulli(rc.Pattern)
-		}
+		src = traffic.NewBernoulli(rc.Pattern)
 	}
 	maxCycles := rc.MaxCycles
 	if maxCycles <= 0 {

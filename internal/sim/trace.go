@@ -1,17 +1,15 @@
 package sim
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sort"
 
 	"flatnet/internal/topo"
 )
 
 // TraceEntry is one packet arrival in a traffic trace: at Cycle, node Src
-// generates Size packets for Dst (0 and 1 both mean one packet — the
-// text trace format and RecordTrace emit single-packet entries).
+// generates Size packets for Dst (0 and 1 both mean one packet;
+// RecordTrace emits single-packet entries).
 type TraceEntry struct {
 	Cycle int64
 	Src   topo.NodeID
@@ -68,45 +66,6 @@ func (n *Network) LoadTrace(entries []TraceEntry) error {
 		}
 	}
 	return nil
-}
-
-// ReadTrace parses a whitespace-separated text trace: one "cycle src dst"
-// triple per line; blank lines and lines starting with '#' are ignored.
-func ReadTrace(r io.Reader) ([]TraceEntry, error) {
-	var out []TraceEntry
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if len(text) == 0 || text[0] == '#' {
-			continue
-		}
-		var e TraceEntry
-		if _, err := fmt.Sscan(text, &e.Cycle, &e.Src, &e.Dst); err != nil {
-			return nil, fmt.Errorf("sim: trace line %d: %w", line, err)
-		}
-		if e.Cycle < 0 || e.Src < 0 || e.Dst < 0 {
-			return nil, fmt.Errorf("sim: trace line %d: negative field", line)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// WriteTrace emits entries in the ReadTrace text format.
-func WriteTrace(w io.Writer, entries []TraceEntry) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# cycle src dst")
-	for _, e := range entries {
-		if _, err := fmt.Fprintf(bw, "%d %d %d\n", e.Cycle, e.Src, e.Dst); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // OnMaterialize installs a callback invoked when a generated packet is

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"flatnet/internal/topo"
@@ -46,43 +45,6 @@ func TestInjectAtValidation(t *testing.T) {
 	}
 	if err := n.InjectAt(0, 0, 99); err == nil {
 		t.Error("out-of-range destination accepted")
-	}
-}
-
-func TestReadWriteTraceRoundTrip(t *testing.T) {
-	entries := []TraceEntry{
-		{Cycle: 0, Src: 1, Dst: 2},
-		{Cycle: 3, Src: 0, Dst: 15},
-		{Cycle: 3, Src: 2, Dst: 7},
-	}
-	var sb strings.Builder
-	if err := WriteTrace(&sb, entries); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(entries) {
-		t.Fatalf("round trip lost entries: %v", back)
-	}
-	for i := range entries {
-		if back[i] != entries[i] {
-			t.Fatalf("entry %d: %v != %v", i, back[i], entries[i])
-		}
-	}
-}
-
-func TestReadTraceErrors(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader("1 2\n")); err == nil {
-		t.Error("short line accepted")
-	}
-	if _, err := ReadTrace(strings.NewReader("-1 0 0\n")); err == nil {
-		t.Error("negative cycle accepted")
-	}
-	entries, err := ReadTrace(strings.NewReader("# comment\n\n5 1 2\n"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("comments/blank lines mishandled: %v %v", entries, err)
 	}
 }
 

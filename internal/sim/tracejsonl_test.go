@@ -179,6 +179,11 @@ func FuzzTraceReplay(f *testing.F) {
 	f.Add([]byte(`{"cycle":9,"src":0,"dst":2}` + "\n" + `{"cycle":3,"src":0,"dst":2}` + "\n"))
 	f.Add([]byte("{\"cycle\":0\n"))
 	f.Add([]byte("\n# not json\n"))
+	// Hostile inputs: a negative field, an integer overflow, a line torn
+	// mid-object after a good one.
+	f.Add([]byte(`{"cycle":-1,"src":2,"dst":3}` + "\n"))
+	f.Add([]byte(`{"cycle":999999999999999999999,"src":1,"dst":1}` + "\n"))
+	f.Add([]byte(`{"cycle":5,"src":0,"dst":0}` + "\n" + `{"cycle":7,"src":3,"ds`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := sim.ReadTraceJSONL(bytes.NewReader(data))
 		if err != nil {

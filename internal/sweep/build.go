@@ -7,111 +7,31 @@ import (
 
 	"flatnet/internal/analysis"
 	"flatnet/internal/check"
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
-	"flatnet/internal/topo"
-	"flatnet/internal/traffic"
+	"flatnet/internal/spec"
 )
 
-// build materializes the job's network, routing algorithm, traffic
-// pattern and simulator configuration. Parameter conventions per Net:
-//
-//	"flatfly"    K-ary N-flat; honors ChannelLatency and Multiplicity.
-//	             Algs: "MIN AD", "VAL", "UGAL", "UGAL-S", "CLOS AD"
-//	             (and the short forms routing.NewFlatFlyAlgorithm takes).
-//	"butterfly"  K-ary N-fly. Alg: "destination".
-//	"foldedclos" K terminals per leaf, Uplinks, Leaves, Middles.
-//	             Alg: "adaptive sequential".
-//	"hypercube"  N-dimensional binary hypercube. Alg: "e-cube".
-//	"slimfly"    MMS Slim Fly over GF(Q), P terminals per router
-//	             (0 = ⌈k'/2⌉). Algs: "min", "val", "ugal", "ugal-s".
-//	"dragonfly"  H global channels per router, A routers per group
-//	             (0 = 2H), P terminals per router (0 = H).
-//	             Algs: "min", "val", "ugal", "ugal-s".
-func (j Job) build() (*topo.Graph, sim.Algorithm, traffic.Pattern, sim.Config, error) {
-	j = j.Normalize()
-	var (
-		g   *topo.Graph
-		alg sim.Algorithm
-	)
-	switch j.Net {
-	case "flatfly":
-		var opts []core.Option
-		if j.ChannelLatency != 1 {
-			opts = append(opts, core.WithChannelLatency(j.ChannelLatency))
+// Spec converts the job's flat fields to the shared network and workload
+// descriptions. It copies and does not default: run it on a normalized
+// job to build exactly what the hash describes.
+func (j Job) Spec() (spec.Net, spec.Workload) {
+	return spec.Net{
+			Family: j.Net, K: j.K, N: j.N,
+			Uplinks: j.Uplinks, Leaves: j.Leaves, Middles: j.Middles,
+			Q: j.Q, A: j.A, H: j.H, P: j.P,
+			ChannelLatency: j.ChannelLatency, Multiplicity: j.Multiplicity,
+			Alg: j.Alg,
+		}, spec.Workload{
+			Pattern: j.Pattern, Conc: j.Conc,
+			Hot: j.Hot, HotFraction: j.HotFraction,
+			BurstPeak: j.BurstPeak, BurstLen: j.BurstLen,
 		}
-		if j.Multiplicity != 1 {
-			opts = append(opts, core.WithMultiplicity(j.Multiplicity))
-		}
-		f, err := core.NewFlatFly(j.K, j.N, opts...)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		alg, err = routing.NewFlatFlyAlgorithm(j.Alg, f)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		g = f.Graph()
-	case "butterfly":
-		b, err := topo.NewButterfly(j.K, j.N)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		if j.Alg != "destination" {
-			return nil, nil, nil, sim.Config{}, fmt.Errorf("sweep: butterfly supports alg \"destination\", not %q", j.Alg)
-		}
-		alg = routing.NewButterflyDest(b)
-		g = b.Graph()
-	case "foldedclos":
-		fc, err := topo.NewFoldedClos(j.K, j.Uplinks, j.Leaves, j.Middles)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		if j.Alg != "adaptive sequential" {
-			return nil, nil, nil, sim.Config{}, fmt.Errorf("sweep: foldedclos supports alg \"adaptive sequential\", not %q", j.Alg)
-		}
-		alg = routing.NewFoldedClosAdaptive(fc)
-		g = fc.Graph()
-	case "hypercube":
-		h, err := topo.NewHypercube(j.N)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		if j.Alg != "e-cube" {
-			return nil, nil, nil, sim.Config{}, fmt.Errorf("sweep: hypercube supports alg \"e-cube\", not %q", j.Alg)
-		}
-		alg = routing.NewECube(h)
-		g = h.Graph()
-	case "slimfly":
-		s, err := topo.NewSlimFly(j.Q, j.P)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		alg, err = routing.NewSlimFlyAlgorithm(j.Alg, s)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		g = s.Graph()
-	case "dragonfly":
-		d, err := topo.NewDragonfly(j.P, j.A, j.H)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		alg, err = routing.NewDragonflyAlgorithm(j.Alg, d)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		g = d.Graph()
-	default:
-		return nil, nil, nil, sim.Config{}, fmt.Errorf("sweep: unknown network constructor %q", j.Net)
-	}
+}
 
-	pat, err := j.buildPattern(g.NumNodes)
-	if err != nil {
-		return nil, nil, nil, sim.Config{}, err
-	}
-	cfg := sim.Config{
+// simConfig is the router configuration the job's fields select.
+func (j Job) simConfig() sim.Config {
+	return sim.Config{
 		Seed:        j.Seed,
 		BufPerPort:  j.BufPerPort,
 		PacketSize:  j.PacketSize,
@@ -119,45 +39,16 @@ func (j Job) build() (*topo.Graph, sim.Algorithm, traffic.Pattern, sim.Config, e
 		AgeArbiter:  j.AgeArbiter,
 		RouterDelay: j.RouterDelay,
 	}
-	return g, alg, pat, cfg, nil
-}
-
-// buildTopology constructs just the job's topology. ModeAnalytic needs
-// no routing algorithm or traffic pattern, so analytic jobs may leave
-// Alg and Pattern empty.
-func (j Job) buildTopology() (topo.Topology, error) {
-	j = j.Normalize()
-	switch j.Net {
-	case "flatfly":
-		var opts []core.Option
-		if j.ChannelLatency != 1 {
-			opts = append(opts, core.WithChannelLatency(j.ChannelLatency))
-		}
-		if j.Multiplicity != 1 {
-			opts = append(opts, core.WithMultiplicity(j.Multiplicity))
-		}
-		return core.NewFlatFly(j.K, j.N, opts...)
-	case "butterfly":
-		return topo.NewButterfly(j.K, j.N)
-	case "foldedclos":
-		return topo.NewFoldedClos(j.K, j.Uplinks, j.Leaves, j.Middles)
-	case "hypercube":
-		return topo.NewHypercube(j.N)
-	case "slimfly":
-		return topo.NewSlimFly(j.Q, j.P)
-	case "dragonfly":
-		return topo.NewDragonfly(j.P, j.A, j.H)
-	default:
-		return nil, fmt.Errorf("sweep: unknown network constructor %q", j.Net)
-	}
 }
 
 // runAnalytic fills the result for ModeAnalytic: graph-analytic metrics
 // from internal/analysis plus the zero-load latency model standing in
 // for the load-point sample, so analytic sweeps emit the same Result
-// shape as simulated ones.
+// shape as simulated ones. Only the topology is built, so analytic jobs
+// may leave Alg and Pattern empty.
 func (j Job) runAnalytic(res *Result) error {
-	t, err := j.buildTopology()
+	net, _ := j.Spec()
+	t, err := net.Topology()
 	if err != nil {
 		return err
 	}
@@ -165,11 +56,7 @@ func (j Job) runAnalytic(res *Result) error {
 	if err != nil {
 		return err
 	}
-	cfg := sim.Config{
-		PacketSize:  j.PacketSize,
-		RouterDelay: j.RouterDelay,
-	}
-	zl, err := routing.ZeroLoadFor(t.Graph(), cfg, m.AvgHops)
+	zl, err := routing.ZeroLoadFor(t.Graph(), j.simConfig(), m.AvgHops)
 	if err != nil {
 		return err
 	}
@@ -177,33 +64,6 @@ func (j Job) runAnalytic(res *Result) error {
 	res.Point.AvgHops = m.AvgHops
 	res.Point.AvgLatency = zl.Latency()
 	return nil
-}
-
-// buildPattern constructs the job's traffic pattern for an n-node
-// network through the internal/traffic registry: group patterns (WC,
-// TOR) use Conc terminals per group, HS/IC consume Hot and HotFraction,
-// and an unknown name surfaces as a *traffic.UnknownPatternError.
-func (j Job) buildPattern(nodes int) (traffic.Pattern, error) {
-	hot := make([]topo.NodeID, len(j.Hot))
-	for i, h := range j.Hot {
-		hot[i] = topo.NodeID(h)
-	}
-	return traffic.Build(j.Pattern, traffic.BuildCtx{
-		Nodes:         nodes,
-		Seed:          j.Seed,
-		Concentration: j.Conc,
-		HotSet:        hot,
-		HotFraction:   j.HotFraction,
-	})
-}
-
-// buildSource wraps the job's pattern in its arrival process: the
-// two-state on/off process when BurstPeak is set, Bernoulli otherwise.
-func (j Job) buildSource(pat traffic.Pattern) (traffic.Source, error) {
-	if j.BurstPeak > 0 {
-		return traffic.NewOnOff(pat, j.BurstPeak, j.BurstLen)
-	}
-	return traffic.NewBernoulli(pat), nil
 }
 
 // Run executes the job and returns its result. stop, when non-nil, is
@@ -264,31 +124,28 @@ func (j Job) run(stop func() bool, attach func(*sim.Network), resume io.Reader, 
 		}
 		return res, nil
 	}
-	g, alg, pat, cfg, err := j.build()
+	net, wl := j.Spec()
+	t, alg, conc, err := net.Build()
 	if err != nil {
 		return res, err
 	}
-	var burst *sim.BurstConfig
-	if j.BurstPeak > 0 {
-		burst = &sim.BurstConfig{Peak: j.BurstPeak, AvgBurst: j.BurstLen}
+	g, cfg := t.Graph(), j.simConfig()
+	pat, src, err := wl.Build(g.NumNodes, conc, j.Seed)
+	if err != nil {
+		return res, err
 	}
 	switch j.Mode {
-	case ModeLoad:
+	case ModeLoad, ModeSaturation:
 		rc := sim.RunConfig{
-			Load: j.Load, Pattern: pat, Burst: burst,
+			Load: j.Load, Source: src,
 			Warmup: j.Warmup, Measure: j.Measure, MaxCycles: j.MaxCycles,
 			Stop: stop, Attach: attach, Workers: j.Workers,
 			Resume: resume, Checkpoint: checkpoint,
 		}
-		res.Point, err = sim.RunLoadPoint(g, alg, cfg, rc)
-	case ModeSaturation:
-		// Full offered load, no drain: the accepted rate over the
-		// measurement window is the figure of merit.
-		rc := sim.RunConfig{
-			Load: 1.0, Pattern: pat, Burst: burst,
-			Warmup: j.Warmup, Measure: j.Measure,
-			MaxCycles: j.Warmup + j.Measure + 1,
-			Stop:      stop, Attach: attach, Workers: j.Workers,
+		if j.Mode == ModeSaturation {
+			// Full offered load, no drain: the accepted rate over the
+			// measurement window is the figure of merit.
+			rc.Load, rc.MaxCycles = 1.0, j.Warmup+j.Measure+1
 		}
 		res.Point, err = sim.RunLoadPoint(g, alg, cfg, rc)
 	case ModeBatch:
@@ -303,11 +160,7 @@ func (j Job) run(stop func() bool, attach func(*sim.Network), resume io.Reader, 
 			Stop: stop, Attach: attach, Workers: j.Workers,
 		}
 		if j.Load > 0 {
-			cc.Load = j.Load
-			cc.Source, err = j.buildSource(pat)
-			if err != nil {
-				return res, fmt.Errorf("sweep: job %s: %w", j.Hash()[:12], err)
-			}
+			cc.Load, cc.Source = j.Load, src
 		}
 		var cr sim.CollectiveResult
 		cr, err = sim.RunCollective(g, alg, cfg, cc)

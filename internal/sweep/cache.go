@@ -69,7 +69,27 @@ func OpenCache(path string) (*Cache, error) {
 		f.Close()
 		return nil, fmt.Errorf("sweep: read cache %s: %w", path, err)
 	}
+	if err := endLastLine(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("sweep: repair cache %s: %w", path, err)
+	}
 	return c, nil
+}
+
+// endLastLine terminates a final line a crash cut short (no trailing
+// newline), so the next Put starts a line of its own instead of being
+// glued onto the fragment and dropped as corrupt on every later open.
+func endLastLine(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil || last[0] == '\n' {
+		return err
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
 }
 
 // Get returns the cached result for a job hash and records the lookup as

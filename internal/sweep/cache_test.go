@@ -153,6 +153,33 @@ func TestCacheCorruptLineRecovery(t *testing.T) {
 	if st := reopened.Stats(); st.Entries != 2 {
 		t.Errorf("expected 2 entries after append, got %+v", st)
 	}
+
+	// Torn tail: a crash cut the last line short, with no newline. The
+	// next result must land on a line of its own, not glued onto the
+	// fragment where every later open would drop it as corrupt.
+	tail := filepath.Join(t.TempDir(), "tail.jsonl")
+	if err := os.WriteFile(tail, append(append(goodLine, '\n'), goodLine[:len(goodLine)/2]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	torn, err := OpenCache(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := torn.Stats(); st.Entries != 1 || st.Corrupt != 1 {
+		t.Fatalf("torn tail: expected 1 entry + 1 corrupt line, got %+v", st)
+	}
+	if _, err := (&Engine{Workers: 1, Cache: torn}).Run(context.Background(), []Job{tinyJob("VAL", 0.7)}); err != nil {
+		t.Fatal(err)
+	}
+	torn.Close()
+	torn, err = OpenCache(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer torn.Close()
+	if st := torn.Stats(); st.Entries != 2 || st.Corrupt != 1 {
+		t.Errorf("torn tail: expected 2 entries + the 1 old fragment after append, got %+v", st)
+	}
 }
 
 // TestCacheRejectsSkippedResults: fast-path skips are not durable facts.

@@ -21,6 +21,7 @@ import (
 	"flatnet/internal/analysis"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
+	"flatnet/internal/traffic"
 )
 
 // Execution modes.
@@ -47,9 +48,10 @@ const (
 // Normalize makes those defaults explicit so that equivalent jobs hash
 // identically.
 type Job struct {
-	// Net selects the network constructor: "flatfly", "butterfly",
-	// "foldedclos" or "hypercube". See build.go for the parameter
-	// conventions of each.
+	// Net selects the network family: any internal/spec family name
+	// ("flatfly", "butterfly", "foldedclos", "hypercube", "slimfly",
+	// "dragonfly", ...). spec.Net documents which of the parameters below
+	// each family reads.
 	Net string `json:"net"`
 	// K and N parameterize the constructor (ary and dimension count for
 	// flatfly/butterfly; N is the dimension count for hypercube).
@@ -76,8 +78,9 @@ type Job struct {
 	// (0 means 1). Flattened butterfly only.
 	Multiplicity int `json:"multiplicity,omitempty"`
 
-	// Alg names the routing algorithm, in the constructor's vocabulary
-	// (e.g. "MIN AD", "VAL", "UGAL", "UGAL-S", "CLOS AD" for flatfly).
+	// Alg names the routing algorithm, in the family's vocabulary (e.g.
+	// "MIN AD", "VAL", "UGAL", "UGAL-S", "CLOS AD" for flatfly); "" is the
+	// family's default.
 	Alg string `json:"alg"`
 	// Pattern names the traffic pattern: "UR", "WC", "BC", "TP", "SH",
 	// "TOR", "RP", "HS" or "IC" (the internal/traffic registry's long
@@ -98,8 +101,8 @@ type Job struct {
 	BurstPeak float64 `json:"burst_peak,omitempty"`
 	BurstLen  float64 `json:"burst_len,omitempty"`
 
-	// Mode selects the measurement: ModeLoad (default), ModeSaturation
-	// or ModeBatch.
+	// Mode selects the measurement: ModeLoad (default), ModeSaturation,
+	// ModeBatch, ModeAnalytic or ModeCollective.
 	Mode string `json:"mode"`
 	// Load is the offered load for ModeLoad (ModeSaturation always
 	// offers 1.0).
@@ -180,25 +183,8 @@ func (j Job) Normalize() Job {
 			j.Conc = j.K
 		}
 	}
-	switch j.Pattern {
-	case "uniform":
-		j.Pattern = "UR"
-	case "worstcase":
-		j.Pattern = "WC"
-	case "bitcomp":
-		j.Pattern = "BC"
-	case "transpose":
-		j.Pattern = "TP"
-	case "shuffle":
-		j.Pattern = "SH"
-	case "tornado":
-		j.Pattern = "TOR"
-	case "randperm":
-		j.Pattern = "RP"
-	case "hotspot":
-		j.Pattern = "HS"
-	case "incast":
-		j.Pattern = "IC"
+	if short, ok := shortPattern[j.Pattern]; ok {
+		j.Pattern = short
 	}
 	if j.BurstPeak > 0 && j.BurstLen == 0 {
 		j.BurstLen = 16
@@ -213,6 +199,16 @@ func (j Job) Normalize() Job {
 	}
 	return j
 }
+
+// shortPattern maps each internal/traffic registry name to its alias —
+// the short form the canonical encoding, and so every cached hash, uses.
+var shortPattern = func() map[string]string {
+	m := make(map[string]string)
+	for short, name := range traffic.Aliases() {
+		m[name] = short
+	}
+	return m
+}()
 
 // hashVersion is bumped whenever the canonical encoding or the meaning
 // of any Job field changes, invalidating every cached result. v2: load

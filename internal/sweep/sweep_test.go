@@ -211,11 +211,17 @@ func TestRunSeriesMatchesLoadSweep(t *testing.T) {
 	base.Pattern = "WC"
 	base.MaxCycles = 300
 
-	g, alg, pat, cfg, err := base.build()
+	norm := base.Normalize()
+	net, wl := norm.Spec()
+	tp, alg, conc, err := net.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.LoadSweep(g, alg, cfg, sim.RunConfig{
+	pat, _, err := wl.Build(tp.Graph().NumNodes, conc, norm.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.LoadSweep(tp.Graph(), alg, norm.simConfig(), sim.RunConfig{
 		Pattern: pat, Warmup: base.Warmup, Measure: base.Measure, MaxCycles: base.MaxCycles,
 	}, loads)
 	if err != nil {

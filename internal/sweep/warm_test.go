@@ -47,6 +47,9 @@ func TestWarmKeyScope(t *testing.T) {
 // — even at a different Measure length — while skipping every warm-up
 // cycle.
 func TestWarmSweepBitIdentical(t *testing.T) {
+	if autoCheck {
+		t.Skip("-tags=check: sanitized engines ignore the warm store")
+	}
 	dir := t.TempDir()
 	jobs := func(measure int) []Job {
 		var js []Job
@@ -153,6 +156,9 @@ func TestWarmCorruptSnapshotFallsBack(t *testing.T) {
 // TestWarmStoreBesideCache pins the on-disk convention: snapshots live
 // in a sibling directory of the JSON-lines cache, one file per key.
 func TestWarmStoreBesideCache(t *testing.T) {
+	if autoCheck {
+		t.Skip("-tags=check: sanitized engines ignore the warm store")
+	}
 	dir := t.TempDir()
 	cachePath := filepath.Join(dir, "results.jsonl")
 	c, err := OpenCache(cachePath)

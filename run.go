@@ -29,8 +29,7 @@ func WithPattern(p Pattern) Option {
 
 // WithSource installs a full workload source — arrival process and
 // destination process together (NewOnOffSource, BuildWorkload, or any
-// Source implementation). It takes precedence over WithPattern and is
-// mutually exclusive with WithBurst.
+// Source implementation). It takes precedence over WithPattern.
 func WithSource(src Source) Option {
 	return func(o *runOptions) { o.rc.Source = src }
 }
@@ -72,13 +71,6 @@ func WithSeed(seed uint64) Option {
 // attached always execute sequentially.
 func WithWorkers(n int) Option {
 	return func(o *runOptions) { o.rc.Workers = n }
-}
-
-// WithBurst switches injection from Bernoulli to the on/off bursty
-// process: ON states inject at peak flits per node per cycle with mean
-// duration avgBurst cycles, at the same long-run average load.
-func WithBurst(peak, avgBurst float64) Option {
-	return func(o *runOptions) { o.rc.Burst = &BurstConfig{Peak: peak, AvgBurst: avgBurst} }
 }
 
 // WithStop installs a cancellation hook, polled every few hundred
