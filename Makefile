@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck onebuilder test race check checksweep nocd-smoke bench benchall benchguard flatbench-check figs quickfigs fuzz clean
+.PHONY: all build vet fmtcheck onebuilder test race check checksweep nocd-smoke bench benchall benchguard flatbench-check bench-record figs quickfigs fuzz clean
 
 # Tier-1 flow: build, static checks, tests, then the race detector over
 # the whole module — the sweep engine's worker pool must stay race-clean.
@@ -39,6 +39,11 @@ checksweep:
 	$(GO) run ./cmd/sweep -check -k 4 -n 2 -loads 0.2,0.6 \
 		-warmup 200 -measure 200 -sat=false >/dev/null
 
+# `test` and `race` run without -short, so they include analytic mode's
+# orbit proofs: TestAnalyticOrbitMatchesSweep (every spec-table family at
+# two sizes, Metrics == the all-sources sweep, BFS sources counted) and
+# internal/spec's TestBuildEveryFamily (a table row without RouterOrbits
+# fails). Neither test may grow a testing.Short() skip.
 check: build vet fmtcheck onebuilder test race checksweep
 
 # nocd-smoke builds the real nocd binary, launches it on an ephemeral
@@ -66,6 +71,16 @@ benchguard:
 # benchmark fails here instead of in the benchmark pipeline.
 flatbench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-record appends this checkout's flatbench numbers to the committed
+# trajectory BENCH_flatbench.json (one record per PR: manifest, the four
+# end-to-end metrics of every workload, the traced per-layer rows), so a
+# PR's performance claim is a diff of that file: `make bench-record PR=16`.
+# The suite takes ~5 minutes; a run with failed operations records nothing.
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<number>"; exit 2; }
+	bash bench/run.sh -seed 1 -trace 1 -out .bench_build/record.json
+	$(GO) run ./cmd/benchrecord -pr $(PR) -in .bench_build/record.json
 
 # benchall runs the full benchmark suite (paper figures + ablations).
 benchall:

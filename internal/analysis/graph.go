@@ -1,10 +1,13 @@
 // Graph-analytic evaluation (the EvalNet methodology): diameter, average
 // shortest path, path diversity and bisection-bandwidth bounds computed
 // from the channel graph alone, so design-space comparisons at extreme
-// scale run in milliseconds without cycle simulation. Topologies that
-// expose RouterOrbits (Slim Fly, dragonfly, and the vertex-transitive
-// seed families) are evaluated from one BFS per automorphism orbit;
-// everything else falls back to a parallel all-sources sweep.
+// scale run in milliseconds without cycle simulation. Every spec-table
+// family exposes RouterOrbits (DESIGN §15 lists the automorphism behind
+// each) and is evaluated from one BFS per orbit that injects; any other
+// topology falls back to a parallel all-sources sweep, which is also the
+// reference the orbit claims are tested against. The source sweep and the
+// two spectral iterations only read the adjacency, so they run side by
+// side.
 package analysis
 
 import (
@@ -40,9 +43,12 @@ type Metrics struct {
 	// BisectionLowerChannels is a spectral (Fiedler-value) estimate of
 	// the minimum unidirectional channel count across a balanced router
 	// cut: lambda_2 * R / 4 for the symmetrized channel multigraph. For
-	// edge- and vertex-transitive families it is exact or near-exact;
-	// it is reported as 0 for graphs whose routers host unequal terminal
-	// counts, where a router-balanced cut is not a terminal bisection.
+	// edge- and vertex-transitive families it is exact or near-exact.
+	// It is 0 — no bound — for graphs whose routers host unequal terminal
+	// counts, where a router-balanced cut is not a terminal bisection,
+	// and for graphs whose lambda_2 iteration has not converged within
+	// its step cap: the iterate approaches lambda_2 from above, so an
+	// unconverged value would not be a lower bound.
 	BisectionLowerChannels float64 `json:"bisection_lower_channels"`
 	// BisectionUpperChannels is the best (fewest-channel) balanced cut
 	// found among candidate partitions — an upper bound on the true
@@ -60,17 +66,24 @@ type orbitTopology interface {
 // AnalyzeTopology analyzes a topology, exploiting RouterOrbits when the
 // concrete type provides it.
 func AnalyzeTopology(t topo.Topology) (Metrics, error) {
+	m, _, err := analyzeTopology(t)
+	return m, err
+}
+
+// analyzeTopology also reports how many BFS sources the sweep ran.
+func analyzeTopology(t topo.Topology) (Metrics, int, error) {
 	if ot, ok := t.(orbitTopology); ok {
 		reps, sizes := ot.RouterOrbits()
-		return AnalyzeWithOrbits(t.Graph(), reps, sizes)
+		return analyzeWithOrbits(t.Graph(), reps, sizes)
 	}
-	return Analyze(t.Graph())
+	return analyze(t.Graph(), nil, nil)
 }
 
 // Analyze computes the metrics from the channel graph alone with an
 // all-sources BFS sweep, parallelized across CPUs.
 func Analyze(g *topo.Graph) (Metrics, error) {
-	return analyze(g, nil, nil)
+	m, _, err := analyze(g, nil, nil)
+	return m, err
 }
 
 // AnalyzeWithOrbits computes the metrics from one BFS per router orbit.
@@ -79,15 +92,26 @@ func Analyze(g *topo.Graph) (Metrics, error) {
 // representative (true for graph automorphism orbits of topologies with
 // uniform concentration).
 func AnalyzeWithOrbits(g *topo.Graph, reps []topo.RouterID, sizes []int) (Metrics, error) {
+	m, _, err := analyzeWithOrbits(g, reps, sizes)
+	return m, err
+}
+
+func analyzeWithOrbits(g *topo.Graph, reps []topo.RouterID, sizes []int) (Metrics, int, error) {
 	if len(reps) != len(sizes) {
-		return Metrics{}, fmt.Errorf("analysis: %d orbit reps but %d sizes", len(reps), len(sizes))
+		return Metrics{}, 0, fmt.Errorf("analysis: %d orbit reps but %d sizes", len(reps), len(sizes))
 	}
 	total := 0
-	for _, s := range sizes {
+	for i, s := range sizes {
+		if s <= 0 || s > g.NumRouters() {
+			return Metrics{}, 0, fmt.Errorf("analysis: orbit %d has size %d, want 1..%d", i, s, g.NumRouters())
+		}
+		if reps[i] < 0 || int(reps[i]) >= g.NumRouters() {
+			return Metrics{}, 0, fmt.Errorf("analysis: orbit %d representative %d outside [0, %d)", i, reps[i], g.NumRouters())
+		}
 		total += s
 	}
 	if total != g.NumRouters() {
-		return Metrics{}, fmt.Errorf("analysis: orbit sizes sum to %d, want %d routers", total, g.NumRouters())
+		return Metrics{}, 0, fmt.Errorf("analysis: orbit sizes sum to %d, want %d routers", total, g.NumRouters())
 	}
 	return analyze(g, reps, sizes)
 }
@@ -154,68 +178,33 @@ func bfsCounts(c csr, src int, dist []int32, paths []float64, queue []int32) {
 	}
 }
 
-// analyze is the shared implementation. With reps == nil every router
-// that injects terminals is a source, weighted by its terminal count;
-// with orbits, the representatives stand in for their orbits.
-func analyze(g *topo.Graph, reps []topo.RouterID, sizes []int) (Metrics, error) {
-	r := g.NumRouters()
-	if r == 0 || g.NumNodes == 0 {
-		return Metrics{}, fmt.Errorf("analysis: empty graph %q", g.Label)
-	}
-	c := buildCSR(g)
+// source is one BFS root of the sweep.
+type source struct {
+	router topo.RouterID
+	weight int64 // terminal-pair weight multiplier: injTerms * orbit size
+}
 
-	// Terminal weights per router: injTerms for sources, ejTerms for
-	// destinations (they differ in unidirectional multistage networks).
-	injTerms := make([]int64, r)
-	ejTerms := make([]int64, r)
-	for n := 0; n < g.NumNodes; n++ {
-		injTerms[g.NodeRouter[n]]++
-		ejTerms[g.EjRouter[n]]++
-	}
+// sweepSums is what the source sweep accumulates. Hop and path sums are
+// sums of integers (exact below 2^53), so neither the source order nor the
+// split across workers moves them.
+type sweepSums struct {
+	hopSum  float64
+	pathSum float64
+	pairW   float64
+	diam    int32
+	runs    int // BFS sources swept
+}
 
-	type source struct {
-		router topo.RouterID
-		weight int64 // terminal-pair weight multiplier: injTerms * orbit size
-	}
-	var sources []source
-	if reps != nil {
-		for i, rep := range reps {
-			if injTerms[rep] == 0 {
-				continue
-			}
-			sources = append(sources, source{rep, injTerms[rep] * int64(sizes[i])})
-		}
-		// Orbit weights must cover every injecting terminal exactly.
-		var covered, all int64
-		for _, s := range sources {
-			covered += s.weight
-		}
-		for i := 0; i < r; i++ {
-			all += injTerms[i]
-		}
-		if covered != all {
-			return Metrics{}, fmt.Errorf("analysis: orbit reps cover %d terminal weights, want %d (non-uniform concentration?)", covered, all)
-		}
-	} else {
-		for i := 0; i < r; i++ {
-			if injTerms[i] > 0 {
-				sources = append(sources, source{topo.RouterID(i), injTerms[i]})
-			}
-		}
-	}
-
-	type partial struct {
-		hopSum  float64
-		pathSum float64
-		pairW   float64
-		diam    int32
-		err     error
-	}
+// sweep runs one BFS per source, striped over up to GOMAXPROCS workers,
+// and weighs every reached ejection router by its terminal count.
+func sweep(c csr, sources []source, ejTerms []int64) (sweepSums, error) {
+	r := len(ejTerms)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(sources) {
 		workers = len(sources)
 	}
-	parts := make([]partial, workers)
+	parts := make([]sweepSums, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -228,12 +217,13 @@ func analyze(g *topo.Graph, reps []topo.RouterID, sizes []int) (Metrics, error) 
 			for si := w; si < len(sources); si += workers {
 				s := sources[si]
 				bfsCounts(c, int(s.router), dist, paths, queue)
+				pt.runs++
 				for d := 0; d < r; d++ {
 					if ejTerms[d] == 0 {
 						continue
 					}
 					if dist[d] < 0 {
-						pt.err = fmt.Errorf("analysis: router %d unreachable from router %d", d, s.router)
+						errs[w] = fmt.Errorf("analysis: router %d unreachable from router %d", d, s.router)
 						return
 					}
 					wgt := float64(s.weight) * float64(ejTerms[d])
@@ -249,36 +239,102 @@ func analyze(g *topo.Graph, reps []topo.RouterID, sizes []int) (Metrics, error) 
 	}
 	wg.Wait()
 
-	m := Metrics{
-		Nodes:    g.NumNodes,
-		Routers:  r,
-		Channels: len(c.nbr),
-	}
-	var hopSum, pathSum, pairW float64
-	for _, pt := range parts {
-		if pt.err != nil {
-			return Metrics{}, pt.err
+	var sum sweepSums
+	for w, pt := range parts {
+		if errs[w] != nil {
+			return sweepSums{}, errs[w]
 		}
-		hopSum += pt.hopSum
-		pathSum += pt.pathSum
-		pairW += pt.pairW
-		if int(pt.diam) > m.Diameter {
-			m.Diameter = int(pt.diam)
+		sum.hopSum += pt.hopSum
+		sum.pathSum += pt.pathSum
+		sum.pairW += pt.pairW
+		sum.runs += pt.runs
+		if pt.diam > sum.diam {
+			sum.diam = pt.diam
 		}
 	}
-	m.AvgHops = hopSum / pairW
-	m.PathDiversity = pathSum / pairW
+	return sum, nil
+}
 
-	m.BisectionLowerChannels = spectralBisectionLower(g, c, injTerms, ejTerms)
-	m.BisectionUpperChannels = bestCandidateCut(g, c)
-	return m, nil
+// analyze is the shared implementation. With reps == nil every router
+// that injects terminals is a source, weighted by its terminal count;
+// with orbits, the representatives stand in for their orbits. The int is
+// the number of BFS sources swept.
+func analyze(g *topo.Graph, reps []topo.RouterID, sizes []int) (Metrics, int, error) {
+	r := g.NumRouters()
+	if r == 0 || g.NumNodes == 0 {
+		return Metrics{}, 0, fmt.Errorf("analysis: empty graph %q", g.Label)
+	}
+	c := buildCSR(g)
+
+	// Terminal weights per router: injTerms for sources, ejTerms for
+	// destinations (they differ in unidirectional multistage networks).
+	injTerms := make([]int64, r)
+	ejTerms := make([]int64, r)
+	for n := 0; n < g.NumNodes; n++ {
+		injTerms[g.NodeRouter[n]]++
+		ejTerms[g.EjRouter[n]]++
+	}
+
+	var sources []source
+	if reps != nil {
+		// Orbit weights must cover every injecting terminal exactly.
+		var covered int64
+		for i, rep := range reps {
+			if injTerms[rep] == 0 {
+				continue
+			}
+			w := injTerms[rep] * int64(sizes[i])
+			sources = append(sources, source{rep, w})
+			covered += w
+		}
+		if covered != int64(g.NumNodes) {
+			return Metrics{}, 0, fmt.Errorf("analysis: orbit reps cover %d terminal weights, want %d (non-uniform concentration?)", covered, g.NumNodes)
+		}
+	} else {
+		for i := 0; i < r; i++ {
+			if injTerms[i] > 0 {
+				sources = append(sources, source{topo.RouterID(i), injTerms[i]})
+			}
+		}
+	}
+
+	// The two spectral iterations and the source sweep share nothing but
+	// read-only inputs (c, lap, the terminal counts): run them side by side.
+	lap := newLaplacian(c)
+	var lower, upper float64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		lower = spectralBisectionLower(lap, injTerms, ejTerms)
+	}()
+	go func() {
+		defer wg.Done()
+		upper = bestCandidateCut(lap, injTerms, int64(g.NumNodes))
+	}()
+	sum, err := sweep(c, sources, ejTerms)
+	wg.Wait()
+	if err != nil {
+		return Metrics{}, 0, err
+	}
+
+	return Metrics{
+		Nodes:                  g.NumNodes,
+		Routers:                r,
+		Channels:               len(c.nbr),
+		Diameter:               int(sum.diam),
+		AvgHops:                sum.hopSum / sum.pairW,
+		PathDiversity:          sum.pathSum / sum.pairW,
+		BisectionLowerChannels: lower,
+		BisectionUpperChannels: upper,
+	}, sum.runs, nil
 }
 
 // uniformConcentration reports whether every router hosts the same
 // terminal count on both sides (so router-balanced cuts bisect
 // terminals).
-func uniformConcentration(r int, injTerms, ejTerms []int64) bool {
-	for i := 1; i < r; i++ {
+func uniformConcentration(injTerms, ejTerms []int64) bool {
+	for i := range injTerms {
 		if injTerms[i] != injTerms[0] || ejTerms[i] != ejTerms[0] {
 			return false
 		}
@@ -286,21 +342,17 @@ func uniformConcentration(r int, injTerms, ejTerms []int64) bool {
 	return true
 }
 
-// spectralBisectionLower estimates the minimum unidirectional channel
-// count across a balanced router cut as lambda_2 * R / 4, where lambda_2
-// is the algebraic connectivity of the symmetrized channel multigraph
-// (each unidirectional channel contributing weight 1). Computed by power
-// iteration on cI - L deflated against the constant vector. Returns 0
-// for non-uniform concentration, where the bound does not speak to
-// terminal bisection.
-func spectralBisectionLower(g *topo.Graph, c csr, injTerms, ejTerms []int64) float64 {
-	r := g.NumRouters()
-	if r < 2 || !uniformConcentration(r, injTerms, ejTerms) {
-		return 0
-	}
-	// Weighted degree = out-degree + in-degree over the symmetrized
-	// multigraph; with every channel paired (bidirectional topologies)
-	// this is 2x the out-degree.
+// laplacian is shift*I - L for the symmetrized channel multigraph (each
+// unidirectional channel contributing weight 1), the operator both power
+// iterations apply. It is read-only once built.
+type laplacian struct {
+	c     csr
+	wdeg  []float64 // out-degree + in-degree; 2x the out-degree when every channel is paired
+	shift float64   // 2 * max wdeg, so shift*I - L is positive semidefinite
+}
+
+func newLaplacian(c csr) laplacian {
+	r := len(c.off) - 1
 	wdeg := make([]float64, r)
 	for v := 0; v < r; v++ {
 		wdeg[v] += float64(c.off[v+1] - c.off[v])
@@ -314,43 +366,73 @@ func spectralBisectionLower(g *topo.Graph, c csr, injTerms, ejTerms []int64) flo
 			shift = 2 * d
 		}
 	}
-	// v_{t+1} = (shift*I - L) v_t, deflated and normalized; the dominant
-	// deflated eigenvalue is shift - lambda_2.
-	v := make([]float64, r)
-	nv := make([]float64, r)
+	return laplacian{c, wdeg, shift}
+}
+
+// apply sets nv = (shift*I - L) v.
+func (l laplacian) apply(nv, v []float64) {
+	for i := range nv {
+		nv[i] = (l.shift - l.wdeg[i]) * v[i]
+	}
+	c := l.c
+	for u := range nv {
+		for _, w := range c.nbr[c.off[u]:c.off[u+1]] {
+			nv[u] += v[w]
+			nv[w] += v[u]
+		}
+	}
+}
+
+// powerStart returns the deterministic, non-constant, deflated and
+// normalized start vector sin(a*i + 1), plus scratch of the same length.
+func powerStart(r, a int) (v, nv []float64) {
+	v = make([]float64, r)
+	nv = make([]float64, r)
 	for i := range v {
-		// A fixed, non-constant start vector keeps the run deterministic.
-		v[i] = math.Sin(float64(i + 1))
+		v[i] = math.Sin(float64(a*i + 1))
 	}
 	deflate(v)
 	normalize(v)
+	return v, nv
+}
+
+// lambdaSteps caps the lambda_2 power iteration.
+const lambdaSteps = 2000
+
+// spectralBisectionLower estimates the minimum unidirectional channel
+// count across a balanced router cut as lambda_2 * R / 4, where lambda_2
+// is the algebraic connectivity of the symmetrized channel multigraph,
+// computed by power iteration on shift*I - L deflated against the
+// constant vector. Returns 0 — no bound — for non-uniform concentration,
+// where the bound does not speak to terminal bisection, and when the
+// iteration has not converged after lambdaSteps steps: the Rayleigh
+// quotient climbs towards shift - lambda_2, so stopping early would
+// report a lambda_2 that is too large.
+func spectralBisectionLower(l laplacian, injTerms, ejTerms []int64) float64 {
+	r := len(l.wdeg)
+	if r < 2 || !uniformConcentration(injTerms, ejTerms) {
+		return 0
+	}
+	// v_{t+1} = (shift*I - L) v_t, deflated and normalized; the dominant
+	// deflated eigenvalue is shift - lambda_2.
+	v, nv := powerStart(r, 1)
 	prev := 0.0
-	for iter := 0; iter < 2000; iter++ {
-		// nv = (shift - wdeg[v])*v + sum over symmetrized edges.
-		for i := range nv {
-			nv[i] = (shift - wdeg[i]) * v[i]
-		}
-		for u := 0; u < r; u++ {
-			for _, w := range c.nbr[c.off[u]:c.off[u+1]] {
-				nv[u] += v[w]
-				nv[w] += v[u]
-			}
-		}
+	for iter := 0; iter < lambdaSteps; iter++ {
+		l.apply(nv, v)
 		deflate(nv)
 		ray := dot(nv, v) // Rayleigh quotient of shift - L (v normalized)
 		normalize(nv)
 		v, nv = nv, v
 		if iter > 16 && math.Abs(ray-prev) <= 1e-9*math.Abs(ray) {
-			prev = ray
-			break
+			lambda2 := l.shift - ray
+			if lambda2 < 0 {
+				lambda2 = 0
+			}
+			return lambda2 * float64(r) / 4
 		}
 		prev = ray
 	}
-	lambda2 := shift - prev
-	if lambda2 < 0 {
-		lambda2 = 0
-	}
-	return lambda2 * float64(r) / 4
+	return 0
 }
 
 func deflate(v []float64) {
@@ -387,16 +469,11 @@ func dot(a, b []float64) float64 {
 // router-index prefixes (the natural packaging order) and a Fiedler-
 // style spectral ordering. Each candidate splits the routers at the
 // point where half the terminals are on each side.
-func bestCandidateCut(g *topo.Graph, c csr) float64 {
-	r := g.NumRouters()
+func bestCandidateCut(l laplacian, terms []int64, totalTerms int64) float64 {
+	c := l.c
+	r := len(terms)
 	if r < 2 {
 		return 0
-	}
-	terms := make([]int64, r)
-	var totalTerms int64
-	for n := 0; n < g.NumNodes; n++ {
-		terms[g.NodeRouter[n]]++
-		totalTerms++
 	}
 
 	cutChannels := func(side []bool) float64 {
@@ -430,9 +507,9 @@ func bestCandidateCut(g *topo.Graph, c csr) float64 {
 	best := cutChannels(splitAt(order))
 
 	// Spectral ordering: sort routers by the Fiedler-like vector of the
-	// symmetrized graph (recomputed cheaply; exact eigenvector quality is
-	// not required for a candidate cut).
-	fied := fiedlerVector(c, r)
+	// symmetrized graph (exact eigenvector quality is not required for a
+	// candidate cut).
+	fied := fiedlerVector(l)
 	sort.SliceStable(order, func(i, j int) bool { return fied[order[i]] < fied[order[j]] })
 	if cut := cutChannels(splitAt(order)); cut < best {
 		best = cut
@@ -440,39 +517,12 @@ func bestCandidateCut(g *topo.Graph, c csr) float64 {
 	return best
 }
 
-// fiedlerVector runs a short power iteration for the second Laplacian
-// eigenvector of the symmetrized channel graph.
-func fiedlerVector(c csr, r int) []float64 {
-	wdeg := make([]float64, r)
-	for v := 0; v < r; v++ {
-		wdeg[v] += float64(c.off[v+1] - c.off[v])
-		for _, w := range c.nbr[c.off[v]:c.off[v+1]] {
-			wdeg[w]++
-		}
-	}
-	shift := 0.0
-	for _, d := range wdeg {
-		if 2*d > shift {
-			shift = 2 * d
-		}
-	}
-	v := make([]float64, r)
-	nv := make([]float64, r)
-	for i := range v {
-		v[i] = math.Sin(float64(2*i + 1))
-	}
-	deflate(v)
-	normalize(v)
+// fiedlerVector runs a short, fixed-length power iteration for the second
+// Laplacian eigenvector of the symmetrized channel graph.
+func fiedlerVector(l laplacian) []float64 {
+	v, nv := powerStart(len(l.wdeg), 2)
 	for iter := 0; iter < 200; iter++ {
-		for i := range nv {
-			nv[i] = (shift - wdeg[i]) * v[i]
-		}
-		for u := 0; u < r; u++ {
-			for _, w := range c.nbr[c.off[u]:c.off[u+1]] {
-				nv[u] += v[w]
-				nv[w] += v[u]
-			}
-		}
+		l.apply(nv, v)
 		deflate(nv)
 		normalize(nv)
 		v, nv = nv, v

@@ -1,12 +1,13 @@
 // Analytic-evaluation cross-checks: the graph-analytic metrics must
 // reproduce every closed-form hop average the simulator is already
-// validated against, the orbit-accelerated path must agree with the
-// brute-force all-sources sweep, and a 100k-endpoint instance must
-// evaluate quickly enough for interactive design-space exploration.
+// validated against, the orbit-accelerated path must agree bit for bit
+// with the brute-force all-sources sweep for every family, and a
+// 100k-endpoint instance must cost one BFS per orbit.
 package analysis_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,41 +121,150 @@ func TestAnalyticMatchesClosedForms(t *testing.T) {
 	}
 }
 
-// TestAnalyticOrbitMatchesSweep pins the orbit-accelerated evaluation to
-// the brute-force all-sources sweep for the orbit-bearing families:
-// every metric must agree (within floating-point summation order).
+// orbitCases is every spec-table family at two sizes, the variants that
+// change the symmetry argument included (parallel channels, concentration,
+// mixed radices, taper, dilation, the doubled links of a 2-ary torus, an
+// unbalanced dragonfly). sources is the number of orbit representatives
+// that inject, which is what one evaluation may cost in BFS runs.
+var orbitCases = []struct {
+	family  string
+	sources int
+	build   func() (topo.Topology, error)
+}{
+	{"flatfly", 1, func() (topo.Topology, error) { return core.NewFlatFly(4, 3) }},
+	{"flatfly", 1, func() (topo.Topology, error) { return core.NewFlatFly(4, 2, core.WithMultiplicity(2)) }},
+	{"butterfly", 1, func() (topo.Topology, error) { return topo.NewButterfly(4, 3) }},
+	{"butterfly", 1, func() (topo.Topology, error) { return topo.NewDilatedButterfly(2, 3, 2) }},
+	{"foldedclos", 1, func() (topo.Topology, error) { return topo.NewFoldedClos(4, 4, 6, 4) }},
+	{"foldedclos", 1, func() (topo.Topology, error) { return topo.NewFoldedClos(8, 4, 8, 2) }}, // 2:1 taper, 2 links per pair
+	{"hypercube", 1, func() (topo.Topology, error) { return topo.NewHypercube(5) }},
+	{"hypercube", 1, func() (topo.Topology, error) { return topo.NewConcentratedHypercube(4, 3) }},
+	{"torus", 1, func() (topo.Topology, error) { return topo.NewTorus(5, 2) }},
+	{"torus", 1, func() (topo.Topology, error) { return topo.NewTorus(2, 3) }},
+	{"ghc", 1, func() (topo.Topology, error) { return topo.NewGHC([]int{4, 4}) }},
+	{"ghc", 1, func() (topo.Topology, error) { return topo.NewGHC([]int{3, 4, 5}) }},
+	{"slimfly", 6, func() (topo.Topology, error) { return topo.NewSlimFly(5, 2) }},
+	{"slimfly", 8, func() (topo.Topology, error) { return topo.NewSlimFly(7, 0) }},
+	{"dragonfly", 4, func() (topo.Topology, error) { return topo.NewDragonfly(0, 0, 2) }},
+	{"dragonfly", 5, func() (topo.Topology, error) { return topo.NewDragonfly(2, 5, 2) }},
+}
+
+// TestAnalyticOrbitMatchesSweep holds every family's RouterOrbits claim to
+// the brute-force all-sources sweep: the whole Metrics struct must be
+// bit-identical (hop and path sums are integers below 2^53, the spectral
+// fields depend on the graph alone), and the orbit path must have swept
+// exactly one BFS source per injecting representative.
 func TestAnalyticOrbitMatchesSweep(t *testing.T) {
-	s, err := topo.NewSlimFly(5, 2)
+	for _, tc := range orbitCases {
+		tp, err := tc.build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.family, err)
+		}
+		om, swept, err := analysis.AnalyzeTopologyCounting(tp)
+		if err != nil {
+			t.Fatalf("%s: %v", tp.Name(), err)
+		}
+		fm, err := analysis.Analyze(tp.Graph())
+		if err != nil {
+			t.Fatalf("%s: %v", tp.Name(), err)
+		}
+		if om != fm {
+			t.Errorf("%s: orbit %+v\n  vs all-sources %+v", tp.Name(), om, fm)
+		}
+		if swept != tc.sources {
+			t.Errorf("%s: swept %d BFS sources, want %d", tp.Name(), swept, tc.sources)
+		}
+	}
+}
+
+// TestAnalyticFlatFlyOneSource is the paper's own family at the size the
+// benchmark evaluates: the 16-ary 4-flat (65,536 terminals, 4,096 routers)
+// is one orbit, so it costs one BFS, and the result meets the closed forms
+// (i! minimal routes between routers i digits apart, §2.2).
+func TestAnalyticFlatFlyOneSource(t *testing.T) {
+	f, err := core.NewFlatFly(16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := topo.NewDragonfly(0, 0, 2)
+	m, swept, err := analysis.AnalyzeTopologyCounting(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swept != 1 {
+		t.Errorf("swept %d BFS sources, want 1", swept)
+	}
+	if m.Diameter != 3 {
+		t.Errorf("diameter %d, want 3", m.Diameter)
+	}
+	relEq(t, "16-ary 4-flat avg hops", m.AvgHops, f.AvgUniformMinHops(), 1e-12)
+	// 3 dimensions, each differing with probability 15/16: E[i!].
+	p, q := 15.0/16, 1.0/16
+	relEq(t, "16-ary 4-flat path diversity", m.PathDiversity, q*q*q+3*p*q*q+3*p*p*q*2+p*p*p*6, 1e-12)
+}
+
+// TestAnalyticLambdaCap pins the step-cap rule of the lambda_2 iteration:
+// the balanced dragonfly with h=8 converges just inside the cap and keeps
+// its bound; h=9 does not, and reports 0 (no bound) instead of an
+// unconverged value, which would sit above lambda_2.
+func TestAnalyticLambdaCap(t *testing.T) {
+	for _, tc := range []struct {
+		h     int
+		lower float64
+	}{{8, 4918.333842611958}, {9, 0}} {
+		d, err := topo.NewDragonfly(0, 0, tc.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := analysis.AnalyzeTopology(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.BisectionLowerChannels != tc.lower {
+			t.Errorf("dragonfly h=%d: bisection lower %v, want %v", tc.h, m.BisectionLowerChannels, tc.lower)
+		}
+		if m.BisectionUpperChannels <= 0 {
+			t.Errorf("dragonfly h=%d: bisection upper %v, want > 0", tc.h, m.BisectionUpperChannels)
+		}
+	}
+}
+
+// badOrbits is a user topology whose RouterOrbits claim is malformed.
+type badOrbits struct {
+	topo.Topology
+	reps  []topo.RouterID
+	sizes []int
+}
+
+func (b badOrbits) RouterOrbits() ([]topo.RouterID, []int) { return b.reps, b.sizes }
+
+// TestAnalyticBadOrbits feeds malformed orbit claims through both entry
+// points: each must come back as a structured analysis error, never a
+// panic.
+func TestAnalyticBadOrbits(t *testing.T) {
+	f, err := core.NewFlatFly(4, 2) // 4 routers
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name  string
-		orbit func() (analysis.Metrics, error)
-		graph *topo.Graph
+		reps  []topo.RouterID
+		sizes []int
 	}{
-		{"slimfly", func() (analysis.Metrics, error) { return analysis.AnalyzeTopology(s) }, s.Graph()},
-		{"dragonfly", func() (analysis.Metrics, error) { return analysis.AnalyzeTopology(d) }, d.Graph()},
+		{"length mismatch", []topo.RouterID{0}, []int{2, 2}},
+		{"representative past the end", []topo.RouterID{4}, []int{4}},
+		{"negative representative", []topo.RouterID{-1}, []int{4}},
+		{"zero size", []topo.RouterID{0, 1}, []int{4, 0}},
+		{"negative size", []topo.RouterID{0, 1}, []int{5, -1}},
+		{"sizes short of the router count", []topo.RouterID{0}, []int{3}},
+		{"sizes past the router count", []topo.RouterID{0}, []int{5}},
 	} {
-		om, err := tc.orbit()
-		if err != nil {
-			t.Fatal(err)
+		_, direct := analysis.AnalyzeWithOrbits(f.Graph(), tc.reps, tc.sizes)
+		_, viaTopology := analysis.AnalyzeTopology(badOrbits{f, tc.reps, tc.sizes})
+		for _, err := range []error{direct, viaTopology} {
+			if err == nil || !strings.HasPrefix(err.Error(), "analysis: ") {
+				t.Errorf("%s: got %v, want an analysis: error", tc.name, err)
+			}
 		}
-		fm, err := analysis.Analyze(tc.graph)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if om.Nodes != fm.Nodes || om.Routers != fm.Routers || om.Channels != fm.Channels || om.Diameter != fm.Diameter {
-			t.Errorf("%s: orbit %+v vs sweep %+v", tc.name, om, fm)
-		}
-		relEq(t, tc.name+" avg hops", om.AvgHops, fm.AvgHops, 1e-9)
-		relEq(t, tc.name+" path diversity", om.PathDiversity, fm.PathDiversity, 1e-9)
-		relEq(t, tc.name+" bisection lower", om.BisectionLowerChannels, fm.BisectionLowerChannels, 1e-6)
-		relEq(t, tc.name+" bisection upper", om.BisectionUpperChannels, fm.BisectionUpperChannels, 1e-9)
 	}
 }
 
@@ -168,7 +278,7 @@ func TestAnalytic100k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := analysis.AnalyzeTopology(s)
+	m, swept, err := analysis.AnalyzeTopologyCounting(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +301,9 @@ func TestAnalytic100k(t *testing.T) {
 	if m.BisectionLowerChannels > m.BisectionUpperChannels {
 		t.Errorf("bisection lower %.1f above upper %.1f", m.BisectionLowerChannels, m.BisectionUpperChannels)
 	}
-	// The acceptance target is sub-second without the race detector;
-	// allow CI headroom but catch order-of-magnitude regressions.
-	if elapsed > 10*time.Second {
-		t.Errorf("analytic evaluation took %v, want well under 10s", elapsed)
+	// The cost gate is a count, not a wall clock: one BFS per orbit of
+	// the translation group, q+1 = 44 of them instead of 3698.
+	if swept != s.Q+1 {
+		t.Errorf("swept %d BFS sources, want q+1 = %d", swept, s.Q+1)
 	}
 }

@@ -266,3 +266,12 @@ func (f *FlatFly) RouterFromDigits(digits []int) topo.RouterID {
 func (f *FlatFly) Node(r topo.RouterID, terminal int) topo.NodeID {
 	return topo.NodeID(int(r)*f.K + terminal)
 }
+
+// RouterOrbits reports the single router orbit of the translations
+// r → r+t of Z_k^(n-1): adding t to every router's digit vector maps the
+// Multiplicity channels that change digit d onto channels that change
+// digit d (Eq. 1 depends only on digit differences) and keeps the k
+// terminals per router, so every router sees the network router 0 sees.
+func (f *FlatFly) RouterOrbits() ([]topo.RouterID, []int) {
+	return []topo.RouterID{0}, []int{f.NumRouters}
+}

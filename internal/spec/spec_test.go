@@ -77,6 +77,26 @@ func TestBuildEveryFamily(t *testing.T) {
 		tp, err := c.net.Topology()
 		if err != nil || tp.Graph().NumNodes != c.nodes {
 			t.Errorf("%+v: Topology() = %v, %v", c.net, tp, err)
+			continue
+		}
+		// Analytic mode sweeps one BFS per router orbit, so every table
+		// family declares its orbits (internal/analysis holds each claim
+		// to the all-sources sweep); a row without them would silently
+		// cost a BFS per router.
+		ot, ok := tp.(interface {
+			RouterOrbits() ([]topo.RouterID, []int)
+		})
+		if !ok {
+			t.Errorf("%+v: %T has no RouterOrbits", c.net, tp)
+			continue
+		}
+		reps, sizes := ot.RouterOrbits()
+		total := 0
+		for _, s := range sizes {
+			total += s
+		}
+		if len(reps) != len(sizes) || total != c.routers {
+			t.Errorf("%+v: %d orbit reps, sizes %v sum to %d, want %d routers", c.net, len(reps), sizes, total, c.routers)
 		}
 	}
 	for _, f := range families {

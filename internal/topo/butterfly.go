@@ -138,3 +138,19 @@ func (b *Butterfly) AvgHops() float64 { return float64(b.N - 1) }
 func (b *Butterfly) EjectRouter(d NodeID) RouterID {
 	return b.RouterAt(b.N-1, int(d)/b.K)
 }
+
+// RouterOrbits reports one orbit per stage: adding a fixed digit vector t
+// to the position of every router, at every stage at once, maps the
+// channel (s, pos) → (s+1, pos with digit n-2-s set to o) onto the channel
+// out of (s, pos+t) that sets the digit to o+t_digit, Dilation copies
+// each, and keeps the k terminals entering each stage-0 router and
+// leaving each last-stage router. Only the stage-0 orbit injects.
+func (b *Butterfly) RouterOrbits() ([]RouterID, []int) {
+	reps := make([]RouterID, b.N)
+	sizes := make([]int, b.N)
+	for s := range reps {
+		reps[s] = b.RouterAt(s, 0)
+		sizes[s] = b.RoutersPerStage
+	}
+	return reps, sizes
+}

@@ -112,6 +112,15 @@ func (f *FoldedClos) AvgUniformHops() float64 {
 	return 2 * (1 - float64(f.Terminals)/float64(f.NumNodes))
 }
 
+// RouterOrbits reports two orbits, the leaves and the middles: every
+// leaf reaches every middle over PairLinks parallel links, so any
+// permutation of the leaves, and any permutation of the middles, is an
+// automorphism of the channel multigraph that keeps the Terminals per
+// leaf. Only the leaf orbit injects.
+func (f *FoldedClos) RouterOrbits() ([]RouterID, []int) {
+	return []RouterID{0, f.MiddleRouter(0)}, []int{f.Leaves, f.Middles}
+}
+
 // TaperedClosForNodes builds the folded Clos used in the paper's §3.3
 // topology comparison: radix-"radix" routers, 2:1 taper so bisection
 // matches a butterfly of equal node count. Leaves have radix/2 terminals

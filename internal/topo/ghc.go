@@ -123,3 +123,11 @@ func (h *GHC) MinHops(a, b RouterID) int {
 	}
 	return c
 }
+
+// RouterOrbits reports the single router orbit of the translations
+// r → r+t of Z_m1 × … × Z_mr: adding t digit by digit (each modulo its own
+// radix) maps dimension-d channels onto dimension-d channels, and every
+// router hosts one terminal.
+func (h *GHC) RouterOrbits() ([]RouterID, []int) {
+	return []RouterID{0}, []int{h.NumRouters}
+}

@@ -105,3 +105,10 @@ func (h *Hypercube) MinHops(a, b RouterID) int {
 	}
 	return c
 }
+
+// RouterOrbits reports the single router orbit of the translations
+// r → r XOR t: flipping a fixed bit set maps each dimension-d link onto a
+// dimension-d link and keeps the Concentration terminals per router.
+func (h *Hypercube) RouterOrbits() ([]RouterID, []int) {
+	return []RouterID{0}, []int{h.NumRouters}
+}

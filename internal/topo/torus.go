@@ -108,3 +108,11 @@ func (t *Torus) MinHops(a, b RouterID) int {
 	}
 	return h
 }
+
+// RouterOrbits reports the single router orbit of the translations
+// r → r+t of Z_k^n: shifting every coordinate maps each ring's plus and
+// minus channels onto themselves (for k = 2, both onto the doubled link)
+// and every router hosts one terminal.
+func (t *Torus) RouterOrbits() ([]RouterID, []int) {
+	return []RouterID{0}, []int{t.NumRouters}
+}
