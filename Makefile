@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck onebuilder test race check checksweep nocd-smoke bench benchall benchguard flatbench-check bench-record figs quickfigs fuzz clean
+.PHONY: all build vet fmtcheck onebuilder test race check checksweep nocd-smoke benchall flatbench-check bench-record figs quickfigs fuzz clean
 
 # Tier-1 flow: build, static checks, tests, then the race detector over
 # the whole module — the sweep engine's worker pool must stay race-clean.
@@ -20,9 +20,10 @@ fmtcheck:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # onebuilder fails if a topology or routing constructor is called from a
-# front end instead of through internal/spec's family table.
+# front end instead of through internal/spec's family table. Every
+# topology constructor lives in internal/topo (re-exported by flatnet).
 onebuilder:
-	@out=$$(grep -rnE '(core|topo|flatnet)\.(New(FlatFly|Butterfly|FoldedClos|Hypercube|SlimFly|Dragonfly|Torus|GHC)|TaperedClosForNodes)\(|(routing|flatnet)\.New[A-Za-z]*(Algorithm|Dest|Adaptive|ECube|DOR)\(' \
+	@out=$$(grep -rnE '(topo|flatnet)\.(New(FlatFly|Butterfly|FoldedClos|Hypercube|SlimFly|Dragonfly|Torus|GHC)|TaperedClosForNodes)\(|(routing|flatnet)\.New[A-Za-z]*(Algorithm|Dest|Adaptive|ECube|DOR)\(' \
 		internal/sweep internal/nocsvc cmd/flatsim cmd/flattopo --include='*.go' | grep -v _test.go); \
 	if [ -n "$$out" ]; then echo "build networks through internal/spec, not:"; echo "$$out"; exit 1; fi
 
@@ -52,18 +53,6 @@ check: build vet fmtcheck onebuilder test race checksweep
 # flatnet.Run of the same configuration.
 nocd-smoke:
 	$(GO) test -run 'TestNocd' -count=1 -v ./cmd/nocd/
-
-# bench refreshes the committed hot-loop baselines (BENCH_baseline.json)
-# after intentional performance changes; CI's bench-guard job holds
-# BenchmarkSimulatorCycles and BenchmarkSimulatorCyclesParallel to them
-# (<=10% slower, 0 allocs/op each).
-bench:
-	$(GO) run ./cmd/benchguard -update
-
-# benchguard compares the hot loop against the committed baseline,
-# exactly as CI does.
-benchguard:
-	$(GO) run ./cmd/benchguard
 
 # flatbench-check vets and tests the flatbench module (bench/ is a Go
 # module of its own, so `go build ./... && go test ./...` at the root

@@ -35,7 +35,7 @@ func BenchmarkFig02_Scalability(b *testing.B) {
 func BenchmarkFig04a_RoutingUR(b *testing.B) {
 	var last []experiments.AlgSeries
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig4("UR", experiments.Quick())
+		s, err := experiments.Fig4On(nil, "UR", experiments.Quick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func BenchmarkFig04a_RoutingUR(b *testing.B) {
 func BenchmarkFig04b_RoutingWC(b *testing.B) {
 	var last []experiments.AlgSeries
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig4("WC", experiments.Quick())
+		s, err := experiments.Fig4On(nil, "WC", experiments.Quick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func reportAlg(b *testing.B, series []experiments.AlgSeries, name, metric string
 func BenchmarkFig05_DynamicResponse(b *testing.B) {
 	var last []experiments.BatchSeries
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig5(experiments.Quick())
+		s, err := experiments.Fig5On(nil, experiments.Quick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func BenchmarkFig05_DynamicResponse(b *testing.B) {
 func BenchmarkFig06a_TopoUR(b *testing.B) {
 	var last []experiments.TopoSeries
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig6("UR", experiments.Quick())
+		s, err := experiments.Fig6On(nil, "UR", experiments.Quick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func BenchmarkFig06a_TopoUR(b *testing.B) {
 func BenchmarkFig06b_TopoWC(b *testing.B) {
 	var last []experiments.TopoSeries
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig6("WC", experiments.Quick())
+		s, err := experiments.Fig6On(nil, "WC", experiments.Quick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func BenchmarkFig11_CostPerNode(b *testing.B) {
 func BenchmarkFig12a_FixedN_VAL(b *testing.B) {
 	var last []experiments.ConfigSeries
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig12("VAL", 256, []float64{0.1, 0.3}, experiments.Quick())
+		s, err := experiments.Fig12On(nil, "VAL", 256, []float64{0.1, 0.3}, experiments.Quick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func BenchmarkFig12a_FixedN_VAL(b *testing.B) {
 func BenchmarkFig12b_FixedN_MINAD(b *testing.B) {
 	var last []experiments.ConfigSeries
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig12("MIN AD", 256, []float64{0.2, 0.5}, experiments.Quick())
+		s, err := experiments.Fig12On(nil, "MIN AD", 256, []float64{0.2, 0.5}, experiments.Quick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,6 +285,23 @@ func BenchmarkTable4_Configs(b *testing.B) {
 	b.ReportMetric(float64(n), "configs")
 }
 
+// injectUniform installs uniform-random traffic under the Bernoulli
+// arrival process, the paper's open-loop injection.
+func injectUniform(b *testing.B, n *flatnet.Network) {
+	b.Helper()
+	if err := n.SetSource(flatnet.NewBernoulliSource(flatnet.NewUniform(n.NumNodes()))); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// cycle advances n by one cycle at 50% offered load.
+func cycle(b *testing.B, n *flatnet.Network) {
+	if err := n.Generate(0.5); err != nil {
+		b.Fatal(err)
+	}
+	n.Step()
+}
+
 // BenchmarkSimulatorCycles measures the simulator's raw cycle rate on the
 // paper's 32-ary 2-flat under CLOS AD at 50% uniform load — a
 // performance baseline for the engine itself rather than a paper figure.
@@ -300,16 +317,14 @@ func BenchmarkSimulatorCycles(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n.SetPattern(flatnet.NewUniform(ff.NumNodes))
+	injectUniform(b, n)
 	for i := 0; i < 2000; i++ {
-		n.GenerateBernoulli(0.5)
-		n.Step()
+		cycle(b, n)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.GenerateBernoulli(0.5)
-		n.Step()
+		cycle(b, n)
 	}
 	b.ReportMetric(float64(ff.NumNodes), "nodes")
 }
@@ -334,55 +349,18 @@ func BenchmarkSimulatorCyclesParallel(b *testing.B) {
 	if err := n.SetWorkers(8); err != nil {
 		b.Fatal(err)
 	}
-	n.SetPattern(flatnet.NewUniform(ff.NumNodes))
+	injectUniform(b, n)
 	// The 4096-terminal network needs a longer warmup than the 1024-node
 	// baseline before every slice capacity (request queues, calendar
 	// slots, mailboxes) reaches its high-water mark; 2000 cycles leaves
 	// residual growth that shows up as ~1 alloc/op.
 	for i := 0; i < 12000; i++ {
-		n.GenerateBernoulli(0.5)
-		n.Step()
+		cycle(b, n)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.GenerateBernoulli(0.5)
-		n.Step()
-	}
-	b.ReportMetric(float64(ff.NumNodes), "nodes")
-}
-
-// BenchmarkSourceOverhead prices the workload-engine indirection: the
-// exact BenchmarkSimulatorCycles workload driven through the Source
-// interface (a Bernoulli-wrapped uniform pattern installed with
-// SetSource, injected by Generate) instead of the direct
-// GenerateBernoulli call. The interface dispatch must stay
-// allocation-free in steady state and within noise of the direct path.
-func BenchmarkSourceOverhead(b *testing.B) {
-	ff, err := flatnet.NewFlatFly(32, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n, err := flatnet.NewNetwork(ff.Graph(), flatnet.NewClosAD(ff), flatnet.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := n.SetSource(flatnet.NewBernoulliSource(flatnet.NewUniform(ff.NumNodes))); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		if err := n.Generate(0.5); err != nil {
-			b.Fatal(err)
-		}
-		n.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.Generate(0.5); err != nil {
-			b.Fatal(err)
-		}
-		n.Step()
+		cycle(b, n)
 	}
 	b.ReportMetric(float64(ff.NumNodes), "nodes")
 }
@@ -393,8 +371,8 @@ func BenchmarkSourceOverhead(b *testing.B) {
 // from the bytes (Restore). This is the cost a warm-start sweep pays
 // instead of re-running warm-up, so it must stay far below the warm-up
 // it replaces. Restore materializes a whole network, so the op
-// allocates by design — benchguard exempts it from the zero-alloc gate
-// and holds ns/op only.
+// allocates by design; flatbench's traced sim.restore_ms row records its
+// cost per PR.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	ff, err := flatnet.NewFlatFly(32, 2)
 	if err != nil {
@@ -406,10 +384,9 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer n.Close()
-	n.SetPattern(flatnet.NewUniform(ff.NumNodes))
+	injectUniform(b, n)
 	for i := 0; i < 2000; i++ {
-		n.GenerateBernoulli(0.5)
-		n.Step()
+		cycle(b, n)
 	}
 	var buf bytes.Buffer
 	if err := n.Snapshot(&buf); err != nil {
@@ -447,11 +424,10 @@ func BenchmarkTelemetryOff(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n.SetPattern(flatnet.NewUniform(ff.NumNodes))
+	injectUniform(b, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.GenerateBernoulli(0.5)
-		n.Step()
+		cycle(b, n)
 	}
 	b.ReportMetric(float64(ff.NumNodes), "nodes")
 }
@@ -467,12 +443,11 @@ func BenchmarkTelemetryProbes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n.SetPattern(flatnet.NewUniform(ff.NumNodes))
+	injectUniform(b, n)
 	p := n.AttachProbes(flatnet.ProbeConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.GenerateBernoulli(0.5)
-		n.Step()
+		cycle(b, n)
 	}
 	b.ReportMetric(float64(p.Samples), "probe_samples")
 }
@@ -491,11 +466,10 @@ func BenchmarkChecksOff(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n.SetPattern(flatnet.NewUniform(ff.NumNodes))
+	injectUniform(b, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.GenerateBernoulli(0.5)
-		n.Step()
+		cycle(b, n)
 	}
 	b.ReportMetric(float64(ff.NumNodes), "nodes")
 }
@@ -511,12 +485,11 @@ func BenchmarkChecksOn(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n.SetPattern(flatnet.NewUniform(ff.NumNodes))
+	injectUniform(b, n)
 	s := flatnet.AttachChecker(n, flatnet.CheckConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.GenerateBernoulli(0.5)
-		n.Step()
+		cycle(b, n)
 	}
 	b.StopTimer()
 	if len(s.Violations()) != 0 {

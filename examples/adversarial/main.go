@@ -34,7 +34,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := flatnet.RunLoadPoint(ff.Graph(), alg, cfg, flatnet.RunConfig{
-			Load: 0.3, Pattern: wc, Warmup: 500, Measure: 500, MaxCycles: 4000,
+			Load: 0.3, Source: flatnet.NewBernoulliSource(wc), Warmup: 500, Measure: 500, MaxCycles: 4000,
 		})
 		if err != nil {
 			log.Fatal(err)

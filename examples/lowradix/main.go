@@ -16,7 +16,7 @@ import (
 func measure(name string, g *flatnet.Graph, alg flatnet.Algorithm, nodes int) {
 	res, err := flatnet.RunLoadPoint(g, alg, flatnet.DefaultConfig(), flatnet.RunConfig{
 		Load:    0.15,
-		Pattern: flatnet.NewUniform(nodes),
+		Source:  flatnet.NewBernoulliSource(flatnet.NewUniform(nodes)),
 		Warmup:  800,
 		Measure: 800,
 	})

@@ -59,7 +59,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := flatnet.RunLoadPoint(r.g, r.alg, cfg, flatnet.RunConfig{
-			Load: 0.2, Pattern: ur, Warmup: 500, Measure: 500,
+			Load: 0.2, Source: flatnet.NewBernoulliSource(ur), Warmup: 500, Measure: 500,
 		})
 		if err != nil {
 			log.Fatal(err)

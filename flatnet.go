@@ -41,7 +41,6 @@ package flatnet
 import (
 	"flatnet/internal/analysis"
 	"flatnet/internal/check"
-	"flatnet/internal/core"
 	"flatnet/internal/cost"
 	"flatnet/internal/layout"
 	"flatnet/internal/power"
@@ -55,10 +54,10 @@ import (
 // Topology types.
 type (
 	// FlatFly is the paper's k-ary n-flat flattened butterfly.
-	FlatFly = core.FlatFly
+	FlatFly = topo.FlatFly
 	// OneDimFB is the single-dimension flattened butterfly generalized to
 	// arbitrary router counts (Fig. 14(b)).
-	OneDimFB = core.OneDimFB
+	OneDimFB = topo.OneDimFB
 	// Butterfly is a conventional k-ary n-fly.
 	Butterfly = topo.Butterfly
 	// FoldedClos is a two-level folded Clos / fat tree.
@@ -86,21 +85,21 @@ type (
 	// RouterID identifies a router.
 	RouterID = topo.RouterID
 	// FFOption configures NewFlatFly.
-	FFOption = core.Option
+	FFOption = topo.FlatFlyOption
 	// FFConfig is one (k, n) flattened-butterfly configuration (Table 4).
-	FFConfig = core.Config
+	FFConfig = topo.FlatFlyConfig
 )
 
 // Topology constructors.
 var (
 	// NewFlatFly builds a k-ary n-flat.
-	NewFlatFly = core.NewFlatFly
+	NewFlatFly = topo.NewFlatFly
 	// NewOneDimFB builds a complete-graph 1-D flattened butterfly.
-	NewOneDimFB = core.NewOneDimFB
+	NewOneDimFB = topo.NewOneDimFB
 	// WithMultiplicity doubles (or more) every inter-router link (Fig 14a).
-	WithMultiplicity = core.WithMultiplicity
+	WithMultiplicity = topo.WithMultiplicity
 	// WithChannelLatency sets inter-router channel latency in cycles.
-	WithChannelLatency = core.WithChannelLatency
+	WithChannelLatency = topo.WithChannelLatency
 	// NewButterfly builds a k-ary n-fly.
 	NewButterfly = topo.NewButterfly
 	// NewDilatedButterfly builds a k-ary n-fly with replicated channels
@@ -134,16 +133,16 @@ var (
 // Scaling relationships (§2.1, §5.1).
 var (
 	// NetworkSize returns N(k', n') for the Fig. 2 scaling curves.
-	NetworkSize = core.NetworkSize
+	NetworkSize = topo.NetworkSize
 	// ConfigsForN enumerates the (k, n) configurations of a network size
 	// (Table 4 for N = 4096).
-	ConfigsForN = core.ConfigsForN
+	ConfigsForN = topo.ConfigsForN
 	// FixedRadixConfig selects the smallest dimensionality for a router
 	// radix and target size (§5.1.2).
-	FixedRadixConfig = core.FixedRadixConfig
+	FixedRadixConfig = topo.FixedRadixConfig
 	// MaxNodesForRadix returns the largest network a radix supports at a
 	// given dimensionality.
-	MaxNodesForRadix = core.MaxNodesForRadix
+	MaxNodesForRadix = topo.MaxNodesForRadix
 )
 
 // Simulator types.
@@ -327,7 +326,7 @@ var (
 	NewHotspot = traffic.NewHotspot
 	NewIncast  = traffic.NewIncast
 	// NewBernoulliSource wraps a pattern in the default memoryless
-	// Bernoulli arrival process — exactly the legacy injection behavior.
+	// Bernoulli arrival process — the paper's open-loop injection (§3.2).
 	NewBernoulliSource = traffic.NewBernoulli
 	// NewOnOffSource wraps a pattern in the two-state on/off (MMPP)
 	// arrival process: bursts at a peak rate with the duty cycle chosen

@@ -19,7 +19,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	alg := flatnet.NewClosAD(ff)
 	res, err := flatnet.RunLoadPoint(ff.Graph(), alg, flatnet.DefaultConfig(), flatnet.RunConfig{
 		Load:    0.4,
-		Pattern: flatnet.NewUniform(ff.NumNodes),
+		Source:  flatnet.NewBernoulliSource(flatnet.NewUniform(ff.NumNodes)),
 		Warmup:  400,
 		Measure: 400,
 	})

@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
@@ -60,7 +59,7 @@ func TestFormulaValues(t *testing.T) {
 }
 
 func TestSimulatorMatchesFlatFlyModels(t *testing.T) {
-	f, err := core.NewFlatFly(16, 2)
+	f, err := topo.NewFlatFly(16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func TestSimulatorMatchesConcentratedHypercubeModel(t *testing.T) {
 func TestSimulatorMatchesCreditModel(t *testing.T) {
 	// A single saturated stream across one 8-cycle channel with 4 credits
 	// sustains ~4/17 of the channel.
-	f, err := core.NewFlatFly(4, 2, core.WithChannelLatency(8))
+	f, err := topo.NewFlatFly(4, 2, topo.WithChannelLatency(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +172,9 @@ func TestSimulatorMatchesCreditModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewFixed("stream", tab))
+	if err := n.SetSource(traffic.NewBernoulli(traffic.NewFixed("stream", tab))); err != nil {
+		t.Fatal(err)
+	}
 	delivered := 0
 	n.OnDeliver(func(p *sim.Packet, _ int64) {
 		if p.Src == 0 {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"flatnet/internal/analysis"
-	"flatnet/internal/core"
 	"flatnet/internal/topo"
 )
 
@@ -30,7 +29,7 @@ func relEq(t *testing.T, name string, got, want, tol float64) {
 // oracle uses, plus the structural constants (diameter, channel count)
 // each family is defined by.
 func TestAnalyticMatchesClosedForms(t *testing.T) {
-	f, err := core.NewFlatFly(8, 2) // 64 nodes, 8 routers, fully connected
+	f, err := topo.NewFlatFly(8, 2) // 64 nodes, 8 routers, fully connected
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +130,8 @@ var orbitCases = []struct {
 	sources int
 	build   func() (topo.Topology, error)
 }{
-	{"flatfly", 1, func() (topo.Topology, error) { return core.NewFlatFly(4, 3) }},
-	{"flatfly", 1, func() (topo.Topology, error) { return core.NewFlatFly(4, 2, core.WithMultiplicity(2)) }},
+	{"flatfly", 1, func() (topo.Topology, error) { return topo.NewFlatFly(4, 3) }},
+	{"flatfly", 1, func() (topo.Topology, error) { return topo.NewFlatFly(4, 2, topo.WithMultiplicity(2)) }},
 	{"butterfly", 1, func() (topo.Topology, error) { return topo.NewButterfly(4, 3) }},
 	{"butterfly", 1, func() (topo.Topology, error) { return topo.NewDilatedButterfly(2, 3, 2) }},
 	{"foldedclos", 1, func() (topo.Topology, error) { return topo.NewFoldedClos(4, 4, 6, 4) }},
@@ -182,7 +181,7 @@ func TestAnalyticOrbitMatchesSweep(t *testing.T) {
 // is one orbit, so it costs one BFS, and the result meets the closed forms
 // (i! minimal routes between routers i digits apart, §2.2).
 func TestAnalyticFlatFlyOneSource(t *testing.T) {
-	f, err := core.NewFlatFly(16, 4)
+	f, err := topo.NewFlatFly(16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +240,7 @@ func (b badOrbits) RouterOrbits() ([]topo.RouterID, []int) { return b.reps, b.si
 // points: each must come back as a structured analysis error, never a
 // panic.
 func TestAnalyticBadOrbits(t *testing.T) {
-	f, err := core.NewFlatFly(4, 2) // 4 routers
+	f, err := topo.NewFlatFly(4, 2) // 4 routers
 	if err != nil {
 		t.Fatal(err)
 	}

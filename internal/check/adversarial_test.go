@@ -10,9 +10,9 @@ import (
 
 	"flatnet/internal/analysis"
 	"flatnet/internal/check"
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
+	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
@@ -22,7 +22,7 @@ import (
 // Every point must hold all runtime invariants; below the knee the
 // network must also accept what is offered and stay unsaturated.
 func TestAdversarialRoutingUnderSanitizer(t *testing.T) {
-	f, err := core.NewFlatFly(8, 2)
+	f, err := topo.NewFlatFly(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestAdversarialRoutingUnderSanitizer(t *testing.T) {
 				t.Fatal(err)
 			}
 			rc := sim.RunConfig{
-				Load: tc.load, Pattern: traffic.NewWorstCase(8, 8),
+				Load: tc.load, Source: traffic.NewBernoulli(traffic.NewWorstCase(8, 8)),
 				Warmup: 300, Measure: 500, MaxCycles: 1500,
 			}
 			done := check.Arm(&rc, check.Config{})

@@ -8,18 +8,25 @@ import (
 	"testing"
 
 	"flatnet/internal/check"
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
+// setPattern installs p under the Bernoulli arrival process.
+func setPattern(t *testing.T, n *sim.Network, p traffic.Pattern) {
+	t.Helper()
+	if err := n.SetSource(traffic.NewBernoulli(p)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // newChecked builds a small flattened-butterfly network with a sanitizer
 // attached and Bernoulli traffic armed.
 func newChecked(t *testing.T, cfg sim.Config, ccfg check.Config, load float64) (*sim.Network, *check.Sanitizer) {
 	t.Helper()
-	f, err := core.NewFlatFly(4, 2)
+	f, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,15 +34,18 @@ func newChecked(t *testing.T, cfg sim.Config, ccfg check.Config, load float64) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(n.NumNodes()))
+	setPattern(t, n, traffic.NewUniform(n.NumNodes()))
 	s := check.Attach(n, ccfg)
 	_ = load
 	return n, s
 }
 
-func stepLoaded(n *sim.Network, load float64, cycles int) {
+func stepLoaded(t *testing.T, n *sim.Network, load float64, cycles int) {
+	t.Helper()
 	for i := 0; i < cycles; i++ {
-		n.GenerateBernoulli(load)
+		if err := n.Generate(load); err != nil {
+			t.Fatal(err)
+		}
 		n.Step()
 	}
 }
@@ -57,7 +67,7 @@ func TestCleanRunNoViolations(t *testing.T) {
 		cfg := sim.DefaultConfig()
 		cfg.PacketSize = size
 		n, s := newChecked(t, cfg, check.Config{}, 0.4)
-		stepLoaded(n, 0.4, 500)
+		stepLoaded(t, n, 0.4, 500)
 		drain(t, n, 5000)
 		if err := s.Finalize(); err != nil {
 			t.Fatalf("PacketSize %d: clean run tripped the sanitizer: %v", size, err)
@@ -86,7 +96,7 @@ func injectFaultSomewhere(t *testing.T, n *sim.Network, k sim.FaultKind, load fl
 				}
 			}
 		}
-		stepLoaded(n, load, 1)
+		stepLoaded(t, n, load, 1)
 	}
 	t.Fatal("no viable fault site found; raise the load or run longer")
 }
@@ -117,9 +127,9 @@ func TestFaultDropFlitCaught(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Speedup = 1 // force crossbar contention so input buffers back up
 	n, s := newChecked(t, cfg, check.Config{}, 0.8)
-	stepLoaded(n, 0.8, 50)
+	stepLoaded(t, n, 0.8, 50)
 	injectFaultSomewhere(t, n, sim.FaultDropFlit, 0.8)
-	stepLoaded(n, 0.8, 2)
+	stepLoaded(t, n, 0.8, 2)
 	expectKind(t, s, check.KindConservation, false)
 	expectKind(t, s, check.KindChannelAudit, true)
 	if s.Err() == nil {
@@ -129,17 +139,17 @@ func TestFaultDropFlitCaught(t *testing.T) {
 
 func TestFaultLeakCreditCaught(t *testing.T) {
 	n, s := newChecked(t, sim.DefaultConfig(), check.Config{}, 0.5)
-	stepLoaded(n, 0.5, 50)
+	stepLoaded(t, n, 0.5, 50)
 	injectFaultSomewhere(t, n, sim.FaultLeakCredit, 0.5)
-	stepLoaded(n, 0.5, 2)
+	stepLoaded(t, n, 0.5, 2)
 	expectKind(t, s, check.KindChannelAudit, true)
 }
 
 func TestFaultDupCreditCaught(t *testing.T) {
 	n, s := newChecked(t, sim.DefaultConfig(), check.Config{}, 0.5)
-	stepLoaded(n, 0.5, 50)
+	stepLoaded(t, n, 0.5, 50)
 	injectFaultSomewhere(t, n, sim.FaultDupCredit, 0.5)
-	stepLoaded(n, 0.5, 2)
+	stepLoaded(t, n, 0.5, 2)
 	expectKind(t, s, check.KindChannelAudit, true)
 }
 
@@ -153,7 +163,7 @@ func TestFaultDoubleGrantCaught(t *testing.T) {
 	// Step until some VC is held, then free it behind the checker's back.
 	freed := false
 	for i := 0; i < 2000 && !freed; i++ {
-		stepLoaded(n, 0.8, 1)
+		stepLoaded(t, n, 0.8, 1)
 		g := n.Graph()
 		for r := range g.Routers {
 			for p := range g.Routers[r].Out {
@@ -168,7 +178,7 @@ func TestFaultDoubleGrantCaught(t *testing.T) {
 	if !freed {
 		t.Fatal("no held VC appeared to free")
 	}
-	stepLoaded(n, 0.8, 500)
+	stepLoaded(t, n, 0.8, 500)
 	expectKind(t, s, check.KindDoubleGrant, true)
 }
 
@@ -180,8 +190,8 @@ func TestDeadlockWatchdog(t *testing.T) {
 	// Adversarial traffic keeps every destination off the source router:
 	// under uniform traffic, same-router packets bypass the wedged
 	// network channels and keep delivering, resetting the watchdog.
-	n.SetPattern(traffic.NewWorstCase(4, 4))
-	stepLoaded(n, 0.5, 50)
+	setPattern(t, n, traffic.NewWorstCase(4, 4))
+	stepLoaded(t, n, 0.5, 50)
 	g := n.Graph()
 	for r := range g.Routers {
 		for p := range g.Routers[r].Out {
@@ -191,7 +201,7 @@ func TestDeadlockWatchdog(t *testing.T) {
 		}
 	}
 	// Keep injecting so flits are provably alive and wedged.
-	stepLoaded(n, 0.5, 600)
+	stepLoaded(t, n, 0.5, 600)
 	expectKind(t, s, check.KindDeadlock, false)
 	found := false
 	for _, v := range s.Violations() {
@@ -214,9 +224,9 @@ func TestWholenessOnDroppedFlit(t *testing.T) {
 	cfg.PacketSize = 4
 	cfg.Speedup = 1
 	n, s := newChecked(t, cfg, check.Config{}, 0.5)
-	stepLoaded(n, 0.5, 60)
+	stepLoaded(t, n, 0.5, 60)
 	injectFaultSomewhere(t, n, sim.FaultDropFlit, 0.5)
-	stepLoaded(n, 0.5, 200)
+	stepLoaded(t, n, 0.5, 200)
 	// The mutilated packet's tail ejects after only PacketSize-1 flits
 	// (or never, wedging its wormhole); either way a wholeness or
 	// conservation violation must be on record.
@@ -228,12 +238,12 @@ func TestWholenessOnDroppedFlit(t *testing.T) {
 // TestSanitizerDoesNotPerturb verifies the run invariance contract:
 // results with and without the sanitizer are identical.
 func TestSanitizerDoesNotPerturb(t *testing.T) {
-	f, err := core.NewFlatFly(4, 2)
+	f, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := sim.RunConfig{
-		Load: 0.6, Pattern: traffic.NewUniform(f.NumNodes),
+		Load: 0.6, Source: traffic.NewBernoulli(traffic.NewUniform(f.NumNodes)),
 		Warmup: 200, Measure: 300,
 	}
 	plain, err := sim.RunLoadPoint(f.Graph(), routing.NewUGALS(f), sim.DefaultConfig(), rc)
@@ -265,9 +275,9 @@ func TestInOrderDeliveryDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(n.NumNodes()))
+	setPattern(t, n, traffic.NewUniform(n.NumNodes()))
 	s := check.Attach(n, check.Config{InOrder: true})
-	stepLoaded(n, 0.5, 800)
+	stepLoaded(t, n, 0.5, 800)
 	drain(t, n, 5000)
 	if err := s.Finalize(); err != nil {
 		t.Fatalf("e-cube reordered or tripped: %v", err)

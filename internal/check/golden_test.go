@@ -16,10 +16,10 @@ import (
 	"path/filepath"
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
 	"flatnet/internal/sweep"
+	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
@@ -299,7 +299,7 @@ func TestGoldenCorpusWarmRestored(t *testing.T) {
 // reproduce the pinned delivery summary exactly. Regenerated with
 // -update like the rest of the corpus.
 func TestGoldenTraceReplay(t *testing.T) {
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func TestSlimFlyAdversarial(t *testing.T) {
 				t.Fatal(err)
 			}
 			rc := sim.RunConfig{
-				Load: tc.load, Pattern: pat,
+				Load: tc.load, Source: traffic.NewBernoulli(pat),
 				Warmup: 300, Measure: 500, MaxCycles: 1500,
 			}
 			done := check.Arm(&rc, check.Config{})
@@ -233,7 +233,7 @@ func TestDragonflyAdversarial(t *testing.T) {
 				t.Fatal(err)
 			}
 			rc := sim.RunConfig{
-				Load: tc.load, Pattern: pat,
+				Load: tc.load, Source: traffic.NewBernoulli(pat),
 				Warmup: 300, Measure: 500, MaxCycles: 1500,
 			}
 			done := check.Arm(&rc, check.Config{})

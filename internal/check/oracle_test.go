@@ -10,7 +10,6 @@ import (
 
 	"flatnet/internal/analysis"
 	"flatnet/internal/check"
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
@@ -23,7 +22,7 @@ import (
 func zeroLoad(t *testing.T, g *topo.Graph, alg sim.Algorithm, cfg sim.Config, p traffic.Pattern) sim.LoadPointResult {
 	t.Helper()
 	rc := sim.RunConfig{
-		Load: 0.02, Pattern: p,
+		Load: 0.02, Source: traffic.NewBernoulli(p),
 		Warmup: 300, Measure: 2000,
 	}
 	done := check.Arm(&rc, check.Config{})
@@ -59,7 +58,7 @@ func conform(t *testing.T, name string, res sim.LoadPointResult, m routing.ZeroL
 func TestZeroLoadLatencyOracle(t *testing.T) {
 	cfg := sim.DefaultConfig()
 
-	f, err := core.NewFlatFly(8, 2) // 64 nodes, 8 routers
+	f, err := topo.NewFlatFly(8, 2) // 64 nodes, 8 routers
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestZeroLoadLatencyOracle(t *testing.T) {
 // and serialization terms: router delay is charged once per inter-router
 // hop, and a multi-flit tail trails the head by PacketSize-1 cycles.
 func TestZeroLoadOracleTimingKnobs(t *testing.T) {
-	f, err := core.NewFlatFly(8, 2)
+	f, err := topo.NewFlatFly(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestZeroLoadOracleTimingKnobs(t *testing.T) {
 func satThroughput(t *testing.T, g *topo.Graph, alg sim.Algorithm, cfg sim.Config, p traffic.Pattern) float64 {
 	t.Helper()
 	rc := sim.RunConfig{
-		Load: 1.0, Pattern: p,
+		Load: 1.0, Source: traffic.NewBernoulli(p),
 		Warmup: 500, Measure: 1000,
 		MaxCycles: 1501,
 	}
@@ -178,7 +177,7 @@ func within(t *testing.T, name string, got, want, tol float64) {
 func TestSaturationOracle(t *testing.T) {
 	cfg := sim.DefaultConfig()
 
-	f, err := core.NewFlatFly(8, 2)
+	f, err := topo.NewFlatFly(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"flatnet/internal/core"
+	"flatnet/internal/topo"
 )
 
 // LinkGroup is one homogeneous set of unidirectional channels in a
@@ -50,7 +50,7 @@ func TerminalGroup() LinkGroup {
 // dimension-1 subsystem's own region of the floor. Dimensions >= 2 are
 // global cables of average length E/3 (§4.2).
 func FlatFlyBOM(n int, p Packaging) (BOM, error) {
-	nPrime, kPrime, _, err := core.FixedRadixConfig(p.Radix, n)
+	nPrime, kPrime, _, err := topo.FixedRadixConfig(p.Radix, n)
 	if err != nil {
 		return BOM{}, err
 	}

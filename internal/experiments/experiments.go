@@ -12,10 +12,10 @@ import (
 	"context"
 	"fmt"
 
-	"flatnet/internal/core"
 	"flatnet/internal/sim"
 	"flatnet/internal/spec"
 	"flatnet/internal/sweep"
+	"flatnet/internal/topo"
 )
 
 // Scale selects the fidelity of the simulation experiments.
@@ -62,7 +62,7 @@ func Quick() Scale {
 	}
 }
 
-func (s Scale) flatFly() (*core.FlatFly, error) { return core.NewFlatFly(s.K, s.N) }
+func (s Scale) flatFly() (*topo.FlatFly, error) { return topo.NewFlatFly(s.K, s.N) }
 
 // job returns the Scale's base flattened-butterfly job: §3.2 simulator
 // configuration, this scale's windows and seed.
@@ -94,11 +94,6 @@ type AlgSeries struct {
 	Points    []sim.LoadPointResult
 	// SaturationThroughput is the accepted rate at full offered load.
 	SaturationThroughput float64
-}
-
-// Fig4 reproduces Figure 4 on the sequential reference engine.
-func Fig4(patternName string, s Scale) ([]AlgSeries, error) {
-	return Fig4On(nil, patternName, s)
 }
 
 // Fig4On reproduces Figure 4 — the five routing algorithms on the
@@ -140,9 +135,6 @@ type BatchSeries struct {
 	Points    []sim.BatchResult
 }
 
-// Fig5 reproduces Figure 5 on the sequential reference engine.
-func Fig5(s Scale) ([]BatchSeries, error) { return Fig5On(nil, s) }
-
 // Fig5On reproduces Figure 5: batch completion latency normalized to
 // batch size, on the worst-case pattern, for the four load-balancing
 // algorithms.
@@ -179,11 +171,6 @@ type TopoSeries struct {
 	Algorithm            string
 	Points               []sim.LoadPointResult
 	SaturationThroughput float64
-}
-
-// Fig6 reproduces Figure 6 on the sequential reference engine.
-func Fig6(patternName string, s Scale) ([]TopoSeries, error) {
-	return Fig6On(nil, patternName, s)
 }
 
 // Fig6On reproduces Figure 6: flattened butterfly (CLOS AD), conventional
@@ -250,14 +237,9 @@ func Fig6On(eng *sweep.Engine, patternName string, s Scale) ([]TopoSeries, error
 
 // ConfigSeries is one (k, n') configuration's Fig. 12 result.
 type ConfigSeries struct {
-	Config               core.Config
+	Config               topo.FlatFlyConfig
 	Points               []sim.LoadPointResult
 	SaturationThroughput float64
-}
-
-// Fig12 reproduces Figure 12 on the sequential reference engine.
-func Fig12(alg string, nodes int, loads []float64, s Scale) ([]ConfigSeries, error) {
-	return Fig12On(nil, alg, nodes, loads, s)
 }
 
 // Fig12On reproduces Figure 12: the Table 4 configurations of a fixed-size
@@ -274,7 +256,7 @@ func Fig12On(eng *sweep.Engine, alg string, nodes int, loads []float64, s Scale)
 	if alg != "VAL" && alg != "MIN AD" {
 		return nil, fmt.Errorf("experiments: fig12 supports VAL and MIN AD, not %q", alg)
 	}
-	cfgs := core.ConfigsForN(nodes)
+	cfgs := topo.ConfigsForN(nodes)
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("experiments: no flattened-butterfly configurations for N=%d", nodes)
 	}

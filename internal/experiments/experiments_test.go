@@ -8,7 +8,7 @@ func TestFig4WCHeadlines(t *testing.T) {
 	// The central claim of Fig 4(b): minimal routing collapses to ~1/k on
 	// the worst-case pattern, non-minimal algorithms reach ~(k-1)/2k.
 	s := Quick()
-	series, err := Fig4("WC", s)
+	series, err := Fig4On(nil, "WC", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFig4WCHeadlines(t *testing.T) {
 }
 
 func TestFig4URHeadlines(t *testing.T) {
-	series, err := Fig4("UR", Quick())
+	series, err := Fig4On(nil, "UR", Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +56,14 @@ func TestFig4URHeadlines(t *testing.T) {
 }
 
 func TestFig4RejectsUnknownPattern(t *testing.T) {
-	if _, err := Fig4("bogus", Quick()); err == nil {
+	if _, err := Fig4On(nil, "bogus", Quick()); err == nil {
 		t.Fatal("unknown pattern accepted")
 	}
 }
 
 func TestFig5Shape(t *testing.T) {
 	s := Quick()
-	series, err := Fig5(s)
+	series, err := Fig5On(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Headlines(t *testing.T) {
-	ur, err := Fig6("UR", Quick())
+	ur, err := Fig6On(nil, "UR", Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := Fig6("WC", Quick())
+	wc, err := Fig6On(nil, "WC", Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFig6Headlines(t *testing.T) {
 }
 
 func TestFig12VAL(t *testing.T) {
-	series, err := Fig12("VAL", 256, []float64{0.1}, Quick())
+	series, err := Fig12On(nil, "VAL", 256, []float64{0.1}, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFig12VAL(t *testing.T) {
 }
 
 func TestFig12MINAD(t *testing.T) {
-	series, err := Fig12("MIN AD", 256, []float64{0.2}, Quick())
+	series, err := Fig12On(nil, "MIN AD", 256, []float64{0.2}, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +184,10 @@ func TestFig12MINAD(t *testing.T) {
 }
 
 func TestFig12RejectsBadInputs(t *testing.T) {
-	if _, err := Fig12("bogus", 256, []float64{0.1}, Quick()); err == nil {
+	if _, err := Fig12On(nil, "bogus", 256, []float64{0.1}, Quick()); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, err := Fig12("VAL", 17, []float64{0.1}, Quick()); err == nil {
+	if _, err := Fig12On(nil, "VAL", 17, []float64{0.1}, Quick()); err == nil {
 		t.Error("size with no configurations accepted")
 	}
 }
@@ -220,11 +220,11 @@ func TestExperimentsDeterministic(t *testing.T) {
 	// scale: same latencies, same saturation throughputs.
 	s := Quick()
 	s.Loads = []float64{0.3, 0.7} // trim for speed
-	a, err := Fig4("WC", s)
+	a, err := Fig4On(nil, "WC", s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig4("WC", s)
+	b, err := Fig4On(nil, "WC", s)
 	if err != nil {
 		t.Fatal(err)
 	}

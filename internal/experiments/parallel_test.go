@@ -18,7 +18,7 @@ func TestFig4aParallelByteIdentical(t *testing.T) {
 		t.Skip("quick-scale simulation in -short mode")
 	}
 	s := Quick()
-	seq, err := Fig4("UR", s) // nil engine: sequential reference
+	seq, err := Fig4On(nil, "UR", s) // nil engine: sequential reference
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/cost"
 	"flatnet/internal/topo"
 )
@@ -57,7 +56,7 @@ func TestPlaceFlatFlyDim1Local(t *testing.T) {
 	// 3-flat (512 nodes, 64 routers, 2 dims). Dimension-1 groups are 8
 	// consecutive routers = 64 consecutive nodes, i.e. within one cabinet
 	// (128 nodes): all dim-1 channels must be backplane.
-	f, err := core.NewFlatFly(8, 3)
+	f, err := topo.NewFlatFly(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestPlaceFlatFlyDim1Local(t *testing.T) {
 func TestPlaceFlatFlyMeasuredLavgNearAnalytic(t *testing.T) {
 	// §4.2 approximates FB global cable length as E/3. The measured mean
 	// over an 8-ary 3-flat should land within a factor ~2 of it.
-	f, err := core.NewFlatFly(8, 3)
+	f, err := topo.NewFlatFly(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func TestPlaceButterfly(t *testing.T) {
 }
 
 func TestLinkLengthRejectsNonNetwork(t *testing.T) {
-	f, err := core.NewFlatFly(4, 2)
+	f, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestCompareWireDelaySection52(t *testing.T) {
 	// §5.2: for local (worst-case) traffic, the folded Clos routes
 	// through middle cabinets, incurring ~2x the flattened butterfly's
 	// physical wire distance.
-	f, err := core.NewFlatFly(32, 2)
+	f, err := topo.NewFlatFly(32, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package layout
 import (
 	"fmt"
 
-	"flatnet/internal/core"
 	"flatnet/internal/cost"
 	"flatnet/internal/topo"
 )
@@ -13,7 +12,7 @@ import (
 // groups are consecutive in the router index) fill consecutive cabinets,
 // so dimension-1 channels stay within a cabinet or reach an adjacent one,
 // while higher dimensions span the floor.
-func PlaceFlatFly(f *core.FlatFly, p cost.Packaging) (*Placement, error) {
+func PlaceFlatFly(f *topo.FlatFly, p cost.Packaging) (*Placement, error) {
 	routersPerCabinet := p.NodesPerCabinet / f.K
 	if routersPerCabinet < 1 {
 		routersPerCabinet = 1
@@ -105,7 +104,7 @@ type WireDelayComparison struct {
 
 // CompareWireDelay evaluates the worst-case-pattern physical distances on
 // a flattened butterfly and a folded Clos of the same node count.
-func CompareWireDelay(f *core.FlatFly, fc *topo.FoldedClos, p cost.Packaging) (WireDelayComparison, error) {
+func CompareWireDelay(f *topo.FlatFly, fc *topo.FoldedClos, p cost.Packaging) (WireDelayComparison, error) {
 	if f.NumNodes != fc.NumNodes {
 		return WireDelayComparison{}, fmt.Errorf("layout: node counts differ (%d vs %d)", f.NumNodes, fc.NumNodes)
 	}

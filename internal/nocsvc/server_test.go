@@ -8,8 +8,8 @@ import (
 	"sync"
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/nocsvc"
+	"flatnet/internal/topo"
 	"flatnet/nocsvc/client"
 )
 
@@ -44,7 +44,7 @@ func TestServerEstimatesMatchOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := core.NewFlatFly(k, n)
+	f, err := topo.NewFlatFly(k, n)
 	if err != nil {
 		t.Fatal(err)
 	}

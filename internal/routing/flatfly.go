@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"flatnet/internal/core"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
 )
@@ -50,11 +49,11 @@ func (m *minPicker) offer(cost, arg int) {
 // kept only for construction-time facts (K, Dims, Multiplicity,
 // NumRouters).
 type ffBase struct {
-	f *core.FlatFly
+	f *topo.FlatFly
 	t *ffTables
 }
 
-func newFFBase(f *core.FlatFly) ffBase { return ffBase{f: f, t: newFFTables(f)} }
+func newFFBase(f *topo.FlatFly) ffBase { return ffBase{f: f, t: newFFTables(f)} }
 
 // costOnly tracks a running minimum cost where the winning argument is
 // irrelevant (queue-depth estimates for route decisions); unlike
@@ -143,7 +142,7 @@ func (b ffBase) minQueueProductive(view *sim.RouterView, r, dst topo.RouterID) i
 type MinAD struct{ ffBase }
 
 // NewMinAD builds MIN AD for a flattened butterfly.
-func NewMinAD(f *core.FlatFly) *MinAD { return &MinAD{newFFBase(f)} }
+func NewMinAD(f *topo.FlatFly) *MinAD { return &MinAD{newFFBase(f)} }
 
 // Name implements sim.Algorithm.
 func (a *MinAD) Name() string { return "MIN AD" }
@@ -175,7 +174,7 @@ func (a *MinAD) Route(view *sim.RouterView, p *sim.Packet) sim.OutRef {
 type Valiant struct{ ffBase }
 
 // NewValiant builds VAL for a flattened butterfly.
-func NewValiant(f *core.FlatFly) *Valiant { return &Valiant{newFFBase(f)} }
+func NewValiant(f *topo.FlatFly) *Valiant { return &Valiant{newFFBase(f)} }
 
 // Name implements sim.Algorithm.
 func (a *Valiant) Name() string { return "VAL" }
@@ -218,10 +217,10 @@ type UGAL struct {
 }
 
 // NewUGAL builds greedy UGAL.
-func NewUGAL(f *core.FlatFly) *UGAL { return &UGAL{newFFBase(f), false} }
+func NewUGAL(f *topo.FlatFly) *UGAL { return &UGAL{newFFBase(f), false} }
 
 // NewUGALS builds UGAL-S (sequential allocation).
-func NewUGALS(f *core.FlatFly) *UGAL { return &UGAL{newFFBase(f), true} }
+func NewUGALS(f *topo.FlatFly) *UGAL { return &UGAL{newFFBase(f), true} }
 
 // Name implements sim.Algorithm.
 func (a *UGAL) Name() string {
@@ -291,7 +290,7 @@ func (a *UGAL) decide(view *sim.RouterView, p *sim.Packet, r, dst topo.RouterID)
 type ClosAD struct{ ffBase }
 
 // NewClosAD builds CLOS AD for a flattened butterfly.
-func NewClosAD(f *core.FlatFly) *ClosAD { return &ClosAD{newFFBase(f)} }
+func NewClosAD(f *topo.FlatFly) *ClosAD { return &ClosAD{newFFBase(f)} }
 
 // Name implements sim.Algorithm.
 func (a *ClosAD) Name() string { return "CLOS AD" }
@@ -392,7 +391,7 @@ func (a *ClosAD) ascend(view *sim.RouterView, p *sim.Packet, r, dst topo.RouterI
 
 // NewFlatFlyAlgorithm constructs a flattened-butterfly algorithm by name:
 // "min", "val", "ugal", "ugal-s", or "clos".
-func NewFlatFlyAlgorithm(name string, f *core.FlatFly) (sim.Algorithm, error) {
+func NewFlatFlyAlgorithm(name string, f *topo.FlatFly) (sim.Algorithm, error) {
 	switch name {
 	case "min", "MIN AD":
 		return NewMinAD(f), nil

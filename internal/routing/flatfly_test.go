@@ -3,28 +3,44 @@ package routing
 import (
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
-func ff(t *testing.T, k, n int) *core.FlatFly {
+func ff(t *testing.T, k, n int) *topo.FlatFly {
 	t.Helper()
-	f, err := core.NewFlatFly(k, n)
+	f, err := topo.NewFlatFly(k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f
 }
 
-func allFFAlgs(f *core.FlatFly) []sim.Algorithm {
+// setPattern installs p on n under the Bernoulli arrival process, the
+// paper's open-loop injection.
+func setPattern(t *testing.T, n *sim.Network, p traffic.Pattern) {
+	t.Helper()
+	if err := n.SetSource(traffic.NewBernoulli(p)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// generate performs one cycle's arrivals on n at load.
+func generate(t *testing.T, n *sim.Network, load float64) {
+	t.Helper()
+	if err := n.Generate(load); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func allFFAlgs(f *topo.FlatFly) []sim.Algorithm {
 	return []sim.Algorithm{
 		NewMinAD(f), NewValiant(f), NewUGAL(f), NewUGALS(f), NewClosAD(f),
 	}
 }
 
-func satThroughput(t *testing.T, f *core.FlatFly, alg sim.Algorithm, p traffic.Pattern) float64 {
+func satThroughput(t *testing.T, f *topo.FlatFly, alg sim.Algorithm, p traffic.Pattern) float64 {
 	t.Helper()
 	thpt, err := sim.SaturationThroughput(f.Graph(), alg, sim.DefaultConfig(), p, 500, 1000)
 	if err != nil {
@@ -129,7 +145,7 @@ func TestLowLoadLatencyAllAlgorithms(t *testing.T) {
 		for _, alg := range allFFAlgs(f) {
 			res, err := sim.RunLoadPoint(f.Graph(), alg, sim.DefaultConfig(), sim.RunConfig{
 				Load:    0.1,
-				Pattern: traffic.NewUniform(f.NumNodes),
+				Source:  traffic.NewBernoulli(traffic.NewUniform(f.NumNodes)),
 				Warmup:  400,
 				Measure: 400,
 			})
@@ -172,7 +188,7 @@ func TestHopInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetPattern(traffic.NewUniform(f.NumNodes))
+		setPattern(t, n, traffic.NewUniform(f.NumNodes))
 		bad := 0
 		var badHops, badMin int
 		n.OnDeliver(func(p *sim.Packet, _ int64) {
@@ -187,7 +203,7 @@ func TestHopInvariants(t *testing.T) {
 			}
 		})
 		for i := 0; i < 600; i++ {
-			n.GenerateBernoulli(0.3)
+			generate(t, n, 0.3)
 			n.Step()
 		}
 		if bad > 0 {
@@ -241,7 +257,7 @@ func TestUGALRoutesMinimallyAtLowLoad(t *testing.T) {
 	for _, alg := range []sim.Algorithm{NewUGAL(f), NewUGALS(f), NewClosAD(f)} {
 		res, err := sim.RunLoadPoint(f.Graph(), alg, sim.DefaultConfig(), sim.RunConfig{
 			Load:    0.1,
-			Pattern: traffic.NewUniform(f.NumNodes),
+			Source:  traffic.NewBernoulli(traffic.NewUniform(f.NumNodes)),
 			Warmup:  400,
 			Measure: 400,
 		})
@@ -258,7 +274,7 @@ func TestUGALRoutesMinimallyAtLowLoad(t *testing.T) {
 	// VAL by contrast misroutes everything.
 	res, err := sim.RunLoadPoint(f.Graph(), NewValiant(f), sim.DefaultConfig(), sim.RunConfig{
 		Load:    0.1,
-		Pattern: traffic.NewUniform(f.NumNodes),
+		Source:  traffic.NewBernoulli(traffic.NewUniform(f.NumNodes)),
 		Warmup:  400,
 		Measure: 400,
 	})
@@ -278,7 +294,7 @@ func TestAdaptiveSwitchesToNonMinimalOnWC(t *testing.T) {
 	for _, alg := range []sim.Algorithm{NewUGALS(f), NewClosAD(f)} {
 		res, err := sim.RunLoadPoint(f.Graph(), alg, sim.DefaultConfig(), sim.RunConfig{
 			Load:    0.30,
-			Pattern: wc,
+			Source:  traffic.NewBernoulli(wc),
 			Warmup:  500,
 			Measure: 500,
 		})
@@ -298,9 +314,9 @@ func TestAdaptiveSwitchesToNonMinimalOnWC(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	f := ff(t, 4, 2)
 	wc := traffic.NewWorstCase(f.K, f.NumRouters)
-	for _, mk := range []func(*core.FlatFly) sim.Algorithm{
-		func(f *core.FlatFly) sim.Algorithm { return NewUGAL(f) },
-		func(f *core.FlatFly) sim.Algorithm { return NewClosAD(f) },
+	for _, mk := range []func(*topo.FlatFly) sim.Algorithm{
+		func(f *topo.FlatFly) sim.Algorithm { return NewUGAL(f) },
+		func(f *topo.FlatFly) sim.Algorithm { return NewClosAD(f) },
 	} {
 		r1, err := sim.RunBatch(f.Graph(), mk(f), sim.DefaultConfig(),
 			sim.BatchConfig{Pattern: wc, BatchSize: 8})
@@ -322,7 +338,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 // worst-case minimal throughput (2/k instead of 1/k).
 func TestMultiplicityDoublesWCThroughput(t *testing.T) {
 	f1 := ff(t, 8, 2)
-	f2, err := core.NewFlatFly(8, 2, core.WithMultiplicity(2))
+	f2, err := topo.NewFlatFly(8, 2, topo.WithMultiplicity(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package routing
 import (
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
@@ -36,7 +35,7 @@ func (c *vcBoundsChecker) Route(view *sim.RouterView, p *sim.Packet) sim.OutRef 
 // decision stays inside its declared VC budget and the port table.
 func TestVCDecisionsWithinBounds(t *testing.T) {
 	for _, cfg := range []struct{ k, n int }{{8, 2}, {3, 4}} {
-		f, err := core.NewFlatFly(cfg.k, cfg.n)
+		f, err := topo.NewFlatFly(cfg.k, cfg.n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,9 +50,9 @@ func TestVCDecisionsWithinBounds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				n.SetPattern(p)
+				setPattern(t, n, p)
 				for i := 0; i < 250; i++ {
-					n.GenerateBernoulli(0.5)
+					generate(t, n, 0.5)
 					n.Step()
 				}
 				if _, d := n.Totals(); d == 0 {
@@ -103,9 +102,9 @@ func TestAllTopologyAlgorithmsBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetPattern(traffic.NewUniform(c.g.NumNodes))
+		setPattern(t, n, traffic.NewUniform(c.g.NumNodes))
 		for i := 0; i < 250; i++ {
-			n.GenerateBernoulli(0.4)
+			generate(t, n, 0.4)
 			n.Step()
 		}
 		if _, d := n.Totals(); d == 0 {

@@ -48,7 +48,7 @@ func TestMultiFlitAllAlgorithmsDeliver(t *testing.T) {
 	for _, alg := range allFFAlgs(f) {
 		res, err := sim.RunLoadPoint(f.Graph(), alg, cfg, sim.RunConfig{
 			Load:    0.2,
-			Pattern: traffic.NewUniform(f.NumNodes),
+			Source:  traffic.NewBernoulli(traffic.NewUniform(f.NumNodes)),
 			Warmup:  500,
 			Measure: 500,
 		})

@@ -1,27 +1,26 @@
 package routing
 
 import (
-	"flatnet/internal/core"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
 )
 
 // OneDimUGAL routes the generalized single-dimension flattened butterfly
-// (core.OneDimFB, the Fig. 14(b) expanded-scalability variant): a
+// (topo.OneDimFB, the Fig. 14(b) expanded-scalability variant): a
 // complete router graph where minimal routing is a single hop and
 // non-minimal routing detours through one intermediate router, chosen by
 // UGAL-style queue comparison with sequential allocation. With
 // minimalOnly it degenerates to pure minimal routing.
 type OneDimUGAL struct {
-	f           *core.OneDimFB
+	f           *topo.OneDimFB
 	minimalOnly bool
 }
 
 // NewOneDimUGAL builds the adaptive router for a OneDimFB.
-func NewOneDimUGAL(f *core.OneDimFB) *OneDimUGAL { return &OneDimUGAL{f: f} }
+func NewOneDimUGAL(f *topo.OneDimFB) *OneDimUGAL { return &OneDimUGAL{f: f} }
 
 // NewOneDimMinimal builds the minimal-only router for a OneDimFB.
-func NewOneDimMinimal(f *core.OneDimFB) *OneDimUGAL {
+func NewOneDimMinimal(f *topo.OneDimFB) *OneDimUGAL {
 	return &OneDimUGAL{f: f, minimalOnly: true}
 }
 

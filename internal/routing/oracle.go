@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 
-	"flatnet/internal/core"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
 )
@@ -98,7 +97,7 @@ func ZeroLoadFor(g *topo.Graph, cfg sim.Config, avgHops float64) (ZeroLoadModel,
 //
 // Every router hosts the same number of terminals, so uniform traffic
 // over nodes is uniform over router pairs.
-func ValiantUniformHops(f *core.FlatFly) float64 {
+func ValiantUniformHops(f *topo.FlatFly) float64 {
 	return ValiantHopsFromDist(f.NumRouters, func(a, b int) int {
 		return f.MinHops(topo.RouterID(a), topo.RouterID(b))
 	})

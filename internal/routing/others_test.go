@@ -3,7 +3,6 @@ package routing
 import (
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
@@ -54,7 +53,7 @@ func TestButterflyDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(b.NumNodes))
+	setPattern(t, n, traffic.NewUniform(b.NumNodes))
 	wrong := 0
 	n.OnDeliver(func(p *sim.Packet, _ int64) {
 		if p.Hops != b.N-1 {
@@ -62,7 +61,7 @@ func TestButterflyDelivery(t *testing.T) {
 		}
 	})
 	for i := 0; i < 400; i++ {
-		n.GenerateBernoulli(0.3)
+		generate(t, n, 0.3)
 		n.Step()
 	}
 	if _, d := n.Totals(); d == 0 {
@@ -137,7 +136,7 @@ func TestFoldedClosHopCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(f.NumNodes))
+	setPattern(t, n, traffic.NewUniform(f.NumNodes))
 	bad := 0
 	n.OnDeliver(func(p *sim.Packet, _ int64) {
 		sameLeaf := f.LeafOf(p.Src) == f.LeafOf(p.Dst)
@@ -149,7 +148,7 @@ func TestFoldedClosHopCounts(t *testing.T) {
 		}
 	})
 	for i := 0; i < 400; i++ {
-		n.GenerateBernoulli(0.3)
+		generate(t, n, 0.3)
 		n.Step()
 	}
 	if bad != 0 {
@@ -185,7 +184,7 @@ func TestECubeHopsAreHammingDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(h.NumNodes))
+	setPattern(t, n, traffic.NewUniform(h.NumNodes))
 	bad := 0
 	n.OnDeliver(func(p *sim.Packet, _ int64) {
 		if p.Hops != h.MinHops(topo.RouterID(p.Src), topo.RouterID(p.Dst)) {
@@ -193,7 +192,7 @@ func TestECubeHopsAreHammingDistance(t *testing.T) {
 		}
 	})
 	for i := 0; i < 400; i++ {
-		n.GenerateBernoulli(0.2)
+		generate(t, n, 0.2)
 		n.Step()
 	}
 	if bad != 0 {
@@ -213,13 +212,13 @@ func TestHypercubeHigherLatencyThanFlatFly(t *testing.T) {
 	}
 	f := ff(t, 8, 2)
 	resH, err := sim.RunLoadPoint(h.Graph(), NewECube(h), sim.DefaultConfig(), sim.RunConfig{
-		Load: 0.1, Pattern: traffic.NewUniform(64), Warmup: 400, Measure: 400,
+		Load: 0.1, Source: traffic.NewBernoulli(traffic.NewUniform(64)), Warmup: 400, Measure: 400,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resF, err := sim.RunLoadPoint(f.Graph(), NewMinAD(f), sim.DefaultConfig(), sim.RunConfig{
-		Load: 0.1, Pattern: traffic.NewUniform(64), Warmup: 400, Measure: 400,
+		Load: 0.1, Source: traffic.NewBernoulli(traffic.NewUniform(64)), Warmup: 400, Measure: 400,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +326,7 @@ func TestOneDimExpandedNetworkRouting(t *testing.T) {
 	// The Fig 14(b) expanded network (5 routers on radix-8 parts, 20
 	// nodes) is simulatable: minimal routing collapses to ~1/c on the
 	// worst-case pattern while the UGAL-style router load-balances it.
-	f, err := core.NewOneDimFB(5, 4)
+	f, err := topo.NewOneDimFB(5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package routing
 import (
 	"math/bits"
 
-	"flatnet/internal/core"
 	"flatnet/internal/topo"
 )
 
@@ -41,7 +40,7 @@ type ffTables struct {
 	pairDiff []uint32 // all-pairs differing-dimension masks; nil when over budget
 }
 
-func newFFTables(f *core.FlatFly) *ffTables {
+func newFFTables(f *topo.FlatFly) *ffTables {
 	t := &ffTables{
 		dims:       f.Dims,
 		k:          f.K,
@@ -109,7 +108,7 @@ func (t *ffTables) minHops(a, b topo.RouterID) int {
 }
 
 // portFor returns the port for (dimension d, target digit v, channel copy
-// c) — the table-backed equivalent of core.FlatFly.PortFor.
+// c) — the table-backed equivalent of topo.FlatFly.PortFor.
 func (t *ffTables) portFor(d, v, c int) int {
 	return int(t.portBase[d-1]) + v*t.mult + c
 }

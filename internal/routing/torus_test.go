@@ -21,7 +21,7 @@ func TestTorusDORDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(tor.NumNodes))
+	setPattern(t, n, traffic.NewUniform(tor.NumNodes))
 	bad := 0
 	n.OnDeliver(func(p *sim.Packet, _ int64) {
 		if p.Hops != tor.MinHops(topo.RouterID(p.Src), topo.RouterID(p.Dst)) {
@@ -29,7 +29,7 @@ func TestTorusDORDelivers(t *testing.T) {
 		}
 	})
 	for i := 0; i < 600; i++ {
-		n.GenerateBernoulli(0.2)
+		generate(t, n, 0.2)
 		n.Step()
 	}
 	if _, d := n.Totals(); d == 0 {
@@ -84,7 +84,7 @@ func TestTorusDORTornado(t *testing.T) {
 	// degradation documented for tornado on tori with locally-fair
 	// arbitration — the instability GOAL-style routing addresses.)
 	res, err := sim.RunLoadPoint(tor.Graph(), NewTorusDOR(tor), sim.DefaultConfig(), sim.RunConfig{
-		Load: 0.22, Pattern: tornado, Warmup: 1500, Measure: 1500, MaxCycles: 20000,
+		Load: 0.22, Source: traffic.NewBernoulli(tornado), Warmup: 1500, Measure: 1500, MaxCycles: 20000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestTorusDORTornado(t *testing.T) {
 		t.Fatalf("torus tornado accepted rate at 0.22 offered = %.3f, want ~0.22", res.AcceptedRate)
 	}
 	over, err := sim.RunLoadPoint(tor.Graph(), NewTorusDOR(tor), sim.DefaultConfig(), sim.RunConfig{
-		Load: 0.35, Pattern: tornado, Warmup: 1500, Measure: 1500, MaxCycles: 5000,
+		Load: 0.35, Source: traffic.NewBernoulli(tornado), Warmup: 1500, Measure: 1500, MaxCycles: 5000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,13 +112,13 @@ func TestTorusVsFlatFlyLatency(t *testing.T) {
 	}
 	f := ff(t, 8, 2)
 	resT, err := sim.RunLoadPoint(tor.Graph(), NewTorusDOR(tor), sim.DefaultConfig(), sim.RunConfig{
-		Load: 0.1, Pattern: traffic.NewUniform(64), Warmup: 400, Measure: 400,
+		Load: 0.1, Source: traffic.NewBernoulli(traffic.NewUniform(64)), Warmup: 400, Measure: 400,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resF, err := sim.RunLoadPoint(f.Graph(), NewMinAD(f), sim.DefaultConfig(), sim.RunConfig{
-		Load: 0.1, Pattern: traffic.NewUniform(64), Warmup: 400, Measure: 400,
+		Load: 0.1, Source: traffic.NewBernoulli(traffic.NewUniform(64)), Warmup: 400, Measure: 400,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,11 +144,11 @@ func TestTorusDatelineDeadlockFreedom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(8))
+	setPattern(t, n, traffic.NewUniform(8))
 	var lastDelivered int64
 	for phase := 0; phase < 10; phase++ {
 		for i := 0; i < 300; i++ {
-			n.GenerateBernoulli(1.0)
+			generate(t, n, 1.0)
 			n.Step()
 		}
 		_, d := n.Totals()

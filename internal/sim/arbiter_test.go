@@ -14,7 +14,7 @@ func TestAgeArbiterBasicEquivalence(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.AgeArbiter = age
 		res, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, cfg, RunConfig{
-			Load: 0.2, Pattern: traffic.NewUniform(16), Warmup: 300, Measure: 300,
+			Load: 0.2, Source: traffic.NewBernoulli(traffic.NewUniform(16)), Warmup: 300, Measure: 300,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -43,9 +43,9 @@ func TestAgeArbiterConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(16))
+	MustInstall(t, n, traffic.NewUniform(16))
 	for i := 0; i < 600; i++ {
-		n.GenerateBernoulli(0.6)
+		MustGenerate(t, n, 0.6)
 		n.Step()
 		if i%100 == 0 {
 			fi, fd := n.FlitTotals()

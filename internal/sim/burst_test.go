@@ -121,7 +121,7 @@ func TestOnOffBurstierThanBernoulli(t *testing.T) {
 func TestRunLoadPointWithBurst(t *testing.T) {
 	f := testFF(t, 8, 2)
 	base := RunConfig{
-		Load: 0.06, Pattern: traffic.NewWorstCase(8, 8),
+		Load: 0.06, Source: traffic.NewBernoulli(traffic.NewWorstCase(8, 8)),
 		Warmup: 800, Measure: 800, MaxCycles: 20000,
 	}
 	bern, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), base)
@@ -136,17 +136,6 @@ func TestRunLoadPointWithBurst(t *testing.T) {
 	}
 	if by.AvgLatency < 1.5*bern.AvgLatency {
 		t.Fatalf("bursty run latency %.2f should exceed Bernoulli %.2f", by.AvgLatency, bern.AvgLatency)
-	}
-	// Source takes precedence: dropping the now-ignored Pattern changes
-	// nothing.
-	srcOnly := burst
-	srcOnly.Pattern = nil
-	bySrc, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), srcOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bySrc != by {
-		t.Fatalf("Source-only run %+v differs from Source+Pattern run %+v", bySrc, by)
 	}
 	// The source's LoadValidator rejects a load its peak cannot offer.
 	bad := base

@@ -31,13 +31,12 @@ type CollectiveConfig struct {
 	Packets int
 	// Source, when non-nil, injects background traffic at Load on every
 	// cycle of the run (warm-up included), so the collective contends
-	// with it. Pattern is the Bernoulli-arrival shorthand, as in
-	// RunConfig; setting both Source and Pattern is an error. Leaving
-	// both nil runs the collective on a quiet network.
-	Source  traffic.Source
-	Pattern traffic.Pattern
+	// with it (traffic.NewBernoulli wraps a destination Pattern in the
+	// default arrival process). Leaving it nil runs the collective on a
+	// quiet network.
+	Source traffic.Source
 	// Load is the background offered load in flits per node per cycle;
-	// only meaningful with a Source or Pattern.
+	// only meaningful with a Source.
 	Load float64
 	// Warmup is how many cycles of background traffic to run before the
 	// first phase (0 = none).
@@ -115,14 +114,8 @@ func RunCollective(g *topo.Graph, alg Algorithm, cfg Config, cc CollectiveConfig
 		packets = 1
 	}
 	src := cc.Source
-	if src != nil && cc.Pattern != nil {
-		return CollectiveResult{}, fmt.Errorf("sim: CollectiveConfig.Source and Pattern are mutually exclusive")
-	}
-	if src == nil && cc.Pattern != nil {
-		src = traffic.NewBernoulli(cc.Pattern)
-	}
 	if src == nil && cc.Load > 0 {
-		return CollectiveResult{}, fmt.Errorf("sim: collective background load needs a Source or Pattern")
+		return CollectiveResult{}, fmt.Errorf("sim: collective background load needs a Source")
 	}
 
 	n, err := New(g, alg, cfg)
@@ -144,7 +137,7 @@ func RunCollective(g *topo.Graph, alg Algorithm, cfg Config, cc CollectiveConfig
 		cc.Attach(n)
 	}
 	advance := func() error {
-		if cc.Stop != nil && n.Cycle()&0x1ff == 0 && cc.Stop() {
+		if cc.Stop != nil && n.Cycle()&stopPollMask == 0 && cc.Stop() {
 			return fmt.Errorf("sim: collective %s aborted: %w", cc.Kind, ErrStopped)
 		}
 		if src != nil && cc.Load > 0 {

@@ -54,7 +54,7 @@ func TestRunCollectiveDeterminism(t *testing.T) {
 	ff, newAlg := traceFF(t)
 	cc := sim.CollectiveConfig{
 		Kind: sim.CollectiveAllToAll, Packets: 2,
-		Pattern: traffic.NewUniform(ff.Graph().NumNodes), Load: 0.1, Warmup: 200,
+		Source: traffic.NewBernoulli(traffic.NewUniform(ff.Graph().NumNodes)), Load: 0.1, Warmup: 200,
 	}
 	base, err := sim.RunCollective(ff.Graph(), newAlg(), sim.DefaultConfig(), cc)
 	if err != nil {
@@ -84,8 +84,8 @@ func TestRunCollectiveBackground(t *testing.T) {
 	}
 	loaded, err := sim.RunCollective(ff.Graph(), newAlg(), sim.DefaultConfig(),
 		sim.CollectiveConfig{
-			Kind:    sim.CollectiveAllReduce,
-			Pattern: traffic.NewUniform(ff.Graph().NumNodes), Load: 0.4, Warmup: 300,
+			Kind:   sim.CollectiveAllReduce,
+			Source: traffic.NewBernoulli(traffic.NewUniform(ff.Graph().NumNodes)), Load: 0.4, Warmup: 300,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -105,15 +105,7 @@ func TestRunCollectiveRejects(t *testing.T) {
 	}
 	if _, err := sim.RunCollective(ff.Graph(), newAlg(), cfg,
 		sim.CollectiveConfig{Kind: sim.CollectiveAllToAll, Load: 0.2}); err == nil {
-		t.Error("background load without a pattern accepted")
-	}
-	u := traffic.NewUniform(ff.Graph().NumNodes)
-	if _, err := sim.RunCollective(ff.Graph(), newAlg(), cfg,
-		sim.CollectiveConfig{
-			Kind: sim.CollectiveAllToAll, Pattern: u,
-			Source: traffic.NewBernoulli(u),
-		}); err == nil {
-		t.Error("Source together with Pattern accepted")
+		t.Error("background load without a source accepted")
 	}
 	// A too-small budget is a saturation error, not a hang.
 	if _, err := sim.RunCollective(ff.Graph(), newAlg(), cfg,

@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"flatnet/internal/check"
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
+	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
@@ -32,7 +32,7 @@ func FuzzInvariants(f *testing.F) {
 			Speedup:    int(speedup) % 3,      // 0 (unlimited), 1, 2
 			PacketSize: ps,
 		}
-		ff, err := core.NewFlatFly(ks, ns)
+		ff, err := topo.NewFlatFly(ks, ns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,11 +49,11 @@ func FuzzInvariants(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net.SetPattern(traffic.NewUniform(net.NumNodes()))
+		sim.MustInstall(t, net, traffic.NewUniform(net.NumNodes()))
 		s := check.Attach(net, check.Config{})
 		load := float64(int(loadPct)%101) / 100
 		for i := 0; i < 300; i++ {
-			net.GenerateBernoulli(load)
+			sim.MustGenerate(t, net, load)
 			net.Step()
 		}
 		for i := 0; i < 20000 && !net.Quiescent(); i++ {

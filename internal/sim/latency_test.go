@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
@@ -13,16 +12,16 @@ import (
 // network still sustains full throughput once per-VC buffering covers the
 // credit round trip.
 func TestMultiCycleChannels(t *testing.T) {
-	build := func(lat int) *core.FlatFly {
-		f, err := core.NewFlatFly(4, 2, core.WithChannelLatency(lat))
+	build := func(lat int) *topo.FlatFly {
+		f, err := topo.NewFlatFly(4, 2, topo.WithChannelLatency(lat))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
-	lat := func(f *core.FlatFly) float64 {
+	lat := func(f *topo.FlatFly) float64 {
 		res, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), RunConfig{
-			Load: 0.1, Pattern: traffic.NewUniform(16), Warmup: 300, Measure: 300,
+			Load: 0.1, Source: traffic.NewBernoulli(traffic.NewUniform(16)), Warmup: 300, Measure: 300,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +54,7 @@ func TestMultiCycleChannels(t *testing.T) {
 // per-VC buffering cannot cover the round trip: throughput drops to
 // roughly depth/RTT per channel.
 func TestCreditStarvationWithTinyBuffers(t *testing.T) {
-	f, err := core.NewFlatFly(4, 2, core.WithChannelLatency(8))
+	f, err := topo.NewFlatFly(4, 2, topo.WithChannelLatency(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestCreditStarvationWithTinyBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewFixed("stream", tab))
+	MustInstall(t, n, traffic.NewFixed("stream", tab))
 	delivered := 0
 	n.OnDeliver(func(p *Packet, _ int64) {
 		if p.Src == 0 {
@@ -93,7 +92,7 @@ func TestCreditStarvationWithTinyBuffers(t *testing.T) {
 // input port forwards at most one flit per cycle, so two VC streams on
 // one input cannot exceed one flit per cycle combined.
 func TestSpeedupOneLimitsGrants(t *testing.T) {
-	f, err := core.NewFlatFly(8, 2)
+	f, err := topo.NewFlatFly(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestSpeedupOneLimitsGrants(t *testing.T) {
 // TestZeroLoadLatencyComposition decomposes the zero-load latency of a
 // one-hop route: channel latency + ejection latency, with no queueing.
 func TestZeroLoadLatencyComposition(t *testing.T) {
-	f, err := core.NewFlatFly(4, 2, core.WithChannelLatency(3), core.WithTerminalLatency(2))
+	f, err := topo.NewFlatFly(4, 2, topo.WithChannelLatency(3), topo.WithTerminalLatency(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestZeroLoadLatencyComposition(t *testing.T) {
 	for i := range tab {
 		tab[i] = 15
 	}
-	n.SetPattern(traffic.NewFixed("single", tab))
+	MustInstall(t, n, traffic.NewFixed("single", tab))
 	var at int64 = -1
 	n.OnDeliver(func(p *Packet, c int64) { at = c })
 	n.pushArrival(0, 0)
@@ -160,7 +159,7 @@ func TestRouterDelayPipeline(t *testing.T) {
 		for i := range tab {
 			tab[i] = 15
 		}
-		n.SetPattern(traffic.NewFixed("single", tab))
+		MustInstall(t, n, traffic.NewFixed("single", tab))
 		var at int64 = -1
 		n.OnDeliver(func(p *Packet, c int64) { at = c })
 		n.pushArrival(0, 0)

@@ -41,7 +41,7 @@ func TestMultiFlitSinglePacketLatency(t *testing.T) {
 		for i := range tab {
 			tab[i] = 15
 		}
-		n.SetPattern(traffic.NewFixed("single", tab))
+		MustInstall(t, n, traffic.NewFixed("single", tab))
 		var deliveredAt int64 = -1
 		n.OnDeliver(func(p *Packet, cycle int64) { deliveredAt = cycle })
 		n.pushArrival(0, 0)
@@ -65,9 +65,9 @@ func TestMultiFlitConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(16))
+	MustInstall(t, n, traffic.NewUniform(16))
 	for i := 0; i < 600; i++ {
-		n.GenerateBernoulli(0.5)
+		MustGenerate(t, n, 0.5)
 		n.Step()
 		if i%100 != 0 {
 			continue
@@ -134,9 +134,9 @@ func TestMultiFlitNoInterleaving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(16))
+	MustInstall(t, n, traffic.NewUniform(16))
 	for i := 0; i < 1500; i++ {
-		n.GenerateBernoulli(0.9)
+		MustGenerate(t, n, 0.9)
 		n.Step()
 	}
 	_, delivered := n.Totals()
@@ -158,13 +158,13 @@ func TestMultiFlitNoInterleaving(t *testing.T) {
 func TestMultiFlitMeasuredLatencyIncludesSerialization(t *testing.T) {
 	f := testFF(t, 4, 2)
 	res1, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, multiflitConfig(1), RunConfig{
-		Load: 0.2, Pattern: traffic.NewUniform(16), Warmup: 400, Measure: 400,
+		Load: 0.2, Source: traffic.NewBernoulli(traffic.NewUniform(16)), Warmup: 400, Measure: 400,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res4, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, multiflitConfig(4), RunConfig{
-		Load: 0.2, Pattern: traffic.NewUniform(16), Warmup: 400, Measure: 400,
+		Load: 0.2, Source: traffic.NewBernoulli(traffic.NewUniform(16)), Warmup: 400, Measure: 400,
 	})
 	if err != nil {
 		t.Fatal(err)

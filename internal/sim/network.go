@@ -336,11 +336,9 @@ type Network struct {
 	nextID int64
 
 	// wl is the installed workload source (arrival + destination
-	// process); wlErr defers a SetPattern install failure to the next
-	// Generate. pendingWl stashes a restored snapshot's workload state
+	// process). pendingWl stashes a restored snapshot's workload state
 	// until SetSource installs the matching source.
 	wl        traffic.Source
-	wlErr     error
 	pendingWl *pendingWorkload
 
 	// Measurement state, managed by the run harnesses.

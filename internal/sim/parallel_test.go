@@ -3,9 +3,9 @@ package sim_test
 import (
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
+	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
@@ -13,7 +13,7 @@ import (
 // scheduler with the given worker count and returns its delivery
 // sequence — runScheduler's parallel twin. workers=1 is the sequential
 // reference.
-func runShardScheduler(t *testing.T, ff *core.FlatFly, algName string, cfg sim.Config, load float64, cycles, workers int) []delivery {
+func runShardScheduler(t *testing.T, ff *topo.FlatFly, algName string, cfg sim.Config, load float64, cycles, workers int) []delivery {
 	t.Helper()
 	alg, err := routing.NewFlatFlyAlgorithm(algName, ff)
 	if err != nil {
@@ -30,7 +30,7 @@ func runShardScheduler(t *testing.T, ff *core.FlatFly, algName string, cfg sim.C
 	if err := n.SetWorkers(workers); err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(n.NumNodes()))
+	sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
 	var out []delivery
 	n.OnDeliver(func(p *sim.Packet, cycle int64) {
 		out = append(out, delivery{
@@ -39,7 +39,7 @@ func runShardScheduler(t *testing.T, ff *core.FlatFly, algName string, cfg sim.C
 		})
 	})
 	for i := 0; i < cycles; i++ {
-		n.GenerateBernoulli(load)
+		sim.MustGenerate(t, n, load)
 		n.Step()
 	}
 	for i := 0; i < 20000 && !n.Quiescent(); i++ {
@@ -67,7 +67,7 @@ func runShardScheduler(t *testing.T, ff *core.FlatFly, algName string, cfg sim.C
 // arbiters, and several worker counts (including counts that do not
 // divide the router count evenly).
 func TestShardMatchesSequential(t *testing.T) {
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestShardMatchesSequential(t *testing.T) {
 // the delivery stream: lifetime packet/flit totals and measured-window
 // counts must agree between worker counts.
 func TestShardCountersMatchSequential(t *testing.T) {
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +121,10 @@ func TestShardCountersMatchSequential(t *testing.T) {
 		if err := n.SetWorkers(workers); err != nil {
 			t.Fatal(err)
 		}
-		n.SetPattern(traffic.NewUniform(n.NumNodes()))
+		sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
 		n.SetMeasurementWindow(50, 150)
 		for i := 0; i < 200; i++ {
-			n.GenerateBernoulli(0.4)
+			sim.MustGenerate(t, n, 0.4)
 			n.Step()
 		}
 		for i := 0; i < 20000 && !n.Quiescent(); i++ {
@@ -148,7 +148,7 @@ func TestShardCountersMatchSequential(t *testing.T) {
 // started network, Workers reports the requested count before the first
 // Step and the frozen partition after, and Close is idempotent.
 func TestSetWorkersLifecycle(t *testing.T) {
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSetWorkersLifecycle(t *testing.T) {
 // instrumentation before the first Step downgrades a multi-worker
 // request to the (observationally identical) sequential scheduler.
 func TestShardInstrumentationFallsBack(t *testing.T) {
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestShardInstrumentationFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.AttachProbes(sim.ProbeConfig{})
-	n.SetPattern(traffic.NewUniform(n.NumNodes()))
+	sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
 	n.Step()
 	if got := sim.NumShards(n); got != 1 {
 		t.Fatalf("instrumented network partitioned into %d shards; want sequential fallback", got)
@@ -214,7 +214,7 @@ func TestShardInstrumentationFallsBack(t *testing.T) {
 // TestShardTransfers drives StartTransfer through the parallel scheduler
 // and checks the handle observes the same completion as sequential.
 func TestShardTransfers(t *testing.T) {
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +231,9 @@ func TestShardTransfers(t *testing.T) {
 		if err := n.SetWorkers(workers); err != nil {
 			t.Fatal(err)
 		}
-		n.SetPattern(traffic.NewUniform(n.NumNodes()))
+		sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
 		for i := 0; i < 100; i++ {
-			n.GenerateBernoulli(0.3)
+			sim.MustGenerate(t, n, 0.3)
 			n.Step()
 		}
 		xf, err := n.StartTransfer(0, 11, 4)
@@ -241,7 +241,7 @@ func TestShardTransfers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 20000 && !xf.Done(); i++ {
-			n.GenerateBernoulli(0.3)
+			sim.MustGenerate(t, n, 0.3)
 			n.Step()
 		}
 		if !xf.Done() {
@@ -264,7 +264,7 @@ func TestShardTransfers(t *testing.T) {
 // contract to the sharded scheduler: once warm, a parallel cycle must
 // not allocate on any goroutine (AllocsPerRun counts all of them).
 func TestStepZeroAllocParallel(t *testing.T) {
-	ff, err := core.NewFlatFly(8, 2)
+	ff, err := topo.NewFlatFly(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,24 +280,16 @@ func TestStepZeroAllocParallel(t *testing.T) {
 	if err := n.SetWorkers(4); err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(n.NumNodes()))
-	// Both generation paths, as in TestStepZeroAlloc: the direct Bernoulli
-	// draw, then Generate through the installed traffic.Source at a load
-	// where sources rarely drain.
-	for _, gen := range []func(){
-		func() { n.GenerateBernoulli(0.5) },
-		func() {
-			if err := n.Generate(0.8); err != nil {
-				t.Fatal(err)
-			}
-		},
-	} {
+	sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
+	// Both loads of TestStepZeroAlloc, on the one network: sources that
+	// drain, then sources that rarely do.
+	for _, load := range []float64{0.5, 0.8} {
 		for i := 0; i < 2000; i++ {
-			gen()
+			sim.MustGenerate(t, n, load)
 			n.Step()
 		}
 		avg := testing.AllocsPerRun(400, func() {
-			gen()
+			sim.MustGenerate(t, n, load)
 			n.Step()
 		})
 		// Allow a tiny slack for rare worklist/outbox growth events that the
@@ -331,7 +323,7 @@ func FuzzShardEquivalence(f *testing.F) {
 			AgeArbiter:  extra&1 != 0,
 			RouterDelay: int(extra>>1) % 3,
 		}
-		ff, err := core.NewFlatFly(ks, ns)
+		ff, err := topo.NewFlatFly(ks, ns)
 		if err != nil {
 			t.Fatal(err)
 		}

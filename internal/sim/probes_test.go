@@ -17,14 +17,14 @@ func TestProbeSamplingStride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetPattern(traffic.NewUniform(16))
+		MustInstall(t, n, traffic.NewUniform(16))
 		p := n.AttachProbes(ProbeConfig{Stride: stride})
 		if p.Stride() != int64(stride) {
 			t.Fatalf("stride %d: Stride() = %d", stride, p.Stride())
 		}
 		const cycles = 256
 		for i := 0; i < cycles; i++ {
-			n.GenerateBernoulli(0.3)
+			MustGenerate(t, n, 0.3)
 			n.Step()
 		}
 		// Step samples whenever cycle%stride == 0, cycle 0 included.
@@ -81,10 +81,10 @@ func TestProbeCountersUnderLoad(t *testing.T) {
 	}
 	// Worst-case traffic at full load through minimal routing: heavy
 	// contention, so every counter class must fire.
-	n.SetPattern(traffic.NewWorstCase(4, 4))
+	MustInstall(t, n, traffic.NewWorstCase(4, 4))
 	p := n.AttachProbes(ProbeConfig{Stride: 16})
 	for i := 0; i < 600; i++ {
-		n.GenerateBernoulli(1.0)
+		MustGenerate(t, n, 1.0)
 		n.Step()
 	}
 	if p.Grants == 0 {
@@ -135,15 +135,15 @@ func TestProbesSurviveChannelStatsReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(16))
+	MustInstall(t, n, traffic.NewUniform(16))
 	p := n.AttachProbes(ProbeConfig{Stride: 16})
 	for i := 0; i < 200; i++ {
-		n.GenerateBernoulli(0.4)
+		MustGenerate(t, n, 0.4)
 		n.Step()
 	}
 	n.ResetChannelStats() // zeroes flitsSent under the probes
 	for i := 0; i < 200; i++ {
-		n.GenerateBernoulli(0.4)
+		MustGenerate(t, n, 0.4)
 		n.Step()
 	}
 	for _, c := range p.Channels() {
@@ -168,11 +168,11 @@ func TestTracerPipelineOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewWorstCase(4, 4))
+	MustInstall(t, n, traffic.NewWorstCase(4, 4))
 	tr := telemetry.NewTracer(1 << 16)
 	n.AttachTracer(tr)
 	for i := 0; i < 200; i++ {
-		n.GenerateBernoulli(0.2)
+		MustGenerate(t, n, 0.2)
 		n.Step()
 	}
 	if tr.Len() == 0 {
@@ -246,7 +246,7 @@ func TestRunLoadPointTelemetry(t *testing.T) {
 	tr := telemetry.NewTracer(1 << 14)
 	var observed *Probes
 	res, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), RunConfig{
-		Load: 0.2, Pattern: traffic.NewUniform(16),
+		Load: 0.2, Source: traffic.NewBernoulli(traffic.NewUniform(16)),
 		Warmup: 200, Measure: 200,
 		Probes: &ProbeConfig{Stride: 16},
 		Tracer: tr,

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"flatnet/internal/core"
+	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
@@ -18,7 +18,7 @@ func TestPropertyConservationAndDrain(t *testing.T) {
 		k := 2 + int(kSel)%5                 // 2..6
 		load := 0.1 + float64(loadSel%8)*0.1 // 0.1..0.8
 		size := 1 + int(sizeSel)%3           // 1..3
-		f, err := core.NewFlatFly(k, 2)
+		f, err := topo.NewFlatFly(k, 2)
 		if err != nil {
 			return false
 		}
@@ -27,7 +27,7 @@ func TestPropertyConservationAndDrain(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		n.SetPattern(traffic.NewUniform(f.NumNodes))
+		MustInstall(t, n, traffic.NewUniform(f.NumNodes))
 		misdelivered := false
 		n.OnDeliver(func(p *Packet, _ int64) {
 			if p.Dst < 0 || int(p.Dst) >= f.NumNodes || p.Hops < f.MinHops(f.RouterOf(p.Src), f.RouterOf(p.Dst)) {
@@ -35,7 +35,7 @@ func TestPropertyConservationAndDrain(t *testing.T) {
 			}
 		})
 		for i := 0; i < 300; i++ {
-			n.GenerateBernoulli(load)
+			MustGenerate(t, n, load)
 			n.Step()
 			if i%50 == 0 {
 				fi, fd := n.FlitTotals()
@@ -64,7 +64,7 @@ func TestPropertyConservationAndDrain(t *testing.T) {
 // TestPropertyDeterministicReplay verifies that any (seed, load)
 // combination replays identically.
 func TestPropertyDeterministicReplay(t *testing.T) {
-	f, err := core.NewFlatFly(4, 2)
+	f, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestPropertyDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetPattern(traffic.NewUniform(f.NumNodes))
+		MustInstall(t, n, traffic.NewUniform(f.NumNodes))
 		var latSum int64
 		n.OnDeliver(func(p *Packet, c int64) { latSum += c - p.InjectCycle })
 		for i := 0; i < 200; i++ {
-			n.GenerateBernoulli(load)
+			MustGenerate(t, n, load)
 			n.Step()
 		}
 		_, d := n.Totals()

@@ -32,12 +32,10 @@ type RunConfig struct {
 	// Load is the offered load in flits per node per cycle (fraction of
 	// capacity for unit-capacity networks).
 	Load float64
-	// Pattern generates destinations; it is wrapped in the default
-	// Bernoulli arrival process. Ignored when Source is non-nil.
-	Pattern traffic.Pattern
-	// Source, when non-nil, is the full workload driving the run — both
-	// arrival and destination process (e.g. traffic.NewOnOff for bursty
-	// arrivals). It takes precedence over Pattern.
+	// Source is the full workload driving the run — both arrival and
+	// destination process: traffic.NewBernoulli(pattern) for the paper's
+	// open-loop Bernoulli injection, traffic.NewOnOff for bursty
+	// arrivals. Required.
 	Source traffic.Source
 	// Warmup, Measure are window lengths in cycles.
 	Warmup, Measure int
@@ -130,12 +128,8 @@ func RunLoadPoint(g *topo.Graph, alg Algorithm, cfg Config, rc RunConfig) (LoadP
 	if rc.Warmup <= 0 || rc.Measure <= 0 {
 		return LoadPointResult{}, fmt.Errorf("sim: warmup and measure windows must be positive")
 	}
-	src := rc.Source
-	if src == nil {
-		if rc.Pattern == nil {
-			return LoadPointResult{}, fmt.Errorf("sim: RunConfig needs a Pattern or a Source")
-		}
-		src = traffic.NewBernoulli(rc.Pattern)
+	if rc.Source == nil {
+		return LoadPointResult{}, fmt.Errorf("sim: RunConfig needs a Source")
 	}
 	maxCycles := rc.MaxCycles
 	if maxCycles <= 0 {
@@ -175,7 +169,7 @@ func RunLoadPoint(g *topo.Graph, alg Algorithm, cfg Config, rc RunConfig) (LoadP
 		lp.update(n)
 		Live.RunsFinished.Add(1)
 	}()
-	if err := n.SetSource(src); err != nil {
+	if err := n.SetSource(rc.Source); err != nil {
 		return LoadPointResult{}, err
 	}
 	measStart := int64(rc.Warmup)
@@ -280,7 +274,7 @@ func LoadSweep(g *topo.Graph, alg Algorithm, cfg Config, rc RunConfig, loads []f
 func SaturationThroughput(g *topo.Graph, alg Algorithm, cfg Config, pattern traffic.Pattern, warmup, measure int) (float64, error) {
 	rc := RunConfig{
 		Load:      1.0,
-		Pattern:   pattern,
+		Source:    traffic.NewBernoulli(pattern),
 		Warmup:    warmup,
 		Measure:   measure,
 		MaxCycles: warmup + measure + 1, // no drain needed: we want the rate only
@@ -332,6 +326,9 @@ func RunBatch(g *topo.Graph, alg Algorithm, cfg Config, bc BatchConfig) (BatchRe
 	if bc.BatchSize < 1 {
 		return BatchResult{}, fmt.Errorf("sim: batch size must be >= 1")
 	}
+	if bc.Pattern == nil {
+		return BatchResult{}, fmt.Errorf("sim: BatchConfig needs a Pattern")
+	}
 	maxCycles := bc.MaxCycles
 	if maxCycles <= 0 {
 		maxCycles = 1000 * bc.BatchSize
@@ -355,7 +352,9 @@ func RunBatch(g *topo.Graph, alg Algorithm, cfg Config, bc BatchConfig) (BatchRe
 		lp.update(n)
 		Live.RunsFinished.Add(1)
 	}()
-	n.SetPattern(bc.Pattern)
+	if err := n.SetSource(traffic.NewBernoulli(bc.Pattern)); err != nil {
+		return BatchResult{}, err
+	}
 	n.SeedBatch(bc.BatchSize)
 	total := int64(bc.BatchSize) * int64(n.NumNodes())
 	for {

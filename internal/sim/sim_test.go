@@ -1,17 +1,17 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
-	"flatnet/internal/core"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
 // minimalAlg is a tiny test algorithm for a 1-D flattened butterfly:
 // direct minimal routing, 1 VC, greedy.
-type minimalAlg struct{ f *core.FlatFly }
+type minimalAlg struct{ f *topo.FlatFly }
 
 func (a *minimalAlg) Name() string     { return "test-min" }
 func (a *minimalAlg) NumVCs() int      { return 1 }
@@ -32,9 +32,9 @@ func (a *minimalAlg) Route(view *RouterView, p *Packet) OutRef {
 	panic("minimalAlg: r != dst but no differing dimension")
 }
 
-func testFF(t *testing.T, k, n int) *core.FlatFly {
+func testFF(t *testing.T, k, n int) *topo.FlatFly {
 	t.Helper()
-	f, err := core.NewFlatFly(k, n)
+	f, err := topo.NewFlatFly(k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSinglePacketDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 0 -> node 15 (router 0 -> router 3): fixed pattern.
-	n.SetPattern(traffic.NewFixed("single", func() []topo.NodeID {
+	MustInstall(t, n, traffic.NewFixed("single", func() []topo.NodeID {
 		tab := make([]topo.NodeID, 16)
 		for i := range tab {
 			tab[i] = 15
@@ -93,7 +93,7 @@ func TestLocalDelivery(t *testing.T) {
 	}
 	tab := make([]topo.NodeID, 16)
 	tab[0] = 1
-	n.SetPattern(traffic.NewFixed("local", tab))
+	MustInstall(t, n, traffic.NewFixed("local", tab))
 	hops := -1
 	n.OnDeliver(func(p *Packet, _ int64) { hops = p.Hops })
 	n.pushArrival(0, 0)
@@ -111,9 +111,9 @@ func TestConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(16))
+	MustInstall(t, n, traffic.NewUniform(16))
 	for i := 0; i < 500; i++ {
-		n.GenerateBernoulli(0.5)
+		MustGenerate(t, n, 0.5)
 		n.Step()
 		if i%100 != 0 {
 			continue
@@ -133,9 +133,9 @@ func TestDrainAfterStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(16))
+	MustInstall(t, n, traffic.NewUniform(16))
 	for i := 0; i < 200; i++ {
-		n.GenerateBernoulli(0.4)
+		MustGenerate(t, n, 0.4)
 		n.Step()
 	}
 	// Stop injecting; everything must drain.
@@ -159,11 +159,11 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetPattern(traffic.NewUniform(16))
+		MustInstall(t, n, traffic.NewUniform(16))
 		var latSum int64
 		n.OnDeliver(func(p *Packet, cycle int64) { latSum += cycle - p.InjectCycle })
 		for i := 0; i < 300; i++ {
-			n.GenerateBernoulli(0.6)
+			MustGenerate(t, n, 0.6)
 			n.Step()
 		}
 		_, delivered := n.Totals()
@@ -183,7 +183,7 @@ func TestRunLoadPointLowLoad(t *testing.T) {
 	f := testFF(t, 4, 2)
 	res, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), RunConfig{
 		Load:    0.2,
-		Pattern: traffic.NewUniform(16),
+		Source:  traffic.NewBernoulli(traffic.NewUniform(16)),
 		Warmup:  300,
 		Measure: 300,
 	})
@@ -211,12 +211,12 @@ func TestRunLoadPointLowLoad(t *testing.T) {
 func TestRunLoadPointValidation(t *testing.T) {
 	f := testFF(t, 4, 2)
 	if _, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), RunConfig{
-		Load: 1.5, Pattern: traffic.NewUniform(16), Warmup: 10, Measure: 10,
+		Load: 1.5, Source: traffic.NewBernoulli(traffic.NewUniform(16)), Warmup: 10, Measure: 10,
 	}); err == nil {
 		t.Error("load > 1 accepted")
 	}
 	if _, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), RunConfig{
-		Load: 0.5, Pattern: traffic.NewUniform(16),
+		Load: 0.5, Source: traffic.NewBernoulli(traffic.NewUniform(16)),
 	}); err == nil {
 		t.Error("zero windows accepted")
 	}
@@ -270,6 +270,70 @@ func TestRunBatch(t *testing.T) {
 	}
 }
 
+// TestRunBatchRejectsNilPattern: a BatchConfig without a Pattern is
+// refused up front instead of nil-dereferencing at the first destination
+// draw.
+func TestRunBatchRejectsNilPattern(t *testing.T) {
+	f := testFF(t, 4, 2)
+	_, err := RunBatch(f.Graph(), &minimalAlg{f}, DefaultConfig(), BatchConfig{BatchSize: 2})
+	if err == nil || !strings.Contains(err.Error(), "BatchConfig needs a Pattern") {
+		t.Fatalf("RunBatch without a Pattern: err = %v", err)
+	}
+}
+
+// TestSetSourceRejects: no route hands Step a source whose destination
+// draw would dereference nil.
+func TestSetSourceRejects(t *testing.T) {
+	f := testFF(t, 4, 2)
+	n, err := New(f.Graph(), &minimalAlg{f}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		src  traffic.Source
+	}{
+		{"nil source", nil},
+		{"Bernoulli over a nil pattern", traffic.NewBernoulli(nil)},
+		{"nil *Bernoulli", (*traffic.Bernoulli)(nil)},
+	} {
+		if err := n.SetSource(tc.src); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+		if n.Source() != nil {
+			t.Fatalf("%s was installed", tc.name)
+		}
+	}
+}
+
+// TestRunsRejectMissingWorkload: every run harness answers a missing
+// workload with an error — not a panic, not a silently quiet run.
+func TestRunsRejectMissingWorkload(t *testing.T) {
+	f := testFF(t, 4, 2)
+	g, cfg := f.Graph(), DefaultConfig()
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"RunLoadPoint", func() error {
+			_, err := RunLoadPoint(g, &minimalAlg{f}, cfg, RunConfig{Load: 0.2, Warmup: 10, Measure: 10})
+			return err
+		}},
+		{"RunCollective", func() error {
+			_, err := RunCollective(g, &minimalAlg{f}, cfg, CollectiveConfig{Kind: CollectiveAllToAll, Load: 0.2})
+			return err
+		}},
+		{"RunBatch", func() error {
+			_, err := RunBatch(g, &minimalAlg{f}, cfg, BatchConfig{BatchSize: 2})
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil {
+			t.Errorf("%s ran without a workload", tc.name)
+		}
+	}
+}
+
 // TestRunBatchHooks pins RunBatch's hook semantics directly: Attach runs
 // on the fresh network before the first cycle without perturbing the
 // result, and Stop aborts the run.
@@ -310,7 +374,7 @@ func TestLoadSweepStopsAfterSaturation(t *testing.T) {
 	f := testFF(t, 4, 2)
 	loads := []float64{0.1, 0.5, 0.9, 0.95, 1.0}
 	res, err := LoadSweep(f.Graph(), &minimalAlg{f}, DefaultConfig(), RunConfig{
-		Pattern:   traffic.NewWorstCase(f.K, f.NumRouters),
+		Source:    traffic.NewBernoulli(traffic.NewWorstCase(f.K, f.NumRouters)),
 		Warmup:    200,
 		Measure:   200,
 		MaxCycles: 900,
@@ -333,22 +397,12 @@ func TestLoadSweepStopsAfterSaturation(t *testing.T) {
 // the pools, calendar slots and scratch buffers have been grown during
 // warmup, a steady-state generate+step cycle performs no heap
 // allocations. Any per-cycle allocation (a fresh event node, a scratch
-// map, an escaping view) shows up as an average of >= 1 here. Both
-// generation paths are held to it: the direct Bernoulli draw, and
-// Generate through a traffic.Source at a load where sources rarely drain.
+// map, an escaping view) shows up as an average of >= 1 here. Generate
+// through a traffic.Source is held to it at two loads: one where sources
+// drain, and one where they rarely do.
 func TestStepZeroAlloc(t *testing.T) {
 	f := testFF(t, 4, 2)
-	for _, c := range []struct {
-		name string
-		gen  func(n *Network)
-	}{
-		{"bernoulli", func(n *Network) { n.GenerateBernoulli(0.5) }},
-		{"source", func(n *Network) {
-			if err := n.Generate(0.8); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	} {
+	for _, load := range []float64{0.5, 0.8} {
 		n, err := New(f.Graph(), &minimalAlg{f}, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -357,18 +411,18 @@ func TestStepZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2000; i++ {
-			c.gen(n)
+			MustGenerate(t, n, load)
 			n.Step()
 		}
 		avg := testing.AllocsPerRun(500, func() {
-			c.gen(n)
+			MustGenerate(t, n, load)
 			n.Step()
 		})
 		// Rare amortized growth (a source backlog high-water mark, a pool
 		// append) may still allocate once in a while; a per-cycle allocation
 		// averages >= 1.
 		if avg >= 0.5 {
-			t.Fatalf("%s: steady-state cycle allocates: %.2f allocs/cycle, want ~0", c.name, avg)
+			t.Fatalf("load %v: steady-state cycle allocates: %.2f allocs/cycle, want ~0", load, avg)
 		}
 	}
 }

@@ -478,10 +478,9 @@ func (n *Network) Snapshot(w io.Writer) error {
 // results bit-identical to stepping the original.
 //
 // The workload source's configuration is not part of a snapshot — only
-// its mutable arrival-process state is. Re-install the source (or
-// pattern) and hooks before stepping, as New's callers do: SetSource
-// validates the source name against the snapshot and applies the
-// stashed state.
+// its mutable arrival-process state is. Re-install the source and hooks
+// before stepping, as New's callers do: SetSource validates the source
+// name against the snapshot and applies the stashed state.
 func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 	r, err := snapshot.NewReader(rd)
 	if err != nil {

@@ -6,9 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
+	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
@@ -44,7 +44,7 @@ func recordInto(out *[]delivery) func(p *sim.Packet, cycle int64) {
 // requires the post-snapshot delivery streams, counters and re-snapshot
 // bytes to agree exactly. snapW/resW choose the worker counts on either
 // side: restore-then-run must be bit-identical for every combination.
-func runSnapshotPair(t *testing.T, ff *core.FlatFly, algName string, cfg sim.Config, load float64, warm, tail, snapW, resW int) {
+func runSnapshotPair(t *testing.T, ff *topo.FlatFly, algName string, cfg sim.Config, load float64, warm, tail, snapW, resW int) {
 	t.Helper()
 	label := algName
 
@@ -70,12 +70,12 @@ func runSnapshotPair(t *testing.T, ff *core.FlatFly, algName string, cfg sim.Con
 	if err := a.SetWorkers(snapW); err != nil {
 		t.Fatal(err)
 	}
-	a.SetPattern(traffic.NewUniform(a.NumNodes()))
+	sim.MustInstall(t, a, traffic.NewUniform(a.NumNodes()))
 	a.SetMeasurementWindow(measStart, measEnd)
 	var aTail []delivery
 	a.OnDeliver(recordInto(&aTail))
 	for i := 0; i < warm; i++ {
-		a.GenerateBernoulli(load)
+		sim.MustGenerate(t, a, load)
 		a.Step()
 	}
 	var buf bytes.Buffer
@@ -84,7 +84,7 @@ func runSnapshotPair(t *testing.T, ff *core.FlatFly, algName string, cfg sim.Con
 	}
 	aTail = aTail[:0]
 	for i := 0; i < tail; i++ {
-		a.GenerateBernoulli(load)
+		sim.MustGenerate(t, a, load)
 		a.Step()
 	}
 	for i := 0; i < 20000 && !a.Quiescent(); i++ {
@@ -112,11 +112,11 @@ func runSnapshotPair(t *testing.T, ff *core.FlatFly, algName string, cfg sim.Con
 	if err := b.SetWorkers(resW); err != nil {
 		t.Fatal(err)
 	}
-	b.SetPattern(traffic.NewUniform(b.NumNodes()))
+	sim.MustInstall(t, b, traffic.NewUniform(b.NumNodes()))
 	var bTail []delivery
 	b.OnDeliver(recordInto(&bTail))
 	for i := 0; i < tail; i++ {
-		b.GenerateBernoulli(load)
+		sim.MustGenerate(t, b, load)
 		b.Step()
 	}
 	for i := 0; i < 20000 && !b.Quiescent(); i++ {
@@ -137,7 +137,7 @@ func runSnapshotPair(t *testing.T, ff *core.FlatFly, algName string, cfg sim.Con
 // (multi-flit wormhole, age arbitration, pipelined routers) and every
 // combination of snapshot-side and restore-side worker counts.
 func TestSnapshotRoundTrip(t *testing.T) {
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // (two-state Markov) injection mid-burst, an in-flight StartTransfer
 // burst, and source backlog, all captured and resumed exactly.
 func TestSnapshotWithTransfersAndBursts(t *testing.T) {
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSnapshotWithTransfersAndBursts(t *testing.T) {
 // TestSnapshotRejects pins the refusal surface: instrumented or closed
 // networks cannot snapshot, and mismatched restore targets are errors.
 func TestSnapshotRejects(t *testing.T) {
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +267,9 @@ func TestSnapshotRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(n.NumNodes()))
+	sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
 	for i := 0; i < 50; i++ {
-		n.GenerateBernoulli(0.3)
+		sim.MustGenerate(t, n, 0.3)
 		n.Step()
 	}
 	var buf bytes.Buffer
@@ -296,7 +296,7 @@ func TestSnapshotRejects(t *testing.T) {
 		t.Fatal("restore with a different algorithm should fail")
 	}
 	// Wrong topology.
-	ff2, err := core.NewFlatFly(2, 2)
+	ff2, err := topo.NewFlatFly(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestSnapshotRejects(t *testing.T) {
 // every truncation of a valid snapshot to surface as an error — never a
 // panic, never a silently-wrong network.
 func TestSnapshotCorruptionRobust(t *testing.T) {
-	ff, err := core.NewFlatFly(2, 2)
+	ff, err := topo.NewFlatFly(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +327,9 @@ func TestSnapshotCorruptionRobust(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	n.SetPattern(traffic.NewUniform(n.NumNodes()))
+	sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
 	for i := 0; i < 80; i++ {
-		n.GenerateBernoulli(0.5)
+		sim.MustGenerate(t, n, 0.5)
 		n.Step()
 	}
 	var buf bytes.Buffer
@@ -361,7 +361,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(uint64(2), uint8(80), uint8(3), uint8(1), uint8(5), []byte{1, 2, 3})
 	f.Add(uint64(3), uint8(60), uint8(1), uint8(2), uint8(7), []byte{0xff, 0x80})
 	f.Fuzz(func(t *testing.T, seed uint64, loadPct, algSel, workSel, extra uint8, corrupt []byte) {
-		ff, err := core.NewFlatFly(2+int(extra)%2, 2)
+		ff, err := topo.NewFlatFly(2+int(extra)%2, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,11 +398,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err := a.SetWorkers(snapW); err != nil {
 			t.Fatal(err)
 		}
-		a.SetPattern(traffic.NewUniform(a.NumNodes()))
+		sim.MustInstall(t, a, traffic.NewUniform(a.NumNodes()))
 		var aTail []delivery
 		a.OnDeliver(recordInto(&aTail))
 		for i := 0; i < 60; i++ {
-			a.GenerateBernoulli(load)
+			sim.MustGenerate(t, a, load)
 			a.Step()
 		}
 		var buf bytes.Buffer
@@ -411,7 +411,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		aTail = aTail[:0]
 		for i := 0; i < 60; i++ {
-			a.GenerateBernoulli(load)
+			sim.MustGenerate(t, a, load)
 			a.Step()
 		}
 
@@ -423,11 +423,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err := b.SetWorkers(resW); err != nil {
 			t.Fatal(err)
 		}
-		b.SetPattern(traffic.NewUniform(b.NumNodes()))
+		sim.MustInstall(t, b, traffic.NewUniform(b.NumNodes()))
 		var bTail []delivery
 		b.OnDeliver(recordInto(&bTail))
 		for i := 0; i < 60; i++ {
-			b.GenerateBernoulli(load)
+			sim.MustGenerate(t, b, load)
 			b.Step()
 		}
 		diffDeliveries(t, aTail, bTail, algName)
@@ -459,7 +459,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // interleaved flit and credit events.
 func pinnedSnapshot(t *testing.T) []byte {
 	t.Helper()
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,10 +472,10 @@ func pinnedSnapshot(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	n.SetPattern(traffic.NewUniform(n.NumNodes()))
+	sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
 	n.SetMeasurementWindow(100, 200)
 	for i := 0; i < 200; i++ {
-		n.GenerateBernoulli(0.7)
+		sim.MustGenerate(t, n, 0.7)
 		n.Step()
 	}
 	var buf bytes.Buffer

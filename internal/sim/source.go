@@ -116,6 +116,9 @@ func (n *Network) SetSource(src traffic.Source) error {
 	if src == nil {
 		return fmt.Errorf("sim: nil workload source")
 	}
+	if b, ok := src.(*traffic.Bernoulli); ok && (b == nil || b.Pattern == nil) {
+		return fmt.Errorf("sim: Bernoulli workload source has no Pattern")
+	}
 	if pw := n.pendingWl; pw != nil {
 		if src.Name() != pw.name {
 			return fmt.Errorf("sim: snapshot carries workload state for source %q, cannot install %q",
@@ -129,22 +132,11 @@ func (n *Network) SetSource(src traffic.Source) error {
 		return fmt.Errorf("sim: reset workload state for %q: %w", src.Name(), err)
 	}
 	n.wl = src
-	n.wlErr = nil
 	return nil
 }
 
 // Source returns the installed workload source, nil if none.
 func (n *Network) Source() traffic.Source { return n.wl }
-
-// SetPattern installs a destination pattern wrapped in the default
-// Bernoulli arrival process — the legacy entry point. An install error
-// (a restored snapshot carrying state for a different workload) is
-// deferred and surfaces at the next Generate call.
-func (n *Network) SetPattern(p traffic.Pattern) {
-	if err := n.SetSource(traffic.NewBernoulli(p)); err != nil {
-		n.wlErr = err
-	}
-}
 
 // Generate performs one cycle's worth of arrivals from the installed
 // workload source: one Arrivals draw per node, in node-index order, on
@@ -152,12 +144,9 @@ func (n *Network) SetPattern(p traffic.Pattern) {
 // node per cycle. Call once per cycle before Step, or use the run
 // harnesses which do this for you.
 func (n *Network) Generate(load float64) error {
-	if n.wlErr != nil {
-		return n.wlErr
-	}
 	wl := n.wl
 	if wl == nil {
-		return fmt.Errorf("sim: no workload source installed (SetSource or SetPattern first)")
+		return fmt.Errorf("sim: no workload source installed (SetSource first)")
 	}
 	if v, ok := wl.(traffic.LoadValidator); ok {
 		if err := v.ValidateLoad(load); err != nil {
@@ -177,26 +166,6 @@ func (n *Network) Generate(load float64) error {
 		}
 	}
 	return nil
-}
-
-// GenerateBernoulli performs one cycle's worth of Bernoulli packet
-// arrivals at every node. load is the offered load in flits per node per
-// cycle, so the per-cycle packet arrival probability is load/PacketSize.
-// Call once per cycle before Step, or use the run harnesses which do this
-// for you.
-func (n *Network) GenerateBernoulli(load float64) {
-	c := n.cycle
-	p := load / float64(n.cfg.PacketSize)
-	for i := range n.sources {
-		s := &n.sources[i]
-		if s.rng.Bernoulli(p) {
-			s.pushTimestamp(c)
-			n.wakeSource(i)
-			if c >= n.measStart && c < n.measEnd {
-				n.measCreated++
-			}
-		}
-	}
 }
 
 // SeedBatch places batch arrivals (timestamped at the current cycle) into

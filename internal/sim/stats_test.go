@@ -14,9 +14,9 @@ func TestChannelLoadsConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(16))
+	MustInstall(t, n, traffic.NewUniform(16))
 	for i := 0; i < 500; i++ {
-		n.GenerateBernoulli(0.4)
+		MustGenerate(t, n, 0.4)
 		n.Step()
 	}
 	var termFlits int64
@@ -50,14 +50,14 @@ func TestLoadImbalanceDistinguishesPatterns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetPattern(p)
+		MustInstall(t, n, p)
 		for i := 0; i < 200; i++ {
-			n.GenerateBernoulli(0.1)
+			MustGenerate(t, n, 0.1)
 			n.Step()
 		}
 		n.ResetChannelStats()
 		for i := 0; i < 800; i++ {
-			n.GenerateBernoulli(0.1)
+			MustGenerate(t, n, 0.1)
 			n.Step()
 		}
 		_, _, ratio := n.LoadImbalance()
@@ -79,9 +79,9 @@ func TestResetChannelStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(16))
+	MustInstall(t, n, traffic.NewUniform(16))
 	for i := 0; i < 200; i++ {
-		n.GenerateBernoulli(0.5)
+		MustGenerate(t, n, 0.5)
 		n.Step()
 	}
 	n.ResetChannelStats()
@@ -107,12 +107,12 @@ func TestChannelLoadsWarmupWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetPattern(traffic.NewUniform(16))
+		MustInstall(t, n, traffic.NewUniform(16))
 		return n
 	}
 	drive := func(n *Network, cycles int) {
 		for i := 0; i < cycles; i++ {
-			n.GenerateBernoulli(0.3)
+			MustGenerate(t, n, 0.3)
 			n.Step()
 		}
 	}
@@ -166,9 +166,9 @@ func TestTopChannels(t *testing.T) {
 	for i := range tab {
 		tab[i] = 4
 	}
-	n.SetPattern(traffic.NewFixed("hot", tab))
+	MustInstall(t, n, traffic.NewFixed("hot", tab))
 	for i := 0; i < 300; i++ {
-		n.GenerateBernoulli(0.3)
+		MustGenerate(t, n, 0.3)
 		n.Step()
 	}
 	top := n.TopChannels(3)
@@ -197,9 +197,9 @@ func TestBufferOccupancy(t *testing.T) {
 	if total != 0 || mean != 0 || max != 0 {
 		t.Fatal("fresh network should have empty buffers")
 	}
-	n.SetPattern(traffic.NewWorstCase(4, 4))
+	MustInstall(t, n, traffic.NewWorstCase(4, 4))
 	for i := 0; i < 300; i++ {
-		n.GenerateBernoulli(1.0)
+		MustGenerate(t, n, 1.0)
 		n.Step()
 	}
 	total, mean, max = n.BufferOccupancy()

@@ -27,7 +27,7 @@ func (e TraceEntry) packets() int {
 
 // InjectAt schedules a single packet arrival at the given node with an
 // explicit destination and arrival timestamp. Trace-driven injection
-// bypasses the installed Pattern for these packets. Arrivals must be
+// bypasses the installed Source for these packets. Arrivals must be
 // scheduled in non-decreasing timestamp order per node (FIFO source
 // queues).
 func (n *Network) InjectAt(src topo.NodeID, ts int64, dst topo.NodeID) error {
@@ -77,9 +77,9 @@ func (n *Network) OnMaterialize(f func(p *Packet)) {
 }
 
 // RecordTrace installs an injection recorder: every packet arrival
-// generated after this call (by Generate, GenerateBernoulli or
-// InjectAt) is appended to the returned slice pointer's target when it is
-// materialized into the network. It uses the OnMaterialize hook.
+// generated after this call (by Generate or InjectAt) is appended to the
+// returned slice pointer's target when it is materialized into the
+// network. It uses the OnMaterialize hook.
 //
 // Recording happens at materialization time, when the destination is
 // drawn, so the recorded trace replays the exact same (cycle, src, dst)

@@ -56,13 +56,13 @@ func TestRecordReplayIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1.SetPattern(traffic.NewUniform(f.NumNodes))
+	MustInstall(t, n1, traffic.NewUniform(f.NumNodes))
 	rec := n1.RecordTrace()
 	type key struct{ s, d topo.NodeID }
 	count1 := map[key]int{}
 	n1.OnDeliver(func(p *Packet, _ int64) { count1[key{p.Src, p.Dst}]++ })
 	for i := 0; i < 300; i++ {
-		n1.GenerateBernoulli(0.3)
+		MustGenerate(t, n1, 0.3)
 		n1.Step()
 	}
 	for i := 0; i < 500; i++ {

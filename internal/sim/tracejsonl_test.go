@@ -7,15 +7,15 @@ import (
 	"strings"
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
+	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
-func traceFF(t *testing.T) (*core.FlatFly, func() sim.Algorithm) {
+func traceFF(t *testing.T) (*topo.FlatFly, func() sim.Algorithm) {
 	t.Helper()
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,8 @@ func (t *Transfer) Hops() int { return t.lastHops }
 // packets join src's source queue behind any backlog and contend with
 // background traffic for channels and buffers exactly like any other
 // packets, so the latency the handle reports is congestion-aware. The
-// caller advances the network (Step, with GenerateBernoulli for
-// background load) until Done.
+// caller advances the network (Step, with Generate for background
+// load) until Done.
 //
 // Transfers never count toward the measurement window: MeasuredCounts
 // and warm-up/measure/drain accounting are unaffected.

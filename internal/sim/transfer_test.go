@@ -18,7 +18,7 @@ func stepUntilDone(t *testing.T, n *Network, tr *Transfer, load float64, budget 
 				budget, tr.Delivered(), tr.Packets())
 		}
 		if load > 0 {
-			n.GenerateBernoulli(load)
+			MustGenerate(t, n, load)
 		}
 		n.Step()
 	}
@@ -34,7 +34,7 @@ func TestTransferZeroLoadLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(g.NumNodes))
+	MustInstall(t, n, traffic.NewUniform(g.NumNodes))
 	for src := 0; src < g.NumNodes; src += 3 {
 		for dst := 0; dst < g.NumNodes; dst += 5 {
 			tr, err := n.StartTransfer(topo.NodeID(src), topo.NodeID(dst), 1)
@@ -68,7 +68,7 @@ func TestTransferMultiPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(g.NumNodes))
+	MustInstall(t, n, traffic.NewUniform(g.NumNodes))
 	one, err := n.StartTransfer(0, 9, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -100,9 +100,9 @@ func TestTransferUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetPattern(traffic.NewUniform(g.NumNodes))
+	MustInstall(t, n, traffic.NewUniform(g.NumNodes))
 	for i := 0; i < 300; i++ { // warm the network up
-		n.GenerateBernoulli(0.4)
+		MustGenerate(t, n, 0.4)
 		n.Step()
 	}
 	zeroLoad := int64(f.MinHops(g.NodeRouter[0], g.NodeRouter[9]) + 1)

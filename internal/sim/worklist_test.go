@@ -3,9 +3,9 @@ package sim_test
 import (
 	"testing"
 
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
+	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
@@ -20,7 +20,7 @@ type delivery struct {
 // runScheduler drives one network to quiescence and returns its delivery
 // sequence. stepAll selects the debug full-scan scheduler; false uses the
 // active worklists.
-func runScheduler(t *testing.T, ff *core.FlatFly, algName string, cfg sim.Config, load float64, cycles int, stepAll bool) []delivery {
+func runScheduler(t *testing.T, ff *topo.FlatFly, algName string, cfg sim.Config, load float64, cycles int, stepAll bool) []delivery {
 	t.Helper()
 	alg, err := routing.NewFlatFlyAlgorithm(algName, ff)
 	if err != nil {
@@ -34,7 +34,7 @@ func runScheduler(t *testing.T, ff *core.FlatFly, algName string, cfg sim.Config
 		t.Fatal(err)
 	}
 	sim.SetStepAll(n, stepAll)
-	n.SetPattern(traffic.NewUniform(n.NumNodes()))
+	sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
 	var out []delivery
 	n.OnDeliver(func(p *sim.Packet, cycle int64) {
 		out = append(out, delivery{
@@ -43,7 +43,7 @@ func runScheduler(t *testing.T, ff *core.FlatFly, algName string, cfg sim.Config
 		})
 	})
 	for i := 0; i < cycles; i++ {
-		n.GenerateBernoulli(load)
+		sim.MustGenerate(t, n, load)
 		n.Step()
 	}
 	for i := 0; i < 20000 && !n.Quiescent(); i++ {
@@ -73,7 +73,7 @@ func diffDeliveries(t *testing.T, full, work []delivery, label string) {
 // cycles, as the full-scan scheduler — across every FB routing algorithm.
 // Skipping may only elide work that provably does nothing.
 func TestWorklistMatchesStepAll(t *testing.T) {
-	ff, err := core.NewFlatFly(4, 2)
+	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestWorklistMatchesStepAll(t *testing.T) {
 // routerCase is one scheduler-equivalence configuration.
 type routerCase struct {
 	name   string
-	ff     *core.FlatFly
+	ff     *topo.FlatFly
 	alg    string
 	cfg    sim.Config
 	load   float64
@@ -117,11 +117,11 @@ type routerCase struct {
 // shard equivalence tests both run them.
 func hardRouterCases(t *testing.T) []routerCase {
 	t.Helper()
-	ff4, err := core.NewFlatFly(4, 2)
+	ff4, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff64, err := core.NewFlatFly(64, 2)
+	ff64, err := topo.NewFlatFly(64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func FuzzWorklistEquivalence(f *testing.F) {
 			Speedup:    int(speedup) % 3,
 			PacketSize: ps,
 		}
-		ff, err := core.NewFlatFly(ks, ns)
+		ff, err := topo.NewFlatFly(ks, ns)
 		if err != nil {
 			t.Fatal(err)
 		}

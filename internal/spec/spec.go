@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
@@ -98,18 +97,18 @@ func one[T any](T) int { return 1 }
 // families is the table.
 var families = []family{
 	row("flatfly", "ff", "min",
-		func(n Net) (*core.FlatFly, error) {
-			var opts []core.Option
+		func(n Net) (*topo.FlatFly, error) {
+			var opts []topo.FlatFlyOption
 			if n.ChannelLatency != 0 {
-				opts = append(opts, core.WithChannelLatency(n.ChannelLatency))
+				opts = append(opts, topo.WithChannelLatency(n.ChannelLatency))
 			}
 			if n.Multiplicity != 0 {
-				opts = append(opts, core.WithMultiplicity(n.Multiplicity))
+				opts = append(opts, topo.WithMultiplicity(n.Multiplicity))
 			}
-			return core.NewFlatFly(n.K, n.N, opts...)
+			return topo.NewFlatFly(n.K, n.N, opts...)
 		},
 		routing.NewFlatFlyAlgorithm,
-		func(f *core.FlatFly) int { return f.K },
+		func(f *topo.FlatFly) int { return f.K },
 		func(f Flags) (Net, error) { return Net{K: f.K, N: f.N, Alg: f.Alg}, nil }),
 	row("butterfly", "butterfly", "destination",
 		func(n Net) (*topo.Butterfly, error) { return topo.NewButterfly(n.K, n.N) },

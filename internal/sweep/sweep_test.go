@@ -222,7 +222,7 @@ func TestRunSeriesMatchesLoadSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := sim.LoadSweep(tp.Graph(), alg, norm.simConfig(), sim.RunConfig{
-		Pattern: pat, Warmup: base.Warmup, Measure: base.Measure, MaxCycles: base.MaxCycles,
+		Source: traffic.NewBernoulli(pat), Warmup: base.Warmup, Measure: base.Measure, MaxCycles: base.MaxCycles,
 	}, loads)
 	if err != nil {
 		t.Fatal(err)

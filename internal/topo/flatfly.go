@@ -1,15 +1,8 @@
-// Package core implements the paper's primary contribution: the flattened
-// butterfly topology (k-ary n-flat), its node/router addressing, the
-// connectivity rule of Eq. 1, and the scaling relationships of §2.1 and
-// §5.1 (network size vs. radix and dimension, fixed-N and fixed-radix
-// configuration selection, and the extra-port variants of Fig. 14).
-package core
+package topo
 
 import (
 	"fmt"
 	"math"
-
-	"flatnet/internal/topo"
 )
 
 // FlatFly is a k-ary n-flat: the flattened butterfly derived from a k-ary
@@ -37,57 +30,54 @@ type FlatFly struct {
 	// pow[i] = k^i, up to k^n.
 	pow []int
 
-	g *topo.Graph
+	g *Graph
 }
 
-// Option configures optional FlatFly variants.
-type Option func(*options)
+// FlatFlyOption configures optional FlatFly variants.
+type FlatFlyOption func(*flatFlyOptions)
 
-type options struct {
-	multiplicity     int
-	terminalLatency  int
-	channelLatency   int
-	routersOverride  int // 1-D only: complete graph over this many routers
-	terminalsPerRtr  int // used with routersOverride
-	overrideProvided bool
+type flatFlyOptions struct {
+	multiplicity    int
+	terminalLatency int
+	channelLatency  int
 }
 
 // WithMultiplicity builds every inter-router link as m parallel channels
 // (Fig. 14(a)). Only m >= 1 is accepted.
-func WithMultiplicity(m int) Option {
-	return func(o *options) { o.multiplicity = m }
+func WithMultiplicity(m int) FlatFlyOption {
+	return func(o *flatFlyOptions) { o.multiplicity = m }
 }
 
 // WithChannelLatency sets the inter-router channel latency in cycles
 // (default 1).
-func WithChannelLatency(l int) Option {
-	return func(o *options) { o.channelLatency = l }
+func WithChannelLatency(l int) FlatFlyOption {
+	return func(o *flatFlyOptions) { o.channelLatency = l }
 }
 
 // WithTerminalLatency sets the node-router channel latency in cycles
 // (default 1).
-func WithTerminalLatency(l int) Option {
-	return func(o *options) { o.terminalLatency = l }
+func WithTerminalLatency(l int) FlatFlyOption {
+	return func(o *flatFlyOptions) { o.terminalLatency = l }
 }
 
 // NewFlatFly constructs a k-ary n-flat. k >= 2 and n >= 2 are required
 // (n = 1 would have no inter-router dimensions).
-func NewFlatFly(k, n int, opts ...Option) (*FlatFly, error) {
+func NewFlatFly(k, n int, opts ...FlatFlyOption) (*FlatFly, error) {
 	if k < 2 {
-		return nil, fmt.Errorf("core: k-ary n-flat needs k >= 2, got k=%d", k)
+		return nil, fmt.Errorf("topo: k-ary n-flat needs k >= 2, got k=%d", k)
 	}
 	if n < 2 {
-		return nil, fmt.Errorf("core: k-ary n-flat needs n >= 2, got n=%d", n)
+		return nil, fmt.Errorf("topo: k-ary n-flat needs n >= 2, got n=%d", n)
 	}
-	o := options{multiplicity: 1, terminalLatency: 1, channelLatency: 1}
+	o := flatFlyOptions{multiplicity: 1, terminalLatency: 1, channelLatency: 1}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	if o.multiplicity < 1 {
-		return nil, fmt.Errorf("core: multiplicity must be >= 1, got %d", o.multiplicity)
+		return nil, fmt.Errorf("topo: multiplicity must be >= 1, got %d", o.multiplicity)
 	}
 	if o.multiplicity > 1 && n != 2 {
-		return nil, fmt.Errorf("core: multiplicity > 1 is only supported for 1-D networks (n=2), got n=%d", n)
+		return nil, fmt.Errorf("topo: multiplicity > 1 is only supported for 1-D networks (n=2), got n=%d", n)
 	}
 	f := &FlatFly{
 		K:            k,
@@ -99,7 +89,7 @@ func NewFlatFly(k, n int, opts ...Option) (*FlatFly, error) {
 	f.pow[0] = 1
 	for i := 1; i <= n; i++ {
 		if f.pow[i-1] > math.MaxInt/k {
-			return nil, fmt.Errorf("core: k=%d n=%d overflows node count", k, n)
+			return nil, fmt.Errorf("topo: k=%d n=%d overflows node count", k, n)
 		}
 		f.pow[i] = f.pow[i-1] * k
 	}
@@ -119,22 +109,22 @@ func NewFlatFly(k, n int, opts ...Option) (*FlatFly, error) {
 //
 // Padding the "self" slot keeps port lookup arithmetic trivial; Validate
 // and the cost model use the true radix k' = n(k-1)+1.
-func (f *FlatFly) build(o options) {
+func (f *FlatFly) build(o flatFlyOptions) {
 	k, m := f.K, f.Multiplicity
 	portsPerRouter := k + f.Dims*k*m
-	g := topo.NewGraph(f.Name(), f.NumNodes, f.NumRouters)
+	g := NewGraph(f.Name(), f.NumNodes, f.NumRouters)
 	for r := range g.Routers {
-		g.Routers[r].In = make([]topo.InPort, portsPerRouter)
-		g.Routers[r].Out = make([]topo.OutPort, portsPerRouter)
+		g.Routers[r].In = make([]InPort, portsPerRouter)
+		g.Routers[r].Out = make([]OutPort, portsPerRouter)
 	}
 	for node := 0; node < f.NumNodes; node++ {
-		r := topo.RouterID(node / k)
+		r := RouterID(node / k)
 		t := node % k
-		g.AttachNode(topo.NodeID(node), r, t, t, o.terminalLatency)
+		g.AttachNode(NodeID(node), r, t, t, o.terminalLatency)
 	}
 	for r := 0; r < f.NumRouters; r++ {
 		for d := 1; d <= f.Dims; d++ {
-			own := f.RouterDigit(topo.RouterID(r), d)
+			own := f.RouterDigit(RouterID(r), d)
 			for v := 0; v < k; v++ {
 				if v == own {
 					continue
@@ -145,8 +135,8 @@ func (f *FlatFly) build(o options) {
 					// Connect only in one direction (r < j) to avoid
 					// writing each bidirectional link twice.
 					if r < j {
-						g.ConnectBidi(topo.RouterID(r), f.PortFor(d, v, c),
-							topo.RouterID(j), f.PortFor(d, own, c), o.channelLatency)
+						g.ConnectBidi(RouterID(r), f.PortFor(d, v, c),
+							RouterID(j), f.PortFor(d, own, c), o.channelLatency)
 					}
 				}
 			}
@@ -164,21 +154,21 @@ func (f *FlatFly) Name() string {
 }
 
 // Graph returns the channel graph.
-func (f *FlatFly) Graph() *topo.Graph { return f.g }
+func (f *FlatFly) Graph() *Graph { return f.g }
 
 // RouterOf returns the router a node attaches to.
-func (f *FlatFly) RouterOf(node topo.NodeID) topo.RouterID {
-	return topo.RouterID(int(node) / f.K)
+func (f *FlatFly) RouterOf(node NodeID) RouterID {
+	return RouterID(int(node) / f.K)
 }
 
 // TerminalIndex returns digit 0 of the node address: the terminal port on
 // the node's router.
-func (f *FlatFly) TerminalIndex(node topo.NodeID) int { return int(node) % f.K }
+func (f *FlatFly) TerminalIndex(node NodeID) int { return int(node) % f.K }
 
 // RouterDigit returns the router-index digit addressed by dimension
 // d ∈ [1, Dims]: digit d-1 of the (n-1)-digit radix-k router index, which
 // equals digit d of any node address at that router.
-func (f *FlatFly) RouterDigit(r topo.RouterID, d int) int {
+func (f *FlatFly) RouterDigit(r RouterID, d int) int {
 	return (int(r) / f.pow[d-1]) % f.K
 }
 
@@ -202,14 +192,14 @@ func (f *FlatFly) DimOfPort(p int) (dim, digit int) {
 
 // NeighborIn returns the router reached from r by setting its dimension-d
 // digit to v.
-func (f *FlatFly) NeighborIn(r topo.RouterID, d, v int) topo.RouterID {
+func (f *FlatFly) NeighborIn(r RouterID, d, v int) RouterID {
 	own := f.RouterDigit(r, d)
-	return topo.RouterID(int(r) + (v-own)*f.pow[d-1])
+	return RouterID(int(r) + (v-own)*f.pow[d-1])
 }
 
 // MinHops returns the minimal inter-router hop count between two routers:
 // the number of dimensions in which their digits differ (§2.2).
-func (f *FlatFly) MinHops(a, b topo.RouterID) int {
+func (f *FlatFly) MinHops(a, b RouterID) int {
 	h := 0
 	for d := 1; d <= f.Dims; d++ {
 		if f.RouterDigit(a, d) != f.RouterDigit(b, d) {
@@ -221,7 +211,7 @@ func (f *FlatFly) MinHops(a, b topo.RouterID) int {
 
 // DiffDims returns the dimensions (ascending) in which routers a and b
 // have differing digits: the productive dimensions for a minimal route.
-func (f *FlatFly) DiffDims(a, b topo.RouterID) []int {
+func (f *FlatFly) DiffDims(a, b RouterID) []int {
 	var dims []int
 	for d := 1; d <= f.Dims; d++ {
 		if f.RouterDigit(a, d) != f.RouterDigit(b, d) {
@@ -243,7 +233,7 @@ func (f *FlatFly) AvgUniformMinHops() float64 {
 
 // MinimalRouteCount returns the number of distinct minimal routes between
 // two routers: i! where i is the number of differing digits (§2.2).
-func (f *FlatFly) MinimalRouteCount(a, b topo.RouterID) int {
+func (f *FlatFly) MinimalRouteCount(a, b RouterID) int {
 	i := f.MinHops(a, b)
 	c := 1
 	for j := 2; j <= i; j++ {
@@ -254,17 +244,17 @@ func (f *FlatFly) MinimalRouteCount(a, b topo.RouterID) int {
 
 // RouterFromDigits assembles a router index from its radix-k digits, where
 // digits[i] is the digit of dimension i+1. Missing high digits are zero.
-func (f *FlatFly) RouterFromDigits(digits []int) topo.RouterID {
+func (f *FlatFly) RouterFromDigits(digits []int) RouterID {
 	r := 0
 	for i, v := range digits {
 		r += v * f.pow[i]
 	}
-	return topo.RouterID(r)
+	return RouterID(r)
 }
 
 // Node returns the node with the given router and terminal index.
-func (f *FlatFly) Node(r topo.RouterID, terminal int) topo.NodeID {
-	return topo.NodeID(int(r)*f.K + terminal)
+func (f *FlatFly) Node(r RouterID, terminal int) NodeID {
+	return NodeID(int(r)*f.K + terminal)
 }
 
 // RouterOrbits reports the single router orbit of the translations
@@ -272,6 +262,6 @@ func (f *FlatFly) Node(r topo.RouterID, terminal int) topo.NodeID {
 // Multiplicity channels that change digit d onto channels that change
 // digit d (Eq. 1 depends only on digit differences) and keeps the k
 // terminals per router, so every router sees the network router 0 sees.
-func (f *FlatFly) RouterOrbits() ([]topo.RouterID, []int) {
-	return []topo.RouterID{0}, []int{f.NumRouters}
+func (f *FlatFly) RouterOrbits() ([]RouterID, []int) {
+	return []RouterID{0}, []int{f.NumRouters}
 }

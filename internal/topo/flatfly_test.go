@@ -1,13 +1,11 @@
-package core
+package topo
 
 import (
 	"testing"
 	"testing/quick"
-
-	"flatnet/internal/topo"
 )
 
-func mustFF(t *testing.T, k, n int, opts ...Option) *FlatFly {
+func mustFF(t *testing.T, k, n int, opts ...FlatFlyOption) *FlatFly {
 	t.Helper()
 	f, err := NewFlatFly(k, n, opts...)
 	if err != nil {
@@ -66,7 +64,7 @@ func TestFlatFlyDegreeMatchesRadix(t *testing.T) {
 	f := mustFF(t, 4, 3)
 	g := f.Graph()
 	for r := 0; r < f.NumRouters; r++ {
-		if d := g.Degree(topo.RouterID(r)); d != f.Radix {
+		if d := g.Degree(RouterID(r)); d != f.Radix {
 			t.Fatalf("router %d degree %d, want %d", r, d, f.Radix)
 		}
 	}
@@ -99,12 +97,12 @@ func TestEquation1Connectivity(t *testing.T) {
 				port := f.PortFor(d, m, 0)
 				out := g.Routers[i].Out[port]
 				if m == own {
-					if out.Kind != topo.Unused {
+					if out.Kind != Unused {
 						t.Fatalf("router %d dim %d self slot is %v, want Unused", i, d, out.Kind)
 					}
 					continue
 				}
-				if out.Kind != topo.Network || int(out.Peer) != j {
+				if out.Kind != Network || int(out.Peer) != j {
 					t.Fatalf("router %d dim %d m=%d: port connects to %v(%d), want router %d",
 						i, d, m, out.Kind, out.Peer, j)
 				}
@@ -122,7 +120,7 @@ func TestFig1dExamples(t *testing.T) {
 	for d, peer := range wants {
 		own := f.RouterDigit(4, d)
 		out := g.Routers[4].Out[f.PortFor(d, 1-own, 0)]
-		if out.Kind != topo.Network || int(out.Peer) != peer {
+		if out.Kind != Network || int(out.Peer) != peer {
 			t.Errorf("R4' dim %d: got peer %d, want %d", d, out.Peer, peer)
 		}
 	}
@@ -151,7 +149,7 @@ func TestMinHopsAndPathDiversity(t *testing.T) {
 func TestMinimalRouteCountFactorial(t *testing.T) {
 	f := mustFF(t, 2, 5) // 4 dimensions
 	// Routers 0 and NumRouters-1 differ in every digit.
-	if c := f.MinimalRouteCount(0, topo.RouterID(f.NumRouters-1)); c != 24 {
+	if c := f.MinimalRouteCount(0, RouterID(f.NumRouters-1)); c != 24 {
 		t.Errorf("4 differing dims: route count = %d, want 4! = 24", c)
 	}
 }
@@ -159,7 +157,7 @@ func TestMinimalRouteCountFactorial(t *testing.T) {
 func TestRouterDigitRoundTrip(t *testing.T) {
 	f := mustFF(t, 4, 4)
 	check := func(rr uint16) bool {
-		r := topo.RouterID(int(rr) % f.NumRouters)
+		r := RouterID(int(rr) % f.NumRouters)
 		digits := make([]int, f.Dims)
 		for d := 1; d <= f.Dims; d++ {
 			digits[d-1] = f.RouterDigit(r, d)
@@ -174,7 +172,7 @@ func TestRouterDigitRoundTrip(t *testing.T) {
 func TestNeighborIn(t *testing.T) {
 	f := mustFF(t, 4, 3)
 	check := func(rr uint16, dd, vv uint8) bool {
-		r := topo.RouterID(int(rr) % f.NumRouters)
+		r := RouterID(int(rr) % f.NumRouters)
 		d := int(dd)%f.Dims + 1
 		v := int(vv) % f.K
 		j := f.NeighborIn(r, d, v)
@@ -218,9 +216,9 @@ func TestDimOfPortInverse(t *testing.T) {
 func TestNodeAddressing(t *testing.T) {
 	f := mustFF(t, 8, 3)
 	for node := 0; node < f.NumNodes; node += 37 {
-		r := f.RouterOf(topo.NodeID(node))
-		tix := f.TerminalIndex(topo.NodeID(node))
-		if f.Node(r, tix) != topo.NodeID(node) {
+		r := f.RouterOf(NodeID(node))
+		tix := f.TerminalIndex(NodeID(node))
+		if f.Node(r, tix) != NodeID(node) {
 			t.Fatalf("node %d does not round-trip through (router, terminal)", node)
 		}
 	}
@@ -323,32 +321,32 @@ func TestFlatteningCorrespondence(t *testing.T) {
 	// versa, with matching multiplicity.
 	const k, n = 3, 3
 	ff := mustFF(t, k, n)
-	bf, err := topo.NewButterfly(k, n)
+	bf, err := NewButterfly(k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type pair struct{ a, b topo.RouterID }
+	type pair struct{ a, b RouterID }
 	bfChannels := map[pair]int{}
 	bg := bf.Graph()
 	for r := range bg.Routers {
-		_, pos := bf.StageOf(topo.RouterID(r))
+		_, pos := bf.StageOf(RouterID(r))
 		for _, out := range bg.Routers[r].Out {
-			if out.Kind != topo.Network {
+			if out.Kind != Network {
 				continue
 			}
 			_, peerPos := bf.StageOf(out.Peer)
 			if pos == peerPos {
 				continue // intra-row channel: eliminated by flattening
 			}
-			bfChannels[pair{topo.RouterID(pos), topo.RouterID(peerPos)}]++
+			bfChannels[pair{RouterID(pos), RouterID(peerPos)}]++
 		}
 	}
 	ffChannels := map[pair]int{}
 	fg := ff.Graph()
 	for r := range fg.Routers {
 		for _, out := range fg.Routers[r].Out {
-			if out.Kind == topo.Network {
-				ffChannels[pair{topo.RouterID(r), out.Peer}]++
+			if out.Kind == Network {
+				ffChannels[pair{RouterID(r), out.Peer}]++
 			}
 		}
 	}

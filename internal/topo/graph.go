@@ -1,9 +1,10 @@
 // Package topo defines the directed channel-graph representation consumed
-// by the simulator, plus the comparison topologies evaluated against the
-// flattened butterfly in the paper: the conventional butterfly (k-ary
-// n-fly), the folded Clos, the binary hypercube, and the generalized
-// hypercube. The flattened butterfly itself — the paper's contribution —
-// lives in internal/core.
+// by the simulator and every topology built on it: the paper's
+// contribution, the flattened butterfly (k-ary n-flat: addressing, the
+// connectivity rule of Eq. 1, the scaling relationships of §2.1 and §5.1
+// and the extra-port variants of Fig. 14), and the topologies evaluated
+// against it — the conventional butterfly (k-ary n-fly), the folded Clos,
+// the binary hypercube and the generalized hypercube.
 package topo
 
 import "fmt"

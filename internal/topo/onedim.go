@@ -1,10 +1,6 @@
-package core
+package topo
 
-import (
-	"fmt"
-
-	"flatnet/internal/topo"
-)
+import "fmt"
 
 // OneDimFB is a single-dimension flattened butterfly generalized to an
 // arbitrary router count: a complete graph of Routers routers, each
@@ -20,17 +16,17 @@ type OneDimFB struct {
 	NumNodes      int
 	Radix         int // ports used: Concentration + Routers - 1
 
-	g *topo.Graph
+	g *Graph
 }
 
 // NewOneDimFB builds the complete-graph single-dimension flattened
 // butterfly with the given router count and concentration.
 func NewOneDimFB(routers, concentration int) (*OneDimFB, error) {
 	if routers < 2 {
-		return nil, fmt.Errorf("core: OneDimFB needs >= 2 routers, got %d", routers)
+		return nil, fmt.Errorf("topo: OneDimFB needs >= 2 routers, got %d", routers)
 	}
 	if concentration < 1 {
-		return nil, fmt.Errorf("core: OneDimFB needs concentration >= 1, got %d", concentration)
+		return nil, fmt.Errorf("topo: OneDimFB needs concentration >= 1, got %d", concentration)
 	}
 	f := &OneDimFB{
 		Routers:       routers,
@@ -41,17 +37,17 @@ func NewOneDimFB(routers, concentration int) (*OneDimFB, error) {
 	c := concentration
 	// Port layout: [0, c) terminals; port c+j reaches router j (self slot Unused).
 	ports := c + routers
-	g := topo.NewGraph(f.Name(), f.NumNodes, routers)
+	g := NewGraph(f.Name(), f.NumNodes, routers)
 	for r := range g.Routers {
-		g.Routers[r].In = make([]topo.InPort, ports)
-		g.Routers[r].Out = make([]topo.OutPort, ports)
+		g.Routers[r].In = make([]InPort, ports)
+		g.Routers[r].Out = make([]OutPort, ports)
 	}
 	for node := 0; node < f.NumNodes; node++ {
-		g.AttachNode(topo.NodeID(node), topo.RouterID(node/c), node%c, node%c, 1)
+		g.AttachNode(NodeID(node), RouterID(node/c), node%c, node%c, 1)
 	}
 	for a := 0; a < routers; a++ {
 		for b := a + 1; b < routers; b++ {
-			g.ConnectBidi(topo.RouterID(a), c+b, topo.RouterID(b), c+a, 1)
+			g.ConnectBidi(RouterID(a), c+b, RouterID(b), c+a, 1)
 		}
 	}
 	f.g = g
@@ -64,13 +60,13 @@ func (f *OneDimFB) Name() string {
 }
 
 // Graph returns the channel graph.
-func (f *OneDimFB) Graph() *topo.Graph { return f.g }
+func (f *OneDimFB) Graph() *Graph { return f.g }
 
 // RouterOf returns the router a node attaches to.
-func (f *OneDimFB) RouterOf(node topo.NodeID) topo.RouterID {
-	return topo.RouterID(int(node) / f.Concentration)
+func (f *OneDimFB) RouterOf(node NodeID) RouterID {
+	return RouterID(int(node) / f.Concentration)
 }
 
 // PortTo returns the port on router r that reaches router j; r and j must
 // differ.
-func (f *OneDimFB) PortTo(j topo.RouterID) int { return f.Concentration + int(j) }
+func (f *OneDimFB) PortTo(j RouterID) int { return f.Concentration + int(j) }

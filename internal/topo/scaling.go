@@ -1,4 +1,4 @@
-package core
+package topo
 
 import (
 	"fmt"
@@ -22,9 +22,9 @@ func NetworkSize(kPrime float64, nPrime int) float64 {
 	return math.Pow(k, n)
 }
 
-// Config describes one (k, n) flattened-butterfly configuration and its
+// FlatFlyConfig describes one (k, n) flattened-butterfly configuration and its
 // derived parameters, as tabulated in Table 4 of the paper.
-type Config struct {
+type FlatFlyConfig struct {
 	K      int // ary
 	N      int // stages of the underlying butterfly
 	KPrime int // switch radix k' = n(k-1)+1
@@ -34,15 +34,15 @@ type Config struct {
 
 // ConfigsForN enumerates every (k, n) with k >= 2, n >= 2 and k^n == nodes,
 // ordered by increasing n. For nodes = 4096 this reproduces Table 4.
-func ConfigsForN(nodes int) []Config {
-	var out []Config
+func ConfigsForN(nodes int) []FlatFlyConfig {
+	var out []FlatFlyConfig
 	for n := 2; ; n++ {
 		k := integerRoot(nodes, n)
 		if k < 2 {
 			break
 		}
 		if pow(k, n) == nodes {
-			out = append(out, Config{K: k, N: n, KPrime: n*(k-1) + 1, NPrime: n - 1, Nodes: nodes})
+			out = append(out, FlatFlyConfig{K: k, N: n, KPrime: n*(k-1) + 1, NPrime: n - 1, Nodes: nodes})
 		}
 	}
 	return out
@@ -81,7 +81,7 @@ func pow(k, n int) int {
 // node count of that configuration.
 func FixedRadixConfig(radix, nodes int) (nPrime, kPrime, maxNodes int, err error) {
 	if radix < 3 {
-		return 0, 0, 0, fmt.Errorf("core: radix %d too small for any flattened butterfly", radix)
+		return 0, 0, 0, fmt.Errorf("topo: radix %d too small for any flattened butterfly", radix)
 	}
 	for np := 1; np+1 <= radix; np++ {
 		k := radix / (np + 1) // floor(k/(n'+1)) terminals per router and per dimension
@@ -93,7 +93,7 @@ func FixedRadixConfig(radix, nodes int) (nPrime, kPrime, maxNodes int, err error
 			return np, (k-1)*(np+1) + 1, max, nil
 		}
 	}
-	return 0, 0, 0, fmt.Errorf("core: radix-%d routers cannot scale to %d nodes", radix, nodes)
+	return 0, 0, 0, fmt.Errorf("topo: radix-%d routers cannot scale to %d nodes", radix, nodes)
 }
 
 // MaxNodesForRadix returns floor(k/(n'+1))^(n'+1): the largest network a

@@ -1,4 +1,4 @@
-package core
+package topo
 
 import (
 	"math"
@@ -32,7 +32,7 @@ func TestNetworkSizeFig2(t *testing.T) {
 
 func TestConfigsForNTable4(t *testing.T) {
 	// Table 4: N = 4K configurations.
-	want := []Config{
+	want := []FlatFlyConfig{
 		{K: 64, N: 2, KPrime: 127, NPrime: 1, Nodes: 4096},
 		{K: 16, N: 3, KPrime: 46, NPrime: 2, Nodes: 4096},
 		{K: 8, N: 4, KPrime: 29, NPrime: 3, Nodes: 4096},
@@ -56,7 +56,7 @@ func TestConfigsForNTable4(t *testing.T) {
 func TestConfigsForN1024(t *testing.T) {
 	got := ConfigsForN(1024)
 	// 1024 = 32^2 = 4^5 = 2^10 (and not a perfect cube etc.).
-	want := []Config{
+	want := []FlatFlyConfig{
 		{K: 32, N: 2, KPrime: 63, NPrime: 1, Nodes: 1024},
 		{K: 4, N: 5, KPrime: 16, NPrime: 4, Nodes: 1024},
 		{K: 2, N: 10, KPrime: 11, NPrime: 9, Nodes: 1024},

@@ -59,9 +59,8 @@ func (Stateless) SetState(b []byte) error {
 // Bernoulli wraps a destination Pattern with the memoryless Bernoulli
 // arrival process the paper's open-loop evaluation uses: each node
 // independently injects a packet with probability load/pktFlits every
-// cycle. It draws exactly one Bernoulli variate per node per cycle, so a
-// wrapped legacy pattern replays bit-identically to the historical
-// generator.
+// cycle. It draws exactly one Bernoulli variate per node per cycle — the
+// stream the golden corpus and every pinned result were recorded on.
 type Bernoulli struct {
 	Stateless
 	Pattern Pattern

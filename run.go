@@ -21,15 +21,16 @@ func WithLoad(load float64) Option {
 }
 
 // WithPattern sets the traffic pattern, injected under the default
-// Bernoulli arrival process. Default: uniform random over the
+// Bernoulli arrival process: shorthand for
+// WithSource(NewBernoulliSource(p)). Default: uniform random over the
 // topology's terminals.
 func WithPattern(p Pattern) Option {
-	return func(o *runOptions) { o.rc.Pattern = p }
+	return func(o *runOptions) { o.rc.Source = NewBernoulliSource(p) }
 }
 
 // WithSource installs a full workload source — arrival process and
 // destination process together (NewOnOffSource, BuildWorkload, or any
-// Source implementation). It takes precedence over WithPattern.
+// Source implementation).
 func WithSource(src Source) Option {
 	return func(o *runOptions) { o.rc.Source = src }
 }
@@ -135,8 +136,8 @@ func Run(t Topology, alg Algorithm, opts ...Option) (LoadPointResult, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.rc.Pattern == nil && o.rc.Source == nil {
-		o.rc.Pattern = NewUniform(g.NumNodes)
+	if o.rc.Source == nil {
+		o.rc.Source = NewBernoulliSource(NewUniform(g.NumNodes))
 	}
 	if o.check != nil {
 		o.checkErr = ArmCheck(&o.rc, *o.check)

@@ -49,7 +49,7 @@ func TestRunMatchesRunLoadPoint(t *testing.T) {
 	cfg := flatnet.DefaultConfig()
 	cfg.Seed = 7
 	want, err := flatnet.RunLoadPoint(ff.Graph(), flatnet.NewUGALS(ff), cfg, flatnet.RunConfig{
-		Load: 0.3, Pattern: wc, Warmup: 300, Measure: 300,
+		Load: 0.3, Source: flatnet.NewBernoulliSource(wc), Warmup: 300, Measure: 300,
 	})
 	if err != nil {
 		t.Fatal(err)
