@@ -295,8 +295,11 @@ func injectUniform(b *testing.B, n *flatnet.Network) {
 }
 
 // cycle advances n by one cycle at 50% offered load.
-func cycle(b *testing.B, n *flatnet.Network) {
-	if err := n.Generate(0.5); err != nil {
+func cycle(b *testing.B, n *flatnet.Network) { cycleAt(b, n, 0.5) }
+
+// cycleAt advances n by one cycle at the given offered load.
+func cycleAt(b *testing.B, n *flatnet.Network, load float64) {
+	if err := n.Generate(load); err != nil {
 		b.Fatal(err)
 	}
 	n.Step()
@@ -325,6 +328,35 @@ func BenchmarkSimulatorCycles(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle(b, n)
+	}
+	b.ReportMetric(float64(ff.NumNodes), "nodes")
+}
+
+// BenchmarkSimulatorCyclesWC is the routing-bound twin of
+// BenchmarkSimulatorCycles and flatbench core_wc's configuration: the same
+// network and algorithm under the worst-case pattern at 40% load, where
+// nearly every packet is routed non-minimally and CLOS AD's comparison of
+// all non-minimal queues (ClosAD.decide and ascend) dominates the cycle.
+func BenchmarkSimulatorCyclesWC(b *testing.B) {
+	ff, err := flatnet.NewFlatFly(32, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, err := flatnet.NewNetwork(ff.Graph(), flatnet.NewClosAD(ff), flatnet.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	wc := flatnet.NewWorstCase(ff.K, ff.NumRouters)
+	if err := n.SetSource(flatnet.NewBernoulliSource(wc)); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		cycleAt(b, n, 0.4)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycleAt(b, n, 0.4)
 	}
 	b.ReportMetric(float64(ff.NumNodes), "nodes")
 }

@@ -8,40 +8,82 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
+	"flatnet/internal/rng"
 	"flatnet/internal/sim"
 	"flatnet/internal/topo"
 )
 
-// pickMin returns the index (into a caller-maintained candidate sequence)
-// of the minimum cost seen so far, breaking ties uniformly at random. Use
-// via the minPicker helper below.
+// minPicker tracks the minimum cost offered so far and the argument that
+// came with it, breaking ties uniformly at random from the router's
+// stream.
 type minPicker struct {
-	view    *sim.RouterView
+	rng     *rng.Source
 	best    int
 	bestArg int
 	ties    int
 }
 
 func newMinPicker(view *sim.RouterView) minPicker {
-	return minPicker{view: view, best: 1 << 30, bestArg: -1}
+	return minPicker{rng: view.RNG(), best: 1 << 30, bestArg: -1}
 }
 
-// offer considers a candidate with the given cost and argument.
+// offer considers a candidate with the given cost and argument. The tie
+// case is outlined so that offer itself inlines into its callers' loops.
 func (m *minPicker) offer(cost, arg int) {
-	switch {
-	case cost < m.best:
-		m.best = cost
-		m.bestArg = arg
-		m.ties = 1
-	case cost == m.best:
-		// Reservoir sampling keeps the pick uniform among ties.
-		m.ties++
-		if m.view.RNG().Intn(m.ties) == 0 {
-			m.bestArg = arg
-		}
+	if cost < m.best {
+		m.best, m.bestArg, m.ties = cost, arg, 1
+	} else if cost == m.best {
+		m.tie(arg)
 	}
+}
+
+// tie counts one more candidate at the best cost; reservoir sampling
+// keeps the pick uniform among them.
+func (m *minPicker) tie(arg int) {
+	m.ties++
+	if m.rng.Intn(m.ties) == 0 {
+		m.bestArg = arg
+	}
+}
+
+// offerRow offers the ports lo..hi-1 of a queue-estimate row
+// (sim.RouterView.QueueEstRow) in ascending order, each at cost row[port]
+// with the port as its argument, leaving out port skip (-1 for none). It
+// is offer(int(row[p]), p) for each of them: the same pick, and Intn(ties)
+// drawn at exactly the same elements, which every replayed run depends on
+// (TestOfferRowMatchesOfferLoop). The scan is written out so that the
+// running minimum stays in registers across the row; the skipped port
+// splits the window in two so that the loop does not test for it.
+func (m *minPicker) offerRow(row []int32, lo, hi, skip int) {
+	best, arg, ties := m.best, m.bestArg, m.ties
+	end := hi
+	if lo <= skip && skip < hi {
+		end = skip
+	}
+	for {
+		for i, c := range row[lo:end] {
+			cost := int(c)
+			if cost > best {
+				continue
+			}
+			if cost < best {
+				best, arg, ties = cost, lo+i, 1
+				continue
+			}
+			ties++
+			if m.rng.Intn(ties) == 0 {
+				arg = lo + i
+			}
+		}
+		if end == hi {
+			break
+		}
+		lo, end = end+1, hi
+	}
+	m.best, m.bestArg, m.ties = best, arg, ties
 }
 
 // ffBase carries shared flattened-butterfly routing helpers. All per-flit
@@ -68,6 +110,27 @@ func (c *costOnly) offer(cost int) {
 	}
 }
 
+// offerRow offers the estimates row[lo:hi], leaving out index skip (-1
+// for none): minPicker.offerRow without the argument or the randomness,
+// so the scan needs no branch per port.
+func (c *costOnly) offerRow(row []int32, lo, hi, skip int) {
+	if lo <= skip && skip < hi {
+		c.offer(rowMin(row[lo:skip]))
+		lo = skip + 1
+	}
+	c.offer(rowMin(row[lo:hi]))
+}
+
+// rowMin returns the least of seg, or MaxInt32 (a cost no offer accepts)
+// if seg is empty.
+func rowMin(seg []int32) int {
+	best := int32(math.MaxInt32)
+	for _, v := range seg {
+		best = min(best, v)
+	}
+	return int(best)
+}
+
 // eject returns the terminal-port decision for a packet at its
 // destination router.
 func (b ffBase) eject(p *sim.Packet) sim.OutRef {
@@ -75,19 +138,24 @@ func (b ffBase) eject(p *sim.Packet) sim.OutRef {
 }
 
 // bestCopyPort returns the port for (dim, digit) with the shortest queue
-// among parallel channel copies (Multiplicity is 1 in all paper
-// configurations, making this a direct lookup).
+// among the parallel channel copies, which sit side by side in the row.
 func (b ffBase) bestCopyPort(view *sim.RouterView, d, v int) (port, cost int) {
-	if b.t.mult == 1 {
-		p := b.t.portFor(d, v, 0)
-		return p, view.QueueEstPort(p)
-	}
 	m := newMinPicker(view)
-	for c := 0; c < b.t.mult; c++ {
-		p := b.t.portFor(d, v, c)
-		m.offer(view.QueueEstPort(p), p)
+	lo := b.t.portFor(d, v, 0)
+	for p, c := range view.QueueEstRow()[lo : lo+b.t.mult] {
+		m.offer(int(c), lo+p)
 	}
 	return m.bestArg, m.best
+}
+
+// dimRow returns the window [lo, hi) of a queue-estimate row holding
+// dimension d's ports when channels are not duplicated: digit v's port is
+// lo+v, so the window is the dimension's candidates in digit order and a
+// row scan replaces one bestCopyPort call per digit. With Multiplicity > 1
+// ok is false and the caller nests a per-copy pick inside its scan.
+func (b ffBase) dimRow(d int) (lo, hi int, ok bool) {
+	lo = b.t.portFor(d, 0, 0)
+	return lo, lo + b.t.k, b.t.mult == 1
 }
 
 // minAdaptiveHop picks the productive channel with the shortest queue
@@ -337,6 +405,10 @@ func (a *ClosAD) decide(view *sim.RouterView, p *sim.Packet, r, dst topo.RouterI
 	for dd := diff; dd != 0; dd &= dd - 1 {
 		d := bits.TrailingZeros32(dd) + 1
 		own := a.t.digit(r, d)
+		if lo, hi, ok := a.dimRow(d); ok {
+			m.offerRow(view.QueueEstRow(), lo, hi, lo+own)
+			continue
+		}
 		for v := 0; v < a.t.k; v++ {
 			if v == own {
 				continue
@@ -375,12 +447,16 @@ func (a *ClosAD) ascend(view *sim.RouterView, p *sim.Packet, r, dst topo.RouterI
 			_, stayCost = a.bestCopyPort(view, d, want)
 		}
 		m.offer(stayCost, -1) // arg -1 = stay
-		for v := 0; v < a.t.k; v++ {
-			if v == own {
-				continue
+		if lo, hi, ok := a.dimRow(d); ok {
+			m.offerRow(view.QueueEstRow(), lo, hi, lo+own)
+		} else {
+			for v := 0; v < a.t.k; v++ {
+				if v == own {
+					continue
+				}
+				port, cost := a.bestCopyPort(view, d, v)
+				m.offer(cost, port)
 			}
-			port, cost := a.bestCopyPort(view, d, v)
-			m.offer(cost, port)
 		}
 		if m.bestArg >= 0 {
 			return sim.OutRef{Port: m.bestArg, VC: 0}, true

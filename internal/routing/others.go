@@ -37,10 +37,8 @@ func (a *ButterflyDest) Route(view *sim.RouterView, p *sim.Packet) sim.OutRef {
 		return sim.OutRef{Port: a.b.PortFor(o, 0), VC: 0}
 	}
 	m := newMinPicker(view)
-	for c := 0; c < a.b.Dilation; c++ {
-		port := a.b.PortFor(o, c)
-		m.offer(view.QueueEstPort(port), port)
-	}
+	lo := a.b.PortFor(o, 0)
+	m.offerRow(view.QueueEstRow(), lo, lo+a.b.Dilation, -1)
 	return sim.OutRef{Port: m.bestArg, VC: 0}
 }
 
@@ -77,19 +75,15 @@ func (a *FoldedClosAdaptive) Route(view *sim.RouterView, p *sim.Packet) sim.OutR
 		}
 		// Ascend: any uplink; shortest queue.
 		m := newMinPicker(view)
-		for j := 0; j < a.f.Uplinks; j++ {
-			port := a.f.UplinkPort(j)
-			m.offer(view.QueueEstPort(port), port)
-		}
+		lo := a.f.UplinkPort(0)
+		m.offerRow(view.QueueEstRow(), lo, lo+a.f.Uplinks, -1)
 		return sim.OutRef{Port: m.bestArg, VC: 0}
 	}
 	// Middle: descend toward the destination leaf on the least-occupied
 	// parallel link.
 	lo, hi := a.f.DownPorts(int(dstLeaf))
 	m := newMinPicker(view)
-	for port := lo; port < hi; port++ {
-		m.offer(view.QueueEstPort(port), port)
-	}
+	m.offerRow(view.QueueEstRow(), lo, hi, -1)
 	return sim.OutRef{Port: m.bestArg, VC: 0}
 }
 

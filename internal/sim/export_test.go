@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
+	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
@@ -34,4 +36,43 @@ func MustGenerate(t testing.TB, n *Network, load float64) {
 	if err := n.Generate(load); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// CheckQueueEstRows verifies the invariant behind RouterView.QueueEstPort
+// and QueueEstRow: every output port's entry in its router's
+// queue-estimate row equals the sum of the port's per-VC pending counts,
+// and the padding that rounds a row up to whole cache lines is never
+// written. It returns the first violation.
+func CheckQueueEstRows(n *Network) error {
+	var rows int64
+	for ri := range n.routers {
+		rt := &n.routers[ri]
+		for p := range rt.out {
+			var sum int32
+			for v := 0; v < 1<<n.vcShift; v++ {
+				sum += rt.ovc[p<<n.vcShift+v].pending
+			}
+			if rt.psum[p] != sum {
+				return fmt.Errorf("cycle %d router %d port %d: row holds %d, VCs sum to %d", n.cycle, ri, p, rt.psum[p], sum)
+			}
+			if &n.psum[rt.out[p].psumAt] != &rt.psum[p] {
+				return fmt.Errorf("router %d port %d: psumAt %d does not address its row entry", ri, p, rt.out[p].psumAt)
+			}
+			rows += int64(sum)
+		}
+	}
+	var slab int64
+	for _, v := range n.psum {
+		slab += int64(v)
+	}
+	if slab != rows {
+		return fmt.Errorf("cycle %d: row padding was written (slab sums to %d, rows to %d)", n.cycle, slab, rows)
+	}
+	return nil
+}
+
+// ForgePending overwrites one output VC's pending count without touching
+// the port's row entry: the state a hostile snapshot describes.
+func ForgePending(n *Network, r topo.RouterID, port, vc int, pending int32) {
+	n.routers[r].ovc[port<<n.vcShift|vc].pending = pending
 }

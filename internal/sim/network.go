@@ -147,16 +147,18 @@ type inPort struct {
 }
 
 // outPort is the per-output-port scalar state. It is 64 bytes, one cache
-// line (TestHotLayoutSizes); per-VC state lives in router.ovc.
+// line (TestHotLayoutSizes); per-VC state lives in router.ovc, and the
+// port's queue estimate in router.psum, where a routing algorithm can
+// compare a router's ports without visiting one outPort line each.
 type outPort struct {
-	nextFree   int64  // first cycle at which the channel can transmit another flit
-	flitsSent  int64  // traffic counter for utilization reporting
-	peer       int32  // downstream router (Network outputs)
-	peerIn     uint32 // flit-event address of the downstream port's VC 0: (peerPort<<vcShift)<<1
-	node       int32  // attached node (Terminal outputs)
-	latency    int32
-	pendingSum int32 // sum of pending over VCs, maintained incrementally for O(1) QueueEstPort
-	rr         int32 // round-robin pointer for switch allocation: the last granted request key
+	nextFree  int64  // first cycle at which the channel can transmit another flit
+	flitsSent int64  // traffic counter for utilization reporting
+	peer      int32  // downstream router (Network outputs)
+	peerIn    uint32 // flit-event address of the downstream port's VC 0: (peerPort<<vcShift)<<1
+	node      int32  // attached node (Terminal outputs)
+	latency   int32
+	psumAt    int32 // index in Network.psum of this port's queue estimate, for credit events, which do not name the router
+	rr        int32 // round-robin pointer for switch allocation: the last granted request key
 	// This cycle's requesters, a list linked through router.reqNext in
 	// ascending request-key order; valid while nreq > 0.
 	reqHead int32
@@ -193,7 +195,12 @@ type router struct {
 	in    []inPort
 	out   []outPort
 	ovc   []outVC // output VC state by ovc
-	rng   *rng.Source
+	// psum is the router's row of queue estimates, one per output port:
+	// the sum of pending over the port's VCs, kept in step with it at
+	// every site that changes pending. The row is dense so adaptive
+	// routing scans it in place (RouterView.QueueEstRow).
+	psum []int32
+	rng  *rng.Source
 
 	reqNext []int32 // request-list links by request key: the next requester of the same output
 	touched []int32 // this cycle's decisions awaiting the fold into pending (greedy allocation only)
@@ -213,6 +220,13 @@ func carve[T any](slab []T, off, n int) []T { return slab[off : off+n : off+n] }
 func routerWords(inVCs, outPorts int) int {
 	return ((inVCs+63)/64 + (outPorts+63)/64 + 7) &^ 7
 }
+
+// psumStride returns the int32 entries a router's queue-estimate row takes
+// in the shared slab: one per output port, rounded up to whole cache lines
+// for routerWords' reason — a row is written on every routing decision and
+// credit return, and neighbouring routers may belong to different worker
+// shards.
+func psumStride(outPorts int) int { return (outPorts + 15) &^ 15 }
 
 // inVCs returns how many virtual channels input port ip buffers: the
 // algorithm's VC count for a network port, one (holding the full per-port
@@ -317,6 +331,7 @@ type Network struct {
 	// ovc are also indexed directly by credit events.
 	outs []outPort
 	ovc  []outVC
+	psum []int32 // the routers' queue-estimate rows, psumStride entries each
 
 	// Sharded scheduler state. sh always holds at least the bootstrap
 	// shard 0; par is true once partition() split the network across
@@ -404,7 +419,7 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 	if vcs*depth > portSlots {
 		portSlots = vcs * depth
 	}
-	var nIn, nOut, nSlots, nWords int
+	var nIn, nOut, nSlots, nWords, nPsum int
 	for r := range g.Routers {
 		rd := &g.Routers[r]
 		nIn += len(rd.In)
@@ -415,10 +430,11 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 			}
 		}
 		nWords += routerWords(len(rd.In)<<shift, len(rd.Out))
+		nPsum += psumStride(len(rd.Out))
 	}
 	// State indices and flit counts are 32-bit: VC indices, ring slots, and
 	// queue estimates, which reserve a whole packet per routed input VC.
-	if nIn<<shift > math.MaxInt32/2 || nOut<<shift > math.MaxInt32 || nSlots > math.MaxInt32 ||
+	if nIn<<shift > math.MaxInt32/2 || nOut<<shift > math.MaxInt32 || nPsum > math.MaxInt32 || nSlots > math.MaxInt32 ||
 		cfg.PacketSize > math.MaxInt32/(nIn<<shift+1) {
 		return nil, fmt.Errorf("sim: network too large for the simulator's 32-bit state (%d input ports, %d output ports, %d VCs, %d flits per port, %d flits per packet)",
 			nIn, nOut, vcs, portSlots, cfg.PacketSize)
@@ -435,6 +451,7 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		measEnd:   -1,
 		outs:      make([]outPort, nOut),
 		ovc:       make([]outVC, nOut<<shift),
+		psum:      make([]int32, nPsum),
 	}
 	// Every router's state is carved out of a handful of network-wide
 	// slabs: contiguous per router, and a few allocations per network
@@ -461,7 +478,7 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		outBase += len(g.Routers[r].Out)
 	}
 	maxLat := 1
-	var inOff, slotOff, wordOff int
+	var inOff, slotOff, wordOff, psumOff int
 	for r := range g.Routers {
 		rd := &g.Routers[r]
 		rt := &n.routers[r]
@@ -487,6 +504,7 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		rt.occ = carve(wordSlab, wordOff, occWords)
 		rt.reqOut = carve(wordSlab, wordOff+occWords, (nout+63)/64)
 		wordOff += routerWords(nin<<shift, nout)
+		rt.psum = carve(n.psum, psumOff, nout)
 		slot0 := slotOff
 		for p := range rd.In {
 			ip := &rt.in[p]
@@ -522,6 +540,7 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 			op.peerIn = uint32(rd.Out[p].PeerPort) << shift << 1
 			op.node = int32(rd.Out[p].Node)
 			op.latency = int32(rd.Out[p].Latency)
+			op.psumAt = int32(psumOff + p)
 			if int(op.latency) > maxLat {
 				maxLat = int(op.latency)
 			}
@@ -531,6 +550,7 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 				}
 			}
 		}
+		psumOff += psumStride(nout)
 	}
 	n.maxLat = maxLat
 	// The calendar ring must cover the worst-case scheduling horizon: the
@@ -747,7 +767,7 @@ func (sh *shard) processEvents() {
 		ov := &n.ovc[ev.ovc]
 		ov.credits++
 		ov.pending--
-		n.outs[ev.ovc>>n.vcShift].pendingSum--
+		n.psum[n.outs[ev.ovc>>n.vcShift].psumAt]--
 		if n.checks != nil {
 			r, port, vc := n.creditTarget(ev.ovc)
 			n.checks.CreditReturn(topo.RouterID(r), port, vc, int(ov.credits))

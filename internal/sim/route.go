@@ -72,7 +72,7 @@ func (sh *shard) routeRouter(rt *router, seq bool) {
 				}
 				if seq {
 					rt.ovc[q.out].pending += ps
-					rt.out[dec.Port].pendingSum += ps
+					rt.psum[dec.Port] += ps
 				} else {
 					rt.touched = append(rt.touched, q.out)
 				}
@@ -108,7 +108,7 @@ func (sh *shard) routeRouter(rt *router, seq bool) {
 	}
 	for _, t := range rt.touched {
 		rt.ovc[t].pending += ps
-		rt.out[t>>shift].pendingSum += ps
+		rt.psum[t>>shift] += ps
 	}
 	rt.touched = rt.touched[:0]
 }
@@ -145,13 +145,15 @@ func (v *RouterView) Router() topo.RouterID { return v.rt.id }
 // intermediate-node selection and tie-breaking).
 func (v *RouterView) RNG() *rng.Source { return v.rt.rng }
 
-// QueueEst returns the queue-length estimate for (port, vc).
-func (v *RouterView) QueueEst(port, vc int) int {
-	return int(v.rt.ovc[port<<v.n.vcShift|vc].pending)
-}
-
 // QueueEstPort returns the estimate summed over all VCs of port. The sum
 // is maintained incrementally, so this is O(1) regardless of VC count.
 func (v *RouterView) QueueEstPort(port int) int {
-	return int(v.rt.out[port].pendingSum)
+	return int(v.rt.psum[port])
 }
+
+// QueueEstRow returns the router's queue estimates as one dense row,
+// QueueEstRow()[port] == QueueEstPort(port) for every output port, so an
+// algorithm comparing many ports scans memory instead of calling per
+// port. The row is the simulator's own state: read-only, and like the
+// view valid only for the duration of the Route call.
+func (v *RouterView) QueueEstRow() []int32 { return v.rt.psum }

@@ -650,6 +650,9 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 		}
 		for p := range rt.out {
 			op := &rt.out[p]
+			// The port's queue estimate is not in the file: it is rebuilt
+			// as the sum of the VCs' pending counts, each at most MaxInt32.
+			var psum int64
 			switch op.kind {
 			case topo.Network:
 				for v := 0; v < n.vcs; v++ {
@@ -660,7 +663,7 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 						return nil, fmt.Errorf("sim: snapshot router %d out %d vc %d has invalid flow-control state", ri, p, v)
 					}
 					ov.credits, ov.pending = int32(credits), int32(pending)
-					op.pendingSum += ov.pending
+					psum += pending
 				}
 			case topo.Terminal:
 				for v := 0; v < n.vcs; v++ {
@@ -669,11 +672,15 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 						return nil, fmt.Errorf("sim: snapshot router %d out %d vc %d has invalid pending count", ri, p, v)
 					}
 					rt.ovc[p<<n.vcShift+v].pending = int32(pending)
-					op.pendingSum += int32(pending)
+					psum += pending
 				}
 			default:
 				continue
 			}
+			if r.Err() == nil && psum > math.MaxInt32 {
+				return nil, fmt.Errorf("sim: snapshot router %d out %d has invalid flow-control state: queue estimate %d overflows", ri, p, psum)
+			}
+			rt.psum[p] = int32(psum)
 			// Back from the file's inport*(vcs+1) + vc encoding to a
 			// request key.
 			rr := r.Varint()

@@ -265,7 +265,7 @@ func (sh *shard) traverse(rt *router, ivc int32) {
 	case topo.Terminal:
 		ov := &rt.ovc[ovc]
 		ov.pending--
-		op.pendingSum--
+		rt.psum[port]--
 		sh.scheduleDeliver(delay, op.node, f.tail, f.pkt)
 	}
 }
