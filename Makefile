@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck onebuilder test race check checksweep nocd-smoke benchall flatbench-check bench-record figs quickfigs fuzz clean
+.PHONY: all build vet fmtcheck onebuilder test race check checksweep nocd-smoke benchall flatbench-check bench-record bench-diff figs quickfigs fuzz clean
 
 # Tier-1 flow: build, static checks, tests, then the race detector over
 # the whole module — the sweep engine's worker pool must stay race-clean.
@@ -70,6 +70,12 @@ bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=<number>"; exit 2; }
 	bash bench/run.sh -seed 1 -trace 1 -out .bench_build/record.json
 	$(GO) run ./cmd/benchrecord -pr $(PR) -in .bench_build/record.json
+
+# bench-diff prints the trajectory's last two records side by side: the
+# end-to-end metrics of every workload and the per-layer rows that moved
+# by more than 10 %.
+bench-diff:
+	@$(GO) run ./cmd/benchrecord -diff
 
 # benchall runs the full benchmark suite (paper figures + ablations).
 benchall:

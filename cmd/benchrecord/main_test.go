@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -57,5 +58,53 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if err := run(17, in, trajectory); err == nil {
 		t.Error("an empty suite report was recorded")
+	}
+}
+
+// TestDiff prints the last two of three records: all four end-to-end
+// metrics, only the per-layer rows that moved by more than a tenth, a
+// changed digest flagged, and nothing from the older record.
+func TestDiff(t *testing.T) {
+	trajectory := filepath.Join(t.TempDir(), "BENCH_flatbench.json")
+	recs := `[
+  {"pr": 19, "workloads": [{"workload": "sweep_warm", "failed": 0, "end_to_end": {"work_per_s": 1}}]},
+  {"pr": 21, "workloads": [{"workload": "sweep_warm", "sim_digest": "aaaa", "failed": 0,
+     "end_to_end": {"setup_s": 2, "work_per_s": 70, "op_p50_ms": 9, "peak_rss_mb": 64},
+     "per_layer": {"sim.restore_ms": 8, "sim.snapshot_bytes": 115710, "sweep.job_ms_p95": 120, "sim.new_ms": 0.3}}]},
+  {"pr": 23, "workloads": [{"workload": "sweep_warm", "sim_digest": "bbbb", "failed": 0,
+     "end_to_end": {"setup_s": 1.5, "work_per_s": 91, "op_p50_ms": 8, "peak_rss_mb": 48},
+     "per_layer": {"sim.restore_ms": 4, "sim.snapshot_bytes": 115710, "sweep.job_ms_p95": 131, "sweep.warm_hits": 50}},
+    {"workload": "core_ur", "failed": 0, "end_to_end": {"work_per_s": 8000}}]}
+]`
+	if err := os.WriteFile(trajectory, []byte(recs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := diff(&out, trajectory); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"PR 21", "PR 23", "sweep_warm  sim_digest aaaa -> bbbb",
+		"setup_s", "op_p50_ms", "peak_rss_mb",
+		"work_per_s                                       70             91    +30.0%",
+		"sim.restore_ms                                    8              4    -50.0%",
+		"core_ur: not in PR 21's record",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("diff output lacks %q:\n%s", want, got)
+		}
+	}
+	for _, unwanted := range []string{"PR 19", "sim.snapshot_bytes", "sweep.job_ms_p95", "sim.new_ms", "sweep.warm_hits"} {
+		if strings.Contains(got, unwanted) {
+			t.Errorf("diff output mentions %q (unmoved, one-sided or from an older record):\n%s", unwanted, got)
+		}
+	}
+
+	if err := os.WriteFile(trajectory, []byte(`[{"pr": 23, "workloads": []}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := diff(&out, trajectory); err == nil {
+		t.Error("a trajectory of one record was diffed")
 	}
 }

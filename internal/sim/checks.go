@@ -91,7 +91,7 @@ func (n *Network) Graph() *topo.Graph { return n.g }
 // every virtual channel free — the end-of-run invariant Finalize checks.
 func (n *Network) Quiescent() bool {
 	for i := range n.sources {
-		if n.sources[i].cur != nil || n.sources[i].backlogLen() != 0 {
+		if n.sources[i].cur != nil || !n.sources[i].empty() {
 			return false
 		}
 	}

@@ -858,13 +858,17 @@ func (sh *shard) injectSource(i int) bool {
 	n := sh.n
 	s := &n.sources[i]
 	if s.cur == nil {
-		if s.backlogLen() == 0 {
-			return false // empty: drop from the worklist
+		if s.empty() {
+			return false // drop from the worklist
 		}
 		if s.peekTS() > n.cycle {
 			return true // the next (trace) arrival is in the future
 		}
 		a := s.pop()
+		var xfer *Transfer
+		if a.xfer {
+			xfer = s.popTransfer()
+		}
 		p := sh.arena.allocPacket()
 		if n.par {
 			// Shards cannot share a sequence counter without coordination.
@@ -878,7 +882,7 @@ func (sh *shard) injectSource(i int) bool {
 			n.nextID++
 		}
 		p.Src = topo.NodeID(i)
-		if a.hasDst {
+		if a.dst >= 0 {
 			p.Dst = topo.NodeID(a.dst)
 		} else {
 			p.Dst = n.wl.Dest(topo.NodeID(i), s.rng)
@@ -894,12 +898,12 @@ func (sh *shard) injectSource(i int) bool {
 			// Transfer registration and the materialization callback touch
 			// caller-owned state; defer them to the barrier, where the
 			// coordinator applies them in sequential (shard, source) order.
-			if a.xfer != nil || n.onMaterialize != nil {
-				sh.mat = append(sh.mat, matEntry{pkt: p, xfer: a.xfer})
+			if xfer != nil || n.onMaterialize != nil {
+				sh.mat = append(sh.mat, matEntry{pkt: p, xfer: xfer})
 			}
 		} else {
-			if a.xfer != nil {
-				n.registerTransfer(p, a.xfer)
+			if xfer != nil {
+				n.registerTransfer(p, xfer)
 			}
 			if n.onMaterialize != nil {
 				n.onMaterialize(p)
@@ -929,7 +933,7 @@ func (sh *shard) injectSource(i int) bool {
 	if tail {
 		s.cur = nil
 	}
-	return s.cur != nil || s.backlogLen() > 0
+	return s.cur != nil || !s.empty()
 }
 
 // PacketSize returns the configured flits per packet.

@@ -427,8 +427,8 @@ func TestStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSourceBacklogIsRing holds the source backlog to ring behaviour: a
-// source that never fully drains must keep reusing its storage. (As an
+// TestSourceBacklogIsRing holds the source backlog to bounded storage: a
+// source that never fully drains must keep reusing its segments. (As an
 // append-only window it kept growing — and reallocating — until a full
 // drain or a 1024-entry compaction threshold.)
 func TestSourceBacklogIsRing(t *testing.T) {
@@ -452,15 +452,15 @@ func TestSourceBacklogIsRing(t *testing.T) {
 			t.Fatalf("backlog %d, want 3", s.backlogLen())
 		}
 	}
-	if len(s.q) > 8 {
-		t.Fatalf("backlog of 3-4 arrivals grew its storage to %d entries", len(s.q))
+	if segs, bytes := backlogStorage(&s); segs > 2 || bytes > 256 {
+		t.Fatalf("backlog of 3-4 arrivals holds %d segments, %d bytes; want <= 2 segments, <= 256 bytes", segs, bytes)
 	}
-	// Growth while wrapped keeps FIFO order.
-	for i := 0; i < 20; i++ {
+	// Growth across segments keeps FIFO order.
+	for i := 0; i < 5000; i++ {
 		s.pushTimestamp(next)
 		next++
 	}
-	for s.backlogLen() > 0 {
+	for !s.empty() {
 		if got := s.pop().ts; got != want {
 			t.Fatalf("after growth: got timestamp %d, want %d", got, want)
 		}
@@ -468,6 +468,11 @@ func TestSourceBacklogIsRing(t *testing.T) {
 	}
 	if want != next {
 		t.Fatalf("drained %d arrivals, pushed %d", want, next)
+	}
+	// A drained source is back to one segment and its spare, however long
+	// the backlog was.
+	if segs, bytes := backlogStorage(&s); segs > 2 || bytes > 2*maxSegment*16 {
+		t.Fatalf("drained backlog holds %d segments, %d bytes", segs, bytes)
 	}
 }
 
@@ -487,7 +492,7 @@ func TestHotLayoutSizes(t *testing.T) {
 		{"outPort", unsafe.Sizeof(outPort{}), 64},
 		{"outVC", unsafe.Sizeof(outVC{}), 16},
 		{"source", unsafe.Sizeof(source{}), 64},
-		{"arrival", unsafe.Sizeof(arrival{}), 24},
+		{"arrival", unsafe.Sizeof(arrival{}), 16},
 	} {
 		if c.got != c.want {
 			t.Errorf("sizeof(%s) = %d bytes, want %d", c.name, c.got, c.want)

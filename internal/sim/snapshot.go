@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"sort"
@@ -61,29 +60,6 @@ const (
 type pendingWorkload struct {
 	name  string
 	state []byte
-}
-
-// graphDigest fingerprints a topology's full channel structure so a
-// snapshot can refuse restoration onto a different graph.
-func graphDigest(g *topo.Graph) uint64 {
-	h := crc32.NewIEEE()
-	fmt.Fprintf(h, "%s|%d|%d|", g.Label, g.NumNodes, len(g.Routers))
-	for r := range g.Routers {
-		rd := &g.Routers[r]
-		fmt.Fprintf(h, "r%d/%d;", len(rd.In), len(rd.Out))
-		for p := range rd.In {
-			ip := &rd.In[p]
-			fmt.Fprintf(h, "i%d,%d,%d,%d;", ip.Kind, ip.Node, ip.Peer, ip.PeerPort)
-		}
-		for p := range rd.Out {
-			op := &rd.Out[p]
-			fmt.Fprintf(h, "o%d,%d,%d,%d,%d;", op.Kind, op.Node, op.Peer, op.PeerPort, op.Latency)
-		}
-	}
-	for i := 0; i < g.NumNodes; i++ {
-		fmt.Fprintf(h, "n%d,%d,%d,%d;", g.NodeRouter[i], g.EjRouter[i], g.InjPort[i], g.EjPort[i])
-	}
-	return uint64(h.Sum32())
 }
 
 // snapshotCaps derives allocation bounds for restore-side validation
@@ -280,10 +256,7 @@ func (n *Network) Snapshot(w io.Writer) error {
 		return i
 	}
 	for i := range n.sources {
-		s := &n.sources[i]
-		for k := 0; k < s.backlogLen(); k++ {
-			addXfer(s.at(k).xfer)
-		}
+		n.sources[i].eachPending(func(_ arrival, t *Transfer) { addXfer(t) })
 	}
 	type livePair struct{ pkt, xfer int }
 	var pairs []livePair
@@ -315,7 +288,7 @@ func (n *Network) Snapshot(w io.Writer) error {
 	sw.Varint(int64(n.cfg.RouterDelay))
 	sw.Uvarint(uint64(len(n.routers)))
 	sw.Uvarint(uint64(n.g.NumNodes))
-	sw.U64(graphDigest(n.g))
+	sw.U64(n.g.Digest())
 	sw.Varint(int64(n.maxLat))
 	sw.Varint(int64(n.calLen))
 
@@ -433,13 +406,13 @@ func (n *Network) Snapshot(w io.Writer) error {
 		}
 		sw.Varint(int64(s.remaining))
 		sw.Uvarint(uint64(s.backlogLen()))
-		for k := 0; k < s.backlogLen(); k++ {
-			a := s.at(k)
+		// The file keeps "no destination yet" as a (0, false) pair.
+		s.eachPending(func(a arrival, t *Transfer) {
 			sw.Varint(a.ts)
-			sw.Varint(int64(a.dst))
-			sw.Bool(a.hasDst)
-			sw.Varint(int64(addXfer(a.xfer)))
-		}
+			sw.Varint(int64(max(a.dst, 0)))
+			sw.Bool(a.dst >= 0)
+			sw.Varint(int64(addXfer(t)))
+		})
 	}
 
 	sw.Section(secEvents)
@@ -514,7 +487,7 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 	check("RouterDelay", r.Varint(), int64(n.cfg.RouterDelay))
 	check("router count", int64(r.Uvarint()), int64(len(n.routers)))
 	check("node count", int64(r.Uvarint()), int64(g.NumNodes))
-	if d := r.U64(); r.Err() == nil && d != graphDigest(g) {
+	if d := r.U64(); r.Err() == nil && d != g.Digest() {
 		err = fmt.Errorf("sim: snapshot topology digest %#x does not match graph %q", d, g.Label)
 	}
 	check("max latency", r.Varint(), int64(n.maxLat))
@@ -712,27 +685,29 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 		s.remaining = int32(remaining)
 		nb := r.Count(1<<30, "backlog arrival")
 		for k := 0; k < nb; k++ {
-			var a arrival
-			a.ts = r.Varint()
+			ts := r.Varint()
 			dst := r.Varint()
-			a.hasDst = r.Bool()
+			hasDst := r.Bool()
 			xi := r.Varint()
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			if a.hasDst && (dst < 0 || dst >= int64(g.NumNodes)) || !a.hasDst && dst != 0 {
+			if hasDst && (dst < 0 || dst >= int64(g.NumNodes)) || !hasDst && dst != 0 {
 				return nil, fmt.Errorf("sim: snapshot source %d backlog destination %d out of range", i, dst)
 			}
-			a.dst = int32(dst)
-			if xi >= 0 {
-				if xi >= int64(nx) {
-					return nil, fmt.Errorf("sim: snapshot source %d backlog transfer index %d out of range", i, xi)
-				}
-				a.xfer = xfers[xi]
+			if !hasDst {
+				dst = -1
 			}
-			s.push(a)
+			if xi >= int64(nx) {
+				return nil, fmt.Errorf("sim: snapshot source %d backlog transfer index %d out of range", i, xi)
+			}
+			if xi >= 0 {
+				s.pushTransfer(ts, int32(dst), xfers[xi])
+			} else {
+				s.push(arrival{ts: ts, dst: int32(dst)})
+			}
 		}
-		if s.cur != nil || s.backlogLen() > 0 {
+		if s.cur != nil || !s.empty() {
 			n.wakeSource(i)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flatnet/internal/routing"
@@ -496,5 +497,70 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 	if got := pinnedSnapshot(t); !bytes.Equal(got, want) {
 		t.Fatalf("snapshot bytes drifted from the pinned file (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestSnapshotDigestIsPerGraph holds the memoised topology digest to its
+// job: it is remembered per graph, not per shape or label, so two graphs
+// that differ in a single channel latency still digest differently and a
+// snapshot still refuses to restore onto the wrong one.
+func TestSnapshotDigestIsPerGraph(t *testing.T) {
+	build := func() *topo.FlatFly {
+		ff, err := topo.NewFlatFly(4, 2, topo.WithChannelLatency(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ff
+	}
+	a, same, other := build(), build(), build()
+	// One inter-router channel of other is a cycle shorter. The longest
+	// latency, and with it every other field of the snapshot's header,
+	// is unchanged: only the digest can tell the graphs apart.
+	shortened := false
+	for p := range other.Graph().Routers[2].Out {
+		if op := &other.Graph().Routers[2].Out[p]; op.Kind == topo.Network && !shortened {
+			op.Latency, shortened = 2, true
+		}
+	}
+	if !shortened {
+		t.Fatal("router 2 has no network channel")
+	}
+	da := a.Graph().Digest()
+	if da != a.Graph().Digest() || da != same.Graph().Digest() {
+		t.Fatal("digest is not a function of graph structure")
+	}
+	if da == other.Graph().Digest() {
+		t.Fatal("graphs differing in one channel latency share a digest")
+	}
+
+	alg := func(ff *topo.FlatFly) sim.Algorithm {
+		alg, err := routing.NewFlatFlyAlgorithm("min", ff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return alg
+	}
+	n, err := sim.New(a.Graph(), alg(a), sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
+	for i := 0; i < 30; i++ {
+		sim.MustGenerate(t, n, 0.3)
+		n.Step()
+	}
+	var buf bytes.Buffer
+	if err := n.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := sim.Restore(bytes.NewReader(buf.Bytes()), same.Graph(), alg(same), sim.DefaultConfig()); err != nil {
+		t.Fatalf("restore onto an identical graph: %v", err)
+	} else {
+		r.Close()
+	}
+	_, err = sim.Restore(bytes.NewReader(buf.Bytes()), other.Graph(), alg(other), sim.DefaultConfig())
+	if err == nil || !strings.Contains(err.Error(), "topology digest") {
+		t.Fatalf("restore onto a graph with one shorter channel: %v, want a topology digest mismatch", err)
 	}
 }

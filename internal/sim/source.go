@@ -14,6 +14,21 @@ import (
 // exists in the router's terminal input buffer. For stochastic patterns
 // this is statistically identical to drawing at arrival time and keeps
 // memory proportional to backlog length, not packet size.
+//
+// The backlog of pending arrivals is a FIFO of segments: hd[head:] holds
+// the oldest arrivals, more.segs the segments behind it in order, and
+// the last segment of all is the tail that push appends to. Segments are
+// never copied or regrown: a full tail gets a new segment behind it,
+// twice its size (4 entries up to 1024), and a drained head segment
+// becomes the spare the next growth reuses. So a saturated source, which
+// queues one arrival per offered packet for the whole run, allocates at
+// most twice its final backlog, once; a source whose short backlog never
+// quite drains alternates between two small segments; and a source that
+// does drain keeps refilling the one segment it has. An empty backlog is
+// len(hd) == 0.
+//
+// A source is 64 bytes, one cache line (TestHotLayoutSizes); everything
+// only a long or transfer-carrying backlog needs lives behind more.
 type source struct {
 	rng *rng.Source
 
@@ -21,13 +36,9 @@ type source struct {
 	// input buffer; remaining counts its flits yet to inject.
 	cur *Packet
 
-	// Backlog of pending arrivals: a ring over q, so a source that never
-	// fully drains reuses its storage instead of sliding through (and
-	// regrowing) an append-only window. q only grows when the backlog
-	// outgrows it.
-	q     []arrival
-	head  int32
-	count int32
+	hd   []arrival
+	more *overflow // nil until the backlog outgrows hd or carries a transfer
+	head int32
 
 	remaining int32
 
@@ -39,48 +50,97 @@ type source struct {
 
 // arrival is one generated-but-not-yet-materialized packet. Pattern-based
 // arrivals draw their destination at materialization time; trace-based
-// arrivals carry it explicitly. Transfer arrivals (StartTransfer)
-// additionally carry the handle their delivery is credited to.
+// and transfer arrivals carry it explicitly.
 //
-// A saturated source queues one arrival per offered packet for the whole
-// run, so the backlog's footprint is what a saturated job's memory comes
-// to: the struct is packed into 24 bytes.
+// The struct is 16 bytes and holds no pointer, so the runtime allocates
+// backlog segments as noscan memory: the collector never marks them and
+// stores into them need no write barrier. That is why a transfer arrival
+// carries a flag and not its *Transfer (see overflow.runs).
 type arrival struct {
-	ts     int64
-	xfer   *Transfer
-	dst    int32 // destination node, meaningful when hasDst
-	hasDst bool
+	ts   int64
+	dst  int32 // destination node; negative means "draw at materialization"
+	xfer bool  // credited to a transfer: the oldest unfinished run of overflow.runs
 }
 
-func (s *source) backlogLen() int { return int(s.count) }
+// Segment sizes, in arrivals. The smallest is one cache line, so an idle
+// terminal costs 64 bytes; the cap keeps the directory of a long backlog
+// short (one entry per 16 kB) without holding a drained source at more
+// than two such segments. Fixed 2 kB segments were measured and lost:
+// core_ur -8 %, core_4k_par -10 % and +43 % RSS (DESIGN.md §10).
+const (
+	minSegment = 4
+	maxSegment = 1024
+)
 
-// at returns the k-th pending arrival, k in [0, count).
-func (s *source) at(k int) *arrival {
-	i := int(s.head) + k
-	if i >= len(s.q) {
-		i -= len(s.q)
+// overflow is the part of a source's backlog that does not fit its
+// 64-byte header.
+type overflow struct {
+	segs  [][]arrival // segments behind source.hd, oldest first; the last is the tail
+	spare []arrival   // the most recently drained segment, empty, for the next growth
+
+	// runs[rh:] are the transfers with arrivals still in this backlog,
+	// oldest first. The arrivals of one StartTransfer are contiguous and
+	// identical, so the backlog stores a flag per arrival and the handle
+	// once per run; a run is dropped, and its handle released, when its
+	// last arrival materializes.
+	runs []xferRun
+	rh   int
+}
+
+type xferRun struct {
+	t    *Transfer
+	left int // arrivals of t still queued
+}
+
+func (s *source) overflow() *overflow {
+	if s.more == nil {
+		s.more = &overflow{}
 	}
-	return &s.q[i]
+	return s.more
+}
+
+func (s *source) empty() bool { return len(s.hd) == 0 }
+
+func (s *source) backlogLen() int {
+	n := len(s.hd) - int(s.head)
+	if s.more != nil {
+		for _, seg := range s.more.segs {
+			n += len(seg)
+		}
+	}
+	return n
 }
 
 func (s *source) push(a arrival) {
-	if int(s.count) == len(s.q) {
-		// Double a small ring; grow a large one by a quarter, as append
-		// does, so a long backlog is not held at up to twice its size.
-		size := max(4, 2*len(s.q))
-		if len(s.q) >= 256 {
-			size = len(s.q) + len(s.q)/4
-		}
-		grown := make([]arrival, size)
-		n := copy(grown, s.q[s.head:])
-		copy(grown[n:], s.q[:s.head])
-		s.q, s.head = grown, 0
+	tail := &s.hd
+	if o := s.more; o != nil && len(o.segs) > 0 {
+		tail = &o.segs[len(o.segs)-1]
 	}
-	s.count++
-	*s.at(int(s.count) - 1) = a
+	if len(*tail) == cap(*tail) {
+		tail = s.grow(cap(*tail))
+	}
+	*tail = append(*tail, a)
 }
 
-func (s *source) pushTimestamp(t int64) { s.push(arrival{ts: t}) }
+// grow starts a new tail segment behind a full one of the given size (0
+// on a source's first arrival) and returns it.
+func (s *source) grow(full int) *[]arrival {
+	var seg []arrival
+	if o := s.more; o != nil && o.spare != nil {
+		seg, o.spare = o.spare, nil
+	} else {
+		seg = make([]arrival, 0, min(max(2*full, minSegment), maxSegment))
+	}
+	if full == 0 {
+		s.hd = seg
+		return &s.hd
+	}
+	o := s.overflow()
+	o.segs = append(o.segs, seg)
+	return &o.segs[len(o.segs)-1]
+}
+
+func (s *source) pushTimestamp(t int64) { s.push(arrival{ts: t, dst: -1}) }
 
 // pushArrival enqueues one pattern arrival at source i and wakes it —
 // the single-packet injection hook the timing tests use.
@@ -90,20 +150,95 @@ func (n *Network) pushArrival(i int, ts int64) {
 }
 
 func (s *source) pushTraced(t int64, dst topo.NodeID) {
-	s.push(arrival{ts: t, dst: int32(dst), hasDst: true})
+	s.push(arrival{ts: t, dst: int32(dst)})
 }
 
-func (s *source) peekTS() int64 { return s.q[s.head].ts }
-
-func (s *source) pop() arrival {
-	a := s.q[s.head]
-	s.q[s.head] = arrival{}
-	s.head++
-	if int(s.head) == len(s.q) {
-		s.head = 0
+// pushTransfer enqueues one arrival of transfer t, extending t's run if
+// it is the newest one. (Runs are consumed by flagged arrivals in order,
+// so merging two runs of one transfer never changes who is credited.)
+func (s *source) pushTransfer(ts int64, dst int32, t *Transfer) {
+	o := s.overflow()
+	if k := len(o.runs); k > o.rh && o.runs[k-1].t == t {
+		o.runs[k-1].left++
+	} else {
+		o.runs = append(o.runs, xferRun{t: t, left: 1})
 	}
-	s.count--
+	s.push(arrival{ts: ts, dst: dst, xfer: true})
+}
+
+func (s *source) peekTS() int64 { return s.hd[s.head].ts }
+
+// pop sits exactly at the inliner's budget (the named result is part of
+// that): check `go build -gcflags=-m` after touching it.
+func (s *source) pop() (a arrival) {
+	a = s.hd[s.head]
+	if s.head++; int(s.head) == len(s.hd) {
+		s.retireHead()
+	}
 	return a
+}
+
+// retireHead replaces the drained head segment with the next one, keeping
+// it as the spare; with no segment behind it the backlog is empty and the
+// segment restarts. Outlined so that pop itself inlines into injectSource.
+//
+//go:noinline
+func (s *source) retireHead() {
+	s.head = 0
+	o := s.more
+	if o == nil || len(o.segs) == 0 {
+		s.hd = s.hd[:0]
+		return
+	}
+	o.spare = s.hd[:0]
+	s.hd = o.segs[0]
+	k := copy(o.segs, o.segs[1:])
+	o.segs[k] = nil
+	o.segs = o.segs[:k]
+}
+
+// popTransfer returns the transfer the flagged arrival just popped is
+// credited to, and releases the handle with the run's last arrival.
+func (s *source) popTransfer() *Transfer {
+	o := s.more
+	r := &o.runs[o.rh]
+	t := r.t
+	if r.left--; r.left == 0 {
+		*r = xferRun{}
+		// Slide the live runs down once half the slice is spent, so a
+		// source that always has a transfer queued stays bounded.
+		if o.rh++; 2*o.rh >= len(o.runs) {
+			k := copy(o.runs, o.runs[o.rh:])
+			clear(o.runs[k:])
+			o.runs, o.rh = o.runs[:k], 0
+		}
+	}
+	return t
+}
+
+// eachPending visits the backlog oldest first, with the transfer each
+// arrival is credited to (nil for most).
+func (s *source) eachPending(visit func(a arrival, t *Transfer)) {
+	run, used := 0, 0
+	walk := func(seg []arrival) {
+		for _, a := range seg {
+			var t *Transfer
+			if a.xfer {
+				r := &s.more.runs[s.more.rh+run]
+				t = r.t
+				if used++; used == r.left {
+					run, used = run+1, 0
+				}
+			}
+			visit(a, t)
+		}
+	}
+	walk(s.hd[s.head:])
+	if s.more != nil {
+		for _, seg := range s.more.segs {
+			walk(seg)
+		}
+	}
 }
 
 // SetSource installs the workload source that drives Generate's arrival

@@ -72,7 +72,7 @@ func (n *Network) StartTransfer(src, dst topo.NodeID, packets int) (*Transfer, e
 	t := &Transfer{src: src, dst: dst, packets: packets, start: n.cycle}
 	s := &n.sources[src]
 	for i := 0; i < packets; i++ {
-		s.push(arrival{ts: n.cycle, dst: int32(dst), hasDst: true, xfer: t})
+		s.pushTransfer(n.cycle, int32(dst), t)
 	}
 	n.wakeSource(int(src))
 	return t, nil

@@ -16,10 +16,16 @@
 // so decode loops need only one error check at the end. Hostile or
 // truncated input must surface as an error, never a panic: String and
 // the caller-side count validations bound every allocation.
+//
+// Both sides own a fixed buffer and move bytes in bulk: primitives are
+// encoded into, and decoded out of, the buffer directly, the CRC is
+// folded in once per buffer-full, and the underlying stream sees one
+// Read or Write per buffer-full. Like any buffered reader, Reader may
+// consume more of the underlying stream than the snapshot occupies.
 package snapshot
 
 import (
-	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -47,41 +53,68 @@ const maxStringLen = 1 << 16
 // far beyond the simulator's practical scale.
 const maxBytesLen = 1 << 24
 
+// bufSize is the buffer each Writer and Reader owns: large enough that a
+// sweep-sized snapshot (~100 kB) costs a handful of stream calls and CRC
+// passes, small enough to stay cache-resident.
+const bufSize = 32 << 10
+
 // Writer serialises primitives to an underlying stream while
 // accumulating the CRC32 trailer. Errors are sticky; check Close.
 type Writer struct {
-	w   *bufio.Writer
-	crc uint32
+	w   io.Writer
+	crc uint32 // of everything flushed so far
 	err error
-	buf [10]byte
+	n   int // buf[:n] is encoded and not yet flushed
+	buf [bufSize]byte
 }
 
 // NewWriter starts a snapshot stream: magic then format version.
 func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{w: bufio.NewWriter(w)}
+	sw := &Writer{w: w}
 	sw.raw([]byte(Magic))
 	sw.Uvarint(Version)
 	return sw
 }
 
-func (w *Writer) raw(b []byte) {
-	if w.err != nil {
-		return
+// flush folds the buffered bytes into the CRC and hands them to the
+// stream. After an error the buffer is simply discarded, so encoding
+// into it stays a harmless no-op.
+func (w *Writer) flush() {
+	if w.err == nil {
+		w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf[:w.n])
+		w.write(w.buf[:w.n])
 	}
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, b)
-	_, w.err = w.w.Write(b)
+	w.n = 0
+}
+
+func (w *Writer) write(b []byte) {
+	n, err := w.w.Write(b)
+	if err == nil && n < len(b) {
+		err = io.ErrShortWrite
+	}
+	w.err = err
+}
+
+// room returns the unwritten tail of the buffer, at least n bytes long
+// (n is a primitive's maximum encoded size).
+func (w *Writer) room(n int) []byte {
+	if len(w.buf)-w.n < n {
+		w.flush()
+	}
+	return w.buf[w.n:]
+}
+
+func (w *Writer) raw(b []byte) {
+	for len(b) > 0 {
+		n := copy(w.room(1), b)
+		w.n += n
+		b = b[n:]
+	}
 }
 
 // Uvarint writes an unsigned varint.
 func (w *Writer) Uvarint(v uint64) {
-	n := 0
-	for v >= 0x80 {
-		w.buf[n] = byte(v) | 0x80
-		v >>= 7
-		n++
-	}
-	w.buf[n] = byte(v)
-	w.raw(w.buf[:n+1])
+	w.n += binary.PutUvarint(w.room(binary.MaxVarintLen64), v)
 }
 
 // Varint writes a signed varint (zig-zag encoded).
@@ -92,20 +125,18 @@ func (w *Writer) Varint(v int64) {
 // U64 writes a fixed-width little-endian uint64 (RNG state words,
 // where varint encoding would obscure the fixed layout).
 func (w *Writer) U64(v uint64) {
-	for i := 0; i < 8; i++ {
-		w.buf[i] = byte(v >> (8 * i))
-	}
-	w.raw(w.buf[:8])
+	binary.LittleEndian.PutUint64(w.room(8), v)
+	w.n += 8
 }
 
 // Bool writes a single 0/1 byte.
 func (w *Writer) Bool(v bool) {
-	b := byte(0)
+	b := w.room(1)
+	b[0] = 0
 	if v {
-		b = 1
+		b[0] = 1
 	}
-	w.buf[0] = b
-	w.raw(w.buf[:1])
+	w.n++
 }
 
 // String writes a length-prefixed string.
@@ -147,43 +178,48 @@ func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
 	}
-	var tail [4]byte
-	for i := 0; i < 4; i++ {
-		tail[i] = byte(w.crc >> (8 * i))
-	}
-	if _, err := w.w.Write(tail[:]); err != nil {
-		w.err = err
-		return err
-	}
-	if err := w.w.Flush(); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
+	tail := w.room(4)
+	// The trailer itself is not covered by the CRC.
+	crc := crc32.Update(w.crc, crc32.IEEETable, w.buf[:w.n])
+	binary.LittleEndian.PutUint32(tail, crc)
+	w.write(w.buf[:w.n+4])
+	w.n = 0
+	return w.err
 }
 
 // Reader decodes a snapshot stream written by Writer. Errors are
 // sticky: after the first failure every read returns the zero value,
 // and Err / Finish report what went wrong.
 type Reader struct {
-	r       *bufio.Reader
-	crc     uint32
+	r       io.Reader
+	rerr    error  // the stream's own error, surfaced once the buffer runs dry
+	crc     uint32 // of everything consumed before buf[sum]
 	err     error
 	version uint64
+	// buf[pos:end] is read from the stream and not yet decoded;
+	// buf[sum:pos] is decoded and not yet folded into crc. A failed
+	// reader holds an empty buffer, so decoding falls through to the
+	// sticky error.
+	sum, pos, end int
+	buf           [bufSize]byte
 }
+
+// maxEmptyReads is how many consecutive (0, nil) reads the stream may
+// answer with before the reader gives up, as bufio does.
+const maxEmptyReads = 100
 
 // NewReader validates the magic and format version and positions the
 // reader at the first section.
 func NewReader(r io.Reader) (*Reader, error) {
-	sr := &Reader{r: bufio.NewReader(r)}
+	sr := &Reader{r: r}
 	var magic [len(Magic)]byte
 	sr.full(magic[:])
 	if sr.err == nil && string(magic[:]) != Magic {
-		sr.err = errors.New("snapshot: bad magic (not a flatnet snapshot)")
+		sr.fail(errors.New("snapshot: bad magic (not a flatnet snapshot)"))
 	}
 	sr.version = sr.Uvarint()
 	if sr.err == nil && sr.version != Version {
-		sr.err = fmt.Errorf("snapshot: format version %d, this build reads version %d", sr.version, Version)
+		sr.fail(fmt.Errorf("snapshot: format version %d, this build reads version %d", sr.version, Version))
 	}
 	if sr.err != nil {
 		return nil, sr.err
@@ -194,47 +230,84 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Version reports the stream's format version.
 func (r *Reader) Version() uint64 { return r.version }
 
-func (r *Reader) full(b []byte) {
-	if r.err != nil {
-		return
-	}
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = errors.New("snapshot: truncated stream")
-		}
+// fail records the first error and empties the buffer.
+func (r *Reader) fail(err error) {
+	if r.err == nil {
 		r.err = err
-		return
 	}
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, b)
+	r.sum, r.pos, r.end = 0, 0, 0
+}
+
+// fill folds the decoded bytes into the CRC, slides the undecoded ones
+// to the front of the buffer and reads more of the stream behind them.
+// It reports false, with the sticky error set, when the stream has no
+// more to give.
+func (r *Reader) fill() bool {
+	if r.err != nil {
+		return false
+	}
+	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[r.sum:r.pos])
+	r.end = copy(r.buf[:], r.buf[r.pos:r.end])
+	r.sum, r.pos = 0, 0
+	for i := 0; i < maxEmptyReads && r.rerr == nil; i++ {
+		var n int
+		n, r.rerr = r.r.Read(r.buf[r.end:])
+		if n > 0 {
+			r.end += n
+			return true
+		}
+	}
+	switch r.rerr {
+	case nil:
+		r.fail(io.ErrNoProgress)
+	case io.EOF, io.ErrUnexpectedEOF:
+		r.fail(errors.New("snapshot: truncated stream"))
+	default:
+		r.fail(r.rerr)
+	}
+	return false
+}
+
+func (r *Reader) full(b []byte) {
+	for len(b) > 0 {
+		if r.pos == r.end && !r.fill() {
+			return
+		}
+		n := copy(b, r.buf[r.pos:r.end])
+		r.pos += n
+		b = b[n:]
+	}
 }
 
 func (r *Reader) byte() byte {
-	var b [1]byte
-	r.full(b[:])
-	return b[0]
+	if r.pos == r.end && !r.fill() {
+		return 0
+	}
+	b := r.buf[r.pos]
+	r.pos++
+	return b
 }
 
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {
+	if v, n := binary.Uvarint(r.buf[r.pos:r.end]); n > 0 {
+		r.pos += n
+		return v
+	}
+	// The varint straddles a refill, is malformed, or the reader failed.
 	var v uint64
-	var shift uint
-	for {
+	for shift := uint(0); ; shift += 7 {
 		b := r.byte()
 		if r.err != nil {
 			return 0
 		}
 		if shift == 63 && b > 1 {
-			r.err = errors.New("snapshot: varint overflows uint64")
+			r.fail(errors.New("snapshot: varint overflows uint64"))
 			return 0
 		}
 		v |= uint64(b&0x7f) << shift
 		if b < 0x80 {
 			return v
-		}
-		shift += 7
-		if shift > 63 {
-			r.err = errors.New("snapshot: varint too long")
-			return 0
 		}
 	}
 }
@@ -249,18 +322,17 @@ func (r *Reader) Varint() int64 {
 func (r *Reader) U64() uint64 {
 	var b [8]byte
 	r.full(b[:])
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
+	if r.err != nil {
+		return 0
 	}
-	return v
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Bool reads a 0/1 byte; any other value is a format error.
 func (r *Reader) Bool() bool {
 	b := r.byte()
 	if r.err == nil && b > 1 {
-		r.err = fmt.Errorf("snapshot: invalid bool byte %#x", b)
+		r.fail(fmt.Errorf("snapshot: invalid bool byte %#x", b))
 	}
 	return b == 1
 }
@@ -272,7 +344,7 @@ func (r *Reader) String() string {
 		return ""
 	}
 	if n > maxStringLen {
-		r.err = fmt.Errorf("snapshot: string length %d exceeds limit %d", n, maxStringLen)
+		r.fail(fmt.Errorf("snapshot: string length %d exceeds limit %d", n, maxStringLen))
 		return ""
 	}
 	b := make([]byte, n)
@@ -291,7 +363,7 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	if n > maxBytesLen {
-		r.err = fmt.Errorf("snapshot: byte blob length %d exceeds limit %d", n, maxBytesLen)
+		r.fail(fmt.Errorf("snapshot: byte blob length %d exceeds limit %d", n, maxBytesLen))
 		return nil
 	}
 	if n == 0 {
@@ -309,7 +381,7 @@ func (r *Reader) Bytes() []byte {
 func (r *Reader) Section(want uint64) {
 	got := r.Uvarint()
 	if r.err == nil && got != want {
-		r.err = fmt.Errorf("snapshot: expected section %d, found %d (corrupt or mismatched stream)", want, got)
+		r.fail(fmt.Errorf("snapshot: expected section %d, found %d (corrupt or mismatched stream)", want, got))
 	}
 }
 
@@ -322,7 +394,7 @@ func (r *Reader) Count(max int, what string) int {
 		return 0
 	}
 	if max < 0 || n > uint64(max) {
-		r.err = fmt.Errorf("snapshot: %s count %d exceeds limit %d", what, n, max)
+		r.fail(fmt.Errorf("snapshot: %s count %d exceeds limit %d", what, n, max))
 		return 0
 	}
 	return int(n)
@@ -337,18 +409,17 @@ func (r *Reader) Finish() error {
 	if r.err != nil {
 		return r.err
 	}
-	want := r.crc // trailer itself is not covered by the CRC
+	// The trailer itself is not covered by the CRC.
+	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[r.sum:r.pos])
+	r.sum = r.pos
+	want := r.crc
 	var tail [4]byte
-	if _, err := io.ReadFull(r.r, tail[:]); err != nil {
+	if r.full(tail[:]); r.err != nil {
 		r.err = errors.New("snapshot: truncated stream (missing CRC trailer)")
 		return r.err
 	}
-	var got uint32
-	for i := 0; i < 4; i++ {
-		got |= uint32(tail[i]) << (8 * i)
-	}
-	if got != want {
-		r.err = fmt.Errorf("snapshot: CRC mismatch (stream %#08x, computed %#08x)", got, want)
+	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
+		r.fail(fmt.Errorf("snapshot: CRC mismatch (stream %#08x, computed %#08x)", got, want))
 		return r.err
 	}
 	return nil

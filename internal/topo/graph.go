@@ -7,7 +7,11 @@
 // the binary hypercube and the generalized hypercube.
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"hash/crc32"
+	"sync"
+)
 
 // NodeID identifies a terminal (processing node) in [0, NumNodes).
 type NodeID int
@@ -80,6 +84,10 @@ type Graph struct {
 	EjRouter   []RouterID // EjRouter[n] = router node n ejects from (== NodeRouter except in unidirectional multistage networks)
 	InjPort    []int      // InjPort[n] = input port index of node n on NodeRouter[n]
 	EjPort     []int      // EjPort[n] = output port index of node n on EjRouter[n]
+
+	// Digest's memo: a graph is read-only once built.
+	digestOnce sync.Once
+	digest     uint64
 }
 
 // NewGraph allocates an empty graph with the given node and router counts.
@@ -94,6 +102,36 @@ func NewGraph(label string, nodes, routers int) *Graph {
 		InjPort:    make([]int, nodes),
 		EjPort:     make([]int, nodes),
 	}
+}
+
+// Digest fingerprints the graph's full channel structure — every port's
+// kind, peer and latency, and every node's attachment — so that state
+// saved against one graph (a simulator snapshot) can refuse to load onto
+// another. It is computed on first use and remembered: call it only on a
+// finished graph. Snapshot files embed the value, so the walk below is
+// frozen.
+func (g *Graph) Digest() uint64 {
+	g.digestOnce.Do(func() {
+		h := crc32.NewIEEE()
+		fmt.Fprintf(h, "%s|%d|%d|", g.Label, g.NumNodes, len(g.Routers))
+		for r := range g.Routers {
+			rd := &g.Routers[r]
+			fmt.Fprintf(h, "r%d/%d;", len(rd.In), len(rd.Out))
+			for p := range rd.In {
+				ip := &rd.In[p]
+				fmt.Fprintf(h, "i%d,%d,%d,%d;", ip.Kind, ip.Node, ip.Peer, ip.PeerPort)
+			}
+			for p := range rd.Out {
+				op := &rd.Out[p]
+				fmt.Fprintf(h, "o%d,%d,%d,%d,%d;", op.Kind, op.Node, op.Peer, op.PeerPort, op.Latency)
+			}
+		}
+		for i := 0; i < g.NumNodes; i++ {
+			fmt.Fprintf(h, "n%d,%d,%d,%d;", g.NodeRouter[i], g.EjRouter[i], g.InjPort[i], g.EjPort[i])
+		}
+		g.digest = uint64(h.Sum32())
+	})
+	return g.digest
 }
 
 // NumRouters returns the number of routers in the graph.
