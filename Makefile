@@ -93,7 +93,6 @@ quickfigs:
 fuzz:
 	$(GO) test -fuzz=FuzzTraceReplay -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzInvariants -fuzztime=30s ./internal/sim/
-	$(GO) test -fuzz=FuzzShardEquivalence -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzSnapshotRoundTrip -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/nocsvc/
 	$(GO) test -fuzz=FuzzSlimFlyGraph -fuzztime=30s ./internal/topo/

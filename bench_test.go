@@ -1,9 +1,8 @@
-// Benchmarks: one per table and figure of the paper's evaluation. Each
-// benchmark executes the corresponding experiment (at reduced "quick"
-// scale for the simulation figures so iterations stay tractable) and
-// reports the headline quantity of that figure via b.ReportMetric, so
-// `go test -bench=. -benchmem` doubles as a regression harness for the
-// reproduction. cmd/paperfigs runs the same experiments at paper scale.
+// Benchmarks of the engine itself: the cycle core's raw rate on two
+// workloads, the snapshot round trip, the zero-overhead-when-off guards
+// for telemetry and the sanitizer, and four ablations of §3's router
+// parameters. The paper's figures are timed by flatbench (bench/) and
+// asserted by internal/experiments' figure tests.
 package flatnet_test
 
 import (
@@ -11,279 +10,7 @@ import (
 	"testing"
 
 	"flatnet"
-	"flatnet/internal/experiments"
 )
-
-// BenchmarkFig02_Scalability evaluates the N(k', n') scaling relationship
-// across the Fig. 2 design space.
-func BenchmarkFig02_Scalability(b *testing.B) {
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for kp := 4; kp <= 256; kp += 4 {
-			for np := 1; np <= 4; np++ {
-				sink += flatnet.NetworkSize(float64(kp), np)
-			}
-		}
-	}
-	b.ReportMetric(flatnet.NetworkSize(61, 3), "nodes_k61_n3")
-	_ = sink
-}
-
-// BenchmarkFig04a_RoutingUR runs the five routing algorithms on uniform
-// random traffic (quick scale) and reports CLOS AD's saturation
-// throughput (paper: ~100% for all but VAL).
-func BenchmarkFig04a_RoutingUR(b *testing.B) {
-	var last []experiments.AlgSeries
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig4On(nil, "UR", experiments.Quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = s
-	}
-	reportAlg(b, last, "CLOS AD", "clos_ad_ur_sat")
-	reportAlg(b, last, "VAL", "val_ur_sat")
-}
-
-// BenchmarkFig04b_RoutingWC runs the worst-case pattern and reports the
-// minimal-vs-non-minimal gap (paper: ~1/k vs ~50%).
-func BenchmarkFig04b_RoutingWC(b *testing.B) {
-	var last []experiments.AlgSeries
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig4On(nil, "WC", experiments.Quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = s
-	}
-	reportAlg(b, last, "MIN AD", "min_ad_wc_sat")
-	reportAlg(b, last, "CLOS AD", "clos_ad_wc_sat")
-}
-
-func reportAlg(b *testing.B, series []experiments.AlgSeries, name, metric string) {
-	b.Helper()
-	for _, s := range series {
-		if s.Algorithm == name {
-			b.ReportMetric(s.SaturationThroughput, metric)
-			return
-		}
-	}
-}
-
-// BenchmarkFig05_DynamicResponse runs the batch experiments and reports
-// greedy UGAL's and CLOS AD's normalized latency at the smallest batch
-// (paper: UGAL much worse due to transient load imbalance).
-func BenchmarkFig05_DynamicResponse(b *testing.B) {
-	var last []experiments.BatchSeries
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig5On(nil, experiments.Quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = s
-	}
-	for _, s := range last {
-		switch s.Algorithm {
-		case "UGAL":
-			b.ReportMetric(s.Points[0].NormalizedLatency, "ugal_small_batch")
-		case "CLOS AD":
-			b.ReportMetric(s.Points[0].NormalizedLatency, "clos_ad_small_batch")
-		}
-	}
-}
-
-// BenchmarkFig06a_TopoUR compares the four topologies on uniform traffic
-// and reports the tapered folded Clos's ~50% cap.
-func BenchmarkFig06a_TopoUR(b *testing.B) {
-	var last []experiments.TopoSeries
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig6On(nil, "UR", experiments.Quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = s
-	}
-	for _, s := range last {
-		if s.Algorithm == "adaptive sequential" {
-			b.ReportMetric(s.SaturationThroughput, "clos_ur_sat")
-		}
-	}
-}
-
-// BenchmarkFig06b_TopoWC compares the four topologies on the worst-case
-// pattern and reports the butterfly's collapse and the FB's 50%.
-func BenchmarkFig06b_TopoWC(b *testing.B) {
-	var last []experiments.TopoSeries
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig6On(nil, "WC", experiments.Quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = s
-	}
-	for _, s := range last {
-		switch s.Algorithm {
-		case "destination":
-			b.ReportMetric(s.SaturationThroughput, "butterfly_wc_sat")
-		case "CLOS AD":
-			b.ReportMetric(s.SaturationThroughput, "flatfly_wc_sat")
-		}
-	}
-}
-
-// BenchmarkFig07_CableCost evaluates the cable cost curve.
-func BenchmarkFig07_CableCost(b *testing.B) {
-	m := flatnet.DefaultCostModel()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for l := 0.5; l <= 20; l += 0.25 {
-			sink += m.CableCostPerSignal(l)
-		}
-	}
-	b.ReportMetric(m.CableCostPerSignal(2), "usd_per_signal_2m")
-	_ = sink
-}
-
-var costBenchSizes = []int{512, 1024, 2048, 4096, 8192, 16384, 32768, 65536}
-
-// BenchmarkFig10_LinkCostRatio runs the link-fraction / cable-length
-// sweep of Fig. 10.
-func BenchmarkFig10_LinkCostRatio(b *testing.B) {
-	m, p := flatnet.DefaultCostModel(), flatnet.DefaultPackaging()
-	var last []flatnet.CostComparison
-	for i := 0; i < b.N; i++ {
-		rows, err := flatnet.CostSweep(costBenchSizes, m, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rows
-	}
-	b.ReportMetric(last[len(last)-1].FlatFly.LinkFraction, "fb_link_fraction_64k")
-}
-
-// BenchmarkFig11_CostPerNode runs the Fig. 11 cost sweep and reports the
-// flattened butterfly's savings versus the folded Clos at 4K (paper: ~53%).
-func BenchmarkFig11_CostPerNode(b *testing.B) {
-	m, p := flatnet.DefaultCostModel(), flatnet.DefaultPackaging()
-	var at4k float64
-	for i := 0; i < b.N; i++ {
-		rows, err := flatnet.CostSweep(costBenchSizes, m, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.N == 4096 {
-				at4k = r.SavingsVsClos()
-			}
-		}
-	}
-	b.ReportMetric(at4k, "fb_savings_vs_clos_4k")
-}
-
-// BenchmarkFig12a_FixedN_VAL runs the fixed-N dimensionality study under
-// VAL (throughput flat at ~50%, latency rising with n').
-func BenchmarkFig12a_FixedN_VAL(b *testing.B) {
-	var last []experiments.ConfigSeries
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig12On(nil, "VAL", 256, []float64{0.1, 0.3}, experiments.Quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = s
-	}
-	b.ReportMetric(last[0].SaturationThroughput, "val_sat_nprime1")
-	b.ReportMetric(last[len(last)-1].SaturationThroughput, "val_sat_max_nprime")
-}
-
-// BenchmarkFig12b_FixedN_MINAD runs the fixed-N study under MIN AD with
-// 64 flits of storage per physical channel split across n' VCs.
-func BenchmarkFig12b_FixedN_MINAD(b *testing.B) {
-	var last []experiments.ConfigSeries
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig12On(nil, "MIN AD", 256, []float64{0.2, 0.5}, experiments.Quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = s
-	}
-	b.ReportMetric(last[0].SaturationThroughput, "minad_sat_nprime1")
-	b.ReportMetric(last[len(last)-1].SaturationThroughput, "minad_sat_max_nprime")
-}
-
-// BenchmarkFig13_FixedNCost prices the Table 4 configurations of a 4K
-// network (cost rising steeply with n').
-func BenchmarkFig13_FixedNCost(b *testing.B) {
-	m, p := flatnet.DefaultCostModel(), flatnet.DefaultPackaging()
-	var first, last float64
-	for i := 0; i < b.N; i++ {
-		for _, c := range flatnet.ConfigsForN(4096) {
-			bom := flatnet.FlatFlyBOMForConfig(4096, c.K, c.NPrime, p)
-			br := flatnet.PriceBOM(bom, m, p)
-			if c.NPrime == 1 {
-				first = br.TotalPerNode
-			}
-			last = br.TotalPerNode
-		}
-	}
-	b.ReportMetric(last/first, "cost_ratio_maxnprime_vs_1")
-}
-
-// BenchmarkFig14_Variants builds the extra-port variants and measures the
-// doubled-channel worst-case throughput gain.
-func BenchmarkFig14_Variants(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		base, err := flatnet.NewFlatFly(8, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		wide, err := flatnet.NewFlatFly(8, 2, flatnet.WithMultiplicity(2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		wc := flatnet.NewWorstCase(8, 8)
-		a1, _ := flatnet.NewFlatFlyAlgorithm("min", base)
-		a2, _ := flatnet.NewFlatFlyAlgorithm("min", wide)
-		t1, err := flatnet.SaturationThroughput(base.Graph(), a1, flatnet.DefaultConfig(), wc, 300, 600)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t2, err := flatnet.SaturationThroughput(wide.Graph(), a2, flatnet.DefaultConfig(), wc, 300, 600)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = t2 / t1
-	}
-	b.ReportMetric(gain, "wc_throughput_gain_x2_channels")
-}
-
-// BenchmarkFig15_Power runs the Fig. 15 power sweep and reports the FB's
-// savings versus the folded Clos at 4K (paper: ~48%).
-func BenchmarkFig15_Power(b *testing.B) {
-	m, p := flatnet.DefaultPowerModel(), flatnet.DefaultPackaging()
-	var at4k float64
-	for i := 0; i < b.N; i++ {
-		rows, err := flatnet.PowerSweep(costBenchSizes, m, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.N == 4096 {
-				at4k = r.SavingsVsClos()
-			}
-		}
-	}
-	b.ReportMetric(at4k, "fb_power_savings_vs_clos_4k")
-}
-
-// BenchmarkTable4_Configs enumerates the 4K configurations.
-func BenchmarkTable4_Configs(b *testing.B) {
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = len(flatnet.ConfigsForN(4096))
-	}
-	b.ReportMetric(float64(n), "configs")
-}
 
 // injectUniform installs uniform-random traffic under the Bernoulli
 // arrival process, the paper's open-loop injection.
@@ -357,42 +84,6 @@ func BenchmarkSimulatorCyclesWC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycleAt(b, n, 0.4)
-	}
-	b.ReportMetric(float64(ff.NumNodes), "nodes")
-}
-
-// BenchmarkSimulatorCyclesParallel measures the sharded scheduler's cycle
-// rate: the 64-ary 2-flat (4096 terminals) under CLOS AD at 50% uniform
-// load, partitioned across 8 workers. The workload is bit-identical to a
-// sequential run of the same network — only the wall clock differs — so
-// the figure of merit is speedup over the single-worker rate on the same
-// topology, with the steady state still allocation-free (the per-shard
-// arenas and mailboxes are grown during warmup, then recycled).
-func BenchmarkSimulatorCyclesParallel(b *testing.B) {
-	ff, err := flatnet.NewFlatFly(64, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n, err := flatnet.NewNetwork(ff.Graph(), flatnet.NewClosAD(ff), flatnet.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer n.Close()
-	if err := n.SetWorkers(8); err != nil {
-		b.Fatal(err)
-	}
-	injectUniform(b, n)
-	// The 4096-terminal network needs a longer warmup than the 1024-node
-	// baseline before every slice capacity (request queues, calendar
-	// slots, mailboxes) reaches its high-water mark; 2000 cycles leaves
-	// residual growth that shows up as ~1 alloc/op.
-	for i := 0; i < 12000; i++ {
-		cycle(b, n)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle(b, n)
 	}
 	b.ReportMetric(float64(ff.NumNodes), "nodes")
 }

@@ -15,7 +15,7 @@
 //	flatsim -topo ff -k 16 -n 2 -pattern hotspot -hot 0,5 -hotfrac 0.2 -load 0.3
 //	flatsim -topo ff -k 8 -n 2 -alg ugal -collective allreduce -chunk 4
 //	flatsim -topo ff -k 8 -n 2 -load 0.4 -trace-out wl.jsonl   # record a workload
-//	flatsim -topo ff -k 8 -n 2 -trace-in wl.jsonl -workers 4   # replay it
+//	flatsim -topo ff -k 8 -n 2 -trace-in wl.jsonl              # replay it
 //	flatsim -pattern help                                      # list the registry
 //	flatsim -topo ff -k 8 -n 2 -load 0.4 -flittrace run.json   # flit trace
 //	flatsim -topo ff -k 16 -n 2 -sweep -listen localhost:6060  # live metrics
@@ -75,7 +75,6 @@ func main() {
 	flag.IntVar(&o.traceCap, "tracecap", 1<<16, "flit tracer ring capacity in events (oldest evicted when full)")
 	flag.BoolVar(&o.analytic, "analytic", false, "evaluate the topology graph-analytically (diameter, avg hops, path diversity, bisection bounds) instead of simulating")
 	flag.BoolVar(&o.check, "check", false, "run under the runtime invariant sanitizer (open-loop -load/-sweep/-batch runs)")
-	flag.IntVar(&o.workers, "workers", 1, "cycle-core worker goroutines (results are bit-identical at any count; >1 disables probe reporting)")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "write a snapshot of the warmed network to this file when the measurement window opens (single -load runs; disables probe reporting)")
 	flag.StringVar(&o.restore, "restore", "", "restore the network from a -checkpoint snapshot instead of warming up (single -load runs; pass the same topology/-seed/-buf/-warmup as the checkpointing run)")
 	flag.Parse()
@@ -134,7 +133,6 @@ type runOpts struct {
 	flitTrace  string
 	traceCap   int
 	check      bool
-	workers    int
 	checkpoint string
 	restore    string
 	stop       func() bool // polled cancellation hook (nil = never stop)
@@ -231,21 +229,6 @@ func run(o runOpts) error {
 		o.traceIn != "" || o.checkpoint != "" || o.restore != "" || o.flitTrace != "") {
 		return fmt.Errorf("-collective runs one schedule to completion; drop the other mode flags")
 	}
-	// Instrumented runs force the sequential scheduler: say so instead of
-	// silently ignoring -workers.
-	if o.workers > 1 {
-		switch {
-		case o.check:
-			fmt.Fprintln(os.Stderr, "flatsim: -check forces the sequential scheduler; ignoring -workers")
-			o.workers = 1
-		case o.flitTrace != "":
-			fmt.Fprintln(os.Stderr, "flatsim: -flittrace forces the sequential scheduler; ignoring -workers")
-			o.workers = 1
-		case o.traceOut != "":
-			fmt.Fprintln(os.Stderr, "flatsim: -trace-out forces the sequential scheduler; ignoring -workers")
-			o.workers = 1
-		}
-	}
 	if o.checkpoint != "" || o.restore != "" {
 		if o.sweep || o.batch > 0 || o.window > 0 {
 			return fmt.Errorf("-checkpoint/-restore apply to single-point open-loop runs (-load)")
@@ -266,7 +249,6 @@ func run(o runOpts) error {
 	if o.window > 0 {
 		res, err := flatnet.RunClosedLoop(g, alg, cfg, flatnet.ClosedLoopConfig{
 			Window: o.window, Pattern: p, Warmup: o.warmup, Measure: o.measure,
-			Workers: o.workers,
 		})
 		if err != nil {
 			return err
@@ -284,7 +266,6 @@ func run(o runOpts) error {
 		}
 		res, err := sim.RunBatch(g, alg, cfg, sim.BatchConfig{
 			Pattern: p, BatchSize: o.batch, Attach: attach, Stop: o.stop,
-			Workers: o.workers,
 		})
 		if err != nil {
 			return err
@@ -315,7 +296,7 @@ func run(o runOpts) error {
 		}
 		loads = kept
 	}
-	rc := flatnet.RunConfig{Source: src, Warmup: o.warmup, Measure: o.measure, Stop: o.stop, Workers: o.workers}
+	rc := flatnet.RunConfig{Source: src, Warmup: o.warmup, Measure: o.measure, Stop: o.stop}
 	checked := func() error { return nil }
 	if o.check {
 		checked = flatnet.ArmCheck(&rc, flatnet.CheckConfig{})
@@ -373,7 +354,7 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src f
 	rc := flatnet.RunConfig{
 		Load: o.load, Source: src,
 		Warmup: o.warmup, Measure: o.measure,
-		Stop: o.stop, Workers: o.workers,
+		Stop: o.stop,
 	}
 	var recorded *[]flatnet.TraceEntry
 	if o.traceOut != "" {
@@ -403,16 +384,11 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src f
 	}
 	var top []flatnet.ProbeChannel
 	var probes *flatnet.Probes
-	switch {
-	case o.workers > 1:
-		// Probes force the sequential scheduler, so a parallel run skips
-		// them (and the pipeline/top-channel report they feed).
-		fmt.Fprintln(os.Stderr, "flatsim: -workers > 1 disables probes; skipping the pipeline/top-channel report")
-	case o.checkpoint != "":
+	if o.checkpoint != "" {
 		// A probed network refuses to snapshot (the probes would be
 		// dropped silently on restore), so checkpointing runs unprobed.
 		fmt.Fprintln(os.Stderr, "flatsim: -checkpoint disables probes; skipping the pipeline/top-channel report")
-	default:
+	} else {
 		rc.Probes = &flatnet.ProbeConfig{}
 		rc.Observe = func(n *flatnet.Network) {
 			probes = n.Probes()
@@ -538,7 +514,7 @@ func parseHotList(s string) ([]int, error) {
 func runCollective(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src flatnet.Source, o runOpts) error {
 	cc := flatnet.CollectiveConfig{
 		Kind: o.collective, Packets: o.chunk,
-		Warmup: o.warmup, Stop: o.stop, Workers: o.workers,
+		Warmup: o.warmup, Stop: o.stop,
 	}
 	if o.loadSet && o.load > 0 {
 		cc.Load, cc.Source = o.load, src
@@ -567,8 +543,8 @@ func runCollective(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, 
 	return nil
 }
 
-// runTraceJSONL streams a JSONL workload trace through the network —
-// bounded memory, any worker count — and reports delivery latency.
+// runTraceJSONL streams a JSONL workload trace through the network in
+// bounded memory and reports delivery latency.
 func runTraceJSONL(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, o runOpts) error {
 	f, err := os.Open(o.traceIn)
 	if err != nil {
@@ -578,12 +554,6 @@ func runTraceJSONL(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, 
 	n, err := flatnet.NewNetwork(g, alg, cfg)
 	if err != nil {
 		return err
-	}
-	defer n.Close()
-	if o.workers > 1 {
-		if err := n.SetWorkers(o.workers); err != nil {
-			return err
-		}
 	}
 	var latSum float64
 	var delivered int64

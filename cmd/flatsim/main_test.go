@@ -293,7 +293,6 @@ func TestRunWorkloadTraceRoundTrip(t *testing.T) {
 	o = opts()
 	o.K = 4
 	o.traceIn = path
-	o.workers = 4
 	if err := run(o); err != nil {
 		t.Fatalf("replay: %v", err)
 	}

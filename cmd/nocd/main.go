@@ -50,7 +50,6 @@ func main() {
 		openWait    = flag.Duration("open-wait", 0, "how long an open may wait for a session slot at the cap before rejecting")
 		budget      = flag.Int("budget", 1<<16, "per-estimate cycle budget before reporting saturation")
 		maxNodes    = flag.Int("max-nodes", 4096, "reject session topologies with more terminals than this (<0 disables)")
-		workers     = flag.Int("workers", 1, "default cycle-core worker goroutines per session (opens may override; estimates are bit-identical at any count)")
 		maxCkpts    = flag.Int("max-checkpoints", 16, "server-side session checkpoint store cap (oldest evicted first)")
 		telemAddr   = flag.String("telemetry", "", "serve live metrics (/debug/vars, /debug/pprof) on this address")
 	)
@@ -70,7 +69,6 @@ func main() {
 		OpenWait:       *openWait,
 		EstimateBudget: *budget,
 		MaxNodes:       *maxNodes,
-		DefaultWorkers: *workers,
 		MaxCheckpoints: *maxCkpts,
 	})
 

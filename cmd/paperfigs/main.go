@@ -40,7 +40,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced-scale smoke run for simulation figures")
 	parallel := flag.Bool("parallel", true, "run simulation jobs on a worker pool")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, at least 2)")
-	simW := flag.Int("simworkers", 0, "cycle-core worker goroutines inside each simulation job (bit-identical at any count; 0/1 = sequential)")
 	cachePath := flag.String("cache", "", "JSON-lines result cache file ('' disables caching; also enables the warm-snapshot store beside it)")
 	listen := flag.String("listen", "", "serve live metrics (/debug/vars, /debug/pprof) on this address during the run")
 	flag.Parse()
@@ -59,7 +58,6 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "paperfigs: serving metrics on http://%s/debug/vars\n", srv.Addr())
 	}
-	simWorkers = *simW
 	runErr := run(*fig, *out, *quick, eng)
 	reportEngine(eng)
 	closeCache()

@@ -15,18 +15,11 @@ import (
 // duration of a run() call; nil means the sequential reference path.
 var engine *sweep.Engine
 
-// simWorkers is the per-simulation cycle-core worker count (-simworkers)
-// applied to every job a figure schedules; results are bit-identical at
-// any count.
-var simWorkers int
-
 func scale(quick bool) experiments.Scale {
-	s := experiments.Full()
 	if quick {
-		s = experiments.Quick()
+		return experiments.Quick()
 	}
-	s.SimWorkers = simWorkers
-	return s
+	return experiments.Full()
 }
 
 // writeLoadSeries prints latency-vs-load points for a set of labeled

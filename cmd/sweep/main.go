@@ -15,7 +15,7 @@
 // content hash; -cache names a JSON-lines file where results persist, so
 // re-running a grid recomputes only the points whose spec changed.
 // -workers sizes the pool (0 = GOMAXPROCS); results are bit-identical at
-// any worker count. -sat appends a saturation-throughput measurement per
+// any pool size. -sat appends a saturation-throughput measurement per
 // series. Progress, ETA and per-worker throughput go to stderr.
 //
 // -analytic replaces the simulation grid with one graph-analytic
@@ -63,7 +63,6 @@ type cliConfig struct {
 	buf        int
 	sat        bool
 	workers    int
-	simWorkers int
 	cachePath  string
 	jobTimeout time.Duration
 	listen     string
@@ -93,7 +92,6 @@ func main() {
 	flag.IntVar(&cfg.buf, "buf", 32, "flit buffering per input port")
 	flag.BoolVar(&cfg.sat, "sat", true, "measure saturation throughput per series")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.simWorkers, "simworkers", 1, "cycle-core worker goroutines inside each simulation (results are bit-identical at any count; excluded from cache hashes)")
 	flag.StringVar(&cfg.cachePath, "cache", "", "JSON-lines result cache file ('' disables caching)")
 	flag.DurationVar(&cfg.jobTimeout, "timeout", 0, "per-job wall-clock budget (0 = none)")
 	flag.StringVar(&cfg.listen, "listen", "", "serve live metrics (/debug/vars, /debug/pprof) on this address during the run")
@@ -189,7 +187,6 @@ func run(ctx context.Context, cfg cliConfig, out, progress io.Writer) error {
 					Alg: alg, Pattern: pat,
 					Warmup: cfg.warmup, Measure: cfg.measure, MaxCycles: cfg.maxCycles,
 					Seed: cfg.seed, BufPerPort: cfg.buf,
-					Workers: cfg.simWorkers,
 				},
 				Loads:      cfg.loads,
 				Saturation: cfg.sat,

@@ -173,55 +173,12 @@ func TestGoldenCorpusUnchecked(t *testing.T) {
 	}
 }
 
-// TestGoldenCorpusParallel replays the corpus with the cycle core
-// partitioned across 4 workers and holds the full results to the same
-// pinned files — the sharded scheduler's determinism contract: the same
-// delivery sequence, arbiter decisions and RNG draws as the sequential
-// corpus, byte for byte, at any worker count. Workers is an execution
-// detail excluded from the job hash, so even the pinned content hashes
-// must come out identical.
-func TestGoldenCorpusParallel(t *testing.T) {
-	if *update {
-		t.Skip("corpus is regenerated by TestGoldenCorpus")
-	}
-	for _, job := range goldenJobs {
-		name := goldenName(job)
-		t.Run(name, func(t *testing.T) {
-			job.Workers = 4
-			res, err := job.Run(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res.ElapsedSeconds = 0
-			got, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", "golden", name))
-			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
-			}
-			var gv, wv any
-			if err := json.Unmarshal(got, &gv); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(want, &wv); err != nil {
-				t.Fatal(err)
-			}
-			if diff, ok := jsonEq("result", wv, gv); !ok {
-				t.Errorf("parallel run drifted from the corpus at %s\ngot:  %s\nwant: %s", diff, got, want)
-			}
-		})
-	}
-}
-
 // TestGoldenCorpusWarmRestored replays the load-mode corpus through the
 // warm-snapshot store twice: a seeding pass checkpoints each job's
-// warmed network, then restored passes at 1 and 4 cycle-core workers
-// re-run the measurement phase from those snapshots. Every restored
-// result must match the pinned corpus byte for byte — restore-then-run
-// is bit-identical to run-straight-through — while skipping each job's
-// entire warm-up window.
+// warmed network, then a restored pass re-runs the measurement phase
+// from those snapshots. Every restored result must match the pinned
+// corpus byte for byte — restore-then-run is bit-identical to
+// run-straight-through — while skipping each job's entire warm-up window.
 func TestGoldenCorpusWarmRestored(t *testing.T) {
 	if *update {
 		t.Skip("corpus is regenerated by TestGoldenCorpus")
@@ -248,55 +205,47 @@ func TestGoldenCorpusWarmRestored(t *testing.T) {
 	if st := seed.Stats(); st.WarmPuts != len(loadJobs) {
 		t.Fatalf("seeding pass saved %d snapshots, want %d", st.WarmPuts, len(loadJobs))
 	}
-	for _, simWorkers := range []int{1, 4} {
-		jobs := make([]sweep.Job, len(loadJobs))
-		copy(jobs, loadJobs)
-		for i := range jobs {
-			jobs[i].Workers = simWorkers
+	eng := &sweep.Engine{Workers: 2, Warm: ws}
+	results, err := eng.Run(context.Background(), loadJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if st.WarmHits != len(loadJobs) || st.WarmCyclesSaved != wantSaved {
+		t.Fatalf("%d warm hits (%d cycles saved), want %d hits (%d cycles)",
+			st.WarmHits, st.WarmCyclesSaved, len(loadJobs), wantSaved)
+	}
+	for i, res := range results {
+		name := goldenName(loadJobs[i])
+		if !res.WarmStart {
+			t.Fatalf("%s ran cold", name)
 		}
-		eng := &sweep.Engine{Workers: 2, Warm: ws}
-		results, err := eng.Run(context.Background(), jobs)
+		res.ElapsedSeconds = 0
+		got, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := eng.Stats()
-		if st.WarmHits != len(jobs) || st.WarmCyclesSaved != wantSaved {
-			t.Fatalf("simworkers=%d: %d warm hits (%d cycles saved), want %d hits (%d cycles)",
-				simWorkers, st.WarmHits, st.WarmCyclesSaved, len(jobs), wantSaved)
+		want, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
 		}
-		for i, res := range results {
-			name := goldenName(loadJobs[i])
-			if !res.WarmStart {
-				t.Fatalf("simworkers=%d: %s ran cold", simWorkers, name)
-			}
-			res.ElapsedSeconds = 0
-			got, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", "golden", name))
-			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
-			}
-			var gv, wv any
-			if err := json.Unmarshal(got, &gv); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(want, &wv); err != nil {
-				t.Fatal(err)
-			}
-			if diff, ok := jsonEq("result", wv, gv); !ok {
-				t.Errorf("simworkers=%d: restored run drifted from the corpus at %s\ngot:  %s\nwant: %s",
-					simWorkers, diff, got, want)
-			}
+		var gv, wv any
+		if err := json.Unmarshal(got, &gv); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(want, &wv); err != nil {
+			t.Fatal(err)
+		}
+		if diff, ok := jsonEq("result", wv, gv); !ok {
+			t.Errorf("restored run drifted from the corpus at %s\ngot:  %s\nwant: %s", diff, got, want)
 		}
 	}
 }
 
 // TestGoldenTraceReplay pins the JSONL workload-trace path: a fixed
 // bursty run records its injections to testdata/golden/workload.jsonl,
-// and replaying that trace — at 1 and 4 cycle-core workers — must
-// reproduce the pinned delivery summary exactly. Regenerated with
+// and replaying that trace must reproduce the pinned delivery summary
+// exactly. Regenerated with
 // -update like the rest of the corpus.
 func TestGoldenTraceReplay(t *testing.T) {
 	ff, err := topo.NewFlatFly(4, 2)
@@ -343,7 +292,7 @@ func TestGoldenTraceReplay(t *testing.T) {
 		Cycles    int64   `json:"cycles"`
 		AvgLat    float64 `json:"avg_latency"`
 	}
-	replay := func(workers int) summary {
+	replay := func() summary {
 		f, err := os.Open(tracePath)
 		if err != nil {
 			t.Fatalf("%v (regenerate with -update)", err)
@@ -352,12 +301,6 @@ func TestGoldenTraceReplay(t *testing.T) {
 		n, err := sim.New(ff.Graph(), routing.NewUGALS(ff), cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		defer n.Close()
-		if workers > 1 {
-			if err := n.SetWorkers(workers); err != nil {
-				t.Fatal(err)
-			}
 		}
 		var s summary
 		var latSum float64
@@ -374,7 +317,7 @@ func TestGoldenTraceReplay(t *testing.T) {
 		return s
 	}
 
-	got := replay(1)
+	got := replay()
 	data, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -399,9 +342,6 @@ func TestGoldenTraceReplay(t *testing.T) {
 		if diff, ok := jsonEq("replay", wv, gv); !ok {
 			t.Errorf("trace replay drifted from the corpus at %s\ngot:  %s\nwant: %s", diff, data, want)
 		}
-	}
-	if par := replay(4); par != got {
-		t.Errorf("parallel trace replay diverged:\nworkers=1 %+v\nworkers=4 %+v", got, par)
 	}
 }
 

@@ -31,11 +31,6 @@ type Scale struct {
 	Batches []int
 	// Seed drives all randomness.
 	Seed uint64
-	// SimWorkers is the per-simulation cycle-core worker count
-	// (sweep.Job.Workers) every job of the scale runs with. Results are
-	// bit-identical at any count; 0 or 1 runs each simulation
-	// sequentially.
-	SimWorkers int
 }
 
 // Full returns the paper-scale configuration: the 32-ary 2-flat
@@ -72,7 +67,6 @@ func (s Scale) job(alg, pattern string) sweep.Job {
 		Alg: alg, Pattern: pattern,
 		Warmup: s.Warmup, Measure: s.Measure, MaxCycles: s.MaxCycles,
 		Seed: s.Seed, BufPerPort: 32,
-		Workers: s.SimWorkers,
 	}
 }
 

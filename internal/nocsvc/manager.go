@@ -66,7 +66,7 @@ func newManager(cfg ServerConfig) *manager {
 // CodeSessionLimit.
 func (m *manager) open(p OpenParams) (*session, *Error) {
 	s, perr := m.admitAndBuild(func(id string) (*session, *Error) {
-		return newSession(id, p, m.cfg.MaxNodes, m.cfg.MaxInflight, int64(m.cfg.EstimateBudget), m.cfg.DefaultWorkers)
+		return newSession(id, p, m.cfg.MaxNodes, m.cfg.MaxInflight, int64(m.cfg.EstimateBudget))
 	})
 	if perr != nil {
 		return nil, perr
@@ -85,7 +85,7 @@ func (m *manager) clone(ckptID string) (*session, *Error) {
 		return nil, perr
 	}
 	s, perr := m.admitAndBuild(func(id string) (*session, *Error) {
-		return newSessionFromSnapshot(id, e.p, e.data, m.cfg.MaxNodes, m.cfg.MaxInflight, int64(m.cfg.EstimateBudget), m.cfg.DefaultWorkers)
+		return newSessionFromSnapshot(id, e.p, e.data, m.cfg.MaxNodes, m.cfg.MaxInflight, int64(m.cfg.EstimateBudget))
 	})
 	if perr != nil {
 		return nil, perr

@@ -176,10 +176,9 @@ type OpenParams struct {
 	// session serves its first estimate (default 1000; 0 uses the
 	// default, -1 disables warm-up).
 	Warmup int `json:"warmup,omitempty"`
-	// Workers partitions the session's cycle core across this many
-	// worker goroutines (0 uses the daemon's default; 1 forces the
-	// sequential scheduler). Estimates are bit-identical at every worker
-	// count — workers change wall-clock speed only.
+	// Workers is inert: range-checked, then ignored (the cycle core is
+	// sequential). It stays so protocol-v1 opens that carry it still
+	// decode — the decoder rejects unknown fields.
 	Workers int `json:"workers,omitempty"`
 }
 

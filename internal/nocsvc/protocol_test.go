@@ -9,6 +9,7 @@ import (
 func TestDecodeRequestValid(t *testing.T) {
 	lines := map[string]string{
 		"open":  `{"v":1,"id":1,"verb":"open_session","open":{"topology":"flatfly","k":4,"n":2}}`,
+		"openw": `{"v":1,"id":6,"verb":"open_session","open":{"topology":"flatfly","k":4,"n":2,"workers":4}}`,
 		"est":   `{"v":1,"id":2,"verb":"estimate","session":"s1","est":{"src":0,"dst":5,"bytes":64}}`,
 		"batch": `{"v":1,"id":3,"verb":"batch_estimate","session":"s1","batch":[{"src":0,"dst":1,"bytes":8},{"src":2,"dst":3,"bytes":0}]}`,
 		"close": `{"v":1,"id":4,"verb":"close_session","session":"s1"}`,
@@ -46,6 +47,8 @@ func TestDecodeRequestErrors(t *testing.T) {
 		{"open k out of range", `{"v":1,"id":1,"verb":"open_session","open":{"topology":"flatfly","k":5000,"n":2}}`, CodeBadRequest},
 		{"open n out of range", `{"v":1,"id":1,"verb":"open_session","open":{"topology":"flatfly","k":4,"n":0}}`, CodeBadRequest},
 		{"open load out of range", `{"v":1,"id":1,"verb":"open_session","open":{"topology":"flatfly","k":4,"n":2,"load":1.5}}`, CodeBadRequest},
+		{"open workers over range", `{"v":1,"id":1,"verb":"open_session","open":{"topology":"flatfly","k":4,"n":2,"workers":257}}`, CodeBadRequest},
+		{"open workers negative", `{"v":1,"id":1,"verb":"open_session","open":{"topology":"flatfly","k":4,"n":2,"workers":-1}}`, CodeBadRequest},
 		{"est without session", `{"v":1,"id":1,"verb":"estimate","est":{"src":0,"dst":1,"bytes":8}}`, CodeBadRequest},
 		{"est without params", `{"v":1,"id":1,"verb":"estimate","session":"s1"}`, CodeBadRequest},
 		{"est negative src", `{"v":1,"id":1,"verb":"estimate","session":"s1","est":{"src":-1,"dst":1,"bytes":8}}`, CodeBadRequest},
@@ -132,6 +135,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`[[[[[[[[{"a":1}]]]]]]]]`))
 	f.Add([]byte("\x00\xff\xfe garbage"))
 	f.Add([]byte(strings.Repeat(`{"v":1,`, 512)))
+	f.Add([]byte(`{"v":1,"id":6,"verb":"open_session","open":{"topology":"flatfly","k":4,"n":2,"workers":257}}`))
+	f.Add([]byte(`{"v":1,"id":7,"verb":"open_session","open":{"topology":"flatfly","k":4,"n":2,"workers":-1}}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		req, perr := DecodeRequest(line)
 		if perr == nil {

@@ -33,11 +33,6 @@ type ServerConfig struct {
 	// MaxNodes rejects open_session topologies larger than this many
 	// terminals (default 4096; negative disables).
 	MaxNodes int
-	// DefaultWorkers is the cycle-core worker count for sessions whose
-	// open_session did not name one (default 1: sequential). Sessions
-	// are bit-identical at every worker count, so this only changes
-	// wall-clock speed.
-	DefaultWorkers int
 	// MaxCheckpoints caps the server-side checkpoint store; taking a
 	// checkpoint past the cap evicts the oldest (default 16).
 	MaxCheckpoints int
@@ -58,9 +53,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.MaxNodes == 0 {
 		c.MaxNodes = 4096
-	}
-	if c.DefaultWorkers <= 0 {
-		c.DefaultWorkers = 1
 	}
 	if c.MaxCheckpoints <= 0 {
 		c.MaxCheckpoints = 16

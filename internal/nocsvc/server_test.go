@@ -89,7 +89,8 @@ func TestServerEstimatesMatchOracle(t *testing.T) {
 
 // TestServerLoadedEstimatesSlower checks congestion-awareness: the same
 // transfer estimated under heavy background load must not beat its
-// zero-load estimate.
+// zero-load estimate. A twin of the loaded session opened with the inert
+// "workers" field must answer exactly what the loaded session answers.
 func TestServerLoadedEstimatesSlower(t *testing.T) {
 	_, addr := startServer(t, nocsvc.ServerConfig{})
 	c, err := client.Dial(addr)
@@ -109,6 +110,10 @@ func TestServerLoadedEstimatesSlower(t *testing.T) {
 	if loaded.Info().WarmCycles == 0 {
 		t.Fatal("loaded session did not warm")
 	}
+	twin, err := c.OpenSession(client.OpenParams{Topology: "flatfly", K: 4, N: 2, Load: 0.35, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var idleSum, loadedSum int64
 	for i := 0; i < 32; i++ {
 		src, dst := i%16, (i*7+3)%16
@@ -122,6 +127,13 @@ func TestServerLoadedEstimatesSlower(t *testing.T) {
 		rl, err := loaded.Estimate(src, dst, 64)
 		if err != nil {
 			t.Fatal(err)
+		}
+		rt, err := twin.Estimate(src, dst, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt != rl {
+			t.Fatalf("%d->%d: session opened with workers=4 answered %+v, one without %+v", src, dst, rt, rl)
 		}
 		idleSum += ri.Cycles
 		loadedSum += rl.Cycles

@@ -19,8 +19,6 @@ type SessionStats struct {
 	Load      float64 `json:"load"`
 	// Pattern is the background traffic's spatial pattern.
 	Pattern string `json:"pattern"`
-	// Workers is the cycle-core worker count the session runs with.
-	Workers int `json:"workers"`
 	// Cycles is how far the session's network has advanced.
 	Cycles int64 `json:"cycles"`
 	// CyclesPerSec is the session's simulation rate: cycles advanced per
@@ -75,9 +73,8 @@ type session struct {
 	done   chan struct{} // closed when the worker exits
 
 	// Owned by the worker goroutine.
-	net     *sim.Network
-	budget  int64 // per-estimate cycle budget
-	workers int   // effective cycle-core worker count
+	net    *sim.Network
+	budget int64 // per-estimate cycle budget
 
 	// Published for stats; written by the worker / submit path.
 	cycles    atomic.Int64
@@ -88,23 +85,22 @@ type session struct {
 
 // newSession builds the session's network and starts its worker; it
 // returns once the network is warmed (or building fails). p must be
-// validated and normalized. defaultWorkers is the server's cycle-core
-// worker count for sessions whose open did not name one.
-func newSession(id string, p OpenParams, maxNodes, maxInflight int, budget int64, defaultWorkers int) (*session, *Error) {
-	return buildSession(id, p, nil, maxNodes, maxInflight, budget, defaultWorkers)
+// validated and normalized.
+func newSession(id string, p OpenParams, maxNodes, maxInflight int, budget int64) (*session, *Error) {
+	return buildSession(id, p, nil, maxNodes, maxInflight, budget)
 }
 
 // newSessionFromSnapshot builds a session whose network is restored
 // from a checkpoint instead of warmed from scratch: the clone starts at
 // the checkpointed cycle with every buffer, RNG stream and in-flight
 // flit intact, bit-identical to the session it was taken from.
-func newSessionFromSnapshot(id string, p OpenParams, snap []byte, maxNodes, maxInflight int, budget int64, defaultWorkers int) (*session, *Error) {
-	return buildSession(id, p, snap, maxNodes, maxInflight, budget, defaultWorkers)
+func newSessionFromSnapshot(id string, p OpenParams, snap []byte, maxNodes, maxInflight int, budget int64) (*session, *Error) {
+	return buildSession(id, p, snap, maxNodes, maxInflight, budget)
 }
 
 // buildSession is the shared constructor: snap == nil builds cold and
 // warms; otherwise the network is restored from the snapshot bytes.
-func buildSession(id string, p OpenParams, snap []byte, maxNodes, maxInflight int, budget int64, defaultWorkers int) (*session, *Error) {
+func buildSession(id string, p OpenParams, snap []byte, maxNodes, maxInflight int, budget int64) (*session, *Error) {
 	// A snapshot stashes only the workload's name and mutable state; the
 	// clone re-derives the source from the (normalized) params and
 	// SetSource re-applies the stashed state.
@@ -124,31 +120,17 @@ func buildSession(id string, p OpenParams, snap []byte, maxNodes, maxInflight in
 			return nil, errf(CodeBadRequest, "open: %v", err)
 		}
 	}
-	workers := p.Workers
-	if workers == 0 {
-		workers = defaultWorkers
-	}
-	if workers > 1 {
-		if err := n.SetWorkers(workers); err != nil {
-			n.Close()
-			return nil, errf(CodeBadRequest, "open: %v", err)
-		}
-	} else {
-		workers = 1
-	}
 	if err := n.SetSource(src); err != nil {
-		n.Close()
 		return nil, errf(CodeInternal, "clone: workload: %v", err)
 	}
 	s := &session{
-		id:      id,
-		p:       p,
-		net:     n,
-		budget:  budget,
-		workers: workers,
-		cmds:    make(chan *cmd, maxInflight),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		id:     id,
+		p:      p,
+		net:    n,
+		budget: budget,
+		cmds:   make(chan *cmd, maxInflight),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	s.info = SessionInfo{
 		Nodes:      g.NumNodes,
@@ -223,8 +205,7 @@ func (s *session) stopped() bool {
 	}
 }
 
-// run is the session worker: the only goroutine that touches s.net. It
-// releases the network's scheduler workers when it exits.
+// run is the session worker: the only goroutine that touches s.net.
 func (s *session) run() {
 	defer close(s.done)
 	defer s.net.Close()
@@ -351,7 +332,6 @@ func (s *session) stats(now time.Time) SessionStats {
 		Nodes:        s.info.Nodes,
 		Load:         s.p.Load,
 		Pattern:      s.p.Pattern,
-		Workers:      s.workers,
 		Cycles:       cycles,
 		CyclesPerSec: rate,
 		Estimates:    s.estimates.Load(),

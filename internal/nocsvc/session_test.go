@@ -26,7 +26,7 @@ func testCfg() ServerConfig {
 
 func TestSessionBackpressure(t *testing.T) {
 	const inflight = 3
-	s, perr := newSession("t1", testOpen(), 4096, inflight, 1<<16, 1)
+	s, perr := newSession("t1", testOpen(), 4096, inflight, 1<<16)
 	if perr != nil {
 		t.Fatal(perr)
 	}
@@ -219,7 +219,7 @@ func TestManagerClosedRejectsOpens(t *testing.T) {
 }
 
 func TestSessionEstimateValidation(t *testing.T) {
-	s, perr := newSession("t2", testOpen(), 4096, 4, 1<<16, 1)
+	s, perr := newSession("t2", testOpen(), 4096, 4, 1<<16)
 	if perr != nil {
 		t.Fatal(perr)
 	}
@@ -236,19 +236,19 @@ func TestBuildNetworkRejects(t *testing.T) {
 	p := testOpen()
 	p.K = 32
 	p.N = 3 // 32^3 = 32768 terminals
-	if _, perr := newSession("r1", p, 4096, 4, 1<<16, 1); perr == nil || perr.Code != CodeBadRequest {
+	if _, perr := newSession("r1", p, 4096, 4, 1<<16); perr == nil || perr.Code != CodeBadRequest {
 		t.Fatalf("node cap not enforced: %v", perr)
 	}
 	// The largest topology the protocol bounds admit is refused from its
 	// (k, n) alone, not built and then measured.
 	p = OpenParams{Topology: "foldedclos", K: 1024, N: 6, Warmup: -1}
 	p.normalize()
-	if _, perr := newSession("r3", p, 4096, 4, 1<<16, 1); perr == nil || perr.Code != CodeBadRequest {
+	if _, perr := newSession("r3", p, 4096, 4, 1<<16); perr == nil || perr.Code != CodeBadRequest {
 		t.Fatalf("2^60-terminal open not refused: %v", perr)
 	}
 	p = testOpen()
 	p.Routing = "bogus"
-	if _, perr := newSession("r2", p, 0, 4, 1<<16, 1); perr == nil || perr.Code != CodeBadRequest {
+	if _, perr := newSession("r2", p, 0, 4, 1<<16); perr == nil || perr.Code != CodeBadRequest {
 		t.Fatalf("bad routing accepted: %v", perr)
 	}
 }

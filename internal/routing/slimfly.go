@@ -14,9 +14,7 @@ const maxDistTableEntries = 1 << 24
 
 // sfTables holds the precomputed terminal, port and distance tables for
 // one Slim Fly. As with ffTables, every table is read-only after
-// construction — the load-bearing contract that lets the sharded-parallel
-// scheduler call Route concurrently from worker goroutines against the
-// same shared tables.
+// construction, so networks of concurrent sweep jobs may share them.
 type sfTables struct {
 	p          int // terminals per router; network port base
 	degree     int

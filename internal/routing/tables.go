@@ -19,12 +19,9 @@ const maxPairTableEntries = 1 << 22
 // only table lookups and the live queue estimates.
 //
 // Every table is read-only after construction: newFFTables fills them
-// once and no Route path ever writes them. This is a load-bearing
-// contract for the sharded-parallel scheduler (internal/sim), whose
-// worker goroutines call Route concurrently on routers of different
-// shards against the same shared tables — safe precisely because the
-// tables are immutable and all mutable routing inputs (queue and credit
-// estimates) arrive through the per-shard RouterView instead.
+// once and no Route path ever writes them, so networks of concurrent
+// sweep jobs may share them; all mutable routing inputs (queue and
+// credit estimates) arrive through the RouterView instead.
 //
 // Masks use bit d-1 for dimension d ∈ [1, Dims].
 type ffTables struct {

@@ -258,49 +258,43 @@ func TestBacklogSurvivesSnapshot(t *testing.T) {
 // tracking map must drain and no source may accumulate run entries (a
 // finished transfer must not stay reachable from the network).
 func TestTransferRelease(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		f := testFF(t, 4, 2)
-		g := f.Graph()
-		n, err := New(g, &minimalAlg{f}, DefaultConfig())
+	f := testFF(t, 4, 2)
+	g := f.Graph()
+	n, err := New(g, &minimalAlg{f}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	MustInstall(t, n, traffic.NewUniform(g.NumNodes))
+	for i := 0; i < 10000; i++ {
+		src, dst := topo.NodeID(i%3), topo.NodeID((i*7+5)%g.NumNodes)
+		tr, err := n.StartTransfer(src, dst, 1+i%3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.SetWorkers(workers); err != nil {
-			t.Fatal(err)
+		// Every third transfer is queued behind the previous one, so
+		// a run list is sometimes two deep.
+		if i%3 != 0 {
+			stepUntilDone(t, n, tr, 0, 1000)
 		}
-		MustInstall(t, n, traffic.NewUniform(g.NumNodes))
-		for i := 0; i < 10000; i++ {
-			src, dst := topo.NodeID(i%3), topo.NodeID((i*7+5)%g.NumNodes)
-			tr, err := n.StartTransfer(src, dst, 1+i%3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Every third transfer is queued behind the previous one, so
-			// a run list is sometimes two deep.
-			if i%3 != 0 {
-				stepUntilDone(t, n, tr, 0, 1000)
-			}
+	}
+	for !n.Quiescent() {
+		n.Step()
+	}
+	if n.PendingTransfers() != 0 {
+		t.Fatalf("tracking map holds %d packets", n.PendingTransfers())
+	}
+	for i := range n.sources {
+		o := n.sources[i].more
+		if o == nil {
+			continue
 		}
-		for !n.Quiescent() {
-			n.Step()
+		if len(o.runs) != 0 || cap(o.runs) > 8 {
+			t.Fatalf("source %d run list has length %d, capacity %d after 10000 transfers", i, len(o.runs), cap(o.runs))
 		}
-		if n.PendingTransfers() != 0 {
-			t.Fatalf("workers %d: tracking map holds %d packets", workers, n.PendingTransfers())
-		}
-		for i := range n.sources {
-			o := n.sources[i].more
-			if o == nil {
-				continue
-			}
-			if len(o.runs) != 0 || cap(o.runs) > 8 {
-				t.Fatalf("workers %d: source %d run list has length %d, capacity %d after 10000 transfers", workers, i, len(o.runs), cap(o.runs))
-			}
-			for _, r := range o.runs[:cap(o.runs)] {
-				if r.t != nil {
-					t.Fatalf("workers %d: source %d still reaches a finished transfer", workers, i)
-				}
+		for _, r := range o.runs[:cap(o.runs)] {
+			if r.t != nil {
+				t.Fatalf("source %d still reaches a finished transfer", i)
 			}
 		}
-		n.Close()
 	}
 }

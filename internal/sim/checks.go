@@ -43,17 +43,11 @@ type CheckHooks struct {
 }
 
 // AttachChecks installs a sanitizer hook set into the pipeline; nil
-// callbacks are replaced with no-ops. Passing nil detaches. Attaching
-// before the first Step forces the sequential scheduler; attaching to a
-// network already partitioned across workers panics (the hooks would run
-// unsynchronized inside worker goroutines).
+// callbacks are replaced with no-ops. Passing nil detaches.
 func (n *Network) AttachChecks(h *CheckHooks) {
 	if h == nil {
 		n.checks = nil
 		return
-	}
-	if n.par {
-		panic("sim: cannot attach checks to a network partitioned across workers")
 	}
 	if h.Inject == nil {
 		h.Inject = func(*Packet, topo.RouterID, int, bool) {}
@@ -131,26 +125,12 @@ func (a ChannelAudit) Outstanding() int {
 func (n *Network) AuditChannels(visit func(ChannelAudit)) {
 	flits := map[int64]int{}   // (downstream router, input VC index) -> count
 	credits := map[int32]int{} // network-wide output VC index -> count
-	for _, sh := range n.sh {
-		for i := range sh.cal {
-			for _, ev := range sh.cal[i].flits {
-				flits[int64(ev.router)<<32|int64(ev.in>>1)]++
-			}
-			for _, ev := range sh.cal[i].credits {
-				credits[ev.ovc]++
-			}
+	for i := range n.cal {
+		for _, ev := range n.cal[i].flits {
+			flits[int64(ev.router)<<32|int64(ev.in>>1)]++
 		}
-		// Cross-shard events staged at the last barrier but not yet
-		// drained into their target's calendar.
-		for _, box := range sh.outFlits {
-			for _, x := range box {
-				flits[int64(x.ev.router)<<32|int64(x.ev.in>>1)]++
-			}
-		}
-		for _, box := range sh.outCredits {
-			for _, x := range box {
-				credits[x.ovc]++
-			}
+		for _, ev := range n.cal[i].credits {
+			credits[ev.ovc]++
 		}
 	}
 	for r := range n.routers {
@@ -222,7 +202,7 @@ func (n *Network) InjectFault(k FaultKind, r topo.RouterID, port, vc int) error 
 		}
 		rt.pop(q)
 		if q.count == 0 {
-			n.shardFor(int32(r)).clearVC(rt, ivc)
+			n.clearVC(rt, ivc)
 		}
 		return nil
 	}

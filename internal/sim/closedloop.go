@@ -23,10 +23,6 @@ type ClosedLoopConfig struct {
 	// Warmup and Measure are windows in cycles; round trips completing
 	// during the measurement window are recorded.
 	Warmup, Measure int
-	// Workers partitions the cycle core across this many worker
-	// goroutines, as in RunConfig.Workers; results are bit-identical at
-	// every count. <= 1 (the default) runs sequentially.
-	Workers int
 }
 
 // ClosedLoopResult reports a closed-loop run.
@@ -66,11 +62,6 @@ func RunClosedLoop(g *topo.Graph, alg Algorithm, cfg Config, clc ClosedLoopConfi
 		return ClosedLoopResult{}, err
 	}
 	defer n.Close()
-	if clc.Workers > 1 {
-		if err := n.SetWorkers(clc.Workers); err != nil {
-			return ClosedLoopResult{}, err
-		}
-	}
 
 	// Transactions are matched to packets at materialization: source
 	// queues are FIFO, so the k-th materialized packet of a node is its

@@ -77,40 +77,6 @@ func TestClosedLoopWindowScaling(t *testing.T) {
 	}
 }
 
-func TestClosedLoopParallelIdentity(t *testing.T) {
-	// The sharded scheduler must reproduce the sequential closed-loop
-	// run exactly: round-trip statistics are cycle-level measurements, so
-	// any divergence in delivery order or request re-issue shows up here.
-	f := testFF(t, 4, 2)
-	for _, window := range []int{1, 4} {
-		base := ClosedLoopConfig{
-			Window:  window,
-			Pattern: traffic.NewUniform(f.NumNodes),
-			Warmup:  300,
-			Measure: 600,
-		}
-		seq, err := RunClosedLoop(f.Graph(), &minimalAlg{f}, DefaultConfig(), base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Completed == 0 {
-			t.Fatal("sequential run completed no round trips")
-		}
-		for _, workers := range []int{2, 4} {
-			clc := base
-			clc.Workers = workers
-			par, err := RunClosedLoop(f.Graph(), &minimalAlg{f}, DefaultConfig(), clc)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			if par != seq {
-				t.Fatalf("window %d, workers %d diverged:\nseq: %+v\npar: %+v",
-					window, workers, seq, par)
-			}
-		}
-	}
-}
-
 func TestClosedLoopAdversarialPattern(t *testing.T) {
 	// Under the worst-case request pattern, minimal routing's 1/k channel
 	// bottleneck shows up as a round-trip-rate ceiling well below the

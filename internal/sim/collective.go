@@ -45,10 +45,6 @@ type CollectiveConfig struct {
 	// the schedule size. Exceeding it is an error (the collective never
 	// completed — the network is saturated).
 	MaxCycles int64
-	// Workers partitions the cycle core across this many worker
-	// goroutines, as in RunConfig.Workers. Results are bit-identical at
-	// every worker count.
-	Workers int
 	// Stop, when non-nil, is polled every few hundred cycles; returning
 	// true aborts the run with an error wrapping ErrStopped.
 	Stop func() bool
@@ -123,11 +119,6 @@ func RunCollective(g *topo.Graph, alg Algorithm, cfg Config, cc CollectiveConfig
 		return CollectiveResult{}, err
 	}
 	defer n.Close()
-	if cc.Workers > 1 {
-		if err := n.SetWorkers(cc.Workers); err != nil {
-			return CollectiveResult{}, err
-		}
-	}
 	if src != nil {
 		if err := n.SetSource(src); err != nil {
 			return CollectiveResult{}, err

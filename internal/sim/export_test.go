@@ -14,12 +14,6 @@ import (
 // observationally identical; worklist_test.go holds them to it.
 func SetStepAll(n *Network, v bool) { n.stepAll = v }
 
-// NumShards reports how many shards the network's scheduler runs across:
-// 1 until (and unless) the first Step partitions it. parallel_test.go
-// uses it to prove a partition actually happened (or was correctly
-// declined).
-func NumShards(n *Network) int { return len(n.sh) }
-
 // MustInstall installs pattern p under the Bernoulli arrival process, the
 // paper's open-loop injection, failing the test if SetSource refuses.
 func MustInstall(t testing.TB, n *Network, p traffic.Pattern) {

@@ -215,8 +215,7 @@ func carve[T any](slab []T, off, n int) []T { return slab[off : off+n : off+n] }
 // routerWords returns the 64-bit words a router's scheduling bitsets (one
 // bit per input VC index, one per output port) take in the shared word
 // slab, rounded up to whole cache lines: the sets are written on every
-// buffer transition, and neighbouring routers may belong to different
-// worker shards.
+// buffer transition, so neighbouring routers never share a line.
 func routerWords(inVCs, outPorts int) int {
 	return ((inVCs+63)/64 + (outPorts+63)/64 + 7) &^ 7
 }
@@ -224,8 +223,7 @@ func routerWords(inVCs, outPorts int) int {
 // psumStride returns the int32 entries a router's queue-estimate row takes
 // in the shared slab: one per output port, rounded up to whole cache lines
 // for routerWords' reason — a row is written on every routing decision and
-// credit return, and neighbouring routers may belong to different worker
-// shards.
+// credit return.
 func psumStride(outPorts int) int { return (outPorts + 15) &^ 15 }
 
 // inVCs returns how many virtual channels input port ip buffers: the
@@ -281,8 +279,7 @@ type deliverEv struct {
 	pkt  *Packet
 	node int32 // the ejection channel's terminal
 	// dt is delay<<1 | tail, where delay is the cycles between traverse
-	// and delivery; the parallel merge uses it to recover the scheduling
-	// cycle.
+	// and delivery. Only Snapshot reads the delay: the file format pins it.
 	dt int32
 }
 
@@ -297,16 +294,8 @@ type calSlot struct {
 }
 
 // Network is one instantiated simulation: a topology graph, a routing
-// algorithm, router state, traffic sources, and measurement hooks.
-//
-// All per-cycle mutable scheduler state (event calendar, arena, active
-// worklists, the RouterView handed to Route) lives in shards. A network
-// always has at least one shard; with SetWorkers(1) (the default) the
-// single bootstrap shard covers every router and the Step pipeline runs
-// exactly the sequential code path. SetWorkers(k>1) partitions routers
-// across k shards driven by worker goroutines under a conservative
-// barrier scheduler (see shard.go and DESIGN.md §13) with bit-identical
-// results.
+// algorithm, router state, traffic sources, and measurement hooks. Step
+// runs on the caller's goroutine; a Network owns none (DESIGN.md §13).
 type Network struct {
 	g   *topo.Graph
 	alg Algorithm
@@ -325,7 +314,7 @@ type Network struct {
 	routers []router
 	sources []source
 	maxLat  int
-	calLen  int // calendar ring length (shared by every shard)
+	calLen  int // calendar ring length
 
 	// Network-wide slabs behind the routers' per-router views. outs and
 	// ovc are also indexed directly by credit events.
@@ -333,22 +322,22 @@ type Network struct {
 	ovc  []outVC
 	psum []int32 // the routers' queue-estimate rows, psumStride entries each
 
-	// Sharded scheduler state. sh always holds at least the bootstrap
-	// shard 0; par is true once partition() split the network across
-	// worker goroutines. shardOf/shardOfNode map routers and terminals to
-	// their owning shard (nil until partitioned).
-	sh          []*shard
-	par         bool
-	started     bool // first Step happened; the partition is frozen
-	closed      bool
-	workers     int // requested via SetWorkers; effective count is len(sh)
-	shardOf     []int32
-	shardOfNode []int32
-	pool        workerPool
+	// Per-cycle scheduler state: the event calendar, the arena its lists
+	// and the packets recycle through, the view handed to Route, and the
+	// two worklists — activeR bit r is set while router r holds a buffered
+	// flit, activeS bit i while source i has injection work.
+	cal     []calSlot
+	arena   arena
+	view    RouterView
+	activeR []uint64
+	activeS []uint64
 
+	closed  bool
 	stepAll bool
 
-	nextID int64
+	nextID        int64
+	injected      int64 // packets materialized
+	flitsInjected int64 // flits pushed into a terminal input buffer
 
 	// wl is the installed workload source (arrival + destination
 	// process). pendingWl stashes a restored snapshot's workload state
@@ -370,8 +359,6 @@ type Network struct {
 	// Telemetry and sanitizer hooks; nil (the default) means every
 	// pipeline hook is a single pointer check — the zero-overhead-when-off
 	// contract that BenchmarkTelemetryOff and BenchmarkChecksOff guard.
-	// Attaching any of them before the first Step forces the sequential
-	// scheduler regardless of SetWorkers.
 	probes *Probes
 	tracer *telemetry.Tracer
 	checks *CheckHooks
@@ -565,10 +552,10 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		s.router = int32(g.NodeRouter[i])
 		s.ivc = int32(g.InjPort[i]) << shift
 	}
-	// The bootstrap shard covers the whole network; it is the sequential
-	// scheduler, and stays in place unless SetWorkers partitions it at
-	// the first Step.
-	n.sh = []*shard{newShard(n, 0, 0, len(g.Routers), 0, g.NumNodes)}
+	n.cal = make([]calSlot, n.calLen)
+	n.activeR = make([]uint64, (len(g.Routers)+63)/64)
+	n.activeS = make([]uint64, (g.NumNodes+63)/64)
+	n.view.n = n
 	return n, nil
 }
 
@@ -585,59 +572,38 @@ func (n *Network) VCs() int { return n.vcs }
 func (n *Network) VCDepth() int { return n.vcDepth }
 
 // slot returns the calendar slot delay cycles ahead (0 <= delay < calLen).
-func (sh *shard) slot(delay int) *calSlot {
-	i := sh.n.calPos + delay
-	if i >= len(sh.cal) {
-		i -= len(sh.cal)
+func (n *Network) slot(delay int) *calSlot {
+	i := n.calPos + delay
+	if i >= len(n.cal) {
+		i -= len(n.cal)
 	}
-	return &sh.cal[i]
+	return &n.cal[i]
 }
 
 // scheduleFlit enqueues a flit arrival at input VC in>>1 of router, delay
-// cycles in the future. List growth goes through the shard's arena so
-// backing arrays are recycled across calendar slots and the steady state
-// schedules without allocating. In parallel mode, events addressed to a
-// router owned by another shard are staged into that shard's outbox
-// instead; the target drains it at the next cycle barrier (delay >= 1 for
-// every cross-shard event, so the event cannot be due before the target
-// looks).
+// cycles in the future. List growth goes through the arena so backing
+// arrays are recycled across calendar slots and the steady state
+// schedules without allocating.
 //
 // The schedule helpers take scalars and build the element in place: an
 // event struct passed by value is assembled on the stack with narrow
 // stores and reloaded wide, a store-forwarding stall on every flit hop.
-func (sh *shard) scheduleFlit(delay int, router int32, in uint32, pkt *Packet) {
-	n := sh.n
-	ev := flitEv{pkt: pkt, router: router, in: in}
-	if n.par {
-		if tgt := n.shardOf[router]; int(tgt) != sh.idx {
-			sh.outFlits[tgt] = append(sh.outFlits[tgt], xflit{at: n.cycle + int64(delay), ev: ev})
-			return
-		}
-	}
-	sh.slot(delay).addFlit(&sh.arena, ev)
+func (n *Network) scheduleFlit(delay int, router int32, in uint32, pkt *Packet) {
+	n.slot(delay).addFlit(&n.arena, flitEv{pkt: pkt, router: router, in: in})
 }
 
-// scheduleCredit enqueues a credit return to network-wide output VC ovc,
-// which belongs to router.
-func (sh *shard) scheduleCredit(delay int, router, ovc int32) {
-	n := sh.n
-	if n.par {
-		if tgt := n.shardOf[router]; int(tgt) != sh.idx {
-			sh.outCredits[tgt] = append(sh.outCredits[tgt], xcredit{at: n.cycle + int64(delay), ovc: ovc})
-			return
-		}
-	}
-	sh.slot(delay).addCredit(&sh.arena, ovc)
+// scheduleCredit enqueues a credit return to network-wide output VC ovc.
+func (n *Network) scheduleCredit(delay int, ovc int32) {
+	n.slot(delay).addCredit(&n.arena, ovc)
 }
 
-// scheduleDeliver enqueues a delivery at node's ejection channel. A
-// delivery is always local to the scheduling shard.
-func (sh *shard) scheduleDeliver(delay int, node int32, tail bool, pkt *Packet) {
+// scheduleDeliver enqueues a delivery at node's ejection channel.
+func (n *Network) scheduleDeliver(delay int, node int32, tail bool, pkt *Packet) {
 	dt := int32(delay) << 1
 	if tail {
 		dt |= 1
 	}
-	sh.slot(delay).addDeliver(&sh.arena, deliverEv{pkt: pkt, node: node, dt: dt})
+	n.slot(delay).addDeliver(&n.arena, deliverEv{pkt: pkt, node: node, dt: dt})
 }
 
 // The add helpers append to one of a slot's lists, growing it through
@@ -660,6 +626,23 @@ func (s *calSlot) addCredit(a *arena, ovc int32) {
 	s.credits = append(s.credits, creditEv{ovc: ovc, pos: uint32(len(s.flits))})
 }
 
+// eachArrival visits the slot's flit arrivals and credit returns in the
+// order they were scheduled, interleaved as a single tagged list would
+// hold them: a credit stamped pos follows the first pos flits. Exactly
+// one argument of visit is non-nil per call.
+func (s *calSlot) eachArrival(visit func(*flitEv, *creditEv)) {
+	f := 0
+	for c := range s.credits {
+		for ; f < len(s.flits) && f < int(s.credits[c].pos); f++ {
+			visit(&s.flits[f], nil)
+		}
+		visit(nil, &s.credits[c])
+	}
+	for ; f < len(s.flits); f++ {
+		visit(&s.flits[f], nil)
+	}
+}
+
 func (s *calSlot) addDeliver(a *arena, ev deliverEv) {
 	if len(s.delivers) == cap(s.delivers) {
 		a.growDelivers(s)
@@ -677,54 +660,42 @@ func (a *arena) growCredits(s *calSlot) { s.credits = a.credits.grow(s.credits) 
 func (a *arena) growDelivers(s *calSlot) { s.delivers = a.delivers.grow(s.delivers) }
 
 // wakeVC marks input VC ivc of rt occupied and puts the router on the
-// shard's active worklist. Idempotent when the bit is already set.
-func (sh *shard) wakeVC(rt *router, ivc int32) {
+// active worklist. Idempotent when the bit is already set.
+func (n *Network) wakeVC(rt *router, ivc int32) {
 	w, bit := ivc>>6, uint64(1)<<(uint(ivc)&63)
 	if rt.occ[w]&bit != 0 {
 		return
 	}
 	rt.occ[w] |= bit
 	if rt.occVCs == 0 {
-		r := uint(int(rt.id) - sh.r0)
-		sh.activeR[r>>6] |= 1 << (r & 63)
+		r := uint(rt.id)
+		n.activeR[r>>6] |= 1 << (r & 63)
 	}
 	rt.occVCs++
 }
 
 // clearVC marks input VC ivc of rt empty, dropping the router from the
 // worklist when it was its last occupied VC. The bit must be set.
-func (sh *shard) clearVC(rt *router, ivc int32) {
+func (n *Network) clearVC(rt *router, ivc int32) {
 	rt.occ[ivc>>6] &^= 1 << (uint(ivc) & 63)
 	rt.occVCs--
 	if rt.occVCs == 0 {
-		r := uint(int(rt.id) - sh.r0)
-		sh.activeR[r>>6] &^= 1 << (r & 63)
+		r := uint(rt.id)
+		n.activeR[r>>6] &^= 1 << (r & 63)
 	}
 }
 
-// wakeSource puts source i on its owning shard's injection worklist.
-// Called from the caller thread between Steps (generation, traces,
-// transfers), never from inside a phase.
+// wakeSource puts source i on the injection worklist.
 func (n *Network) wakeSource(i int) {
-	sh := n.shardForNode(i)
-	li := uint(i - sh.s0)
-	sh.activeS[li>>6] |= 1 << (li & 63)
+	n.activeS[uint(i)>>6] |= 1 << (uint(i) & 63)
 }
 
 // Step advances the simulation by one cycle.
 func (n *Network) Step() {
-	if !n.started {
-		n.startup()
-	}
-	if n.par {
-		n.stepParallel()
-		return
-	}
-	sh := n.sh[0]
-	sh.processEvents()
-	sh.inject()
-	sh.routeAllocate()
-	sh.switchAllocate()
+	n.processEvents()
+	n.inject()
+	n.routeAllocate()
+	n.switchAllocate()
 	if n.probes != nil && n.cycle%n.probes.stride == 0 {
 		n.sampleProbes()
 	}
@@ -733,6 +704,23 @@ func (n *Network) Step() {
 	}
 	n.advanceCycle()
 }
+
+// SetWorkers is inert: the cycle core has one sequential scheduler
+// (DESIGN.md §13). It stays, rejecting only k < 0, because flatbench
+// (bench/core.go) calls it.
+func (n *Network) SetWorkers(k int) error {
+	if k < 0 {
+		return fmt.Errorf("sim: worker count must be >= 0, got %d", k)
+	}
+	return nil
+}
+
+// Workers always returns 1; inert, kept for flatbench like SetWorkers.
+func (n *Network) Workers() int { return 1 }
+
+// Close marks the network closed: Snapshot refuses it from then on. It is
+// idempotent and releases nothing.
+func (n *Network) Close() { n.closed = true }
 
 // advanceCycle moves simulation time forward one cycle, keeping the
 // calendar position in step so no schedule or drain divides.
@@ -745,22 +733,15 @@ func (n *Network) advanceCycle() {
 }
 
 // processEvents applies flit arrivals, credit returns and deliveries
-// scheduled for the current cycle, one homogeneous list after another. In
-// parallel mode deliveries are left in place as the shard's pendDel list;
-// the coordinator replays them in the exact sequential order at the phase
-// barrier (mergeDeliveries).
-func (sh *shard) processEvents() {
-	n := sh.n
-	if n.par {
-		sh.drainInboxes()
-	}
-	s := &sh.cal[n.calPos]
+// scheduled for the current cycle, one homogeneous list after another.
+func (n *Network) processEvents() {
+	s := &n.cal[n.calPos]
 	for i := range s.flits {
 		ev := &s.flits[i]
 		rt := &n.routers[ev.router]
 		ivc := int32(ev.in >> 1)
 		rt.push(&rt.vq[ivc], flit{pkt: ev.pkt, tail: ev.in&1 != 0})
-		sh.wakeVC(rt, ivc)
+		n.wakeVC(rt, ivc)
 	}
 	s.flits = s.flits[:0]
 	for _, ev := range s.credits {
@@ -774,14 +755,8 @@ func (sh *shard) processEvents() {
 		}
 	}
 	s.credits = s.credits[:0]
-	if n.par {
-		// Nothing schedules into the current slot (every delay is >= 1),
-		// so the list stays intact until the merge has replayed it.
-		sh.pendDel = s.delivers
-	} else {
-		for i := range s.delivers {
-			n.deliverEvent(sh, &s.delivers[i])
-		}
+	for i := range s.delivers {
+		n.deliverEvent(&s.delivers[i])
 	}
 	s.delivers = s.delivers[:0]
 }
@@ -795,11 +770,8 @@ func (n *Network) creditTarget(ovc int32) (router int32, port, vc int) {
 }
 
 // deliverEvent applies one ejection event: counters, hooks, transfer
-// accounting, and packet recycling into home's arena (the shard that
-// owns the packet's source, so steady-state packet objects circulate
-// back to the arena they are allocated from). Runs on the caller thread:
-// inline in the sequential scheduler, from mergeDeliveries in parallel.
-func (n *Network) deliverEvent(home *shard, ev *deliverEv) {
+// accounting, and packet recycling into the arena.
+func (n *Network) deliverEvent(ev *deliverEv) {
 	n.flitsDelivered++
 	pkt, tail := ev.pkt, ev.tail()
 	if n.tracer != nil {
@@ -825,7 +797,7 @@ func (n *Network) deliverEvent(home *shard, ev *deliverEv) {
 	if n.onDeliver != nil {
 		n.onDeliver(pkt, n.cycle)
 	}
-	home.arena.freePacket(pkt)
+	n.arena.freePacket(pkt)
 }
 
 // inject moves flits from source backlogs into their routers' terminal
@@ -834,18 +806,18 @@ func (n *Network) deliverEvent(home *shard, ev *deliverEv) {
 // sources on the active worklist (a packet mid-injection or a non-empty
 // backlog) are visited; a source that runs dry leaves the list until the
 // next arrival wakes it.
-func (sh *shard) inject() {
-	if sh.n.stepAll {
-		for i := sh.s0; i < sh.s1; i++ {
-			sh.injectSource(i)
+func (n *Network) inject() {
+	if n.stepAll {
+		for i := range n.sources {
+			n.injectSource(i)
 		}
 		return
 	}
-	for w := range sh.activeS {
-		for word := sh.activeS[w]; word != 0; word &= word - 1 {
+	for w := range n.activeS {
+		for word := n.activeS[w]; word != 0; word &= word - 1 {
 			b := bits.TrailingZeros64(word)
-			if !sh.injectSource(sh.s0 + w<<6 + b) {
-				sh.activeS[w] &^= 1 << uint(b)
+			if !n.injectSource(w<<6 + b) {
+				n.activeS[w] &^= 1 << uint(b)
 			}
 		}
 	}
@@ -854,8 +826,7 @@ func (sh *shard) inject() {
 // injectSource advances one source's injection by up to one flit and
 // reports whether the source still has pending work (and so must stay on
 // the worklist).
-func (sh *shard) injectSource(i int) bool {
-	n := sh.n
+func (n *Network) injectSource(i int) bool {
 	s := &n.sources[i]
 	if s.cur == nil {
 		if s.empty() {
@@ -869,18 +840,9 @@ func (sh *shard) injectSource(i int) bool {
 		if a.xfer {
 			xfer = s.popTransfer()
 		}
-		p := sh.arena.allocPacket()
-		if n.par {
-			// Shards cannot share a sequence counter without coordination.
-			// (materialization cycle, source index) is the exact order the
-			// sequential counter hands IDs out in, so this keying preserves
-			// every ID comparison the age arbiter can make while staying
-			// shard-local. Values differ from sequential IDs; order does not.
-			p.ID = n.cycle*int64(n.g.NumNodes) + int64(i)
-		} else {
-			p.ID = n.nextID
-			n.nextID++
-		}
+		p := n.arena.allocPacket()
+		p.ID = n.nextID
+		n.nextID++
 		p.Src = topo.NodeID(i)
 		if a.dst >= 0 {
 			p.Dst = topo.NodeID(a.dst)
@@ -893,21 +855,12 @@ func (sh *shard) injectSource(i int) bool {
 		p.Measured = a.ts >= n.measStart && a.ts < n.measEnd
 		s.cur = p
 		s.remaining = int32(n.cfg.PacketSize)
-		sh.injected++
-		if n.par {
-			// Transfer registration and the materialization callback touch
-			// caller-owned state; defer them to the barrier, where the
-			// coordinator applies them in sequential (shard, source) order.
-			if xfer != nil || n.onMaterialize != nil {
-				sh.mat = append(sh.mat, matEntry{pkt: p, xfer: xfer})
-			}
-		} else {
-			if xfer != nil {
-				n.registerTransfer(p, xfer)
-			}
-			if n.onMaterialize != nil {
-				n.onMaterialize(p)
-			}
+		n.injected++
+		if xfer != nil {
+			n.registerTransfer(p, xfer)
+		}
+		if n.onMaterialize != nil {
+			n.onMaterialize(p)
 		}
 	}
 	rt := &n.routers[s.router]
@@ -918,8 +871,8 @@ func (sh *shard) injectSource(i int) bool {
 	s.remaining--
 	tail := s.remaining == 0
 	rt.push(q, flit{pkt: s.cur, tail: tail})
-	sh.wakeVC(rt, s.ivc)
-	sh.flitsInjected++
+	n.wakeVC(rt, s.ivc)
+	n.flitsInjected++
 	if n.tracer != nil {
 		n.tracer.Record(telemetry.FlitEvent{
 			Cycle: n.cycle, Kind: telemetry.EvInject, Packet: s.cur.ID,
@@ -941,21 +894,15 @@ func (n *Network) PacketSize() int { return n.cfg.PacketSize }
 
 // Inventory counts every flit currently alive inside the simulator:
 // buffered in routers plus in flight on channels (including flits whose
-// delivery event is pending, and flits staged in cross-shard outboxes).
-// Used by conservation tests.
+// delivery event is pending). Used by conservation tests.
 func (n *Network) Inventory() (buffered, inFlight int) {
 	for r := range n.routers {
 		for i := range n.routers[r].vq {
 			buffered += int(n.routers[r].vq[i].count)
 		}
 	}
-	for _, sh := range n.sh {
-		for i := range sh.cal {
-			inFlight += len(sh.cal[i].flits) + len(sh.cal[i].delivers)
-		}
-		for _, box := range sh.outFlits {
-			inFlight += len(box)
-		}
+	for i := range n.cal {
+		inFlight += len(n.cal[i].flits) + len(n.cal[i].delivers)
 	}
 	return buffered, inFlight
 }
@@ -963,19 +910,13 @@ func (n *Network) Inventory() (buffered, inFlight int) {
 // Totals returns lifetime counters: packets materialized into the network
 // and packets fully delivered.
 func (n *Network) Totals() (injected, delivered int64) {
-	for _, sh := range n.sh {
-		injected += sh.injected
-	}
-	return injected, n.deliveredTotal
+	return n.injected, n.deliveredTotal
 }
 
 // FlitTotals returns lifetime flit counters: flits that entered a
 // terminal input buffer and flits that left an ejection channel.
 func (n *Network) FlitTotals() (injected, delivered int64) {
-	for _, sh := range n.sh {
-		injected += sh.flitsInjected
-	}
-	return injected, n.flitsDelivered
+	return n.flitsInjected, n.flitsDelivered
 }
 
 // Backlog returns the number of generated-but-not-yet-materialized packets

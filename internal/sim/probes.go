@@ -67,14 +67,8 @@ type Probes struct {
 
 // AttachProbes builds a probe registry over the network's channels and
 // installs it into the pipeline. Attaching (or re-attaching) resets all
-// probe state; DetachProbes removes the instrumentation again. Attaching
-// before the first Step forces the sequential scheduler; attaching to a
-// network already partitioned across workers panics (the counters would
-// be written unsynchronized from worker goroutines).
+// probe state; DetachProbes removes the instrumentation again.
 func (n *Network) AttachProbes(cfg ProbeConfig) *Probes {
-	if n.par {
-		panic("sim: cannot attach probes to a network partitioned across workers")
-	}
 	stride := cfg.Stride
 	if stride <= 0 {
 		stride = 64
@@ -112,15 +106,8 @@ func (n *Network) DetachProbes() { n.probes = nil }
 // AttachTracer installs a flit event tracer into the pipeline; nil
 // detaches. The tracer receives inject, route, VC-allocation, crossbar
 // and eject events for every flit (subject to the tracer's own packet
-// filter). Attaching before the first Step forces the sequential
-// scheduler; attaching to a network already partitioned across workers
-// panics.
-func (n *Network) AttachTracer(t *telemetry.Tracer) {
-	if t != nil && n.par {
-		panic("sim: cannot attach a tracer to a network partitioned across workers")
-	}
-	n.tracer = t
-}
+// filter).
+func (n *Network) AttachTracer(t *telemetry.Tracer) { n.tracer = t }
 
 // sampleProbes takes one sampling pass: input-VC occupancy via the
 // per-port occupancy bitmasks (so empty buffers cost nothing) and

@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -17,64 +16,56 @@ import (
 // the per-VC pending counts they summarise, after every Step of a loaded
 // run: under a greedy allocator (UGAL: reservations fold in after the
 // router's pass) and a sequential one (CLOS AD: they land at once), with
-// 4-flit packets so reservations and credit returns differ in size,
-// sequentially and sharded, and across a Snapshot/Restore, which rebuilds
-// the rows instead of storing them.
+// 4-flit packets so reservations and credit returns differ in size, and
+// across a Snapshot/Restore, which rebuilds the rows instead of storing
+// them.
 func TestQueueEstRowMatchesPending(t *testing.T) {
 	ff, err := topo.NewFlatFly(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, algName := range []string{"ugal", "clos"} {
-		for _, workers := range []int{1, 4} {
-			label := fmt.Sprintf("%s workers=%d", algName, workers)
-			newAlg := func() sim.Algorithm {
-				alg, err := routing.NewFlatFlyAlgorithm(algName, ff)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return alg
-			}
-			cfg := sim.DefaultConfig()
-			cfg.PacketSize = 4
-			wc := traffic.NewWorstCase(ff.K, ff.NumRouters)
-			run := func(n *sim.Network, cycles int) {
-				t.Helper()
-				if err := n.SetWorkers(workers); err != nil {
-					t.Fatal(err)
-				}
-				sim.MustInstall(t, n, wc)
-				for i := 0; i < cycles; i++ {
-					sim.MustGenerate(t, n, 0.1)
-					n.Step()
-					if err := sim.CheckQueueEstRows(n); err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-				}
-			}
-			a, err := sim.New(ff.Graph(), newAlg(), cfg)
+		newAlg := func() sim.Algorithm {
+			alg, err := routing.NewFlatFlyAlgorithm(algName, ff)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer a.Close()
-			run(a, 300)
-			if _, delivered := a.Totals(); delivered == 0 {
-				t.Fatalf("%s: nothing delivered, the run exercised no credit returns", label)
-			}
-			var buf bytes.Buffer
-			if err := a.Snapshot(&buf); err != nil {
-				t.Fatalf("%s: snapshot: %v", label, err)
-			}
-			b, err := sim.Restore(bytes.NewReader(buf.Bytes()), ff.Graph(), newAlg(), cfg)
-			if err != nil {
-				t.Fatalf("%s: restore: %v", label, err)
-			}
-			defer b.Close()
-			if err := sim.CheckQueueEstRows(b); err != nil {
-				t.Fatalf("%s: restored: %v", label, err)
-			}
-			run(b, 100)
+			return alg
 		}
+		cfg := sim.DefaultConfig()
+		cfg.PacketSize = 4
+		wc := traffic.NewWorstCase(ff.K, ff.NumRouters)
+		run := func(n *sim.Network, cycles int) {
+			t.Helper()
+			sim.MustInstall(t, n, wc)
+			for i := 0; i < cycles; i++ {
+				sim.MustGenerate(t, n, 0.1)
+				n.Step()
+				if err := sim.CheckQueueEstRows(n); err != nil {
+					t.Fatalf("%s: %v", algName, err)
+				}
+			}
+		}
+		a, err := sim.New(ff.Graph(), newAlg(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(a, 300)
+		if _, delivered := a.Totals(); delivered == 0 {
+			t.Fatalf("%s: nothing delivered, the run exercised no credit returns", algName)
+		}
+		var buf bytes.Buffer
+		if err := a.Snapshot(&buf); err != nil {
+			t.Fatalf("%s: snapshot: %v", algName, err)
+		}
+		b, err := sim.Restore(bytes.NewReader(buf.Bytes()), ff.Graph(), newAlg(), cfg)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", algName, err)
+		}
+		if err := sim.CheckQueueEstRows(b); err != nil {
+			t.Fatalf("%s: restored: %v", algName, err)
+		}
+		run(b, 100)
 	}
 }
 

@@ -8,29 +8,28 @@ import (
 	"flatnet/internal/topo"
 )
 
-// routeAllocate runs route computation for every un-routed buffer head of
-// the shard's routers and collects the cycle's switch requests. Greedy
+// routeAllocate runs route computation for every un-routed buffer head
+// and collects the cycle's switch requests. Greedy
 // allocation reads start-of-cycle estimates; sequential allocation
 // additionally sees the reservations of decisions made earlier in the
 // same cycle, in input-port order (§3.1). Only routers on the active
 // worklist (holding at least one buffered flit) are visited, in ascending
 // router order — the same order the full scan would use — so idle routers
 // cost no work.
-func (sh *shard) routeAllocate() {
-	n := sh.n
+func (n *Network) routeAllocate() {
 	seq := n.alg.Sequential()
 	if n.stepAll {
-		for r := sh.r0; r < sh.r1; r++ {
-			sh.routeRouter(&n.routers[r], seq)
+		for r := range n.routers {
+			n.routeRouter(&n.routers[r], seq)
 		}
 	} else {
-		for w := range sh.activeR {
-			for word := sh.activeR[w]; word != 0; word &= word - 1 {
-				sh.routeRouter(&n.routers[sh.r0+w<<6+bits.TrailingZeros64(word)], seq)
+		for w := range n.activeR {
+			for word := n.activeR[w]; word != 0; word &= word - 1 {
+				n.routeRouter(&n.routers[w<<6+bits.TrailingZeros64(word)], seq)
 			}
 		}
 	}
-	sh.view.rt = nil
+	n.view.rt = nil
 }
 
 // routeRouter makes one pass over the occupied input VCs of a router, in
@@ -46,9 +45,8 @@ func (sh *shard) routeAllocate() {
 // the estimate at once, so later inputs of the same cycle see it; under a
 // greedy one it is parked on rt.touched and folded in after the pass, so
 // every input decides against the start-of-cycle estimates.
-func (sh *shard) routeRouter(rt *router, seq bool) {
-	n := sh.n
-	sh.view.rt = rt
+func (n *Network) routeRouter(rt *router, seq bool) {
+	n.view.rt = rt
 	shift := n.vcShift
 	ps := int32(n.cfg.PacketSize)
 	for w, word := range rt.occ {
@@ -57,7 +55,7 @@ func (sh *shard) routeRouter(rt *router, seq bool) {
 			q := &rt.vq[ivc]
 			if !q.routed {
 				pkt := q.hpkt
-				dec := n.alg.Route(&sh.view, pkt)
+				dec := n.alg.Route(&n.view, pkt)
 				q.out = int32(dec.Port)<<shift | int32(dec.VC)
 				q.routed = true
 				if n.checks != nil {
@@ -124,12 +122,9 @@ func (sh *shard) routeRouter(rt *router, seq bool) {
 //
 // RouterView is a concrete struct (not an interface) so the per-flit Route
 // call performs no interface conversion and its accessors inline — part of
-// the cycle core's zero-allocation contract. One view lives in every
-// shard and is reused for each of its Route calls; it is only valid for
-// the duration of that call. A view only ever exposes the owning shard's
-// routers, which (with the read-only routing tables, see
-// internal/routing) is what makes Route safe to run on shards in
-// parallel.
+// the cycle core's zero-allocation contract. One view lives in the
+// Network and is reused for every Route call; it is only valid for the
+// duration of that call.
 type RouterView struct {
 	n  *Network
 	rt *router

@@ -66,12 +66,6 @@ type RunConfig struct {
 	// — the hook for end-of-run inspection such as channel loads or
 	// probe state. It is not called when the run aborts with an error.
 	Observe func(n *Network)
-	// Workers partitions the cycle core across this many worker
-	// goroutines (Network.SetWorkers); results are bit-identical at
-	// every count. <= 1 (the default) runs sequentially, and runs with
-	// probes, a tracer or Attach-installed checks fall back to
-	// sequential regardless.
-	Workers int
 	// Checkpoint, when non-nil, receives a snapshot of the warmed
 	// network (Network.Snapshot) the moment the measurement window
 	// opens — the point where all warm-up work is done but no measured
@@ -149,11 +143,6 @@ func RunLoadPoint(g *topo.Graph, alg Algorithm, cfg Config, rc RunConfig) (LoadP
 		}
 	}
 	defer n.Close()
-	if rc.Workers > 1 {
-		if err := n.SetWorkers(rc.Workers); err != nil {
-			return LoadPointResult{}, err
-		}
-	}
 	if rc.Probes != nil {
 		n.AttachProbes(*rc.Probes)
 	}
@@ -316,9 +305,6 @@ type BatchConfig struct {
 	// before the first cycle — the hook for installing instrumentation
 	// such as the internal/check sanitizer.
 	Attach func(n *Network)
-	// Workers partitions the cycle core across this many worker
-	// goroutines, as in RunConfig.Workers.
-	Workers int
 }
 
 // RunBatch executes the Fig. 5 batch experiment.
@@ -338,11 +324,6 @@ func RunBatch(g *topo.Graph, alg Algorithm, cfg Config, bc BatchConfig) (BatchRe
 		return BatchResult{}, err
 	}
 	defer n.Close()
-	if bc.Workers > 1 {
-		if err := n.SetWorkers(bc.Workers); err != nil {
-			return BatchResult{}, err
-		}
-	}
 	if bc.Attach != nil {
 		bc.Attach(n)
 	}

@@ -499,8 +499,8 @@ func TestHotLayoutSizes(t *testing.T) {
 		}
 	}
 	// A router's queue-estimate row takes whole cache lines (16 int32s)
-	// of the shared slab, so neighbouring routers, which may belong to
-	// different worker shards, never write the same line.
+	// of the shared slab, so neighbouring routers never write the same
+	// line.
 	for _, c := range []struct{ ports, want int }{{1, 16}, {16, 16}, {17, 32}, {64, 64}, {127, 128}} {
 		if got := psumStride(c.ports); got != c.want {
 			t.Errorf("psumStride(%d ports) = %d int32s, want %d", c.ports, got, c.want)

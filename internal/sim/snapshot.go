@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"flatnet/internal/snapshot"
 	"flatnet/internal/topo"
@@ -16,29 +15,27 @@ import (
 // packets, worklists, RNG streams, transfer maps, harness counters —
 // into the internal/snapshot container; Restore rebuilds an equivalent
 // Network such that restore-then-run is bit-identical to running the
-// original straight through, at any worker count on either side.
+// original straight through.
 //
 // The format is canonical: identical state always serialises to
-// identical bytes regardless of the snapshotted network's worker count.
-// Three normalisations make that hold:
+// identical bytes. Two orderings make that hold:
 //
 //   - Packets are indexed in a fixed collection order (input buffers,
 //     then VC owners, then events, then source heads), so pointer
 //     identity never leaks into the stream.
-//   - Events are flattened across shards and outboxes, grouped by
-//     absolute due cycle; within a cycle, flit and credit events (whose
-//     processing order is immaterial — distinct FIFOs, commutative
-//     increments) precede deliveries, and deliveries are ordered by
-//     (scheduling cycle, shard), which is exactly the order the
-//     sequential calendar slot holds them in.
-//   - nextID is normalised to max(counter, largest live ID + 1), so a
-//     snapshot taken under the parallel ID keying (cycle·N + src)
-//     restores into a sequential network whose freshly minted IDs stay
-//     above every live one, preserving all age-arbiter comparisons.
+//   - Events are written by ascending due cycle; within a cycle, flit
+//     and credit events in their interleaved scheduling order
+//     (creditEv.pos), then deliveries in scheduling order — the
+//     calendar walked slot by slot.
 //
-// Restored state that is provably empty between Steps (the greedy fold list,
-// request lists, deferred-delivery buffers, arena freelists) is simply
-// recomputed or left at its zero value.
+// Packet IDs are opaque: a live packet's ID only has to be below nextID,
+// which the file carries. Snapshots written by the retired parallel
+// scheduler key IDs as cycle·N + src with nextID already raised above
+// them, and restore like any other.
+//
+// Restored state that is provably empty between Steps (the greedy fold
+// list, request lists, arena freelists) is simply recomputed or left at
+// its zero value.
 
 // Snapshot section tags, in stream order.
 const (
@@ -91,37 +88,35 @@ const (
 	evDeliver
 )
 
-// snapEvent is one calendar or outbox event in the file's flat form,
-// tagged with its absolute due cycle for canonical ordering.
-type snapEvent struct {
-	due   int64
-	sched int64 // deliveries: cycle the delivery was scheduled in
-	kind  uint8
-	tail  bool
-	// vc is the virtual channel of a flit or credit; for a delivery, its
-	// scheduling delay.
-	vc     int32
-	router int32
-	port   int32
-	pkt    *Packet
-}
-
-func (n *Network) snapFlit(due int64, ev *flitEv) snapEvent {
-	ivc := int32(ev.in >> 1)
-	return snapEvent{due: due, kind: evFlit, tail: ev.in&1 != 0,
-		vc: ivc & n.vcMask, router: ev.router, port: ivc >> n.vcShift, pkt: ev.pkt}
-}
-
-func (n *Network) snapCredit(due int64, ovc int32) snapEvent {
-	r, port, vc := n.creditTarget(ovc)
-	return snapEvent{due: due, kind: evCredit, vc: int32(vc), router: r, port: int32(port)}
+// eachEvent visits every pending calendar event in the file's order (see
+// the file comment), in the file's fields: the due cycle as a delta from
+// now; vc is the virtual channel of a flit or credit and the scheduling
+// delay of a delivery; pkt is nil for a credit.
+func (n *Network) eachEvent(visit func(delta int, kind uint64, tail bool, vc, router, port int32, pkt *Packet)) {
+	for delta := range n.cal {
+		s := n.slot(delta)
+		s.eachArrival(func(fe *flitEv, ce *creditEv) {
+			if fe != nil {
+				ivc := int32(fe.in >> 1)
+				visit(delta, evFlit, fe.in&1 != 0, ivc&n.vcMask, fe.router, ivc>>n.vcShift, fe.pkt)
+				return
+			}
+			r, port, vc := n.creditTarget(ce.ovc)
+			visit(delta, evCredit, false, int32(vc), r, int32(port), nil)
+		})
+		for i := range s.delivers {
+			ev := &s.delivers[i]
+			visit(delta, evDeliver, ev.tail(), int32(ev.delay()),
+				int32(n.g.EjRouter[ev.node]), int32(n.g.EjPort[ev.node]), ev.pkt)
+		}
+	}
 }
 
 // Snapshot writes the network's complete state to w in the
 // internal/snapshot container format. It must be called between Steps
 // (never from inside a hook) and fails on instrumented networks: probes,
-// tracers and sanitizer checks hold unserialisable state, and their
-// runs force the sequential scheduler anyway — re-run those from cold.
+// tracers and sanitizer checks hold unserialisable state — re-run those
+// from cold.
 func (n *Network) Snapshot(w io.Writer) error {
 	if n.closed {
 		return fmt.Errorf("sim: cannot snapshot a closed network")
@@ -149,60 +144,9 @@ func (n *Network) Snapshot(w io.Writer) error {
 		wlHas, wlName, wlState = true, n.pendingWl.name, n.pendingWl.state
 	}
 
-	// Flatten every pending event (all shards' calendars, then staged
-	// cross-shard outboxes) and sort into the canonical order: due cycle,
-	// then flits/credits before deliveries, deliveries by scheduling
-	// cycle. The stable sort keeps per-shard chronological slot order,
-	// so deliveries land in exactly the sequential processing order.
-	var evs []snapEvent
-	for _, sh := range n.sh {
-		for delta := 0; delta < len(sh.cal); delta++ {
-			due := n.cycle + int64(delta)
-			s := sh.slot(delta)
-			s.eachArrival(func(fe *flitEv, ce *creditEv) {
-				if fe != nil {
-					evs = append(evs, n.snapFlit(due, fe))
-				} else {
-					evs = append(evs, n.snapCredit(due, ce.ovc))
-				}
-			})
-			for i := range s.delivers {
-				ev := &s.delivers[i]
-				evs = append(evs, snapEvent{due: due, sched: due - ev.delay(), kind: evDeliver,
-					tail: ev.tail(), vc: int32(ev.delay()), router: int32(n.g.EjRouter[ev.node]),
-					port: int32(n.g.EjPort[ev.node]), pkt: ev.pkt})
-			}
-		}
-	}
-	for _, sh := range n.sh {
-		for _, box := range sh.outFlits {
-			for i := range box {
-				evs = append(evs, n.snapFlit(box[i].at, &box[i].ev))
-			}
-		}
-		for _, box := range sh.outCredits {
-			for _, x := range box {
-				evs = append(evs, n.snapCredit(x.at, x.ovc))
-			}
-		}
-	}
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].due != evs[j].due {
-			return evs[i].due < evs[j].due
-		}
-		di, dj := evs[i].kind == evDeliver, evs[j].kind == evDeliver
-		if di != dj {
-			return !di
-		}
-		if di {
-			return evs[i].sched < evs[j].sched
-		}
-		return false
-	})
-
 	// Index every live packet in collection order. The order is a pure
 	// function of simulation state, so identical states yield identical
-	// indices (and identical bytes) at any worker count.
+	// indices (and identical bytes).
 	pktIdx := make(map[*Packet]int)
 	var pkts []*Packet
 	addPkt := func(p *Packet) int {
@@ -229,11 +173,13 @@ func (n *Network) Snapshot(w io.Writer) error {
 			}
 		}
 	}
-	for i := range evs {
-		if p := evs[i].pkt; p != nil {
-			addPkt(p)
+	nev := 0
+	n.eachEvent(func(_ int, _ uint64, _ bool, _, _, _ int32, pkt *Packet) {
+		nev++
+		if pkt != nil {
+			addPkt(pkt)
 		}
-	}
+	})
 	for i := range n.sources {
 		if n.sources[i].cur != nil {
 			addPkt(n.sources[i].cur)
@@ -266,14 +212,6 @@ func (n *Network) Snapshot(w io.Writer) error {
 		}
 	}
 
-	// nextID normalisation (see the file comment).
-	nextID := n.nextID
-	for _, p := range pkts {
-		if p.ID >= nextID {
-			nextID = p.ID + 1
-		}
-	}
-
 	sw := snapshot.NewWriter(w)
 
 	sw.Section(secDigest)
@@ -294,7 +232,7 @@ func (n *Network) Snapshot(w io.Writer) error {
 
 	sw.Section(secScalars)
 	sw.Varint(n.cycle)
-	sw.Varint(nextID)
+	sw.Varint(n.nextID)
 	sw.Varint(n.deliveredTotal)
 	sw.Varint(n.flitsDelivered)
 	sw.Varint(n.measCreated)
@@ -302,13 +240,8 @@ func (n *Network) Snapshot(w io.Writer) error {
 	sw.Varint(n.measStart)
 	sw.Varint(n.measEnd)
 	sw.Varint(n.statsStart)
-	var injected, flitsInjected int64
-	for _, sh := range n.sh {
-		injected += sh.injected
-		flitsInjected += sh.flitsInjected
-	}
-	sw.Varint(injected)
-	sw.Varint(flitsInjected)
+	sw.Varint(n.injected)
+	sw.Varint(n.flitsInjected)
 
 	sw.Section(secPackets)
 	sw.Uvarint(uint64(len(pkts)))
@@ -416,21 +349,20 @@ func (n *Network) Snapshot(w io.Writer) error {
 	}
 
 	sw.Section(secEvents)
-	sw.Uvarint(uint64(len(evs)))
-	for i := range evs {
-		se := &evs[i]
-		sw.Uvarint(uint64(se.due - n.cycle))
-		sw.Uvarint(uint64(se.kind))
-		sw.Bool(se.tail)
-		sw.Varint(int64(se.vc))
-		sw.Uvarint(uint64(se.router))
-		sw.Varint(int64(se.port))
-		if se.pkt != nil {
-			sw.Varint(int64(pktIdx[se.pkt]))
+	sw.Uvarint(uint64(nev))
+	n.eachEvent(func(delta int, kind uint64, tail bool, vc, router, port int32, pkt *Packet) {
+		sw.Uvarint(uint64(delta))
+		sw.Uvarint(kind)
+		sw.Bool(tail)
+		sw.Varint(int64(vc))
+		sw.Uvarint(uint64(router))
+		sw.Varint(int64(port))
+		if pkt != nil {
+			sw.Varint(int64(pktIdx[pkt]))
 		} else {
 			sw.Varint(-1)
 		}
-	}
+	})
 
 	sw.Section(secWorkload)
 	sw.Bool(wlHas)
@@ -446,9 +378,8 @@ func (n *Network) Snapshot(w io.Writer) error {
 // caller supplies the same topology, algorithm and configuration the
 // snapshotted network was built with (they are validated against the
 // snapshot's digest — restoring onto mismatched structure is an error,
-// never a silent misread). The returned network has not Stepped yet:
-// SetWorkers may still partition it, and stepping it forward produces
-// results bit-identical to stepping the original.
+// never a silent misread). Stepping the returned network forward
+// produces results bit-identical to stepping the original.
 //
 // The workload source's configuration is not part of a snapshot — only
 // its mutable arrival-process state is. Re-install the source and hooks
@@ -510,12 +441,11 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 	n.measStart = r.Varint()
 	n.measEnd = r.Varint()
 	n.statsStart = r.Varint()
-	sh := n.sh[0]
-	sh.injected = r.Varint()
-	sh.flitsInjected = r.Varint()
+	n.injected = r.Varint()
+	n.flitsInjected = r.Varint()
 	if r.Err() == nil && (n.cycle < 0 || n.nextID < 0 || n.deliveredTotal < 0 ||
 		n.flitsDelivered < 0 || n.measCreated < 0 || n.measDelivered < 0 ||
-		sh.injected < 0 || sh.flitsInjected < 0) {
+		n.injected < 0 || n.flitsInjected < 0) {
 		return nil, fmt.Errorf("sim: snapshot has a negative scalar counter")
 	}
 
@@ -615,7 +545,7 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 				q.out = int32(port)<<n.vcShift | int32(vc)
 			}
 			if q.count != 0 {
-				sh.wakeVC(rt, int32(p)<<n.vcShift|int32(v))
+				n.wakeVC(rt, int32(p)<<n.vcShift|int32(v))
 			}
 		})
 		if r.Err() != nil {
@@ -729,7 +659,7 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 			return nil, err
 		}
 		rt := &n.routers[router]
-		s := sh.slot(delta)
+		s := n.slot(delta)
 		switch kind {
 		case evFlit:
 			if port < 0 || port >= int64(len(rt.in)) ||
@@ -740,17 +670,17 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 			if tail {
 				in |= 1
 			}
-			s.addFlit(&sh.arena, flitEv{pkt: pkt, router: int32(router), in: in})
+			s.addFlit(&n.arena, flitEv{pkt: pkt, router: int32(router), in: in})
 		case evCredit:
 			if port < 0 || port >= int64(len(rt.out)) ||
 				rt.out[port].kind != topo.Network ||
 				vc < 0 || vc >= int64(n.vcs) || pkt != nil {
 				return nil, fmt.Errorf("sim: snapshot credit event %d is malformed", k)
 			}
-			s.addCredit(&sh.arena, (rt.outBase+int32(port))<<n.vcShift+int32(vc))
+			s.addCredit(&n.arena, (rt.outBase+int32(port))<<n.vcShift+int32(vc))
 		case evDeliver:
-			// vc carries the scheduling delay for deliveries; it only
-			// orders the parallel merge, so bound it to the calendar ring.
+			// vc carries the scheduling delay for deliveries; nothing reads
+			// it back but Snapshot, so bound it to the calendar ring.
 			if port < 0 || port >= int64(len(rt.out)) ||
 				rt.out[port].kind != topo.Terminal ||
 				vc < 0 || vc >= int64(n.calLen) || pkt == nil {
@@ -760,7 +690,7 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 			if tail {
 				dt |= 1
 			}
-			s.addDeliver(&sh.arena, deliverEv{pkt: pkt, node: rt.out[port].node, dt: dt})
+			s.addDeliver(&n.arena, deliverEv{pkt: pkt, node: rt.out[port].node, dt: dt})
 		default:
 			return nil, fmt.Errorf("sim: snapshot event %d has unknown kind %d", k, kind)
 		}

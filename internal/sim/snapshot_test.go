@@ -43,9 +43,8 @@ func recordInto(out *[]delivery) func(p *sim.Packet, cycle int64) {
 // runSnapshotPair runs one network straight through (snapshotting the
 // moment warm-up ends) and a twin restored from that snapshot, then
 // requires the post-snapshot delivery streams, counters and re-snapshot
-// bytes to agree exactly. snapW/resW choose the worker counts on either
-// side: restore-then-run must be bit-identical for every combination.
-func runSnapshotPair(t *testing.T, ff *topo.FlatFly, algName string, cfg sim.Config, load float64, warm, tail, snapW, resW int) {
+// bytes to agree exactly.
+func runSnapshotPair(t *testing.T, ff *topo.FlatFly, algName string, cfg sim.Config, load float64, warm, tail int) {
 	t.Helper()
 	label := algName
 
@@ -68,9 +67,6 @@ func runSnapshotPair(t *testing.T, ff *topo.FlatFly, algName string, cfg sim.Con
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.SetWorkers(snapW); err != nil {
-		t.Fatal(err)
-	}
 	sim.MustInstall(t, a, traffic.NewUniform(a.NumNodes()))
 	a.SetMeasurementWindow(measStart, measEnd)
 	var aTail []delivery
@@ -110,9 +106,6 @@ func runSnapshotPair(t *testing.T, ff *topo.FlatFly, algName string, cfg sim.Con
 		t.Fatalf("%s: restore-then-snapshot is not byte-identical (%d vs %d bytes)",
 			label, buf.Len(), resnap.Len())
 	}
-	if err := b.SetWorkers(resW); err != nil {
-		t.Fatal(err)
-	}
 	sim.MustInstall(t, b, traffic.NewUniform(b.NumNodes()))
 	var bTail []delivery
 	b.OnDeliver(recordInto(&bTail))
@@ -128,15 +121,13 @@ func runSnapshotPair(t *testing.T, ff *topo.FlatFly, algName string, cfg sim.Con
 	}
 	diffDeliveries(t, aTail, bTail, label)
 	if bC := readCounters(b); bC != aC {
-		t.Fatalf("%s (snapW=%d resW=%d): counters diverged:\n  straight: %+v\n  restored: %+v",
-			label, snapW, resW, aC, bC)
+		t.Fatalf("%s: counters diverged:\n  straight: %+v\n  restored: %+v", label, aC, bC)
 	}
 }
 
 // TestSnapshotRoundTrip is the tentpole guarantee: restore-then-run is
 // bit-identical to run-straight-through across router configurations
-// (multi-flit wormhole, age arbitration, pipelined routers) and every
-// combination of snapshot-side and restore-side worker counts.
+// (multi-flit wormhole, age arbitration, pipelined routers).
 func TestSnapshotRoundTrip(t *testing.T) {
 	ff, err := topo.NewFlatFly(4, 2)
 	if err != nil {
@@ -152,13 +143,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{"age", "min", sim.Config{Seed: 5, BufPerPort: 16, PacketSize: 2, AgeArbiter: true}},
 		{"pipelined", "val", sim.Config{Seed: 9, BufPerPort: 32, RouterDelay: 2}},
 	}
-	combos := [][2]int{{1, 1}, {1, 4}, {4, 1}, {4, 4}}
 	for _, c := range cfgs {
-		for _, w := range combos {
-			t.Run(c.name, func(t *testing.T) {
-				runSnapshotPair(t, ff, c.alg, c.cfg, 0.4, 150, 150, w[0], w[1])
-			})
-		}
+		t.Run(c.name, func(t *testing.T) {
+			runSnapshotPair(t, ff, c.alg, c.cfg, 0.4, 150, 150)
+		})
 	}
 }
 
@@ -361,7 +349,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint8(40), uint8(0), uint8(0), uint8(0), []byte{})
 	f.Add(uint64(2), uint8(80), uint8(3), uint8(1), uint8(5), []byte{1, 2, 3})
 	f.Add(uint64(3), uint8(60), uint8(1), uint8(2), uint8(7), []byte{0xff, 0x80})
-	f.Fuzz(func(t *testing.T, seed uint64, loadPct, algSel, workSel, extra uint8, corrupt []byte) {
+	// The fourth argument once chose worker counts; it stays so the
+	// committed corpus keeps its shape.
+	f.Fuzz(func(t *testing.T, seed uint64, loadPct, algSel, _, extra uint8, corrupt []byte) {
 		ff, err := topo.NewFlatFly(2+int(extra)%2, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -377,8 +367,6 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			RouterDelay: int(extra>>1) % 2,
 		}
 		load := float64(int(loadPct)%101) / 100
-		snapW := 1 + int(workSel)%3
-		resW := 1 + int(workSel>>2)%3
 		newAlg := func() sim.Algorithm {
 			alg, err := routing.NewFlatFlyAlgorithm(algName, ff)
 			if err != nil {
@@ -396,9 +384,6 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer a.Close()
-		if err := a.SetWorkers(snapW); err != nil {
-			t.Fatal(err)
-		}
 		sim.MustInstall(t, a, traffic.NewUniform(a.NumNodes()))
 		var aTail []delivery
 		a.OnDeliver(recordInto(&aTail))
@@ -421,9 +406,6 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer b.Close()
-		if err := b.SetWorkers(resW); err != nil {
-			t.Fatal(err)
-		}
 		sim.MustInstall(t, b, traffic.NewUniform(b.NumNodes()))
 		var bTail []delivery
 		b.OnDeliver(recordInto(&bTail))
@@ -562,5 +544,92 @@ func TestSnapshotDigestIsPerGraph(t *testing.T) {
 	_, err = sim.Restore(bytes.NewReader(buf.Bytes()), other.Graph(), alg(other), sim.DefaultConfig())
 	if err == nil || !strings.Contains(err.Error(), "topology digest") {
 		t.Fatalf("restore onto a graph with one shorter channel: %v, want a topology digest mismatch", err)
+	}
+}
+
+// TestRestoreParallelKeyedSnapshot restores testdata/parkeyed_ff_k8.snap,
+// written by the retired parallel scheduler (PR 6 to PR 23) just before it
+// was deleted: an 8-ary 2-flat under UGAL, 2-flit packets, age arbiter,
+// SetWorkers(4), 300 cycles at uniform load 0.9, so its live packets carry
+// cycle·N + src IDs below a raised nextID. It is the one input the old
+// scheduler could produce that this tree must still accept (a warm store
+// written by a sweep whose jobs ran four cycle-core workers): restored and
+// run on, it must match a straight-through run of the same configuration
+// exactly.
+func TestRestoreParallelKeyedSnapshot(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parkeyed_ff_k8.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff, err := topo.NewFlatFly(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newAlg := func() sim.Algorithm {
+		alg, err := routing.NewFlatFlyAlgorithm("ugal", ff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return alg
+	}
+	cfg := sim.Config{Seed: 24, BufPerPort: 32, PacketSize: 2, AgeArbiter: true}
+	run := func(n *sim.Network, cycles int) {
+		for i := 0; i < cycles; i++ {
+			sim.MustGenerate(t, n, 0.9)
+			n.Step()
+		}
+	}
+
+	a, err := sim.New(ff.Graph(), newAlg(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.MustInstall(t, a, traffic.NewUniform(a.NumNodes()))
+	run(a, 300)
+	var seq bytes.Buffer
+	if err := a.Snapshot(&seq); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(fixture, seq.Bytes()) {
+		t.Fatal("the fixture equals a sequential snapshot: it does not carry the parallel ID keying")
+	}
+	var want []delivery
+	a.OnDeliver(recordInto(&want))
+	run(a, 500)
+
+	b, err := sim.Restore(bytes.NewReader(fixture), ff.Graph(), newAlg(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Backlog() == 0 {
+		t.Fatal("the fixture holds no source backlog")
+	}
+	var resnap bytes.Buffer
+	if err := b.Snapshot(&resnap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fixture, resnap.Bytes()) {
+		t.Fatalf("restore-then-snapshot of the fixture is not byte-identical (%d vs %d bytes)", len(fixture), resnap.Len())
+	}
+	sim.MustInstall(t, b, traffic.NewUniform(b.NumNodes()))
+	var got []delivery
+	b.OnDeliver(recordInto(&got))
+	run(b, 500)
+
+	if len(want) == 0 {
+		t.Fatal("the straight-through run delivered nothing after the snapshot point")
+	}
+	diffDeliveries(t, want, got, "parallel-keyed fixture")
+	if ac, bc := readCounters(a), readCounters(b); ac != bc {
+		t.Fatalf("counters diverged:\n  straight: %+v\n  restored: %+v", ac, bc)
+	}
+	al, bl := a.ChannelLoads(), b.ChannelLoads()
+	if len(al) != len(bl) {
+		t.Fatalf("channel counts differ: %d vs %d", len(al), len(bl))
+	}
+	for i := range al {
+		if al[i] != bl[i] {
+			t.Fatalf("channel load %d diverged: straight %+v, restored %+v", i, al[i], bl[i])
+		}
 	}
 }

@@ -21,24 +21,22 @@ import (
 // The requests were filed by routeRouter: per output, a list of input-VC
 // indices in ascending order, with the requested outputs marked in
 // rt.reqOut. Only those outputs are visited.
-func (sh *shard) switchAllocate() {
-	n := sh.n
+func (n *Network) switchAllocate() {
 	if n.stepAll {
-		for r := sh.r0; r < sh.r1; r++ {
-			sh.switchRouter(&n.routers[r])
+		for r := range n.routers {
+			n.switchRouter(&n.routers[r])
 		}
 		return
 	}
-	for w := range sh.activeR {
-		for word := sh.activeR[w]; word != 0; word &= word - 1 {
-			sh.switchRouter(&n.routers[sh.r0+w<<6+bits.TrailingZeros64(word)])
+	for w := range n.activeR {
+		for word := n.activeR[w]; word != 0; word &= word - 1 {
+			n.switchRouter(&n.routers[w<<6+bits.TrailingZeros64(word)])
 		}
 	}
 }
 
 // switchRouter performs one router's switch allocation.
-func (sh *shard) switchRouter(rt *router) {
-	n := sh.n
+func (n *Network) switchRouter(rt *router) {
 	speedup := n.cfg.Speedup
 	if speedup > 0 {
 		clear(rt.grants)
@@ -60,12 +58,12 @@ func (sh *shard) switchRouter(rt *router) {
 				if !n.cfg.AgeArbiter {
 					op.rr = op.reqHead
 				}
-				sh.traverse(rt, op.reqHead)
+				n.traverse(rt, op.reqHead)
 				granted = 1
 			case n.cfg.AgeArbiter:
-				granted = sh.grantByAge(rt, op, nreq)
+				granted = n.grantByAge(rt, op, nreq)
 			default:
-				granted = sh.grantRoundRobin(rt, op, nreq)
+				granted = n.grantRoundRobin(rt, op, nreq)
 			}
 			if n.probes != nil {
 				n.probes.Grants += int64(granted)
@@ -79,8 +77,7 @@ func (sh *shard) switchRouter(rt *router) {
 // from the first requester whose key is strictly greater than the
 // round-robin pointer, wrapping; skip speedup-saturated inputs and (for
 // terminals) a busy channel. It returns the number of grants issued.
-func (sh *shard) grantRoundRobin(rt *router, op *outPort, nreq int32) int32 {
-	n := sh.n
+func (n *Network) grantRoundRobin(rt *router, op *outPort, nreq int32) int32 {
 	speedup := n.cfg.Speedup
 	terminal := op.kind != topo.Network
 	outGrants := int32(0)
@@ -119,7 +116,7 @@ func (sh *shard) grantRoundRobin(rt *router, op *outPort, nreq int32) int32 {
 				rt.grants[inport]++
 			}
 			outGrants++
-			sh.traverse(rt, key)
+			n.traverse(rt, key)
 		}
 	}
 	return outGrants
@@ -129,8 +126,7 @@ func (sh *shard) grantRoundRobin(rt *router, op *outPort, nreq int32) int32 {
 // repeatedly grant the eligible requester whose head packet has the
 // earliest injection cycle (ties by packet ID), until speedup or credits
 // run out. It returns the number of grants issued.
-func (sh *shard) grantByAge(rt *router, op *outPort, nreq int32) int32 {
-	n := sh.n
+func (n *Network) grantByAge(rt *router, op *outPort, nreq int32) int32 {
 	speedup := n.cfg.Speedup
 	terminal := op.kind != topo.Network
 	outGrants := int32(0)
@@ -182,7 +178,7 @@ scan:
 			rt.grants[best>>n.vcShift]++
 		}
 		outGrants++
-		sh.traverse(rt, best)
+		n.traverse(rt, best)
 	}
 	key := op.reqHead
 	for i := int32(0); i < nreq; i, key = i+1, rt.reqNext[key] {
@@ -194,20 +190,19 @@ scan:
 // traverse pops the granted flit of input VC ivc and sends it down its
 // output channel, serializing transmission to one flit per cycle per
 // channel, and returns a credit upstream for network inputs.
-func (sh *shard) traverse(rt *router, ivc int32) {
-	n := sh.n
+func (n *Network) traverse(rt *router, ivc int32) {
 	q := &rt.vq[ivc]
 	ovc := q.out
 	isHead := !q.headSent
 	f := rt.pop(q)
 	if q.count == 0 {
-		sh.clearVC(rt, ivc)
+		n.clearVC(rt, ivc)
 	}
 	ip := &rt.in[ivc>>n.vcShift]
 	if ip.kind == topo.Network {
 		// Return a credit to the upstream router for the freed slot; it
 		// travels the reverse channel, so it takes the channel latency.
-		sh.scheduleCredit(int(ip.creditLat), ip.peer, ip.credOVC+ivc&n.vcMask)
+		n.scheduleCredit(int(ip.creditLat), ip.credOVC+ivc&n.vcMask)
 	}
 	port, vc := int(ovc>>n.vcShift), int(ovc&n.vcMask)
 	op := &rt.out[port]
@@ -261,11 +256,11 @@ func (sh *shard) traverse(rt *router, ivc int32) {
 			in |= 1
 		}
 		// The next router's pipeline delay is charged on arrival.
-		sh.scheduleFlit(delay+n.cfg.RouterDelay, op.peer, in, f.pkt)
+		n.scheduleFlit(delay+n.cfg.RouterDelay, op.peer, in, f.pkt)
 	case topo.Terminal:
 		ov := &rt.ovc[ovc]
 		ov.pending--
 		rt.psum[port]--
-		sh.scheduleDeliver(delay, op.node, f.tail, f.pkt)
+		n.scheduleDeliver(delay, op.node, f.tail, f.pkt)
 	}
 }

@@ -142,8 +142,7 @@ const replayHorizon = 1024
 //
 // The trace must be ordered by non-decreasing cycle; the scanner
 // enforces this, which is what keeps memory bounded for traces of any
-// length. Deliveries are observable through OnDeliver, and the replay
-// is bit-identical at every worker count.
+// length. Deliveries are observable through OnDeliver.
 func (n *Network) ReplayTrace(t *TraceScanner, maxCycles int64) (int64, error) {
 	var injected int64
 	var e TraceEntry

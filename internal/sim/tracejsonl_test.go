@@ -72,8 +72,7 @@ func TestTraceScannerRejects(t *testing.T) {
 
 // TestTraceReplayRoundTrip is the record -> replay identity: a workload
 // recorded to the JSONL format and replayed on a fresh network yields
-// the exact same delivery sequence as the original run, at any worker
-// count.
+// the exact same delivery sequence as the original run.
 func TestTraceReplayRoundTrip(t *testing.T) {
 	ff, newAlg := traceFF(t)
 	cfg := sim.DefaultConfig()
@@ -115,35 +114,25 @@ func TestTraceReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 4} {
-		rep, err := sim.New(ff.Graph(), newAlg(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if workers > 1 {
-			if err := rep.SetWorkers(workers); err != nil {
-				rep.Close()
-				t.Fatal(err)
-			}
-		}
-		var got []delivery
-		rep.OnDeliver(recordInto(&got))
-		injected, err := rep.ReplayTrace(sim.NewTraceScanner(bytes.NewReader(buf.Bytes())), 200000)
-		if err != nil {
-			rep.Close()
-			t.Fatal(err)
-		}
-		rep.Close()
-		if injected != int64(len(*trace)) {
-			t.Fatalf("workers=%d: injected %d packets, trace has %d", workers, injected, len(*trace))
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: delivered %d packets, original delivered %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: delivery %d diverged: got %+v, want %+v", workers, i, got[i], want[i])
-			}
+	rep, err := sim.New(ff.Graph(), newAlg(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []delivery
+	rep.OnDeliver(recordInto(&got))
+	injected, err := rep.ReplayTrace(sim.NewTraceScanner(bytes.NewReader(buf.Bytes())), 200000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if injected != int64(len(*trace)) {
+		t.Fatalf("injected %d packets, trace has %d", injected, len(*trace))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d packets, original delivered %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d diverged: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

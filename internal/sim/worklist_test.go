@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"flatnet/internal/routing"
@@ -113,8 +114,8 @@ type routerCase struct {
 }
 
 // hardRouterCases lists the configurations that stress the switch
-// allocator's request lists and multi-word port sets; the worklist and
-// shard equivalence tests both run them.
+// allocator's request lists and multi-word port sets, for the worklist
+// equivalence test.
 func hardRouterCases(t *testing.T) []routerCase {
 	t.Helper()
 	ff4, err := topo.NewFlatFly(4, 2)
@@ -173,4 +174,55 @@ func FuzzWorklistEquivalence(f *testing.F) {
 		work := runScheduler(t, ff, alg, cfg, load, 200, false)
 		diffDeliveries(t, full, work, alg)
 	})
+}
+
+// TestSetWorkersLifecycle pins what is left of the retired parallel
+// scheduler's API: SetWorkers rejects a negative count and otherwise does
+// nothing — Workers stays 1, no goroutine starts, and the deliveries equal
+// an untouched twin's — and Close is idempotent.
+func TestSetWorkersLifecycle(t *testing.T) {
+	ff, err := topo.NewFlatFly(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) []delivery {
+		alg, err := routing.NewFlatFlyAlgorithm("clos", ff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := sim.New(ff.Graph(), alg, sim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.SetWorkers(-1); err == nil {
+			t.Fatal("SetWorkers(-1) should fail")
+		}
+		before := runtime.NumGoroutine()
+		if workers != 0 {
+			if err := n.SetWorkers(workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
+		var out []delivery
+		n.OnDeliver(recordInto(&out))
+		for i := 0; i < 200; i++ {
+			sim.MustGenerate(t, n, 0.4)
+			n.Step()
+		}
+		if got := n.Workers(); got != 1 {
+			t.Fatalf("Workers() = %d after SetWorkers(%d), want 1", got, workers)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("SetWorkers(%d) and 200 cycles changed the goroutine count: %d -> %d", workers, before, after)
+		}
+		n.Close()
+		n.Close() // idempotent
+		return out
+	}
+	untouched := run(0)
+	if len(untouched) == 0 {
+		t.Fatal("delivered nothing")
+	}
+	diffDeliveries(t, untouched, run(8), "SetWorkers(8)")
 }

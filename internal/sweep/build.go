@@ -139,7 +139,7 @@ func (j Job) run(stop func() bool, attach func(*sim.Network), resume io.Reader, 
 		rc := sim.RunConfig{
 			Load: j.Load, Source: src,
 			Warmup: j.Warmup, Measure: j.Measure, MaxCycles: j.MaxCycles,
-			Stop: stop, Attach: attach, Workers: j.Workers,
+			Stop: stop, Attach: attach,
 			Resume: resume, Checkpoint: checkpoint,
 		}
 		if j.Mode == ModeSaturation {
@@ -151,13 +151,13 @@ func (j Job) run(stop func() bool, attach func(*sim.Network), resume io.Reader, 
 	case ModeBatch:
 		res.Batch, err = sim.RunBatch(g, alg, cfg, sim.BatchConfig{
 			Pattern: pat, BatchSize: j.BatchSize, MaxCycles: j.MaxCycles,
-			Stop: stop, Attach: attach, Workers: j.Workers,
+			Stop: stop, Attach: attach,
 		})
 	case ModeCollective:
 		cc := sim.CollectiveConfig{
 			Kind: j.Collective, Packets: j.Chunk,
 			Warmup: j.Warmup, MaxCycles: int64(j.MaxCycles),
-			Stop: stop, Attach: attach, Workers: j.Workers,
+			Stop: stop, Attach: attach,
 		}
 		if j.Load > 0 {
 			cc.Load, cc.Source = j.Load, src

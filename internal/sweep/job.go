@@ -133,11 +133,9 @@ type Job struct {
 	AgeArbiter  bool `json:"age_arbiter,omitempty"`
 	RouterDelay int  `json:"router_delay,omitempty"`
 
-	// Workers partitions the job's cycle core across this many worker
-	// goroutines (sim.RunConfig.Workers). It is an execution detail, not
-	// part of the experiment: results are bit-identical at every worker
-	// count, so it is excluded from the canonical encoding and the cache
-	// hash — cached results are shared across worker settings.
+	// Workers is inert — unhashed, unencoded, unread: the cycle core is
+	// sequential (DESIGN.md §13). It stays because flatbench
+	// (bench/sweepwl.go) sets it.
 	Workers int `json:"-"`
 }
 

@@ -90,8 +90,8 @@ func TestJobHashInvalidation(t *testing.T) {
 		"AgeArbiter":     func(j *Job) { j.AgeArbiter = true },
 		"RouterDelay":    func(j *Job) { j.RouterDelay = 2 },
 	}
-	// Execution-detail fields whose value must NOT change the hash:
-	// results are bit-identical across them, so cache entries are shared.
+	// Fields whose value must NOT change the hash: Workers is inert, and
+	// caches written when it was not must keep serving.
 	unhashed := map[string]func(*Job){
 		"Workers": func(j *Job) { j.Workers = 8 },
 	}
@@ -122,8 +122,7 @@ func TestJobHashInvalidation(t *testing.T) {
 
 // TestWorkloadJobs exercises the registry-backed workload fields — a
 // bursty on/off job, a parameterized hotspot job, and a ModeCollective
-// job with bursty background traffic — and pins the collective result
-// bit-identical across worker counts.
+// job with bursty background traffic.
 func TestWorkloadJobs(t *testing.T) {
 	burst := tinyJob("MIN AD", 0.3)
 	burst.BurstPeak, burst.BurstLen = 0.8, 12
@@ -153,16 +152,6 @@ func TestWorkloadJobs(t *testing.T) {
 	if seq.Collective == nil || seq.Collective.Phases != seq.Collective.Nodes-1 {
 		t.Fatalf("collective result malformed: %+v", seq.Collective)
 	}
-	par := coll
-	par.Workers = 4
-	pres, err := par.Run(nil)
-	if err != nil {
-		t.Fatalf("parallel collective job: %v", err)
-	}
-	if !reflect.DeepEqual(seq.Collective, pres.Collective) {
-		t.Errorf("collective diverged across workers:\nseq %+v\npar %+v", seq.Collective, pres.Collective)
-	}
-
 	bad := tinyJob("MIN AD", 0.5)
 	bad.Pattern = "no-such-pattern"
 	var uerr *traffic.UnknownPatternError

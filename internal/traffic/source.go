@@ -10,8 +10,8 @@ import (
 // Source is a full workload: it owns both *when* a node injects (the
 // arrival process) and *where* it sends (the destination process). The
 // simulator calls Arrivals once per node per cycle, in node-index order,
-// from the caller thread between Steps; Dest is called at packet
-// materialization time from the node's home shard. Both receive the
+// between Steps; Dest is called at packet materialization time, inside
+// Step. Both receive the
 // node's own RNG stream, so a Source must not keep RNG state of its own —
 // any other per-node state (e.g. the on/off burst state) lives in the
 // Source and is serialised through State/SetState so warmed networks can

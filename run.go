@@ -65,15 +65,6 @@ func WithSeed(seed uint64) Option {
 	return func(o *runOptions) { o.cfg.Seed = seed }
 }
 
-// WithWorkers partitions the run's cycle core across n worker
-// goroutines (router shards exchanging flits at per-cycle barriers).
-// Results are bit-identical at every worker count; n <= 1 selects the
-// sequential scheduler. Runs with telemetry, tracing or checking
-// attached always execute sequentially.
-func WithWorkers(n int) Option {
-	return func(o *runOptions) { o.rc.Workers = n }
-}
-
 // WithStop installs a cancellation hook, polled every few hundred
 // cycles; returning true aborts the run with an error wrapping
 // ErrStopped.
