@@ -1,8 +1,8 @@
 // Benchmarks of the engine itself: the cycle core's raw rate on two
 // workloads, the snapshot round trip, the zero-overhead-when-off guards
 // for telemetry and the sanitizer, and four ablations of §3's router
-// parameters. The paper's figures are timed by flatbench (bench/) and
-// asserted by internal/experiments' figure tests.
+// parameters. The paper's figure claims are asserted once, by the claims
+// table in internal/experiments.
 package flatnet_test
 
 import (

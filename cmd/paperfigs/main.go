@@ -4,15 +4,15 @@
 // Usage:
 //
 //	paperfigs [-fig all|2|t1|t2|t3|t4|t5|4a|4b|5|6a|6b|7|10|11|12a|12b|13|14|15]
-//	          [-out results] [-quick] [-parallel] [-workers N] [-cache file]
+//	          [-out results] [-quick] [-workers N] [-cache file]
 //
 // -fig also accepts a comma-separated list (e.g. -fig 4a,4b,5). Analytic
 // figures (2, 7, 10, 11, 13, 15 and the tables) are exact and cheap.
 // Simulation figures (4, 5, 6, 12) run the cycle-accurate simulator
-// through the internal/sweep engine: -parallel (default on) fans
-// independent load points across a worker pool sized by -workers
-// (default: GOMAXPROCS, at least 2) with bit-identical results to a
-// sequential run, and -cache names a JSON-lines result cache so re-runs
+// through the internal/sweep engine, which fans independent load points
+// across a worker pool sized by -workers (default: GOMAXPROCS, at least
+// 2; -workers 1 is the sequential path) with bit-identical results at
+// any size, and -cache names a JSON-lines result cache so re-runs
 // skip already-computed points. -quick substitutes a reduced-scale
 // network for a fast smoke run. Output columns are tab-separated with a
 // header row. Failures are collected per figure and reported together
@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strings"
 
+	"flatnet/internal/experiments"
 	"flatnet/internal/sim"
 	"flatnet/internal/sweep"
 	"flatnet/internal/telemetry"
@@ -38,13 +39,12 @@ func main() {
 	fig := flag.String("fig", "all", "figure/table id (or comma-separated ids) to regenerate, or 'all'")
 	out := flag.String("out", "results", "output directory")
 	quick := flag.Bool("quick", false, "reduced-scale smoke run for simulation figures")
-	parallel := flag.Bool("parallel", true, "run simulation jobs on a worker pool")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, at least 2)")
 	cachePath := flag.String("cache", "", "JSON-lines result cache file ('' disables caching; also enables the warm-snapshot store beside it)")
 	listen := flag.String("listen", "", "serve live metrics (/debug/vars, /debug/pprof) on this address during the run")
 	flag.Parse()
 
-	eng, closeCache, err := newEngine(*parallel, *workers, *cachePath)
+	eng, closeCache, err := newEngine(*workers, *cachePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperfigs:", err)
 		os.Exit(1)
@@ -67,20 +67,13 @@ func main() {
 	}
 }
 
-// newEngine builds the sweep engine the simulation figures share. With
-// -parallel off the pool is a single worker: the sequential reference
-// path. The default parallel pool is never smaller than two workers so
-// pool behavior is exercised even on single-core hosts.
-func newEngine(parallel bool, workers int, cachePath string) (eng *sweep.Engine, closeCache func(), err error) {
-	w := 1
-	if parallel {
-		w = workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-			if w < 2 {
-				w = 2
-			}
-		}
+// newEngine builds the sweep engine the simulation figures share. The
+// default pool is never smaller than two workers so pool behavior is
+// exercised even on single-core hosts.
+func newEngine(workers int, cachePath string) (eng *sweep.Engine, closeCache func(), err error) {
+	w := workers
+	if w <= 0 {
+		w = max(runtime.GOMAXPROCS(0), 2)
 	}
 	eng = &sweep.Engine{Workers: w, Progress: os.Stderr}
 	closeCache = func() {}
@@ -146,29 +139,32 @@ func reportEngine(eng *sweep.Engine) {
 	fmt.Fprintf(os.Stderr, "paperfigs: workers utilized: %d of %d\n", busy, len(st.Workers))
 }
 
-// figures maps figure ids to generator functions.
+// figures maps figure ids to generator functions: the analytic figures
+// here, plus the simulation figures of internal/experiments (see init).
 var figures = map[string]func(w *os.File, quick bool) error{
-	"2":   fig2,
-	"3":   fig3,
-	"t1":  table1,
-	"t2":  table2,
-	"t3":  table3,
-	"t4":  table4,
-	"t5":  table5,
-	"4a":  func(w *os.File, q bool) error { return fig4(w, q, "UR") },
-	"4b":  func(w *os.File, q bool) error { return fig4(w, q, "WC") },
-	"5":   fig5,
-	"6a":  func(w *os.File, q bool) error { return fig6(w, q, "UR") },
-	"6b":  func(w *os.File, q bool) error { return fig6(w, q, "WC") },
-	"7":   fig7,
-	"89":  fig89,
-	"10":  fig10,
-	"11":  fig11,
-	"12a": func(w *os.File, q bool) error { return fig12(w, q, "VAL") },
-	"12b": func(w *os.File, q bool) error { return fig12(w, q, "MIN AD") },
-	"13":  fig13,
-	"14":  fig14,
-	"15":  fig15,
+	"2":  fig2,
+	"3":  fig3,
+	"t1": table1,
+	"t2": table2,
+	"t3": table3,
+	"t4": table4,
+	"t5": table5,
+	"7":  fig7,
+	"89": fig89,
+	"10": fig10,
+	"11": fig11,
+	"13": fig13,
+	"15": fig15,
+}
+
+// engine is the sweep engine the simulation figures run on for the
+// duration of a run() call.
+var engine *sweep.Engine
+
+func init() {
+	for id, gen := range experiments.Figures {
+		figures[id] = func(w *os.File, quick bool) error { return gen(w, engine, quick) }
+	}
 }
 
 // order lists figure ids in paper order for -fig all.
@@ -178,11 +174,15 @@ var order = []string{
 }
 
 // run regenerates the requested figures into outDir using eng for the
-// simulation figures (nil = sequential). A failing figure does not stop
-// the rest: every failure is collected and the aggregate returned.
+// simulation figures (nil = one worker, the sequential path). A failing
+// figure does not stop the rest: every failure is collected and the
+// aggregate returned.
 func run(fig, outDir string, quick bool, eng *sweep.Engine) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
+	}
+	if eng == nil {
+		eng = &sweep.Engine{Workers: 1}
 	}
 	prev := engine
 	engine = eng
