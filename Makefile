@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck onebuilder test race check checksweep nocd-smoke benchall flatbench-check bench-record bench-diff figs quickfigs fuzz clean
+.PHONY: all build vet fmtcheck onebuilder oneloop test race check checksweep nocd-smoke benchall flatbench-check bench-record bench-diff figs quickfigs fuzz clean
 
 # Tier-1 flow: build, static checks, tests, then the race detector over
 # the whole module — the sweep engine's worker pool must stay race-clean.
@@ -27,6 +27,16 @@ onebuilder:
 		internal/sweep internal/nocsvc cmd/flatsim cmd/flattopo --include='*.go' | grep -v _test.go); \
 	if [ -n "$$out" ]; then echo "build networks through internal/spec, not:"; echo "$$out"; exit 1; fi
 
+# oneloop fails if a run harness grows its own copy of the run skeleton
+# (stop polling or Live accounting outside internal/sim/harness.go and
+# live.go), or if a front end wires the sanitizer by hand instead of
+# through check.Arm on a harness's Attach hook.
+oneloop:
+	@out=$$(grep -nE 'stopPollMask|livePoll|Live\.[A-Z]' internal/sim/*.go | grep -vE '^internal/sim/(harness|live)\.go:|_test\.go:'); \
+	if [ -n "$$out" ]; then echo "run harnesses go through internal/sim/harness.go, not:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE '(AttachChecker|check\.Attach)\(' cmd internal/sweep run.go --include='*.go' | grep -v _test.go); \
+	if [ -n "$$out" ]; then echo "arm the sanitizer with check.Arm/flatnet.ArmCheck, not:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -45,7 +55,7 @@ checksweep:
 # two sizes, Metrics == the all-sources sweep, BFS sources counted) and
 # internal/spec's TestBuildEveryFamily (a table row without RouterOrbits
 # fails). Neither test may grow a testing.Short() skip.
-check: build vet fmtcheck onebuilder test race checksweep
+check: build vet fmtcheck onebuilder oneloop test race checksweep
 
 # nocd-smoke builds the real nocd binary, launches it on an ephemeral
 # port, drives open -> batch_estimate -> stats -> close through the

@@ -249,6 +249,7 @@ func run(o runOpts) error {
 	if o.window > 0 {
 		res, err := flatnet.RunClosedLoop(g, alg, cfg, flatnet.ClosedLoopConfig{
 			Window: o.window, Pattern: p, Warmup: o.warmup, Measure: o.measure,
+			Stop: o.stop,
 		})
 		if err != nil {
 			return err
@@ -259,21 +260,14 @@ func run(o runOpts) error {
 	}
 
 	if o.batch > 0 {
-		var san *flatnet.Sanitizer
-		var attach func(*flatnet.Network)
-		if o.check {
-			attach = func(n *flatnet.Network) { san = flatnet.AttachChecker(n, flatnet.CheckConfig{}) }
-		}
-		res, err := sim.RunBatch(g, alg, cfg, sim.BatchConfig{
-			Pattern: p, BatchSize: o.batch, Attach: attach, Stop: o.stop,
-		})
+		bc := flatnet.BatchConfig{Pattern: p, BatchSize: o.batch, Stop: o.stop}
+		checked := o.armed(&bc.Attach)
+		res, err := flatnet.RunBatch(g, alg, cfg, bc)
 		if err != nil {
 			return err
 		}
-		if san != nil {
-			if err := san.Finalize(); err != nil {
-				return err
-			}
+		if err := checked(); err != nil {
+			return err
 		}
 		fmt.Printf("batch %d per node: completed in %d cycles (normalized latency %.2f)\n",
 			res.BatchSize, res.CompletionCycles, res.NormalizedLatency)
@@ -297,10 +291,7 @@ func run(o runOpts) error {
 		loads = kept
 	}
 	rc := flatnet.RunConfig{Source: src, Warmup: o.warmup, Measure: o.measure, Stop: o.stop}
-	checked := func() error { return nil }
-	if o.check {
-		checked = flatnet.ArmCheck(&rc, flatnet.CheckConfig{})
-	}
+	checked := o.armed(&rc.Attach)
 	results, err := flatnet.LoadSweep(g, alg, cfg, rc, loads)
 	if err != nil {
 		return err
@@ -320,6 +311,15 @@ func run(o runOpts) error {
 			r.AcceptedRate, status)
 	}
 	return nil
+}
+
+// armed arms the sanitizer on a harness's Attach hook when -check is
+// set; the returned func reports its violations after the run.
+func (o runOpts) armed(attach *func(*flatnet.Network)) func() error {
+	if !o.check {
+		return func() error { return nil }
+	}
+	return flatnet.ArmCheck(attach, flatnet.CheckConfig{})
 }
 
 // runAnalytic evaluates the selected topology graph-analytically —
@@ -356,14 +356,9 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src f
 		Warmup: o.warmup, Measure: o.measure,
 		Stop: o.stop,
 	}
-	var recorded *[]flatnet.TraceEntry
-	if o.traceOut != "" {
-		rc.Attach = func(n *flatnet.Network) { recorded = n.RecordTrace() }
-	}
 	var tracer *flatnet.Tracer
 	if o.flitTrace != "" {
 		tracer = flatnet.NewTracer(o.traceCap)
-		rc.Tracer = tracer
 	}
 	var ckptFile *os.File
 	if o.restore != "" {
@@ -382,23 +377,25 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src f
 		ckptFile = f
 		rc.Checkpoint = f
 	}
-	var top []flatnet.ProbeChannel
-	var probes *flatnet.Probes
+	// A probed network refuses to snapshot (the probes would be dropped
+	// silently on restore), so checkpointing runs unprobed.
 	if o.checkpoint != "" {
-		// A probed network refuses to snapshot (the probes would be
-		// dropped silently on restore), so checkpointing runs unprobed.
 		fmt.Fprintln(os.Stderr, "flatsim: -checkpoint disables probes; skipping the pipeline/top-channel report")
-	} else {
-		rc.Probes = &flatnet.ProbeConfig{}
-		rc.Observe = func(n *flatnet.Network) {
-			probes = n.Probes()
-			top = probes.TopChannels(5)
+	}
+	var recorded *[]flatnet.TraceEntry
+	var probes *flatnet.Probes
+	rc.Attach = func(n *flatnet.Network) {
+		if o.traceOut != "" {
+			recorded = n.RecordTrace()
+		}
+		if tracer != nil {
+			n.AttachTracer(tracer)
+		}
+		if o.checkpoint == "" {
+			probes = n.AttachProbes(flatnet.ProbeConfig{})
 		}
 	}
-	checked := func() error { return nil }
-	if o.check {
-		checked = flatnet.ArmCheck(&rc, flatnet.CheckConfig{})
-	}
+	checked := o.armed(&rc.Attach)
 	r, err := flatnet.RunLoadPoint(g, alg, cfg, rc)
 	if ckptFile != nil {
 		if cerr := ckptFile.Close(); err == nil && cerr != nil {
@@ -428,12 +425,12 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src f
 		fmt.Printf("pipeline: %d grants, %d conflicts, %d credit stalls, %d vc stalls, mean buffered %.1f flits\n",
 			probes.Grants, probes.Conflicts, probes.CreditStalls, probes.VCStalls,
 			probes.MeanBufferedFlits())
-	}
-	if len(top) > 0 {
-		fmt.Println("hottest channels (probed flits over retained window):")
-		for _, c := range top {
-			fmt.Printf("  router %d port %d: %d flits (%.3f flits/cycle)\n",
-				c.Router, c.Port, c.Flits, c.Rate)
+		if top := probes.TopChannels(5); len(top) > 0 {
+			fmt.Println("hottest channels (probed flits over retained window):")
+			for _, c := range top {
+				fmt.Printf("  router %d port %d: %d flits (%.3f flits/cycle)\n",
+					c.Router, c.Port, c.Flits, c.Rate)
+			}
 		}
 	}
 	if tracer != nil {
@@ -519,18 +516,13 @@ func runCollective(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, 
 	if o.loadSet && o.load > 0 {
 		cc.Load, cc.Source = o.load, src
 	}
-	var san *flatnet.Sanitizer
-	if o.check {
-		cc.Attach = func(n *flatnet.Network) { san = flatnet.AttachChecker(n, flatnet.CheckConfig{}) }
-	}
+	checked := o.armed(&cc.Attach)
 	res, err := flatnet.RunCollective(g, alg, cfg, cc)
 	if err != nil {
 		return err
 	}
-	if san != nil {
-		if err := san.Finalize(); err != nil {
-			return err
-		}
+	if err := checked(); err != nil {
+		return err
 	}
 	bg := "quiet network"
 	if cc.Load > 0 {

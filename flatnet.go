@@ -230,7 +230,7 @@ var (
 // zero-overhead-when-off: a network without probes or a tracer attached
 // pays one nil check per hook.
 type (
-	// ProbeConfig parameterizes AttachProbes / RunConfig.Probes.
+	// ProbeConfig parameterizes Network.AttachProbes.
 	ProbeConfig = sim.ProbeConfig
 	// Probes is a network's attached probe registry: occupancy,
 	// stall/allocator counters and windowed per-channel load series.
@@ -286,8 +286,9 @@ var (
 	// AttachChecker installs a sanitizer on a network; call Finalize at
 	// end of run for the quiescence audit.
 	AttachChecker = check.Attach
-	// ArmCheck hooks a sanitizer into a RunConfig (one per network the
-	// run builds); the returned func reports any violations.
+	// ArmCheck chains a sanitizer onto any harness's Attach hook (one per
+	// network the harness builds); call the returned func after the run
+	// to finalize them and report any violations.
 	ArmCheck = check.Arm
 )
 

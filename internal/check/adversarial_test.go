@@ -46,7 +46,7 @@ func TestAdversarialRoutingUnderSanitizer(t *testing.T) {
 				Load: tc.load, Source: traffic.NewBernoulli(traffic.NewWorstCase(8, 8)),
 				Warmup: 300, Measure: 500, MaxCycles: 1500,
 			}
-			done := check.Arm(&rc, check.Config{})
+			done := check.Arm(&rc.Attach, check.Config{})
 			res, err := sim.RunLoadPoint(f.Graph(), alg, sim.DefaultConfig(), rc)
 			if err != nil {
 				t.Fatal(err)

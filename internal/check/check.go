@@ -417,31 +417,34 @@ func (s *Sanitizer) deadlockDetail(alive int64) string {
 	return b.String()
 }
 
-// Arm instruments a RunConfig so every run it drives executes under a
-// fresh sanitizer: it chains rc.Attach and rc.Observe, finalizing each
-// run's sanitizer as the run completes. The returned function reports the
-// accumulated violations across runs — call it after the run(s) finish.
-// Arm one RunConfig per goroutine; the closure state is not locked.
-func Arm(rc *sim.RunConfig, cfg Config) func() error {
+// Arm chains a fresh sanitizer onto a harness's Attach hook
+// (RunConfig.Attach, BatchConfig.Attach, CollectiveConfig.Attach), so
+// every network the harness builds runs checked. Call done once, after
+// the harness returns: it finalizes the sanitizers and joins their
+// violations. A sanitizer whose run is over is finalized (and its
+// network released) as soon as the hook attaches the next network. Arm
+// one hook per goroutine; the closure state is not locked.
+func Arm(attach *func(*sim.Network), cfg Config) (done func() error) {
 	var cur *Sanitizer
 	var errs []error
-	prevAttach, prevObserve := rc.Attach, rc.Observe
-	rc.Attach = func(n *sim.Network) {
-		if prevAttach != nil {
-			prevAttach(n)
-		}
-		cur = Attach(n, cfg)
-	}
-	rc.Observe = func(n *sim.Network) {
+	finalize := func() {
 		if cur != nil {
 			if err := cur.Finalize(); err != nil {
 				errs = append(errs, err)
 			}
 			cur = nil
 		}
-		if prevObserve != nil {
-			prevObserve(n)
-		}
 	}
-	return func() error { return errors.Join(errs...) }
+	prev := *attach
+	*attach = func(n *sim.Network) {
+		if prev != nil {
+			prev(n)
+		}
+		finalize() // the previous run's sanitizer; its violations stay in errs
+		cur = Attach(n, cfg)
+	}
+	return func() error {
+		finalize()
+		return errors.Join(errs...)
+	}
 }

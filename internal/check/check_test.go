@@ -4,6 +4,7 @@
 package check_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -235,31 +236,65 @@ func TestWholenessOnDroppedFlit(t *testing.T) {
 	}
 }
 
-// TestSanitizerDoesNotPerturb verifies the run invariance contract:
-// results with and without the sanitizer are identical.
+// TestSanitizerDoesNotPerturb verifies the run invariance contract on
+// every harness with an Attach hook: results with and without the
+// sanitizer armed are identical, and the armed run trips nothing.
 func TestSanitizerDoesNotPerturb(t *testing.T) {
 	f, err := topo.NewFlatFly(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := sim.RunConfig{
-		Load: 0.6, Source: traffic.NewBernoulli(traffic.NewUniform(f.NumNodes)),
-		Warmup: 200, Measure: 300,
-	}
-	plain, err := sim.RunLoadPoint(f.Graph(), routing.NewUGALS(f), sim.DefaultConfig(), rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := check.Arm(&rc, check.Config{})
-	checked, err := sim.RunLoadPoint(f.Graph(), routing.NewUGALS(f), sim.DefaultConfig(), rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := done(); err != nil {
-		t.Fatalf("sanitized run tripped: %v", err)
-	}
-	if plain != checked {
-		t.Fatalf("sanitizer perturbed the simulation:\nplain   %+v\nchecked %+v", plain, checked)
+	g, cfg := f.Graph(), sim.DefaultConfig()
+	uniform := func() traffic.Source { return traffic.NewBernoulli(traffic.NewUniform(f.NumNodes)) }
+	for _, tc := range []struct {
+		name string
+		run  func(attach func(*sim.Network)) (any, error)
+	}{
+		{"RunLoadPoint", func(attach func(*sim.Network)) (any, error) {
+			return sim.RunLoadPoint(g, routing.NewUGALS(f), cfg, sim.RunConfig{
+				Load: 0.6, Source: uniform(), Warmup: 200, Measure: 300, Attach: attach,
+			})
+		}},
+		{"RunBatch", func(attach func(*sim.Network)) (any, error) {
+			return sim.RunBatch(g, routing.NewUGALS(f), cfg, sim.BatchConfig{
+				Pattern: traffic.NewUniform(f.NumNodes), BatchSize: 8, Attach: attach,
+			})
+		}},
+		{"RunCollective", func(attach func(*sim.Network)) (any, error) {
+			return sim.RunCollective(g, routing.NewUGALS(f), cfg, sim.CollectiveConfig{
+				Kind: sim.CollectiveAllToAll, Packets: 2, Source: uniform(), Load: 0.3, Warmup: 100,
+				Attach: attach,
+			})
+		}},
+	} {
+		plain, err := tc.run(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var attach func(*sim.Network)
+		done := check.Arm(&attach, check.Config{})
+		armed, sanitized := attach, 0
+		attach = func(n *sim.Network) {
+			armed(n)
+			// Of the instrumentation, only the sanitizer is attached, and
+			// an instrumented network refuses to snapshot.
+			if n.Snapshot(io.Discard) != nil {
+				sanitized++
+			}
+		}
+		checked, err := tc.run(attach)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := done(); err != nil {
+			t.Fatalf("%s: sanitized run tripped: %v", tc.name, err)
+		}
+		if sanitized != 1 {
+			t.Fatalf("%s: Arm sanitized %d networks, want 1", tc.name, sanitized)
+		}
+		if plain != checked {
+			t.Fatalf("%s: sanitizer perturbed the simulation:\nplain   %+v\nchecked %+v", tc.name, plain, checked)
+		}
 	}
 }
 

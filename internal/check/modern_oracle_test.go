@@ -171,7 +171,7 @@ func TestSlimFlyAdversarial(t *testing.T) {
 				Load: tc.load, Source: traffic.NewBernoulli(pat),
 				Warmup: 300, Measure: 500, MaxCycles: 1500,
 			}
-			done := check.Arm(&rc, check.Config{})
+			done := check.Arm(&rc.Attach, check.Config{})
 			res, err := sim.RunLoadPoint(s.Graph(), alg, sim.DefaultConfig(), rc)
 			if err != nil {
 				t.Fatal(err)
@@ -236,7 +236,7 @@ func TestDragonflyAdversarial(t *testing.T) {
 				Load: tc.load, Source: traffic.NewBernoulli(pat),
 				Warmup: 300, Measure: 500, MaxCycles: 1500,
 			}
-			done := check.Arm(&rc, check.Config{})
+			done := check.Arm(&rc.Attach, check.Config{})
 			res, err := sim.RunLoadPoint(d.Graph(), alg, sim.DefaultConfig(), rc)
 			if err != nil {
 				t.Fatal(err)

@@ -25,7 +25,7 @@ func zeroLoad(t *testing.T, g *topo.Graph, alg sim.Algorithm, cfg sim.Config, p 
 		Load: 0.02, Source: traffic.NewBernoulli(p),
 		Warmup: 300, Measure: 2000,
 	}
-	done := check.Arm(&rc, check.Config{})
+	done := check.Arm(&rc.Attach, check.Config{})
 	res, err := sim.RunLoadPoint(g, alg, cfg, rc)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func satThroughput(t *testing.T, g *topo.Graph, alg sim.Algorithm, cfg sim.Confi
 		Warmup: 500, Measure: 1000,
 		MaxCycles: 1501,
 	}
-	done := check.Arm(&rc, check.Config{})
+	done := check.Arm(&rc.Attach, check.Config{})
 	res, err := sim.RunLoadPoint(g, alg, cfg, rc)
 	if err != nil {
 		t.Fatal(err)

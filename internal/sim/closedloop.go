@@ -23,6 +23,8 @@ type ClosedLoopConfig struct {
 	// Warmup and Measure are windows in cycles; round trips completing
 	// during the measurement window are recorded.
 	Warmup, Measure int
+	// Stop is RunConfig's Stop hook.
+	Stop func() bool
 }
 
 // ClosedLoopResult reports a closed-loop run.
@@ -57,11 +59,12 @@ func RunClosedLoop(g *topo.Graph, alg Algorithm, cfg Config, clc ClosedLoopConfi
 	if clc.Pattern == nil {
 		return ClosedLoopResult{}, fmt.Errorf("sim: closed-loop needs a pattern")
 	}
-	n, err := New(g, alg, cfg)
+	h, err := openHarness(g, alg, cfg, nil, nil, clc.Stop)
 	if err != nil {
 		return ClosedLoopResult{}, err
 	}
-	defer n.Close()
+	defer h.close()
+	n := h.n
 
 	// Transactions are matched to packets at materialization: source
 	// queues are FIFO, so the k-th materialized packet of a node is its
@@ -120,7 +123,9 @@ func RunClosedLoop(g *topo.Graph, alg Algorithm, cfg Config, clc ClosedLoopConfi
 		}
 	}
 	for n.Cycle() < measEnd && hookErr == nil {
-		n.Step()
+		if err := h.step(); err != nil {
+			return ClosedLoopResult{}, err
+		}
 	}
 	if hookErr != nil {
 		return ClosedLoopResult{}, hookErr

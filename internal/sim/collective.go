@@ -45,12 +45,8 @@ type CollectiveConfig struct {
 	// the schedule size. Exceeding it is an error (the collective never
 	// completed — the network is saturated).
 	MaxCycles int64
-	// Stop, when non-nil, is polled every few hundred cycles; returning
-	// true aborts the run with an error wrapping ErrStopped.
-	Stop func() bool
-	// Attach, when non-nil, is called with the freshly built network
-	// before the first cycle — the instrumentation hook, as in
-	// BatchConfig.Attach.
+	// Stop and Attach are RunConfig's Stop and Attach hooks.
+	Stop   func() bool
 	Attach func(n *Network)
 }
 
@@ -114,30 +110,24 @@ func RunCollective(g *topo.Graph, alg Algorithm, cfg Config, cc CollectiveConfig
 		return CollectiveResult{}, fmt.Errorf("sim: collective background load needs a Source")
 	}
 
-	n, err := New(g, alg, cfg)
+	h, err := openHarness(g, alg, cfg, nil, cc.Attach, cc.Stop)
 	if err != nil {
 		return CollectiveResult{}, err
 	}
-	defer n.Close()
+	defer h.close()
+	n := h.n
 	if src != nil {
 		if err := n.SetSource(src); err != nil {
 			return CollectiveResult{}, err
 		}
 	}
-	if cc.Attach != nil {
-		cc.Attach(n)
-	}
 	advance := func() error {
-		if cc.Stop != nil && n.Cycle()&stopPollMask == 0 && cc.Stop() {
-			return fmt.Errorf("sim: collective %s aborted: %w", cc.Kind, ErrStopped)
-		}
 		if src != nil && cc.Load > 0 {
 			if err := n.Generate(cc.Load); err != nil {
 				return err
 			}
 		}
-		n.Step()
-		return nil
+		return h.step()
 	}
 	for i := 0; i < cc.Warmup; i++ {
 		if err := advance(); err != nil {

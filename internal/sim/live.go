@@ -4,11 +4,11 @@ import "sync/atomic"
 
 // LiveVars aggregates coarse, process-wide simulation counters for live
 // metrics endpoints: how many run harnesses have started and finished,
-// and the total cycles and packet deliveries simulated so far. The run
-// harnesses batch their updates onto the existing Stop-poll cadence
-// (every few hundred cycles), so the counters cost one atomic add per
-// poll rather than per cycle and may lag the truth by up to one poll
-// interval.
+// and the total cycles and packet deliveries simulated so far. Every
+// run harness updates them through the shared skeleton (harness.go),
+// batched onto the Stop-poll cadence (every 256 cycles), so the counters
+// cost one atomic add per poll rather than per cycle and may lag the
+// truth by up to one poll interval.
 type LiveVars struct {
 	RunsStarted      atomic.Int64
 	RunsFinished     atomic.Int64
@@ -30,21 +30,4 @@ func (v *LiveVars) Snapshot() map[string]int64 {
 		"cycles":            v.Cycles.Load(),
 		"packets_delivered": v.PacketsDelivered.Load(),
 	}
-}
-
-// livePoll batches a run's contribution to Live: update is called on the
-// Stop-poll cadence and once at run exit, adding only the delta since
-// the previous call.
-type livePoll struct {
-	lastCycle     int64
-	lastDelivered int64
-}
-
-func (lp *livePoll) update(n *Network) {
-	c := n.Cycle()
-	Live.Cycles.Add(c - lp.lastCycle)
-	lp.lastCycle = c
-	_, d := n.Totals()
-	Live.PacketsDelivered.Add(d - lp.lastDelivered)
-	lp.lastDelivered = d
 }

@@ -239,8 +239,9 @@ func TestTracerPipelineOrder(t *testing.T) {
 	}
 }
 
-// TestRunLoadPointTelemetry exercises the RunConfig probe/tracer/observe
-// plumbing end to end.
+// TestRunLoadPointTelemetry exercises the instrumentation plumbing end
+// to end: probes and tracer installed through Attach, read back through
+// Observe.
 func TestRunLoadPointTelemetry(t *testing.T) {
 	f := testFF(t, 4, 2)
 	tr := telemetry.NewTracer(1 << 14)
@@ -248,8 +249,10 @@ func TestRunLoadPointTelemetry(t *testing.T) {
 	res, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), RunConfig{
 		Load: 0.2, Source: traffic.NewBernoulli(traffic.NewUniform(16)),
 		Warmup: 200, Measure: 200,
-		Probes: &ProbeConfig{Stride: 16},
-		Tracer: tr,
+		Attach: func(n *Network) {
+			n.AttachProbes(ProbeConfig{Stride: 16})
+			n.AttachTracer(tr)
+		},
 		Observe: func(n *Network) {
 			observed = n.Probes()
 		},

@@ -1,29 +1,13 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
 	"flatnet/internal/stats"
-	"flatnet/internal/telemetry"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
-
-// ErrStopped is returned (wrapped) when a run's Stop hook asks it to
-// abort before completing.
-var ErrStopped = errors.New("sim: run stopped")
-
-// ErrResume is returned (wrapped) when RunConfig.Resume is set but the
-// snapshot cannot be restored — corrupt bytes, a format-version skew, or
-// a mismatched topology/algorithm/config. Callers holding a cached
-// snapshot can match this error to discard it and rerun cold.
-var ErrResume = errors.New("sim: resume snapshot rejected")
-
-// stopPollMask throttles Stop polling to every 256 cycles so the hook
-// (which may read a clock) stays off the simulation hot path.
-const stopPollMask = 0xff
 
 // RunConfig describes one open-loop measurement: warm the network up at
 // the offered load, label the packets injected during a measurement
@@ -47,19 +31,12 @@ type RunConfig struct {
 	// hook for context cancellation and wall-clock budgets, and it never
 	// perturbs the simulation's random streams.
 	Stop func() bool
-	// Probes, when non-nil, attaches router-pipeline probes (per-VC
-	// occupancy, credit-stall and allocator counters, windowed
-	// per-channel load series) to the run's network; read them back via
-	// Observe or Network.Probes. None of this perturbs the simulation.
-	Probes *ProbeConfig
-	// Tracer, when non-nil, receives every flit pipeline event (inject,
-	// route, VC allocation, crossbar traversal, eject) of the run.
-	Tracer *telemetry.Tracer
-	// Attach, when non-nil, is called with the run's freshly built
-	// network after probes and tracer are installed and before the first
-	// cycle — the hook by which callers install additional
-	// instrumentation such as the internal/check sanitizer. It is called
-	// once per network, so a LoadSweep invokes it once per load point.
+	// Attach, when non-nil, is called with the run's freshly built or
+	// restored network before the first cycle — the hook by which callers
+	// install instrumentation: probes (Network.AttachProbes), a flit
+	// tracer (Network.AttachTracer) or the internal/check sanitizer
+	// (check.Arm). It is called once per network, so a LoadSweep invokes
+	// it once per load point.
 	Attach func(n *Network)
 	// Observe, when non-nil, is called with the run's network after the
 	// run completes (drained or saturated), before RunLoadPoint returns
@@ -71,9 +48,10 @@ type RunConfig struct {
 	// opens — the point where all warm-up work is done but no measured
 	// packet exists yet. Resuming a run from that snapshot is
 	// bit-identical to running straight through, for any Measure and
-	// MaxCycles. Incompatible with Probes/Tracer/Attach-installed
-	// instrumentation (the snapshot would be unfaithful); the run
-	// fails with an error rather than writing one silently.
+	// MaxCycles. Incompatible with instrumentation installed through
+	// Attach — probes, tracer or sanitizer (the snapshot would be
+	// unfaithful); the run fails with an error rather than writing one
+	// silently.
 	Checkpoint io.Writer
 	// Resume, when non-nil, restores the run's network from a snapshot
 	// (written by Checkpoint or Network.Snapshot) instead of building a
@@ -129,35 +107,12 @@ func RunLoadPoint(g *topo.Graph, alg Algorithm, cfg Config, rc RunConfig) (LoadP
 	if maxCycles <= 0 {
 		maxCycles = 20 * (rc.Warmup + rc.Measure)
 	}
-	var n *Network
-	var err error
-	if rc.Resume != nil {
-		n, err = Restore(rc.Resume, g, alg, cfg)
-		if err != nil {
-			return LoadPointResult{}, fmt.Errorf("%w: %w", ErrResume, err)
-		}
-	} else {
-		n, err = New(g, alg, cfg)
-		if err != nil {
-			return LoadPointResult{}, err
-		}
+	h, err := openHarness(g, alg, cfg, rc.Resume, rc.Attach, rc.Stop)
+	if err != nil {
+		return LoadPointResult{}, err
 	}
-	defer n.Close()
-	if rc.Probes != nil {
-		n.AttachProbes(*rc.Probes)
-	}
-	if rc.Tracer != nil {
-		n.AttachTracer(rc.Tracer)
-	}
-	if rc.Attach != nil {
-		rc.Attach(n)
-	}
-	Live.RunsStarted.Add(1)
-	var lp livePoll
-	defer func() {
-		lp.update(n)
-		Live.RunsFinished.Add(1)
-	}()
+	defer h.close()
+	n := h.n
 	if err := n.SetSource(rc.Source); err != nil {
 		return LoadPointResult{}, err
 	}
@@ -183,7 +138,9 @@ func RunLoadPoint(g *topo.Graph, alg Algorithm, cfg Config, rc RunConfig) (LoadP
 		if err := n.Generate(rc.Load); err != nil {
 			return LoadPointResult{}, err
 		}
-		n.Step()
+		if err := h.step(); err != nil {
+			return LoadPointResult{}, err
+		}
 		c := n.Cycle()
 		if rc.Checkpoint != nil && c == measStart {
 			// Warm-up just finished: no measured packet has been created
@@ -202,12 +159,6 @@ func RunLoadPoint(g *topo.Graph, alg Algorithm, cfg Config, rc RunConfig) (LoadP
 		if c >= int64(maxCycles) {
 			res.Saturated = true
 			break
-		}
-		if c&stopPollMask == 0 {
-			lp.update(n)
-			if rc.Stop != nil && rc.Stop() {
-				return LoadPointResult{}, fmt.Errorf("at cycle %d: %w", c, ErrStopped)
-			}
 		}
 	}
 	created, delivered := n.MeasuredCounts()
@@ -298,12 +249,8 @@ type BatchConfig struct {
 	// MaxCycles bounds the run; 0 picks a default proportional to
 	// BatchSize. Exceeding it is an error (the batch never completed).
 	MaxCycles int
-	// Stop, when non-nil, is polled every few hundred cycles; returning
-	// true aborts the run with an error wrapping ErrStopped.
-	Stop func() bool
-	// Attach, when non-nil, is called with the freshly built network
-	// before the first cycle — the hook for installing instrumentation
-	// such as the internal/check sanitizer.
+	// Stop and Attach are RunConfig's Stop and Attach hooks.
+	Stop   func() bool
 	Attach func(n *Network)
 }
 
@@ -319,27 +266,21 @@ func RunBatch(g *topo.Graph, alg Algorithm, cfg Config, bc BatchConfig) (BatchRe
 	if maxCycles <= 0 {
 		maxCycles = 1000 * bc.BatchSize
 	}
-	n, err := New(g, alg, cfg)
+	h, err := openHarness(g, alg, cfg, nil, bc.Attach, bc.Stop)
 	if err != nil {
 		return BatchResult{}, err
 	}
-	defer n.Close()
-	if bc.Attach != nil {
-		bc.Attach(n)
-	}
-	Live.RunsStarted.Add(1)
-	var lp livePoll
-	defer func() {
-		lp.update(n)
-		Live.RunsFinished.Add(1)
-	}()
+	defer h.close()
+	n := h.n
 	if err := n.SetSource(traffic.NewBernoulli(bc.Pattern)); err != nil {
 		return BatchResult{}, err
 	}
 	n.SeedBatch(bc.BatchSize)
 	total := int64(bc.BatchSize) * int64(n.NumNodes())
 	for {
-		n.Step()
+		if err := h.step(); err != nil {
+			return BatchResult{}, err
+		}
 		_, delivered := n.Totals()
 		if delivered >= total {
 			break
@@ -347,12 +288,6 @@ func RunBatch(g *topo.Graph, alg Algorithm, cfg Config, bc BatchConfig) (BatchRe
 		if n.Cycle() >= int64(maxCycles) {
 			return BatchResult{}, fmt.Errorf("sim: batch of %d did not complete within %d cycles (%s)",
 				bc.BatchSize, maxCycles, alg.Name())
-		}
-		if n.Cycle()&stopPollMask == 0 {
-			lp.update(n)
-			if bc.Stop != nil && bc.Stop() {
-				return BatchResult{}, fmt.Errorf("at cycle %d: %w", n.Cycle(), ErrStopped)
-			}
 		}
 	}
 	res := BatchResult{

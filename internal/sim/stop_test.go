@@ -10,9 +10,11 @@ import (
 	"flatnet/internal/traffic"
 )
 
-// TestEveryHarnessStops holds every harness to its Stop hook: on a
-// workload that would run for thousands of cycles, a hook that turns true
-// at cycle 1000 must end the run with ErrStopped within one poll interval.
+// TestEveryHarnessStops holds every harness to its Stop hook and to Live:
+// on a workload that would run for thousands of cycles, a hook that turns
+// true once the run has published 1000 cycles to Live must end the run
+// with ErrStopped within one poll interval, and the run must count itself
+// in Live exactly once, with every cycle it simulated.
 func TestEveryHarnessStops(t *testing.T) {
 	const flip, poll = 1000, 256
 	ff, newAlg := traceFF(t)
@@ -73,17 +75,36 @@ func TestEveryHarnessStops(t *testing.T) {
 			})
 			return err
 		}},
+		{"RunClosedLoop", func(_ func(*sim.Network), stop func() bool) error {
+			_, err := sim.RunClosedLoop(g, newAlg(), sim.DefaultConfig(), sim.ClosedLoopConfig{
+				Window: 4, Pattern: traffic.NewUniform(nodes), Warmup: 100000, Measure: 100000,
+				Stop: stop,
+			})
+			return err
+		}},
 		{"ReplayTrace streaming", replay(4000)},
 		{"ReplayTrace draining", replay(800)},
 	} {
 		var n *sim.Network
-		err := tc.run(func(net *sim.Network) { n = net }, func() bool { return n.Cycle() >= flip })
+		started, finished := sim.Live.RunsStarted.Load(), sim.Live.RunsFinished.Load()
+		cycles0 := sim.Live.Cycles.Load()
+		err := tc.run(func(net *sim.Network) { n = net }, func() bool { return sim.Live.Cycles.Load()-cycles0 >= flip })
 		if !errors.Is(err, sim.ErrStopped) {
 			t.Errorf("%s: got %v, want ErrStopped", tc.name, err)
 			continue
 		}
-		if c := n.Cycle(); c < flip || c > flip+poll {
+		if d := sim.Live.RunsStarted.Load() - started; d != 1 {
+			t.Errorf("%s: Live.RunsStarted moved by %d, want 1", tc.name, d)
+		}
+		if d := sim.Live.RunsFinished.Load() - finished; d != 1 {
+			t.Errorf("%s: Live.RunsFinished moved by %d, want 1", tc.name, d)
+		}
+		c := sim.Live.Cycles.Load() - cycles0
+		if c < flip || c > flip+poll {
 			t.Errorf("%s: stopped at cycle %d, want %d..%d", tc.name, c, flip, flip+poll)
+		}
+		if n != nil && n.Cycle() != c {
+			t.Errorf("%s: Live counted %d cycles, the network ran %d", tc.name, c, n.Cycle())
 		}
 	}
 }

@@ -141,14 +141,14 @@ const replayHorizon = 1024
 // injected. maxCycles bounds the whole replay; 0 means unbounded. stop,
 // when non-nil, is polled every few hundred cycles like RunConfig.Stop;
 // returning true aborts the replay with an error wrapping ErrStopped.
+// The replay counts as one run in Live.
 //
 // The trace must be ordered by non-decreasing cycle; the scanner
 // enforces this, which is what keeps memory bounded for traces of any
 // length. Deliveries are observable through OnDeliver.
 func (n *Network) ReplayTrace(t *TraceScanner, maxCycles int64, stop func() bool) (int64, error) {
-	stopped := func() bool {
-		return stop != nil && n.Cycle()&stopPollMask == 0 && stop()
-	}
+	h := track(n, stop)
+	defer h.finish()
 	var injected int64
 	var e TraceEntry
 	have, eof := false, false
@@ -184,10 +184,9 @@ func (n *Network) ReplayTrace(t *TraceScanner, maxCycles int64, stop func() bool
 		if maxCycles > 0 && n.Cycle() >= maxCycles {
 			return injected, fmt.Errorf("sim: trace replay exceeded %d cycles", maxCycles)
 		}
-		if stopped() {
-			return injected, fmt.Errorf("at cycle %d: %w", n.Cycle(), ErrStopped)
+		if err := h.step(); err != nil {
+			return injected, err
 		}
-		n.Step()
 	}
 	// Drain: run until every arrival has materialized and delivered.
 	for {
@@ -198,9 +197,8 @@ func (n *Network) ReplayTrace(t *TraceScanner, maxCycles int64, stop func() bool
 		if maxCycles > 0 && n.Cycle() >= maxCycles {
 			return injected, fmt.Errorf("sim: trace replay did not drain within %d cycles", maxCycles)
 		}
-		if stopped() {
-			return injected, fmt.Errorf("at cycle %d: %w", n.Cycle(), ErrStopped)
+		if err := h.step(); err != nil {
+			return injected, err
 		}
-		n.Step()
 	}
 }

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
@@ -197,7 +198,7 @@ func TestSetWorkersLifecycle(t *testing.T) {
 		if err := n.SetWorkers(-1); err == nil {
 			t.Fatal("SetWorkers(-1) should fail")
 		}
-		before := runtime.NumGoroutine()
+		before := settledGoroutines()
 		if workers != 0 {
 			if err := n.SetWorkers(workers); err != nil {
 				t.Fatal(err)
@@ -213,7 +214,7 @@ func TestSetWorkersLifecycle(t *testing.T) {
 		if got := n.Workers(); got != 1 {
 			t.Fatalf("Workers() = %d after SetWorkers(%d), want 1", got, workers)
 		}
-		if after := runtime.NumGoroutine(); after != before {
+		if after := settledGoroutines(); after != before {
 			t.Fatalf("SetWorkers(%d) and 200 cycles changed the goroutine count: %d -> %d", workers, before, after)
 		}
 		n.Close()
@@ -225,4 +226,20 @@ func TestSetWorkersLifecycle(t *testing.T) {
 		t.Fatal("delivered nothing")
 	}
 	diffDeliveries(t, untouched, run(8), "SetWorkers(8)")
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has read the
+// same value for 20 ms, so a goroutine an earlier test left exiting is
+// gone before the count is compared. It gives up after 2 s and returns
+// the last reading.
+func settledGoroutines() int {
+	deadline := time.Now().Add(2 * time.Second)
+	last, since := runtime.NumGoroutine(), time.Now()
+	for time.Since(since) < 20*time.Millisecond && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		if c := runtime.NumGoroutine(); c != last {
+			last, since = c, time.Now()
+		}
+	}
+	return last
 }

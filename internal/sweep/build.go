@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -91,20 +90,13 @@ func (j Job) runIO(stop func() bool, resume io.Reader, checkpoint io.Writer) (Re
 // a checked job's Result is bit-identical to an unchecked one — which is
 // why Check is an Engine attribute rather than a hashed Job field.
 func (j Job) RunChecked(stop func() bool) (Result, error) {
-	var sans []*check.Sanitizer
-	res, err := j.run(stop, func(n *sim.Network) {
-		sans = append(sans, check.Attach(n, check.Config{}))
-	}, nil, nil)
+	var attach func(*sim.Network)
+	done := check.Arm(&attach, check.Config{})
+	res, err := j.run(stop, attach, nil, nil)
 	if err != nil {
 		return res, err
 	}
-	var errs []error
-	for _, s := range sans {
-		if ferr := s.Finalize(); ferr != nil {
-			errs = append(errs, ferr)
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
+	if err := done(); err != nil {
 		return res, fmt.Errorf("sweep: job %s (%s %s %s) failed invariant checks: %w",
 			res.Hash[:12], j.Net, j.Alg, j.Mode, err)
 	}

@@ -7,11 +7,16 @@ import "fmt"
 type Option func(*runOptions)
 
 type runOptions struct {
-	cfg      Config
-	rc       RunConfig
-	loadSet  bool
-	check    *CheckConfig
-	checkErr func() error
+	cfg     Config
+	rc      RunConfig
+	loadSet bool
+	check   *CheckConfig
+}
+
+// attach chains f onto the run's Attach hook, after what is installed.
+func (o *runOptions) attach(f func(n *Network)) {
+	prev := o.rc.Attach
+	o.rc.Attach = func(n *Network) { prev(n); f(n) }
 }
 
 // WithLoad sets the offered load in flits per node per cycle (fraction
@@ -85,12 +90,12 @@ func WithCheck(cfg CheckConfig) Option {
 // credit-stall and allocator counters, windowed per-channel loads) to
 // the run's network; read them back via WithObserve and Network.Probes.
 func WithTelemetry(cfg ProbeConfig) Option {
-	return func(o *runOptions) { c := cfg; o.rc.Probes = &c }
+	return func(o *runOptions) { o.attach(func(n *Network) { n.AttachProbes(cfg) }) }
 }
 
 // WithTracer streams every flit pipeline event of the run into tr.
 func WithTracer(tr *Tracer) Option {
-	return func(o *runOptions) { o.rc.Tracer = tr }
+	return func(o *runOptions) { o.attach(func(n *Network) { n.AttachTracer(tr) }) }
 }
 
 // WithObserve installs an end-of-run inspection hook, called with the
@@ -124,23 +129,23 @@ func Run(t Topology, alg Algorithm, opts ...Option) (LoadPointResult, error) {
 	o.rc.Load = 0.5
 	o.rc.Warmup = 1000
 	o.rc.Measure = 1000
+	o.rc.Attach = func(*Network) {}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	if o.rc.Source == nil {
 		o.rc.Source = NewBernoulliSource(NewUniform(g.NumNodes))
 	}
+	checked := func() error { return nil }
 	if o.check != nil {
-		o.checkErr = ArmCheck(&o.rc, *o.check)
+		checked = ArmCheck(&o.rc.Attach, *o.check)
 	}
 	res, err := RunLoadPoint(g, alg, o.cfg, o.rc)
 	if err != nil {
 		return res, err
 	}
-	if o.checkErr != nil {
-		if cerr := o.checkErr(); cerr != nil {
-			return res, fmt.Errorf("flatnet: run completed but the sanitizer found violations: %w", cerr)
-		}
+	if cerr := checked(); cerr != nil {
+		return res, fmt.Errorf("flatnet: run completed but the sanitizer found violations: %w", cerr)
 	}
 	return res, nil
 }
