@@ -75,15 +75,17 @@ flatbench-check:
 # trajectory BENCH_flatbench.json (one record per PR: manifest, the four
 # end-to-end metrics of every workload, the traced per-layer rows), so a
 # PR's performance claim is a diff of that file: `make bench-record PR=16`.
-# The suite takes ~5 minutes; a run with failed operations records nothing.
+# It runs the suite three times (~5 minutes each) and records each value as
+# the median of the three with their min/max spread; a run with failed
+# operations stops it before anything is recorded.
 bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=<number>"; exit 2; }
-	bash bench/run.sh -seed 1 -trace 1 -out .bench_build/record.json
-	$(GO) run ./cmd/benchrecord -pr $(PR) -in .bench_build/record.json
+	for i in 1 2 3; do bash bench/run.sh -seed 1 -trace 1 -out .bench_build/record$$i.json || exit 1; done
+	$(GO) run ./cmd/benchrecord -pr $(PR) -in .bench_build/record1.json,.bench_build/record2.json,.bench_build/record3.json
 
 # bench-diff prints the trajectory's last two records side by side: the
 # end-to-end metrics of every workload and the per-layer rows that moved
-# by more than 10 %.
+# by more than 10 %, a move inside either record's spread marked noise.
 bench-diff:
 	@$(GO) run ./cmd/benchrecord -diff
 

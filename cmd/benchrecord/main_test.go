@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,7 +28,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pr := range []int{16, 13, 16} {
-		if err := run(pr, in, trajectory); err != nil {
+		if err := run(pr, []string{in}, trajectory); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,17 +47,20 @@ func TestRecordRoundTrip(t *testing.T) {
 	if w.Digest != "19733ddec82d7ae0" || w.Attempted != 319 || w.EndToEnd["work_per_s"] != 14.1 || w.EndToEnd["setup_s"] != 0.74 {
 		t.Errorf("end-to-end record %+v", w)
 	}
+	if recs[1].Runs != 0 || w.Spread != nil {
+		t.Errorf("a record of one run has runs %d and spread %v, want neither", recs[1].Runs, w.Spread)
+	}
 	if len(w.PerLayer) != 1 || w.PerLayer["analysis.analyze_ms.flatfly"] != 118.5 {
 		t.Errorf("per-layer rows %v, want the one measured row", w.PerLayer)
 	}
 
-	if err := run(0, in, trajectory); err == nil {
+	if err := run(0, []string{in}, trajectory); err == nil {
 		t.Error("a record without a PR number was accepted")
 	}
 	if err := os.WriteFile(in, []byte(`{"workloads": []}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(17, in, trajectory); err == nil {
+	if err := run(17, []string{in}, trajectory); err == nil {
 		t.Error("an empty suite report was recorded")
 	}
 }
@@ -106,5 +110,87 @@ func TestDiff(t *testing.T) {
 	}
 	if err := diff(&out, trajectory); err == nil {
 		t.Error("a trajectory of one record was diffed")
+	}
+}
+
+// suiteRun is one run of a two-workload suite with the given analytic
+// work_per_s, peak_rss_mb and per-layer row.
+func suiteRun(work, rss, analyzeMS float64, digest string) string {
+	return fmt.Sprintf(`{"manifest": {"nproc": 2},
+  "workloads": [
+    {"workload": "analytic_points", "sim_digest": %q, "attempted": %d, "failed": 0,
+     "end_to_end": [{"name": "work_per_s", "value": %g}, {"name": "peak_rss_mb", "value": %g}],
+     "per_layer": [{"name": "analysis.analyze_ms.dragonfly", "value": %g}, {"name": "sim.new_ms", "value": 0}]},
+    {"workload": "core_ur", "sim_digest": "aaaa", "attempted": 10, "failed": 1,
+     "end_to_end": [{"name": "work_per_s", "value": 8000}]}
+  ]
+}`, digest, int(work*14), work, rss, analyzeMS)
+}
+
+// TestRecordMedianSpread records three runs: each value is their median,
+// the spread is their [min, max], failures add up, a digest that does not
+// repeat is refused, and -diff marks a move inside either spread as noise.
+func TestRecordMedianSpread(t *testing.T) {
+	dir := t.TempDir()
+	trajectory := filepath.Join(dir, "BENCH_flatbench.json")
+	write := func(runs ...string) []string {
+		var ins []string
+		for i, r := range runs {
+			in := filepath.Join(dir, fmt.Sprintf("run%d.json", i))
+			if err := os.WriteFile(in, []byte(r), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ins = append(ins, in)
+		}
+		return ins
+	}
+	if err := run(25, write(suiteRun(26, 42, 120, "d1"), suiteRun(24, 43, 130, "d1"), suiteRun(25, 41, 110, "d1")), trajectory); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := load(trajectory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := recs[0]
+	if r.Runs != 3 || len(r.Workloads) != 2 {
+		t.Fatalf("record %+v, want 3 runs of 2 workloads", r)
+	}
+	w := r.Workloads[0]
+	if w.EndToEnd["work_per_s"] != 25 || w.Spread["work_per_s"] != [2]float64{24, 26} ||
+		w.EndToEnd["peak_rss_mb"] != 42 || w.Spread["peak_rss_mb"] != [2]float64{41, 43} {
+		t.Errorf("end-to-end %v spread %v, want work_per_s 25 in [24, 26], peak_rss_mb 42 in [41, 43]", w.EndToEnd, w.Spread)
+	}
+	if w.Attempted != 350 || w.PerLayer["analysis.analyze_ms.dragonfly"] != 120 ||
+		w.Spread["analysis.analyze_ms.dragonfly"] != [2]float64{110, 130} || len(w.PerLayer) != 1 {
+		t.Errorf("attempted %d, per-layer %v, spread %v", w.Attempted, w.PerLayer, w.Spread)
+	}
+	if f := r.Workloads[1].Failed; f != 3 {
+		t.Errorf("core_ur failed %d over three runs, want 3", f)
+	}
+	if err := run(26, write(suiteRun(26, 42, 120, "d1"), suiteRun(26, 42, 120, "d2")), trajectory); err == nil ||
+		!strings.Contains(err.Error(), "sim_digest d2 in run 2") {
+		t.Errorf("runs with different digests: %v", err)
+	}
+
+	// work_per_s 25 -> 36.5 leaves both spreads. peak_rss_mb 42 -> 42.5
+	// lands inside the old spread, and the per-layer row 120 -> 105 moves
+	// by more than a tenth but the old median lies inside the new spread.
+	if err := run(29, write(suiteRun(36, 42.5, 100, "d3"), suiteRun(37, 42.4, 105, "d3"), suiteRun(36.5, 42.6, 125, "d3")), trajectory); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := diff(&out, trajectory); err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]string{} // analytic_points's rows, printed first
+	for _, l := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(l); len(f) > 0 && lines[f[0]] == "" {
+			lines[f[0]] = l
+		}
+	}
+	for name, noise := range map[string]bool{"work_per_s": false, "peak_rss_mb": true, "analysis.analyze_ms.dragonfly": true} {
+		if l, ok := lines[name]; !ok || strings.HasSuffix(l, "noise") != noise {
+			t.Errorf("%s: want noise %t, got line %q in\n%s", name, noise, l, out.String())
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flatnet"
@@ -37,6 +39,44 @@ func TestRunOpenLoop(t *testing.T) {
 			t.Errorf("%s -analytic: %v", topo, err)
 		}
 	}
+}
+
+// TestRunAnalyticDragonflyBound runs -analytic on the balanced dragonfly
+// with h=9, whose λ₂ now converges (in 57 Lanczos steps), so the report
+// gives the bisection as a lower..upper range rather than "<= upper".
+func TestRunAnalyticDragonflyBound(t *testing.T) {
+	o := opts()
+	o.Topo, o.GH, o.Alg = "df", 9, "ugal"
+	o.analytic = true
+	out := captureStdout(t, func() error { return run(o) })
+	if !strings.Contains(out, "bisection: 7838..") || strings.Contains(out, "<=") {
+		t.Errorf("dragonfly h=9 -analytic printed:\n%s\nwant the bisection as 7838..upper", out)
+	}
+}
+
+// captureStdout returns what f prints to os.Stdout.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	err = f()
+	os.Stdout = stdout
+	w.Close()
+	out := <-read
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 // TestFrontEndsAgree pins the three front ends to one network: the

@@ -343,8 +343,8 @@ func uniformConcentration(injTerms, ejTerms []int64) bool {
 }
 
 // laplacian is shift*I - L for the symmetrized channel multigraph (each
-// unidirectional channel contributing weight 1), the operator both power
-// iterations apply. It is read-only once built.
+// unidirectional channel contributing weight 1), the operator both
+// spectral iterations apply. It is read-only once built.
 type laplacian struct {
 	c        csr
 	diag     []float64 // shift - (out-degree + in-degree): the operator's diagonal
@@ -436,43 +436,134 @@ func powerStart(r, a int) (v, nv []float64) {
 	return v, nv
 }
 
-// lambdaSteps caps the lambda_2 power iteration.
-const lambdaSteps = 2000
+// lambdaSteps caps the lambda_2 Lanczos iteration.
+const lambdaSteps = 500
 
 // spectralBisectionLower estimates the minimum unidirectional channel
 // count across a balanced router cut as lambda_2 * R / 4, where lambda_2
-// is the algebraic connectivity of the symmetrized channel multigraph,
-// computed by power iteration on shift*I - L deflated against the
-// constant vector. Returns 0 — no bound — for non-uniform concentration,
-// where the bound does not speak to terminal bisection, and when the
-// iteration has not converged after lambdaSteps steps: the Rayleigh
-// quotient climbs towards shift - lambda_2, so stopping early would
-// report a lambda_2 that is too large.
+// is the algebraic connectivity of the symmetrized channel multigraph.
+// Returns 0 — no bound — for non-uniform concentration, where the bound
+// does not speak to terminal bisection, and when lambda2 has not
+// converged within lambdaSteps steps.
 func spectralBisectionLower(l laplacian, injTerms, ejTerms []int64) float64 {
 	r := len(l.diag)
 	if r < 2 || !uniformConcentration(injTerms, ejTerms) {
 		return 0
 	}
-	// v_{t+1} = (shift*I - L) v_t, deflated and normalized; the dominant
-	// deflated eigenvalue is shift - lambda_2.
-	v, nv := powerStart(r, 1)
-	prev := 0.0
-	for iter := 0; iter < lambdaSteps; iter++ {
-		l.apply(nv, v)
-		deflate(nv)
-		ray := dot(nv, v) // Rayleigh quotient of shift - L (v normalized)
-		normalize(nv)
-		v, nv = nv, v
-		if iter > 16 && math.Abs(ray-prev) <= 1e-9*math.Abs(ray) {
-			lambda2 := l.shift - ray
-			if lambda2 < 0 {
-				lambda2 = 0
-			}
-			return lambda2 * float64(r) / 4
-		}
-		prev = ray
+	lam, steps := lambda2(l, lambdaSteps)
+	if steps == 0 {
+		return 0
 	}
-	return 0
+	return lam * float64(r) / 4
+}
+
+// lambda2 returns the algebraic connectivity of the symmetrized channel
+// multigraph and the number of Lanczos steps that found it, or steps == 0
+// when maxSteps did not suffice. The Lanczos iteration runs on shift*I - L
+// restricted to the complement of the constant vector (every step is
+// deflated again), with the three-term recurrence and no
+// reorthogonalisation: only the top Ritz value of the tridiagonal T_k is
+// used, and lost orthogonality only adds copies of values that have
+// already converged. That value climbs towards shift - lambda_2 from
+// below, so stopping early would report a lambda_2 that is too large. The
+// run stops when the value moves by at most 1e-12 relative, or when the
+// residual bound beta_k * |s_k| of the Ritz pair is within 1e-12 of the
+// operator's scale (shift), which an exact invariant subspace
+// (beta_k ~ 0) reaches first.
+func lambda2(l laplacian, maxSteps int) (float64, int) {
+	r := len(l.diag)
+	v, w := powerStart(r, 1)
+	prev := make([]float64, r)
+	var alpha, beta []float64
+	b, last := 0.0, 0.0 // beta_{k-1} (prev is 0 on the first step), theta_{k-1}
+	for k := 1; k <= maxSteps; k++ {
+		l.apply(w, v)
+		deflate(w)
+		for i := range w {
+			w[i] -= b * prev[i]
+		}
+		a := dot(w, v)
+		for i := range w {
+			w[i] -= a * v[i]
+		}
+		alpha = append(alpha, a)
+		b = math.Sqrt(dot(w, w))
+		theta, s := topRitz(alpha, beta)
+		if b*s <= 1e-12*l.shift || math.Abs(theta-last) <= 1e-12*theta {
+			return math.Max(l.shift-theta, 0), k
+		}
+		beta, last = append(beta, b), theta
+		for i := range w {
+			w[i] /= b
+		}
+		prev, v, w = v, w, prev
+	}
+	return 0, 0
+}
+
+// topRitz returns the largest eigenvalue theta of the symmetric
+// tridiagonal matrix T with diagonal a and off-diagonal b (len(a)-1
+// entries, all positive), and the last component |s| of its unit
+// eigenvector. theta is the upper end of a bisection on the Sturm count,
+// so theta*I - T has positive pivots above the last; the eigenvector
+// solves the transposed factor of theta*I - T against the last unit
+// vector, z_k = 1 and z_i = b_i/d_i * z_{i+1}.
+func topRitz(a, b []float64) (theta, s float64) {
+	lo, hi := math.Inf(1), math.Inf(-1) // Gershgorin bounds
+	for i, ai := range a {
+		r := 0.0
+		if i > 0 {
+			r += b[i-1]
+		}
+		if i < len(b) {
+			r += b[i]
+		}
+		lo, hi = math.Min(lo, ai-r), math.Max(hi, ai+r)
+	}
+	for {
+		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
+			break
+		}
+		if sturmBelow(a, b, mid) == len(a) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	pivots := make([]float64, len(b))
+	for i := range b {
+		pivots[i] = hi - a[i]
+		if i > 0 {
+			pivots[i] -= b[i-1] * b[i-1] / pivots[i-1]
+		}
+	}
+	z, norm2 := 1.0, 1.0
+	for i := len(b) - 1; i >= 0; i-- {
+		z *= b[i] / pivots[i]
+		norm2 += z * z
+	}
+	return hi, 1 / math.Sqrt(norm2)
+}
+
+// sturmBelow counts the eigenvalues of the tridiagonal matrix (a, b) below
+// x: the negative pivots of T - x*I. A zero pivot counts as negative.
+func sturmBelow(a, b []float64, x float64) int {
+	n, d := 0, 0.0
+	for i, ai := range a {
+		if i == 0 {
+			d = ai - x
+		} else {
+			d = ai - x - b[i-1]*b[i-1]/d
+		}
+		if d == 0 {
+			d = -math.SmallestNonzeroFloat64
+		}
+		if d < 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func deflate(v []float64) {
