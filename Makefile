@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck onebuilder oneloop test race check checksweep nocd-smoke benchall flatbench-check bench-record bench-diff figs quickfigs fuzz clean
+.PHONY: all build vet fmtcheck onebuilder oneloop onehook test race check checksweep nocd-smoke benchall flatbench-check bench-record bench-diff figs quickfigs fuzz clean
 
 # Tier-1 flow: build, static checks, tests, then the race detector over
 # the whole module — the sweep engine's worker pool must stay race-clean.
@@ -37,6 +37,14 @@ oneloop:
 	@out=$$(grep -rnE '(AttachChecker|check\.Attach)\(' cmd internal/sweep run.go --include='*.go' | grep -v _test.go); \
 	if [ -n "$$out" ]; then echo "arm the sanitizer with check.Arm/flatnet.ArmCheck, not:"; echo "$$out"; exit 1; fi
 
+# onehook fails if a pipeline observer grows its own attachment beside
+# sim.Hooks: outside probes.go (which builds the probe and tracer hook
+# sets) no internal/sim file may name the telemetry package or reach
+# into an observer's state from the network.
+onehook:
+	@out=$$(grep -nE 'telemetry\.|n\.tracer|n\.checks|n\.probes\.' internal/sim/*.go | grep -vE '^internal/sim/probes\.go:|_test\.go:'); \
+	if [ -n "$$out" ]; then echo "observe the pipeline through sim.Hooks, not:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -55,7 +63,7 @@ checksweep:
 # two sizes, Metrics == the all-sources sweep, BFS sources counted) and
 # internal/spec's TestBuildEveryFamily (a table row without RouterOrbits
 # fails). Neither test may grow a testing.Short() skip.
-check: build vet fmtcheck onebuilder oneloop test race checksweep
+check: build vet fmtcheck onebuilder oneloop onehook test race checksweep
 
 # nocd-smoke builds the real nocd binary, launches it on an ephemeral
 # port, drives open -> batch_estimate -> stats -> close through the

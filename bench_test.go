@@ -134,9 +134,9 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 }
 
 // BenchmarkTelemetryOff is the zero-overhead-when-off guard: the exact
-// BenchmarkSimulatorCycles workload on a network with no probes or
-// tracer attached, exercising every telemetry nil-check in the pipeline.
-// Compare against BenchmarkSimulatorCycles from the pre-telemetry seed;
+// BenchmarkSimulatorCycles workload on a network with no hook set
+// attached (no probes, tracer or sanitizer), exercising every pipeline
+// site's empty hook-list check. Compare against BenchmarkSimulatorCycles;
 // the two must stay within noise (~2%) of each other.
 func BenchmarkTelemetryOff(b *testing.B) {
 	ff, err := flatnet.NewFlatFly(32, 2)
@@ -173,28 +173,6 @@ func BenchmarkTelemetryProbes(b *testing.B) {
 		cycle(b, n)
 	}
 	b.ReportMetric(float64(p.Samples), "probe_samples")
-}
-
-// BenchmarkChecksOff is the invariant sanitizer's zero-overhead-when-off
-// guard: the exact BenchmarkSimulatorCycles workload with no sanitizer
-// attached, exercising every check nil-test in the flit pipeline.
-// Compare against BenchmarkSimulatorCycles; the two must stay within
-// noise (~2%) of each other.
-func BenchmarkChecksOff(b *testing.B) {
-	ff, err := flatnet.NewFlatFly(32, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n, err := flatnet.NewNetwork(ff.Graph(), flatnet.NewClosAD(ff), flatnet.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	injectUniform(b, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle(b, n)
-	}
-	b.ReportMetric(float64(ff.NumNodes), "nodes")
 }
 
 // BenchmarkChecksOn measures the same workload with the sanitizer

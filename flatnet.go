@@ -226,9 +226,10 @@ var (
 )
 
 // Telemetry: router-pipeline probes, flit tracing and live metrics
-// (see the Telemetry section of DESIGN.md). All of it is
-// zero-overhead-when-off: a network without probes or a tracer attached
-// pays one nil check per hook.
+// (see the Telemetry section of DESIGN.md). Probes and tracers are hook
+// sets on the network's one instrumentation surface: any number compose
+// on one run, and a network with none attached pays one empty-list check
+// per pipeline site.
 type (
 	// ProbeConfig parameterizes Network.AttachProbes.
 	ProbeConfig = sim.ProbeConfig
@@ -269,7 +270,7 @@ var (
 // Runtime invariant sanitizer (internal/check): asserts flit
 // conservation, credit round trips, virtual-channel ownership, packet
 // wholeness and forward progress on every simulated cycle, without
-// perturbing results. Like probes and the tracer it is
+// perturbing results. Like probes and the tracer it is a hook set, and
 // zero-overhead-when-off.
 type (
 	// CheckConfig parameterizes the sanitizer (stride, watchdog window,

@@ -20,10 +20,11 @@
 //     WatchdogCycles cycles while flits are in flight, reporting the
 //     stuck channels.
 //
-// Detached, the simulator pays one nil pointer check per pipeline site —
-// the same zero-overhead-when-off contract as internal/telemetry
-// (BenchmarkChecksOff guards it). The sanitizer never perturbs the
-// simulation: results with and without it are bit-identical.
+// The sanitizer is one sim.Hooks set: it composes with probes, tracers
+// and other sanitizers on the same network, and detached it costs the
+// simulator nothing beyond the empty hook list every pipeline site
+// checks. It never perturbs the simulation: results with and without it
+// are bit-identical.
 package check
 
 import (
@@ -134,6 +135,8 @@ type Sanitizer struct {
 	lastDelivered int64
 	lastProgress  int64
 	tripped       bool // watchdog fired; disarm it
+
+	detach func()
 }
 
 // Attach installs a sanitizer into the network's pipeline and returns it.
@@ -159,21 +162,20 @@ func Attach(n *sim.Network, cfg Config) *Sanitizer {
 		pkts:   map[int64]*pktState{},
 		order:  map[flowKey]int64{},
 	}
-	n.AttachChecks(&sim.CheckHooks{
-		Inject:        s.inject,
-		Route:         s.route,
-		CreditConsume: s.creditConsume,
-		CreditReturn:  s.creditReturn,
-		VCAcquire:     s.vcAcquire,
-		VCRelease:     s.vcRelease,
-		Eject:         s.eject,
-		EndCycle:      s.endCycle,
+	s.detach = n.AttachHooks(&sim.Hooks{
+		Inject:       s.inject,
+		Route:        s.route,
+		Traverse:     s.traverse,
+		CreditReturn: s.creditReturn,
+		Eject:        s.eject,
+		EndCycle:     s.endCycle,
 	})
 	return s
 }
 
-// Detach removes the sanitizer's hooks from the network.
-func (s *Sanitizer) Detach() { s.n.AttachChecks(nil) }
+// Detach removes the sanitizer's hook set from the network; other sets
+// stay attached.
+func (s *Sanitizer) Detach() { s.detach() }
 
 // Violations returns the recorded violations, in discovery order.
 func (s *Sanitizer) Violations() []Violation { return s.violations }
@@ -284,10 +286,21 @@ func (s *Sanitizer) route(p *sim.Packet, r topo.RouterID, port, vc int) {
 	}
 }
 
-func (s *Sanitizer) creditConsume(r topo.RouterID, port, vc, after int) {
-	if after < 0 {
+// traverse checks a crossbar traversal onto a network output: the credit
+// it spent, the VC its head acquires and the VC its tail releases.
+func (s *Sanitizer) traverse(p, prev *sim.Packet, r topo.RouterID, port, vc, credits int, head, tail bool) {
+	if s.g.Routers[r].Out[port].Kind != topo.Network {
+		return
+	}
+	if credits < 0 {
 		s.report(Violation{Kind: KindCreditUnderflow, Router: r, Port: port, VC: vc,
-			Detail: fmt.Sprintf("credit count %d after consume", after)})
+			Detail: fmt.Sprintf("credit count %d after consume", credits)})
+	}
+	if head {
+		s.vcAcquire(p, prev, r, port, vc)
+	}
+	if tail {
+		s.vcRelease(p, r, port, vc)
 	}
 }
 

@@ -5,12 +5,14 @@ package check_test
 
 import (
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
 	"flatnet/internal/check"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
+	"flatnet/internal/telemetry"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
@@ -138,12 +140,22 @@ func TestFaultDropFlitCaught(t *testing.T) {
 	}
 }
 
+// TestFaultLeakCreditCaught also holds sanitizers to composing: every
+// one attached to the network reports the leak, and one detached before
+// it reports nothing.
 func TestFaultLeakCreditCaught(t *testing.T) {
 	n, s := newChecked(t, sim.DefaultConfig(), check.Config{}, 0.5)
+	second := check.Attach(n, check.Config{})
+	detached := check.Attach(n, check.Config{})
 	stepLoaded(t, n, 0.5, 50)
+	detached.Detach()
 	injectFaultSomewhere(t, n, sim.FaultLeakCredit, 0.5)
 	stepLoaded(t, n, 0.5, 2)
 	expectKind(t, s, check.KindChannelAudit, true)
+	expectKind(t, second, check.KindChannelAudit, true)
+	if err := detached.Err(); err != nil {
+		t.Fatalf("detached sanitizer still observes the network: %v", err)
+	}
 }
 
 func TestFaultDupCreditCaught(t *testing.T) {
@@ -238,7 +250,9 @@ func TestWholenessOnDroppedFlit(t *testing.T) {
 
 // TestSanitizerDoesNotPerturb verifies the run invariance contract on
 // every harness with an Attach hook: results with and without the
-// sanitizer armed are identical, and the armed run trips nothing.
+// sanitizer armed are identical, and the armed run trips nothing. The
+// armed run also carries probes and a tracer, which must see exactly
+// what each sees attached alone: hook sets compose.
 func TestSanitizerDoesNotPerturb(t *testing.T) {
 	f, err := topo.NewFlatFly(4, 2)
 	if err != nil {
@@ -271,16 +285,28 @@ func TestSanitizerDoesNotPerturb(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		var probesAlone, probesArmed *sim.Probes
+		traceAlone, traceArmed := telemetry.NewTracer(1<<16), telemetry.NewTracer(1<<16)
+		probed, err := tc.run(func(n *sim.Network) { probesAlone = n.AttachProbes(sim.ProbeConfig{Stride: 16}) })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		traced, err := tc.run(func(n *sim.Network) { n.AttachTracer(traceAlone) })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		var attach func(*sim.Network)
 		done := check.Arm(&attach, check.Config{})
 		armed, sanitized := attach, 0
 		attach = func(n *sim.Network) {
 			armed(n)
-			// Of the instrumentation, only the sanitizer is attached, and
-			// an instrumented network refuses to snapshot.
+			// So far only the sanitizer is attached, and an instrumented
+			// network refuses to snapshot.
 			if n.Snapshot(io.Discard) != nil {
 				sanitized++
 			}
+			probesArmed = n.AttachProbes(sim.ProbeConfig{Stride: 16})
+			n.AttachTracer(traceArmed)
 		}
 		checked, err := tc.run(attach)
 		if err != nil {
@@ -292,8 +318,19 @@ func TestSanitizerDoesNotPerturb(t *testing.T) {
 		if sanitized != 1 {
 			t.Fatalf("%s: Arm sanitized %d networks, want 1", tc.name, sanitized)
 		}
-		if plain != checked {
-			t.Fatalf("%s: sanitizer perturbed the simulation:\nplain   %+v\nchecked %+v", tc.name, plain, checked)
+		for _, res := range []any{probed, traced, checked} {
+			if res != plain {
+				t.Fatalf("%s: instrumentation perturbed the simulation:\nplain        %+v\ninstrumented %+v", tc.name, plain, res)
+			}
+		}
+		if probesAlone.Grants == 0 || !reflect.DeepEqual(probesAlone.Snapshot(), probesArmed.Snapshot()) ||
+			!reflect.DeepEqual(probesAlone.Channels(), probesArmed.Channels()) {
+			t.Fatalf("%s: probes alone and beside a tracer and sanitizer differ:\nalone  %v\nbeside %v",
+				tc.name, probesAlone.Snapshot(), probesArmed.Snapshot())
+		}
+		if traceAlone.Len() == 0 || !reflect.DeepEqual(traceAlone.Events(), traceArmed.Events()) {
+			t.Fatalf("%s: tracer alone recorded %d events, beside probes and a sanitizer %d (or they differ)",
+				tc.name, traceAlone.Len(), traceArmed.Len())
 		}
 	}
 }

@@ -2,39 +2,46 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"flatnet/internal/topo"
 )
 
-// CheckHooks is the sanitizer attachment surface of the simulation
-// pipeline: one callback per conservation-relevant pipeline event. It
-// exists so a checker (internal/check) can observe every flit, credit
-// and virtual-channel transition without the simulator importing it.
+// Hooks is the pipeline's one instrumentation surface: one callback per
+// observable router-pipeline event. Probes (AttachProbes), the flit
+// tracer (AttachTracer) and the sanitizer (internal/check) are each a
+// hook set, so an observer sees every flit, credit, bid and
+// virtual-channel transition without the simulator importing it.
 //
-// The hooks follow the same zero-overhead-when-off contract as probes
-// and the tracer: a network without hooks attached pays one nil check
-// per pipeline site (guarded by BenchmarkChecksOff). AttachChecks fills
-// nil callbacks with no-ops, so an attached hook set may implement any
-// subset.
-type CheckHooks struct {
+// Any number of sets may be attached; each site calls the sets in attach
+// order, skipping nil callbacks, so a set implements any subset and
+// detaching one leaves the others running. A network with no set
+// attached pays one empty-list check per site (BenchmarkTelemetryOff).
+// Callbacks run inside Step: they observe and must not change the
+// network.
+type Hooks struct {
 	// Inject fires when a flit enters its source router's terminal input
 	// buffer. r/port identify the injection buffer.
 	Inject func(p *Packet, r topo.RouterID, port int, tail bool)
 	// Route fires when a packet at the head of an input VC receives a
 	// routing decision (port, vc) at router r.
 	Route func(p *Packet, r topo.RouterID, port, vc int)
-	// CreditConsume fires when a switch grant spends a credit of output
-	// (r, port, vc); after is the post-decrement credit count.
-	CreditConsume func(r topo.RouterID, port, vc, after int)
+	// Stall fires when a routed flit at the head of an input VC cannot bid
+	// for its network output (r, port, vc) this cycle.
+	Stall func(p *Packet, r topo.RouterID, port, vc int, cause StallCause)
+	// Arbitrate fires once per cycle for each output (r, port) that had
+	// bids, after switch allocation: granted of its requested bids won.
+	Arbitrate func(r topo.RouterID, port, granted, requested int)
+	// Traverse fires when a flit crosses the crossbar onto output
+	// (r, port, vc); head and tail mark its packet's head and tail flits.
+	// For a network output, credits is the output VC's credit count after
+	// the flit spent one, and prev is the VC's owner before the traversal:
+	// nil for a head flit unless the allocator double-granted. For an
+	// ejection output both are zero.
+	Traverse func(p, prev *Packet, r topo.RouterID, port, vc, credits int, head, tail bool)
 	// CreditReturn fires when a credit arrives back at output
 	// (r, port, vc); after is the post-increment credit count.
 	CreditReturn func(r topo.RouterID, port, vc, after int)
-	// VCAcquire fires when a head flit is granted onto downstream VC
-	// (r, port, vc). prev is the simulator's notion of the VC's owner at
-	// that moment — nil unless the allocator double-granted.
-	VCAcquire func(p *Packet, prev *Packet, r topo.RouterID, port, vc int)
-	// VCRelease fires when a tail flit leaves downstream VC (r, port, vc).
-	VCRelease func(p *Packet, r topo.RouterID, port, vc int)
 	// Eject fires for every flit leaving an ejection channel, before the
 	// packet is recycled. r/port identify the ejection channel.
 	Eject func(p *Packet, r topo.RouterID, port int, tail bool)
@@ -42,38 +49,33 @@ type CheckHooks struct {
 	EndCycle func()
 }
 
-// AttachChecks installs a sanitizer hook set into the pipeline; nil
-// callbacks are replaced with no-ops. Passing nil detaches.
-func (n *Network) AttachChecks(h *CheckHooks) {
-	if h == nil {
-		n.checks = nil
-		return
+// StallCause says why a routed flit could not bid (Hooks.Stall).
+type StallCause uint8
+
+const (
+	// StallCredit: the downstream VC has no free buffer slot.
+	StallCredit StallCause = iota
+	// StallVC: a head flit's downstream VC is still owned by another
+	// packet (wormhole blocking).
+	StallVC
+)
+
+// AttachHooks adds h to the network's hook sets, after those already
+// attached, and returns the func that detaches it again (idempotent).
+// An instrumented network refuses to Snapshot until every set is
+// detached.
+func (n *Network) AttachHooks(h *Hooks) (detach func()) {
+	n.hooks = append(n.hooks[:len(n.hooks):len(n.hooks)], h)
+	attached := true
+	return func() {
+		if !attached {
+			return
+		}
+		attached = false
+		// A fresh slice, so a site walking the old list is undisturbed.
+		i := slices.Index(n.hooks, h)
+		n.hooks = slices.Delete(slices.Clone(n.hooks), i, i+1)
 	}
-	if h.Inject == nil {
-		h.Inject = func(*Packet, topo.RouterID, int, bool) {}
-	}
-	if h.Route == nil {
-		h.Route = func(*Packet, topo.RouterID, int, int) {}
-	}
-	if h.CreditConsume == nil {
-		h.CreditConsume = func(topo.RouterID, int, int, int) {}
-	}
-	if h.CreditReturn == nil {
-		h.CreditReturn = func(topo.RouterID, int, int, int) {}
-	}
-	if h.VCAcquire == nil {
-		h.VCAcquire = func(*Packet, *Packet, topo.RouterID, int, int) {}
-	}
-	if h.VCRelease == nil {
-		h.VCRelease = func(*Packet, topo.RouterID, int, int) {}
-	}
-	if h.Eject == nil {
-		h.Eject = func(*Packet, topo.RouterID, int, bool) {}
-	}
-	if h.EndCycle == nil {
-		h.EndCycle = func() {}
-	}
-	n.checks = h
 }
 
 // Graph returns the channel graph the network simulates.

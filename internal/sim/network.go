@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"flatnet/internal/rng"
-	"flatnet/internal/telemetry"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
@@ -356,12 +355,10 @@ type Network struct {
 	// check per materialization and delivery.
 	xfers map[*Packet]*Transfer
 
-	// Telemetry and sanitizer hooks; nil (the default) means every
-	// pipeline hook is a single pointer check — the zero-overhead-when-off
-	// contract that BenchmarkTelemetryOff and BenchmarkChecksOff guard.
+	// hooks are the attached instrumentation sets (AttachHooks), walked in
+	// order at every pipeline site; probes is the registry Probes returns.
+	hooks  []*Hooks
 	probes *Probes
-	tracer *telemetry.Tracer
-	checks *CheckHooks
 
 	deliveredTotal int64 // packets fully delivered (tail flit ejected)
 	flitsDelivered int64
@@ -696,11 +693,10 @@ func (n *Network) Step() {
 	n.inject()
 	n.routeAllocate()
 	n.switchAllocate()
-	if n.probes != nil && n.cycle%n.probes.stride == 0 {
-		n.sampleProbes()
-	}
-	if n.checks != nil {
-		n.checks.EndCycle()
+	for _, h := range n.hooks {
+		if h.EndCycle != nil {
+			h.EndCycle()
+		}
 	}
 	n.advanceCycle()
 }
@@ -749,9 +745,11 @@ func (n *Network) processEvents() {
 		ov.credits++
 		ov.pending--
 		n.psum[n.outs[ev.ovc>>n.vcShift].psumAt]--
-		if n.checks != nil {
-			r, port, vc := n.creditTarget(ev.ovc)
-			n.checks.CreditReturn(topo.RouterID(r), port, vc, int(ov.credits))
+		for _, h := range n.hooks {
+			if h.CreditReturn != nil {
+				r, port, vc := n.creditTarget(ev.ovc)
+				h.CreditReturn(topo.RouterID(r), port, vc, int(ov.credits))
+			}
 		}
 	}
 	s.credits = s.credits[:0]
@@ -774,15 +772,10 @@ func (n *Network) creditTarget(ovc int32) (router int32, port, vc int) {
 func (n *Network) deliverEvent(ev *deliverEv) {
 	n.flitsDelivered++
 	pkt, tail := ev.pkt, ev.tail()
-	if n.tracer != nil {
-		n.tracer.Record(telemetry.FlitEvent{
-			Cycle: n.cycle, Kind: telemetry.EvEject, Packet: pkt.ID,
-			Src: int(pkt.Src), Dst: int(pkt.Dst),
-			Router: int(n.g.EjRouter[ev.node]), Port: n.g.EjPort[ev.node], VC: -1, Tail: tail,
-		})
-	}
-	if n.checks != nil {
-		n.checks.Eject(pkt, n.g.EjRouter[ev.node], n.g.EjPort[ev.node], tail)
+	for _, h := range n.hooks {
+		if h.Eject != nil {
+			h.Eject(pkt, n.g.EjRouter[ev.node], n.g.EjPort[ev.node], tail)
+		}
 	}
 	if !tail {
 		return
@@ -873,15 +866,10 @@ func (n *Network) injectSource(i int) bool {
 	rt.push(q, flit{pkt: s.cur, tail: tail})
 	n.wakeVC(rt, s.ivc)
 	n.flitsInjected++
-	if n.tracer != nil {
-		n.tracer.Record(telemetry.FlitEvent{
-			Cycle: n.cycle, Kind: telemetry.EvInject, Packet: s.cur.ID,
-			Src: int(s.cur.Src), Dst: int(s.cur.Dst),
-			Router: int(s.router), Port: int(s.ivc >> n.vcShift), VC: 0, Tail: tail,
-		})
-	}
-	if n.checks != nil {
-		n.checks.Inject(s.cur, rt.id, int(s.ivc>>n.vcShift), tail)
+	for _, h := range n.hooks {
+		if h.Inject != nil {
+			h.Inject(s.cur, rt.id, int(s.ivc>>n.vcShift), tail)
+		}
 	}
 	if tail {
 		s.cur = nil

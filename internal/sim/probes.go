@@ -31,9 +31,8 @@ type probeChannel struct {
 }
 
 // Probes is the router-pipeline probe registry: counters and windowed
-// time series maintained by the simulation loop when attached via
-// AttachProbes, at zero cost when not (every pipeline hook is a nil
-// check). Counter fields are owned by the simulation goroutine; read
+// time series maintained by a hook set (Hooks) that AttachProbes
+// installs. Counter fields are owned by the simulation goroutine; read
 // them after the run or from an Observe hook.
 type Probes struct {
 	stride int64
@@ -63,11 +62,14 @@ type Probes struct {
 	channels  []probeChannel
 	series    []*stats.TimeSeries
 	lastFlits []int64
+
+	detach func()
 }
 
-// AttachProbes builds a probe registry over the network's channels and
-// installs it into the pipeline. Attaching (or re-attaching) resets all
-// probe state; DetachProbes removes the instrumentation again.
+// AttachProbes builds a fresh probe registry over the network's channels
+// and attaches its hook set. Probes returns the registry attached last;
+// DetachProbes detaches it again. A registry attached earlier keeps
+// counting alongside.
 func (n *Network) AttachProbes(cfg ProbeConfig) *Probes {
 	stride := cfg.Stride
 	if stride <= 0 {
@@ -93,27 +95,77 @@ func (n *Network) AttachProbes(cfg ProbeConfig) *Probes {
 			p.lastFlits = append(p.lastFlits, op.flitsSent)
 		}
 	}
+	p.detach = n.AttachHooks(&Hooks{
+		Stall: func(_ *Packet, _ topo.RouterID, _, _ int, cause StallCause) {
+			if cause == StallCredit {
+				p.CreditStalls++
+			} else {
+				p.VCStalls++
+			}
+		},
+		Arbitrate: func(_ topo.RouterID, _, granted, requested int) {
+			p.Grants += int64(granted)
+			p.Conflicts += int64(requested - granted)
+		},
+		EndCycle: func() {
+			if n.cycle%p.stride == 0 {
+				n.sampleProbes(p)
+			}
+		},
+	})
 	n.probes = p
 	return p
 }
 
-// Probes returns the attached probe registry, or nil.
+// Probes returns the probe registry attached last, or nil.
 func (n *Network) Probes() *Probes { return n.probes }
 
-// DetachProbes removes the probe instrumentation from the pipeline.
-func (n *Network) DetachProbes() { n.probes = nil }
+// DetachProbes detaches the registry Probes returns; other hook sets stay.
+func (n *Network) DetachProbes() {
+	if n.probes != nil {
+		n.probes.detach()
+		n.probes = nil
+	}
+}
 
-// AttachTracer installs a flit event tracer into the pipeline; nil
-// detaches. The tracer receives inject, route, VC-allocation, crossbar
-// and eject events for every flit (subject to the tracer's own packet
-// filter).
-func (n *Network) AttachTracer(t *telemetry.Tracer) { n.tracer = t }
+// AttachTracer attaches a hook set that records inject, route,
+// VC-allocation, crossbar and eject events for every flit into t
+// (subject to the tracer's own packet filter). A nil tracer attaches
+// nothing.
+func (n *Network) AttachTracer(t *telemetry.Tracer) {
+	if t == nil {
+		return
+	}
+	record := func(kind telemetry.EventKind, p *Packet, r topo.RouterID, port, vc int, tail bool) {
+		t.Record(telemetry.FlitEvent{
+			Cycle: n.cycle, Kind: kind, Packet: p.ID,
+			Src: int(p.Src), Dst: int(p.Dst),
+			Router: int(r), Port: port, VC: vc, Tail: tail,
+		})
+	}
+	n.AttachHooks(&Hooks{
+		Inject: func(p *Packet, r topo.RouterID, port int, tail bool) {
+			record(telemetry.EvInject, p, r, port, 0, tail)
+		},
+		Route: func(p *Packet, r topo.RouterID, port, vc int) {
+			record(telemetry.EvRoute, p, r, port, vc, false)
+		},
+		Traverse: func(p, _ *Packet, r topo.RouterID, port, vc, _ int, head, tail bool) {
+			if head && n.routers[r].out[port].kind == topo.Network {
+				record(telemetry.EvVCAlloc, p, r, port, vc, tail)
+			}
+			record(telemetry.EvXbar, p, r, port, vc, tail)
+		},
+		Eject: func(p *Packet, r topo.RouterID, port int, tail bool) {
+			record(telemetry.EvEject, p, r, port, -1, tail)
+		},
+	})
+}
 
-// sampleProbes takes one sampling pass: input-VC occupancy via the
+// sampleProbes takes one sampling pass into p: input-VC occupancy via the
 // per-port occupancy bitmasks (so empty buffers cost nothing) and
 // per-channel flit deltas into the windowed time series.
-func (n *Network) sampleProbes() {
-	p := n.probes
+func (n *Network) sampleProbes(p *Probes) {
 	p.Samples++
 	for r := range n.routers {
 		rt := &n.routers[r]

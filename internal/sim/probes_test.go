@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
@@ -44,6 +45,17 @@ func TestProbeDefaultsAndDetach(t *testing.T) {
 	if n.Probes() != nil {
 		t.Fatal("fresh network has probes attached")
 	}
+	detach := n.AttachHooks(&Hooks{})
+	if n.Snapshot(io.Discard) == nil {
+		t.Error("Snapshot accepted a network with a hook set attached")
+	}
+	detach()
+	detach() // idempotent
+	if err := n.Snapshot(io.Discard); err != nil {
+		t.Errorf("Snapshot after the only hook set detached: %v", err)
+	}
+	tr := telemetry.NewTracer(1 << 10)
+	n.AttachTracer(tr)
 	p := n.AttachProbes(ProbeConfig{})
 	if p.Stride() != 64 {
 		t.Errorf("default stride = %d, want 64", p.Stride())
@@ -66,6 +78,19 @@ func TestProbeDefaultsAndDetach(t *testing.T) {
 	n.DetachProbes()
 	if n.Probes() != nil {
 		t.Error("DetachProbes left probes attached")
+	}
+	// Only the probes' own set went: the tracer attached before them
+	// keeps recording, the detached registry stops sampling.
+	MustInstall(t, n, traffic.NewUniform(16))
+	for i := 0; i < 64; i++ {
+		MustGenerate(t, n, 0.3)
+		n.Step()
+	}
+	if tr.Len() == 0 {
+		t.Error("DetachProbes detached the tracer too")
+	}
+	if p.Samples != 0 {
+		t.Errorf("detached probes kept sampling: %d samples", p.Samples)
 	}
 }
 
@@ -126,6 +151,25 @@ func TestProbeCountersUnderLoad(t *testing.T) {
 	snap := p.Snapshot()
 	if snap["grants"] != p.Grants || snap["samples"] != p.Samples {
 		t.Errorf("snapshot disagrees with counters: %v", snap)
+	}
+	// A single-flit packet frees its VC in the traversal that takes it,
+	// so only wormholes of several flits can stall on VC ownership.
+	if p.VCStalls != 0 {
+		t.Errorf("%d VC stalls with single-flit packets", p.VCStalls)
+	}
+	cfg.PacketSize = 4
+	n, err = New(f.Graph(), &minimalAlg{f}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	MustInstall(t, n, traffic.NewWorstCase(4, 4))
+	p = n.AttachProbes(ProbeConfig{Stride: 16})
+	for i := 0; i < 600; i++ {
+		MustGenerate(t, n, 1.0)
+		n.Step()
+	}
+	if p.VCStalls == 0 {
+		t.Error("no VC stalls with 4-flit wormholes under saturating load")
 	}
 }
 

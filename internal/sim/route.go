@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"flatnet/internal/rng"
-	"flatnet/internal/telemetry"
 	"flatnet/internal/topo"
 )
 
@@ -58,15 +57,10 @@ func (n *Network) routeRouter(rt *router, seq bool) {
 				dec := n.alg.Route(&n.view, pkt)
 				q.out = int32(dec.Port)<<shift | int32(dec.VC)
 				q.routed = true
-				if n.checks != nil {
-					n.checks.Route(pkt, rt.id, dec.Port, dec.VC)
-				}
-				if n.tracer != nil {
-					n.tracer.Record(telemetry.FlitEvent{
-						Cycle: n.cycle, Kind: telemetry.EvRoute, Packet: pkt.ID,
-						Src: int(pkt.Src), Dst: int(pkt.Dst),
-						Router: int(rt.id), Port: dec.Port, VC: dec.VC,
-					})
+				for _, h := range n.hooks {
+					if h.Route != nil {
+						h.Route(pkt, rt.id, dec.Port, dec.VC)
+					}
 				}
 				if seq {
 					rt.ovc[q.out].pending += ps
@@ -78,18 +72,19 @@ func (n *Network) routeRouter(rt *router, seq bool) {
 			port := q.out >> shift
 			op := &rt.out[port]
 			if op.kind == topo.Network {
-				ov := &rt.ovc[q.out]
-				if ov.credits <= 0 {
-					if n.probes != nil {
-						n.probes.CreditStalls++
+				// No bid without downstream space, nor for a head whose
+				// downstream VC another packet still owns.
+				if ov := &rt.ovc[q.out]; ov.credits <= 0 || !q.headSent && ov.owner != nil {
+					for _, h := range n.hooks {
+						if h.Stall != nil {
+							cause := StallVC
+							if ov.credits <= 0 {
+								cause = StallCredit
+							}
+							h.Stall(q.hpkt, rt.id, int(port), int(q.out&n.vcMask), cause)
+						}
 					}
-					continue // no downstream space: do not bid
-				}
-				if !q.headSent && ov.owner != nil {
-					if n.probes != nil {
-						n.probes.VCStalls++
-					}
-					continue // downstream VC still owned by another packet
+					continue
 				}
 			} else if op.nextFree-n.cycle >= int64(n.cfg.BufPerPort) {
 				continue // ejection staging queue full

@@ -33,10 +33,10 @@ type RunConfig struct {
 	Stop func() bool
 	// Attach, when non-nil, is called with the run's freshly built or
 	// restored network before the first cycle — the hook by which callers
-	// install instrumentation: probes (Network.AttachProbes), a flit
-	// tracer (Network.AttachTracer) or the internal/check sanitizer
-	// (check.Arm). It is called once per network, so a LoadSweep invokes
-	// it once per load point.
+	// install instrumentation, any mix of hook sets (Network.AttachHooks):
+	// probes (Network.AttachProbes), flit tracers (Network.AttachTracer)
+	// or the internal/check sanitizer (check.Arm). It is called once per
+	// network, so a LoadSweep invokes it once per load point.
 	Attach func(n *Network)
 	// Observe, when non-nil, is called with the run's network after the
 	// run completes (drained or saturated), before RunLoadPoint returns

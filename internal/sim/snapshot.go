@@ -114,15 +114,15 @@ func (n *Network) eachEvent(visit func(delta int, kind uint64, tail bool, vc, ro
 
 // Snapshot writes the network's complete state to w in the
 // internal/snapshot container format. It must be called between Steps
-// (never from inside a hook) and fails on instrumented networks: probes,
-// tracers and sanitizer checks hold unserialisable state — re-run those
-// from cold.
+// (never from inside a hook) and fails on instrumented networks: a hook
+// set (probes, a tracer, the sanitizer) holds unserialisable state —
+// re-run those from cold.
 func (n *Network) Snapshot(w io.Writer) error {
 	if n.closed {
 		return fmt.Errorf("sim: cannot snapshot a closed network")
 	}
-	if n.probes != nil || n.tracer != nil || n.checks != nil {
-		return fmt.Errorf("sim: cannot snapshot an instrumented network (probes, tracer or checks attached)")
+	if len(n.hooks) != 0 {
+		return fmt.Errorf("sim: cannot snapshot an instrumented network (%d hook sets attached)", len(n.hooks))
 	}
 	if n.stepAll {
 		return fmt.Errorf("sim: cannot snapshot in stepAll debug mode")

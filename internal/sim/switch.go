@@ -3,7 +3,6 @@ package sim
 import (
 	"math/bits"
 
-	"flatnet/internal/telemetry"
 	"flatnet/internal/topo"
 )
 
@@ -47,7 +46,8 @@ func (n *Network) switchRouter(rt *router) {
 		}
 		rt.reqOut[w] = 0
 		for ; word != 0; word &= word - 1 {
-			op := &rt.out[w<<6+bits.TrailingZeros64(word)]
+			port := w<<6 + bits.TrailingZeros64(word)
+			op := &rt.out[port]
 			nreq := op.nreq
 			op.nreq = 0
 			granted := int32(0)
@@ -65,9 +65,10 @@ func (n *Network) switchRouter(rt *router) {
 			default:
 				granted = n.grantRoundRobin(rt, op, nreq)
 			}
-			if n.probes != nil {
-				n.probes.Grants += int64(granted)
-				n.probes.Conflicts += int64(nreq - granted)
+			for _, h := range n.hooks {
+				if h.Arbitrate != nil {
+					h.Arbitrate(rt.id, port, int(granted), int(nreq))
+				}
 			}
 		}
 	}
@@ -213,54 +214,37 @@ func (n *Network) traverse(rt *router, ivc int32) {
 	op.nextFree = depart + 1
 	op.flitsSent++
 	delay := int(depart-n.cycle) + int(op.latency)
-	if n.tracer != nil {
-		if isHead && op.kind == topo.Network {
-			n.tracer.Record(telemetry.FlitEvent{
-				Cycle: n.cycle, Kind: telemetry.EvVCAlloc, Packet: f.pkt.ID,
-				Src: int(f.pkt.Src), Dst: int(f.pkt.Dst),
-				Router: int(rt.id), Port: port, VC: vc, Tail: f.tail,
-			})
-		}
-		n.tracer.Record(telemetry.FlitEvent{
-			Cycle: n.cycle, Kind: telemetry.EvXbar, Packet: f.pkt.ID,
-			Src: int(f.pkt.Src), Dst: int(f.pkt.Dst),
-			Router: int(rt.id), Port: port, VC: vc, Tail: f.tail,
-		})
-	}
-	switch op.kind {
-	case topo.Network:
-		ov := &rt.ovc[ovc]
+	ov := &rt.ovc[ovc]
+	network := op.kind == topo.Network
+	if network {
 		ov.credits--
-		if n.checks != nil {
-			n.checks.CreditConsume(rt.id, port, vc, int(ov.credits))
-			if isHead {
-				n.checks.VCAcquire(f.pkt, ov.owner, rt.id, port, vc)
-			}
-			if f.tail {
-				n.checks.VCRelease(f.pkt, rt.id, port, vc)
-			}
+	}
+	for _, h := range n.hooks {
+		if h.Traverse != nil {
+			h.Traverse(f.pkt, ov.owner, rt.id, port, vc, int(ov.credits), isHead, f.tail)
 		}
-		// Wormhole VC allocation: the head flit acquires the downstream
-		// VC, the tail flit releases it (a single-flit packet does both
-		// in one traversal, leaving it free).
-		if isHead && !f.tail {
-			ov.owner = f.pkt
-		} else if f.tail && !isHead {
-			ov.owner = nil
-		}
-		if isHead {
-			f.pkt.Hops++
-		}
-		in := op.peerIn | uint32(vc)<<1
-		if f.tail {
-			in |= 1
-		}
-		// The next router's pipeline delay is charged on arrival.
-		n.scheduleFlit(delay+n.cfg.RouterDelay, op.peer, in, f.pkt)
-	case topo.Terminal:
-		ov := &rt.ovc[ovc]
+	}
+	if !network {
 		ov.pending--
 		rt.psum[port]--
 		n.scheduleDeliver(delay, op.node, f.tail, f.pkt)
+		return
 	}
+	// Wormhole VC allocation: the head flit acquires the downstream VC,
+	// the tail flit releases it (a single-flit packet does both in one
+	// traversal, leaving it free).
+	if isHead && !f.tail {
+		ov.owner = f.pkt
+	} else if f.tail && !isHead {
+		ov.owner = nil
+	}
+	if isHead {
+		f.pkt.Hops++
+	}
+	in := op.peerIn | uint32(vc)<<1
+	if f.tail {
+		in |= 1
+	}
+	// The next router's pipeline delay is charged on arrival.
+	n.scheduleFlit(delay+n.cfg.RouterDelay, op.peer, in, f.pkt)
 }

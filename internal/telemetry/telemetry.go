@@ -5,8 +5,8 @@
 // opt into with -listen.
 //
 // The design constraint throughout is zero overhead when off: the
-// simulator's pipeline hooks are nil-checked pointers (no probes or
-// tracer attached means no work beyond the check), counters are plain
+// simulator's pipeline sites walk a list of attached hook sets (none
+// attached means no work beyond an empty-list check), counters are plain
 // atomics, and nothing in this package is imported into a hot loop —
 // the simulator pushes into telemetry structures, never the reverse.
 package telemetry

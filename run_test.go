@@ -1,6 +1,7 @@
 package flatnet_test
 
 import (
+	"reflect"
 	"testing"
 
 	"flatnet"
@@ -60,8 +61,9 @@ func TestRunMatchesRunLoadPoint(t *testing.T) {
 }
 
 // TestRunWithCheckAndTelemetry exercises the instrumentation options
-// together: the sanitizer must stay silent on a clean run and the probes
-// must be observable, without perturbing the measured results.
+// together: the sanitizer must stay silent on a clean run, the probes
+// must be observable, and two tracers must both record the whole event
+// stream, without perturbing the measured results.
 func TestRunWithCheckAndTelemetry(t *testing.T) {
 	ff, err := flatnet.NewFlatFly(4, 2)
 	if err != nil {
@@ -73,10 +75,13 @@ func TestRunWithCheckAndTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var probed *flatnet.Probes
+	a, b := flatnet.NewTracer(1<<16), flatnet.NewTracer(1<<16)
 	res, err := flatnet.Run(ff, flatnet.NewMinAD(ff),
 		flatnet.WithLoad(0.4), flatnet.WithWarmup(300), flatnet.WithMeasure(300),
+		flatnet.WithTracer(a),
 		flatnet.WithCheck(flatnet.CheckConfig{}),
 		flatnet.WithTelemetry(flatnet.ProbeConfig{}),
+		flatnet.WithTracer(b),
 		flatnet.WithObserve(func(n *flatnet.Network) { probed = n.Probes() }))
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +91,9 @@ func TestRunWithCheckAndTelemetry(t *testing.T) {
 	}
 	if probed == nil || probed.Samples == 0 {
 		t.Fatal("probes not attached or never sampled")
+	}
+	if a.Len() == 0 || !reflect.DeepEqual(a.Events(), b.Events()) {
+		t.Fatalf("two tracers on one run recorded %d and %d events (or different streams)", a.Len(), b.Len())
 	}
 }
 
