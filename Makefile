@@ -37,13 +37,19 @@ oneloop:
 	@out=$$(grep -rnE '(AttachChecker|check\.Attach)\(' cmd internal/sweep run.go --include='*.go' | grep -v _test.go); \
 	if [ -n "$$out" ]; then echo "arm the sanitizer with check.Arm/flatnet.ArmCheck, not:"; echo "$$out"; exit 1; fi
 
-# onehook fails if a pipeline observer grows its own attachment beside
-# sim.Hooks: outside probes.go (which builds the probe and tracer hook
-# sets) no internal/sim file may name the telemetry package or reach
-# into an observer's state from the network.
+# onehook fails if a pipeline observer or a packet callback grows its own
+# attachment beside sim.Hooks: outside probes.go (which builds the probe
+# and tracer hook sets) no internal/sim file may name the telemetry
+# package or reach into an observer's state from the network; no
+# internal/sim file may hold a single-slot onDeliver/onMaterialize
+# callback; and no Go file outside bench/ may call the single-slot
+# OnDeliver/OnMaterialize or the in-memory LoadTrace replay.
 onehook:
 	@out=$$(grep -nE 'telemetry\.|n\.tracer|n\.checks|n\.probes\.' internal/sim/*.go | grep -vE '^internal/sim/probes\.go:|_test\.go:'); \
 	if [ -n "$$out" ]; then echo "observe the pipeline through sim.Hooks, not:"; echo "$$out"; exit 1; fi
+	@out=$$({ grep -nE 'onDeliver|onMaterialize' internal/sim/*.go | grep -v '_test\.go:'; \
+		grep -rnE '\.(OnDeliver|OnMaterialize|LoadTrace)\(' --include='*.go' . | grep -v '^\./bench/'; }); \
+	if [ -n "$$out" ]; then echo "watch packets through Hooks.Materialize/Deliver and replay through ReplayTrace, not:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

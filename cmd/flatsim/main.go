@@ -549,10 +549,10 @@ func runTraceJSONL(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, 
 	}
 	var latSum float64
 	var delivered int64
-	n.OnDeliver(func(p *flatnet.Packet, cycle int64) {
+	n.AttachHooks(&flatnet.Hooks{Deliver: func(p *flatnet.Packet, cycle int64) {
 		latSum += float64(cycle - p.InjectCycle)
 		delivered++
-	})
+	}})
 	injected, err := n.ReplayTrace(flatnet.NewTraceScanner(f), 0, o.stop)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -34,10 +35,10 @@ func main() {
 	trace := rec.RecordTrace()
 	var latRec float64
 	var nRec int64
-	rec.OnDeliver(func(p *flatnet.Packet, cycle int64) {
+	rec.AttachHooks(&flatnet.Hooks{Deliver: func(p *flatnet.Packet, cycle int64) {
 		latRec += float64(cycle - p.InjectCycle)
 		nRec++
-	})
+	}})
 	for i := 0; i < 2000; i++ {
 		if err := rec.Generate(0.25); err != nil {
 			log.Fatal(err)
@@ -52,6 +53,10 @@ func main() {
 	}
 	fmt.Printf("recorded %d packets (bursty worst-case, UGAL-S): avg latency %.2f cycles\n",
 		len(*trace), latRec/float64(nRec))
+	var wl bytes.Buffer
+	if err := flatnet.WriteWorkloadJSONL(&wl, *trace); err != nil {
+		log.Fatal(err)
+	}
 
 	// Replay the identical packet sequence under CLOS AD.
 	for _, alg := range []flatnet.Algorithm{flatnet.NewClosAD(ff), flatnet.NewValiant(ff)} {
@@ -61,18 +66,13 @@ func main() {
 		}
 		var latSum float64
 		var n int64
-		rep.OnDeliver(func(p *flatnet.Packet, cycle int64) {
+		rep.AttachHooks(&flatnet.Hooks{Deliver: func(p *flatnet.Packet, cycle int64) {
 			latSum += float64(cycle - p.InjectCycle)
 			n++
-		})
-		if err := rep.LoadTrace(*trace); err != nil {
-			log.Fatal(err)
-		}
-		for i := 0; i < 100000 && n < int64(len(*trace)); i++ {
-			rep.Step()
-		}
-		if n < int64(len(*trace)) {
-			log.Fatalf("%s: replay incomplete (%d/%d)", alg.Name(), n, len(*trace))
+		}})
+		sc := flatnet.NewTraceScanner(bytes.NewReader(wl.Bytes()))
+		if _, err := rep.ReplayTrace(sc, 100000, nil); err != nil {
+			log.Fatalf("%s: %v", alg.Name(), err)
 		}
 		fmt.Printf("replayed under %-8s: avg latency %.2f cycles over the identical traffic\n",
 			alg.Name(), latSum/float64(n))

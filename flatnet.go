@@ -165,6 +165,9 @@ type (
 	Network = sim.Network
 	// Packet is a single-flit packet.
 	Packet = sim.Packet
+	// Hooks is a set of packet and pipeline callbacks for
+	// Network.AttachHooks, e.g. Hooks{Deliver: ...} to watch deliveries.
+	Hooks = sim.Hooks
 	// Algorithm routes packets.
 	Algorithm = sim.Algorithm
 	// RouterView is the routing algorithm's view of router state.

@@ -176,11 +176,11 @@ func TestSimulatorMatchesCreditModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := 0
-	n.OnDeliver(func(p *sim.Packet, _ int64) {
+	n.AttachHooks(&sim.Hooks{Deliver: func(p *sim.Packet, _ int64) {
 		if p.Src == 0 {
 			delivered++
 		}
-	})
+	}})
 	if err := n.InjectAt(0, 0, 4); err != nil {
 		t.Fatal(err)
 	}

@@ -304,10 +304,10 @@ func TestGoldenTraceReplay(t *testing.T) {
 		}
 		var s summary
 		var latSum float64
-		n.OnDeliver(func(p *sim.Packet, cycle int64) {
+		n.AttachHooks(&sim.Hooks{Deliver: func(p *sim.Packet, cycle int64) {
 			s.Delivered++
 			latSum += float64(cycle - p.InjectCycle)
-		})
+		}})
 		s.Injected, err = n.ReplayTrace(sim.NewTraceScanner(f), 200000, nil)
 		if err != nil {
 			t.Fatal(err)

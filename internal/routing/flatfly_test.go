@@ -191,7 +191,7 @@ func TestHopInvariants(t *testing.T) {
 		setPattern(t, n, traffic.NewUniform(f.NumNodes))
 		bad := 0
 		var badHops, badMin int
-		n.OnDeliver(func(p *sim.Packet, _ int64) {
+		n.AttachHooks(&sim.Hooks{Deliver: func(p *sim.Packet, _ int64) {
 			min := f.MinHops(f.RouterOf(p.Src), f.RouterOf(p.Dst))
 			if p.Hops < min || p.Hops > c.maxHops {
 				bad++
@@ -201,7 +201,7 @@ func TestHopInvariants(t *testing.T) {
 				bad++
 				badHops, badMin = p.Hops, min
 			}
-		})
+		}})
 		for i := 0; i < 600; i++ {
 			generate(t, n, 0.3)
 			n.Step()

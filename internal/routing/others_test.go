@@ -55,11 +55,11 @@ func TestButterflyDelivery(t *testing.T) {
 	}
 	setPattern(t, n, traffic.NewUniform(b.NumNodes))
 	wrong := 0
-	n.OnDeliver(func(p *sim.Packet, _ int64) {
+	n.AttachHooks(&sim.Hooks{Deliver: func(p *sim.Packet, _ int64) {
 		if p.Hops != b.N-1 {
 			wrong++
 		}
-	})
+	}})
 	for i := 0; i < 400; i++ {
 		generate(t, n, 0.3)
 		n.Step()
@@ -138,7 +138,7 @@ func TestFoldedClosHopCounts(t *testing.T) {
 	}
 	setPattern(t, n, traffic.NewUniform(f.NumNodes))
 	bad := 0
-	n.OnDeliver(func(p *sim.Packet, _ int64) {
+	n.AttachHooks(&sim.Hooks{Deliver: func(p *sim.Packet, _ int64) {
 		sameLeaf := f.LeafOf(p.Src) == f.LeafOf(p.Dst)
 		if sameLeaf && p.Hops != 0 {
 			bad++
@@ -146,7 +146,7 @@ func TestFoldedClosHopCounts(t *testing.T) {
 		if !sameLeaf && p.Hops != 2 {
 			bad++
 		}
-	})
+	}})
 	for i := 0; i < 400; i++ {
 		generate(t, n, 0.3)
 		n.Step()
@@ -186,11 +186,11 @@ func TestECubeHopsAreHammingDistance(t *testing.T) {
 	}
 	setPattern(t, n, traffic.NewUniform(h.NumNodes))
 	bad := 0
-	n.OnDeliver(func(p *sim.Packet, _ int64) {
+	n.AttachHooks(&sim.Hooks{Deliver: func(p *sim.Packet, _ int64) {
 		if p.Hops != h.MinHops(topo.RouterID(p.Src), topo.RouterID(p.Dst)) {
 			bad++
 		}
-	})
+	}})
 	for i := 0; i < 400; i++ {
 		generate(t, n, 0.2)
 		n.Step()

@@ -150,10 +150,10 @@ func TestMultiplicityDeliveryDigests(t *testing.T) {
 		setPattern(t, net, traffic.NewWorstCase(f.K, f.NumRouters))
 		h := fnv.New64a()
 		delivered := 0
-		net.OnDeliver(func(p *sim.Packet, cycle int64) {
+		net.AttachHooks(&sim.Hooks{Deliver: func(p *sim.Packet, cycle int64) {
 			delivered++
 			binary.Write(h, binary.LittleEndian, [5]int64{cycle, int64(p.Src), int64(p.Dst), p.InjectCycle, int64(p.Hops)})
-		})
+		}})
 		for i := 0; i < 600; i++ {
 			generate(t, net, 0.5)
 			net.Step()

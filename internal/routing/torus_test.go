@@ -23,11 +23,11 @@ func TestTorusDORDelivers(t *testing.T) {
 	}
 	setPattern(t, n, traffic.NewUniform(tor.NumNodes))
 	bad := 0
-	n.OnDeliver(func(p *sim.Packet, _ int64) {
+	n.AttachHooks(&sim.Hooks{Deliver: func(p *sim.Packet, _ int64) {
 		if p.Hops != tor.MinHops(topo.RouterID(p.Src), topo.RouterID(p.Dst)) {
 			bad++
 		}
-	})
+	}})
 	for i := 0; i < 600; i++ {
 		generate(t, n, 0.2)
 		n.Step()

@@ -222,8 +222,8 @@ func TestBacklogSurvivesSnapshot(t *testing.T) {
 		src, dst  topo.NodeID
 	}
 	var da, db []delivered
-	a.OnDeliver(func(p *Packet, c int64) { da = append(da, delivered{c, p.ID, p.Src, p.Dst}) })
-	b.OnDeliver(func(p *Packet, c int64) { db = append(db, delivered{c, p.ID, p.Src, p.Dst}) })
+	a.AttachHooks(&Hooks{Deliver: func(p *Packet, c int64) { da = append(da, delivered{c, p.ID, p.Src, p.Dst}) }})
+	b.AttachHooks(&Hooks{Deliver: func(p *Packet, c int64) { db = append(db, delivered{c, p.ID, p.Src, p.Dst}) }})
 	for i := 0; i < 20000 && !(a.Quiescent() && b.Quiescent()); i++ {
 		a.Step()
 		b.Step()

@@ -94,12 +94,12 @@ func TestOnOffBurstierThanBernoulli(t *testing.T) {
 		}
 		n.SetMeasurementWindow(1000, 4000)
 		var sum, count float64
-		n.OnDeliver(func(p *Packet, cycle int64) {
+		n.AttachHooks(&Hooks{Deliver: func(p *Packet, cycle int64) {
 			if p.Measured {
 				sum += float64(cycle - p.InjectCycle)
 				count++
 			}
-		})
+		}})
 		for i := 0; i < 6000; i++ {
 			if err := n.Generate(0.06); err != nil {
 				t.Fatal(err)

@@ -7,19 +7,26 @@ import (
 	"flatnet/internal/topo"
 )
 
-// Hooks is the pipeline's one instrumentation surface: one callback per
-// observable router-pipeline event. Probes (AttachProbes), the flit
-// tracer (AttachTracer) and the sanitizer (internal/check) are each a
-// hook set, so an observer sees every flit, credit, bid and
+// Hooks is the network's one instrumentation surface: one callback per
+// observable packet or router-pipeline event. Probes (AttachProbes),
+// the flit tracer (AttachTracer), the sanitizer (internal/check), trace
+// recorders (RecordTrace) and the run harnesses' accounting are each a
+// hook set, so an observer sees every packet, flit, credit, bid and
 // virtual-channel transition without the simulator importing it.
 //
 // Any number of sets may be attached; each site calls the sets in attach
 // order, skipping nil callbacks, so a set implements any subset and
 // detaching one leaves the others running. A network with no set
 // attached pays one empty-list check per site (BenchmarkTelemetryOff).
-// Callbacks run inside Step: they observe and must not change the
-// network.
+// Callbacks run inside Step, must not retain a packet and only observe,
+// except that Deliver may schedule arrivals with InjectAt (RunClosedLoop).
 type Hooks struct {
+	// Materialize fires when a packet arrival becomes a packet at its
+	// source: its ID assigned and its destination drawn.
+	Materialize func(p *Packet)
+	// Deliver fires when a packet's tail flit is delivered, before the
+	// packet is recycled.
+	Deliver func(p *Packet, cycle int64)
 	// Inject fires when a flit enters its source router's terminal input
 	// buffer. r/port identify the injection buffer.
 	Inject func(p *Packet, r topo.RouterID, port int, tail bool)
@@ -62,10 +69,21 @@ const (
 
 // AttachHooks adds h to the network's hook sets, after those already
 // attached, and returns the func that detaches it again (idempotent).
-// An instrumented network refuses to Snapshot until every set is
-// detached.
+// A set with a Materialize or Deliver callback joins the packet list,
+// walked only at those two sites; any other set, and one that also has
+// a pipeline callback, joins the pipeline list, which Snapshot refuses.
 func (n *Network) AttachHooks(h *Hooks) (detach func()) {
-	n.hooks = append(n.hooks[:len(n.hooks):len(n.hooks)], h)
+	var lists []*[]*Hooks
+	if h.Materialize != nil || h.Deliver != nil {
+		lists = append(lists, &n.packetHooks)
+	}
+	if lists == nil || h.Inject != nil || h.Route != nil || h.Stall != nil || h.Arbitrate != nil ||
+		h.Traverse != nil || h.CreditReturn != nil || h.Eject != nil || h.EndCycle != nil {
+		lists = append(lists, &n.hooks)
+	}
+	for _, l := range lists {
+		*l = append((*l)[:len(*l):len(*l)], h)
+	}
 	attached := true
 	return func() {
 		if !attached {
@@ -73,8 +91,10 @@ func (n *Network) AttachHooks(h *Hooks) (detach func()) {
 		}
 		attached = false
 		// A fresh slice, so a site walking the old list is undisturbed.
-		i := slices.Index(n.hooks, h)
-		n.hooks = slices.Delete(slices.Clone(n.hooks), i, i+1)
+		for _, l := range lists {
+			i := slices.Index(*l, h)
+			*l = slices.Delete(slices.Clone(*l), i, i+1)
+		}
 	}
 }
 

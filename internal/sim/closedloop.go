@@ -71,14 +71,6 @@ func RunClosedLoop(g *topo.Graph, alg Algorithm, cfg Config, clc ClosedLoopConfi
 	// k-th scheduled transaction leg.
 	pending := make([][]closedTxn, g.NumNodes)
 	live := make(map[int64]closedTxn, g.NumNodes*clc.Window)
-	n.OnMaterialize(func(p *Packet) {
-		q := pending[p.Src]
-		if len(q) == 0 {
-			return
-		}
-		live[p.ID] = q[0]
-		pending[p.Src] = q[1:]
-	})
 
 	destRNG := rng.New(cfg.Seed ^ 0xc10de1009)
 	hist := stats.NewHistogram(1 << 14)
@@ -99,22 +91,32 @@ func RunClosedLoop(g *topo.Graph, alg Algorithm, cfg Config, clc ClosedLoopConfi
 		send(origin, dst, closedTxn{origin: origin, started: n.Cycle()})
 	}
 
-	n.OnDeliver(func(p *Packet, cycle int64) {
-		t, ok := live[p.ID]
-		if !ok {
-			return
-		}
-		delete(live, p.ID)
-		if t.isReply {
-			if cycle >= measStart && cycle < measEnd {
-				hist.Add(int(cycle - t.started))
-				completed++
+	n.AttachHooks(&Hooks{
+		Materialize: func(p *Packet) {
+			q := pending[p.Src]
+			if len(q) == 0 {
+				return
 			}
-			issue(t.origin)
-			return
-		}
-		// Request delivered: destination sends the reply.
-		send(p.Dst, t.origin, closedTxn{origin: t.origin, started: t.started, isReply: true})
+			live[p.ID] = q[0]
+			pending[p.Src] = q[1:]
+		},
+		Deliver: func(p *Packet, cycle int64) {
+			t, ok := live[p.ID]
+			if !ok {
+				return
+			}
+			delete(live, p.ID)
+			if t.isReply {
+				if cycle >= measStart && cycle < measEnd {
+					hist.Add(int(cycle - t.started))
+					completed++
+				}
+				issue(t.origin)
+				return
+			}
+			// Request delivered: destination sends the reply.
+			send(p.Dst, t.origin, closedTxn{origin: t.origin, started: t.started, isReply: true})
+		},
 	})
 
 	for node := 0; node < g.NumNodes; node++ {

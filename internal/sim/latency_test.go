@@ -71,11 +71,11 @@ func TestCreditStarvationWithTinyBuffers(t *testing.T) {
 	}
 	MustInstall(t, n, traffic.NewFixed("stream", tab))
 	delivered := 0
-	n.OnDeliver(func(p *Packet, _ int64) {
+	n.AttachHooks(&Hooks{Deliver: func(p *Packet, _ int64) {
 		if p.Src == 0 {
 			delivered++
 		}
-	})
+	}})
 	// Only node 0 injects.
 	for i := 0; i < 2000; i++ {
 		n.pushArrival(0, n.Cycle())
@@ -131,7 +131,7 @@ func TestZeroLoadLatencyComposition(t *testing.T) {
 	}
 	MustInstall(t, n, traffic.NewFixed("single", tab))
 	var at int64 = -1
-	n.OnDeliver(func(p *Packet, c int64) { at = c })
+	n.AttachHooks(&Hooks{Deliver: func(p *Packet, c int64) { at = c }})
 	n.pushArrival(0, 0)
 	for i := 0; i < 30 && at < 0; i++ {
 		n.Step()
@@ -161,7 +161,7 @@ func TestRouterDelayPipeline(t *testing.T) {
 		}
 		MustInstall(t, n, traffic.NewFixed("single", tab))
 		var at int64 = -1
-		n.OnDeliver(func(p *Packet, c int64) { at = c })
+		n.AttachHooks(&Hooks{Deliver: func(p *Packet, c int64) { at = c }})
 		n.pushArrival(0, 0)
 		for i := 0; i < 30 && at < 0; i++ {
 			n.Step()

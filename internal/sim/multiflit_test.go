@@ -43,7 +43,7 @@ func TestMultiFlitSinglePacketLatency(t *testing.T) {
 		}
 		MustInstall(t, n, traffic.NewFixed("single", tab))
 		var deliveredAt int64 = -1
-		n.OnDeliver(func(p *Packet, cycle int64) { deliveredAt = cycle })
+		n.AttachHooks(&Hooks{Deliver: func(p *Packet, cycle int64) { deliveredAt = cycle }})
 		n.pushArrival(0, 0)
 		for i := 0; i < 40 && deliveredAt < 0; i++ {
 			n.Step()

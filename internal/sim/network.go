@@ -347,18 +347,17 @@ type Network struct {
 	// Measurement state, managed by the run harnesses.
 	measStart, measEnd int64 // packets injected in [measStart, measEnd) are measured
 	statsStart         int64 // start of the channel-utilization window
-	onDeliver          func(p *Packet, cycle int64)
-	onMaterialize      func(p *Packet)
 
 	// xfers maps in-flight transfer packets (StartTransfer) to their
 	// handles; nil until the first transfer, so ordinary runs pay one nil
 	// check per materialization and delivery.
 	xfers map[*Packet]*Transfer
 
-	// hooks are the attached instrumentation sets (AttachHooks), walked in
-	// order at every pipeline site; probes is the registry Probes returns.
-	hooks  []*Hooks
-	probes *Probes
+	// hooks and packetHooks are the attached hook sets (AttachHooks),
+	// walked in order at every pipeline site and at the two packet sites;
+	// probes is the registry Probes returns.
+	hooks, packetHooks []*Hooks
+	probes             *Probes
 
 	deliveredTotal int64 // packets fully delivered (tail flit ejected)
 	flitsDelivered int64
@@ -787,8 +786,10 @@ func (n *Network) deliverEvent(ev *deliverEv) {
 	if n.xfers != nil {
 		n.completeTransfer(pkt)
 	}
-	if n.onDeliver != nil {
-		n.onDeliver(pkt, n.cycle)
+	for _, h := range n.packetHooks {
+		if h.Deliver != nil {
+			h.Deliver(pkt, n.cycle)
+		}
 	}
 	n.arena.freePacket(pkt)
 }
@@ -852,8 +853,10 @@ func (n *Network) injectSource(i int) bool {
 		if xfer != nil {
 			n.registerTransfer(p, xfer)
 		}
-		if n.onMaterialize != nil {
-			n.onMaterialize(p)
+		for _, h := range n.packetHooks {
+			if h.Materialize != nil {
+				h.Materialize(p)
+			}
 		}
 	}
 	rt := &n.routers[s.router]

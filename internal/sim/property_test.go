@@ -29,11 +29,11 @@ func TestPropertyConservationAndDrain(t *testing.T) {
 		}
 		MustInstall(t, n, traffic.NewUniform(f.NumNodes))
 		misdelivered := false
-		n.OnDeliver(func(p *Packet, _ int64) {
+		n.AttachHooks(&Hooks{Deliver: func(p *Packet, _ int64) {
 			if p.Dst < 0 || int(p.Dst) >= f.NumNodes || p.Hops < f.MinHops(f.RouterOf(p.Src), f.RouterOf(p.Dst)) {
 				misdelivered = true
 			}
-		})
+		}})
 		for i := 0; i < 300; i++ {
 			MustGenerate(t, n, load)
 			n.Step()
@@ -75,7 +75,7 @@ func TestPropertyDeterministicReplay(t *testing.T) {
 		}
 		MustInstall(t, n, traffic.NewUniform(f.NumNodes))
 		var latSum int64
-		n.OnDeliver(func(p *Packet, c int64) { latSum += c - p.InjectCycle })
+		n.AttachHooks(&Hooks{Deliver: func(p *Packet, c int64) { latSum += c - p.InjectCycle }})
 		for i := 0; i < 200; i++ {
 			MustGenerate(t, n, load)
 			n.Step()

@@ -48,10 +48,11 @@ type RunConfig struct {
 	// opens — the point where all warm-up work is done but no measured
 	// packet exists yet. Resuming a run from that snapshot is
 	// bit-identical to running straight through, for any Measure and
-	// MaxCycles. Incompatible with instrumentation installed through
+	// MaxCycles. Incompatible with a pipeline hook set installed through
 	// Attach — probes, tracer or sanitizer (the snapshot would be
 	// unfaithful); the run fails with an error rather than writing one
-	// silently.
+	// silently. Sets of only Materialize and Deliver callbacks, such as
+	// RecordTrace, are compatible.
 	Checkpoint io.Writer
 	// Resume, when non-nil, restores the run's network from a snapshot
 	// (written by Checkpoint or Network.Snapshot) instead of building a
@@ -123,7 +124,7 @@ func RunLoadPoint(g *topo.Graph, alg Algorithm, cfg Config, rc RunConfig) (LoadP
 	latHist := stats.NewHistogram(16384)
 	var hops stats.Accumulator
 	deliveredInWindow := int64(0)
-	n.OnDeliver(func(p *Packet, cycle int64) {
+	n.AttachHooks(&Hooks{Deliver: func(p *Packet, cycle int64) {
 		if cycle >= measStart && cycle < measEnd {
 			deliveredInWindow++
 		}
@@ -131,7 +132,7 @@ func RunLoadPoint(g *topo.Graph, alg Algorithm, cfg Config, rc RunConfig) (LoadP
 			latHist.Add(int(cycle - p.InjectCycle))
 			hops.Add(float64(p.Hops))
 		}
-	})
+	}})
 
 	res := LoadPointResult{Load: rc.Load}
 	for {

@@ -58,11 +58,11 @@ func TestSinglePacketDelivery(t *testing.T) {
 	}()))
 	var deliveredAt int64 = -1
 	var got *Packet
-	n.OnDeliver(func(p *Packet, cycle int64) {
+	n.AttachHooks(&Hooks{Deliver: func(p *Packet, cycle int64) {
 		cp := *p
 		got = &cp
 		deliveredAt = cycle
-	})
+	}})
 	n.pushArrival(0, 0)
 	for i := 0; i < 20 && deliveredAt < 0; i++ {
 		n.Step()
@@ -95,7 +95,7 @@ func TestLocalDelivery(t *testing.T) {
 	tab[0] = 1
 	MustInstall(t, n, traffic.NewFixed("local", tab))
 	hops := -1
-	n.OnDeliver(func(p *Packet, _ int64) { hops = p.Hops })
+	n.AttachHooks(&Hooks{Deliver: func(p *Packet, _ int64) { hops = p.Hops }})
 	n.pushArrival(0, 0)
 	for i := 0; i < 10 && hops < 0; i++ {
 		n.Step()
@@ -161,7 +161,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		MustInstall(t, n, traffic.NewUniform(16))
 		var latSum int64
-		n.OnDeliver(func(p *Packet, cycle int64) { latSum += cycle - p.InjectCycle })
+		n.AttachHooks(&Hooks{Deliver: func(p *Packet, cycle int64) { latSum += cycle - p.InjectCycle }})
 		for i := 0; i < 300; i++ {
 			MustGenerate(t, n, 0.6)
 			n.Step()

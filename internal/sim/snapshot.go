@@ -114,9 +114,10 @@ func (n *Network) eachEvent(visit func(delta int, kind uint64, tail bool, vc, ro
 
 // Snapshot writes the network's complete state to w in the
 // internal/snapshot container format. It must be called between Steps
-// (never from inside a hook) and fails on instrumented networks: a hook
-// set (probes, a tracer, the sanitizer) holds unserialisable state —
-// re-run those from cold.
+// (never from inside a hook) and fails on instrumented networks: a
+// pipeline hook set (probes, a tracer, the sanitizer) holds
+// unserialisable state — re-run those from cold. Packet-only sets
+// (Materialize, Deliver) do not block it.
 func (n *Network) Snapshot(w io.Writer) error {
 	if n.closed {
 		return fmt.Errorf("sim: cannot snapshot a closed network")

@@ -70,7 +70,7 @@ func runSnapshotPair(t *testing.T, ff *topo.FlatFly, algName string, cfg sim.Con
 	sim.MustInstall(t, a, traffic.NewUniform(a.NumNodes()))
 	a.SetMeasurementWindow(measStart, measEnd)
 	var aTail []delivery
-	a.OnDeliver(recordInto(&aTail))
+	a.AttachHooks(&sim.Hooks{Deliver: recordInto(&aTail)})
 	for i := 0; i < warm; i++ {
 		sim.MustGenerate(t, a, load)
 		a.Step()
@@ -108,7 +108,7 @@ func runSnapshotPair(t *testing.T, ff *topo.FlatFly, algName string, cfg sim.Con
 	}
 	sim.MustInstall(t, b, traffic.NewUniform(b.NumNodes()))
 	var bTail []delivery
-	b.OnDeliver(recordInto(&bTail))
+	b.AttachHooks(&sim.Hooks{Deliver: recordInto(&bTail)})
 	for i := 0; i < tail; i++ {
 		sim.MustGenerate(t, b, load)
 		b.Step()
@@ -190,7 +190,7 @@ func TestSnapshotWithTransfersAndBursts(t *testing.T) {
 	defer a.Close()
 	burst(a)
 	var aTail []delivery
-	a.OnDeliver(recordInto(&aTail))
+	a.AttachHooks(&sim.Hooks{Deliver: recordInto(&aTail)})
 	run(a, 100, &aTail)
 	if _, err := a.StartTransfer(0, 13, 6); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestSnapshotWithTransfersAndBursts(t *testing.T) {
 	// the clone resumes mid-burst exactly where a left off.
 	burst(b)
 	var bTail []delivery
-	b.OnDeliver(recordInto(&bTail))
+	b.AttachHooks(&sim.Hooks{Deliver: recordInto(&bTail)})
 	run(b, 200, &bTail)
 	diffDeliveries(t, aTail, bTail, "transfers+bursts")
 	if a.PendingTransfers() != b.PendingTransfers() {
@@ -386,7 +386,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		defer a.Close()
 		sim.MustInstall(t, a, traffic.NewUniform(a.NumNodes()))
 		var aTail []delivery
-		a.OnDeliver(recordInto(&aTail))
+		a.AttachHooks(&sim.Hooks{Deliver: recordInto(&aTail)})
 		for i := 0; i < 60; i++ {
 			sim.MustGenerate(t, a, load)
 			a.Step()
@@ -408,7 +408,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		defer b.Close()
 		sim.MustInstall(t, b, traffic.NewUniform(b.NumNodes()))
 		var bTail []delivery
-		b.OnDeliver(recordInto(&bTail))
+		b.AttachHooks(&sim.Hooks{Deliver: recordInto(&bTail)})
 		for i := 0; i < 60; i++ {
 			sim.MustGenerate(t, b, load)
 			b.Step()
@@ -594,7 +594,7 @@ func TestRestoreParallelKeyedSnapshot(t *testing.T) {
 		t.Fatal("the fixture equals a sequential snapshot: it does not carry the parallel ID keying")
 	}
 	var want []delivery
-	a.OnDeliver(recordInto(&want))
+	a.AttachHooks(&sim.Hooks{Deliver: recordInto(&want)})
 	run(a, 500)
 
 	b, err := sim.Restore(bytes.NewReader(fixture), ff.Graph(), newAlg(), cfg)
@@ -613,7 +613,7 @@ func TestRestoreParallelKeyedSnapshot(t *testing.T) {
 	}
 	sim.MustInstall(t, b, traffic.NewUniform(b.NumNodes()))
 	var got []delivery
-	b.OnDeliver(recordInto(&got))
+	b.AttachHooks(&sim.Hooks{Deliver: recordInto(&got)})
 	run(b, 500)
 
 	if len(want) == 0 {

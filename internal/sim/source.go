@@ -329,10 +329,3 @@ func (n *Network) SetMeasurementWindow(start, end int64) {
 func (n *Network) MeasuredCounts() (created, delivered int64) {
 	return n.measCreated, n.measDelivered
 }
-
-// OnDeliver installs a delivery callback invoked for every delivered
-// packet (measured or not) before the packet is recycled. The callback
-// must not retain the packet.
-func (n *Network) OnDeliver(f func(p *Packet, cycle int64)) {
-	n.onDeliver = f
-}

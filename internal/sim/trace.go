@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"flatnet/internal/topo"
 )
@@ -46,49 +45,16 @@ func (n *Network) InjectAt(src topo.NodeID, ts int64, dst topo.NodeID) error {
 	return nil
 }
 
-// LoadTrace schedules every entry of a trace. Entries are sorted by
-// (cycle, source) first so per-node FIFO order holds regardless of input
-// order. Entries with timestamps earlier than the current cycle are
-// injected as soon as possible.
-func (n *Network) LoadTrace(entries []TraceEntry) error {
-	sorted := append([]TraceEntry(nil), entries...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Cycle != sorted[j].Cycle {
-			return sorted[i].Cycle < sorted[j].Cycle
-		}
-		return sorted[i].Src < sorted[j].Src
-	})
-	for _, e := range sorted {
-		for k := e.packets(); k > 0; k-- {
-			if err := n.InjectAt(e.Src, e.Cycle, e.Dst); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// OnMaterialize installs a callback invoked when a generated packet is
-// materialized into the network (its destination drawn and its ID
-// assigned). At most one callback is active; installing replaces any
-// previous one. The callback must not retain the packet.
-func (n *Network) OnMaterialize(f func(p *Packet)) {
-	n.onMaterialize = f
-}
-
-// RecordTrace installs an injection recorder: every packet arrival
-// generated after this call (by Generate or InjectAt) is appended to the
-// returned slice pointer's target when it is materialized into the
-// network. It uses the OnMaterialize hook.
-//
-// Recording happens at materialization time, when the destination is
-// drawn, so the recorded trace replays the exact same (cycle, src, dst)
-// triples. Note that materialization can lag arrival under backlog; the
-// recorded Cycle field is the original arrival timestamp.
+// RecordTrace attaches an injection recorder, a Materialize hook set:
+// every packet materialized after this call (by Generate or InjectAt) is
+// appended to the returned slice pointer's target, so the trace replays
+// the exact same (cycle, src, dst) triples. Cycle is the arrival
+// timestamp; under backlog materialization lags arrival, so entries are
+// in cycle order per source only, and WriteTraceJSONL sorts them.
 func (n *Network) RecordTrace() *[]TraceEntry {
 	rec := &[]TraceEntry{}
-	n.OnMaterialize(func(p *Packet) {
+	n.AttachHooks(&Hooks{Materialize: func(p *Packet) {
 		*rec = append(*rec, TraceEntry{Cycle: p.InjectCycle, Src: p.Src, Dst: p.Dst})
-	})
+	}})
 	return rec
 }

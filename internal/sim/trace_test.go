@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 
 	"flatnet/internal/topo"
@@ -15,7 +16,7 @@ func TestInjectAtDeliversToExplicitDest(t *testing.T) {
 	}
 	// No pattern installed: only trace packets flow.
 	var got []topo.NodeID
-	n.OnDeliver(func(p *Packet, _ int64) { got = append(got, p.Dst) })
+	n.AttachHooks(&Hooks{Deliver: func(p *Packet, _ int64) { got = append(got, p.Dst) }})
 	if err := n.InjectAt(0, 0, 13); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRecordReplayIdentical(t *testing.T) {
 	rec := n1.RecordTrace()
 	type key struct{ s, d topo.NodeID }
 	count1 := map[key]int{}
-	n1.OnDeliver(func(p *Packet, _ int64) { count1[key{p.Src, p.Dst}]++ })
+	n1.AttachHooks(&Hooks{Deliver: func(p *Packet, _ int64) { count1[key{p.Src, p.Dst}]++ }})
 	for i := 0; i < 300; i++ {
 		MustGenerate(t, n1, 0.3)
 		n1.Step()
@@ -81,12 +82,13 @@ func TestRecordReplayIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	count2 := map[key]int{}
-	n2.OnDeliver(func(p *Packet, _ int64) { count2[key{p.Src, p.Dst}]++ })
-	if err := n2.LoadTrace(*rec); err != nil {
+	n2.AttachHooks(&Hooks{Deliver: func(p *Packet, _ int64) { count2[key{p.Src, p.Dst}]++ }})
+	var buf bytes.Buffer
+	if err := WriteTraceJSONL(&buf, *rec); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1500; i++ {
-		n2.Step()
+	if _, err := n2.ReplayTrace(NewTraceScanner(&buf), 1500, nil); err != nil {
+		t.Fatal(err)
 	}
 	_, del2 := n2.Totals()
 	if del2 != del1 {
@@ -111,7 +113,7 @@ func TestTraceFutureTimestampsWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lat int64 = -1
-	n.OnDeliver(func(p *Packet, cycle int64) { lat = cycle - p.InjectCycle })
+	n.AttachHooks(&Hooks{Deliver: func(p *Packet, cycle int64) { lat = cycle - p.InjectCycle }})
 	if err := n.InjectAt(0, 50, 15); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"flatnet/internal/topo"
 )
@@ -22,13 +24,16 @@ type jsonlEntry struct {
 	Size  int   `json:"size,omitempty"`
 }
 
-// WriteTraceJSONL emits a workload trace in the JSONL format. Entries
-// are written in the order given; a trace meant for streaming replay
-// must be ordered by non-decreasing cycle (RecordTrace output is).
+// WriteTraceJSONL emits a workload trace in the JSONL format, stably
+// sorted by cycle so it streams through ReplayTrace. The sort keeps each
+// source's arrivals in the order given, so a RecordTrace recording
+// replays as it ran even when a backlog delayed materialization.
 func WriteTraceJSONL(w io.Writer, entries []TraceEntry) error {
+	sorted := slices.Clone(entries)
+	slices.SortStableFunc(sorted, func(a, b TraceEntry) int { return cmp.Compare(a.Cycle, b.Cycle) })
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, e := range entries {
+	for _, e := range sorted {
 		je := jsonlEntry{Cycle: e.Cycle, Src: int(e.Src), Dst: int(e.Dst), Size: e.Size}
 		if err := enc.Encode(&je); err != nil {
 			return err
@@ -145,7 +150,7 @@ const replayHorizon = 1024
 //
 // The trace must be ordered by non-decreasing cycle; the scanner
 // enforces this, which is what keeps memory bounded for traces of any
-// length. Deliveries are observable through OnDeliver.
+// length. Deliveries are observable through a Hooks.Deliver set.
 func (n *Network) ReplayTrace(t *TraceScanner, maxCycles int64, stop func() bool) (int64, error) {
 	h := track(n, stop)
 	defer h.finish()

@@ -2,8 +2,10 @@ package sim_test
 
 import (
 	"bytes"
+	"cmp"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,26 +77,59 @@ func TestTraceScannerRejects(t *testing.T) {
 // the exact same delivery sequence as the original run.
 func TestTraceReplayRoundTrip(t *testing.T) {
 	ff, newAlg := traceFF(t)
-	cfg := sim.DefaultConfig()
+	// A bursty uniform run.
+	src, err := traffic.NewOnOff(traffic.NewUniform(ff.NumNodes), 0.8, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordReplay(t, ff.Graph(), newAlg, src, 0.25, 1200)
+}
 
-	// Record a bursty uniform run, drained to completion.
-	rec, err := sim.New(ff.Graph(), newAlg(), cfg)
+// TestTraceReplayRoundTripBacklog is the same identity when source
+// backlogs delay materialization, so a recording's entries are out of
+// cycle order across sources: incast at load 0.3 on an 8-ary 2-flat.
+func TestTraceReplayRoundTripBacklog(t *testing.T) {
+	ff, err := topo.NewFlatFly(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	incast, err := traffic.NewIncast(ff.NumNodes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newAlg := func() sim.Algorithm {
+		alg, err := routing.NewFlatFlyAlgorithm("clos", ff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return alg
+	}
+	trace := recordReplay(t, ff.Graph(), newAlg, traffic.NewBernoulli(incast), 0.3, 300)
+	if slices.IsSortedFunc(trace, func(a, b sim.TraceEntry) int { return cmp.Compare(a.Cycle, b.Cycle) }) {
+		t.Fatal("the recording is in cycle order: no backlog delayed a materialization")
+	}
+}
+
+// recordReplay records src at load for cycles, drained to completion,
+// writes the recording with WriteTraceJSONL, replays it with ReplayTrace
+// on a fresh network, requires the identical delivery sequence, and
+// returns the recording.
+func recordReplay(t *testing.T, g *topo.Graph, newAlg func() sim.Algorithm, src traffic.Source, load float64, cycles int) []sim.TraceEntry {
+	t.Helper()
+	cfg := sim.DefaultConfig()
+	rec, err := sim.New(g, newAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	src, err := traffic.NewOnOff(traffic.NewUniform(rec.NumNodes()), 0.8, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := rec.SetSource(src); err != nil {
 		t.Fatal(err)
 	}
 	trace := rec.RecordTrace()
 	var want []delivery
-	rec.OnDeliver(recordInto(&want))
-	for i := 0; i < 1200; i++ {
-		if err := rec.Generate(0.25); err != nil {
+	rec.AttachHooks(&sim.Hooks{Deliver: recordInto(&want)})
+	for i := 0; i < cycles; i++ {
+		if err := rec.Generate(load); err != nil {
 			t.Fatal(err)
 		}
 		rec.Step()
@@ -114,12 +149,12 @@ func TestTraceReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := sim.New(ff.Graph(), newAlg(), cfg)
+	rep, err := sim.New(g, newAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []delivery
-	rep.OnDeliver(recordInto(&got))
+	rep.AttachHooks(&sim.Hooks{Deliver: recordInto(&got)})
 	injected, err := rep.ReplayTrace(sim.NewTraceScanner(bytes.NewReader(buf.Bytes())), 200000, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -135,6 +170,7 @@ func TestTraceReplayRoundTrip(t *testing.T) {
 			t.Fatalf("delivery %d diverged: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
+	return *trace
 }
 
 // TestTraceReplaySized checks that size-k entries inject k packets.
@@ -160,8 +196,10 @@ func TestTraceReplaySized(t *testing.T) {
 }
 
 // FuzzTraceReplay feeds arbitrary bytes through the JSONL scanner:
-// malformed input must error (never panic), and anything that parses
-// must re-encode canonically to an equal trace.
+// malformed input must return an error naming its line (never panic),
+// and anything that parses must re-encode canonically to an equal trace.
+// The committed corpus includes a recording whose cycles are out of
+// order across sources, the shape a backlogged RecordTrace produces.
 func FuzzTraceReplay(f *testing.F) {
 	f.Add([]byte(`{"cycle":0,"src":0,"dst":1}` + "\n"))
 	f.Add([]byte(`{"cycle":2,"src":3,"dst":1,"size":7}` + "\n" + `{"cycle":2,"src":0,"dst":1}` + "\n"))
@@ -176,6 +214,9 @@ func FuzzTraceReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := sim.ReadTraceJSONL(bytes.NewReader(data))
 		if err != nil {
+			if !strings.HasPrefix(err.Error(), "sim: trace line ") {
+				t.Fatalf("unstructured error: %v", err)
+			}
 			return
 		}
 		var buf bytes.Buffer

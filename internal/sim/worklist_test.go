@@ -38,12 +38,12 @@ func runScheduler(t *testing.T, ff *topo.FlatFly, algName string, cfg sim.Config
 	sim.SetStepAll(n, stepAll)
 	sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
 	var out []delivery
-	n.OnDeliver(func(p *sim.Packet, cycle int64) {
+	n.AttachHooks(&sim.Hooks{Deliver: func(p *sim.Packet, cycle int64) {
 		out = append(out, delivery{
 			cycle: cycle, src: int(p.Src), dst: int(p.Dst),
 			inject: p.InjectCycle, hops: p.Hops,
 		})
-	})
+	}})
 	for i := 0; i < cycles; i++ {
 		sim.MustGenerate(t, n, load)
 		n.Step()
@@ -206,7 +206,7 @@ func TestSetWorkersLifecycle(t *testing.T) {
 		}
 		sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
 		var out []delivery
-		n.OnDeliver(recordInto(&out))
+		n.AttachHooks(&sim.Hooks{Deliver: recordInto(&out)})
 		for i := 0; i < 200; i++ {
 			sim.MustGenerate(t, n, 0.4)
 			n.Step()
