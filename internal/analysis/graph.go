@@ -6,8 +6,8 @@
 // each) and is evaluated from one BFS per orbit that injects; any other
 // topology falls back to a parallel all-sources sweep, which is also the
 // reference the orbit claims are tested against. The source sweep and the
-// two spectral iterations only read the adjacency, so they run side by
-// side.
+// two Lanczos runs behind the bisection bounds only read the adjacency, so
+// they run side by side.
 package analysis
 
 import (
@@ -298,7 +298,8 @@ func analyze(g *topo.Graph, reps []topo.RouterID, sizes []int) (Metrics, int, er
 		}
 	}
 
-	// The two spectral iterations and the source sweep share nothing but
+	// The two Lanczos runs (λ₂ for the lower bound, the Fiedler ordering
+	// for the candidate cut) and the source sweep share nothing but
 	// read-only inputs (c, lap, the terminal counts): run them side by side.
 	lap := newLaplacian(c)
 	var lower, upper float64
@@ -310,7 +311,8 @@ func analyze(g *topo.Graph, reps []topo.RouterID, sizes []int) (Metrics, int, er
 	}()
 	go func() {
 		defer wg.Done()
-		upper = bestCandidateCut(lap, injTerms, int64(g.NumNodes))
+		fied, _ := fiedlerRitz(lap, lambdaSteps)
+		upper = bestCandidateCut(c, fied, injTerms, int64(g.NumNodes))
 	}()
 	sum, err := sweep(c, sources, ejTerms)
 	wg.Wait()
@@ -344,7 +346,7 @@ func uniformConcentration(injTerms, ejTerms []int64) bool {
 
 // laplacian is shift*I - L for the symmetrized channel multigraph (each
 // unidirectional channel contributing weight 1), the operator both
-// spectral iterations apply. It is read-only once built.
+// Lanczos runs apply. It is read-only once built.
 type laplacian struct {
 	c        csr
 	diag     []float64 // shift - (out-degree + in-degree): the operator's diagonal
@@ -436,7 +438,8 @@ func powerStart(r, a int) (v, nv []float64) {
 	return v, nv
 }
 
-// lambdaSteps caps the lambda_2 Lanczos iteration.
+// lambdaSteps caps both Lanczos runs: lambda_2's and the Fiedler
+// ordering's.
 const lambdaSteps = 500
 
 // spectralBisectionLower estimates the minimum unidirectional channel
@@ -459,56 +462,137 @@ func spectralBisectionLower(l laplacian, injTerms, ejTerms []int64) float64 {
 
 // lambda2 returns the algebraic connectivity of the symmetrized channel
 // multigraph and the number of Lanczos steps that found it, or steps == 0
-// when maxSteps did not suffice. The Lanczos iteration runs on shift*I - L
-// restricted to the complement of the constant vector (every step is
-// deflated again), with the three-term recurrence and no
-// reorthogonalisation: only the top Ritz value of the tridiagonal T_k is
-// used, and lost orthogonality only adds copies of values that have
-// already converged. That value climbs towards shift - lambda_2 from
-// below, so stopping early would report a lambda_2 that is too large. The
-// run stops when the value moves by at most 1e-12 relative, or when the
-// residual bound beta_k * |s_k| of the Ritz pair is within 1e-12 of the
-// operator's scale (shift), which an exact invariant subspace
-// (beta_k ~ 0) reaches first.
+// when maxSteps did not suffice. The top Ritz value of lanczos climbs
+// towards shift - lambda_2 from below, so stopping early would report a
+// lambda_2 that is too large.
 func lambda2(l laplacian, maxSteps int) (float64, int) {
-	r := len(l.diag)
-	v, w := powerStart(r, 1)
-	prev := make([]float64, r)
-	var alpha, beta []float64
-	b, last := 0.0, 0.0 // beta_{k-1} (prev is 0 on the first step), theta_{k-1}
-	for k := 1; k <= maxSteps; k++ {
-		l.apply(w, v)
-		deflate(w)
-		for i := range w {
-			w[i] -= b * prev[i]
-		}
-		a := dot(w, v)
-		for i := range w {
-			w[i] -= a * v[i]
-		}
-		alpha = append(alpha, a)
-		b = math.Sqrt(dot(w, w))
-		theta, s := topRitz(alpha, beta)
-		if b*s <= 1e-12*l.shift || math.Abs(theta-last) <= 1e-12*theta {
-			return math.Max(l.shift-theta, 0), k
-		}
-		beta, last = append(beta, b), theta
-		for i := range w {
-			w[i] /= b
-		}
-		prev, v, w = v, w, prev
+	t := lanczos(l, 1, maxSteps)
+	if !t.converged {
+		return 0, 0
 	}
-	return 0, 0
+	return math.Max(l.shift-t.theta, 0), len(t.alpha)
+}
+
+// krylov is the state of one Lanczos recurrence on shift*I - L: the
+// current basis vector v, its predecessor prev (0 before the first step)
+// and scratch w. Its three methods are the only arithmetic of a step, so a
+// replay that feeds them the recorded alpha and beta rebuilds every basis
+// vector bit for bit.
+type krylov struct {
+	l          laplacian
+	v, w, prev []float64
+}
+
+func newKrylov(l laplacian, start int) *krylov {
+	v, w := powerStart(len(l.diag), start)
+	return &krylov{l, v, w, make([]float64, len(v))}
+}
+
+// product sets w = (shift*I - L) v, deflated, minus b*prev.
+func (k *krylov) product(b float64) {
+	k.l.apply(k.w, k.v)
+	deflate(k.w)
+	for i := range k.w {
+		k.w[i] -= b * k.prev[i]
+	}
+}
+
+// orthogonalize subtracts a*v from w.
+func (k *krylov) orthogonalize(a float64) {
+	for i := range k.w {
+		k.w[i] -= a * k.v[i]
+	}
+}
+
+// advance scales w by 1/b and makes it the next basis vector.
+func (k *krylov) advance(b float64) {
+	for i := range k.w {
+		k.w[i] /= b
+	}
+	k.prev, k.v, k.w = k.v, k.w, k.prev
+}
+
+// tridiag is what a Lanczos run leaves of its k steps: T_k's diagonal
+// alpha (k entries) and off-diagonal beta (k-1), T_k's top eigenvalue
+// theta with eigenvector z (z_k = 1), and whether the stop rule fired.
+type tridiag struct {
+	alpha, beta, z []float64
+	theta          float64
+	converged      bool
+}
+
+// lanczos runs the Lanczos iteration on shift*I - L from powerStart(r,
+// start), restricted to the complement of the constant vector (every step
+// is deflated again), with the three-term recurrence and no
+// reorthogonalisation: only the top Ritz pair of the tridiagonal T_k is
+// used, and lost orthogonality only adds copies of values that have
+// already converged. The run stops when the top Ritz value moves by at
+// most 1e-12 relative, or when the residual bound beta_k * |s_k| of the
+// Ritz pair is within 1e-12 of the operator's scale (shift), which an
+// exact invariant subspace (beta_k ~ 0) reaches first. A run that hits
+// maxSteps returns its last T_k unconverged. Only three R-vectors are
+// live; the basis is not kept.
+func lanczos(l laplacian, start, maxSteps int) tridiag {
+	k := newKrylov(l, start)
+	var t tridiag
+	b := 0.0 // beta_{k-1}; prev is 0 on the first step
+	for step := 1; step <= maxSteps; step++ {
+		k.product(b)
+		a := dot(k.w, k.v)
+		k.orthogonalize(a)
+		t.alpha = append(t.alpha, a)
+		b = math.Sqrt(dot(k.w, k.w))
+		last := t.theta
+		t.theta, t.z = topRitz(t.alpha, t.beta)
+		if b*lastComponent(t.z) <= 1e-12*l.shift || math.Abs(t.theta-last) <= 1e-12*t.theta {
+			t.converged = true
+			return t
+		}
+		if step == maxSteps {
+			break
+		}
+		t.beta = append(t.beta, b)
+		k.advance(b)
+	}
+	return t
+}
+
+// fiedlerRitz returns the Ritz vector x = sum z_i v_i of the Lanczos run
+// from powerStart(r, 2) — an approximation of the Fiedler vector, the
+// candidate cut's spectral ordering — and the run's step count. The run
+// stops by lanczos's rule or at maxSteps; an unconverged run still yields
+// its last Ritz vector, and any ordering gives a real cut.
+// The basis vectors are not stored: a second pass replays the recurrence
+// with the recorded alpha and beta, which reproduces each v_i bit for bit,
+// and accumulates x as it goes, so the extra memory is O(R).
+func fiedlerRitz(l laplacian, maxSteps int) ([]float64, int) {
+	t := lanczos(l, 2, maxSteps)
+	k := newKrylov(l, 2)
+	x := make([]float64, len(k.v))
+	for i, vi := range k.v {
+		x[i] = t.z[0] * vi
+	}
+	b := 0.0
+	for j, bj := range t.beta {
+		k.product(b)
+		k.orthogonalize(t.alpha[j])
+		k.advance(bj)
+		b = bj
+		for i, vi := range k.v {
+			x[i] += t.z[j+1] * vi
+		}
+	}
+	return x, len(t.alpha)
 }
 
 // topRitz returns the largest eigenvalue theta of the symmetric
 // tridiagonal matrix T with diagonal a and off-diagonal b (len(a)-1
-// entries, all positive), and the last component |s| of its unit
-// eigenvector. theta is the upper end of a bisection on the Sturm count,
-// so theta*I - T has positive pivots above the last; the eigenvector
-// solves the transposed factor of theta*I - T against the last unit
-// vector, z_k = 1 and z_i = b_i/d_i * z_{i+1}.
-func topRitz(a, b []float64) (theta, s float64) {
+// entries, all positive), and its eigenvector z scaled to z_k = 1. theta
+// is the upper end of a bisection on the Sturm count, so theta*I - T has
+// positive pivots above the last; the eigenvector solves the transposed
+// factor of theta*I - T against the last unit vector, z_i = b_i/d_i *
+// z_{i+1}.
+func topRitz(a, b []float64) (theta float64, z []float64) {
 	lo, hi := math.Inf(1), math.Inf(-1) // Gershgorin bounds
 	for i, ai := range a {
 		r := 0.0
@@ -538,12 +622,22 @@ func topRitz(a, b []float64) (theta, s float64) {
 			pivots[i] -= b[i-1] * b[i-1] / pivots[i-1]
 		}
 	}
-	z, norm2 := 1.0, 1.0
+	z = make([]float64, len(a))
+	z[len(b)] = 1
 	for i := len(b) - 1; i >= 0; i-- {
-		z *= b[i] / pivots[i]
-		norm2 += z * z
+		z[i] = z[i+1] * (b[i] / pivots[i])
 	}
-	return hi, 1 / math.Sqrt(norm2)
+	return hi, z
+}
+
+// lastComponent returns |s_k|, the last component of z once z is scaled
+// to unit length; the squares are summed from the last entry down.
+func lastComponent(z []float64) float64 {
+	norm2 := 0.0
+	for i := len(z) - 1; i >= 0; i-- {
+		norm2 += z[i] * z[i]
+	}
+	return 1 / math.Sqrt(norm2)
 }
 
 // sturmBelow counts the eigenvalues of the tridiagonal matrix (a, b) below
@@ -597,11 +691,11 @@ func dot(a, b []float64) float64 {
 
 // bestCandidateCut returns the fewest unidirectional channels crossing
 // any of a set of candidate terminal-balanced cuts: contiguous
-// router-index prefixes (the natural packaging order) and a Fiedler-
-// style spectral ordering. Each candidate splits the routers at the
+// router-index prefixes (the natural packaging order) and the routers
+// sorted by the spectral vector fied (exact eigenvector quality is not
+// required for a candidate cut). Each candidate splits the routers at the
 // point where half the terminals are on each side.
-func bestCandidateCut(l laplacian, terms []int64, totalTerms int64) float64 {
-	c := l.c
+func bestCandidateCut(c csr, fied []float64, terms []int64, totalTerms int64) float64 {
 	r := len(terms)
 	if r < 2 {
 		return 0
@@ -636,27 +730,9 @@ func bestCandidateCut(l laplacian, terms []int64, totalTerms int64) float64 {
 		order[i] = int32(i)
 	}
 	best := cutChannels(splitAt(order))
-
-	// Spectral ordering: sort routers by the Fiedler-like vector of the
-	// symmetrized graph (exact eigenvector quality is not required for a
-	// candidate cut).
-	fied := fiedlerVector(l)
 	sort.SliceStable(order, func(i, j int) bool { return fied[order[i]] < fied[order[j]] })
 	if cut := cutChannels(splitAt(order)); cut < best {
 		best = cut
 	}
 	return best
-}
-
-// fiedlerVector runs a short, fixed-length power iteration for the second
-// Laplacian eigenvector of the symmetrized channel graph.
-func fiedlerVector(l laplacian) []float64 {
-	v, nv := powerStart(len(l.diag), 2)
-	for iter := 0; iter < 200; iter++ {
-		l.apply(nv, v)
-		deflate(nv)
-		normalize(nv)
-		v, nv = nv, v
-	}
-	return v
 }

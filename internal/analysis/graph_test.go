@@ -201,34 +201,40 @@ func TestAnalyticFlatFlyOneSource(t *testing.T) {
 	relEq(t, "16-ary 4-flat path diversity", m.PathDiversity, q*q*q+3*p*q*q+3*p*p*q*2+p*p*p*6, 1e-12)
 }
 
+// flatbenchPoints are the ten design points of flatbench's
+// analytic_points workload, with both bisection fields as bit patterns.
+var flatbenchPoints = []struct {
+	name         string
+	large        bool // skipped under -short
+	generic      bool // analysed through the all-sources path, as flatbench does
+	build        func() (topo.Topology, error)
+	lower, upper uint64
+}{
+	{"slimfly q=29", false, false, func() (topo.Topology, error) { return topo.NewSlimFly(29, 0) }, 0x40d7d13fffffffe2, 0x40d7d88000000000},
+	{"slimfly q=37", true, false, func() (topo.Topology, error) { return topo.NewSlimFly(37, 0) }, 0x40e8bba00000004b, 0x40e8e54000000000},
+	{"slimfly q=43", true, false, func() (topo.Topology, error) { return topo.NewSlimFly(43, 0) }, 0x40f3692ffffffff3, 0x40f3816000000000},
+	{"dragonfly h=6", false, false, func() (topo.Topology, error) { return topo.NewDragonfly(0, 0, 6) }, 0x4098c5c9759d2adf, 0x40a5f00000000000},
+	{"dragonfly h=8", false, false, func() (topo.Topology, error) { return topo.NewDragonfly(0, 0, 8) }, 0x40b3365352670481, 0x40c0c00000000000},
+	{"flatfly 32-ary 3-flat", false, false, func() (topo.Topology, error) { return topo.NewFlatFly(32, 3) }, 0x40cfffffffffffcc, 0x40d0000000000000},
+	{"flatfly 64-ary 2-flat", false, false, func() (topo.Topology, error) { return topo.NewFlatFly(64, 2) }, 0x40a0000000000002, 0x40a0000000000000},
+	{"flatfly 16-ary 4-flat", false, false, func() (topo.Topology, error) { return topo.NewFlatFly(16, 4) }, 0x40e0000000000004, 0x40e0000000000000},
+	{"foldedclos 4096 radix 32", false, false, func() (topo.Topology, error) { return topo.TaperedClosForNodes(4096, 32) }, 0, 0x40a0000000000000},
+	{"slimfly q=19 generic", false, true, func() (topo.Topology, error) { return topo.NewSlimFly(19, 0) }, 0x40bacb00000000e4, 0x40bade0000000000},
+}
+
 // TestSpectralFieldsPinned pins both bisection fields of the ten flatbench
 // analytic_points design points: any change to the order of the
 // operator's additions moves one of them. The upper literals date from
-// before apply gained its register accumulator and have never moved. The
+// before apply gained its register accumulator and have never moved, not
+// even when the cut's ordering moved from a 200-step power iteration to
+// Lanczos. The
 // lower literals were re-pinned when λ₂ moved from a power iteration to
 // Lanczos, which converges onto the exact values (q³ for Slim Fly, kⁿ/2
 // for the flattened butterfly) where the power quotient stopped up to
 // 2e-6 relative above them. Under -short the two Slim Flies above q=29
 // are skipped.
 func TestSpectralFieldsPinned(t *testing.T) {
-	for _, tc := range []struct {
-		name         string
-		large        bool // skipped under -short
-		generic      bool // analysed through the all-sources path, as flatbench does
-		build        func() (topo.Topology, error)
-		lower, upper uint64
-	}{
-		{"slimfly q=29", false, false, func() (topo.Topology, error) { return topo.NewSlimFly(29, 0) }, 0x40d7d13fffffffe2, 0x40d7d88000000000},
-		{"slimfly q=37", true, false, func() (topo.Topology, error) { return topo.NewSlimFly(37, 0) }, 0x40e8bba00000004b, 0x40e8e54000000000},
-		{"slimfly q=43", true, false, func() (topo.Topology, error) { return topo.NewSlimFly(43, 0) }, 0x40f3692ffffffff3, 0x40f3816000000000},
-		{"dragonfly h=6", false, false, func() (topo.Topology, error) { return topo.NewDragonfly(0, 0, 6) }, 0x4098c5c9759d2adf, 0x40a5f00000000000},
-		{"dragonfly h=8", false, false, func() (topo.Topology, error) { return topo.NewDragonfly(0, 0, 8) }, 0x40b3365352670481, 0x40c0c00000000000},
-		{"flatfly 32-ary 3-flat", false, false, func() (topo.Topology, error) { return topo.NewFlatFly(32, 3) }, 0x40cfffffffffffcc, 0x40d0000000000000},
-		{"flatfly 64-ary 2-flat", false, false, func() (topo.Topology, error) { return topo.NewFlatFly(64, 2) }, 0x40a0000000000002, 0x40a0000000000000},
-		{"flatfly 16-ary 4-flat", false, false, func() (topo.Topology, error) { return topo.NewFlatFly(16, 4) }, 0x40e0000000000004, 0x40e0000000000000},
-		{"foldedclos 4096 radix 32", false, false, func() (topo.Topology, error) { return topo.TaperedClosForNodes(4096, 32) }, 0, 0x40a0000000000000},
-		{"slimfly q=19 generic", false, true, func() (topo.Topology, error) { return topo.NewSlimFly(19, 0) }, 0x40bacb00000000e4, 0x40bade0000000000},
-	} {
+	for _, tc := range flatbenchPoints {
 		if tc.large && testing.Short() {
 			continue
 		}
@@ -278,6 +284,58 @@ func TestSpectralLowerBelowUpper(t *testing.T) {
 		if m.BisectionLowerChannels > m.BisectionUpperChannels*(1+1e-12) {
 			t.Errorf("%s: bisection lower %v above upper %v", tp.Name(), m.BisectionLowerChannels, m.BisectionUpperChannels)
 		}
+	}
+}
+
+// TestSpectralUpperNotAbovePower holds the upper bound, whose ordering
+// comes from Lanczos, to the cut the 200-step power ordering it replaced
+// yields, on every spec-table family at two sizes, the ten flatbench
+// points and the balanced dragonflies h=2..9: the new bound may tighten,
+// never loosen. Dragonfly h=4 is the one graph where it tightened (608
+// channels under the power ordering); it is pinned at 588. Under -short
+// the two Slim Flies above q=29 are skipped.
+func TestSpectralUpperNotAbovePower(t *testing.T) {
+	var builds []func() (topo.Topology, error)
+	for _, tc := range orbitCases {
+		builds = append(builds, tc.build)
+	}
+	for _, tc := range flatbenchPoints {
+		if !tc.large || !testing.Short() {
+			builds = append(builds, tc.build)
+		}
+	}
+	for h := 2; h <= 9; h++ {
+		h := h
+		builds = append(builds, func() (topo.Topology, error) { return topo.NewDragonfly(0, 0, h) })
+	}
+	for _, build := range builds {
+		tp, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := analysis.AnalyzeTopology(tp)
+		if err != nil {
+			t.Fatalf("%s: %v", tp.Name(), err)
+		}
+		power := analysis.PowerOrderUpper(tp.Graph())
+		if m.BisectionUpperChannels > power {
+			t.Errorf("%s: bisection upper %v above the power ordering's %v", tp.Name(), m.BisectionUpperChannels, power)
+		}
+	}
+
+	d, err := topo.NewDragonfly(0, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := analysis.AnalyzeTopology(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.BisectionUpperChannels != 588 {
+		t.Errorf("dragonfly h=4: bisection upper %v, want 588", m.BisectionUpperChannels)
+	}
+	if power := analysis.PowerOrderUpper(d.Graph()); power != 608 {
+		t.Errorf("dragonfly h=4: power ordering's cut %v, want 608", power)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Reference checks for the Lanczos λ₂: closed forms at two sizes per
 // family, a dense Jacobi eigensolver on small graphs without one, the
-// power iteration it replaced, and the step-cap rule.
+// power iteration it replaced, and the step-cap rule of both Lanczos runs.
 package analysis
 
 import (
@@ -206,18 +206,22 @@ func TestSpectralBelowPower(t *testing.T) {
 	}
 }
 
-// TestAnalyticLambdaCap pins the step-cap rule of the λ₂ iteration. The
+// TestAnalyticLambdaCap pins the step-cap rule of both Lanczos runs. The
 // balanced dragonflies with h=8 and h=9 — the last the power iteration
 // converged on within its 2,000 steps and the first it did not — converge
-// in 50 and 57 Lanczos steps and keep their bounds. A cap below h=8's step
-// count returns 0, which spectralBisectionLower reports as "no bound":
-// an unconverged value would sit above λ₂.
+// in 50 and 57 λ₂ steps and keep their bounds. A cap one step short
+// returns 0, which spectralBisectionLower reports as "no bound": an
+// unconverged value would sit above λ₂. The Fiedler run (53 and 57 steps)
+// capped one step short must still give a finite ordering whose cut is a
+// real balanced cut: above 0, at or above the lower bound, and equal to a
+// recount straight from the graph's ports.
 func TestAnalyticLambdaCap(t *testing.T) {
 	for _, tc := range []struct {
-		h     int
-		steps int
-		lower float64
-	}{{8, 50, 4918.32547611103}, {9, 57, 7838.115678321675}} {
+		h       int
+		steps   int
+		fiedler int
+		lower   float64
+	}{{8, 50, 53, 4918.32547611103}, {9, 57, 57, 7838.115678321675}} {
 		d, err := topo.NewDragonfly(0, 0, tc.h)
 		if err != nil {
 			t.Fatal(err)
@@ -239,5 +243,64 @@ func TestAnalyticLambdaCap(t *testing.T) {
 		if lambda, steps := lambda2(l, tc.steps-1); lambda != 0 || steps != 0 {
 			t.Errorf("dragonfly h=%d capped at %d steps: λ₂ %v after %d steps, want 0 (no bound)", tc.h, tc.steps-1, lambda, steps)
 		}
+
+		if _, steps := fiedlerRitz(l, lambdaSteps); steps != tc.fiedler {
+			t.Errorf("dragonfly h=%d: Fiedler run converged in %d steps, want %d", tc.h, steps, tc.fiedler)
+		}
+		fied, steps := fiedlerRitz(l, tc.fiedler-1)
+		if steps != tc.fiedler-1 {
+			t.Errorf("dragonfly h=%d capped at %d steps: Fiedler run took %d steps", tc.h, tc.fiedler-1, steps)
+		}
+		for i, x := range fied {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("dragonfly h=%d capped at %d steps: ordering value %v at router %d", tc.h, tc.fiedler-1, x, i)
+			}
+		}
+		g := d.Graph()
+		injTerms := make([]int64, g.NumRouters())
+		for n := 0; n < g.NumNodes; n++ {
+			injTerms[g.NodeRouter[n]]++
+		}
+		upper := bestCandidateCut(l.c, fied, injTerms, int64(g.NumNodes))
+		if upper <= 0 || upper < m.BisectionLowerChannels || upper != recountCut(g, fied) {
+			t.Errorf("dragonfly h=%d capped at %d steps: upper %v, want > 0, ≥ lower %v and = recount %v",
+				tc.h, tc.fiedler-1, upper, m.BisectionLowerChannels, recountCut(g, fied))
+		}
 	}
+}
+
+// recountCut counts, straight from the graph's network ports, the
+// channels crossing the better of bestCandidateCut's two candidates: the
+// routers in index order and sorted by fied, each split where half the
+// terminals have been placed.
+func recountCut(g *topo.Graph, fied []float64) float64 {
+	r := g.NumRouters()
+	terms := make([]int, r)
+	for n := 0; n < g.NumNodes; n++ {
+		terms[g.NodeRouter[n]]++
+	}
+	count := func(order []int) float64 {
+		first := make([]bool, r)
+		placed := 0
+		for _, v := range order {
+			first[v] = 2*placed < g.NumNodes
+			placed += terms[v]
+		}
+		cut := 0
+		for u := range g.Routers {
+			for _, p := range g.Routers[u].Out {
+				if p.Kind == topo.Network && first[u] != first[p.Peer] {
+					cut++
+				}
+			}
+		}
+		return float64(cut)
+	}
+	order := make([]int, r)
+	for i := range order {
+		order[i] = i
+	}
+	best := count(order)
+	sort.SliceStable(order, func(i, j int) bool { return fied[order[i]] < fied[order[j]] })
+	return math.Min(best, count(order))
 }
