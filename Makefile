@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck onebuilder oneloop onehook test race check checksweep nocd-smoke benchall flatbench-check bench-record bench-diff figs quickfigs fuzz clean
+.PHONY: all build vet fmtcheck onebuilder oneloop onehook oneslab test race check checksweep nocd-smoke benchall flatbench-check bench-record bench-diff figs quickfigs fuzz clean
 
 # Tier-1 flow: build, static checks, tests, then the race detector over
 # the whole module — the sweep engine's worker pool must stay race-clean.
@@ -51,6 +51,14 @@ onehook:
 		grep -rnE '\.(OnDeliver|OnMaterialize|LoadTrace)\(' --include='*.go' . | grep -v '^\./bench/'; }); \
 	if [ -n "$$out" ]; then echo "watch packets through Hooks.Materialize/Deliver and replay through ReplayTrace, not:"; echo "$$out"; exit 1; fi
 
+# oneslab fails if a channel graph's port tables are allocated anywhere
+# but topo.NewGraph, which carves every router's In and Out rows from one
+# slab per graph: a per-router make([]InPort/[]OutPort loop is back to
+# one allocation per router (DESIGN §10).
+oneslab:
+	@out=$$(grep -rnE 'make\(\[\](topo\.)?(InPort|OutPort)' --include='*.go' . | grep -vE '^\./internal/topo/graph\.go:|_test\.go:'); \
+	if [ -n "$$out" ]; then echo "allocate port tables through topo.NewGraph, not:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -69,7 +77,7 @@ checksweep:
 # two sizes, Metrics == the all-sources sweep, BFS sources counted) and
 # internal/spec's TestBuildEveryFamily (a table row without RouterOrbits
 # fails). Neither test may grow a testing.Short() skip.
-check: build vet fmtcheck onebuilder oneloop onehook test race checksweep
+check: build vet fmtcheck onebuilder oneloop onehook oneslab test race checksweep
 
 # nocd-smoke builds the real nocd binary, launches it on an ephemeral
 # port, drives open -> batch_estimate -> stats -> close through the

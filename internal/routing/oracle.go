@@ -55,16 +55,16 @@ func ZeroLoadFor(g *topo.Graph, cfg sim.Config, avgHops float64) (ZeroLoadModel,
 			switch out.Kind {
 			case topo.Network:
 				if chanLat == 0 {
-					chanLat = out.Latency
-				} else if out.Latency != chanLat {
+					chanLat = int(out.Latency)
+				} else if int(out.Latency) != chanLat {
 					return ZeroLoadModel{}, fmt.Errorf(
 						"routing: mixed network latencies (%d vs %d at router %d port %d)",
 						chanLat, out.Latency, r, p)
 				}
 			case topo.Terminal:
 				if ejectLat == 0 {
-					ejectLat = out.Latency
-				} else if out.Latency != ejectLat {
+					ejectLat = int(out.Latency)
+				} else if int(out.Latency) != ejectLat {
 					return ZeroLoadModel{}, fmt.Errorf(
 						"routing: mixed ejection latencies (%d vs %d at router %d port %d)",
 						ejectLat, out.Latency, r, p)

@@ -64,11 +64,7 @@ func (b *Butterfly) build() {
 	// input copies are unused, likewise the other output copies at the
 	// last stage.
 	ports := k * b.Dilation
-	g := NewGraph(b.Name(), b.NumNodes, b.NumRouters)
-	for r := range g.Routers {
-		g.Routers[r].In = make([]InPort, ports)
-		g.Routers[r].Out = make([]OutPort, ports)
-	}
+	g := NewGraph(b.Name(), b.NumNodes, PortRun{b.NumRouters, ports})
 	// Terminals: node a = a_{n-1}..a_0 injects at stage-0 router with
 	// position a_{n-1}..a_1 via input a_0, and ejects from the stage-(n-1)
 	// router at the same position via output a_0.

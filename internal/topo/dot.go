@@ -39,10 +39,10 @@ func WriteDOT(w io.Writer, g *Graph) error {
 			// A link is bidirectional when the peer's same-numbered
 			// output port comes back; draw it once, from the lower id.
 			back := g.Routers[out.Peer].Out
-			bidi := out.PeerPort < len(back) &&
+			bidi := int(out.PeerPort) < len(back) &&
 				back[out.PeerPort].Kind == Network &&
-				back[out.PeerPort].Peer == RouterID(r) &&
-				back[out.PeerPort].PeerPort == p
+				int(back[out.PeerPort].Peer) == r &&
+				int(back[out.PeerPort].PeerPort) == p
 			switch {
 			case bidi && int(out.Peer) > r:
 				fmt.Fprintf(bw, "  r%d -- r%d;\n", r, out.Peer)

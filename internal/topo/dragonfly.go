@@ -97,11 +97,7 @@ func (d *Dragonfly) GlobalPort(slot int) int { return d.P + d.A - 1 + slot }
 // local, [P+A-1, P+A-1+H) global.
 func (d *Dragonfly) build() {
 	ports := d.P + d.A - 1 + d.H
-	g := NewGraph(d.Name(), d.NumNodes, d.NumRouters)
-	for i := range g.Routers {
-		g.Routers[i].In = make([]InPort, ports)
-		g.Routers[i].Out = make([]OutPort, ports)
-	}
+	g := NewGraph(d.Name(), d.NumNodes, PortRun{d.NumRouters, ports})
 	for node := 0; node < d.NumNodes; node++ {
 		g.AttachNode(NodeID(node), RouterID(node/d.P), node%d.P, node%d.P, 1)
 	}

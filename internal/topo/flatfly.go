@@ -112,11 +112,7 @@ func NewFlatFly(k, n int, opts ...FlatFlyOption) (*FlatFly, error) {
 func (f *FlatFly) build(o flatFlyOptions) {
 	k, m := f.K, f.Multiplicity
 	portsPerRouter := k + f.Dims*k*m
-	g := NewGraph(f.Name(), f.NumNodes, f.NumRouters)
-	for r := range g.Routers {
-		g.Routers[r].In = make([]InPort, portsPerRouter)
-		g.Routers[r].Out = make([]OutPort, portsPerRouter)
-	}
+	g := NewGraph(f.Name(), f.NumNodes, PortRun{f.NumRouters, portsPerRouter})
 	for node := 0; node < f.NumNodes; node++ {
 		r := RouterID(node / k)
 		t := node % k

@@ -334,7 +334,7 @@ func TestFlatteningCorrespondence(t *testing.T) {
 			if out.Kind != Network {
 				continue
 			}
-			_, peerPos := bf.StageOf(out.Peer)
+			_, peerPos := bf.StageOf(RouterID(out.Peer))
 			if pos == peerPos {
 				continue // intra-row channel: eliminated by flattening
 			}
@@ -346,7 +346,7 @@ func TestFlatteningCorrespondence(t *testing.T) {
 	for r := range fg.Routers {
 		for _, out := range fg.Routers[r].Out {
 			if out.Kind == Network {
-				ffChannels[pair{RouterID(r), out.Peer}]++
+				ffChannels[pair{RouterID(r), RouterID(out.Peer)}]++
 			}
 		}
 	}

@@ -50,19 +50,9 @@ func NewFoldedClos(terminals, uplinks, leaves, middles int) (*FoldedClos, error)
 }
 
 func (f *FoldedClos) build() {
-	g := NewGraph(f.Name(), f.NumNodes, f.NumRouters)
 	// Leaves are routers [0, Leaves); middles are [Leaves, Leaves+Middles).
-	leafPorts := f.Terminals + f.Uplinks
-	midPorts := f.Leaves * f.PairLinks
-	for l := 0; l < f.Leaves; l++ {
-		g.Routers[l].In = make([]InPort, leafPorts)
-		g.Routers[l].Out = make([]OutPort, leafPorts)
-	}
-	for m := 0; m < f.Middles; m++ {
-		r := f.MiddleRouter(m)
-		g.Routers[r].In = make([]InPort, midPorts)
-		g.Routers[r].Out = make([]OutPort, midPorts)
-	}
+	g := NewGraph(f.Name(), f.NumNodes,
+		PortRun{f.Leaves, f.Terminals + f.Uplinks}, PortRun{f.Middles, f.Leaves * f.PairLinks})
 	for node := 0; node < f.NumNodes; node++ {
 		g.AttachNode(NodeID(node), RouterID(node/f.Terminals), node%f.Terminals, node%f.Terminals, 1)
 	}

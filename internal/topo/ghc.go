@@ -58,11 +58,7 @@ func (h *GHC) build() {
 		base[d] = ports
 		ports += m
 	}
-	g := NewGraph(h.Name(), h.NumNodes, h.NumRouters)
-	for r := range g.Routers {
-		g.Routers[r].In = make([]InPort, ports)
-		g.Routers[r].Out = make([]OutPort, ports)
-	}
+	g := NewGraph(h.Name(), h.NumNodes, PortRun{h.NumRouters, ports})
 	for node := 0; node < h.NumNodes; node++ {
 		g.AttachNode(NodeID(node), RouterID(node), 0, 0, 1)
 	}

@@ -10,6 +10,7 @@ package topo
 import (
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"sync"
 )
 
@@ -51,19 +52,19 @@ func (k PortKind) String() string {
 // this port arrives.
 type OutPort struct {
 	Kind     PortKind
-	Node     NodeID   // destination node when Kind == Terminal
-	Peer     RouterID // downstream router when Kind == Network
-	PeerPort int      // input port index on Peer when Kind == Network
-	Latency  int      // channel traversal time in cycles (>= 1)
+	Node     int32 // destination NodeID when Kind == Terminal
+	Peer     int32 // downstream RouterID when Kind == Network
+	PeerPort int32 // input port index on Peer when Kind == Network
+	Latency  int32 // channel traversal time in cycles (>= 1)
 }
 
 // InPort describes the input side of a router port: where flits arriving on
 // this port come from.
 type InPort struct {
 	Kind     PortKind
-	Node     NodeID   // source node when Kind == Terminal
-	Peer     RouterID // upstream router when Kind == Network
-	PeerPort int      // output port index on Peer when Kind == Network
+	Node     int32 // source NodeID when Kind == Terminal
+	Peer     int32 // upstream RouterID when Kind == Network
+	PeerPort int32 // output port index on Peer when Kind == Network
 }
 
 // Router holds the port tables for one router. In and Out may have
@@ -90,10 +91,22 @@ type Graph struct {
 	digest     uint64
 }
 
-// NewGraph allocates an empty graph with the given node and router counts.
-// Callers fill in the port tables and should finish with Validate.
-func NewGraph(label string, nodes, routers int) *Graph {
-	return &Graph{
+// PortRun gives Routers consecutive routers Ports input and Ports output
+// ports each.
+type PortRun struct{ Routers, Ports int }
+
+// NewGraph allocates an empty graph of the given node count whose routers
+// come in runs, in router order: a uniform network passes one run, a
+// two-level network (leaves, then middles) two. Every port table is a
+// fixed-capacity window of one In and one Out array per graph, all ports
+// Unused. Callers fill in the port tables and should finish with Validate.
+func NewGraph(label string, nodes int, runs ...PortRun) *Graph {
+	routers, ports := 0, 0
+	for _, run := range runs {
+		routers += run.Routers
+		ports += run.Routers * run.Ports
+	}
+	g := &Graph{
 		Label:      label,
 		NumNodes:   nodes,
 		Routers:    make([]Router, routers),
@@ -102,6 +115,17 @@ func NewGraph(label string, nodes, routers int) *Graph {
 		InjPort:    make([]int, nodes),
 		EjPort:     make([]int, nodes),
 	}
+	in, out := make([]InPort, ports), make([]OutPort, ports)
+	r, off := 0, 0
+	for _, run := range runs {
+		for i := 0; i < run.Routers; i++ {
+			end := off + run.Ports
+			g.Routers[r].In = in[off:end:end]
+			g.Routers[r].Out = out[off:end:end]
+			r, off = r+1, end
+		}
+	}
+	return g
 }
 
 // Digest fingerprints the graph's full channel structure — every port's
@@ -144,8 +168,8 @@ func (g *Graph) AttachNode(n NodeID, r RouterID, inPort, outPort, latency int) {
 	g.EjRouter[n] = r
 	g.InjPort[n] = inPort
 	g.EjPort[n] = outPort
-	g.Routers[r].In[inPort] = InPort{Kind: Terminal, Node: n}
-	g.Routers[r].Out[outPort] = OutPort{Kind: Terminal, Node: n, Latency: latency}
+	g.Routers[r].In[inPort] = InPort{Kind: Terminal, Node: int32(n)}
+	g.Routers[r].Out[outPort] = OutPort{Kind: Terminal, Node: int32(n), Latency: int32(latency)}
 }
 
 // AttachNodeSplit wires node n with distinct injection and ejection
@@ -155,15 +179,15 @@ func (g *Graph) AttachNodeSplit(n NodeID, injR RouterID, inPort int, ejR RouterI
 	g.EjRouter[n] = ejR
 	g.InjPort[n] = inPort
 	g.EjPort[n] = outPort
-	g.Routers[injR].In[inPort] = InPort{Kind: Terminal, Node: n}
-	g.Routers[ejR].Out[outPort] = OutPort{Kind: Terminal, Node: n, Latency: latency}
+	g.Routers[injR].In[inPort] = InPort{Kind: Terminal, Node: int32(n)}
+	g.Routers[ejR].Out[outPort] = OutPort{Kind: Terminal, Node: int32(n), Latency: int32(latency)}
 }
 
 // Connect adds a unidirectional channel from (fromRouter, fromOutPort) to
 // (toRouter, toInPort) with the given latency in cycles.
 func (g *Graph) Connect(from RouterID, fromOut int, to RouterID, toIn int, latency int) {
-	g.Routers[from].Out[fromOut] = OutPort{Kind: Network, Peer: to, PeerPort: toIn, Latency: latency}
-	g.Routers[to].In[toIn] = InPort{Kind: Network, Peer: from, PeerPort: fromOut}
+	g.Routers[from].Out[fromOut] = OutPort{Kind: Network, Peer: int32(to), PeerPort: int32(toIn), Latency: int32(latency)}
+	g.Routers[to].In[toIn] = InPort{Kind: Network, Peer: int32(from), PeerPort: int32(fromOut)}
 }
 
 // ConnectBidi adds the two opposing channels of a bidirectional link using
@@ -173,29 +197,86 @@ func (g *Graph) ConnectBidi(a RouterID, aPort int, b RouterID, bPort int, latenc
 	g.Connect(b, bPort, a, aPort, latency)
 }
 
+// validateStripe is the number of routers from which Validate checks the
+// port tables in parallel stripes.
+const validateStripe = 1024
+
 // Validate checks structural invariants: every network channel is
 // consistent end to end, every node is attached exactly once, and channel
-// latencies are positive. It returns the first violation found.
+// latencies are positive. It returns the first violation found, in router
+// order and then node order. From validateStripe routers up, the port
+// tables are checked over GOMAXPROCS contiguous router stripes; the
+// lowest failing stripe's first error is the one the sequential scan
+// would find first, so the result does not depend on the stripe count.
 func (g *Graph) Validate() error {
 	if g.NumNodes != len(g.NodeRouter) || g.NumNodes != len(g.InjPort) || g.NumNodes != len(g.EjPort) {
 		return fmt.Errorf("topo: %s: node table sizes inconsistent", g.Label)
 	}
-	for r := range g.Routers {
+	if err := g.validateRouters(runtime.GOMAXPROCS(0)); err != nil {
+		return err
+	}
+	for n := 0; n < g.NumNodes; n++ {
+		r, er := g.NodeRouter[n], g.EjRouter[n]
+		if int(r) < 0 || int(r) >= len(g.Routers) || int(er) < 0 || int(er) >= len(g.Routers) {
+			return fmt.Errorf("topo: %s: node %d routers %d/%d out of range", g.Label, n, r, er)
+		}
+		ip, ep := g.InjPort[n], g.EjPort[n]
+		in := g.Routers[r].In
+		if ip < 0 || ip >= len(in) || in[ip].Kind != Terminal || in[ip].Node != int32(n) {
+			return fmt.Errorf("topo: %s: node %d injection port %d invalid", g.Label, n, ip)
+		}
+		out := g.Routers[er].Out
+		if ep < 0 || ep >= len(out) || out[ep].Kind != Terminal || out[ep].Node != int32(n) {
+			return fmt.Errorf("topo: %s: node %d ejection port %d invalid", g.Label, n, ep)
+		}
+	}
+	return nil
+}
+
+// validateRouters checks every router's port tables over up to stripes
+// contiguous stripes and returns the lowest router's first violation.
+func (g *Graph) validateRouters(stripes int) error {
+	nr := len(g.Routers)
+	if nr < validateStripe || stripes < 2 {
+		return g.validateRange(0, nr)
+	}
+	errs := make([]error, stripes)
+	var wg sync.WaitGroup
+	for s := range errs {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			errs[s] = g.validateRange(s*nr/stripes, (s+1)*nr/stripes)
+		}(s)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateRange returns the first violation in the port tables of routers
+// [lo, hi).
+func (g *Graph) validateRange(lo, hi int) error {
+	for r := lo; r < hi; r++ {
 		for p, out := range g.Routers[r].Out {
 			switch out.Kind {
 			case Network:
 				if out.Latency < 1 {
 					return fmt.Errorf("topo: %s: router %d out port %d latency %d < 1", g.Label, r, p, out.Latency)
 				}
-				if int(out.Peer) < 0 || int(out.Peer) >= len(g.Routers) {
+				if out.Peer < 0 || int(out.Peer) >= len(g.Routers) {
 					return fmt.Errorf("topo: %s: router %d out port %d peer %d out of range", g.Label, r, p, out.Peer)
 				}
 				peerIn := g.Routers[out.Peer].In
-				if out.PeerPort < 0 || out.PeerPort >= len(peerIn) {
+				if out.PeerPort < 0 || int(out.PeerPort) >= len(peerIn) {
 					return fmt.Errorf("topo: %s: router %d out port %d peer port %d out of range", g.Label, r, p, out.PeerPort)
 				}
 				back := peerIn[out.PeerPort]
-				if back.Kind != Network || back.Peer != RouterID(r) || back.PeerPort != p {
+				if back.Kind != Network || int(back.Peer) != r || int(back.PeerPort) != p {
 					return fmt.Errorf("topo: %s: channel %d.%d -> %d.%d not mirrored on input side",
 						g.Label, r, p, out.Peer, out.PeerPort)
 				}
@@ -203,7 +284,7 @@ func (g *Graph) Validate() error {
 				if out.Latency < 1 {
 					return fmt.Errorf("topo: %s: router %d ejection port %d latency %d < 1", g.Label, r, p, out.Latency)
 				}
-				if int(out.Node) < 0 || int(out.Node) >= g.NumNodes {
+				if out.Node < 0 || int(out.Node) >= g.NumNodes {
 					return fmt.Errorf("topo: %s: router %d ejection port %d node %d out of range", g.Label, r, p, out.Node)
 				}
 				if g.EjRouter[out.Node] != RouterID(r) || g.EjPort[out.Node] != p {
@@ -214,40 +295,25 @@ func (g *Graph) Validate() error {
 		for p, in := range g.Routers[r].In {
 			switch in.Kind {
 			case Network:
-				if int(in.Peer) < 0 || int(in.Peer) >= len(g.Routers) {
+				if in.Peer < 0 || int(in.Peer) >= len(g.Routers) {
 					return fmt.Errorf("topo: %s: router %d in port %d peer out of range", g.Label, r, p)
 				}
 				peerOut := g.Routers[in.Peer].Out
-				if in.PeerPort < 0 || in.PeerPort >= len(peerOut) {
+				if in.PeerPort < 0 || int(in.PeerPort) >= len(peerOut) {
 					return fmt.Errorf("topo: %s: router %d in port %d peer port out of range", g.Label, r, p)
 				}
 				fwd := peerOut[in.PeerPort]
-				if fwd.Kind != Network || fwd.Peer != RouterID(r) || fwd.PeerPort != p {
+				if fwd.Kind != Network || int(fwd.Peer) != r || int(fwd.PeerPort) != p {
 					return fmt.Errorf("topo: %s: channel into %d.%d not mirrored on output side", g.Label, r, p)
 				}
 			case Terminal:
-				if int(in.Node) < 0 || int(in.Node) >= g.NumNodes {
+				if in.Node < 0 || int(in.Node) >= g.NumNodes {
 					return fmt.Errorf("topo: %s: router %d injection port %d node out of range", g.Label, r, p)
 				}
 				if g.NodeRouter[in.Node] != RouterID(r) || g.InjPort[in.Node] != p {
 					return fmt.Errorf("topo: %s: injection port %d.%d does not match node %d tables", g.Label, r, p, in.Node)
 				}
 			}
-		}
-	}
-	for n := 0; n < g.NumNodes; n++ {
-		r, er := g.NodeRouter[n], g.EjRouter[n]
-		if int(r) < 0 || int(r) >= len(g.Routers) || int(er) < 0 || int(er) >= len(g.Routers) {
-			return fmt.Errorf("topo: %s: node %d routers %d/%d out of range", g.Label, n, r, er)
-		}
-		ip, ep := g.InjPort[n], g.EjPort[n]
-		in := g.Routers[r].In
-		if ip < 0 || ip >= len(in) || in[ip].Kind != Terminal || in[ip].Node != NodeID(n) {
-			return fmt.Errorf("topo: %s: node %d injection port %d invalid", g.Label, n, ip)
-		}
-		out := g.Routers[er].Out
-		if ep < 0 || ep >= len(out) || out[ep].Kind != Terminal || out[ep].Node != NodeID(n) {
-			return fmt.Errorf("topo: %s: node %d ejection port %d invalid", g.Label, n, ep)
 		}
 	}
 	return nil

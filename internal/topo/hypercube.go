@@ -51,11 +51,7 @@ func (h *Hypercube) build() {
 	// neighbor.
 	c := h.Concentration
 	ports := c + h.Dims
-	g := NewGraph(h.Name(), h.NumNodes, h.NumRouters)
-	for r := range g.Routers {
-		g.Routers[r].In = make([]InPort, ports)
-		g.Routers[r].Out = make([]OutPort, ports)
-	}
+	g := NewGraph(h.Name(), h.NumNodes, PortRun{h.NumRouters, ports})
 	for node := 0; node < h.NumNodes; node++ {
 		g.AttachNode(NodeID(node), RouterID(node/c), node%c, node%c, 1)
 	}

@@ -19,7 +19,7 @@ func bfsDist(g *Graph, src RouterID) []int {
 		for _, out := range g.Routers[v].Out {
 			if out.Kind == Network && dist[out.Peer] < 0 {
 				dist[out.Peer] = dist[v] + 1
-				queue = append(queue, out.Peer)
+				queue = append(queue, RouterID(out.Peer))
 			}
 		}
 	}
@@ -57,7 +57,7 @@ func checkSlimFly(t *testing.T, q int) {
 			// Every network out-channel must have an opposing channel.
 			found := false
 			for _, ret := range g.Routers[out.Peer].Out {
-				if ret.Kind == Network && ret.Peer == RouterID(r) {
+				if ret.Kind == Network && int(ret.Peer) == r {
 					found = true
 					break
 				}
@@ -178,7 +178,7 @@ func TestDragonflyInvariants(t *testing.T) {
 					continue
 				}
 				deg++
-				g1, g2 := d.Group(RouterID(r)), d.Group(out.Peer)
+				g1, g2 := d.Group(RouterID(r)), d.Group(RouterID(out.Peer))
 				if g1 != g2 {
 					globalBetween[[2]int{g1, g2}]++
 				}

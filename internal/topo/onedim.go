@@ -37,11 +37,7 @@ func NewOneDimFB(routers, concentration int) (*OneDimFB, error) {
 	c := concentration
 	// Port layout: [0, c) terminals; port c+j reaches router j (self slot Unused).
 	ports := c + routers
-	g := NewGraph(f.Name(), f.NumNodes, routers)
-	for r := range g.Routers {
-		g.Routers[r].In = make([]InPort, ports)
-		g.Routers[r].Out = make([]OutPort, ports)
-	}
+	g := NewGraph(f.Name(), f.NumNodes, PortRun{routers, ports})
 	for node := 0; node < f.NumNodes; node++ {
 		g.AttachNode(NodeID(node), RouterID(node/c), node%c, node%c, 1)
 	}

@@ -1,6 +1,9 @@
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // SlimFly is the McKay-Miller-Širáň (MMS) diameter-2 topology of the
 // Slim Fly proposal (Besta & Hoefler): routers are labeled (s, x, y) with
@@ -43,8 +46,8 @@ func SlimFlyDefaultConc(q int) int {
 
 // NewSlimFly constructs the MMS Slim Fly over GF(q) with p terminals per
 // router; p = 0 selects the default ⌈k'/2⌉. The construction verifies at
-// build time — via BFS from one representative of each router orbit —
-// that the generator sets actually yield diameter 2, so an invalid
+// build time — from the two-hop ball of one representative of each router
+// orbit — that the generator sets actually yield diameter 2, so an invalid
 // parameter combination is a returned error, never a silently wrong
 // network.
 func NewSlimFly(q, p int) (*SlimFly, error) {
@@ -115,11 +118,15 @@ func (s *SlimFly) routerID(block, x, y int) int { return block*s.Q*s.Q + x*s.Q +
 // build constructs the adjacency lists and the channel graph, then
 // verifies regularity and diameter 2.
 func (s *SlimFly) build(f *gf) error {
-	q, r := s.Q, s.NumRouters
+	q, r, deg := s.Q, s.NumRouters, s.NetworkDegree
 	x, xp := s.generators(f)
+	// Every list is a fixed-capacity window of one slab: a router that
+	// gains more than deg neighbors reallocates instead of overrunning the
+	// next list, and the regularity check below rejects it.
+	slab := make([]int32, r*deg)
 	s.adj = make([][]int32, r)
 	for i := range s.adj {
-		s.adj[i] = make([]int32, 0, s.NetworkDegree)
+		s.adj[i] = slab[i*deg : i*deg : (i+1)*deg]
 	}
 	addEdge := func(a, b int) {
 		s.adj[a] = append(s.adj[a], int32(b))
@@ -148,9 +155,9 @@ func (s *SlimFly) build(f *gf) error {
 		}
 	}
 	for i := range s.adj {
-		if len(s.adj[i]) != s.NetworkDegree {
+		if len(s.adj[i]) != deg {
 			return paramErr("slimfly", "q", q,
-				fmt.Sprintf("construction is not %d-regular (router %d has degree %d)", s.NetworkDegree, i, len(s.adj[i])))
+				fmt.Sprintf("construction is not %d-regular (router %d has degree %d)", deg, i, len(s.adj[i])))
 		}
 		sortInt32(s.adj[i])
 		for j := 1; j < len(s.adj[i]); j++ {
@@ -160,40 +167,37 @@ func (s *SlimFly) build(f *gf) error {
 		}
 	}
 	// Verify diameter 2 and precompute the exact router-pair hop average
-	// from one BFS per router orbit (see RouterOrbits).
+	// from one representative per router orbit (see RouterOrbits).
 	reps, sizes := s.RouterOrbits()
-	total := 0
-	s.diameter = 0
-	for i, rep := range reps {
-		dist := s.bfs(int(rep))
-		for _, d := range dist {
-			if d > s.diameter {
-				s.diameter = d
-			}
-			total += d * sizes[i]
-		}
+	diameter, total, err := verifyDiameter2(q, s.adj, reps, sizes)
+	if err != nil {
+		return err
 	}
-	if s.diameter > 2 {
-		return paramErr("slimfly", "q", q,
-			fmt.Sprintf("generator sets give diameter %d, not the MMS diameter 2", s.diameter))
-	}
+	s.diameter = diameter
 	s.avgHops = float64(total) / float64(r*r)
 
-	// Channel graph: ports [0,P) are terminals, port P+i reaches adj[r][i].
-	g := NewGraph(s.Name(), s.NumNodes, r)
-	ports := s.P + s.NetworkDegree
-	for i := range g.Routers {
-		g.Routers[i].In = make([]InPort, ports)
-		g.Routers[i].Out = make([]OutPort, ports)
-	}
-	for node := 0; node < s.NumNodes; node++ {
-		g.AttachNode(NodeID(node), RouterID(node/s.P), node%s.P, node%s.P, 1)
-	}
+	// Channel graph: ports [0,P) are terminals, port P+i reaches adj[a][i]
+	// both ways. Routers are wired in ascending order, each writing only
+	// its own rows. Because every list is sorted, the k-th time router b
+	// turns up as a neighbor, the router wiring it is adj[b][k]: b's
+	// cursor is the peer port, no search needed.
+	g := NewGraph(s.Name(), s.NumNodes, PortRun{r, s.P + deg})
+	cursor := make([]int32, r)
 	for a := 0; a < r; a++ {
+		for t := 0; t < s.P; t++ {
+			g.AttachNode(NodeID(a*s.P+t), RouterID(a), t, t, 1)
+		}
+		in, out := g.Routers[a].In[s.P:], g.Routers[a].Out[s.P:]
 		for i, b := range s.adj[a] {
-			if a < int(b) {
-				g.ConnectBidi(RouterID(a), s.P+i, RouterID(b), s.P+s.portIndex(int(b), a), 1)
+			k := cursor[b]
+			if int(k) >= len(s.adj[b]) || int(s.adj[b][k]) != a {
+				return paramErr("slimfly", "q", q,
+					fmt.Sprintf("construction is not symmetric (router %d's neighbor %d)", a, b))
 			}
+			cursor[b] = k + 1
+			peerPort := int32(s.P) + k
+			out[i] = OutPort{Kind: Network, Peer: b, PeerPort: peerPort, Latency: 1}
+			in[i] = InPort{Kind: Network, Peer: b, PeerPort: peerPort}
 		}
 	}
 	if err := g.Validate(); err != nil {
@@ -203,35 +207,83 @@ func (s *SlimFly) build(f *gf) error {
 	return nil
 }
 
-// portIndex returns the index of neighbor b in router a's sorted
-// adjacency list (binary search; the lists are sorted).
-func (s *SlimFly) portIndex(a, b int) int {
-	lst := s.adj[a]
-	lo, hi := 0, len(lst)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(lst[mid]) < b {
-			lo = mid + 1
-		} else {
-			hi = mid
+// verifyDiameter2 checks that every router of the graph adj (neighbor
+// lists) lies within two hops of each orbit representative in reps, and returns the graph's diameter with the
+// orbit-weighted sum Σᵢ sizes[i]·Σᵥ dist(reps[i], v). Each representative
+// marks its ball of radius 2 in one reused bitset of len(adj) bits and
+// counts it twice: after radius 1 (c₁ routers) and after radius 2. Full
+// coverage leaves exactly 1, c₁-1 and len(adj)-c₁ routers at hops 0, 1
+// and 2, so the sum is the one a BFS per representative would give.
+// Short coverage re-runs the BFS to name the diameter, or disconnection,
+// in a *ParamError on q.
+func verifyDiameter2(q int, adj [][]int32, reps []RouterID, sizes []int) (diameter, total int, err error) {
+	r := len(adj)
+	reach := make([]uint64, (r+63)/64)
+	mark := func(v int32) { reach[v>>6] |= 1 << (uint(v) & 63) }
+	count := func() int {
+		c := 0
+		for _, w := range reach {
+			c += bits.OnesCount64(w)
+		}
+		return c
+	}
+	for i, rep := range reps {
+		clear(reach)
+		mark(int32(rep))
+		for _, v := range adj[rep] {
+			mark(v)
+		}
+		c1 := count()
+		for _, v := range adj[rep] {
+			for _, w := range adj[v] {
+				mark(w)
+			}
+		}
+		if count() != r {
+			return 0, 0, diameterErr(q, adj, reps)
+		}
+		total += sizes[i] * ((c1 - 1) + 2*(r-c1))
+		switch {
+		case c1 < r:
+			diameter = 2
+		case c1 > 1:
+			diameter = max(diameter, 1)
 		}
 	}
-	return lo
+	return diameter, total, nil
 }
 
-// bfs returns hop distances from src over the router graph.
-func (s *SlimFly) bfs(src int) []int {
-	dist := make([]int, s.NumRouters)
+// diameterErr is verifyDiameter2's failure: a BFS from every
+// representative finds the largest distance, or an unreachable router.
+func diameterErr(q int, adj [][]int32, reps []RouterID) error {
+	diameter := 0
+	for _, rep := range reps {
+		for v, d := range bfsAdj(adj, int(rep)) {
+			if d < 0 {
+				return paramErr("slimfly", "q", q,
+					fmt.Sprintf("generator sets give a disconnected graph (router %d unreachable from %d)", v, rep))
+			}
+			diameter = max(diameter, d)
+		}
+	}
+	return paramErr("slimfly", "q", q,
+		fmt.Sprintf("generator sets give diameter %d, not the MMS diameter 2", diameter))
+}
+
+// bfsAdj returns hop distances from src over the adjacency lists adj, -1
+// for an unreachable router.
+func bfsAdj(adj [][]int32, src int) []int {
+	dist := make([]int, len(adj))
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := make([]int32, 0, s.NumRouters)
+	queue := make([]int32, 0, len(adj))
 	queue = append(queue, int32(src))
 	for len(queue) > 0 {
 		v := int(queue[0])
 		queue = queue[1:]
-		for _, w := range s.adj[v] {
+		for _, w := range adj[v] {
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
 				queue = append(queue, w)
@@ -256,7 +308,7 @@ func (s *SlimFly) Diameter() int { return s.diameter }
 
 // MinHopsFrom returns the minimal hop counts from src to every router
 // (a fresh slice; BFS over the adjacency lists).
-func (s *SlimFly) MinHopsFrom(src RouterID) []int { return s.bfs(int(src)) }
+func (s *SlimFly) MinHopsFrom(src RouterID) []int { return bfsAdj(s.adj, int(src)) }
 
 // AvgUniformMinHops returns the exact router-pair average minimal hop
 // count with self pairs included — uniform traffic over nodes is uniform

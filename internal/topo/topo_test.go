@@ -7,11 +7,7 @@ import (
 )
 
 func TestGraphValidateCatchesBrokenMirror(t *testing.T) {
-	g := NewGraph("broken", 0, 2)
-	g.Routers[0].In = make([]InPort, 2)
-	g.Routers[0].Out = make([]OutPort, 2)
-	g.Routers[1].In = make([]InPort, 2)
-	g.Routers[1].Out = make([]OutPort, 2)
+	g := NewGraph("broken", 0, PortRun{2, 2})
 	g.Connect(0, 0, 1, 0, 1)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("valid one-way channel rejected: %v", err)
@@ -24,11 +20,7 @@ func TestGraphValidateCatchesBrokenMirror(t *testing.T) {
 }
 
 func TestGraphValidateCatchesBadLatency(t *testing.T) {
-	g := NewGraph("badlat", 0, 2)
-	for r := 0; r < 2; r++ {
-		g.Routers[r].In = make([]InPort, 1)
-		g.Routers[r].Out = make([]OutPort, 1)
-	}
+	g := NewGraph("badlat", 0, PortRun{2, 1})
 	g.Connect(0, 0, 1, 0, 0)
 	if err := g.Validate(); err == nil {
 		t.Fatal("zero latency not detected")
@@ -36,9 +28,7 @@ func TestGraphValidateCatchesBadLatency(t *testing.T) {
 }
 
 func TestGraphValidateCatchesBadNodeTables(t *testing.T) {
-	g := NewGraph("badnode", 1, 1)
-	g.Routers[0].In = make([]InPort, 1)
-	g.Routers[0].Out = make([]OutPort, 1)
+	g := NewGraph("badnode", 1, PortRun{1, 1})
 	g.AttachNode(0, 0, 0, 0, 1)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("valid attach rejected: %v", err)
@@ -92,13 +82,13 @@ func TestButterflyDestinationPath(t *testing.T) {
 				if out.Kind != Network {
 					t.Fatalf("src %d dst %d stage %d: expected network channel", src, dst, s)
 				}
-				r = out.Peer
+				r = RouterID(out.Peer)
 			}
 			if r != b.EjectRouter(NodeID(dst)) {
 				t.Fatalf("src %d dst %d: reached router %d, want %d", src, dst, r, b.EjectRouter(NodeID(dst)))
 			}
 			out := g.Routers[r].Out[b.OutputFor(b.N-1, NodeID(dst))]
-			if out.Kind != Terminal || out.Node != NodeID(dst) {
+			if out.Kind != Terminal || int(out.Node) != dst {
 				t.Fatalf("src %d dst %d: final hop reaches %v %d", src, dst, out.Kind, out.Node)
 			}
 		}
@@ -124,10 +114,10 @@ func TestButterflyPathUniqueProperty(t *testing.T) {
 			if out.Kind != Network {
 				return false
 			}
-			r = out.Peer
+			r = RouterID(out.Peer)
 		}
 		out := g.Routers[r].Out[b.OutputFor(b.N-1, dst)]
-		return out.Kind == Terminal && out.Node == dst
+		return out.Kind == Terminal && NodeID(out.Node) == dst
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -157,7 +147,7 @@ func TestFoldedClosStructure(t *testing.T) {
 		seen := make(map[RouterID]int)
 		for _, out := range g.Routers[f.MiddleRouter(m)].Out {
 			if out.Kind == Network {
-				seen[out.Peer]++
+				seen[RouterID(out.Peer)]++
 			}
 		}
 		if len(seen) != f.Leaves {
@@ -194,7 +184,7 @@ func TestFoldedClosDownPorts(t *testing.T) {
 			lo, hi := f.DownPorts(l)
 			for p := lo; p < hi; p++ {
 				out := g.Routers[f.MiddleRouter(m)].Out[p]
-				if out.Kind != Network || out.Peer != RouterID(l) {
+				if out.Kind != Network || int(out.Peer) != l {
 					t.Fatalf("middle %d port %d should reach leaf %d, got %v %d", m, p, l, out.Kind, out.Peer)
 				}
 			}
@@ -306,7 +296,7 @@ func TestGHCDigitsAndPorts(t *testing.T) {
 				if out.Kind != Network {
 					t.Fatalf("router %d dim %d v %d: not connected", r, d, v)
 				}
-				if h.Digit(out.Peer, d) != v {
+				if h.Digit(RouterID(out.Peer), d) != v {
 					t.Fatalf("router %d dim %d v %d: peer digit mismatch", r, d, v)
 				}
 			}

@@ -41,11 +41,7 @@ func (t *Torus) build() {
 	// Port layout: port 0 = terminal; ports 1+2d and 2+2d are the plus
 	// and minus neighbors in dimension d.
 	ports := 1 + 2*t.N
-	g := NewGraph(t.Name(), t.NumNodes, t.NumRouters)
-	for r := range g.Routers {
-		g.Routers[r].In = make([]InPort, ports)
-		g.Routers[r].Out = make([]OutPort, ports)
-	}
+	g := NewGraph(t.Name(), t.NumNodes, PortRun{t.NumRouters, ports})
 	for node := 0; node < t.NumNodes; node++ {
 		g.AttachNode(NodeID(node), RouterID(node), 0, 0, 1)
 	}
