@@ -1,6 +1,10 @@
 package analysis
 
-import "flatnet/internal/topo"
+import (
+	"fmt"
+
+	"flatnet/internal/topo"
+)
 
 // AnalyzeTopologyCounting is AnalyzeTopology plus the number of BFS
 // sources its sweep ran — a count repeats exactly where a wall clock does
@@ -18,4 +22,49 @@ func PowerOrderUpper(g *topo.Graph) float64 {
 		injTerms[g.NodeRouter[n]]++
 	}
 	return bestCandidateCut(c, fiedlerRun(l.apply, len(l.diag), 200), injTerms, int64(g.NumNodes))
+}
+
+// BFSCountsMatchesFullScan runs bfsCounts from every router of g beside
+// bfsFullScan and reports the first router whose dist or paths differ.
+func BFSCountsMatchesFullScan(g *topo.Graph) error {
+	c := buildCSR(g)
+	r := g.NumRouters()
+	dist, paths, queue := make([]int32, r), make([]float64, r), make([]int32, 0, r)
+	for src := 0; src < r; src++ {
+		bfsCounts(c, src, dist, paths, queue)
+		wantDist, wantPaths := bfsFullScan(c, src)
+		for v := 0; v < r; v++ {
+			if dist[v] != wantDist[v] || paths[v] != wantPaths[v] {
+				return fmt.Errorf("from router %d: router %d at (dist %d, paths %v), full scan (%d, %v)",
+					src, v, dist[v], paths[v], wantDist[v], wantPaths[v])
+			}
+		}
+	}
+	return nil
+}
+
+// bfsFullScan is bfsCounts without the last-level exit: every queued
+// router's edges are scanned.
+func bfsFullScan(c csr, src int) ([]int32, []float64) {
+	r := len(c.off) - 1
+	dist, paths := make([]int32, r), make([]float64, r)
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src], paths[src] = 0, 1
+	queue := []int32{int32(src)}
+	for qi := 0; qi < len(queue); qi++ {
+		v := queue[qi]
+		for _, w := range c.nbr[c.off[v]:c.off[v+1]] {
+			switch {
+			case dist[w] < 0:
+				dist[w] = dist[v] + 1
+				paths[w] = paths[v]
+				queue = append(queue, w)
+			case dist[w] == dist[v]+1:
+				paths[w] += paths[v]
+			}
+		}
+	}
+	return dist, paths
 }

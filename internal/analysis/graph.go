@@ -153,6 +153,12 @@ func buildCSR(g *topo.Graph) csr {
 // bfsCounts runs BFS from src over the channel adjacency, filling dist
 // (hops) and paths (number of distinct minimal paths, saturating
 // float64). The slices are caller-provided scratch of length R.
+//
+// Once every router is queued, the last queued router's level is the
+// final one: a router on it has no next level, so its edges can change
+// neither dist nor paths, and the scan stops at the first such router.
+// A source that cannot reach every router never queues them all and
+// scans to the end.
 func bfsCounts(c csr, src int, dist []int32, paths []float64, queue []int32) {
 	for i := range dist {
 		dist[i] = -1
@@ -165,6 +171,9 @@ func bfsCounts(c csr, src int, dist []int32, paths []float64, queue []int32) {
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
 		dv := dist[v]
+		if len(queue) == len(dist) && dv == dist[queue[len(queue)-1]] {
+			break
+		}
 		for _, w := range c.nbr[c.off[v]:c.off[v+1]] {
 			switch {
 			case dist[w] < 0:

@@ -120,11 +120,14 @@ func TestAnalyticMatchesClosedForms(t *testing.T) {
 	}
 }
 
-// orbitCases is every spec-table family at two sizes, the variants that
-// change the symmetry argument included (parallel channels, concentration,
-// mixed radices, taper, dilation, the doubled links of a 2-ary torus, an
-// unbalanced dragonfly). sources is the number of orbit representatives
-// that inject, which is what one evaluation may cost in BFS runs.
+// orbitCases is every spec-table family at two sizes or more, the variants
+// that change the symmetry argument included (parallel channels,
+// concentration, mixed radices, taper, dilation, the doubled links of a
+// 2-ary torus, Slim Flies over prime and prime-power fields with q ≡ 1 and
+// 3 mod 4, an unbalanced dragonfly, one whose odd group size leaves a
+// self-paired middle position). sources is the number of orbit
+// representatives that inject, which is what one evaluation may cost in
+// BFS runs.
 var orbitCases = []struct {
 	family  string
 	sources int
@@ -142,10 +145,14 @@ var orbitCases = []struct {
 	{"torus", 1, func() (topo.Topology, error) { return topo.NewTorus(2, 3) }},
 	{"ghc", 1, func() (topo.Topology, error) { return topo.NewGHC([]int{4, 4}) }},
 	{"ghc", 1, func() (topo.Topology, error) { return topo.NewGHC([]int{3, 4, 5}) }},
-	{"slimfly", 6, func() (topo.Topology, error) { return topo.NewSlimFly(5, 2) }},
-	{"slimfly", 8, func() (topo.Topology, error) { return topo.NewSlimFly(7, 0) }},
-	{"dragonfly", 4, func() (topo.Topology, error) { return topo.NewDragonfly(0, 0, 2) }},
-	{"dragonfly", 5, func() (topo.Topology, error) { return topo.NewDragonfly(2, 5, 2) }},
+	{"slimfly", 3, func() (topo.Topology, error) { return topo.NewSlimFly(5, 2) }},
+	{"slimfly", 3, func() (topo.Topology, error) { return topo.NewSlimFly(7, 0) }},
+	{"slimfly", 3, func() (topo.Topology, error) { return topo.NewSlimFly(9, 0) }},  // prime power, δ = +1
+	{"slimfly", 3, func() (topo.Topology, error) { return topo.NewSlimFly(11, 0) }}, // prime, δ = -1
+	{"slimfly", 3, func() (topo.Topology, error) { return topo.NewSlimFly(27, 0) }}, // prime power, δ = -1
+	{"dragonfly", 2, func() (topo.Topology, error) { return topo.NewDragonfly(0, 0, 2) }},
+	{"dragonfly", 3, func() (topo.Topology, error) { return topo.NewDragonfly(2, 5, 2) }},
+	{"dragonfly", 2, func() (topo.Topology, error) { return topo.NewDragonfly(1, 3, 3) }}, // self-paired middle position
 }
 
 // TestAnalyticOrbitMatchesSweep holds every family's RouterOrbits claim to
@@ -413,8 +420,57 @@ func TestAnalytic100k(t *testing.T) {
 		t.Errorf("bisection lower %.1f above upper %.1f", m.BisectionLowerChannels, m.BisectionUpperChannels)
 	}
 	// The cost gate is a count, not a wall clock: one BFS per orbit of
-	// the translation group, q+1 = 44 of them instead of 3698.
-	if swept != s.Q+1 {
-		t.Errorf("swept %d BFS sources, want q+1 = %d", swept, s.Q+1)
+	// the translations and scalings, 3 of them instead of 3698.
+	if swept != 3 {
+		t.Errorf("swept %d BFS sources, want 3", swept)
+	}
+}
+
+// splitGraph is two router pairs with no channel between them, one
+// terminal per router.
+func splitGraph() *topo.Graph {
+	g := topo.NewGraph("split", 4, topo.PortRun{Routers: 4, Ports: 2})
+	for r := 0; r < 4; r++ {
+		g.AttachNode(topo.NodeID(r), topo.RouterID(r), 0, 0, 1)
+	}
+	g.ConnectBidi(0, 1, 1, 1, 1)
+	g.ConnectBidi(2, 1, 3, 1, 1)
+	return g
+}
+
+// TestAnalyticUnreachable sends a disconnected graph through both entry
+// points: the sweep must name the unreachable router, whether it runs
+// from every router or from orbit representatives.
+func TestAnalyticUnreachable(t *testing.T) {
+	g := splitGraph()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	_, all := analysis.Analyze(g)
+	_, orbits := analysis.AnalyzeWithOrbits(g, []topo.RouterID{0, 2}, []int{2, 2})
+	for name, err := range map[string]error{"Analyze": all, "AnalyzeWithOrbits": orbits} {
+		if err == nil || !strings.HasPrefix(err.Error(), "analysis: router ") || !strings.Contains(err.Error(), " unreachable from router ") {
+			t.Errorf("%s: got %v, want an unreachable-router error", name, err)
+		}
+	}
+}
+
+// TestBFSCountsMatchesFullScan holds bfsCounts, which stops at the first
+// router of the last level, to a BFS that scans every router's edges:
+// dist and paths must be equal from every source of every orbitCases
+// graph and of the disconnected splitGraph.
+func TestBFSCountsMatchesFullScan(t *testing.T) {
+	graphs := []*topo.Graph{splitGraph()}
+	for _, tc := range orbitCases {
+		tp, err := tc.build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.family, err)
+		}
+		graphs = append(graphs, tp.Graph())
+	}
+	for _, g := range graphs {
+		if err := analysis.BFSCountsMatchesFullScan(g); err != nil {
+			t.Errorf("%s: %v", g.Label, err)
+		}
 	}
 }

@@ -201,6 +201,39 @@ func TestMul64(t *testing.T) {
 	}
 }
 
+// mul64Schoolbook is the four-multiply 128-bit product mul64 computed
+// before it became bits.Mul64.
+func mul64Schoolbook(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	a0, a1 := a&mask, a>>32
+	b0, b1 := b&mask, b>>32
+	w0 := a0 * b0
+	t := a1*b0 + w0>>32
+	w1 := t&mask + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+// TestMul64MatchesSchoolbook holds mul64 to the four-multiply form on the
+// 32-bit limb boundaries and on random operands.
+func TestMul64MatchesSchoolbook(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	r := New(7)
+	for i := 0; i < 10000; i++ {
+		edges = append(edges, r.Uint64())
+	}
+	for i, a := range edges {
+		for _, b := range []uint64{edges[(i*7919)%len(edges)], edges[i%10], a, ^a} {
+			hi, lo := mul64(a, b)
+			whi, wlo := mul64Schoolbook(a, b)
+			if hi != whi || lo != wlo {
+				t.Fatalf("mul64(%#x, %#x) = (%#x, %#x), four-multiply form (%#x, %#x)", a, b, hi, lo, whi, wlo)
+			}
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,8 @@ import "fmt"
 // Global wiring: channel ℓ ∈ [0, A·H) of group g connects to group
 // (g+ℓ+1) mod G, arriving there as channel G-2-ℓ; router (g, pos) owns
 // channels [pos·H, (pos+1)·H). The wiring depends only on the offset
-// ℓ, so the rotation g → g+1 (fixing pos) is a graph automorphism.
+// ℓ, so the rotation g → g+1 (fixing pos) is a graph automorphism; so is
+// the reflection described at RouterOrbits.
 type Dragonfly struct {
 	P int // terminals per router
 	A int // routers per group
@@ -161,7 +162,8 @@ func (d *Dragonfly) MinHops(a, b RouterID) int {
 
 // AvgUniformMinHops returns the exact router-pair average hierarchical
 // minimal hop count with self pairs included, computed from one source
-// position per rotation orbit.
+// per router orbit (see RouterOrbits): both automorphisms map a
+// hierarchical minimal route onto one, so MinHops is constant on orbits.
 func (d *Dragonfly) AvgUniformMinHops() float64 {
 	reps, sizes := d.RouterOrbits()
 	total := 0
@@ -174,7 +176,8 @@ func (d *Dragonfly) AvgUniformMinHops() float64 {
 }
 
 // Diameter returns the hierarchical routing diameter: 3 when any router
-// pair needs local-global-local, less for degenerate sizes.
+// pair needs local-global-local, less for degenerate sizes. It scans the
+// router-orbit representatives' rows only (see RouterOrbits).
 func (d *Dragonfly) Diameter() int {
 	max := 0
 	reps, _ := d.RouterOrbits()
@@ -188,15 +191,24 @@ func (d *Dragonfly) Diameter() int {
 	return max
 }
 
-// RouterOrbits returns one representative per orbit of the group
-// rotation g → g+1: the A routers of group 0, each an orbit of size
-// Groups.
+// RouterOrbits returns one representative per orbit of the automorphisms
+// generated by the group rotation g → g+1 (fixing pos) and the reflection
+// (g, pos) → (-g mod G, A-1-pos), which maps global slot s to H-1-s and so
+// channel ℓ to G-2-ℓ: channel ℓ of group g reaches g+ℓ+1, and channel
+// G-2-ℓ of group -g reaches -(g+ℓ+1). Local graphs are complete, so both
+// maps preserve them. The representatives are routers (0, pos) for
+// pos < ⌈A/2⌉; each orbit holds positions pos and A-1-pos of every group,
+// 2·Groups routers, or Groups for the middle position of an odd A.
 func (d *Dragonfly) RouterOrbits() ([]RouterID, []int) {
-	reps := make([]RouterID, d.A)
-	sizes := make([]int, d.A)
-	for pos := 0; pos < d.A; pos++ {
+	n := (d.A + 1) / 2
+	reps := make([]RouterID, n)
+	sizes := make([]int, n)
+	for pos := 0; pos < n; pos++ {
 		reps[pos] = d.Router(0, pos)
-		sizes[pos] = d.Groups
+		sizes[pos] = 2 * d.Groups
+		if pos == d.A-1-pos {
+			sizes[pos] = d.Groups
+		}
 	}
 	return reps, sizes
 }

@@ -315,24 +315,25 @@ func (s *SlimFly) MinHopsFrom(src RouterID) []int { return bfsAdj(s.adj, int(src
 // over router pairs since every router hosts P terminals.
 func (s *SlimFly) AvgUniformMinHops() float64 { return s.avgHops }
 
-// RouterOrbits returns one representative per orbit of the translation
-// automorphisms φ_{a,b}: (0,x,y) → (0,x+a,y+b), (1,m,c) → (1,m,c+b-ma)
-// — valid for every generator-set choice since they preserve the
-// differences y-y', c-c' and the incidence y = mx+c. Block 0 is a single
-// orbit of size q²; block 1 splits into one orbit of size q per slope m.
-// Per-orbit BFS then yields exact global metrics from q+1 sources
-// instead of 2q².
+// RouterOrbits returns one representative per orbit of the automorphisms
+// generated by the translations φ_{a,b}: (0,x,y) → (0,x+a,y+b),
+// (1,m,c) → (1,m,c+b-ma), and the scalings ψ_μ: (0,x,y) → (0,μx,y),
+// (1,m,c) → (1,m/μ,c) for μ ≠ 0. Both are valid for every generator-set
+// choice: they preserve the differences y-y' and c-c' within a block and
+// the incidence y = mx+c across blocks ((m/μ)(μx) = mx). The translations
+// are transitive on block 0 and on each slope m of block 1; the scalings
+// fix m = 0 and permute the nonzero slopes transitively. That leaves three
+// orbits: block 0 (size q²), block 1 with m = 0 (size q) and block 1 with
+// m ≠ 0 (size q(q-1)). Per-orbit BFS then yields exact global metrics
+// from 3 sources instead of 2q².
 func (s *SlimFly) RouterOrbits() ([]RouterID, []int) {
 	q := s.Q
-	reps := make([]RouterID, 0, q+1)
-	sizes := make([]int, 0, q+1)
-	reps = append(reps, RouterID(s.routerID(0, 0, 0)))
-	sizes = append(sizes, q*q)
-	for m := 0; m < q; m++ {
-		reps = append(reps, RouterID(s.routerID(1, m, 0)))
-		sizes = append(sizes, q)
-	}
-	return reps, sizes
+	return []RouterID{
+			RouterID(s.routerID(0, 0, 0)),
+			RouterID(s.routerID(1, 0, 0)),
+			RouterID(s.routerID(1, 1, 0)),
+		},
+		[]int{q * q, q, q * (q - 1)}
 }
 
 // sortInt32 sorts in place (insertion sort; lists are short).
