@@ -131,6 +131,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSnapshotRoundTrip -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzWorklistEquivalence -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/nocsvc/
+	$(GO) test -fuzz=FuzzDecodeResponse -fuzztime=30s ./internal/nocsvc/
 	$(GO) test -fuzz=FuzzSlimFlyGraph -fuzztime=30s ./internal/topo/
 	$(GO) test -fuzz=FuzzLaplacianApply -fuzztime=30s ./internal/analysis/
 

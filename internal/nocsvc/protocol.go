@@ -59,6 +59,9 @@ const (
 	VerbClone = "clone_session"
 )
 
+// verbs lists every verb DecodeRequest accepts.
+var verbs = []string{VerbOpen, VerbEstimate, VerbBatch, VerbClose, VerbStats, VerbCheckpoint, VerbClone}
+
 // Error codes carried in failure responses.
 const (
 	// CodeBadRequest marks malformed JSON, missing or out-of-range
@@ -248,8 +251,18 @@ type Stats struct {
 // failure the returned request still carries whatever ID was parseable,
 // so the server can correlate the error response; the returned *Error
 // is nil exactly when the request is valid. DecodeRequest never panics
-// on any input.
+// on any input. An estimate in the hot shape is scanned by hand
+// (codec.go); every other line takes decodeRequestJSON.
 func DecodeRequest(line []byte) (Request, *Error) {
+	if req, ok := scanRequest(line); ok {
+		return req, req.validate()
+	}
+	return decodeRequestJSON(line)
+}
+
+// decodeRequestJSON is DecodeRequest through encoding/json: the path of
+// every line the scanner declines, and the fuzz targets' reference.
+func decodeRequestJSON(line []byte) (Request, *Error) {
 	var req Request
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
@@ -266,85 +279,90 @@ func DecodeRequest(line []byte) (Request, *Error) {
 	if dec.More() {
 		return req, errf(CodeBadRequest, "trailing data after request object")
 	}
+	return req, req.validate()
+}
+
+// validate checks a decoded request's version, id, verb and payloads.
+func (req *Request) validate() *Error {
 	if req.Version != ProtocolVersion {
-		return req, errf(CodeBadVersion, "protocol version %d, want %d", req.Version, ProtocolVersion)
+		return errf(CodeBadVersion, "protocol version %d, want %d", req.Version, ProtocolVersion)
 	}
 	if req.ID < 0 {
-		return req, errf(CodeBadRequest, "id must be >= 0, got %d", req.ID)
+		return errf(CodeBadRequest, "id must be >= 0, got %d", req.ID)
 	}
 	switch req.Verb {
 	case VerbOpen:
 		if req.Open == nil {
-			return req, errf(CodeBadRequest, "open_session requires open params")
+			return errf(CodeBadRequest, "open_session requires open params")
 		}
 		if req.Session != "" || req.Est != nil || req.Batch != nil || req.Checkpoint != "" {
-			return req, errf(CodeBadRequest, "open_session carries foreign params")
+			return errf(CodeBadRequest, "open_session carries foreign params")
 		}
 		if perr := req.Open.validate(); perr != nil {
-			return req, perr
+			return perr
 		}
 	case VerbEstimate:
 		if req.Session == "" {
-			return req, errf(CodeBadRequest, "estimate requires a session")
+			return errf(CodeBadRequest, "estimate requires a session")
 		}
 		if req.Est == nil {
-			return req, errf(CodeBadRequest, "estimate requires est params")
+			return errf(CodeBadRequest, "estimate requires est params")
 		}
 		if req.Open != nil || req.Batch != nil || req.Checkpoint != "" {
-			return req, errf(CodeBadRequest, "estimate carries foreign params")
+			return errf(CodeBadRequest, "estimate carries foreign params")
 		}
 		if perr := req.Est.validate(); perr != nil {
-			return req, perr
+			return perr
 		}
 	case VerbBatch:
 		if req.Session == "" {
-			return req, errf(CodeBadRequest, "batch_estimate requires a session")
+			return errf(CodeBadRequest, "batch_estimate requires a session")
 		}
 		if len(req.Batch) == 0 {
-			return req, errf(CodeBadRequest, "batch_estimate requires at least one item")
+			return errf(CodeBadRequest, "batch_estimate requires at least one item")
 		}
 		if len(req.Batch) > MaxBatch {
-			return req, errf(CodeBadRequest, "batch of %d exceeds the limit of %d", len(req.Batch), MaxBatch)
+			return errf(CodeBadRequest, "batch of %d exceeds the limit of %d", len(req.Batch), MaxBatch)
 		}
 		if req.Open != nil || req.Est != nil || req.Checkpoint != "" {
-			return req, errf(CodeBadRequest, "batch_estimate carries foreign params")
+			return errf(CodeBadRequest, "batch_estimate carries foreign params")
 		}
 		for i := range req.Batch {
 			if perr := req.Batch[i].validate(); perr != nil {
-				return req, errf(CodeBadRequest, "batch item %d: %s", i, perr.Message)
+				return errf(CodeBadRequest, "batch item %d: %s", i, perr.Message)
 			}
 		}
 	case VerbClose:
 		if req.Session == "" {
-			return req, errf(CodeBadRequest, "close_session requires a session")
+			return errf(CodeBadRequest, "close_session requires a session")
 		}
 		if req.Open != nil || req.Est != nil || req.Batch != nil || req.Checkpoint != "" {
-			return req, errf(CodeBadRequest, "close_session carries foreign params")
+			return errf(CodeBadRequest, "close_session carries foreign params")
 		}
 	case VerbStats:
 		if req.Open != nil || req.Est != nil || req.Batch != nil || req.Checkpoint != "" {
-			return req, errf(CodeBadRequest, "stats carries foreign params")
+			return errf(CodeBadRequest, "stats carries foreign params")
 		}
 	case VerbCheckpoint:
 		if req.Session == "" {
-			return req, errf(CodeBadRequest, "checkpoint_session requires a session")
+			return errf(CodeBadRequest, "checkpoint_session requires a session")
 		}
 		if req.Open != nil || req.Est != nil || req.Batch != nil || req.Checkpoint != "" {
-			return req, errf(CodeBadRequest, "checkpoint_session carries foreign params")
+			return errf(CodeBadRequest, "checkpoint_session carries foreign params")
 		}
 	case VerbClone:
 		if req.Checkpoint == "" {
-			return req, errf(CodeBadRequest, "clone_session requires a checkpoint")
+			return errf(CodeBadRequest, "clone_session requires a checkpoint")
 		}
 		if req.Session != "" || req.Open != nil || req.Est != nil || req.Batch != nil {
-			return req, errf(CodeBadRequest, "clone_session carries foreign params")
+			return errf(CodeBadRequest, "clone_session carries foreign params")
 		}
 	case "":
-		return req, errf(CodeBadRequest, "missing verb")
+		return errf(CodeBadRequest, "missing verb")
 	default:
-		return req, errf(CodeUnknownVerb, "unknown verb %q", req.Verb)
+		return errf(CodeUnknownVerb, "unknown verb %q", req.Verb)
 	}
-	return req, nil
+	return nil
 }
 
 // validate checks an OpenParams' protocol-level bounds. The topology
@@ -423,26 +441,35 @@ func (e *EstimateParams) validate() *Error {
 	return nil
 }
 
-// EncodeResponse renders one response line (without the trailing
-// newline, which the writer frames).
-func EncodeResponse(r *Response) ([]byte, error) {
-	r.Version = ProtocolVersion
-	return json.Marshal(r)
-}
-
 // DecodeResponse parses one response line; the client side of
 // DecodeRequest. Responses are validated leniently (unknown fields are
-// ignored) so older clients tolerate additive server evolution.
+// ignored) so older clients tolerate additive server evolution. An
+// estimate's success response is scanned by hand (codec.go); every
+// other line takes decodeResponseJSON.
 func DecodeResponse(line []byte) (Response, error) {
+	if resp, ok := scanResponse(line); ok {
+		return resp, resp.check()
+	}
+	return decodeResponseJSON(line)
+}
+
+// decodeResponseJSON is DecodeResponse through encoding/json: the path
+// of every line the scanner declines, and the fuzz targets' reference.
+func decodeResponseJSON(line []byte) (Response, error) {
 	var resp Response
 	if err := json.Unmarshal(line, &resp); err != nil {
 		return resp, fmt.Errorf("nocsvc: malformed response: %w", err)
 	}
+	return resp, resp.check()
+}
+
+// check validates a decoded response's version and failure payload.
+func (resp *Response) check() error {
 	if resp.Version != ProtocolVersion {
-		return resp, fmt.Errorf("nocsvc: response version %d, want %d", resp.Version, ProtocolVersion)
+		return fmt.Errorf("nocsvc: response version %d, want %d", resp.Version, ProtocolVersion)
 	}
 	if !resp.OK && resp.Err == nil {
-		return resp, fmt.Errorf("nocsvc: failure response without error payload")
+		return fmt.Errorf("nocsvc: failure response without error payload")
 	}
-	return resp, nil
+	return nil
 }

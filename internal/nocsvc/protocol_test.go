@@ -2,6 +2,8 @@ package nocsvc
 
 import (
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -123,7 +125,10 @@ func TestEncodeDecodeResponseRoundTrip(t *testing.T) {
 // FuzzDecodeRequest proves the strict decoder never panics and always
 // answers hostile input with a structured error: malformed JSON,
 // unknown verbs, out-of-range coordinates, deeply nested and oversized
-// payloads alike.
+// payloads alike. It also holds the hand-written codec to encoding/json:
+// DecodeRequest must agree with decodeRequestJSON on every input, and
+// EncodeRequest must emit json.Marshal's bytes for every request the
+// reference decodes.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"v":1,"id":1,"verb":"open_session","open":{"topology":"flatfly","k":4,"n":2}}`))
 	f.Add([]byte(`{"v":1,"id":2,"verb":"estimate","session":"s1","est":{"src":0,"dst":5,"bytes":64}}`))
@@ -137,14 +142,19 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(strings.Repeat(`{"v":1,`, 512)))
 	f.Add([]byte(`{"v":1,"id":6,"verb":"open_session","open":{"topology":"flatfly","k":4,"n":2,"workers":257}}`))
 	f.Add([]byte(`{"v":1,"id":7,"verb":"open_session","open":{"topology":"flatfly","k":4,"n":2,"workers":-1}}`))
+	f.Add([]byte(`{"v":1,"id":8,"verb":"checkpoint_session","session":"s1"}`))
+	f.Add([]byte(`{"v":1,"id":9,"verb":"clone_session","checkpoint":"c1"}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		req, perr := DecodeRequest(line)
+		ref, refErr := decodeRequestJSON(line)
+		if !reflect.DeepEqual(req, ref) || !reflect.DeepEqual(perr, refErr) {
+			t.Fatalf("%q: scanner decoded %+v, %v; encoding/json %+v, %v", line, req, perr, ref, refErr)
+		}
+		checkEncodeRequest(t, ref)
 		if perr == nil {
 			// Accepted input must be well-formed enough to execute: a known
 			// verb, a supported version, and a re-encodable structure.
-			switch req.Verb {
-			case VerbOpen, VerbEstimate, VerbBatch, VerbClose, VerbStats:
-			default:
+			if !slices.Contains(verbs, req.Verb) {
 				t.Fatalf("accepted unknown verb %q", req.Verb)
 			}
 			if req.Version != ProtocolVersion {

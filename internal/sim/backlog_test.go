@@ -250,7 +250,7 @@ func TestBacklogSurvivesSnapshot(t *testing.T) {
 		}
 	}
 	if a.PendingTransfers() != 0 || b.PendingTransfers() != 0 {
-		t.Fatalf("tracking maps hold %d and %d packets after drain", a.PendingTransfers(), b.PendingTransfers())
+		t.Fatalf("slot tables hold %d and %d packets after drain", a.PendingTransfers(), b.PendingTransfers())
 	}
 }
 
@@ -281,7 +281,17 @@ func TestTransferRelease(t *testing.T) {
 		n.Step()
 	}
 	if n.PendingTransfers() != 0 {
-		t.Fatalf("tracking map holds %d packets", n.PendingTransfers())
+		t.Fatalf("slot table holds %d packets", n.PendingTransfers())
+	}
+	// The table is as long as the most transfer packets ever in flight
+	// at once (a handful here), and freed rows release their transfers.
+	if len(n.xfers.tab) > 16 {
+		t.Fatalf("slot table grew to %d rows after 10000 transfers", len(n.xfers.tab))
+	}
+	for _, x := range n.xfers.tab {
+		if x != nil {
+			t.Fatal("slot table still reaches a finished transfer")
+		}
 	}
 	for i := range n.sources {
 		o := n.sources[i].more

@@ -348,10 +348,12 @@ type Network struct {
 	measStart, measEnd int64 // packets injected in [measStart, measEnd) are measured
 	statsStart         int64 // start of the channel-utilization window
 
-	// xfers maps in-flight transfer packets (StartTransfer) to their
-	// handles; nil until the first transfer, so ordinary runs pay one nil
-	// check per materialization and delivery.
-	xfers map[*Packet]*Transfer
+	// xfers is the slot table of in-flight transfer packets
+	// (StartTransfer); nil until the first transfer. A packet without a
+	// transfer has xslot 0, so ordinary runs pay one field test per
+	// delivery. It is one pointer wide so the delivery counters below
+	// keep their offsets (two slice headers here cost sweep_warm ~5 %).
+	xfers *xferSlots
 
 	// hooks and packetHooks are the attached hook sets (AttachHooks),
 	// walked in order at every pipeline site and at the two packet sites;
@@ -783,7 +785,7 @@ func (n *Network) deliverEvent(ev *deliverEv) {
 	if pkt.Measured {
 		n.measDelivered++
 	}
-	if n.xfers != nil {
+	if pkt.xslot != 0 {
 		n.completeTransfer(pkt)
 	}
 	for _, h := range n.packetHooks {

@@ -33,7 +33,8 @@ const (
 //
 // The fields are ordered so the struct is exactly 64 bytes — one cache
 // line, and one allocator size class, so packets never straddle lines
-// (TestHotLayoutSizes guards it). Phase, Measured and Inter share a word.
+// (TestHotLayoutSizes guards it). Phase, Measured and Inter share a word;
+// DimMask and xslot share another.
 type Packet struct {
 	ID  int64
 	Src topo.NodeID
@@ -44,6 +45,10 @@ type Packet struct {
 	Measured bool   // injected during the measurement window
 	Inter    int32  // intermediate router for two-phase routes; -1 when unset
 	DimMask  uint32 // remaining-dimension bitmask for ascent-style routes
+
+	// xslot is 1 + the packet's row in the slot table Network.xfers when
+	// it carries a transfer (StartTransfer), 0 when it does not.
+	xslot int32
 
 	Hops int // inter-router channels traversed so far
 

@@ -208,7 +208,7 @@ func (n *Network) Snapshot(w io.Writer) error {
 	type livePair struct{ pkt, xfer int }
 	var pairs []livePair
 	for i, p := range pkts {
-		if t, ok := n.xfers[p]; ok {
+		if t := n.transferOf(p); t != nil {
 			pairs = append(pairs, livePair{pkt: i, xfer: addXfer(t)})
 		}
 	}
@@ -516,6 +516,10 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 		x := r.Count(nx-1, "transfer")
 		if r.Err() != nil {
 			break
+		}
+		if p.xslot != 0 { // a corrupt snapshot repeating a pair: the last one wins
+			n.xfers.tab[p.xslot-1] = xfers[x]
+			continue
 		}
 		n.registerTransfer(p, xfers[x])
 	}

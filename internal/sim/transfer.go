@@ -78,24 +78,50 @@ func (n *Network) StartTransfer(src, dst topo.NodeID, packets int) (*Transfer, e
 	return t, nil
 }
 
-// registerTransfer associates a freshly materialized packet with its
-// transfer; called from injectSource for tagged arrivals only, so
-// networks that never start transfers pay a single nil check.
-func (n *Network) registerTransfer(p *Packet, t *Transfer) {
-	if n.xfers == nil {
-		n.xfers = make(map[*Packet]*Transfer)
-	}
-	n.xfers[p] = t
+// xferSlots holds the handles of in-flight transfer packets, indexed by
+// Packet.xslot-1; free lists the vacated rows.
+type xferSlots struct {
+	tab  []*Transfer
+	free []int32
 }
 
-// completeTransfer credits a delivered packet to its transfer, if any;
-// called from processEvents on tail-flit delivery.
-func (n *Network) completeTransfer(p *Packet) {
-	t, ok := n.xfers[p]
-	if !ok {
+// registerTransfer associates a freshly materialized packet with its
+// transfer by giving it a row of the slot table; called from
+// injectSource for tagged arrivals only.
+func (n *Network) registerTransfer(p *Packet, t *Transfer) {
+	x := n.xfers
+	if x == nil {
+		x = new(xferSlots)
+		n.xfers = x
+	}
+	if k := len(x.free); k > 0 {
+		slot := x.free[k-1]
+		x.free = x.free[:k-1]
+		x.tab[slot] = t
+		p.xslot = slot + 1
 		return
 	}
-	delete(n.xfers, p)
+	x.tab = append(x.tab, t)
+	p.xslot = int32(len(x.tab))
+}
+
+// transferOf returns a packet's transfer, or nil.
+func (n *Network) transferOf(p *Packet) *Transfer {
+	if p.xslot == 0 {
+		return nil
+	}
+	return n.xfers.tab[p.xslot-1]
+}
+
+// completeTransfer credits a delivered transfer packet to its transfer
+// and frees its slot; called from deliverEvent on tail-flit delivery,
+// just before the packet is recycled (which zeroes xslot).
+func (n *Network) completeTransfer(p *Packet) {
+	x := n.xfers
+	slot := p.xslot - 1
+	t := x.tab[slot]
+	x.tab[slot] = nil
+	x.free = append(x.free, slot)
 	t.delivered++
 	t.lastCycle = n.cycle
 	t.lastHops = p.Hops
@@ -103,5 +129,10 @@ func (n *Network) completeTransfer(p *Packet) {
 
 // PendingTransfers returns how many transfer packets are currently
 // materialized in the network (injected but not yet delivered). Used by
-// tests to prove the tracking map drains.
-func (n *Network) PendingTransfers() int { return len(n.xfers) }
+// tests to prove the slot table drains.
+func (n *Network) PendingTransfers() int {
+	if n.xfers == nil {
+		return 0
+	}
+	return len(n.xfers.tab) - len(n.xfers.free)
+}

@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -287,24 +288,98 @@ func Quantile(data []float64, q float64) float64 {
 }
 
 // SortedQuantile is Quantile for data already sorted ascending: it reads
-// the slice in place, so a caller that needs several quantiles of one
-// sample sorts once. An empty slice yields 0.
+// the slice in place. An empty slice yields 0.
 func SortedQuantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := quantileRanks(len(sorted), q)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// quantileRanks returns the ranks of a sorted sample of n values that
+// the q-th quantile interpolates between, and the weight of the upper.
+// hi is lo or lo+1.
+func quantileRanks(n int, q float64) (lo, hi int, frac float64) {
+	if q <= 0 {
+		return 0, 0, 0
+	}
+	if q >= 1 {
+		return n - 1, n - 1, 0
+	}
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// SelectQuantiles returns SortedQuantile of data sorted, for each of the
+// ascending quantiles qs, without sorting: it selects the order
+// statistics it needs (quickselect, expected O(n) for the first and less
+// for each next one) and reorders data in place. data must hold no NaN.
+func SelectQuantiles(data []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	if len(data) == 0 {
+		return out
+	}
+	from := 0 // data[:from] holds ranks below every quantile still to come
+	for i, q := range qs {
+		lo, hi, frac := quantileRanks(len(data), q)
+		v := selectRank(data[from:], lo-from)
+		from = lo
+		if lo == hi {
+			out[i] = v
+			continue
+		}
+		// Everything after rank lo is >= it, so rank hi is their minimum.
+		next := data[hi]
+		for _, x := range data[hi+1:] {
+			next = min(next, x)
+		}
+		out[i] = v*(1-frac) + next*frac
+	}
+	return out
+}
+
+// selectRank reorders a so that a[k] holds the value of rank k, every
+// element before it is <= it and every one after >= it, and returns
+// a[k]. Partitions are three-way around a median-of-three pivot; a range
+// that resists 2·log2(n) of them is sorted instead.
+func selectRank(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for budget := 2 * bits.Len(uint(len(a))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo : hi+1])
+			break
+		}
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		p := max(min(x, y), min(max(x, y), z))
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch {
+			case a[i] < p:
+				a[lt], a[i] = a[i], a[lt]
+				lt++
+				i++
+			case a[i] > p:
+				a[i], a[gt] = a[gt], a[i]
+				gt--
+			default:
+				i++
+			}
+		}
+		// a[lo:lt] < p, a[lt:gt+1] == p, a[gt+1:hi+1] > p.
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return p
+		}
+	}
+	return a[k]
 }

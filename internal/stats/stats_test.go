@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,5 +268,44 @@ func TestAccumulatorString(t *testing.T) {
 	s := a.String()
 	if s == "" || !strings.Contains(s, "n=2") || !strings.Contains(s, "mean=3.000") {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestSelectQuantilesMatchesSort holds the selection to SortedQuantile of
+// the sorted sample, value for value, on random samples with heavy
+// duplication and on the orders that defeat naive pivots.
+func TestSelectQuantilesMatchesSort(t *testing.T) {
+	qs := []float64{0, 0.01, 0.5, 0.5, 0.95, 0.99, 1}
+	x := uint32(7)
+	for n := 1; n <= 300; n += 1 + n/8 {
+		for shape := 0; shape < 5; shape++ {
+			data := make([]float64, n)
+			for i := range data {
+				x = x*1664525 + 1013904223
+				switch shape {
+				case 0:
+					data[i] = float64(x>>8) / 16
+				case 1:
+					data[i] = float64(x >> 29) // eight distinct values
+				case 2:
+					data[i] = float64(i)
+				case 3:
+					data[i] = float64(n - i)
+				case 4:
+					data[i] = float64(min(i, n-i)) // organ pipe
+				}
+			}
+			sorted := append([]float64(nil), data...)
+			sort.Float64s(sorted)
+			got := SelectQuantiles(data, qs...)
+			for i, q := range qs {
+				if want := SortedQuantile(sorted, q); got[i] != want {
+					t.Fatalf("n=%d shape %d q=%v: selected %v, sorted gives %v", n, shape, q, got[i], want)
+				}
+			}
+		}
+	}
+	if got := SelectQuantiles(nil, 0.5); got[0] != 0 {
+		t.Fatalf("empty sample: %v, want 0", got[0])
 	}
 }

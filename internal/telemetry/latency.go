@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -76,10 +75,8 @@ func (r *LatencyRecorder) Snapshot() LatencySnapshot {
 		s.MeanUS = r.sum / float64(r.count)
 	}
 	r.mu.Unlock()
-	// One sort serves all three quantiles; window is a private copy.
-	sort.Float64s(window)
-	s.P50US = stats.SortedQuantile(window, 0.50)
-	s.P95US = stats.SortedQuantile(window, 0.95)
-	s.P99US = stats.SortedQuantile(window, 0.99)
+	// Selection, not a sort: window is a private copy.
+	q := stats.SelectQuantiles(window, 0.50, 0.95, 0.99)
+	s.P50US, s.P95US, s.P99US = q[0], q[1], q[2]
 	return s
 }

@@ -8,7 +8,6 @@ package client
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -136,11 +135,10 @@ func (c *Client) call(req nocsvc.Request) (nocsvc.Response, error) {
 	c.pending[req.ID] = ch
 	c.mu.Unlock()
 
-	req.Version = nocsvc.ProtocolVersion
-	b, err := encodeRequest(&req)
+	b, err := nocsvc.EncodeRequest(&req)
 	if err != nil {
 		c.drop(req.ID)
-		return nocsvc.Response{}, err
+		return nocsvc.Response{}, fmt.Errorf("nocsvc client: encoding request: %w", err)
 	}
 	c.wmu.Lock()
 	_, werr := c.w.Write(b)
@@ -175,14 +173,6 @@ func (c *Client) drop(id int64) {
 	c.mu.Lock()
 	delete(c.pending, id)
 	c.mu.Unlock()
-}
-
-func encodeRequest(req *nocsvc.Request) ([]byte, error) {
-	b, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("nocsvc client: encoding request: %w", err)
-	}
-	return b, nil
 }
 
 // Session is an open server-side session, returned by OpenSession.
