@@ -67,10 +67,19 @@ race:
 
 # checksweep drives a short sanitized grid end to end: all five
 # flattened-butterfly algorithms on benign and adversarial traffic with
-# the runtime invariant checker attached to every job.
+# the runtime invariant checker attached to every job. The grid runs
+# twice against one temporary cache. The second pass changes -measure, so
+# every job misses the result cache and restores its warm-up from the
+# warm store beside it, sanitized from the restored state on; the target
+# fails if that pass reports 0 restores.
 checksweep:
-	$(GO) run ./cmd/sweep -check -k 4 -n 2 -loads 0.2,0.6 \
-		-warmup 200 -measure 200 -sat=false >/dev/null
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	grid="-check -k 4 -n 2 -loads 0.2,0.6 -warmup 200 -sat=false -cache $$dir/c.jsonl" && \
+	$(GO) build -o $$dir/sweep ./cmd/sweep && \
+	$$dir/sweep $$grid -measure 200 >/dev/null && \
+	{ $$dir/sweep $$grid -measure 300 2>$$dir/log >/dev/null; status=$$?; cat $$dir/log; test $$status = 0; } && \
+	grep -qE 'warm snapshots: [1-9][0-9]* restores' $$dir/log || \
+	{ echo "checksweep: the second pass failed or restored no warm snapshot"; exit 1; }
 
 # `test` and `race` run without -short, so they include analytic mode's
 # orbit proofs: TestAnalyticOrbitMatchesSweep (every spec-table family at
@@ -115,12 +124,12 @@ bench-diff:
 benchall:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate every paper table and figure at full scale (tens of minutes
-# sequentially; the worker pool and result cache cut re-runs down sharply).
+# Regenerate every paper table and figure at full scale (~9 minutes on a
+# 2-vCPU host; the result cache and warm store cut re-runs down sharply).
 figs:
 	$(GO) run ./cmd/paperfigs -out results -cache results/simcache.jsonl
 
-# Reduced-scale smoke regeneration (~1 minute).
+# Reduced-scale smoke regeneration (~5 s on a 2-vCPU host, plus the compile).
 quickfigs:
 	$(GO) run ./cmd/paperfigs -quick -out results
 

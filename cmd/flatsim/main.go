@@ -18,6 +18,7 @@
 //	flatsim -topo ff -k 8 -n 2 -trace-in wl.jsonl              # replay it
 //	flatsim -pattern help                                      # list the registry
 //	flatsim -topo ff -k 8 -n 2 -load 0.4 -flittrace run.json   # flit trace
+//	flatsim -topo ff -k 8 -n 2 -load 0.4 -restore w.snap -check # sanitized from a checkpoint
 //	flatsim -topo ff -k 16 -n 2 -sweep -listen localhost:6060  # live metrics
 //	flatsim -topo sf -q 5 -alg ugal -pattern uniform -load 0.5 # Slim Fly
 //	flatsim -topo df -gh 4 -alg min -pattern worstcase -load 0.1
@@ -25,11 +26,15 @@
 package main
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -64,18 +69,18 @@ func main() {
 	flag.StringVar(&o.collective, "collective", "", "run a collective schedule to completion: alltoall | allreduce (-load adds background traffic)")
 	flag.IntVar(&o.chunk, "chunk", 1, "packets per transfer for -collective")
 	flag.StringVar(&o.traceIn, "trace-in", "", "replay a JSONL workload trace (one {\"cycle\",\"src\",\"dst\",\"size\"} object per line), streamed with bounded memory")
-	flag.StringVar(&o.traceOut, "trace-out", "", "record the run's injections to this JSONL workload trace (single -load runs)")
+	flag.StringVar(&o.traceOut, "trace-out", "", "record the run's injections to this JSONL workload trace")
 	flag.IntVar(&o.window, "window", 0, "run a closed-loop request-reply workload with this many outstanding requests per node")
 	flag.IntVar(&o.warmup, "warmup", 1000, "warm-up cycles")
 	flag.IntVar(&o.measure, "measure", 1000, "measurement cycles")
 	flag.Uint64Var(&o.seed, "seed", 1, "simulation seed")
 	flag.IntVar(&o.buf, "buf", 32, "flit buffers per port")
 	flag.StringVar(&o.listen, "listen", "", "serve live metrics (/debug/vars, /debug/pprof) on this address during the run")
-	flag.StringVar(&o.flitTrace, "flittrace", "", "write a flit event trace of an open-loop run to this file (.jsonl for JSON lines, anything else for Chrome trace JSON)")
+	flag.StringVar(&o.flitTrace, "flittrace", "", "write a flit event trace of the run to this file (.jsonl for JSON lines, anything else for Chrome trace JSON)")
 	flag.IntVar(&o.traceCap, "tracecap", 1<<16, "flit tracer ring capacity in events (oldest evicted when full)")
 	flag.BoolVar(&o.analytic, "analytic", false, "evaluate the topology graph-analytically (diameter, avg hops, path diversity, bisection bounds) instead of simulating")
-	flag.BoolVar(&o.check, "check", false, "run under the runtime invariant sanitizer (open-loop -load/-sweep/-batch runs)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "write a snapshot of the warmed network to this file when the measurement window opens (single -load runs; disables probe reporting)")
+	flag.BoolVar(&o.check, "check", false, "run under the runtime invariant sanitizer (every simulation mode)")
+	flag.StringVar(&o.checkpoint, "checkpoint", "", "write a snapshot of the warmed network to this file when the measurement window opens (single -load runs)")
 	flag.StringVar(&o.restore, "restore", "", "restore the network from a -checkpoint snapshot instead of warming up (single -load runs; pass the same topology/-seed/-buf/-warmup as the checkpointing run)")
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
@@ -158,6 +163,9 @@ func run(o runOpts) error {
 		}
 		return nil
 	}
+	if err := o.conflicts(); err != nil {
+		return err
+	}
 	if o.listen != "" {
 		telemetryReg.Gauge("sim_live", func() any { return sim.Live.Snapshot() })
 		if err := telemetryReg.Publish("flatnet"); err != nil {
@@ -176,10 +184,6 @@ func run(o runOpts) error {
 		return err
 	}
 	if o.analytic {
-		if o.sweep || o.batch > 0 || o.window > 0 || o.check ||
-			o.flitTrace != "" || o.checkpoint != "" || o.restore != "" {
-			return fmt.Errorf("-analytic is a pure graph evaluation; drop the simulation flags")
-		}
 		return runAnalytic(net)
 	}
 	t, alg, conc, err := net.Build()
@@ -214,89 +218,157 @@ func run(o runOpts) error {
 	}
 
 	cfg := flatnet.Config{Seed: o.seed, BufPerPort: o.buf}
-
-	if o.check && (o.traceIn != "" || o.window > 0) {
-		return fmt.Errorf("-check applies to open-loop runs (-load, -sweep, -batch, -collective)")
-	}
-	if o.traceIn != "" && (o.sweep || o.batch > 0 || o.window > 0 ||
-		o.flitTrace != "" || o.checkpoint != "" || o.restore != "" || o.traceOut != "") {
-		return fmt.Errorf("-trace-in replays a recorded workload; drop the synthetic-traffic flags")
-	}
-	if o.traceOut != "" && (o.sweep || o.batch > 0 || o.window > 0 || o.collective != "") {
-		return fmt.Errorf("-trace-out records single-point open-loop runs (-load)")
-	}
-	if o.collective != "" && (o.sweep || o.batch > 0 || o.window > 0 ||
-		o.traceIn != "" || o.checkpoint != "" || o.restore != "" || o.flitTrace != "") {
-		return fmt.Errorf("-collective runs one schedule to completion; drop the other mode flags")
-	}
-	if o.checkpoint != "" || o.restore != "" {
-		if o.sweep || o.batch > 0 || o.window > 0 {
-			return fmt.Errorf("-checkpoint/-restore apply to single-point open-loop runs (-load)")
-		}
-		if o.check || o.flitTrace != "" || o.traceOut != "" {
-			return fmt.Errorf("-checkpoint/-restore cannot run with -check, -flittrace or -trace-out (the snapshot would be unfaithful)")
-		}
-	}
-
-	if o.traceIn != "" {
-		return runTraceJSONL(g, alg, cfg, o)
-	}
-
-	if o.collective != "" {
-		return runCollective(g, alg, cfg, src, o)
-	}
-
-	if o.window > 0 {
-		res, err := flatnet.RunClosedLoop(g, alg, cfg, flatnet.ClosedLoopConfig{
+	obs := o.observers()
+	switch {
+	case o.traceIn != "":
+		err = runTraceJSONL(g, alg, cfg, o, obs)
+	case o.collective != "":
+		err = runCollective(g, alg, cfg, src, o, obs)
+	case o.window > 0:
+		var res flatnet.ClosedLoopResult
+		res, err = flatnet.RunClosedLoop(g, alg, cfg, flatnet.ClosedLoopConfig{
 			Window: o.window, Pattern: p, Warmup: o.warmup, Measure: o.measure,
-			Stop: o.stop,
+			RunHooks: obs.hooks,
 		})
-		if err != nil {
-			return err
+		if err = cmp.Or(err, obs.checked()); err == nil {
+			fmt.Printf("closed loop, window %d: avg round trip %.2f cycles (p99 %d), %.4f requests/node/cycle\n",
+				o.window, res.AvgRoundTrip, res.P99RoundTrip, res.RequestRate)
 		}
-		fmt.Printf("closed loop, window %d: avg round trip %.2f cycles (p99 %d), %.4f requests/node/cycle\n",
-			o.window, res.AvgRoundTrip, res.P99RoundTrip, res.RequestRate)
-		return nil
-	}
-
-	if o.batch > 0 {
-		bc := flatnet.BatchConfig{Pattern: p, BatchSize: o.batch, Stop: o.stop}
-		checked := o.armed(&bc.Attach)
-		res, err := flatnet.RunBatch(g, alg, cfg, bc)
-		if err != nil {
-			return err
+	case o.batch > 0:
+		var res flatnet.BatchResult
+		res, err = flatnet.RunBatch(g, alg, cfg, flatnet.BatchConfig{Pattern: p, BatchSize: o.batch, RunHooks: obs.hooks})
+		if err = cmp.Or(err, obs.checked()); err == nil {
+			fmt.Printf("batch %d per node: completed in %d cycles (normalized latency %.2f)\n",
+				res.BatchSize, res.CompletionCycles, res.NormalizedLatency)
 		}
-		if err := checked(); err != nil {
-			return err
-		}
-		fmt.Printf("batch %d per node: completed in %d cycles (normalized latency %.2f)\n",
-			res.BatchSize, res.CompletionCycles, res.NormalizedLatency)
-		return nil
+	case o.sweep:
+		err = runSweep(g, alg, cfg, src, o, obs)
+	default:
+		err = runPoint(g, alg, cfg, src, o, obs)
 	}
-
-	if !o.sweep {
-		return runPoint(g, alg, cfg, src, o)
-	}
-
-	loads := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}
-	if o.burstPeak > 0 {
-		// The on/off process cannot offer more than its peak rate; sweep
-		// the feasible prefix.
-		kept := loads[:0]
-		for _, l := range loads {
-			if l <= o.burstPeak {
-				kept = append(kept, l)
-			}
-		}
-		loads = kept
-	}
-	rc := flatnet.RunConfig{Source: src, Warmup: o.warmup, Measure: o.measure, Stop: o.stop}
-	checked := o.armed(&rc.Attach)
-	results, err := flatnet.LoadSweep(g, alg, cfg, rc, loads)
 	if err != nil {
 		return err
 	}
-	if err := checked(); err != nil {
+	return obs.report(o)
+}
+
+// conflicts rejects flag sets that ask for two things at once: two run
+// modes, or an observer a mode cannot host — -analytic simulates no
+// network, and -sweep simulates many, so neither can fill one output
+// file.
+func (o runOpts) conflicts() error {
+	flags := []string{"-analytic", "-sweep", "-batch", "-collective", "-window", "-trace-in", "-checkpoint", "-restore"}
+	var on []string
+	for i, set := range []bool{o.analytic, o.sweep, o.batch > 0, o.collective != "",
+		o.window > 0, o.traceIn != "", o.checkpoint != "", o.restore != ""} {
+		if set {
+			on = append(on, flags[i])
+		}
+	}
+	if len(on) > 1 {
+		return fmt.Errorf("%s and %s are two run modes; pick one", on[0], on[1])
+	}
+	if o.analytic && (o.check || o.flitTrace != "" || o.traceOut != "") {
+		return fmt.Errorf("-analytic simulates no network; drop -check, -flittrace and -trace-out")
+	}
+	if o.sweep && (o.flitTrace != "" || o.traceOut != "") {
+		return fmt.Errorf("-flittrace and -trace-out write one network's file, and -sweep simulates many")
+	}
+	return nil
+}
+
+// observed is the run's one set of observers, attached to every
+// network the mode simulates: the sanitizer (-check), the flit tracer
+// (-flittrace), the workload recorder (-trace-out) and, when the mode
+// simulates one network, the pipeline probes behind the report. Every
+// mode folds checked (the sanitizer's verdict) into the run's error
+// before it prints or writes anything.
+type observed struct {
+	hooks    flatnet.RunHooks
+	checked  func() error
+	tracer   *flatnet.Tracer
+	recorded *[]flatnet.TraceEntry
+	probes   *flatnet.Probes
+}
+
+// observers builds the run's observers from the flags.
+func (o runOpts) observers() *observed {
+	obs := &observed{hooks: flatnet.RunHooks{Stop: o.stop}, checked: func() error { return nil }}
+	if o.flitTrace != "" {
+		obs.tracer = flatnet.NewTracer(o.traceCap)
+	}
+	obs.hooks.Attach = func(n *flatnet.Network) {
+		if o.traceOut != "" {
+			obs.recorded = n.RecordTrace()
+		}
+		if obs.tracer != nil {
+			n.AttachTracer(obs.tracer)
+		}
+		if !o.sweep {
+			obs.probes = n.AttachProbes(flatnet.ProbeConfig{})
+		}
+	}
+	if o.check {
+		obs.checked = flatnet.ArmCheck(&obs.hooks.Attach, flatnet.CheckConfig{})
+	}
+	return obs
+}
+
+// report prints the probe report and writes the trace files.
+func (obs *observed) report(o runOpts) error {
+	if p := obs.probes; p != nil {
+		fmt.Printf("pipeline: %d grants, %d conflicts, %d credit stalls, %d vc stalls, mean buffered %.1f flits\n",
+			p.Grants, p.Conflicts, p.CreditStalls, p.VCStalls, p.MeanBufferedFlits())
+		if top := p.TopChannels(5); len(top) > 0 {
+			fmt.Println("hottest channels (probed flits over retained window):")
+			for _, c := range top {
+				fmt.Printf("  router %d port %d: %d flits (%.3f flits/cycle)\n",
+					c.Router, c.Port, c.Flits, c.Rate)
+			}
+		}
+	}
+	if t := obs.tracer; t != nil { // JSON lines for .jsonl paths, else Chrome trace JSON
+		if err := writeFile(o.flitTrace, func(w io.Writer) error {
+			if strings.HasSuffix(o.flitTrace, ".jsonl") {
+				return flatnet.WriteTraceJSONL(w, t.Events())
+			}
+			return flatnet.WriteChromeTrace(w, t.Events())
+		}); err != nil {
+			return err
+		}
+		fmt.Printf("flit trace: %d events (%d evicted) -> %s\n", t.Len(), t.Dropped(), o.flitTrace)
+	}
+	if rec := obs.recorded; rec != nil {
+		if err := writeFile(o.traceOut, func(w io.Writer) error { return flatnet.WriteWorkloadJSONL(w, *rec) }); err != nil {
+			return err
+		}
+		fmt.Printf("workload trace: %d packets -> %s\n", len(*rec), o.traceOut)
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
+}
+
+// runSweep measures the open-loop load sweep 0.1..0.95.
+func runSweep(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src flatnet.Source, o runOpts, obs *observed) error {
+	// The on/off process cannot offer more than its peak rate; sweep the
+	// feasible prefix.
+	loads := slices.DeleteFunc([]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95},
+		func(l float64) bool { return o.burstPeak > 0 && l > o.burstPeak })
+	rc := flatnet.RunConfig{Source: src, Warmup: o.warmup, Measure: o.measure, RunHooks: obs.hooks}
+	results, err := flatnet.LoadSweep(g, alg, cfg, rc, loads)
+	if err = cmp.Or(err, obs.checked()); err != nil {
 		return err
 	}
 	fmt.Printf("%-6s  %-12s  %-6s  %-6s  %-6s  %-6s  %-10s  %s\n",
@@ -311,15 +383,6 @@ func run(o runOpts) error {
 			r.AcceptedRate, status)
 	}
 	return nil
-}
-
-// armed arms the sanitizer on a harness's Attach hook when -check is
-// set; the returned func reports its violations after the run.
-func (o runOpts) armed(attach *func(*flatnet.Network)) func() error {
-	if !o.check {
-		return func() error { return nil }
-	}
-	return flatnet.ArmCheck(attach, flatnet.CheckConfig{})
 }
 
 // runAnalytic evaluates the selected topology graph-analytically —
@@ -347,20 +410,15 @@ func runAnalytic(net spec.Net) error {
 	return nil
 }
 
-// runPoint measures a single open-loop load point with probes attached,
-// reporting latency percentiles and the hottest channels, and optionally
-// recording a flit trace.
-func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src flatnet.Source, o runOpts) error {
+// runPoint measures a single open-loop load point, optionally writing a
+// checkpoint of the warmed network or restoring one instead of warming
+// up.
+func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src flatnet.Source, o runOpts, obs *observed) error {
 	rc := flatnet.RunConfig{
 		Load: o.load, Source: src,
 		Warmup: o.warmup, Measure: o.measure,
-		Stop: o.stop,
+		RunHooks: obs.hooks,
 	}
-	var tracer *flatnet.Tracer
-	if o.flitTrace != "" {
-		tracer = flatnet.NewTracer(o.traceCap)
-	}
-	var ckptFile *os.File
 	if o.restore != "" {
 		f, err := os.Open(o.restore)
 		if err != nil {
@@ -369,50 +427,22 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src f
 		defer f.Close()
 		rc.Resume = f
 	}
+	var ckpt bytes.Buffer
 	if o.checkpoint != "" {
-		f, err := os.Create(o.checkpoint)
-		if err != nil {
-			return err
-		}
-		ckptFile = f
-		rc.Checkpoint = f
+		rc.Checkpoint = &ckpt
 	}
-	// A probed network refuses to snapshot (the probes would be dropped
-	// silently on restore), so checkpointing runs unprobed.
-	if o.checkpoint != "" {
-		fmt.Fprintln(os.Stderr, "flatsim: -checkpoint disables probes; skipping the pipeline/top-channel report")
-	}
-	var recorded *[]flatnet.TraceEntry
-	var probes *flatnet.Probes
-	rc.Attach = func(n *flatnet.Network) {
-		if o.traceOut != "" {
-			recorded = n.RecordTrace()
-		}
-		if tracer != nil {
-			n.AttachTracer(tracer)
-		}
-		if o.checkpoint == "" {
-			probes = n.AttachProbes(flatnet.ProbeConfig{})
-		}
-	}
-	checked := o.armed(&rc.Attach)
 	r, err := flatnet.RunLoadPoint(g, alg, cfg, rc)
-	if ckptFile != nil {
-		if cerr := ckptFile.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-	}
-	if err != nil {
+	if err = cmp.Or(err, obs.checked()); err != nil {
 		return err
 	}
 	if o.restore != "" {
 		fmt.Printf("restored warm state from %s (measurement started at cycle %d)\n", o.restore, o.warmup)
 	}
 	if o.checkpoint != "" {
+		if err := writeFile(o.checkpoint, func(w io.Writer) error { _, err := ckpt.WriteTo(w); return err }); err != nil {
+			return err
+		}
 		fmt.Printf("warm checkpoint -> %s\n", o.checkpoint)
-	}
-	if err := checked(); err != nil {
-		return err
 	}
 	status := ""
 	if r.Saturated {
@@ -421,59 +451,7 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src f
 	fmt.Printf("load %.2f: avg latency %.2f cycles (p50 %d, p95 %d, p99 %d, max %d), accepted %.3f%s\n",
 		r.Load, r.AvgLatency, r.P50Latency, r.P95Latency, r.P99Latency, r.MaxLatency,
 		r.AcceptedRate, status)
-	if probes != nil {
-		fmt.Printf("pipeline: %d grants, %d conflicts, %d credit stalls, %d vc stalls, mean buffered %.1f flits\n",
-			probes.Grants, probes.Conflicts, probes.CreditStalls, probes.VCStalls,
-			probes.MeanBufferedFlits())
-		if top := probes.TopChannels(5); len(top) > 0 {
-			fmt.Println("hottest channels (probed flits over retained window):")
-			for _, c := range top {
-				fmt.Printf("  router %d port %d: %d flits (%.3f flits/cycle)\n",
-					c.Router, c.Port, c.Flits, c.Rate)
-			}
-		}
-	}
-	if tracer != nil {
-		if err := writeFlitTrace(o.flitTrace, tracer); err != nil {
-			return err
-		}
-		fmt.Printf("flit trace: %d events (%d evicted) -> %s\n",
-			tracer.Len(), tracer.Dropped(), o.flitTrace)
-	}
-	if recorded != nil {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		werr := flatnet.WriteWorkloadJSONL(f, *recorded)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Printf("workload trace: %d packets -> %s\n", len(*recorded), o.traceOut)
-	}
 	return nil
-}
-
-// writeFlitTrace serializes a tracer's events: JSON lines for .jsonl
-// paths, Chrome trace JSON otherwise.
-func writeFlitTrace(path string, t *flatnet.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	var werr error
-	if strings.HasSuffix(path, ".jsonl") {
-		werr = flatnet.WriteTraceJSONL(f, t.Events())
-	} else {
-		werr = flatnet.WriteChromeTrace(f, t.Events())
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
 }
 
 // detail is the family-specific part of the topology header line.
@@ -508,20 +486,16 @@ func parseHotList(s string) ([]int, error) {
 
 // runCollective executes one collective schedule to completion,
 // optionally contending with background traffic at -load.
-func runCollective(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src flatnet.Source, o runOpts) error {
+func runCollective(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src flatnet.Source, o runOpts, obs *observed) error {
 	cc := flatnet.CollectiveConfig{
 		Kind: o.collective, Packets: o.chunk,
-		Warmup: o.warmup, Stop: o.stop,
+		Warmup: o.warmup, RunHooks: obs.hooks,
 	}
 	if o.loadSet && o.load > 0 {
 		cc.Load, cc.Source = o.load, src
 	}
-	checked := o.armed(&cc.Attach)
 	res, err := flatnet.RunCollective(g, alg, cfg, cc)
-	if err != nil {
-		return err
-	}
-	if err := checked(); err != nil {
+	if err = cmp.Or(err, obs.checked()); err != nil {
 		return err
 	}
 	bg := "quiet network"
@@ -536,8 +510,9 @@ func runCollective(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, 
 }
 
 // runTraceJSONL streams a JSONL workload trace through the network in
-// bounded memory and reports delivery latency.
-func runTraceJSONL(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, o runOpts) error {
+// bounded memory and reports delivery latency. ReplayTrace runs on a
+// network the caller builds, so the observers attach here.
+func runTraceJSONL(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, o runOpts, obs *observed) error {
 	f, err := os.Open(o.traceIn)
 	if err != nil {
 		return err
@@ -547,14 +522,15 @@ func runTraceJSONL(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, 
 	if err != nil {
 		return err
 	}
+	obs.hooks.Attach(n)
 	var latSum float64
 	var delivered int64
 	n.AttachHooks(&flatnet.Hooks{Deliver: func(p *flatnet.Packet, cycle int64) {
 		latSum += float64(cycle - p.InjectCycle)
 		delivered++
 	}})
-	injected, err := n.ReplayTrace(flatnet.NewTraceScanner(f), 0, o.stop)
-	if err != nil {
+	injected, err := n.ReplayTrace(flatnet.NewTraceScanner(f), 0, obs.hooks.Stop)
+	if err = cmp.Or(err, obs.checked()); err != nil {
 		return err
 	}
 	avg := 0.0

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -201,6 +202,109 @@ func TestRunErrors(t *testing.T) {
 	if err := run(o); err == nil {
 		t.Error("zero taper accepted")
 	}
+
+	// At most one run mode: every pair is rejected before anything runs.
+	missing := filepath.Join(t.TempDir(), "missing")
+	modes := []struct {
+		flag string
+		set  func(o *runOpts)
+	}{
+		{"-analytic", func(o *runOpts) { o.analytic = true }},
+		{"-sweep", func(o *runOpts) { o.sweep = true }},
+		{"-batch", func(o *runOpts) { o.batch = 4 }},
+		{"-collective", func(o *runOpts) { o.collective = "alltoall" }},
+		{"-window", func(o *runOpts) { o.window = 2 }},
+		{"-trace-in", func(o *runOpts) { o.traceIn = missing + ".jsonl" }},
+		{"-checkpoint", func(o *runOpts) { o.checkpoint = missing + ".snap" }},
+		{"-restore", func(o *runOpts) { o.restore = missing + ".snap" }},
+	}
+	for i, a := range modes {
+		for _, b := range modes[i+1:] {
+			o := opts()
+			a.set(&o)
+			b.set(&o)
+			if err := run(o); err == nil || !strings.Contains(err.Error(), a.flag+" and "+b.flag+" are two run modes") {
+				t.Errorf("%s with %s: got %v, want the two-modes error", a.flag, b.flag, err)
+			}
+		}
+	}
+	// An observer a mode cannot host: -analytic simulates no network,
+	// -sweep many, so neither fills a one-network file.
+	for _, c := range []struct {
+		name string
+		set  func(o *runOpts)
+	}{
+		{"-analytic -check", func(o *runOpts) { o.analytic, o.check = true, true }},
+		{"-analytic -flittrace", func(o *runOpts) { o.analytic, o.flitTrace = true, missing+".json" }},
+		{"-analytic -trace-out", func(o *runOpts) { o.analytic, o.traceOut = true, missing+".jsonl" }},
+		{"-sweep -flittrace", func(o *runOpts) { o.sweep, o.flitTrace = true, missing+".json" }},
+		{"-sweep -trace-out", func(o *runOpts) { o.sweep, o.traceOut = true, missing+".jsonl" }},
+	} {
+		o := opts()
+		c.set(&o)
+		if err := run(o); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+}
+
+// TestRunEveryModeObserved runs every simulation mode plain and with
+// every observer flag it can host (-check, -flittrace, -trace-out; the
+// probe report is always on): the observed run prints the same result,
+// adding only the observers' own lines, and a checkpoint holds the same
+// bytes.
+func TestRunEveryModeObserved(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	base := func() runOpts {
+		o := opts()
+		o.K, o.warmup, o.measure = 4, 100, 100
+		return o
+	}
+	seed := base()
+	seed.checkpoint, seed.traceOut = path("seed.snap"), path("seed.jsonl")
+	if err := run(seed); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		name string
+		set  func(o *runOpts)
+	}{
+		{"load point", func(o *runOpts) {}},
+		{"sweep", func(o *runOpts) { o.sweep = true }},
+		{"batch", func(o *runOpts) { o.batch = 4 }},
+		{"collective", func(o *runOpts) { o.collective, o.loadSet = "allreduce", true }},
+		{"closed loop", func(o *runOpts) { o.window = 2 }},
+		{"trace replay", func(o *runOpts) { o.traceIn = path("seed.jsonl") }},
+		{"checkpoint", func(o *runOpts) { o.checkpoint = path("mode.snap") }},
+		{"restore", func(o *runOpts) { o.restore = path("seed.snap") }},
+	} {
+		o := base()
+		m.set(&o)
+		plain := captureStdout(t, func() error { return run(o) })
+		var snap []byte
+		if o.checkpoint != "" {
+			snap, _ = os.ReadFile(o.checkpoint)
+		}
+		o.check = true
+		if !o.sweep {
+			o.flitTrace, o.traceOut = path("flit.json"), path("out.jsonl")
+		}
+		var kept []string
+		for _, line := range strings.SplitAfter(captureStdout(t, func() error { return run(o) }), "\n") {
+			if !strings.HasPrefix(line, "flit trace: ") && !strings.HasPrefix(line, "workload trace: ") {
+				kept = append(kept, line)
+			}
+		}
+		if observed := strings.Join(kept, ""); observed != plain {
+			t.Errorf("%s: observers changed the output:\nplain:\n%s\nobserved:\n%s", m.name, plain, observed)
+		}
+		if o.checkpoint != "" {
+			if got, err := os.ReadFile(o.checkpoint); err != nil || len(snap) == 0 || !bytes.Equal(got, snap) {
+				t.Errorf("%s: the observed run's checkpoint differs from the plain run's (%v)", m.name, err)
+			}
+		}
+	}
 }
 
 func TestRunCheckpointRestore(t *testing.T) {
@@ -231,10 +335,12 @@ func TestRunCheckpointRestore(t *testing.T) {
 	if err := run(o); err == nil {
 		t.Fatal("-checkpoint with -sweep accepted")
 	}
+	// The sanitizer starts from the restored network.
 	o = opts()
+	o.K, o.warmup, o.measure = 4, 100, 100
 	o.restore, o.check = snap, true
-	if err := run(o); err == nil {
-		t.Fatal("-restore with -check accepted")
+	if err := run(o); err != nil {
+		t.Fatalf("restore under -check: %v", err)
 	}
 }
 

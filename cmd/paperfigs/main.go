@@ -44,7 +44,14 @@ func main() {
 	listen := flag.String("listen", "", "serve live metrics (/debug/vars, /debug/pprof) on this address during the run")
 	flag.Parse()
 
-	eng, closeCache, err := newEngine(*workers, *cachePath)
+	// The default pool is never smaller than two workers so pool
+	// behavior is exercised even on single-core hosts.
+	w := *workers
+	if w <= 0 {
+		w = max(runtime.GOMAXPROCS(0), 2)
+	}
+	eng := &sweep.Engine{Workers: w, Progress: os.Stderr}
+	closeCache, err := eng.UseCache(*cachePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperfigs:", err)
 		os.Exit(1)
@@ -65,36 +72,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "paperfigs:", runErr)
 		os.Exit(1)
 	}
-}
-
-// newEngine builds the sweep engine the simulation figures share. The
-// default pool is never smaller than two workers so pool behavior is
-// exercised even on single-core hosts.
-func newEngine(workers int, cachePath string) (eng *sweep.Engine, closeCache func(), err error) {
-	w := workers
-	if w <= 0 {
-		w = max(runtime.GOMAXPROCS(0), 2)
-	}
-	eng = &sweep.Engine{Workers: w, Progress: os.Stderr}
-	closeCache = func() {}
-	if cachePath != "" {
-		cache, err := sweep.OpenCache(cachePath)
-		if err != nil {
-			return nil, nil, err
-		}
-		eng.Cache = cache
-		closeCache = func() { cache.Close() }
-		// The warm-snapshot store lives beside the JSONL cache: each
-		// load point's warm-up is simulated once, then restored on
-		// every re-measurement of that point.
-		ws, err := sweep.OpenWarmStore(cachePath + ".warm")
-		if err != nil {
-			closeCache()
-			return nil, nil, err
-		}
-		eng.Warm = ws
-	}
-	return eng, closeCache, nil
 }
 
 // telemetryReg is process-global: the expvar namespace is write-once,
@@ -127,8 +104,7 @@ func reportEngine(eng *sweep.Engine) {
 			cs.Hits, cs.Misses, cs.Entries, cs.Corrupt)
 	}
 	if eng.Warm != nil {
-		fmt.Fprintf(os.Stderr, "paperfigs: warm snapshots: %d restores, %d saved, %d warm-up cycles skipped\n",
-			st.WarmHits, st.WarmPuts, st.WarmCyclesSaved)
+		fmt.Fprintf(os.Stderr, "paperfigs: %s\n", st.WarmLine())
 	}
 	busy := 0
 	for _, w := range st.Workers {

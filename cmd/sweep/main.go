@@ -92,7 +92,7 @@ func main() {
 	flag.IntVar(&cfg.buf, "buf", 32, "flit buffering per input port")
 	flag.BoolVar(&cfg.sat, "sat", true, "measure saturation throughput per series")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	flag.StringVar(&cfg.cachePath, "cache", "", "JSON-lines result cache file ('' disables caching)")
+	flag.StringVar(&cfg.cachePath, "cache", "", "JSON-lines result cache file ('' disables caching; also enables the warm-snapshot store beside it)")
 	flag.DurationVar(&cfg.jobTimeout, "timeout", 0, "per-job wall-clock budget (0 = none)")
 	flag.StringVar(&cfg.listen, "listen", "", "serve live metrics (/debug/vars, /debug/pprof) on this address during the run")
 	flag.BoolVar(&cfg.check, "check", false, "run every job under the runtime invariant sanitizer (violations fail the job; cache hits are served unchecked)")
@@ -153,14 +153,11 @@ func run(ctx context.Context, cfg cliConfig, out, progress io.Writer) error {
 		return fmt.Errorf("grid is empty: need at least one algorithm, pattern and load")
 	}
 	eng := &sweep.Engine{Workers: cfg.workers, Progress: progress, JobTimeout: cfg.jobTimeout, Check: cfg.check}
-	if cfg.cachePath != "" {
-		cache, err := sweep.OpenCache(cfg.cachePath)
-		if err != nil {
-			return err
-		}
-		defer cache.Close()
-		eng.Cache = cache
+	closeCache, err := eng.UseCache(cfg.cachePath)
+	if err != nil {
+		return err
 	}
+	defer closeCache()
 	if cfg.listen != "" {
 		eng.PublishVars(telemetryReg)
 		telemetryReg.Gauge("sim_live", func() any { return sim.Live.Snapshot() })
@@ -232,6 +229,9 @@ func run(ctx context.Context, cfg cliConfig, out, progress io.Writer) error {
 	st := eng.Stats()
 	fmt.Fprintf(progress, "sweep: grid done: %d jobs — %d simulated, %d cache hits, %d skipped\n",
 		st.Jobs, st.Simulated, st.CacheHits, st.Skipped)
+	if eng.Warm != nil {
+		fmt.Fprintf(progress, "sweep: %s\n", st.WarmLine())
+	}
 	return nil
 }
 
@@ -264,14 +264,11 @@ func patternList() string {
 // through the same engine, so -cache and -workers behave as usual.
 func runAnalytic(ctx context.Context, cfg cliConfig, out io.Writer) error {
 	eng := &sweep.Engine{Workers: cfg.workers, JobTimeout: cfg.jobTimeout}
-	if cfg.cachePath != "" {
-		cache, err := sweep.OpenCache(cfg.cachePath)
-		if err != nil {
-			return err
-		}
-		defer cache.Close()
-		eng.Cache = cache
+	closeCache, err := eng.UseCache(cfg.cachePath)
+	if err != nil {
+		return err
 	}
+	defer closeCache()
 	job := sweep.Job{
 		Net: cfg.net, K: cfg.k, N: cfg.n,
 		Q: cfg.q, A: cfg.ga, H: cfg.gh, P: cfg.conc,

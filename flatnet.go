@@ -151,6 +151,8 @@ type (
 	Config = sim.Config
 	// RunConfig describes one open-loop measurement.
 	RunConfig = sim.RunConfig
+	// RunHooks are the Stop and Attach hooks every run config embeds.
+	RunHooks = sim.RunHooks
 	// ClosedLoopConfig describes a request-reply workload.
 	ClosedLoopConfig = sim.ClosedLoopConfig
 	// ClosedLoopResult reports a closed-loop run.

@@ -140,7 +140,13 @@ type Sanitizer struct {
 }
 
 // Attach installs a sanitizer into the network's pipeline and returns it.
-// Call Finalize (or Err) after the run; Detach removes the hooks.
+// Call Finalize (or Err) after the run; Detach removes the hooks. It
+// starts from the network as it finds it, restored mid-run or not: VC
+// owners from AuditChannels, in-flight packets from AuditPackets. Its
+// verdicts are then those of a sanitizer attached at cycle zero, except
+// that InOrder sees only deliveries after the attach, and the watchdog
+// counts delivery silence from the attach cycle, not from the last
+// delivery before it, so it can fire later than an uninterrupted run's.
 func Attach(n *sim.Network, cfg Config) *Sanitizer {
 	if cfg.Stride <= 0 {
 		cfg.Stride = 1
@@ -162,6 +168,16 @@ func Attach(n *sim.Network, cfg Config) *Sanitizer {
 		pkts:   map[int64]*pktState{},
 		order:  map[flowKey]int64{},
 	}
+	n.AuditChannels(func(a sim.ChannelAudit) {
+		if a.Owner != nil {
+			s.owners[chanKey{a.Router, a.Port, a.VC}] = a.Owner.ID
+		}
+	})
+	n.AuditPackets(func(p *sim.Packet, injected, ejected int) {
+		s.pkts[p.ID] = &pktState{src: p.Src, dst: p.Dst, injected: injected, ejected: ejected}
+	})
+	_, s.lastDelivered = n.FlitTotals()
+	s.lastProgress = n.Cycle()
 	s.detach = n.AttachHooks(&sim.Hooks{
 		Inject:       s.inject,
 		Route:        s.route,
@@ -431,12 +447,13 @@ func (s *Sanitizer) deadlockDetail(alive int64) string {
 }
 
 // Arm chains a fresh sanitizer onto a harness's Attach hook
-// (RunConfig.Attach, BatchConfig.Attach, CollectiveConfig.Attach), so
-// every network the harness builds runs checked. Call done once, after
-// the harness returns: it finalizes the sanitizers and joins their
-// violations. A sanitizer whose run is over is finalized (and its
-// network released) as soon as the hook attaches the next network. Arm
-// one hook per goroutine; the closure state is not locked.
+// (sim.RunHooks, embedded in RunConfig, BatchConfig, CollectiveConfig
+// and ClosedLoopConfig), so every network the harness builds or restores
+// runs checked. Call done once, after the harness returns: it finalizes
+// the sanitizers and joins their violations. A sanitizer whose run is
+// over is finalized (and its network released) as soon as the hook
+// attaches the next network. Arm one hook per goroutine; the closure
+// state is not locked.
 func Arm(attach *func(*sim.Network), cfg Config) (done func() error) {
 	var cur *Sanitizer
 	var errs []error

@@ -4,7 +4,6 @@
 package check_test
 
 import (
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -250,9 +249,10 @@ func TestWholenessOnDroppedFlit(t *testing.T) {
 
 // TestSanitizerDoesNotPerturb verifies the run invariance contract on
 // every harness with an Attach hook: results with and without the
-// sanitizer armed are identical, and the armed run trips nothing. The
-// armed run also carries probes and a tracer, which must see exactly
-// what each sees attached alone: hook sets compose.
+// sanitizer armed are identical, the armed run trips nothing, and a
+// credit leaked under Arm is reported. The armed run also carries probes
+// and a tracer, which must see exactly what each sees attached alone:
+// hook sets compose.
 func TestSanitizerDoesNotPerturb(t *testing.T) {
 	f, err := topo.NewFlatFly(4, 2)
 	if err != nil {
@@ -266,18 +266,18 @@ func TestSanitizerDoesNotPerturb(t *testing.T) {
 	}{
 		{"RunLoadPoint", func(attach func(*sim.Network)) (any, error) {
 			return sim.RunLoadPoint(g, routing.NewUGALS(f), cfg, sim.RunConfig{
-				Load: 0.6, Source: uniform(), Warmup: 200, Measure: 300, Attach: attach,
+				Load: 0.6, Source: uniform(), Warmup: 200, Measure: 300, RunHooks: sim.RunHooks{Attach: attach},
 			})
 		}},
 		{"RunBatch", func(attach func(*sim.Network)) (any, error) {
 			return sim.RunBatch(g, routing.NewUGALS(f), cfg, sim.BatchConfig{
-				Pattern: traffic.NewUniform(f.NumNodes), BatchSize: 8, Attach: attach,
+				Pattern: traffic.NewUniform(f.NumNodes), BatchSize: 8, RunHooks: sim.RunHooks{Attach: attach},
 			})
 		}},
 		{"RunCollective", func(attach func(*sim.Network)) (any, error) {
 			return sim.RunCollective(g, routing.NewUGALS(f), cfg, sim.CollectiveConfig{
 				Kind: sim.CollectiveAllToAll, Packets: 2, Source: uniform(), Load: 0.3, Warmup: 100,
-				Attach: attach,
+				RunHooks: sim.RunHooks{Attach: attach},
 			})
 		}},
 	} {
@@ -295,19 +295,11 @@ func TestSanitizerDoesNotPerturb(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		var attach func(*sim.Network)
-		done := check.Arm(&attach, check.Config{})
-		armed, sanitized := attach, 0
-		attach = func(n *sim.Network) {
-			armed(n)
-			// So far only the sanitizer is attached, and an instrumented
-			// network refuses to snapshot.
-			if n.Snapshot(io.Discard) != nil {
-				sanitized++
-			}
+		attach := func(n *sim.Network) {
 			probesArmed = n.AttachProbes(sim.ProbeConfig{Stride: 16})
 			n.AttachTracer(traceArmed)
 		}
+		done := check.Arm(&attach, check.Config{})
 		checked, err := tc.run(attach)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -315,9 +307,7 @@ func TestSanitizerDoesNotPerturb(t *testing.T) {
 		if err := done(); err != nil {
 			t.Fatalf("%s: sanitized run tripped: %v", tc.name, err)
 		}
-		if sanitized != 1 {
-			t.Fatalf("%s: Arm sanitized %d networks, want 1", tc.name, sanitized)
-		}
+		expectArmed(t, tc.name, func(h sim.RunHooks) error { _, err := tc.run(h.Attach); return err })
 		for _, res := range []any{probed, traced, checked} {
 			if res != plain {
 				t.Fatalf("%s: instrumentation perturbed the simulation:\nplain        %+v\ninstrumented %+v", tc.name, plain, res)

@@ -175,16 +175,14 @@ func TestGoldenCorpusUnchecked(t *testing.T) {
 
 // TestGoldenCorpusWarmRestored replays the load-mode corpus through the
 // warm-snapshot store twice: a seeding pass checkpoints each job's
-// warmed network, then a restored pass re-runs the measurement phase
-// from those snapshots. Every restored result must match the pinned
-// corpus byte for byte — restore-then-run is bit-identical to
-// run-straight-through — while skipping each job's entire warm-up window.
+// warmed network, then a sanitized restored pass re-runs the measurement
+// phase from those snapshots. Every restored result must match the
+// pinned corpus byte for byte — restore-then-run is bit-identical to
+// run-straight-through — while skipping each job's entire warm-up window,
+// and no restored job may trip the sanitizer.
 func TestGoldenCorpusWarmRestored(t *testing.T) {
 	if *update {
 		t.Skip("corpus is regenerated by TestGoldenCorpus")
-	}
-	if sanitizerForced {
-		t.Skip("-tags=check: sanitized engines ignore the warm store")
 	}
 	var loadJobs []sweep.Job
 	wantSaved := int64(0)
@@ -205,7 +203,7 @@ func TestGoldenCorpusWarmRestored(t *testing.T) {
 	if st := seed.Stats(); st.WarmPuts != len(loadJobs) {
 		t.Fatalf("seeding pass saved %d snapshots, want %d", st.WarmPuts, len(loadJobs))
 	}
-	eng := &sweep.Engine{Workers: 2, Warm: ws}
+	eng := &sweep.Engine{Workers: 2, Warm: ws, Check: true}
 	results, err := eng.Run(context.Background(), loadJobs)
 	if err != nil {
 		t.Fatal(err)
@@ -352,10 +350,12 @@ func TestGoldenCorpus(t *testing.T) {
 	for _, job := range goldenJobs {
 		name := goldenName(job)
 		t.Run(name, func(t *testing.T) {
-			res, err := job.RunChecked(nil)
+			checked := sweep.Engine{Workers: 1, Check: true}
+			rs, err := checked.Run(context.Background(), []sweep.Job{job})
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := rs[0]
 			res.ElapsedSeconds = 0 // wall-clock is not part of the contract
 			got, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {

@@ -71,7 +71,7 @@ const (
 // attached, and returns the func that detaches it again (idempotent).
 // A set with a Materialize or Deliver callback joins the packet list,
 // walked only at those two sites; any other set, and one that also has
-// a pipeline callback, joins the pipeline list, which Snapshot refuses.
+// a pipeline callback, joins the pipeline list.
 func (n *Network) AttachHooks(h *Hooks) (detach func()) {
 	var lists []*[]*Hooks
 	if h.Materialize != nil || h.Deliver != nil {
@@ -133,6 +133,9 @@ type ChannelAudit struct {
 	Buffered        int // flits in the downstream input VC buffer
 	FlitsInFlight   int // flits on the forward channel (scheduled arrivals)
 	CreditsInFlight int // credits on the reverse channel
+	// Owner is the packet holding the VC (its wormhole owner, from head
+	// to tail traversal), nil when the VC is free. Do not retain it.
+	Owner *Packet
 }
 
 // Outstanding sums every slot the audit can see; it equals Depth when
@@ -175,9 +178,45 @@ func (n *Network) AuditChannels(visit func(ChannelAudit)) {
 					Buffered:        int(down.vq[ivc].count),
 					FlitsInFlight:   flits[int64(op.peer)<<32|int64(ivc)],
 					CreditsInFlight: credits[(rt.outBase+int32(p))<<n.vcShift+int32(v)],
+					Owner:           rt.ovc[ovc].owner,
 				})
 			}
 		}
+	}
+}
+
+// AuditPackets visits, in no particular order, every packet that has put
+// at least one flit into the network and not yet delivered its tail,
+// with how many of its flits have entered a terminal input buffer and
+// how many have left an ejection channel. It is the packet-side twin of
+// AuditChannels: an observer attached to a restored network seeds its
+// per-packet state from it, and must not retain p. O(buffers +
+// calendar), like AuditChannels.
+func (n *Network) AuditPackets(visit func(p *Packet, injected, ejected int)) {
+	alive := map[*Packet]int{} // flits buffered or in flight
+	for r := range n.routers {
+		rt := &n.routers[r]
+		n.eachInputVC(rt, func(_, _ int, q *vcq) {
+			for k := int32(0); k < q.count; k++ {
+				alive[rt.nth(q, k).pkt]++
+			}
+		})
+	}
+	n.eachEvent(func(_ int, _ uint64, _ bool, _, _, _ int32, p *Packet) {
+		if p != nil {
+			alive[p]++
+		}
+	})
+	for i := range n.sources {
+		if s := &n.sources[i]; s.cur != nil {
+			if injected := n.cfg.PacketSize - int(s.remaining); injected > 0 {
+				visit(s.cur, injected, injected-alive[s.cur])
+			}
+			delete(alive, s.cur)
+		}
+	}
+	for p, flits := range alive {
+		visit(p, n.cfg.PacketSize, n.cfg.PacketSize-flits)
 	}
 }
 

@@ -23,8 +23,7 @@ type ClosedLoopConfig struct {
 	// Warmup and Measure are windows in cycles; round trips completing
 	// during the measurement window are recorded.
 	Warmup, Measure int
-	// Stop is RunConfig's Stop hook.
-	Stop func() bool
+	RunHooks
 }
 
 // ClosedLoopResult reports a closed-loop run.
@@ -59,7 +58,7 @@ func RunClosedLoop(g *topo.Graph, alg Algorithm, cfg Config, clc ClosedLoopConfi
 	if clc.Pattern == nil {
 		return ClosedLoopResult{}, fmt.Errorf("sim: closed-loop needs a pattern")
 	}
-	h, err := openHarness(g, alg, cfg, nil, nil, clc.Stop)
+	h, err := openHarness(g, alg, cfg, nil, clc.RunHooks)
 	if err != nil {
 		return ClosedLoopResult{}, err
 	}

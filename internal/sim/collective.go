@@ -45,9 +45,7 @@ type CollectiveConfig struct {
 	// the schedule size. Exceeding it is an error (the collective never
 	// completed — the network is saturated).
 	MaxCycles int64
-	// Stop and Attach are RunConfig's Stop and Attach hooks.
-	Stop   func() bool
-	Attach func(n *Network)
+	RunHooks
 }
 
 // CollectiveResult reports one completed collective schedule.
@@ -110,7 +108,7 @@ func RunCollective(g *topo.Graph, alg Algorithm, cfg Config, cc CollectiveConfig
 		return CollectiveResult{}, fmt.Errorf("sim: collective background load needs a Source")
 	}
 
-	h, err := openHarness(g, alg, cfg, nil, cc.Attach, cc.Stop)
+	h, err := openHarness(g, alg, cfg, nil, cc.RunHooks)
 	if err != nil {
 		return CollectiveResult{}, err
 	}

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"testing"
 
 	"flatnet/internal/check"
@@ -14,7 +15,10 @@ import (
 // shape, buffering, switch speedup, packet size, algorithm, load and
 // seed — under the internal/check sanitizer: whatever corner the fuzzer
 // finds, a clean simulator must hold every conservation, credit,
-// virtual-channel and wholeness invariant through load and drain.
+// virtual-channel and wholeness invariant through load and drain. A twin
+// restored mid-load from the network's snapshot runs beside it under a
+// sanitizer of its own, which must reach the same verdict from the
+// restore cycle on.
 func FuzzInvariants(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(0), uint8(16), uint8(0), uint8(1), uint8(40), uint64(1))
 	f.Add(uint8(2), uint8(3), uint8(2), uint8(8), uint8(1), uint8(4), uint8(80), uint64(2))
@@ -52,20 +56,43 @@ func FuzzInvariants(f *testing.F) {
 		sim.MustInstall(t, net, traffic.NewUniform(net.NumNodes()))
 		s := check.Attach(net, check.Config{})
 		load := float64(int(loadPct)%101) / 100
+		nets, sans := []*sim.Network{net}, []*check.Sanitizer{s}
 		for i := 0; i < 300; i++ {
-			sim.MustGenerate(t, net, load)
-			net.Step()
+			if i == 150 {
+				var snap bytes.Buffer
+				if err := net.Snapshot(&snap); err != nil {
+					t.Fatal(err)
+				}
+				twinAlg, err := routing.NewFlatFlyAlgorithm(algs[int(algSel)%len(algs)], ff)
+				if err != nil {
+					t.Fatal(err)
+				}
+				twin, err := sim.Restore(&snap, ff.Graph(), twinAlg, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim.MustInstall(t, twin, traffic.NewUniform(twin.NumNodes()))
+				nets, sans = append(nets, twin), append(sans, check.Attach(twin, check.Config{}))
+			}
+			for _, n := range nets {
+				sim.MustGenerate(t, n, load)
+				n.Step()
+			}
 		}
-		for i := 0; i < 20000 && !net.Quiescent(); i++ {
-			net.Step()
+		for _, n := range nets {
+			for i := 0; i < 20000 && !n.Quiescent(); i++ {
+				n.Step()
+			}
 		}
-		if !net.Quiescent() {
-			t.Fatalf("network failed to drain (k=%d n=%d alg=%s load=%.2f pkt=%d speedup=%d buf=%d)",
-				ks, ns, alg.Name(), load, ps, cfg.Speedup, cfg.BufPerPort)
-		}
-		if err := s.Finalize(); err != nil {
-			t.Fatalf("sanitizer tripped (k=%d n=%d alg=%s load=%.2f pkt=%d speedup=%d buf=%d): %v",
-				ks, ns, alg.Name(), load, ps, cfg.Speedup, cfg.BufPerPort, err)
+		for i, n := range nets {
+			if !n.Quiescent() {
+				t.Fatalf("network %d failed to drain (k=%d n=%d alg=%s load=%.2f pkt=%d speedup=%d buf=%d)",
+					i, ks, ns, alg.Name(), load, ps, cfg.Speedup, cfg.BufPerPort)
+			}
+			if err := sans[i].Finalize(); err != nil {
+				t.Fatalf("sanitizer %d tripped (k=%d n=%d alg=%s load=%.2f pkt=%d speedup=%d buf=%d): %v",
+					i, ks, ns, alg.Name(), load, ps, cfg.Speedup, cfg.BufPerPort, err)
+			}
 		}
 	})
 }

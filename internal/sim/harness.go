@@ -34,10 +34,26 @@ type harness struct {
 	cycles, delivered int64
 }
 
+// RunHooks are the two hooks every run harness takes; RunConfig,
+// BatchConfig, CollectiveConfig and ClosedLoopConfig embed them.
+type RunHooks struct {
+	// Stop, when non-nil, is polled every 256 cycles; returning true
+	// aborts the run with an error wrapping ErrStopped. It is the hook
+	// for cancellation and wall-clock budgets and never perturbs the run.
+	Stop func() bool
+	// Attach, when non-nil, is called with each network the run builds
+	// or restores, before its first cycle: the hook that installs
+	// observers, any mix of hook sets (Network.AttachHooks) such as
+	// probes, flit tracers, RecordTrace or the check.Arm sanitizer.
+	// Observers never change results; each starts from the network it
+	// is handed, so a LoadSweep attaches once per load point.
+	Attach func(n *Network)
+}
+
 // openHarness builds the run's network, or restores it from resume when
-// that is non-nil, hands it to attach for instrumentation, and starts
-// the run. The caller defers close.
-func openHarness(g *topo.Graph, alg Algorithm, cfg Config, resume io.Reader, attach func(*Network), stop func() bool) (harness, error) {
+// that is non-nil, hands it to hooks.Attach for instrumentation, and
+// starts the run. The caller defers close.
+func openHarness(g *topo.Graph, alg Algorithm, cfg Config, resume io.Reader, hooks RunHooks) (harness, error) {
 	var n *Network
 	var err error
 	if resume != nil {
@@ -47,10 +63,10 @@ func openHarness(g *topo.Graph, alg Algorithm, cfg Config, resume io.Reader, att
 	} else if n, err = New(g, alg, cfg); err != nil {
 		return harness{}, err
 	}
-	if attach != nil {
-		attach(n)
+	if hooks.Attach != nil {
+		hooks.Attach(n)
 	}
-	return track(n, stop), nil
+	return track(n, hooks.Stop), nil
 }
 
 // track starts a run on a network the caller built and owns; the caller

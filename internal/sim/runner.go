@@ -26,18 +26,7 @@ type RunConfig struct {
 	// MaxCycles bounds the total simulation; if labeled packets have not
 	// drained by then the run reports Saturated. 0 picks a default.
 	MaxCycles int
-	// Stop, when non-nil, is polled every few hundred cycles; returning
-	// true aborts the run with an error wrapping ErrStopped. It is the
-	// hook for context cancellation and wall-clock budgets, and it never
-	// perturbs the simulation's random streams.
-	Stop func() bool
-	// Attach, when non-nil, is called with the run's freshly built or
-	// restored network before the first cycle — the hook by which callers
-	// install instrumentation, any mix of hook sets (Network.AttachHooks):
-	// probes (Network.AttachProbes), flit tracers (Network.AttachTracer)
-	// or the internal/check sanitizer (check.Arm). It is called once per
-	// network, so a LoadSweep invokes it once per load point.
-	Attach func(n *Network)
+	RunHooks
 	// Observe, when non-nil, is called with the run's network after the
 	// run completes (drained or saturated), before RunLoadPoint returns
 	// — the hook for end-of-run inspection such as channel loads or
@@ -48,11 +37,8 @@ type RunConfig struct {
 	// opens — the point where all warm-up work is done but no measured
 	// packet exists yet. Resuming a run from that snapshot is
 	// bit-identical to running straight through, for any Measure and
-	// MaxCycles. Incompatible with a pipeline hook set installed through
-	// Attach — probes, tracer or sanitizer (the snapshot would be
-	// unfaithful); the run fails with an error rather than writing one
-	// silently. Sets of only Materialize and Deliver callbacks, such as
-	// RecordTrace, are compatible.
+	// MaxCycles. Observers installed through Attach do not enter the
+	// snapshot: its bytes are those of the unobserved run.
 	Checkpoint io.Writer
 	// Resume, when non-nil, restores the run's network from a snapshot
 	// (written by Checkpoint or Network.Snapshot) instead of building a
@@ -108,7 +94,7 @@ func RunLoadPoint(g *topo.Graph, alg Algorithm, cfg Config, rc RunConfig) (LoadP
 	if maxCycles <= 0 {
 		maxCycles = 20 * (rc.Warmup + rc.Measure)
 	}
-	h, err := openHarness(g, alg, cfg, rc.Resume, rc.Attach, rc.Stop)
+	h, err := openHarness(g, alg, cfg, rc.Resume, rc.RunHooks)
 	if err != nil {
 		return LoadPointResult{}, err
 	}
@@ -250,9 +236,7 @@ type BatchConfig struct {
 	// MaxCycles bounds the run; 0 picks a default proportional to
 	// BatchSize. Exceeding it is an error (the batch never completed).
 	MaxCycles int
-	// Stop and Attach are RunConfig's Stop and Attach hooks.
-	Stop   func() bool
-	Attach func(n *Network)
+	RunHooks
 }
 
 // RunBatch executes the Fig. 5 batch experiment.
@@ -267,7 +251,7 @@ func RunBatch(g *topo.Graph, alg Algorithm, cfg Config, bc BatchConfig) (BatchRe
 	if maxCycles <= 0 {
 		maxCycles = 1000 * bc.BatchSize
 	}
-	h, err := openHarness(g, alg, cfg, nil, bc.Attach, bc.Stop)
+	h, err := openHarness(g, alg, cfg, nil, bc.RunHooks)
 	if err != nil {
 		return BatchResult{}, err
 	}

@@ -347,7 +347,7 @@ func TestRunBatchHooks(t *testing.T) {
 	}
 	attached := false
 	got, err := RunBatch(f.Graph(), &minimalAlg{f}, DefaultConfig(),
-		BatchConfig{Pattern: pat, BatchSize: 4, Attach: func(n *Network) { attached = true }})
+		BatchConfig{Pattern: pat, BatchSize: 4, RunHooks: RunHooks{Attach: func(n *Network) { attached = true }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestRunBatchHooks(t *testing.T) {
 	stopped := 0
 	if _, err := RunBatch(f.Graph(), &minimalAlg{f}, DefaultConfig(),
 		BatchConfig{Pattern: pat, BatchSize: 500,
-			Stop: func() bool { stopped++; return true }}); err == nil {
+			RunHooks: RunHooks{Stop: func() bool { stopped++; return true }}}); err == nil {
 		t.Fatal("stop hook did not abort the run")
 	}
 	if stopped == 0 {

@@ -114,16 +114,13 @@ func (n *Network) eachEvent(visit func(delta int, kind uint64, tail bool, vc, ro
 
 // Snapshot writes the network's complete state to w in the
 // internal/snapshot container format. It must be called between Steps
-// (never from inside a hook) and fails on instrumented networks: a
-// pipeline hook set (probes, a tracer, the sanitizer) holds
-// unserialisable state — re-run those from cold. Packet-only sets
-// (Materialize, Deliver) do not block it.
+// (never from inside a hook). Attached hook sets are observers, not
+// simulation state, so they do not enter the snapshot: an observed
+// network writes the same bytes as its unobserved twin, and on Restore
+// each observer attached afresh starts from the restored network.
 func (n *Network) Snapshot(w io.Writer) error {
 	if n.closed {
 		return fmt.Errorf("sim: cannot snapshot a closed network")
-	}
-	if len(n.hooks) != 0 {
-		return fmt.Errorf("sim: cannot snapshot an instrumented network (%d hook sets attached)", len(n.hooks))
 	}
 	if n.stepAll {
 		return fmt.Errorf("sim: cannot snapshot in stepAll debug mode")

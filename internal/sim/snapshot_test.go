@@ -242,28 +242,34 @@ func TestSnapshotRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Observers are not simulation state: a probed network snapshots to
+	// the bytes of its unprobed twin.
 	probed, err := sim.New(ff.Graph(), alg, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer probed.Close()
-	probed.AttachProbes(sim.ProbeConfig{})
-	if err := probed.Snapshot(&bytes.Buffer{}); err == nil {
-		t.Fatal("snapshot of a probed network should fail")
-	}
-
+	probed.AttachProbes(sim.ProbeConfig{Stride: 4})
 	n, err := sim.New(ff.Graph(), alg, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.MustInstall(t, n, traffic.NewUniform(n.NumNodes()))
-	for i := 0; i < 50; i++ {
-		sim.MustGenerate(t, n, 0.3)
-		n.Step()
+	var buf, probedBuf bytes.Buffer
+	for _, net := range []*sim.Network{n, probed} {
+		sim.MustInstall(t, net, traffic.NewUniform(net.NumNodes()))
+		for i := 0; i < 50; i++ {
+			sim.MustGenerate(t, net, 0.3)
+			net.Step()
+		}
 	}
-	var buf bytes.Buffer
 	if err := n.Snapshot(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if err := probed.Snapshot(&probedBuf); err != nil {
+		t.Fatal(err)
+	}
+	if probed.Probes().Grants == 0 || !bytes.Equal(buf.Bytes(), probedBuf.Bytes()) {
+		t.Fatalf("probed snapshot (%d grants probed) differs from its unprobed twin's", probed.Probes().Grants)
 	}
 	n.Close()
 	if err := n.Snapshot(&bytes.Buffer{}); err == nil {

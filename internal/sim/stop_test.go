@@ -57,28 +57,28 @@ func TestEveryHarnessStops(t *testing.T) {
 		{"RunLoadPoint", func(attach func(*sim.Network), stop func() bool) error {
 			_, err := sim.RunLoadPoint(g, newAlg(), sim.DefaultConfig(), sim.RunConfig{
 				Load: 1, Source: saturating(), Warmup: 100000, Measure: 100000,
-				Attach: attach, Stop: stop,
+				RunHooks: sim.RunHooks{Attach: attach, Stop: stop},
 			})
 			return err
 		}},
 		{"RunBatch", func(attach func(*sim.Network), stop func() bool) error {
 			_, err := sim.RunBatch(g, newAlg(), sim.DefaultConfig(), sim.BatchConfig{
 				Pattern: traffic.NewUniform(nodes), BatchSize: 4000,
-				Attach: attach, Stop: stop,
+				RunHooks: sim.RunHooks{Attach: attach, Stop: stop},
 			})
 			return err
 		}},
 		{"RunCollective", func(attach func(*sim.Network), stop func() bool) error {
 			_, err := sim.RunCollective(g, newAlg(), sim.DefaultConfig(), sim.CollectiveConfig{
 				Kind: sim.CollectiveAllToAll, Packets: 400, Source: saturating(), Load: 1,
-				Attach: attach, Stop: stop,
+				RunHooks: sim.RunHooks{Attach: attach, Stop: stop},
 			})
 			return err
 		}},
-		{"RunClosedLoop", func(_ func(*sim.Network), stop func() bool) error {
+		{"RunClosedLoop", func(attach func(*sim.Network), stop func() bool) error {
 			_, err := sim.RunClosedLoop(g, newAlg(), sim.DefaultConfig(), sim.ClosedLoopConfig{
 				Window: 4, Pattern: traffic.NewUniform(nodes), Warmup: 100000, Measure: 100000,
-				Stop: stop,
+				RunHooks: sim.RunHooks{Attach: attach, Stop: stop},
 			})
 			return err
 		}},

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
@@ -71,44 +73,62 @@ func (j Job) runAnalytic(res *Result) error {
 // invocation builds a private network and RNG from the job's seed, which
 // is what makes parallel sweeps bit-identical to sequential ones.
 func (j Job) Run(stop func() bool) (Result, error) {
-	return j.run(stop, nil, nil, nil)
+	return j.run(stop, false, nil)
 }
 
-// runIO is Run with the snapshot plumbing exposed: resume, when
-// non-nil, restores the job's network from a warmed snapshot instead of
-// building cold; checkpoint, when non-nil, receives a snapshot of the
-// warmed network the moment the measurement window opens. ModeLoad
-// only; see WarmStore for the reuse policy built on top.
-func (j Job) runIO(stop func() bool, resume io.Reader, checkpoint io.Writer) (Result, error) {
-	return j.run(stop, nil, resume, checkpoint)
-}
+// sanitizer configures the invariant checks of checked runs.
+var sanitizer check.Config
 
-// RunChecked is Run with the internal/check runtime sanitizer attached
-// to the job's network: every flit-conservation, credit, virtual-channel
-// and progress invariant is asserted throughout the run, and any
-// violation fails the job. The sanitizer observes without perturbing, so
-// a checked job's Result is bit-identical to an unchecked one — which is
-// why Check is an Engine attribute rather than a hashed Job field.
-func (j Job) RunChecked(stop func() bool) (Result, error) {
-	var attach func(*sim.Network)
-	done := check.Arm(&attach, check.Config{})
-	res, err := j.run(stop, attach, nil, nil)
-	if err != nil {
-		return res, err
-	}
-	if err := done(); err != nil {
-		return res, fmt.Errorf("sweep: job %s (%s %s %s) failed invariant checks: %w",
-			res.Hash[:12], j.Net, j.Alg, j.Mode, err)
-	}
-	return res, nil
-}
-
-// run is the shared body of Run, RunChecked and runIO: attach, when
-// non-nil, receives the job's freshly built network before the first
-// cycle; resume and checkpoint plug into the ModeLoad snapshot plumbing
-// (sim.RunConfig.Resume/Checkpoint) and are ignored by other modes.
-func (j Job) run(stop func() bool, attach func(*sim.Network), resume io.Reader, checkpoint io.Writer) (Result, error) {
+// run is the one job-run path, Run's and the Engine's. checked arms the
+// internal/check sanitizer on the job's network, and any violation fails
+// the job. ws, when non-nil, gives ModeLoad jobs warm-state reuse: a job
+// whose WarmKey has a stored snapshot resumes from it, skipping the whole
+// warm-up, and a miss runs cold with a checkpoint writer armed and
+// deposits the warmed state. The two compose — a restored network's
+// sanitizer starts from the restored state — and neither changes the
+// Result (the snapshot round-trip guarantee), which is why both are
+// Engine attributes rather than hashed Job fields.
+func (j Job) run(stop func() bool, checked bool, ws *WarmStore) (res Result, err error) {
 	j = j.Normalize()
+	hooks := sim.RunHooks{Stop: stop}
+	if checked {
+		done := check.Arm(&hooks.Attach, sanitizer)
+		defer func() {
+			if err == nil {
+				if err = done(); err != nil {
+					err = fmt.Errorf("sweep: job %s (%s %s %s) failed invariant checks: %w",
+						res.Hash[:12], j.Net, j.Alg, j.Mode, err)
+				}
+			}
+		}()
+	}
+	if ws == nil || j.Mode != ModeLoad || j.Warmup <= 0 {
+		return j.simulate(hooks, nil, nil)
+	}
+	key := j.WarmKey()
+	if data, ok := ws.Get(key); ok {
+		if res, err = j.simulate(hooks, bytes.NewReader(data), nil); !errors.Is(err, sim.ErrResume) {
+			res.WarmStart = err == nil
+			return res, err
+		}
+		// The snapshot was corrupt or written by an incompatible build:
+		// discard it and fall through to a cold run that replaces it.
+		ws.Drop(key)
+	}
+	var buf bytes.Buffer
+	if res, err = j.simulate(hooks, nil, &buf); err == nil && buf.Len() > 0 {
+		// A failed Put only loses future reuse; the result stands.
+		res.WarmSaved = ws.Put(key, buf.Bytes()) == nil
+	}
+	return res, err
+}
+
+// simulate runs the normalized job once on a network built cold, or
+// restored from resume when that is non-nil; checkpoint, when non-nil,
+// receives the warmed network's snapshot as the measurement window
+// opens. resume and checkpoint plug into sim.RunConfig and are ignored
+// by modes other than ModeLoad and ModeSaturation.
+func (j Job) simulate(hooks sim.RunHooks, resume io.Reader, checkpoint io.Writer) (Result, error) {
 	res := Result{Job: j, Hash: j.Hash()}
 	if j.Mode == ModeAnalytic {
 		if err := j.runAnalytic(&res); err != nil {
@@ -131,8 +151,7 @@ func (j Job) run(stop func() bool, attach func(*sim.Network), resume io.Reader, 
 		rc := sim.RunConfig{
 			Load: j.Load, Source: src,
 			Warmup: j.Warmup, Measure: j.Measure, MaxCycles: j.MaxCycles,
-			Stop: stop, Attach: attach,
-			Resume: resume, Checkpoint: checkpoint,
+			RunHooks: hooks, Resume: resume, Checkpoint: checkpoint,
 		}
 		if j.Mode == ModeSaturation {
 			// Full offered load, no drain: the accepted rate over the
@@ -143,13 +162,13 @@ func (j Job) run(stop func() bool, attach func(*sim.Network), resume io.Reader, 
 	case ModeBatch:
 		res.Batch, err = sim.RunBatch(g, alg, cfg, sim.BatchConfig{
 			Pattern: pat, BatchSize: j.BatchSize, MaxCycles: j.MaxCycles,
-			Stop: stop, Attach: attach,
+			RunHooks: hooks,
 		})
 	case ModeCollective:
 		cc := sim.CollectiveConfig{
 			Kind: j.Collective, Packets: j.Chunk,
 			Warmup: j.Warmup, MaxCycles: int64(j.MaxCycles),
-			Stop: stop, Attach: attach,
+			RunHooks: hooks,
 		}
 		if j.Load > 0 {
 			cc.Load, cc.Source = j.Load, src

@@ -29,17 +29,18 @@ type Engine struct {
 	// the job's own MaxCycles.
 	JobTimeout time.Duration
 	// Check runs every simulated job under the internal/check runtime
-	// sanitizer (Job.RunChecked): invariant violations fail the job.
-	// Results are bit-identical either way, so Check does not enter the
-	// job hash — but note that cache hits are served without re-checking.
-	// Building with -tags=check turns Check on for every engine.
+	// sanitizer: invariant violations fail the job. Results are
+	// bit-identical either way, so Check does not enter the job hash —
+	// but note that cache hits are served without re-checking. It
+	// composes with Warm: a warm-restored job is checked from the
+	// restored state on. Building with -tags=check turns Check on for
+	// every engine.
 	Check bool
 	// Warm, when non-nil, enables warm-state reuse for ModeLoad jobs:
 	// a job whose WarmKey has a stored snapshot resumes from it instead
 	// of re-simulating its warm-up, and cold runs deposit their warmed
-	// state for future sweeps. Results are bit-identical either way.
-	// Ignored when Check is armed (the sanitizer must observe the run
-	// from cycle zero).
+	// state for future sweeps. Results are bit-identical either way,
+	// with or without Check.
 	Warm *WarmStore
 
 	mu    sync.Mutex
@@ -68,6 +69,13 @@ type Stats struct {
 	WarmPuts        int
 	WarmCyclesSaved int64
 	Workers         []WorkerStats
+}
+
+// WarmLine reports the warm-store totals in the one line the sweep
+// front ends print.
+func (s Stats) WarmLine() string {
+	return fmt.Sprintf("warm snapshots: %d restores, %d saved, %d warm-up cycles skipped",
+		s.WarmHits, s.WarmPuts, s.WarmCyclesSaved)
 }
 
 // Stats returns a copy of the engine's accumulated statistics.
@@ -190,16 +198,7 @@ func (e *Engine) run(ctx context.Context, jobs []Job, skip func(int) bool, onDon
 				start := time.Now()
 				stop := e.stopFunc(ctx, start)
 				e.live.inFlight.Add(1)
-				run := jobs[i].Run
-				if e.Check || autoCheck {
-					run = jobs[i].RunChecked
-				} else if e.Warm != nil {
-					jb := jobs[i]
-					run = func(stop func() bool) (Result, error) {
-						return jb.runWarm(stop, e.Warm)
-					}
-				}
-				r, err := run(stop)
+				r, err := jobs[i].run(stop, e.Check || autoCheck, e.Warm)
 				elapsed := time.Since(start)
 				e.live.inFlight.Add(-1)
 				e.live.busyNanos.Add(int64(elapsed))

@@ -145,7 +145,7 @@ func TestWorkloadJobs(t *testing.T) {
 	coll := tinyJob("MIN AD", 0.1)
 	coll.Mode, coll.Collective, coll.Chunk = ModeCollective, sim.CollectiveAllToAll, 2
 	coll.BurstPeak = 0.8
-	seq, err := coll.RunChecked(nil)
+	seq, err := coll.run(nil, true, nil)
 	if err != nil {
 		t.Fatalf("collective job: %v", err)
 	}

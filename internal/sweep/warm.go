@@ -1,17 +1,13 @@
 package sweep
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
-
-	"flatnet/internal/sim"
 )
 
 // WarmKey returns the job's warm-state content hash: the hash of every
@@ -78,6 +74,26 @@ func (s *WarmStore) file(key string) string {
 	return filepath.Join(s.dir, key+".snap")
 }
 
+// UseCache arms the engine with the JSON-lines result cache at path and
+// the warm store beside it (path + ".warm"): each load point's warm-up
+// is simulated once, then restored on every re-measurement of that
+// point. An empty path arms neither. The returned func closes the cache.
+func (e *Engine) UseCache(path string) (closeCache func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	cache, err := OpenCache(path)
+	if err != nil {
+		return nil, err
+	}
+	if e.Warm, err = OpenWarmStore(path + ".warm"); err != nil {
+		cache.Close()
+		return nil, err
+	}
+	e.Cache = cache
+	return cache.Close, nil
+}
+
 // Get returns the stored snapshot bytes for a warm key.
 func (s *WarmStore) Get(key string) ([]byte, bool) {
 	data, err := os.ReadFile(s.file(key))
@@ -126,40 +142,4 @@ func (s *WarmStore) Stats() WarmStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return WarmStats{Hits: s.hits, Misses: s.misses, Puts: s.puts}
-}
-
-// runWarm is Job.Run with warm-state reuse: a ModeLoad job whose
-// WarmKey has a stored snapshot resumes from it (skipping the entire
-// warm-up phase); a miss runs cold with a checkpoint writer armed and
-// deposits the warmed state for future runs. Either way the Result is
-// bit-identical to a plain cold run — the snapshot round-trip guarantee
-// — so warm reuse never enters the job hash or the result cache.
-func (j Job) runWarm(stop func() bool, ws *WarmStore) (Result, error) {
-	j = j.Normalize()
-	if ws == nil || j.Mode != ModeLoad || j.Warmup <= 0 {
-		return j.Run(stop)
-	}
-	key := j.WarmKey()
-	if data, ok := ws.Get(key); ok {
-		res, err := j.runIO(stop, bytes.NewReader(data), nil)
-		if err == nil {
-			res.WarmStart = true
-			return res, nil
-		}
-		if !errors.Is(err, sim.ErrResume) {
-			return res, err
-		}
-		// The snapshot was corrupt or written by an incompatible build:
-		// discard it and fall through to a cold run that replaces it.
-		ws.Drop(key)
-	}
-	var buf bytes.Buffer
-	res, err := j.runIO(stop, nil, &buf)
-	if err == nil && buf.Len() > 0 {
-		// A failed Put only loses future reuse; the result stands.
-		if perr := ws.Put(key, buf.Bytes()); perr == nil {
-			res.WarmSaved = true
-		}
-	}
-	return res, err
 }

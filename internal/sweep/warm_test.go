@@ -2,10 +2,14 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"flatnet/internal/check"
 )
 
 func TestWarmKeyScope(t *testing.T) {
@@ -47,9 +51,6 @@ func TestWarmKeyScope(t *testing.T) {
 // — even at a different Measure length — while skipping every warm-up
 // cycle.
 func TestWarmSweepBitIdentical(t *testing.T) {
-	if autoCheck {
-		t.Skip("-tags=check: sanitized engines ignore the warm store")
-	}
 	dir := t.TempDir()
 	jobs := func(measure int) []Job {
 		var js []Job
@@ -115,6 +116,37 @@ func TestWarmSweepBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckedRunsSanitized holds the checked path to attaching a
+// sanitizer, on the engine's cold jobs and on warm-restored ones alike.
+// A one-cycle watchdog fires on the first cycle that delivers no flit
+// while flits are in flight, which this lightly loaded job has cold and
+// restored, so each checked run must fail its invariant checks.
+func TestCheckedRunsSanitized(t *testing.T) {
+	defer func(c check.Config) { sanitizer = c }(sanitizer)
+	sanitizer = check.Config{WatchdogCycles: 1}
+	tripped := func(pass string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), check.KindDeadlock) {
+			t.Fatalf("%s: want the one-cycle watchdog to fail the job, got %v", pass, err)
+		}
+	}
+	j := tinyJob("UGAL-S", 0.2).Normalize()
+	_, err := (&Engine{Check: true}).Run(context.Background(), []Job{j})
+	tripped("engine", err)
+
+	ws, err := OpenWarmStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, restored := range []bool{false, true} {
+		res, err := j.run(nil, true, ws)
+		tripped(fmt.Sprintf("restored=%v", restored), err)
+		if res.WarmStart != restored || res.WarmSaved == restored {
+			t.Fatalf("restored=%v: got WarmStart=%v WarmSaved=%v", restored, res.WarmStart, res.WarmSaved)
+		}
+	}
+}
+
 // TestWarmCorruptSnapshotFallsBack ensures a damaged stored snapshot is
 // discarded and replaced by a cold run with the correct result.
 func TestWarmCorruptSnapshotFallsBack(t *testing.T) {
@@ -130,7 +162,7 @@ func TestWarmCorruptSnapshotFallsBack(t *testing.T) {
 	if err := ws.Put(j.WarmKey(), []byte("not a snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := j.runWarm(nil, ws)
+	res, err := j.run(nil, false, ws)
 	if err != nil {
 		t.Fatalf("corrupt warm snapshot should fall back, got: %v", err)
 	}
@@ -141,7 +173,7 @@ func TestWarmCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatalf("fallback result diverges from cold: %+v vs %+v", res.Point, coldRes.Point)
 	}
 	// The replacement snapshot must now be valid and hit.
-	res2, err := j.runWarm(nil, ws)
+	res2, err := j.run(nil, false, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +188,6 @@ func TestWarmCorruptSnapshotFallsBack(t *testing.T) {
 // TestWarmStoreBesideCache pins the on-disk convention: snapshots live
 // in a sibling directory of the JSON-lines cache, one file per key.
 func TestWarmStoreBesideCache(t *testing.T) {
-	if autoCheck {
-		t.Skip("-tags=check: sanitized engines ignore the warm store")
-	}
 	dir := t.TempDir()
 	cachePath := filepath.Join(dir, "results.jsonl")
 	c, err := OpenCache(cachePath)
