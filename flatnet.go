@@ -472,26 +472,16 @@ var (
 	CompareWireDelay = layout.CompareWireDelay
 )
 
-// Closed-form saturation-throughput models, used to validate the
-// simulator against channel-load theory.
+// The channel-load bound on saturation throughput and its routing rules.
+const LoadMinimal, LoadValiant = analysis.Minimal, analysis.Valiant
+
 var (
-	// FlatFlyWCMinimal is 1/k (§3.2).
-	FlatFlyWCMinimal = analysis.FlatFlyWCMinimal
-	// FlatFlyWCNonMinimal is (k-1)/2k.
-	FlatFlyWCNonMinimal = analysis.FlatFlyWCNonMinimal
-	// FoldedClosURThroughput models the tapered Clos's ~50% cap.
-	FoldedClosURThroughput = analysis.FoldedClosURThroughput
-	// TorusTornadoThroughput is 1/floor(k/2).
-	TorusTornadoThroughput = analysis.TorusTornadoThroughput
+	// LoadBound returns saturation, 1 / max(1, largest channel load), and
+	// mean hops of a uniform, worst-case, tornado or fixed pattern.
+	LoadBound = analysis.LoadBound
 	// CreditLimitedChannelRate is min(1, depth/RTT) — the Fig. 12(b)
 	// mechanism.
 	CreditLimitedChannelRate = analysis.CreditLimitedChannelRate
-	// SlimFlyNeighborMinimal is 1/p under the generator-neighbor
-	// adversary.
-	SlimFlyNeighborMinimal = analysis.SlimFlyNeighborMinimal
-	// DragonflyWCMinimal is 1/(a*p); DragonflyWCNonMinimal is h/(2p).
-	DragonflyWCMinimal    = analysis.DragonflyWCMinimal
-	DragonflyWCNonMinimal = analysis.DragonflyWCNonMinimal
 )
 
 // Graph-analytic evaluation (the EvalNet methodology): metrics from the

@@ -1,120 +1,113 @@
-// Package analysis provides closed-form channel-load models for the
-// saturation throughput of the paper's topology/routing/traffic
-// combinations. Each function derives the bottleneck channel load per
-// unit of injected traffic; the reciprocal is the saturation throughput
-// as a fraction of capacity. The simulator's measurements are validated
-// against these bounds in the test suites — the reproduction's analogue
-// of checking a cycle-accurate simulator against queueing theory.
-//
-// Capacity normalization follows the paper (§3.2 note 3): with bisection
-// B = N/2 unit channels, capacity 2B/N is one flit per node per cycle.
+// Package analysis evaluates a network from its channel graph alone:
+// LoadBound, EvalNet's throughput bound (the load on the scarcest
+// channel) that the simulator and the paper's claims are held to, and
+// graph.go's analytic-mode metrics. Capacity is 1 flit/node/cycle (§3.2).
 package analysis
 
-// FlatFlyWCMinimal returns the saturation throughput of minimal routing
-// on a k-ary n-flat under the worst-case pattern: all k terminals of a
-// router contend for the single channel to the next router, so throughput
-// is 1/k (§3.2: "MIN is limited to 1/32 or approximately 3%").
-func FlatFlyWCMinimal(k int) float64 {
-	return 1.0 / float64(k)
+import (
+	"fmt"
+
+	"flatnet/internal/topo"
+	"flatnet/internal/traffic"
+)
+
+// Rule is how LoadBound routes a flow over the channel graph.
+type Rule int
+
+const (
+	// Minimal splits a router's flow towards a destination router evenly
+	// over its minimal next-hop channels.
+	Minimal Rule = iota
+	// Valiant routes minimally to a uniformly random router, then on.
+	Valiant
+)
+
+// destLaw is a pattern's exact destination law, defined beside Dest in
+// internal/traffic: src sends to a uniform node of [first, first+n).
+type destLaw interface {
+	DestRange(src topo.NodeID) (first, n int)
 }
 
-// FlatFlyWCNonMinimal returns the saturation throughput of non-minimal
-// (VAL/UGAL/CLOS AD) routing on a 1-D flattened butterfly under the
-// worst-case pattern: k flits per router per cycle are spread over the
-// k-1 inter-router channels, each traversing two hops on average, so the
-// bottleneck load is 2k/(k-1) per unit injection: throughput (k-1)/2k —
-// approaching 50% for large k.
-func FlatFlyWCNonMinimal(k int) float64 {
-	return float64(k-1) / float64(2*k)
-}
-
-// FlatFlyURCapacity returns the uniform-random capacity of a flattened
-// butterfly with self-traffic included: exactly 1 (every dimension's
-// channels carry precisely the injection rate).
-func FlatFlyURCapacity() float64 { return 1.0 }
-
-// ValiantURThroughput returns VAL's uniform-random saturation on a 1-D
-// flattened butterfly: both phases load every channel at the injection
-// rate, halving throughput (§3.2: "VAL achieves only half of network
-// capacity regardless of the traffic pattern"). The (k-1)/2k form
-// accounts for the 1/k chance a phase needs no hop.
-func ValiantURThroughput(k int) float64 {
-	// Each phase induces per-channel load of injection * k/(k-1) * (k-1)/k
-	// = injection; two phases give 2x, but a random intermediate equals
-	// the current or destination router with probability ~1/k each,
-	// skipping a hop. Net: capacity/2 * (1 + O(1/k)) ~ 1/2.
-	return 0.5
-}
-
-// FoldedClosURThroughput returns the uniform-random saturation of a
-// folded Clos whose leaves have t terminals and u uplinks: remote traffic
-// t*lambda*(1 - t/N) spreads over u uplinks, so saturation is
-// u / (t * (1 - t/N)). With the §3.3 2:1 taper (u = t/2) and t << N this
-// is ~0.5 — "the folded Clos uses 1/2 of the bandwidth for load-balancing
-// to the middle stages, thus only achieves 50% throughput".
-func FoldedClosURThroughput(t, u, n int) float64 {
-	remote := 1 - float64(t)/float64(n)
-	if remote <= 0 {
-		return 1
+// LoadBound loads each network channel of g with its expected flits per
+// cycle when every terminal injects one flit per cycle of pattern p,
+// routed by rule, and returns the saturation throughput, 1 / max(1,
+// largest load), and the mean hops, the summed load per terminal. One
+// reverse BFS per destination, over In ports, serves one-way networks.
+func LoadBound(g *topo.Graph, p traffic.Pattern, rule Rule) (saturation, meanHops float64, err error) {
+	law, ok := p.(destLaw)
+	if !ok {
+		return 0, 0, fmt.Errorf("analysis: pattern %s has no exact destination law", p.Name())
 	}
-	v := float64(u) / (float64(t) * remote)
-	if v > 1 {
-		return 1
+	r, nodes := g.NumRouters(), g.NumNodes
+	dem := make([]float64, r*r) // dem[s*r+d]: flits per cycle router s sends to router d
+	for s := 0; s < nodes; s++ {
+		first, n := law.DestRange(topo.NodeID(s))
+		if n < 1 || first < 0 || first+n > nodes {
+			return 0, 0, fmt.Errorf("analysis: %s sends node %d to [%d, %d), outside [0, %d)", p.Name(), s, first, first+n, nodes)
+		}
+		for t := first; t < first+n; t++ {
+			dem[int(g.NodeRouter[s])*r+int(g.EjRouter[t])] += 1 / float64(n)
+		}
 	}
-	return v
-}
-
-// ButterflyWCThroughput returns the conventional butterfly's worst-case
-// saturation: with no path diversity the k flows of a first-stage router
-// share one channel, 1/k (Fig. 6(b): "an order of magnitude difference").
-func ButterflyWCThroughput(k int) float64 {
-	return 1.0 / float64(k)
-}
-
-// TorusTornadoThroughput returns minimal (DOR) routing's saturation on a
-// k-node ring under tornado traffic: every node sends floor(k/2) hops in
-// one direction, so each directed channel carries floor(k/2) flows:
-// throughput 1/floor(k/2) — the classic result motivating non-minimal
-// routing on tori (the paper's refs [27][28]).
-func TorusTornadoThroughput(k int) float64 {
-	return 1.0 / float64(k/2)
-}
-
-// ConcentratedHypercubeWCThroughput returns the worst-case saturation of
-// a hypercube with c-way concentration (the paper's footnote 10): the c
-// flows of a router share a single unit-width dimension channel, 1/c.
-func ConcentratedHypercubeWCThroughput(c int) float64 {
-	return 1.0 / float64(c)
-}
-
-// SlimFlyNeighborMinimal returns minimal routing's saturation on a Slim
-// Fly with p terminals per router under the neighbor-adversarial
-// pattern (every terminal of each router targets a terminal of the same
-// fixed Cayley-generator neighbor): the p flows contend for the single
-// direct channel — the diameter-2 graph has exactly one minimal path to
-// an adjacent router — so throughput is 1/p.
-func SlimFlyNeighborMinimal(p int) float64 {
-	return 1.0 / float64(p)
-}
-
-// DragonflyWCMinimal returns minimal routing's saturation on a dragonfly
-// with a routers per group and p terminals per router under the
-// worst-case pattern (every terminal of group g targets group g+1): the
-// canonical dragonfly has exactly one global channel between each
-// ordered group pair, so the group's a*p flows share it — 1/(a*p), the
-// adversarial pattern of the dragonfly paper (Kim et al., ISCA 2008).
-func DragonflyWCMinimal(a, p int) float64 {
-	return 1.0 / float64(a*p)
-}
-
-// DragonflyWCNonMinimal returns non-minimal (VAL/UGAL) routing's
-// saturation on a dragonfly with h global channels per router and p
-// terminals per router under the worst-case pattern: detouring through a
-// random intermediate group costs ~2 global hops per packet, spread over
-// the group's a*h global channels against a*p injected flits: h/(2p) —
-// 1/2 for the balanced p = h configuration.
-func DragonflyWCNonMinimal(h, p int) float64 {
-	return float64(h) / float64(2*p)
+	if rule == Valiant {
+		// Phase one sends each router's outflow evenly to every router,
+		// phase two each router's inflow evenly from every router.
+		out, in := make([]float64, r), make([]float64, r)
+		for i, v := range dem {
+			out[i/r] += v
+			in[i%r] += v
+		}
+		for i := range dem {
+			dem[i] = (out[i/r] + in[i%r]) / float64(r)
+		}
+	}
+	c := buildCSR(g)
+	load := make([]float64, len(c.nbr)) // per channel, in CSR order
+	dist, next, flow, queue := make([]int32, r), make([]int32, r), make([]float64, r), make([]int32, 0, r)
+	for d := 0; d < r; d++ {
+		for i := range dist {
+			dist[i], next[i] = -1, 0
+		}
+		dist[d] = 0
+		queue = append(queue[:0], int32(d))
+		for qi := 0; qi < len(queue); qi++ {
+			v := queue[qi]
+			for _, in := range g.Routers[v].In {
+				if u := in.Peer; in.Kind == topo.Network {
+					if dist[u] < 0 {
+						dist[u] = dist[v] + 1
+						queue = append(queue, u)
+					}
+					if dist[u] == dist[v]+1 {
+						next[u]++ // a minimal next-hop channel of u
+					}
+				}
+			}
+		}
+		for v := range dist {
+			flow[v] = dem[v*r+d]
+			if dist[v] < 0 && flow[v] > 0 {
+				return 0, 0, fmt.Errorf("analysis: router %d sends to router %d, which it cannot reach", v, d)
+			}
+		}
+		// Farthest first, so a router's inflow is complete when it splits.
+		for qi := len(queue) - 1; qi > 0; qi-- {
+			v := queue[qi]
+			share := flow[v] / float64(next[v])
+			for e := c.off[v]; e < c.off[v+1]; e++ {
+				if w := c.nbr[e]; dist[w] == dist[v]-1 {
+					load[e] += share
+					flow[w] += share
+				}
+			}
+		}
+	}
+	peak, sum := 1.0, 0.0
+	for _, l := range load {
+		peak = max(peak, l)
+		sum += l
+	}
+	return 1 / peak, sum / float64(nodes), nil
 }
 
 // CreditLimitedChannelRate returns the maximum utilization a single

@@ -151,7 +151,7 @@ func slimFlyNeighborPattern(t *testing.T, s *topo.SlimFly) traffic.Pattern {
 func TestSlimFlyAdversarial(t *testing.T) {
 	s := modernSF(t)
 	pat := slimFlyNeighborPattern(t, s)
-	sat := analysis.SlimFlyNeighborMinimal(s.P) // 0.5
+	sat := loadBound(t, s.Graph(), pat, analysis.Minimal) // 1/p = 0.5
 	cases := []struct {
 		alg  string
 		load float64
@@ -190,10 +190,7 @@ func TestSlimFlyAdversarial(t *testing.T) {
 						alg.Name(), res.AcceptedRate, tc.load)
 				}
 			default:
-				if res.AcceptedRate > 1.25*sat {
-					t.Errorf("MIN accepted %.3f at neighbor load %.2f, above the %.4f analytic ceiling",
-						res.AcceptedRate, tc.load, sat)
-				}
+				inBand(t, "MIN past the knee", res.AcceptedRate, sat, 0.80, 1.25)
 			}
 		})
 	}
@@ -201,13 +198,18 @@ func TestSlimFlyAdversarial(t *testing.T) {
 
 // TestDragonflyAdversarial straddles both dragonfly knees on the
 // worst-case pattern (each group's a·p = 8 terminals target the next
-// group): MIN against the single shared global channel at 1/(a·p) =
-// 0.125, the UGAL variants against the h/(2p) = 0.5 non-minimal bound.
+// group). The dragonfly's routing is hierarchical, not graph-shortest,
+// so the knees are the dragonfly paper's (Kim et al., ISCA 2008), not
+// the channel-load bound's (0.255 and 0.383, internal/analysis).
 func TestDragonflyAdversarial(t *testing.T) {
 	d := modernDF(t)
 	pat := traffic.NewWorstCase(d.A*d.P, d.Groups)
-	minSat := analysis.DragonflyWCMinimal(d.A, d.P)   // 0.125
-	nmSat := analysis.DragonflyWCNonMinimal(d.H, d.P) // 0.5
+	// MIN: the group's a·p flows share its one global channel to the next
+	// group, 1/(a·p).
+	minSat := 0.125
+	// VAL/UGAL: ~2 global hops per packet over the group's a·h global
+	// channels against a·p injected flits, h/(2p).
+	nmSat := 0.5
 	cases := []struct {
 		alg  string
 		load float64

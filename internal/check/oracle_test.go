@@ -72,7 +72,10 @@ func TestZeroLoadLatencyOracle(t *testing.T) {
 		// compares empty queues and goes minimal; only VAL detours.
 		hops := f.AvgUniformMinHops()
 		if algName == "val" {
-			hops = routing.ValiantUniformHops(f)
+			_, hops, err = analysis.LoadBound(f.Graph(), ur, analysis.Valiant)
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 		m, err := routing.ZeroLoadFor(f.Graph(), cfg, hops)
 		if err != nil {
@@ -164,16 +167,26 @@ func satThroughput(t *testing.T, g *topo.Graph, alg sim.Algorithm, cfg sim.Confi
 	return res.AcceptedRate
 }
 
-// within asserts |got-want|/want <= tol.
-func within(t *testing.T, name string, got, want, tol float64) {
+// inBand asserts got lies in [lo, hi] times the bound.
+func inBand(t *testing.T, name string, got, bound, lo, hi float64) {
 	t.Helper()
-	if math.Abs(got-want) > tol*want {
-		t.Errorf("%s: %.4f, want %.4f ± %.0f%%", name, got, want, tol*100)
+	if !(got >= lo*bound && got <= hi*bound) {
+		t.Errorf("%s: %.4f, want within [%.2f, %.2f] x %.4f", name, got, lo, hi, bound)
 	}
 }
 
+// loadBound is the internal/analysis channel-load bound's saturation.
+func loadBound(t *testing.T, g *topo.Graph, p traffic.Pattern, rule analysis.Rule) float64 {
+	t.Helper()
+	sat, _, err := analysis.LoadBound(g, p, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sat
+}
+
 // TestSaturationOracle holds sanitized saturation runs to the
-// internal/analysis channel-load models.
+// internal/analysis channel-load bound.
 func TestSaturationOracle(t *testing.T) {
 	cfg := sim.DefaultConfig()
 
@@ -182,26 +195,27 @@ func TestSaturationOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc := traffic.NewWorstCase(8, 8)
-	within(t, "FB WC MIN AD",
+	inBand(t, "FB WC MIN AD",
 		satThroughput(t, f.Graph(), routing.NewMinAD(f), cfg, wc),
-		analysis.FlatFlyWCMinimal(8), 0.25)
-	within(t, "FB WC UGAL-S",
+		loadBound(t, f.Graph(), wc, analysis.Minimal), 0.75, 1.25)
+	inBand(t, "FB WC UGAL-S",
 		satThroughput(t, f.Graph(), routing.NewUGALS(f), cfg, wc),
-		analysis.FlatFlyWCNonMinimal(8), 0.20)
+		loadBound(t, f.Graph(), wc, analysis.Valiant), 0.70, 1.05)
 
 	b, err := topo.NewButterfly(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	within(t, "butterfly WC",
-		satThroughput(t, b.Graph(), routing.NewButterflyDest(b), cfg, traffic.NewWorstCase(8, 8)),
-		analysis.ButterflyWCThroughput(8), 0.25)
+	inBand(t, "butterfly WC",
+		satThroughput(t, b.Graph(), routing.NewButterflyDest(b), cfg, wc),
+		loadBound(t, b.Graph(), wc, analysis.Minimal), 0.75, 1.25)
 
 	fc, err := topo.NewFoldedClos(8, 4, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	within(t, "tapered Clos UR",
-		satThroughput(t, fc.Graph(), routing.NewFoldedClosAdaptive(fc), cfg, traffic.NewUniform(fc.NumNodes)),
-		analysis.FoldedClosURThroughput(8, 4, 64), 0.15)
+	ur := traffic.NewUniform(fc.NumNodes)
+	inBand(t, "tapered Clos UR",
+		satThroughput(t, fc.Graph(), routing.NewFoldedClosAdaptive(fc), cfg, ur),
+		loadBound(t, fc.Graph(), ur, analysis.Minimal), 0.85, 1.15)
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"flatnet/internal/analysis"
+	"flatnet/internal/sweep"
 )
 
 // claim is one quantitative claim of the paper about a simulation figure.
@@ -23,7 +24,7 @@ type claim struct {
 	fig      string // figure id, a key of Figures
 	quantity string
 	paper    string // the paper's value as it states it, plus any known deviation
-	// derived is the closed-form value at a scale; nil where none exists.
+	// derived is the channel-load bound at a scale; nil where none exists.
 	derived func(figScale) float64
 	// band is the two-sided range the measured value must lie in: a
 	// multiple of derived when there is one, otherwise absolute (a
@@ -32,15 +33,28 @@ type claim struct {
 	measure func(figs) float64
 }
 
-// Closed forms at a figure's scale. Fig. 6's folded Clos is 2:1 tapered
-// (k terminals and k/2 uplinks per leaf); Fig. 14 is a 4-ary 2-flat.
-func urCapacity(figScale) float64      { return analysis.FlatFlyURCapacity() }
-func wcMinimal(s figScale) float64     { return analysis.FlatFlyWCMinimal(s.k) }
-func wcNonMin(s figScale) float64      { return analysis.FlatFlyWCNonMinimal(s.k) }
-func valiantUR(s figScale) float64     { return analysis.ValiantURThroughput(s.k) }
-func butterflyWC(s figScale) float64   { return analysis.ButterflyWCThroughput(s.k) }
-func fig14WCMin(figScale) float64      { return analysis.FlatFlyWCMinimal(4) }
-func taperedClosUR(s figScale) float64 { return analysis.FoldedClosURThroughput(s.k, s.k/2, s.nodes()) }
+// bound is the saturation bound under rule of series i of a figure's jobs
+// for variant v, built as the sweep engine builds them and computed once
+// per scale; NaN, which fails every band, if it cannot be derived.
+func bound(jobs func(figScale, string) []sweep.Job, v string, i int, rule analysis.Rule) func(figScale) float64 {
+	memo := map[int]float64{} // by k, which tells the scales apart
+	return func(s figScale) float64 {
+		if sat, ok := memo[s.k]; ok {
+			return sat
+		}
+		memo[s.k] = math.NaN()
+		j := jobs(s, v)[i]
+		net, wl := j.Spec()
+		if t, _, conc, err := net.Build(); err == nil {
+			if pat, _, err := wl.Build(t.Graph().NumNodes, conc, j.Seed); err == nil {
+				if sat, _, err := analysis.LoadBound(t.Graph(), pat, rule); err == nil {
+					memo[s.k] = sat
+				}
+			}
+		}
+		return memo[s.k]
+	}
+}
 
 // Columns of Fig. 5's table (batch, VAL, UGAL, UGAL-S, CLOS AD) and of
 // Fig. 12's (k, n', k', saturation, low-load latency).
@@ -52,7 +66,7 @@ const (
 var (
 	ur     = [2]float64{0.90, 1.00} // of capacity
 	near1k = [2]float64{0.85, 1.15} // of 1/k
-	nonMin = [2]float64{0.90, 1.10} // of (k-1)/2k
+	nonMin = [2]float64{0.88, 1.03} // of Valiant's 50% on the worst case
 	val    = [2]float64{0.80, 1.00} // of VAL's 50%
 )
 
@@ -62,18 +76,19 @@ func shrink(col int) func(figs) float64 { return ratio(cell("5", -1, col), cell(
 
 // claims is the table. Series indices follow the figures' series order:
 // Fig. 4 is MIN AD, VAL, UGAL, UGAL-S, CLOS AD; Fig. 6 is flattened
-// butterfly, butterfly, folded Clos, hypercube.
+// butterfly, butterfly, folded Clos, hypercube; Fig. 12's first is n'=1.
+// VAL and the non-minimal WC rows take Valiant's bound, the rest Minimal.
 var claims = []claim{
-	{"4a", "MIN AD saturation, UR", "100%", urCapacity, ur, sat("4a", 0)},
-	{"4a", "VAL saturation, UR", "50%", valiantUR, val, sat("4a", 1)},
-	{"4a", "UGAL saturation, UR", "100%", urCapacity, ur, sat("4a", 2)},
-	{"4a", "UGAL-S saturation, UR", "100%", urCapacity, ur, sat("4a", 3)},
-	{"4a", "CLOS AD saturation, UR", "100%", urCapacity, ur, sat("4a", 4)},
-	{"4b", "MIN AD saturation, WC", "1/k (~3%)", wcMinimal, near1k, sat("4b", 0)},
-	{"4b", "VAL saturation, WC", "50%", wcNonMin, nonMin, sat("4b", 1)},
-	{"4b", "UGAL saturation, WC", "50%", wcNonMin, nonMin, sat("4b", 2)},
-	{"4b", "UGAL-S saturation, WC", "50%", wcNonMin, nonMin, sat("4b", 3)},
-	{"4b", "CLOS AD saturation, WC", "50%", wcNonMin, nonMin, sat("4b", 4)},
+	{"4a", "MIN AD saturation, UR", "100%", bound(fig4Jobs, "UR", 0, analysis.Minimal), ur, sat("4a", 0)},
+	{"4a", "VAL saturation, UR", "50%", bound(fig4Jobs, "UR", 1, analysis.Valiant), val, sat("4a", 1)},
+	{"4a", "UGAL saturation, UR", "100%", bound(fig4Jobs, "UR", 2, analysis.Minimal), ur, sat("4a", 2)},
+	{"4a", "UGAL-S saturation, UR", "100%", bound(fig4Jobs, "UR", 3, analysis.Minimal), ur, sat("4a", 3)},
+	{"4a", "CLOS AD saturation, UR", "100%", bound(fig4Jobs, "UR", 4, analysis.Minimal), ur, sat("4a", 4)},
+	{"4b", "MIN AD saturation, WC", "1/k (~3%)", bound(fig4Jobs, "WC", 0, analysis.Minimal), near1k, sat("4b", 0)},
+	{"4b", "VAL saturation, WC", "50%", bound(fig4Jobs, "WC", 1, analysis.Valiant), nonMin, sat("4b", 1)},
+	{"4b", "UGAL saturation, WC", "50%", bound(fig4Jobs, "WC", 2, analysis.Valiant), nonMin, sat("4b", 2)},
+	{"4b", "UGAL-S saturation, WC", "50%", bound(fig4Jobs, "WC", 3, analysis.Valiant), nonMin, sat("4b", 3)},
+	{"4b", "CLOS AD saturation, WC", "50%", bound(fig4Jobs, "WC", 4, analysis.Valiant), nonMin, sat("4b", 4)},
 
 	{"5", "UGAL ÷ UGAL-S, smallest batch", "> 1", nil, [2]float64{1.5, 4}, ratio(cell("5", 0, colUGAL), cell("5", 0, colUGALS))},
 	{"5", "CLOS AD ÷ UGAL-S, smallest batch", "< 1", nil, [2]float64{0.7, 1}, ratio(cell("5", 0, colClosAD), cell("5", 0, colUGALS))},
@@ -83,25 +98,25 @@ var claims = []claim{
 	{"5", "UGAL-S, largest ÷ smallest batch", "< 1", nil, [2]float64{0.05, 0.6}, shrink(colUGALS)},
 	{"5", "CLOS AD, largest ÷ smallest batch", "< 1", nil, [2]float64{0.05, 0.6}, shrink(colClosAD)},
 
-	{"6a", "flattened butterfly saturation, UR", "100%", urCapacity, ur, sat("6a", 0)},
-	{"6a", "butterfly saturation, UR", "100%", nil, ur, sat("6a", 1)},
-	{"6a", "folded Clos (2:1 taper) saturation, UR", "50%", taperedClosUR, [2]float64{0.90, 1.10}, sat("6a", 2)},
-	{"6a", "hypercube saturation, UR", "100%", nil, ur, sat("6a", 3)},
+	{"6a", "flattened butterfly saturation, UR", "100%", bound(fig6Jobs, "UR", 0, analysis.Minimal), ur, sat("6a", 0)},
+	{"6a", "butterfly saturation, UR", "100%", bound(fig6Jobs, "UR", 1, analysis.Minimal), ur, sat("6a", 1)},
+	{"6a", "folded Clos (2:1 taper) saturation, UR", "50%", bound(fig6Jobs, "UR", 2, analysis.Minimal), [2]float64{0.90, 1.10}, sat("6a", 2)},
+	{"6a", "hypercube saturation, UR", "100%", bound(fig6Jobs, "UR", 3, analysis.Minimal), ur, sat("6a", 3)},
 	{"6a", "hypercube ÷ flattened butterfly latency, lowest load", "> 1", nil, [2]float64{1.5, 4}, ratio(cell("6a", 0, 4), cell("6a", 0, 1))},
-	{"6b", "flattened butterfly saturation, WC", "50%", wcNonMin, nonMin, sat("6b", 0)},
-	{"6b", "butterfly saturation, WC", "1/k (~3%)", butterflyWC, near1k, sat("6b", 1)},
-	{"6b", "folded Clos (2:1 taper) saturation, WC", "50%", nil, [2]float64{0.45, 0.55}, sat("6b", 2)},
+	{"6b", "flattened butterfly saturation, WC", "50%", bound(fig6Jobs, "WC", 0, analysis.Valiant), nonMin, sat("6b", 0)},
+	{"6b", "butterfly saturation, WC", "1/k (~3%)", bound(fig6Jobs, "WC", 1, analysis.Minimal), near1k, sat("6b", 1)},
+	{"6b", "folded Clos (2:1 taper) saturation, WC", "50%", bound(fig6Jobs, "WC", 2, analysis.Minimal), [2]float64{0.90, 1.10}, sat("6b", 2)},
 	{"6b", "hypercube saturation, WC", "50% — **deviation:** ~0.98 measured at both scales, pinned here; ROADMAP item 1(d)",
-		nil, [2]float64{0.95, 1}, sat("6b", 3)},
+		bound(fig6Jobs, "WC", 3, analysis.Minimal), [2]float64{0.95, 1}, sat("6b", 3)},
 
-	{"12a", "VAL saturation, lowest over n'", "50%", valiantUR, val, fold("12a", colSat, math.Min)},
-	{"12a", "VAL saturation, highest over n'", "50%", valiantUR, val, fold("12a", colSat, math.Max)},
+	{"12a", "VAL saturation, lowest over n'", "50%", bound(fig12Jobs, "VAL", 0, analysis.Valiant), val, fold("12a", colSat, math.Min)},
+	{"12a", "VAL saturation, highest over n'", "50%", bound(fig12Jobs, "VAL", 0, analysis.Valiant), val, fold("12a", colSat, math.Max)},
 	{"12a", "VAL low-load latency, smallest rise per n' step", "> 1", nil, [2]float64{1.1, 2.5}, minRise("12a", colLat)},
-	{"12b", "MIN AD saturation, n'=1", "100%", urCapacity, ur, cell("12b", 0, colSat)},
+	{"12b", "MIN AD saturation, n'=1", "100%", bound(fig12Jobs, "MIN AD", 0, analysis.Minimal), ur, cell("12b", 0, colSat)},
 	{"12b", "MIN AD saturation, highest n' ÷ n'=1", "~0.8", nil, [2]float64{0.4, 0.9}, ratio(cell("12b", -1, colSat), cell("12b", 0, colSat))},
 	{"12b", "MIN AD low-load latency, smallest rise per n' step", "> 1", nil, [2]float64{1.1, 2.5}, minRise("12b", colLat)},
 
-	{"14", "(a) baseline MIN saturation, WC", "1/k", fig14WCMin, near1k, fig14WC(0)},
+	{"14", "(a) baseline MIN saturation, WC", "1/k", bound(fig14Jobs, "", 0, analysis.Minimal), near1k, fig14WC(0)},
 	{"14", "(a) redundant channels ÷ baseline, MIN WC", "2", nil, [2]float64{1.8, 2.2}, ratio(fig14WC(1), fig14WC(0))},
 }
 

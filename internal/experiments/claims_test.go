@@ -108,6 +108,9 @@ func TestClaimsTableWellFormed(t *testing.T) {
 		if _, ok := Figures[c.fig]; !ok {
 			t.Errorf("fig %s %q: no such simulation figure", c.fig, c.quantity)
 		}
+		if c.derived == nil && strings.Contains(c.quantity, "saturation") && !strings.Contains(c.quantity, "÷") {
+			t.Errorf("fig %s %q: saturation row without a derived bound", c.fig, c.quantity)
+		}
 		for _, s := range []figScale{scale(true), scale(false)} {
 			if c.derived == nil {
 				break

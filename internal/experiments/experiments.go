@@ -48,6 +48,8 @@ type figScale struct {
 	batches []int
 	// fig12Nodes is the network size of the Fig. 12 configuration study.
 	fig12Nodes int
+	// fig14Warmup and fig14Measure window Fig. 14's saturation runs.
+	fig14Warmup, fig14Measure int
 }
 
 // scale returns the paper-scale configuration — the 32-ary 2-flat
@@ -58,6 +60,7 @@ func scale(quick bool) figScale {
 		return figScale{
 			k: 16, n: 2,
 			warmup: 400, measure: 400, maxCycles: 4000,
+			fig14Warmup: 200, fig14Measure: 400,
 			loads:      []float64{0.1, 0.3, 0.5, 0.7, 0.9},
 			batches:    []int{2, 8, 32},
 			fig12Nodes: 256,
@@ -66,14 +69,12 @@ func scale(quick bool) figScale {
 	return figScale{
 		k: 32, n: 2,
 		warmup: 2000, measure: 2000, maxCycles: 30000,
+		fig14Warmup: 500, fig14Measure: 1000,
 		loads:      []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98},
 		batches:    []int{1, 2, 4, 8, 16, 32, 64, 128, 256},
 		fig12Nodes: 4096,
 	}
 }
-
-// nodes is the k-ary n-flat's terminal count, k^n.
-func (s figScale) nodes() int { return int(math.Pow(float64(s.k), float64(s.n))) }
 
 // job returns the scale's base flattened-butterfly job: §3.2 simulator
 // configuration, this scale's windows, seed 1.
@@ -148,20 +149,21 @@ func writeLoadSeries(w io.Writer, label string, names []string, res []sweep.Seri
 // sanitize turns a series name into a column-name token.
 var sanitize = strings.NewReplacer(" ", "_", "-", "_", "(", "_", ")", "_", ",", "_", "=", "_").Replace
 
-// fig4On runs Figure 4's five routing algorithms on the flattened
-// butterfly under uniform ("UR") or worst-case ("WC") traffic.
-func fig4On(eng *sweep.Engine, pattern string, s figScale) ([]sweep.SeriesResult, error) {
+// fig4Jobs are Figure 4's five routing algorithms on the flattened
+// butterfly under uniform ("UR") or worst-case ("WC") traffic. Each
+// figNJobs lists a figure's jobs in series order; the claims bound them.
+func fig4Jobs(s figScale, pattern string) []sweep.Job {
 	jobs := make([]sweep.Job, len(flatFlyAlgs))
 	for i, alg := range flatFlyAlgs {
 		jobs[i] = s.job(alg, pattern)
 	}
-	return runSeries(eng, jobs, s.loads)
+	return jobs
 }
 
 // fig4 renders the five routing algorithms on UR or WC traffic.
 func fig4(w io.Writer, eng *sweep.Engine, quick bool, pattern string) error {
 	s := scale(quick)
-	res, err := fig4On(eng, pattern, s)
+	res, err := runSeries(eng, fig4Jobs(s, pattern), s.loads)
 	if err != nil {
 		return err
 	}
@@ -220,18 +222,15 @@ func fig5(w io.Writer, eng *sweep.Engine, quick bool) error {
 	return nil
 }
 
-// fig6 reproduces Figure 6: flattened butterfly (CLOS AD), conventional
-// butterfly (destination), folded Clos (adaptive sequential, 2:1 taper for
-// equal bisection) and hypercube (e-cube) under uniform or worst-case
-// traffic, with bisection bandwidth held constant (Table 1).
-func fig6(w io.Writer, eng *sweep.Engine, quick bool, pattern string) error {
-	s := scale(quick)
+// fig6Jobs are Figure 6's networks: flattened butterfly (CLOS AD),
+// conventional butterfly (destination), folded Clos (adaptive
+// sequential, 2:1 taper for equal bisection) and hypercube (e-cube)
+// under uniform or worst-case traffic, with bisection bandwidth held
+// constant (Table 1).
+func fig6Jobs(s figScale, pattern string) []sweep.Job {
 	// The folded Clos in the §3.3 convention: 2:1 tapered, so its
-	// bisection equals the flattened butterfly's.
-	clos, err := spec.TaperedClos(s.k, s.n, 2)
-	if err != nil {
-		return err
-	}
+	// bisection equals the flattened butterfly's (valid at both scales).
+	clos, _ := spec.TaperedClos(s.k, s.n, 2)
 	// Every topology sees the worst-case pattern at the flattened
 	// butterfly's concentration so the comparison is like-for-like.
 	flat := s.job("CLOS AD", pattern)
@@ -242,8 +241,14 @@ func fig6(w io.Writer, eng *sweep.Engine, quick bool, pattern string) error {
 	fc.K, fc.N = clos.K, 0
 	fc.Uplinks, fc.Leaves, fc.Middles = clos.Uplinks, clos.Leaves, clos.Middles
 	cube.Net, cube.Alg = "hypercube", "e-cube"
-	cube.K, cube.N = 0, bits.Len(uint(s.nodes()-1))
-	jobs := []sweep.Job{flat, fly, fc, cube}
+	cube.K, cube.N = 0, bits.Len(uint(math.Pow(float64(s.k), float64(s.n)))-1)
+	return []sweep.Job{flat, fly, fc, cube}
+}
+
+// fig6 reproduces Figure 6 from fig6Jobs.
+func fig6(w io.Writer, eng *sweep.Engine, quick bool, pattern string) error {
+	s := scale(quick)
+	jobs := fig6Jobs(s, pattern)
 	res, err := runSeries(eng, jobs, s.loads)
 	if err != nil {
 		return err
@@ -275,6 +280,25 @@ func fig6(w io.Writer, eng *sweep.Engine, quick bool, pattern string) error {
 func fig12(w io.Writer, eng *sweep.Engine, quick bool, alg string) error {
 	s := scale(quick)
 	loads := map[string][]float64{"VAL": {0.1, 0.3}, "MIN AD": {0.2, 0.4}}[alg]
+	res, err := runSeries(eng, fig12Jobs(s, alg), loads)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "# Fig 12 (%s): N=%d flattened butterflies across dimensionality\n", alg, s.fig12Nodes)
+	fmt.Fprintln(w, "k\tnprime\tkprime\tsat_throughput\tlat_at_low_load")
+	for i, c := range topo.ConfigsForN(s.fig12Nodes) {
+		low := res[i].Points[0]
+		lat := fmt.Sprintf("%.2f", low.AvgLatency)
+		if low.Saturated {
+			lat = "sat"
+		}
+		fmt.Fprintf(w, "%d\t%d\t%d\t%.3f\t%s\n", c.K, c.NPrime, c.KPrime, res[i].SaturationThroughput, lat)
+	}
+	return nil
+}
+
+// fig12Jobs are Figure 12's configurations, one job each.
+func fig12Jobs(s figScale, alg string) []sweep.Job {
 	cfgs := topo.ConfigsForN(s.fig12Nodes)
 	jobs := make([]sweep.Job, len(cfgs))
 	for i, c := range cfgs {
@@ -290,26 +314,12 @@ func fig12(w io.Writer, eng *sweep.Engine, quick bool, alg string) error {
 		j.MaxCycles = 4 * (s.warmup + s.measure)
 		jobs[i] = j
 	}
-	res, err := runSeries(eng, jobs, loads)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "# Fig 12 (%s): N=%d flattened butterflies across dimensionality\n", alg, s.fig12Nodes)
-	fmt.Fprintln(w, "k\tnprime\tkprime\tsat_throughput\tlat_at_low_load")
-	for i, c := range cfgs {
-		low := res[i].Points[0]
-		lat := fmt.Sprintf("%.2f", low.AvgLatency)
-		if low.Saturated {
-			lat = "sat"
-		}
-		fmt.Fprintf(w, "%d\t%d\t%d\t%.3f\t%s\n", c.K, c.NPrime, c.KPrime, res[i].SaturationThroughput, lat)
-	}
-	return nil
+	return jobs
 }
 
 // fig14 demonstrates the extra-port variants: expanded scalability and
 // doubled local channels.
-func fig14(w io.Writer, _ *sweep.Engine, quick bool) error {
+func fig14(w io.Writer, eng *sweep.Engine, quick bool) error {
 	fmt.Fprintln(w, "# Fig 14: extra-port organizations of a 4-ary 2-flat on radix-8 routers")
 	base, err := flatnet.NewFlatFly(4, 2)
 	if err != nil {
@@ -330,26 +340,21 @@ func fig14(w io.Writer, _ *sweep.Engine, quick bool) error {
 
 	// Measured effect of (a): doubled channels double worst-case minimal
 	// throughput.
-	warm, meas := 500, 1000
-	if quick {
-		warm, meas = 200, 400
-	}
-	wc := flatnet.NewWorstCase(4, 4)
-	t1, err := flatnet.SaturationThroughput(base.Graph(), mustAlg(flatnet.NewFlatFlyAlgorithm("min", base)), flatnet.DefaultConfig(), wc, warm, meas)
+	res, err := eng.Run(context.Background(), fig14Jobs(scale(quick), ""))
 	if err != nil {
 		return err
 	}
-	t2, err := flatnet.SaturationThroughput(wide.Graph(), mustAlg(flatnet.NewFlatFlyAlgorithm("min", wide)), flatnet.DefaultConfig(), wc, warm, meas)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "# WC minimal throughput: baseline %.3f, redundant channels %.3f\n", t1, t2)
+	fmt.Fprintf(w, "# WC minimal throughput: baseline %.3f, redundant channels %.3f\n", res[0].Point.AcceptedRate, res[1].Point.AcceptedRate)
 	return nil
 }
 
-func mustAlg(a flatnet.Algorithm, err error) flatnet.Algorithm {
-	if err != nil {
-		panic(err)
-	}
-	return a
+// fig14Jobs are Fig. 14(a)'s worst-case saturation runs, with no
+// variants: MIN on the 4-ary 2-flat, baseline and with every channel
+// doubled.
+func fig14Jobs(s figScale, _ string) []sweep.Job {
+	base := sweep.Job{Net: "flatfly", K: 4, N: 2, Alg: "min", Pattern: "WC",
+		Mode: sweep.ModeSaturation, Warmup: s.fig14Warmup, Measure: s.fig14Measure, Seed: 1}
+	wide := base
+	wide.Multiplicity = 2
+	return []sweep.Job{base, wide}
 }

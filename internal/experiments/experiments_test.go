@@ -31,11 +31,11 @@ func TestFig4aParallelByteIdentical(t *testing.T) {
 		t.Skip("quick-scale simulation in -short mode")
 	}
 	s := scale(true)
-	seq, err := fig4On(&sweep.Engine{Workers: 1}, "UR", s)
+	seq, err := runSeries(&sweep.Engine{Workers: 1}, fig4Jobs(s, "UR"), s.loads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := fig4On(&sweep.Engine{Workers: 6}, "UR", s)
+	par, err := runSeries(&sweep.Engine{Workers: 6}, fig4Jobs(s, "UR"), s.loads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFig4aCachedRerunSimulatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldEng := &sweep.Engine{Workers: 4, Cache: cold}
-	first, err := fig4On(coldEng, "UR", s)
+	first, err := runSeries(coldEng, fig4Jobs(s, "UR"), s.loads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFig4aCachedRerunSimulatesNothing(t *testing.T) {
 	}
 	defer warm.Close()
 	warmEng := &sweep.Engine{Workers: 4, Cache: warm}
-	second, err := fig4On(warmEng, "UR", s)
+	second, err := runSeries(warmEng, fig4Jobs(s, "UR"), s.loads)
 	if err != nil {
 		t.Fatal(err)
 	}

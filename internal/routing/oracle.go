@@ -84,32 +84,13 @@ func ZeroLoadFor(g *topo.Graph, cfg sim.Config, avgHops float64) (ZeroLoadModel,
 	}, nil
 }
 
-// ValiantUniformHops returns VAL's exact expected inter-router hop count
-// on a flattened butterfly under uniform traffic (self-traffic included).
-// VAL draws a uniformly random intermediate router and collapses to the
-// minimal route when the intermediate equals the current router at
-// injection or the destination router (flatfly.go's phase logic), so the
-// expectation enumerates every (source, destination, intermediate) router
-// triple:
-//
-//	i == r or i == d:  MinHops(r, d)
-//	otherwise:         MinHops(r, i) + MinHops(i, d)
-//
-// Every router hosts the same number of terminals, so uniform traffic
-// over nodes is uniform over router pairs.
-func ValiantUniformHops(f *topo.FlatFly) float64 {
-	return ValiantHopsFromDist(f.NumRouters, func(a, b int) int {
-		return f.MinHops(topo.RouterID(a), topo.RouterID(b))
-	})
-}
-
 // ValiantHopsFromDist returns VAL's exact expected inter-router hop
 // count under uniform traffic for any topology whose routers host equal
 // terminal counts, given its minimal hop-count function: the O(R³)
 // enumeration of every (source, destination, intermediate) triple with
 // the same collapse rule (i == r or i == d routes minimally) every VAL
 // implementation in this package uses. The Slim Fly and dragonfly
-// zero-load oracles are built on this.
+// zero-load oracles and the channel-load bound's hop test rest on it.
 func ValiantHopsFromDist(R int, dist func(a, b int) int) float64 {
 	total := 0
 	for r := 0; r < R; r++ {

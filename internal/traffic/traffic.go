@@ -40,6 +40,9 @@ func (u *Uniform) Dest(src topo.NodeID, r *rng.Source) topo.NodeID {
 	return topo.NodeID(r.Intn(u.N))
 }
 
+// DestRange is Dest's law: uniform over every node.
+func (u *Uniform) DestRange(topo.NodeID) (first, n int) { return 0, u.N }
+
 // WorstCase is the adversarial pattern of §3.2: nodes are grouped by
 // router (Concentration consecutive nodes per group) and every node in
 // group i sends to a uniformly random node in group (i+1) mod Groups. With
@@ -63,6 +66,11 @@ func (w *WorstCase) Name() string { return "worstcase" }
 func (w *WorstCase) Dest(src topo.NodeID, r *rng.Source) topo.NodeID {
 	g := (int(src)/w.Concentration + 1) % w.Groups
 	return topo.NodeID(g*w.Concentration + r.Intn(w.Concentration))
+}
+
+// DestRange is Dest's law: uniform over the next group.
+func (w *WorstCase) DestRange(src topo.NodeID) (first, n int) {
+	return (int(src)/w.Concentration + 1) % w.Groups * w.Concentration, w.Concentration
 }
 
 // BitComplement sends node a to node (N-1)-a, N a power of two in spirit
@@ -168,6 +176,11 @@ func (t *Tornado) Dest(src topo.NodeID, r *rng.Source) topo.NodeID {
 	return topo.NodeID(g*t.Concentration + r.Intn(t.Concentration))
 }
 
+// DestRange is Dest's law: uniform over the group halfway round.
+func (t *Tornado) DestRange(src topo.NodeID) (first, n int) {
+	return (int(src)/t.Concentration + t.Groups/2) % t.Groups * t.Concentration, t.Concentration
+}
+
 // Hotspot sends a fraction of all traffic to a small set of hot nodes and
 // the remainder uniformly — the classic memory-controller contention
 // workload.
@@ -271,3 +284,6 @@ func (f *Fixed) Name() string { return f.Label }
 
 // Dest implements Pattern.
 func (f *Fixed) Dest(src topo.NodeID, _ *rng.Source) topo.NodeID { return f.Table[src] }
+
+// DestRange is Dest's law: the table entry alone.
+func (f *Fixed) DestRange(src topo.NodeID) (first, n int) { return int(f.Table[src]), 1 }

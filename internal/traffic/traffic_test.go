@@ -223,3 +223,36 @@ func TestRandPerm(t *testing.T) {
 		t.Error("name")
 	}
 }
+
+// TestDestRangeIsDestLaw holds each exact destination law to its Dest:
+// every draw lands in [first, first+n), and enough draws cover it.
+func TestDestRangeIsDestLaw(t *testing.T) {
+	laws := []interface {
+		Pattern
+		DestRange(topo.NodeID) (first, n int)
+	}{
+		NewUniform(24), NewWorstCase(4, 6), NewTornado(3, 8), NewTornado(8, 3),
+		NewFixed("perm", []topo.NodeID{3, 0, 2, 1}),
+	}
+	r := rng.New(7)
+	for _, p := range laws {
+		nodes := 24
+		if f, ok := p.(*Fixed); ok {
+			nodes = len(f.Table)
+		}
+		for src := 0; src < nodes; src++ {
+			first, n := p.DestRange(topo.NodeID(src))
+			seen := map[topo.NodeID]bool{}
+			for i := 0; i < 40*n; i++ {
+				d := p.Dest(topo.NodeID(src), r)
+				if int(d) < first || int(d) >= first+n {
+					t.Fatalf("%s: node %d drew %d, outside its law [%d, %d)", p.Name(), src, d, first, first+n)
+				}
+				seen[d] = true
+			}
+			if len(seen) != n {
+				t.Errorf("%s: node %d drew %d of the %d nodes of its law", p.Name(), src, len(seen), n)
+			}
+		}
+	}
+}
