@@ -60,6 +60,16 @@ var goldenJobs = []sweep.Job{
 		Mode: sweep.ModeLoad, Load: 0.2, Warmup: 200, Measure: 300, Seed: 7},
 	{Net: "dragonfly", H: 2, Alg: "ugal", Pattern: "UR",
 		Mode: sweep.ModeLoad, Load: 0.5, Warmup: 200, Measure: 300, Seed: 7},
+	// The two-phase rules the jobs above leave out: Valiant under uniform
+	// traffic and sequential UGAL under each family's adversary.
+	{Net: "slimfly", Q: 5, P: 2, Alg: "val", Pattern: "UR",
+		Mode: sweep.ModeLoad, Load: 0.3, Warmup: 200, Measure: 300, Seed: 7},
+	{Net: "slimfly", Q: 5, P: 2, Alg: "ugal-s", Pattern: "WC",
+		Mode: sweep.ModeLoad, Load: 0.3, Warmup: 200, Measure: 300, Seed: 7},
+	{Net: "dragonfly", H: 2, Alg: "val", Pattern: "UR",
+		Mode: sweep.ModeLoad, Load: 0.3, Warmup: 200, Measure: 300, Seed: 7},
+	{Net: "dragonfly", H: 2, Alg: "ugal-s", Pattern: "WC",
+		Mode: sweep.ModeLoad, Load: 0.3, Warmup: 200, Measure: 300, Seed: 7},
 	// Workload-engine coverage: the MMPP/burst arrival process, the
 	// parameterized hotspot and incast patterns, and a collective
 	// schedule contending with background traffic.
