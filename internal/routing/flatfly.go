@@ -4,6 +4,8 @@
 // adaptive Clos routing (CLOS AD) — §3.1; plus the baselines of Table 1:
 // destination-based routing on the conventional butterfly, adaptive
 // sequential routing on the folded Clos, and e-cube on the hypercube.
+// The Slim Fly and the dragonfly share one two-phase router (min, VAL,
+// UGAL, UGAL-S) over each family's own minimal route.
 package routing
 
 import (

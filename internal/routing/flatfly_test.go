@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"strings"
 	"testing"
 
 	"flatnet/internal/sim"
@@ -49,19 +50,73 @@ func satThroughput(t *testing.T, f *topo.FlatFly, alg sim.Algorithm, p traffic.P
 	return thpt
 }
 
+// twoPhaseFamily is one family served by the two-phase router, with a
+// small instance of it: q=5 Slim Fly or h=2 dragonfly.
+type twoPhaseFamily struct {
+	family, prefix string // "slimfly", "SF"
+	diam           int    // hop bound of one minimal phase
+	g              *topo.Graph
+	wc             traffic.Pattern // the family's worst-case pattern
+	build          func(name string) (sim.Algorithm, error)
+}
+
+func slimFlyDragonfly(t *testing.T) []twoPhaseFamily {
+	t.Helper()
+	s, err := topo.NewSlimFly(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := topo.NewDragonfly(0, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []twoPhaseFamily{
+		{"slimfly", "SF", 2, s.Graph(), traffic.NewWorstCase(s.P, s.NumRouters),
+			func(name string) (sim.Algorithm, error) { return NewSlimFlyAlgorithm(name, s) }},
+		{"dragonfly", "DF", 3, d.Graph(), traffic.NewWorstCase(d.A*d.P, d.Groups),
+			func(name string) (sim.Algorithm, error) { return NewDragonflyAlgorithm(name, d) }},
+	}
+}
+
 func TestAlgorithmMetadata(t *testing.T) {
 	f := ff(t, 8, 2)
-	cases := []struct {
+	type metaCase struct {
 		alg  sim.Algorithm
 		name string
 		vcs  int
 		seq  bool
-	}{
+	}
+	cases := []metaCase{
 		{NewMinAD(f), "MIN AD", 1, false},
 		{NewValiant(f), "VAL", 2, false},
 		{NewUGAL(f), "UGAL", 2, false},
 		{NewUGALS(f), "UGAL-S", 2, true},
 		{NewClosAD(f), "CLOS AD", 2, true},
+	}
+	// Every alias a Slim Fly or dragonfly accepts names the same
+	// algorithm: MIN uses one VC per hop of the family's diameter (SF 2,
+	// DF 3), the two-phase rules twice that, and only UGAL-S is
+	// sequential.
+	for _, fam := range slimFlyDragonfly(t) {
+		for _, rule := range []struct {
+			aliases []string
+			name    string
+			vcs     int
+			seq     bool
+		}{
+			{[]string{"min", "MIN", "MIN AD", fam.prefix + " MIN"}, "MIN", fam.diam, false},
+			{[]string{"val", "VAL", fam.prefix + " VAL"}, "VAL", 2 * fam.diam, false},
+			{[]string{"ugal", "UGAL", fam.prefix + " UGAL"}, "UGAL", 2 * fam.diam, false},
+			{[]string{"ugal-s", "UGAL-S", fam.prefix + " UGAL-S"}, "UGAL-S", 2 * fam.diam, true},
+		} {
+			for _, alias := range rule.aliases {
+				alg, err := fam.build(alias)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cases = append(cases, metaCase{alg, fam.prefix + " " + rule.name, rule.vcs, rule.seq})
+			}
+		}
 	}
 	for _, c := range cases {
 		if c.alg.Name() != c.name {
@@ -86,13 +141,24 @@ func TestAlgorithmMetadata(t *testing.T) {
 
 func TestNewFlatFlyAlgorithm(t *testing.T) {
 	f := ff(t, 4, 2)
-	for _, name := range []string{"min", "val", "ugal", "ugal-s", "clos"} {
-		if _, err := NewFlatFlyAlgorithm(name, f); err != nil {
-			t.Errorf("%s: %v", name, err)
+	families := append(slimFlyDragonfly(t), twoPhaseFamily{family: "flattened-butterfly",
+		build: func(name string) (sim.Algorithm, error) { return NewFlatFlyAlgorithm(name, f) }})
+	for _, fam := range families {
+		names := []string{"min", "val", "ugal", "ugal-s"}
+		if fam.family == "flattened-butterfly" {
+			names = append(names, "clos")
 		}
-	}
-	if _, err := NewFlatFlyAlgorithm("bogus", f); err == nil {
-		t.Error("bogus algorithm accepted")
+		for _, name := range names {
+			if _, err := fam.build(name); err != nil {
+				t.Errorf("%s %s: %v", fam.family, name, err)
+			}
+		}
+		_, err := fam.build("bogus")
+		if err == nil {
+			t.Errorf("%s: bogus algorithm accepted", fam.family)
+		} else if !strings.Contains(err.Error(), fam.family) {
+			t.Errorf("%s: error %q does not name the family", fam.family, err)
+		}
 	}
 }
 

@@ -10,10 +10,14 @@ import (
 
 // vcBoundsChecker wraps an algorithm and fails the test if any decision
 // uses a VC outside [0, NumVCs) or a port outside the router's table.
+// With lastVC set it also fails a packet whose network VC does not
+// strictly decrease from hop to hop.
 type vcBoundsChecker struct {
 	sim.Algorithm
 	t *testing.T
 	g *topo.Graph
+
+	lastVC map[int64]int // packet ID -> VC of its last network hop
 }
 
 func (c *vcBoundsChecker) Route(view *sim.RouterView, p *sim.Packet) sim.OutRef {
@@ -24,8 +28,21 @@ func (c *vcBoundsChecker) Route(view *sim.RouterView, p *sim.Packet) sim.OutRef 
 	outs := c.g.Routers[view.Router()].Out
 	if dec.Port < 0 || dec.Port >= len(outs) {
 		c.t.Errorf("%s: port %d out of range", c.Algorithm.Name(), dec.Port)
-	} else if outs[dec.Port].Kind == topo.Unused {
+		return dec
+	}
+	if outs[dec.Port].Kind == topo.Unused {
 		c.t.Errorf("%s: routed to unused port %d on router %d", c.Algorithm.Name(), dec.Port, view.Router())
+	}
+	if c.lastVC != nil {
+		if outs[dec.Port].Kind != topo.Network {
+			delete(c.lastVC, p.ID)
+		} else {
+			if last, ok := c.lastVC[p.ID]; ok && dec.VC >= last {
+				c.t.Errorf("%s: packet %d took VC %d after VC %d at router %d",
+					c.Algorithm.Name(), p.ID, dec.VC, last, view.Router())
+			}
+			c.lastVC[p.ID] = dec.VC
+		}
 	}
 	return dec
 }
@@ -64,7 +81,8 @@ func TestVCDecisionsWithinBounds(t *testing.T) {
 }
 
 // TestAllTopologyAlgorithmsBounds applies the same check to the baseline
-// topologies' algorithms.
+// topologies' algorithms; TestSlimFlyDragonflyAlgorithmsBounds covers the
+// Slim Fly and dragonfly.
 func TestAllTopologyAlgorithmsBounds(t *testing.T) {
 	bf, err := topo.NewButterfly(4, 3)
 	if err != nil {
@@ -109,6 +127,37 @@ func TestAllTopologyAlgorithmsBounds(t *testing.T) {
 		}
 		if _, d := n.Totals(); d == 0 {
 			t.Errorf("%s: nothing delivered", c.alg.Name())
+		}
+	}
+}
+
+// TestSlimFlyDragonflyAlgorithmsBounds drives all eight Slim Fly and
+// dragonfly algorithms, built by name, under uniform traffic and each
+// family's worst-case pattern. Beyond the bounds check it asserts the
+// deadlock-freedom argument of the two-phase router: every packet's VC
+// strictly decreases hop by hop, across the phase change too.
+func TestSlimFlyDragonflyAlgorithmsBounds(t *testing.T) {
+	for _, f := range slimFlyDragonfly(t) {
+		for _, name := range []string{"min", "val", "ugal", "ugal-s"} {
+			for _, p := range []traffic.Pattern{traffic.NewUniform(f.g.NumNodes), f.wc} {
+				alg, err := f.build(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checked := &vcBoundsChecker{Algorithm: alg, t: t, g: f.g, lastVC: map[int64]int{}}
+				n, err := sim.New(f.g, checked, sim.DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				setPattern(t, n, p)
+				for i := 0; i < 250; i++ {
+					generate(t, n, 0.4)
+					n.Step()
+				}
+				if _, del := n.Totals(); del == 0 {
+					t.Errorf("%s on %s/%s: nothing delivered", alg.Name(), f.g.Label, p.Name())
+				}
+			}
 		}
 	}
 }

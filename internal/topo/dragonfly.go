@@ -13,7 +13,9 @@ import "fmt"
 // (g+ℓ+1) mod G, arriving there as channel G-2-ℓ; router (g, pos) owns
 // channels [pos·H, (pos+1)·H). The wiring depends only on the offset
 // ℓ, so the rotation g → g+1 (fixing pos) is a graph automorphism; so is
-// the reflection described at RouterOrbits.
+// the reflection described at RouterOrbits. This type is the wiring's one
+// home: dragonfly routing calls MinHops, GlobalChannel, LocalPort and
+// GlobalPort rather than keeping its own copy.
 type Dragonfly struct {
 	P int // terminals per router
 	A int // routers per group
@@ -136,10 +138,11 @@ func (d *Dragonfly) Graph() *Graph { return d.g }
 
 // MinHops returns the hop count of the canonical hierarchical minimal
 // route (local, global, local — the path dragonfly minimal routing
-// takes), which is what the routing algorithms and the zero-load oracle
-// use. Occasional two-global shortcuts in the underlying graph are not
-// taken by hierarchical routing and are intentionally not counted here;
-// internal/analysis reports true graph distances.
+// takes). Dragonfly routing calls it for its hop counts and VC choice,
+// and the zero-load oracle uses it. Occasional two-global shortcuts in
+// the underlying graph are not taken by hierarchical routing and are
+// intentionally not counted here; internal/analysis reports true graph
+// distances.
 func (d *Dragonfly) MinHops(a, b RouterID) int {
 	if a == b {
 		return 0
