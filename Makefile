@@ -24,7 +24,7 @@ fmtcheck:
 # topology constructor lives in internal/topo (re-exported by flatnet).
 onebuilder:
 	@out=$$(grep -rnE '(topo|flatnet)\.(New(FlatFly|Butterfly|FoldedClos|Hypercube|SlimFly|Dragonfly|Torus|GHC)|TaperedClosForNodes)\(|(routing|flatnet)\.New[A-Za-z]*(Algorithm|Dest|Adaptive|ECube|DOR)\(' \
-		internal/sweep internal/nocsvc cmd/flatsim cmd/flattopo --include='*.go' | grep -v _test.go); \
+		internal/sweep internal/nocsvc cmd/flatsim cmd/flattopo cmd/sweep --include='*.go' | grep -v _test.go); \
 	if [ -n "$$out" ]; then echo "build networks through internal/spec, not:"; echo "$$out"; exit 1; fi
 
 # oneloop fails if a run harness grows its own copy of the run skeleton
@@ -71,7 +71,9 @@ race:
 # twice against one temporary cache. The second pass changes -measure, so
 # every job misses the result cache and restores its warm-up from the
 # warm store beside it, sanitized from the restored state on; the target
-# fails if that pass reports 0 restores.
+# fails if that pass reports 0 restores. A one-point grid on the §3.3
+# folded Clos then checks that the network flags reach every family
+# through spec.Flags.
 checksweep:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	grid="-check -k 4 -n 2 -loads 0.2,0.6 -warmup 200 -sat=false -cache $$dir/c.jsonl" && \
@@ -79,7 +81,10 @@ checksweep:
 	$$dir/sweep $$grid -measure 200 >/dev/null && \
 	{ $$dir/sweep $$grid -measure 300 2>$$dir/log >/dev/null; status=$$?; cat $$dir/log; test $$status = 0; } && \
 	grep -qE 'warm snapshots: [1-9][0-9]* restores' $$dir/log || \
-	{ echo "checksweep: the second pass failed or restored no warm snapshot"; exit 1; }
+	{ echo "checksweep: the second pass failed or restored no warm snapshot"; exit 1; }; \
+	$$dir/sweep -check -net foldedclos -k 4 -n 2 -algs "adaptive sequential" -patterns UR -loads 0.2 \
+		-warmup 200 -measure 200 -sat=false >/dev/null || \
+	{ echo "checksweep: the one-point folded Clos grid failed"; exit 1; }
 
 # `test` and `race` run without -short, so they include analytic mode's
 # orbit proofs: TestAnalyticOrbitMatchesSweep (every spec-table family at

@@ -18,12 +18,18 @@
 // any pool size. -sat appends a saturation-throughput measurement per
 // series. Progress, ETA and per-worker throughput go to stderr.
 //
+// The network flags convert through spec.Flags, the vocabulary flatsim
+// and the nocd wire share: -k and -n give the k-ary n-flat, the k-ary
+// n-fly and the folded Clos of k^n terminals (-net foldedclos, the §3.3
+// 2:1 taper); -n alone gives the hypercube's dimensions. Slim Fly and
+// dragonfly networks take -net slimfly -q Q [-p P] and -net dragonfly
+// -gh H [-ga A] [-p P].
+//
 // -analytic replaces the simulation grid with one graph-analytic
 // evaluation of the network (algorithms, patterns and loads are
 // ignored): diameter, average hops, path diversity, bisection bounds
 // and the zero-load latency, in the same Result shape — and the same
-// cache — the simulated jobs use. Slim Fly and dragonfly networks take
-// -net slimfly -q Q [-p P] and -net dragonfly -gh H [-ga A] [-p P].
+// cache — the simulated jobs use.
 package main
 
 import (
@@ -40,6 +46,7 @@ import (
 	"time"
 
 	"flatnet/internal/sim"
+	"flatnet/internal/spec"
 	"flatnet/internal/sweep"
 	"flatnet/internal/telemetry"
 	"flatnet/internal/traffic"
@@ -79,8 +86,8 @@ func main() {
 		outPath  = flag.String("out", "", "output file ('' = stdout)")
 	)
 	flag.StringVar(&cfg.net, "net", "flatfly", "network constructor: flatfly, butterfly, foldedclos, hypercube, slimfly, dragonfly")
-	flag.IntVar(&cfg.k, "k", 16, "network ary k")
-	flag.IntVar(&cfg.n, "n", 2, "network dimension count n")
+	flag.IntVar(&cfg.k, "k", 16, "network ary k (flatfly, butterfly, foldedclos)")
+	flag.IntVar(&cfg.n, "n", 2, "network dimension count n (flatfly, butterfly, foldedclos: k^n terminals; hypercube: dimensions)")
 	flag.IntVar(&cfg.q, "q", 0, "slimfly: MMS field size (odd prime power)")
 	flag.IntVar(&cfg.gh, "gh", 0, "dragonfly: global channels per router h")
 	flag.IntVar(&cfg.ga, "ga", 0, "dragonfly: routers per group a (0 = balanced 2h)")
@@ -144,10 +151,19 @@ func main() {
 // so every run in the process shares one registry.
 var telemetryReg = telemetry.NewRegistry()
 
-// run executes the grid and writes one series block per pattern.
+// run converts the network flags through spec.Flags, then executes the
+// grid and writes one series block per pattern (or, with -analytic,
+// evaluates the network).
 func run(ctx context.Context, cfg cliConfig, out, progress io.Writer) error {
+	net, err := spec.Flags{
+		Topo: cfg.net, K: cfg.k, N: cfg.n, Dims: cfg.n, Taper: 2,
+		Q: cfg.q, GH: cfg.gh, GA: cfg.ga, P: cfg.conc,
+	}.Net()
+	if err != nil {
+		return err
+	}
 	if cfg.analytic {
-		return runAnalytic(ctx, cfg, out)
+		return runAnalytic(ctx, cfg, net, out)
 	}
 	if len(cfg.algs) == 0 || len(cfg.patterns) == 0 || len(cfg.loads) == 0 {
 		return fmt.Errorf("grid is empty: need at least one algorithm, pattern and load")
@@ -177,17 +193,11 @@ func run(ctx context.Context, cfg cliConfig, out, progress io.Writer) error {
 	var specs []sweep.SeriesSpec
 	for _, pat := range cfg.patterns {
 		for _, alg := range cfg.algs {
-			specs = append(specs, sweep.SeriesSpec{
-				Base: sweep.Job{
-					Net: cfg.net, K: cfg.k, N: cfg.n,
-					Q: cfg.q, A: cfg.ga, H: cfg.gh, P: cfg.conc,
-					Alg: alg, Pattern: pat,
-					Warmup: cfg.warmup, Measure: cfg.measure, MaxCycles: cfg.maxCycles,
-					Seed: cfg.seed, BufPerPort: cfg.buf,
-				},
-				Loads:      cfg.loads,
-				Saturation: cfg.sat,
-			})
+			net.Alg = alg
+			base := sweep.FromSpec(net, spec.Workload{Pattern: pat})
+			base.Warmup, base.Measure, base.MaxCycles = cfg.warmup, cfg.measure, cfg.maxCycles
+			base.Seed, base.BufPerPort = cfg.seed, cfg.buf
+			specs = append(specs, sweep.SeriesSpec{Base: base, Loads: cfg.loads, Saturation: cfg.sat})
 		}
 	}
 	res, err := eng.RunSeries(ctx, specs)
@@ -200,7 +210,7 @@ func run(ctx context.Context, cfg cliConfig, out, progress io.Writer) error {
 			fmt.Fprintln(out)
 		}
 		block := res[pi*len(cfg.algs) : (pi+1)*len(cfg.algs)]
-		fmt.Fprintf(out, "# sweep: %s %s pattern %s seed %d\n", cfg.net, cfg.describe(), pat, cfg.seed)
+		fmt.Fprintf(out, "# sweep: %s %s pattern %s seed %d\n", net.Family, describe(net), pat, cfg.seed)
 		fmt.Fprint(out, "load")
 		for _, alg := range cfg.algs {
 			fmt.Fprintf(out, "\tlat_%s", sanitize(alg))
@@ -235,15 +245,19 @@ func run(ctx context.Context, cfg cliConfig, out, progress io.Writer) error {
 	return nil
 }
 
-// describe renders the network parameters that matter for cfg.net,
-// with balanced defaults resolved the same way the jobs resolve them.
-func (cfg cliConfig) describe() string {
-	j := sweep.Job{Net: cfg.net, K: cfg.k, N: cfg.n, Q: cfg.q, A: cfg.ga, H: cfg.gh, P: cfg.conc}.Normalize()
+// describe renders the parameters the network's family reads, with
+// balanced defaults resolved the same way the jobs resolve them.
+func describe(net spec.Net) string {
+	j := sweep.FromSpec(net, spec.Workload{}).Normalize()
 	switch j.Net {
 	case "slimfly":
 		return fmt.Sprintf("q=%d p=%d", j.Q, j.P)
 	case "dragonfly":
 		return fmt.Sprintf("h=%d a=%d p=%d", j.H, j.A, j.P)
+	case "foldedclos":
+		return fmt.Sprintf("k=%d uplinks=%d leaves=%d middles=%d", j.K, j.Uplinks, j.Leaves, j.Middles)
+	case "hypercube":
+		return fmt.Sprintf("n=%d", j.N)
 	default:
 		return fmt.Sprintf("k=%d n=%d", j.K, j.N)
 	}
@@ -262,18 +276,15 @@ func patternList() string {
 
 // runAnalytic evaluates the network as a single graph-analytic job —
 // through the same engine, so -cache and -workers behave as usual.
-func runAnalytic(ctx context.Context, cfg cliConfig, out io.Writer) error {
+func runAnalytic(ctx context.Context, cfg cliConfig, net spec.Net, out io.Writer) error {
 	eng := &sweep.Engine{Workers: cfg.workers, JobTimeout: cfg.jobTimeout}
 	closeCache, err := eng.UseCache(cfg.cachePath)
 	if err != nil {
 		return err
 	}
 	defer closeCache()
-	job := sweep.Job{
-		Net: cfg.net, K: cfg.k, N: cfg.n,
-		Q: cfg.q, A: cfg.ga, H: cfg.gh, P: cfg.conc,
-		Mode: sweep.ModeAnalytic, Seed: cfg.seed,
-	}
+	job := sweep.FromSpec(net, spec.Workload{})
+	job.Mode, job.Seed = sweep.ModeAnalytic, cfg.seed
 	start := time.Now()
 	res, err := eng.Run(ctx, []sweep.Job{job})
 	if err != nil {
@@ -284,7 +295,7 @@ func runAnalytic(ctx context.Context, cfg cliConfig, out io.Writer) error {
 	if m == nil {
 		return fmt.Errorf("job %s returned no analytic metrics", r.Hash[:12])
 	}
-	fmt.Fprintf(out, "# analytic: %s (job %s, %v)\n", cfg.net, r.Job.Hash()[:12], time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "# analytic: %s (job %s, %v)\n", net.Family, r.Job.Hash()[:12], time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(out, "nodes\t%d\n", m.Nodes)
 	fmt.Fprintf(out, "routers\t%d\n", m.Routers)
 	fmt.Fprintf(out, "channels\t%d\n", m.Channels)

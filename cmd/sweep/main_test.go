@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"flatnet/internal/sim"
+	"flatnet/internal/spec"
 )
 
 // tinyGrid is a sub-second grid: 2 algorithms x 2 patterns x 2 loads on
@@ -89,5 +93,65 @@ func TestParseLoads(t *testing.T) {
 		if _, err := parseLoads(bad); err == nil {
 			t.Errorf("parseLoads accepted %q", bad)
 		}
+	}
+}
+
+// TestRunFoldedClosGrid runs a grid on the §3.3 folded Clos the -k and -n
+// flags name: 16 terminals, 4 per leaf, 2:1 tapered.
+func TestRunFoldedClosGrid(t *testing.T) {
+	cfg := tinyGrid("")
+	cfg.net, cfg.algs, cfg.patterns, cfg.loads, cfg.sat = "foldedclos", []string{"adaptive sequential"}, []string{"UR"}, []float64{0.2}, false
+	var out bytes.Buffer
+	if err := run(context.Background(), cfg, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# sweep: foldedclos k=4 uplinks=2 leaves=4 middles=1 pattern UR"; !strings.Contains(out.String(), want) {
+		t.Errorf("output missing %q:\n%s", want, out.String())
+	}
+	if strings.Contains(out.String(), "sat") {
+		t.Errorf("a 0.2 uniform load saturated the folded Clos:\n%s", out.String())
+	}
+}
+
+// TestHypercubeMatchesFlatsim holds a hypercube worst-case point to the
+// one flatsim measures for the same flags (-topo hypercube -dims 4
+// -pattern worstcase): the hypercube reads no -k, so -k must not change
+// the point either.
+func TestHypercubeMatchesFlatsim(t *testing.T) {
+	cfg := tinyGrid("")
+	cfg.net, cfg.n, cfg.algs, cfg.patterns, cfg.loads, cfg.sat = "hypercube", 4, []string{"e-cube"}, []string{"WC"}, []float64{0.3}, false
+	cfg.maxCycles = 0 // flatsim's budget: the simulator default
+	outputs := map[int]string{}
+	for _, k := range []int{16, 1} {
+		cfg.k = k
+		var out bytes.Buffer
+		if err := run(context.Background(), cfg, &out, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		outputs[k] = out.String()
+	}
+	if outputs[16] != outputs[1] {
+		t.Errorf("-k changed the hypercube grid:\n-k 16:\n%s\n-k 1:\n%s", outputs[16], outputs[1])
+	}
+
+	net, err := spec.Flags{Topo: "hypercube", Dims: 4}.Net()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, alg, conc, err := net.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, src, err := spec.Workload{Pattern: "worstcase"}.Build(tp.Graph().NumNodes, conc, cfg.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.RunLoadPoint(tp.Graph(), alg, sim.Config{Seed: cfg.seed, BufPerPort: cfg.buf},
+		sim.RunConfig{Load: 0.3, Source: src, Warmup: cfg.warmup, Measure: cfg.measure})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := fmt.Sprintf("\n0.30\t%.2f\n", want.AvgLatency); !strings.Contains(outputs[16], row) {
+		t.Errorf("grid lacks flatsim's point %q:\n%s", row, outputs[16])
 	}
 }

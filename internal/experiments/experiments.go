@@ -76,15 +76,18 @@ func scale(quick bool) figScale {
 	}
 }
 
-// job returns the scale's base flattened-butterfly job: §3.2 simulator
-// configuration, this scale's windows, seed 1.
+// job returns the scale's base flattened-butterfly job.
 func (s figScale) job(alg, pattern string) sweep.Job {
-	return sweep.Job{
-		Net: "flatfly", K: s.k, N: s.n,
-		Alg: alg, Pattern: pattern,
-		Warmup: s.warmup, Measure: s.measure, MaxCycles: s.maxCycles,
-		Seed: 1, BufPerPort: 32,
-	}
+	return s.jobOn(spec.Net{Family: "flatfly", K: s.k, N: s.n, Alg: alg}, spec.Workload{Pattern: pattern})
+}
+
+// jobOn returns the scale's job of a network and workload: §3.2
+// simulator configuration, this scale's windows, seed 1.
+func (s figScale) jobOn(net spec.Net, wl spec.Workload) sweep.Job {
+	j := sweep.FromSpec(net, wl)
+	j.Warmup, j.Measure, j.MaxCycles = s.warmup, s.measure, s.maxCycles
+	j.Seed, j.BufPerPort = 1, 32
+	return j
 }
 
 // flatFlyAlgs lists the paper's five routing algorithms (Fig. 4 order).
@@ -231,18 +234,16 @@ func fig6Jobs(s figScale, pattern string) []sweep.Job {
 	// The folded Clos in the §3.3 convention: 2:1 tapered, so its
 	// bisection equals the flattened butterfly's (valid at both scales).
 	clos, _ := spec.TaperedClos(s.k, s.n, 2)
+	clos.Alg = "adaptive sequential"
 	// Every topology sees the worst-case pattern at the flattened
 	// butterfly's concentration so the comparison is like-for-like.
-	flat := s.job("CLOS AD", pattern)
-	flat.Conc = s.k
-	fly, fc, cube := flat, flat, flat
-	fly.Net, fly.Alg = "butterfly", "destination"
-	fc.Net, fc.Alg = clos.Family, "adaptive sequential"
-	fc.K, fc.N = clos.K, 0
-	fc.Uplinks, fc.Leaves, fc.Middles = clos.Uplinks, clos.Leaves, clos.Middles
-	cube.Net, cube.Alg = "hypercube", "e-cube"
-	cube.K, cube.N = 0, bits.Len(uint(math.Pow(float64(s.k), float64(s.n)))-1)
-	return []sweep.Job{flat, fly, fc, cube}
+	wl := spec.Workload{Pattern: pattern, Conc: s.k}
+	return []sweep.Job{
+		s.jobOn(spec.Net{Family: "flatfly", K: s.k, N: s.n, Alg: "CLOS AD"}, wl),
+		s.jobOn(spec.Net{Family: "butterfly", K: s.k, N: s.n, Alg: "destination"}, wl),
+		s.jobOn(clos, wl),
+		s.jobOn(spec.Net{Family: "hypercube", N: bits.Len(uint(math.Pow(float64(s.k), float64(s.n))) - 1), Alg: "e-cube"}, wl),
+	}
 }
 
 // fig6 reproduces Figure 6 from fig6Jobs.

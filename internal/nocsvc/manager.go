@@ -252,18 +252,22 @@ func (m *manager) janitor() {
 		case <-m.janitorStop:
 			return
 		case now := <-tick.C:
-			var idle []string
+			// Each idle session leaves the table and is counted evicted
+			// in one critical section, so a reader that sees it gone
+			// also sees its eviction.
+			var idle []*session
 			m.mu.Lock()
 			for id, s := range m.sessions {
 				if s.idleFor(now) > m.cfg.IdleTimeout {
-					idle = append(idle, id)
+					delete(m.sessions, id)
+					m.evictions.Add(1)
+					idle = append(idle, s)
 				}
 			}
 			m.mu.Unlock()
-			for _, id := range idle {
-				if m.close(id) == nil {
-					m.evictions.Add(1)
-				}
+			for _, s := range idle {
+				s.close()
+				<-m.slots
 			}
 		}
 	}

@@ -30,6 +30,20 @@ func (j Job) Spec() (spec.Net, spec.Workload) {
 		}
 }
 
+// FromSpec is Spec's inverse: the job of the network and workload, with
+// every run field (mode, load, windows, seed, router configuration) zero.
+func FromSpec(net spec.Net, wl spec.Workload) Job {
+	return Job{
+		Net: net.Family, K: net.K, N: net.N,
+		Uplinks: net.Uplinks, Leaves: net.Leaves, Middles: net.Middles,
+		Q: net.Q, A: net.A, H: net.H, P: net.P,
+		ChannelLatency: net.ChannelLatency, Multiplicity: net.Multiplicity,
+		Alg: net.Alg, Pattern: wl.Pattern, Conc: wl.Conc,
+		Hot: wl.Hot, HotFraction: wl.HotFraction,
+		BurstPeak: wl.BurstPeak, BurstLen: wl.BurstLen,
+	}
+}
+
 // simConfig is the router configuration the job's fields select.
 func (j Job) simConfig() sim.Config {
 	return sim.Config{

@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -43,9 +44,10 @@ type Engine struct {
 	// with or without Check.
 	Warm *WarmStore
 
-	mu    sync.Mutex
-	stats Stats
-	live  liveCounters
+	live liveCounters // the job ledger, lock-free
+
+	mu   sync.Mutex
+	rows []WorkerStats // per-worker lifetime rows, folded in after each Run
 }
 
 // WorkerStats is one worker's lifetime accounting.
@@ -54,7 +56,8 @@ type WorkerStats struct {
 	Busy time.Duration // wall-clock time spent inside those simulations
 }
 
-// Stats accumulates an engine's lifetime accounting across Run calls.
+// Stats is an engine's lifetime accounting across Run calls, read from
+// the same ledger as Vars.
 type Stats struct {
 	Jobs      int // jobs requested
 	Simulated int // jobs actually simulated
@@ -78,13 +81,26 @@ func (s Stats) WarmLine() string {
 		s.WarmHits, s.WarmPuts, s.WarmCyclesSaved)
 }
 
-// Stats returns a copy of the engine's accumulated statistics.
+// Stats returns a copy of the engine's accumulated statistics. Like
+// Vars, it may be called mid-batch; the per-worker rows are updated when
+// a batch ends.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := e.stats
-	s.Workers = append([]WorkerStats(nil), e.stats.Workers...)
-	return s
+	rows := append([]WorkerStats(nil), e.rows...)
+	e.mu.Unlock()
+	l := &e.live
+	return Stats{
+		Jobs:            int(l.submitted.Load()),
+		Simulated:       int(l.simulated.Load()),
+		CacheHits:       int(l.cacheHits.Load()),
+		Deduped:         int(l.deduped.Load()),
+		Skipped:         int(l.skipped.Load()),
+		Failed:          int(l.failed.Load()),
+		WarmHits:        int(l.warmHits.Load()),
+		WarmPuts:        int(l.warmPuts.Load()),
+		WarmCyclesSaved: l.warmCycles.Load(),
+		Workers:         rows,
+	}
 }
 
 func (e *Engine) workers() int {
@@ -116,36 +132,36 @@ func (e *Engine) run(ctx context.Context, jobs []Job, skip func(int) bool, onDon
 	hashes := make([]string, len(jobs))
 	e.live.submitted.Add(int64(len(jobs)))
 	prog := newProgress(e.Progress, e, len(jobs), nw)
+	// settle records a job's result under its outcome's counter. Every
+	// outcome but failure settles here.
+	settle := func(i int, r Result, outcome *atomic.Int64) {
+		results[i] = r
+		outcome.Add(1)
+		e.live.done.Add(1)
+		prog.step()
+		if onDone != nil {
+			onDone(i, r)
+		}
+	}
 
 	// Settle cache hits up front and coalesce duplicate hashes so each
 	// distinct simulation runs exactly once.
-	var pending []int         // primary job index per distinct hash
-	dup := map[string][]int{} // hash -> follower job indices
-	prim := map[string]bool{} // hash has a primary already
-	var nhits, ndup int
+	var pending, followers []int
+	primary := map[string]int{} // hash -> index of the job that simulates it
 	for i, j := range jobs {
-		jn := j.Normalize()
-		jobs[i] = jn
-		hashes[i] = jn.Hash()
+		jobs[i] = j.Normalize()
+		hashes[i] = jobs[i].Hash()
 		if e.Cache != nil {
 			if r, ok := e.Cache.Get(hashes[i]); ok {
-				results[i] = r
-				nhits++
-				e.live.cacheHits.Add(1)
-				e.live.done.Add(1)
-				prog.step()
-				if onDone != nil {
-					onDone(i, r)
-				}
+				settle(i, r, &e.live.cacheHits)
 				continue
 			}
 		}
-		if prim[hashes[i]] {
-			dup[hashes[i]] = append(dup[hashes[i]], i)
-			ndup++
+		if _, ok := primary[hashes[i]]; ok {
+			followers = append(followers, i)
 			continue
 		}
-		prim[hashes[i]] = true
+		primary[hashes[i]] = i
 		pending = append(pending, i)
 	}
 
@@ -154,15 +170,12 @@ func (e *Engine) run(ctx context.Context, jobs []Job, skip func(int) bool, onDon
 		errMu   sync.Mutex
 		jobErrs []error
 		wstats  = make([]WorkerStats, nw)
-		nsim    int
-		nskip   int
-		nfail   int
-
-		nwarmhit   int
-		nwarmput   int
-		warmCycles int64
 	)
-	countMu := &errMu // one lock guards jobErrs and the counters below
+	fail := func(err error) {
+		errMu.Lock()
+		jobErrs = append(jobErrs, err)
+		errMu.Unlock()
+	}
 	feed := make(chan int)
 	go func() {
 		defer close(feed)
@@ -183,16 +196,7 @@ func (e *Engine) run(ctx context.Context, jobs []Job, skip func(int) bool, onDon
 					return
 				}
 				if skip != nil && skip(i) {
-					results[i] = Result{Job: jobs[i], Hash: hashes[i], Skipped: true}
-					countMu.Lock()
-					nskip++
-					countMu.Unlock()
-					e.live.skipped.Add(1)
-					e.live.done.Add(1)
-					prog.step()
-					if onDone != nil {
-						onDone(i, results[i])
-					}
+					settle(i, Result{Job: jobs[i], Hash: hashes[i], Skipped: true}, &e.live.skipped)
 					continue
 				}
 				start := time.Now()
@@ -211,78 +215,43 @@ func (e *Engine) run(ctx context.Context, jobs []Job, skip func(int) bool, onDon
 					if e.JobTimeout > 0 && elapsed >= e.JobTimeout {
 						err = fmt.Errorf("%w (wall-clock budget %v exceeded)", err, e.JobTimeout)
 					}
-					countMu.Lock()
-					jobErrs = append(jobErrs, err)
-					nfail++
-					countMu.Unlock()
+					fail(err)
 					e.live.failed.Add(1)
 					e.live.done.Add(1)
 					prog.step()
 					continue
 				}
 				r.ElapsedSeconds = elapsed.Seconds()
-				results[i] = r
-				countMu.Lock()
-				nsim++
 				if r.WarmStart {
-					nwarmhit++
-					warmCycles += int64(r.Job.Warmup)
+					e.live.warmHits.Add(1)
+					e.live.warmCycles.Add(int64(r.Job.Warmup))
 				}
 				if r.WarmSaved {
-					nwarmput++
+					e.live.warmPuts.Add(1)
 				}
-				countMu.Unlock()
 				if e.Cache != nil {
-					if cerr := e.Cache.Put(r); cerr != nil {
-						countMu.Lock()
-						jobErrs = append(jobErrs, cerr)
-						countMu.Unlock()
+					if err := e.Cache.Put(r); err != nil {
+						fail(err)
 					}
 				}
-				e.live.simulated.Add(1)
-				e.live.done.Add(1)
-				prog.step()
-				if onDone != nil {
-					onDone(i, r)
-				}
+				settle(i, r, &e.live.simulated)
 			}
 		}(w)
 	}
 	wg.Wait()
 
 	// Followers of a deduplicated hash share the primary's result.
-	for h, followers := range dup {
-		for _, i := range followers {
-			for _, p := range pending {
-				if hashes[p] == h {
-					results[i] = results[p]
-					break
-				}
-			}
-			e.live.deduped.Add(1)
-			e.live.done.Add(1)
-			if onDone != nil {
-				onDone(i, results[i])
-			}
-		}
+	for _, i := range followers {
+		settle(i, results[primary[hashes[i]]], &e.live.deduped)
 	}
 
 	e.mu.Lock()
-	e.stats.Jobs += len(jobs)
-	e.stats.Simulated += nsim
-	e.stats.CacheHits += nhits
-	e.stats.Deduped += ndup
-	e.stats.Skipped += nskip
-	e.stats.Failed += nfail
-	e.stats.WarmHits += nwarmhit
-	e.stats.WarmPuts += nwarmput
-	e.stats.WarmCyclesSaved += warmCycles
-	if len(e.stats.Workers) < nw {
-		e.stats.Workers = append(e.stats.Workers, make([]WorkerStats, nw-len(e.stats.Workers))...)
+	if len(e.rows) < nw {
+		e.rows = append(e.rows, make([]WorkerStats, nw-len(e.rows))...)
 	}
-	for w := range wstats {
-		e.stats.Workers[w].Jobs += wstats[w].Jobs
-		e.stats.Workers[w].Busy += wstats[w].Busy
+	for w, s := range wstats {
+		e.rows[w].Jobs += s.Jobs
+		e.rows[w].Busy += s.Busy
 	}
 	e.mu.Unlock()
 	prog.finish(wstats)

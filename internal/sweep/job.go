@@ -15,8 +15,7 @@ package sweep
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"strings"
+	"strconv"
 
 	"flatnet/internal/analysis"
 	"flatnet/internal/sim"
@@ -208,52 +207,92 @@ var shortPattern = func() map[string]string {
 	return m
 }()
 
-// hashVersion is bumped whenever the canonical encoding or the meaning
+// hashVersion is bumped whenever the encoding or the meaning
 // of any Job field changes, invalidating every cached result. v2: load
 // results gained latency percentile fields (p50/p95/max), so v1-cached
 // entries would replay with those fields zeroed.
 const hashVersion = "sweep/v2"
 
-// canonical renders the normalized job as a fixed-order field string.
-// Every field participates, so changing any field — including seed and
-// scale — yields a different hash. The slimfly/dragonfly parameters are
-// appended only when set, so the encodings (and cached hashes) of every
-// pre-existing job are unchanged.
-func (j Job) canonical() string {
+// encode appends the normalized job's fixed-order field string to b. It
+// is the one encoding behind both keys: Hash's (warm false), in which
+// every field but Workers participates, and WarmKey's (warm true), which
+// marks itself "|warm" and leaves out the measurement-only fields (Mode,
+// Measure, MaxCycles, BatchSize, Collective, Chunk). The Slim
+// Fly/dragonfly and workload-engine fields are appended only when set, so
+// the encodings (and cached hashes) of jobs that predate them are
+// unchanged.
+func (j Job) encode(b []byte, warm bool) []byte {
 	n := j.Normalize()
-	s := fmt.Sprintf("%s|net=%s|k=%d|n=%d|up=%d|lv=%d|mid=%d|cl=%d|mul=%d|alg=%s|pat=%s|conc=%d|mode=%s|load=%.17g|warm=%d|meas=%d|max=%d|batch=%d|seed=%d|buf=%d|pkt=%d|spd=%d|age=%t|rd=%d",
-		hashVersion, n.Net, n.K, n.N, n.Uplinks, n.Leaves, n.Middles,
-		n.ChannelLatency, n.Multiplicity, n.Alg, n.Pattern, n.Conc,
-		n.Mode, n.Load, n.Warmup, n.Measure, n.MaxCycles, n.BatchSize,
-		n.Seed, n.BufPerPort, n.PacketSize, n.Speedup, n.AgeArbiter,
-		n.RouterDelay)
-	if n.Q != 0 || n.A != 0 || n.H != 0 || n.P != 0 {
-		s += fmt.Sprintf("|q=%d|a=%d|h=%d|p=%d", n.Q, n.A, n.H, n.P)
+	e := encoder(append(b, hashVersion...))
+	if warm {
+		e = append(e, "|warm"...)
 	}
-	// The workload-engine fields are likewise appended only when set, so
-	// every pre-existing job's encoding (and cached hash) is unchanged.
+	e = e.str("net", n.Net).int("k", n.K).int("n", n.N).int("up", n.Uplinks).
+		int("lv", n.Leaves).int("mid", n.Middles).int("cl", n.ChannelLatency).
+		int("mul", n.Multiplicity).str("alg", n.Alg).str("pat", n.Pattern).int("conc", n.Conc)
+	if !warm {
+		e = e.str("mode", n.Mode)
+	}
+	e = e.float("load", n.Load).int("warm", n.Warmup)
+	if !warm {
+		e = e.int("meas", n.Measure).int("max", n.MaxCycles).int("batch", n.BatchSize)
+	}
+	e = e.uint("seed", n.Seed).int("buf", n.BufPerPort).int("pkt", n.PacketSize).
+		int("spd", n.Speedup).bool("age", n.AgeArbiter).int("rd", n.RouterDelay)
+	if n.Q != 0 || n.A != 0 || n.H != 0 || n.P != 0 {
+		e = e.int("q", n.Q).int("a", n.A).int("h", n.H).int("p", n.P)
+	}
 	if n.BurstPeak != 0 || n.BurstLen != 0 {
-		s += fmt.Sprintf("|bp=%.17g|bl=%.17g", n.BurstPeak, n.BurstLen)
+		e = e.float("bp", n.BurstPeak).float("bl", n.BurstLen)
 	}
 	if len(n.Hot) != 0 || n.HotFraction != 0 {
-		hot := make([]string, len(n.Hot))
+		e = e.key("hot")
 		for i, h := range n.Hot {
-			hot[i] = fmt.Sprintf("%d", h)
+			if i > 0 {
+				e = append(e, ',')
+			}
+			e = strconv.AppendInt(e, int64(h), 10)
 		}
-		s += fmt.Sprintf("|hot=%s|hf=%.17g", strings.Join(hot, ","), n.HotFraction)
+		e = e.float("hf", n.HotFraction)
 	}
-	if n.Collective != "" || n.Chunk != 0 {
-		s += fmt.Sprintf("|coll=%s|chunk=%d", n.Collective, n.Chunk)
+	if !warm && (n.Collective != "" || n.Chunk != 0) {
+		e = e.str("coll", n.Collective).int("chunk", n.Chunk)
 	}
-	return s
+	return e
 }
 
-// Hash returns the job's stable content hash: the hex SHA-256 of the
-// canonical field encoding. Equal hashes mean equal (normalized) jobs.
-func (j Job) Hash() string {
-	sum := sha256.Sum256([]byte(j.canonical()))
+// encoder appends "|key=value" fields, each value exactly as fmt's %s,
+// %d, %t and %.17g print it: every cached hash and stored warm snapshot
+// is keyed by those bytes.
+type encoder []byte
+
+func (e encoder) key(k string) encoder            { return append(append(append(e, '|'), k...), '=') }
+func (e encoder) str(k, v string) encoder         { return append(e.key(k), v...) }
+func (e encoder) int(k string, v int) encoder     { return strconv.AppendInt(e.key(k), int64(v), 10) }
+func (e encoder) uint(k string, v uint64) encoder { return strconv.AppendUint(e.key(k), v, 10) }
+func (e encoder) bool(k string, v bool) encoder   { return strconv.AppendBool(e.key(k), v) }
+func (e encoder) float(k string, v float64) encoder {
+	return strconv.AppendFloat(e.key(k), v, 'g', 17, 64)
+}
+
+// digest is the hex SHA-256 of the job's encoding.
+func (j Job) digest(warm bool) string {
+	var buf [512]byte
+	sum := sha256.Sum256(j.encode(buf[:0], warm))
 	return hex.EncodeToString(sum[:])
 }
+
+// Hash returns the job's stable content hash. Equal hashes mean equal
+// (normalized) jobs.
+func (j Job) Hash() string { return j.digest(false) }
+
+// WarmKey returns the job's warm-state content hash: the hash of every
+// field that shapes the network's state at the end of warm-up. Two
+// ModeLoad jobs with equal WarmKeys traverse identical warm-up
+// trajectories, so a snapshot taken when one opens its measurement
+// window is a faithful starting point for the other — that is the
+// invariant the warm store trades on.
+func (j Job) WarmKey() string { return j.digest(true) }
 
 // Result is the outcome of one job. Point is filled for ModeLoad and
 // ModeSaturation, Batch for ModeBatch. Results round-trip through the

@@ -50,53 +50,56 @@ func TestJobHashStability(t *testing.T) {
 	}
 }
 
+// hashedFields mutates each Job field that enters the hash, and unhashed
+// each that must not: Workers is inert, and caches written when it was
+// not must keep serving. Between them they name every Job field.
+var hashedFields = map[string]func(*Job){
+	"Net":            func(j *Job) { j.Net = "butterfly" },
+	"K":              func(j *Job) { j.K = 8 },
+	"N":              func(j *Job) { j.N = 3 },
+	"Uplinks":        func(j *Job) { j.Uplinks = 2 },
+	"Leaves":         func(j *Job) { j.Leaves = 4 },
+	"Middles":        func(j *Job) { j.Middles = 2 },
+	"Q":              func(j *Job) { j.Q = 5 },
+	"A":              func(j *Job) { j.A = 4 },
+	"H":              func(j *Job) { j.H = 2 },
+	"P":              func(j *Job) { j.P = 3 },
+	"ChannelLatency": func(j *Job) { j.ChannelLatency = 16 },
+	"Multiplicity":   func(j *Job) { j.Multiplicity = 2 },
+	"Alg":            func(j *Job) { j.Alg = "VAL" },
+	"Pattern":        func(j *Job) { j.Pattern = "WC" },
+	"Conc":           func(j *Job) { j.Conc = 2 },
+	"Hot":            func(j *Job) { j.Hot = []int{1} },
+	"HotFraction":    func(j *Job) { j.HotFraction = 0.2 },
+	"BurstPeak":      func(j *Job) { j.BurstPeak = 0.9 },
+	"BurstLen":       func(j *Job) { j.BurstLen = 24 },
+	"Collective":     func(j *Job) { j.Collective = sim.CollectiveAllToAll },
+	"Chunk":          func(j *Job) { j.Chunk = 3 },
+	"Mode":           func(j *Job) { j.Mode = ModeSaturation },
+	"Load":           func(j *Job) { j.Load = 0.51 },
+	"Warmup":         func(j *Job) { j.Warmup = 101 },
+	"Measure":        func(j *Job) { j.Measure = 101 },
+	"MaxCycles":      func(j *Job) { j.MaxCycles = 2001 },
+	"BatchSize":      func(j *Job) { j.BatchSize = 2 },
+	"Seed":           func(j *Job) { j.Seed = 8 },
+	"BufPerPort":     func(j *Job) { j.BufPerPort = 64 },
+	"PacketSize":     func(j *Job) { j.PacketSize = 4 },
+	"Speedup":        func(j *Job) { j.Speedup = 1 },
+	"AgeArbiter":     func(j *Job) { j.AgeArbiter = true },
+	"RouterDelay":    func(j *Job) { j.RouterDelay = 2 },
+}
+
+var unhashed = map[string]func(*Job){
+	"Workers": func(j *Job) { j.Workers = 8 },
+}
+
 // TestJobHashInvalidation asserts that changing any job field — seed and
 // scale included — changes the hash, which is what invalidates cache
 // entries when a spec changes.
 func TestJobHashInvalidation(t *testing.T) {
 	base := tinyJob("CLOS AD", 0.5)
-	mutations := map[string]func(*Job){
-		"Net":            func(j *Job) { j.Net = "butterfly" },
-		"K":              func(j *Job) { j.K = 8 },
-		"N":              func(j *Job) { j.N = 3 },
-		"Uplinks":        func(j *Job) { j.Uplinks = 2 },
-		"Leaves":         func(j *Job) { j.Leaves = 4 },
-		"Middles":        func(j *Job) { j.Middles = 2 },
-		"Q":              func(j *Job) { j.Q = 5 },
-		"A":              func(j *Job) { j.A = 4 },
-		"H":              func(j *Job) { j.H = 2 },
-		"P":              func(j *Job) { j.P = 3 },
-		"ChannelLatency": func(j *Job) { j.ChannelLatency = 16 },
-		"Multiplicity":   func(j *Job) { j.Multiplicity = 2 },
-		"Alg":            func(j *Job) { j.Alg = "VAL" },
-		"Pattern":        func(j *Job) { j.Pattern = "WC" },
-		"Conc":           func(j *Job) { j.Conc = 2 },
-		"Hot":            func(j *Job) { j.Hot = []int{1} },
-		"HotFraction":    func(j *Job) { j.HotFraction = 0.2 },
-		"BurstPeak":      func(j *Job) { j.BurstPeak = 0.9 },
-		"BurstLen":       func(j *Job) { j.BurstLen = 24 },
-		"Collective":     func(j *Job) { j.Collective = sim.CollectiveAllToAll },
-		"Chunk":          func(j *Job) { j.Chunk = 3 },
-		"Mode":           func(j *Job) { j.Mode = ModeSaturation },
-		"Load":           func(j *Job) { j.Load = 0.51 },
-		"Warmup":         func(j *Job) { j.Warmup = 101 },
-		"Measure":        func(j *Job) { j.Measure = 101 },
-		"MaxCycles":      func(j *Job) { j.MaxCycles = 2001 },
-		"BatchSize":      func(j *Job) { j.BatchSize = 2 },
-		"Seed":           func(j *Job) { j.Seed = 8 },
-		"BufPerPort":     func(j *Job) { j.BufPerPort = 64 },
-		"PacketSize":     func(j *Job) { j.PacketSize = 4 },
-		"Speedup":        func(j *Job) { j.Speedup = 1 },
-		"AgeArbiter":     func(j *Job) { j.AgeArbiter = true },
-		"RouterDelay":    func(j *Job) { j.RouterDelay = 2 },
-	}
-	// Fields whose value must NOT change the hash: Workers is inert, and
-	// caches written when it was not must keep serving.
-	unhashed := map[string]func(*Job){
-		"Workers": func(j *Job) { j.Workers = 8 },
-	}
 	seen := map[string]string{base.Hash(): "base"}
-	for field, mutate := range mutations {
+	for field, mutate := range hashedFields {
 		j := base
 		mutate(&j)
 		h := j.Hash()
@@ -115,8 +118,8 @@ func TestJobHashInvalidation(t *testing.T) {
 	// Every Job field must be covered above (hashed or explicitly
 	// execution-detail), so adding a field without deciding its caching
 	// behavior fails this test.
-	if want := reflect.TypeOf(Job{}).NumField(); len(mutations)+len(unhashed) != want {
-		t.Errorf("mutation tables cover %d fields, Job has %d — extend the tables and the canonical encoding", len(mutations)+len(unhashed), want)
+	if want := reflect.TypeOf(Job{}).NumField(); len(hashedFields)+len(unhashed) != want {
+		t.Errorf("mutation tables cover %d fields, Job has %d — extend the tables and the encoding", len(hashedFields)+len(unhashed), want)
 	}
 }
 
@@ -376,5 +379,19 @@ func TestProgressOutput(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestFromSpecInvertsSpec holds FromSpec to Spec's inverse on a job whose
+// every network and workload field is set.
+func TestFromSpecInvertsSpec(t *testing.T) {
+	j := Job{
+		Net: "dragonfly", K: 1, N: 2, Uplinks: 3, Leaves: 4, Middles: 5,
+		Q: 6, A: 7, H: 8, P: 9, ChannelLatency: 10, Multiplicity: 11,
+		Alg: "UGAL", Pattern: "HS", Conc: 12, Hot: []int{3, 4}, HotFraction: 0.3,
+		BurstPeak: 0.7, BurstLen: 14,
+	}
+	if got := FromSpec(j.Spec()); !reflect.DeepEqual(got, j) {
+		t.Errorf("FromSpec(j.Spec()) = %+v, want %+v", got, j)
 	}
 }

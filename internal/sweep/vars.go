@@ -7,11 +7,9 @@ import (
 	"flatnet/internal/telemetry"
 )
 
-// liveCounters is the engine's lock-free live accounting, updated at
-// every job-settle point in run(). Unlike Stats (which is folded in
-// under a mutex once per Run), these are readable mid-batch from any
-// goroutine — they back the progress reporter and the -listen metrics
-// endpoint.
+// liveCounters is the engine's one job ledger, lock-free and updated as
+// each job settles in run(). Stats, Vars, the progress reporter and the
+// -listen metrics endpoint all read it, mid-batch or after.
 type liveCounters struct {
 	submitted atomic.Int64 // jobs handed to Run, cumulatively
 	done      atomic.Int64 // jobs settled (any outcome)
@@ -22,6 +20,10 @@ type liveCounters struct {
 	failed    atomic.Int64 // jobs that returned an error
 	inFlight  atomic.Int64 // simulations executing right now
 	busyNanos atomic.Int64 // wall-clock nanoseconds inside simulations
+
+	warmHits   atomic.Int64 // simulations resumed from a warm snapshot
+	warmPuts   atomic.Int64 // cold runs that deposited one
+	warmCycles atomic.Int64 // warm-up cycles the hits did not re-simulate
 }
 
 // Vars is a point-in-time snapshot of an Engine's live counters, shaped

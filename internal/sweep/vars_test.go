@@ -93,3 +93,67 @@ func TestPublishVars(t *testing.T) {
 		t.Errorf("gauge snapshot = %+v", decoded.SweepEngine)
 	}
 }
+
+// TestOneLedger runs one batch that settles jobs every way — cache hits,
+// warm restores, simulations, saturation skips, duplicates and a failure
+// — and holds Stats and Vars to the same ledger, the settle identity
+// included, and the progress stream to a final line that counts every
+// job.
+func TestOneLedger(t *testing.T) {
+	eng := &Engine{Workers: 1} // one worker makes the skips deterministic
+	closeCache, err := eng.UseCache(filepath.Join(t.TempDir(), "c.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeCache()
+	if _, err := eng.Run(context.Background(), []Job{tinyJob("MIN AD", 0.2), tinyJob("CLOS AD", 0.3)}); err != nil {
+		t.Fatal(err)
+	}
+
+	remeasured := tinyJob("CLOS AD", 0) // misses the cache, restores the warm-up
+	remeasured.Measure = 150
+	saturating := tinyJob("MIN AD", 0)
+	saturating.Pattern, saturating.MaxCycles = "WC", 300
+	bogus := tinyJob("nonsense", 0)
+	specs := []SeriesSpec{
+		{Base: tinyJob("MIN AD", 0), Loads: []float64{0.2}}, // a cache hit
+		{Base: remeasured, Loads: []float64{0.3}},
+		{Base: saturating, Loads: []float64{0.5, 0.6, 0.7, 0.8, 0.9}},
+		{Base: saturating, Loads: []float64{0.5, 0.6, 0.7, 0.8, 0.9}}, // five duplicates
+		{Base: bogus, Loads: []float64{0.2}},
+	}
+	var progress syncBuffer
+	eng.Progress = &progress
+	if _, err := eng.RunSeries(context.Background(), specs); err == nil {
+		t.Fatal("the bogus algorithm did not fail")
+	}
+
+	st, v := eng.Stats(), eng.Vars()
+	if st.Jobs != 15 || v.JobsSubmitted != 15 || v.JobsDone != 15 {
+		t.Errorf("jobs %d, submitted %d, done %d; want 15 each", st.Jobs, v.JobsSubmitted, v.JobsDone)
+	}
+	if sum := v.Simulated + v.CacheHits + v.Deduped + v.Skipped + v.Failed; sum != v.JobsDone {
+		t.Errorf("settle identity broken: %d+%d+%d+%d+%d != %d",
+			v.Simulated, v.CacheHits, v.Deduped, v.Skipped, v.Failed, v.JobsDone)
+	}
+	if got, want := [5]int64{int64(st.Simulated), int64(st.CacheHits), int64(st.Deduped), int64(st.Skipped), int64(st.Failed)},
+		[5]int64{v.Simulated, v.CacheHits, v.Deduped, v.Skipped, v.Failed}; got != want {
+		t.Errorf("Stats %v and Vars %v disagree (simulated, hits, deduped, skipped, failed)", got, want)
+	}
+	if st.CacheHits != 1 || st.Deduped != 5 || st.Failed != 1 || st.Skipped == 0 || st.WarmHits != 1 {
+		t.Errorf("want 1 cache hit, 5 deduped, 1 failed, some skipped and 1 warm restore; got %+v", st)
+	}
+	if st.WarmCyclesSaved != int64(remeasured.Warmup) || st.WarmPuts != st.Simulated-st.WarmHits {
+		t.Errorf("warm ledger: %d cycles saved, %d puts, %d simulated, %d restores", st.WarmCyclesSaved, st.WarmPuts, st.Simulated, st.WarmHits)
+	}
+	ran := 0
+	for _, w := range st.Workers {
+		ran += w.Jobs
+	}
+	if ran != st.Simulated+st.Failed {
+		t.Errorf("workers ran %d jobs, the ledger counts %d simulated and %d failed", ran, st.Simulated, st.Failed)
+	}
+	if !strings.Contains(progress.String(), "sweep: 13/13 jobs") {
+		t.Errorf("no progress line counts all 13 jobs of the batch:\n%s", progress.String())
+	}
+}

@@ -1,45 +1,11 @@
 package sweep
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 )
-
-// WarmKey returns the job's warm-state content hash: the hash of every
-// field that shapes the network's state at the end of warm-up, excluding
-// the measurement-only parameters (Mode, Measure, MaxCycles, BatchSize).
-// Two ModeLoad jobs with equal WarmKeys traverse identical warm-up
-// trajectories, so a snapshot taken when one opens its measurement
-// window is a faithful starting point for the other — that is the
-// invariant the warm store trades on.
-func (j Job) WarmKey() string {
-	n := j.Normalize()
-	s := fmt.Sprintf("%s|warm|net=%s|k=%d|n=%d|up=%d|lv=%d|mid=%d|cl=%d|mul=%d|alg=%s|pat=%s|conc=%d|load=%.17g|warm=%d|seed=%d|buf=%d|pkt=%d|spd=%d|age=%t|rd=%d",
-		hashVersion, n.Net, n.K, n.N, n.Uplinks, n.Leaves, n.Middles,
-		n.ChannelLatency, n.Multiplicity, n.Alg, n.Pattern, n.Conc,
-		n.Load, n.Warmup, n.Seed, n.BufPerPort, n.PacketSize, n.Speedup,
-		n.AgeArbiter, n.RouterDelay)
-	if n.Q != 0 || n.A != 0 || n.H != 0 || n.P != 0 {
-		s += fmt.Sprintf("|q=%d|a=%d|h=%d|p=%d", n.Q, n.A, n.H, n.P)
-	}
-	if n.BurstPeak != 0 || n.BurstLen != 0 {
-		s += fmt.Sprintf("|bp=%.17g|bl=%.17g", n.BurstPeak, n.BurstLen)
-	}
-	if len(n.Hot) != 0 || n.HotFraction != 0 {
-		hot := make([]string, len(n.Hot))
-		for i, h := range n.Hot {
-			hot[i] = fmt.Sprintf("%d", h)
-		}
-		s += fmt.Sprintf("|hot=%s|hf=%.17g", strings.Join(hot, ","), n.HotFraction)
-	}
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
-}
 
 // WarmStore is a directory of warmed-network snapshots, one file per
 // WarmKey, conventionally kept beside the JSON-lines result cache

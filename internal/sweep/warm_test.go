@@ -12,36 +12,82 @@ import (
 	"flatnet/internal/check"
 )
 
+// Every Job field is warm-shaping (it changes the warm key), measurement
+// only (it changes the hash but not the warm key: a stored warm-up is
+// reusable under any measurement) or unencoded (in unhashed: it changes
+// neither).
+var (
+	warmShaping = []string{
+		"Net", "K", "N", "Uplinks", "Leaves", "Middles", "Q", "A", "H", "P",
+		"ChannelLatency", "Multiplicity", "Alg", "Pattern", "Conc", "Hot",
+		"HotFraction", "BurstPeak", "BurstLen", "Load", "Warmup", "Seed",
+		"BufPerPort", "PacketSize", "Speedup", "AgeArbiter", "RouterDelay",
+	}
+	measurementOnly = []string{"Mode", "Measure", "MaxCycles", "BatchSize", "Collective", "Chunk"}
+)
+
 func TestWarmKeyScope(t *testing.T) {
 	base := tinyJob("UGAL-S", 0.4)
-	// Measurement-only parameters do not enter the warm key: a stored
-	// warm-up is reusable under any measurement length.
-	same := map[string]func(*Job){
-		"Measure":   func(j *Job) { j.Measure = 777 },
-		"MaxCycles": func(j *Job) { j.MaxCycles = 9999 },
-		"BatchSize": func(j *Job) { j.BatchSize = 5 },
-		"Workers":   func(j *Job) { j.Workers = 4 },
-	}
-	for name, mut := range same {
+	mutated := func(field string, mutations map[string]func(*Job)) Job {
+		t.Helper()
+		mutate, ok := mutations[field]
+		if !ok {
+			t.Fatalf("%s has no mutation in the hash tests' tables", field)
+		}
 		j := base
-		mut(&j)
-		if j.WarmKey() != base.WarmKey() {
-			t.Errorf("%s changed the warm key; warm state does not depend on it", name)
+		mutate(&j)
+		return j
+	}
+	seen := map[string]string{base.WarmKey(): "base"}
+	for _, field := range warmShaping {
+		k := mutated(field, hashedFields).WarmKey()
+		if prev, dup := seen[k]; dup {
+			t.Errorf("mutating %s left the warm key equal to %s's; distinct warm-ups would collide", field, prev)
+		}
+		seen[k] = field
+	}
+	for _, field := range measurementOnly {
+		if mutated(field, hashedFields).WarmKey() != base.WarmKey() {
+			t.Errorf("%s changed the warm key; warm state does not depend on it", field)
 		}
 	}
-	// Everything that shapes the warm-up trajectory must change the key.
-	diff := map[string]func(*Job){
-		"Load":   func(j *Job) { j.Load = 0.5 },
-		"Warmup": func(j *Job) { j.Warmup = 150 },
-		"Seed":   func(j *Job) { j.Seed = 8 },
-		"Alg":    func(j *Job) { j.Alg = "VAL" },
-		"K":      func(j *Job) { j.K = 2 },
+	for field := range unhashed {
+		if mutated(field, unhashed).WarmKey() != base.WarmKey() {
+			t.Errorf("unencoded %s changed the warm key", field)
+		}
 	}
-	for name, mut := range diff {
-		j := base
-		mut(&j)
-		if j.WarmKey() == base.WarmKey() {
-			t.Errorf("%s did not change the warm key; distinct warm-ups would collide", name)
+	if n, want := len(warmShaping)+len(measurementOnly)+len(unhashed), reflect.TypeOf(Job{}).NumField(); n != want {
+		t.Errorf("warm-key classes cover %d fields, Job has %d — classify the new field", n, want)
+	}
+}
+
+// TestKeysPinned holds Hash and WarmKey to the values every cache and
+// warm store written so far is keyed by: a changed encoding would orphan
+// them all.
+func TestKeysPinned(t *testing.T) {
+	for _, c := range []struct {
+		job        Job
+		hash, warm string
+	}{
+		{Job{Net: "flatfly", K: 16, N: 2, Alg: "CLOS AD", Pattern: "WC", Load: 0.3,
+			Warmup: 400, Measure: 400, MaxCycles: 4000, Seed: 1, BufPerPort: 32},
+			"47b35e44e60e8c2bbd4e877e8d03b7f009ece100261e0c534294f5c808da8a03",
+			"7addd877cc9745f9e4580d11f77eaa91eff3b376fdc8a02c52c93b21b13cd1e2"},
+		{Job{Net: "slimfly", Q: 5, Alg: "VAL", Pattern: "UR", Load: 0.2,
+			Warmup: 200, Measure: 300, MaxCycles: 3000, Seed: 3},
+			"74a3a36e110e947613b2667a9910ce00cbedc06bcb52b497273546a90eee410b",
+			"a0bc0794a9bff5fb359167ef376be97444fbf36f8a217a37e71e01f42460917b"},
+		{Job{Net: "dragonfly", H: 2, Alg: "UGAL", Pattern: "WC", Mode: ModeCollective,
+			Collective: "alltoall", Chunk: 2, Load: 0.1, Warmup: 50, MaxCycles: 20000, Seed: 5},
+			"de945b3355d41493290a7cb5eed08e15460773908729dcac6b655cf6011c8be4",
+			"cb8df71e6b26fa7ae134864659ea8e83c97433f01218ba330254f306e9a4844b"},
+		{Job{Net: "flatfly", K: 4, N: 2, Alg: "MIN AD", Pattern: "hotspot", Hot: []int{1, 5}, HotFraction: 0.25,
+			BurstPeak: 0.8, Load: 0.3, Warmup: 100, Measure: 100, MaxCycles: 2000, Seed: 7},
+			"e3eab41888bf6c698ea4b788dc4355382edc42c4e4ce7270a430ccc1dd0a1203",
+			"947b257c8ec523a438c3984a200faedc38f5b7f4a011399bc43f408d3af0cc99"},
+	} {
+		if h, w := c.job.Hash(), c.job.WarmKey(); h != c.hash || w != c.warm {
+			t.Errorf("%s %s: Hash %s WarmKey %s, pinned %s %s", c.job.Net, c.job.Alg, h, w, c.hash, c.warm)
 		}
 	}
 }
