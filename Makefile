@@ -51,12 +51,12 @@ onehook:
 		grep -rnE '\.(OnDeliver|OnMaterialize|LoadTrace)\(' --include='*.go' . | grep -v '^\./bench/'; }); \
 	if [ -n "$$out" ]; then echo "watch packets through Hooks.Materialize/Deliver and replay through ReplayTrace, not:"; echo "$$out"; exit 1; fi
 
-# oneslab fails if a channel graph's port tables are allocated anywhere
-# but topo.NewGraph, which carves every router's In and Out rows from one
-# slab per graph: a per-router make([]InPort/[]OutPort loop is back to
-# one allocation per router (DESIGN §10).
+# oneslab fails if a channel graph's port table is allocated anywhere
+# but topo.NewGraph, which carves every router's Out row from one slab per
+# graph: a per-router make([]OutPort loop is back to one allocation per
+# router (DESIGN §10). Graphs store no input side to allocate.
 oneslab:
-	@out=$$(grep -rnE 'make\(\[\](topo\.)?(InPort|OutPort)' --include='*.go' . | grep -vE '^\./internal/topo/graph\.go:|_test\.go:'); \
+	@out=$$(grep -rnE 'make\(\[\](topo\.)?OutPort' --include='*.go' . | grep -vE '^\./internal/topo/graph\.go:|_test\.go:'); \
 	if [ -n "$$out" ]; then echo "allocate port tables through topo.NewGraph, not:"; echo "$$out"; exit 1; fi
 
 test:

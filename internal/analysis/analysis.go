@@ -32,7 +32,8 @@ type destLaw interface {
 // cycle when every terminal injects one flit per cycle of pattern p,
 // routed by rule, and returns the saturation throughput, 1 / max(1,
 // largest load), and the mean hops, the summed load per terminal. One
-// reverse BFS per destination, over In ports, serves one-way networks.
+// reverse BFS per destination, over the input ports Graph.Inputs derives,
+// serves one-way networks.
 func LoadBound(g *topo.Graph, p traffic.Pattern, rule Rule) (saturation, meanHops float64, err error) {
 	law, ok := p.(destLaw)
 	if !ok {
@@ -61,7 +62,7 @@ func LoadBound(g *topo.Graph, p traffic.Pattern, rule Rule) (saturation, meanHop
 			dem[i] = (out[i/r] + in[i%r]) / float64(r)
 		}
 	}
-	c := buildCSR(g)
+	c, inputs := buildCSR(g), g.Inputs()
 	load := make([]float64, len(c.nbr)) // per channel, in CSR order
 	dist, next, flow, queue := make([]int32, r), make([]int32, r), make([]float64, r), make([]int32, 0, r)
 	for d := 0; d < r; d++ {
@@ -72,7 +73,7 @@ func LoadBound(g *topo.Graph, p traffic.Pattern, rule Rule) (saturation, meanHop
 		queue = append(queue[:0], int32(d))
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
-			for _, in := range g.Routers[v].In {
+			for _, in := range inputs[v] {
 				if u := in.Peer; in.Kind == topo.Network {
 					if dist[u] < 0 {
 						dist[u] = dist[v] + 1

@@ -11,10 +11,11 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"flatnet/internal/topo"
@@ -320,7 +321,7 @@ func analyze(g *topo.Graph, reps []topo.RouterID, sizes []int) (Metrics, int, er
 	}()
 	go func() {
 		defer wg.Done()
-		fied, _ := fiedlerRitz(lap, lambdaSteps)
+		fied, _ := fiedlerRitz(lap, lambdaSteps, fiedlerBasisBytes)
 		upper = bestCandidateCut(c, fied, injTerms, int64(g.NumNodes))
 	}()
 	sum, err := sweep(c, sources, ejTerms)
@@ -475,7 +476,7 @@ func spectralBisectionLower(l laplacian, injTerms, ejTerms []int64) float64 {
 // towards shift - lambda_2 from below, so stopping early would report a
 // lambda_2 that is too large.
 func lambda2(l laplacian, maxSteps int) (float64, int) {
-	t := lanczos(l, 1, maxSteps)
+	t := lanczos(l, 1, maxSteps, 0)
 	if !t.converged {
 		return 0, 0
 	}
@@ -523,11 +524,13 @@ func (k *krylov) advance(b float64) {
 
 // tridiag is what a Lanczos run leaves of its k steps: T_k's diagonal
 // alpha (k entries) and off-diagonal beta (k-1), T_k's top eigenvalue
-// theta with eigenvector z (z_k = 1), and whether the stop rule fired.
+// theta with eigenvector z (z_k = 1), whether the stop rule fired, and
+// the basis v_1..v_k when the run kept it.
 type tridiag struct {
 	alpha, beta, z []float64
 	theta          float64
 	converged      bool
+	basis          [][]float64
 }
 
 // lanczos runs the Lanczos iteration on shift*I - L from powerStart(r,
@@ -539,13 +542,19 @@ type tridiag struct {
 // most 1e-12 relative, or when the residual bound beta_k * |s_k| of the
 // Ritz pair is within 1e-12 of the operator's scale (shift), which an
 // exact invariant subspace (beta_k ~ 0) reaches first. A run that hits
-// maxSteps returns its last T_k unconverged. Only three R-vectors are
-// live; the basis is not kept.
-func lanczos(l laplacian, start, maxSteps int) tridiag {
+// maxSteps returns its last T_k unconverged. Three R-vectors drive the
+// recurrence; the basis vectors are kept as well while there are at most
+// keep of them, and dropped (t.basis nil) by a run that outgrows keep.
+func lanczos(l laplacian, start, maxSteps, keep int) tridiag {
 	k := newKrylov(l, start)
 	var t tridiag
 	b := 0.0 // beta_{k-1}; prev is 0 on the first step
 	for step := 1; step <= maxSteps; step++ {
+		if step <= keep {
+			t.basis = append(t.basis, slices.Clone(k.v))
+		} else {
+			t.basis = nil
+		}
 		k.product(b)
 		a := dot(k.w, k.v)
 		k.orthogonalize(a)
@@ -566,18 +575,37 @@ func lanczos(l laplacian, start, maxSteps int) tridiag {
 	return t
 }
 
+// fiedlerBasisBytes caps the Lanczos basis fiedlerRitz keeps: 64 MiB is
+// every step of the 500-step cap up to 16k routers, and far more steps
+// than any family needs (53 on dragonfly h = 8) up to millions.
+const fiedlerBasisBytes = 64 << 20
+
 // fiedlerRitz returns the Ritz vector x = sum z_i v_i of the Lanczos run
 // from powerStart(r, 2) — an approximation of the Fiedler vector, the
 // candidate cut's spectral ordering — and the run's step count. The run
 // stops by lanczos's rule or at maxSteps; an unconverged run still yields
 // its last Ritz vector, and any ordering gives a real cut.
-// The basis vectors are not stored: a second pass replays the recurrence
-// with the recorded alpha and beta, which reproduces each v_i bit for bit,
-// and accumulates x as it goes, so the extra memory is O(R).
-func fiedlerRitz(l laplacian, maxSteps int) ([]float64, int) {
-	t := lanczos(l, 2, maxSteps)
+// The run keeps its basis vectors while they fit in basisBytes and x sums
+// them. A run that outgrows the cap replays the recurrence instead, with
+// the recorded alpha and beta, which reproduces each v_i bit for bit, and
+// accumulates x as it goes, so its extra memory is O(R). Both sum the
+// same products in the same order.
+func fiedlerRitz(l laplacian, maxSteps, basisBytes int) ([]float64, int) {
+	r := len(l.diag)
+	t := lanczos(l, 2, maxSteps, basisBytes/(8*r))
+	x := make([]float64, r)
+	if t.basis != nil {
+		for i, vi := range t.basis[0] {
+			x[i] = t.z[0] * vi
+		}
+		for j, v := range t.basis[1:] {
+			for i, vi := range v {
+				x[i] += t.z[j+1] * vi
+			}
+		}
+		return x, len(t.alpha)
+	}
 	k := newKrylov(l, 2)
-	x := make([]float64, len(k.v))
 	for i, vi := range k.v {
 		x[i] = t.z[0] * vi
 	}
@@ -739,7 +767,13 @@ func bestCandidateCut(c csr, fied []float64, terms []int64, totalTerms int64) fl
 		order[i] = int32(i)
 	}
 	best := cutChannels(splitAt(order))
-	sort.SliceStable(order, func(i, j int) bool { return fied[order[i]] < fied[order[j]] })
+	// Ties keep index order, as a stable sort would.
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(fied[a], fied[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	if cut := cutChannels(splitAt(order)); cut < best {
 		best = cut
 	}

@@ -86,10 +86,7 @@ func injectFaultSomewhere(t *testing.T, n *sim.Network, k sim.FaultKind, load fl
 	g := n.Graph()
 	for attempt := 0; attempt < 2000; attempt++ {
 		for r := range g.Routers {
-			ports := len(g.Routers[r].Out)
-			if k == sim.FaultDropFlit {
-				ports = len(g.Routers[r].In)
-			}
+			ports := len(g.Routers[r].Out) // input ports too, for FaultDropFlit
 			for p := 0; p < ports; p++ {
 				for v := 0; v < n.VCs(); v++ {
 					if n.InjectFault(k, topo.RouterID(r), p, v) == nil {

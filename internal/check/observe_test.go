@@ -253,10 +253,7 @@ func TestFaultsCaughtAfterRestore(t *testing.T) {
 			faulted := false
 			for attempt := 0; attempt < 2000 && !faulted; attempt++ {
 				for r := range f.Graph().Routers {
-					ports := len(f.Graph().Routers[r].Out)
-					if tc.fault == sim.FaultDropFlit {
-						ports = len(f.Graph().Routers[r].In)
-					}
+					ports := len(f.Graph().Routers[r].Out) // input ports too, for FaultDropFlit
 					for p := 0; p < ports && (tc.all || !faulted); p++ {
 						for v := 0; v < straight.VCs() && (tc.all || !faulted); v++ {
 							if straight.InjectFault(tc.fault, topo.RouterID(r), p, v) == nil {

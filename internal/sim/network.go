@@ -404,19 +404,24 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 	if vcs*depth > portSlots {
 		portSlots = vcs * depth
 	}
-	var nIn, nOut, nSlots, nWords, nPsum int
+	// Port p of a router is input p and output p, so the network has as
+	// many input ports as output ports. An input port is buffered when a
+	// channel or a node's injection enters it: one per network output and
+	// one per node.
+	var nOut, nSlots, nWords, nPsum int
 	for r := range g.Routers {
-		rd := &g.Routers[r]
-		nIn += len(rd.In)
-		nOut += len(rd.Out)
-		for p := range rd.In {
-			if rd.In[p].Kind != topo.Unused {
+		out := g.Routers[r].Out
+		nOut += len(out)
+		for p := range out {
+			if out[p].Kind == topo.Network {
 				nSlots += portSlots
 			}
 		}
-		nWords += routerWords(len(rd.In)<<shift, len(rd.Out))
-		nPsum += psumStride(len(rd.Out))
+		nWords += routerWords(len(out)<<shift, len(out))
+		nPsum += psumStride(len(out))
 	}
+	nIn := nOut
+	nSlots += g.NumNodes * portSlots
 	// State indices and flit counts are 32-bit: VC indices, ring slots, and
 	// queue estimates, which reserve a whole packet per routed input VC.
 	if nIn<<shift > math.MaxInt32/2 || nOut<<shift > math.MaxInt32 || nPsum > math.MaxInt32 || nSlots > math.MaxInt32 ||
@@ -462,6 +467,24 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		n.routers[r].outBase = int32(outBase)
 		outBase += len(g.Routers[r].Out)
 	}
+	// The input side comes from the outputs that enter it and from the
+	// node tables; input port p of router r sits at inSlab[outBase+p].
+	for r := range g.Routers {
+		ob := n.routers[r].outBase
+		for p, op := range g.Routers[r].Out {
+			if op.Kind == topo.Network {
+				inSlab[n.routers[op.Peer].outBase+op.PeerPort] = inPort{
+					kind:      topo.Network,
+					creditLat: op.Latency,
+					peer:      int32(r),
+					credOVC:   (ob + int32(p)) << shift,
+				}
+			}
+		}
+	}
+	for i, r := range g.NodeRouter {
+		inSlab[int(n.routers[r].outBase)+g.InjPort[i]].kind = topo.Terminal
+	}
 	maxLat := 1
 	var inOff, slotOff, wordOff, psumOff int
 	for r := range g.Routers {
@@ -469,7 +492,7 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		rt := &n.routers[r]
 		rt.id = topo.RouterID(r)
 		rt.rng = rng.New(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(r+1)))
-		nin, nout := len(rd.In), len(rd.Out)
+		nin, nout := len(rd.Out), len(rd.Out)
 		rt.in = carve(inSlab, inOff, nin)
 		rt.vq = carve(vqSlab, inOff<<shift, nin<<shift)
 		rt.reqNext = carve(nextSlab, inOff<<shift, nin<<shift)
@@ -491,9 +514,8 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		wordOff += routerWords(nin<<shift, nout)
 		rt.psum = carve(n.psum, psumOff, nout)
 		slot0 := slotOff
-		for p := range rd.In {
+		for p := range rt.in {
 			ip := &rt.in[p]
-			ip.kind = rd.In[p].Kind
 			if ip.kind == topo.Unused {
 				continue
 			}
@@ -502,9 +524,6 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 			q0 := p << shift
 			switch ip.kind {
 			case topo.Network:
-				ip.peer = int32(rd.In[p].Peer)
-				ip.creditLat = int32(g.Routers[ip.peer].Out[rd.In[p].PeerPort].Latency)
-				ip.credOVC = (n.routers[ip.peer].outBase + int32(rd.In[p].PeerPort)) << shift
 				for v := 0; v < vcs; v++ {
 					rt.vq[q0+v].base = base + int32(v*depth)
 					rt.vq[q0+v].cap = int32(depth)

@@ -133,15 +133,22 @@ func (e *Engine) run(ctx context.Context, jobs []Job, skip func(int) bool, onDon
 	e.live.submitted.Add(int64(len(jobs)))
 	prog := newProgress(e.Progress, e, len(jobs), nw)
 	// settle records a job's result under its outcome's counter. Every
-	// outcome but failure settles here.
+	// outcome but failure settles here; failJob counts a failure.
+	settled, failed := make([]bool, len(jobs)), make([]bool, len(jobs))
 	settle := func(i int, r Result, outcome *atomic.Int64) {
-		results[i] = r
+		results[i], settled[i] = r, true
 		outcome.Add(1)
 		e.live.done.Add(1)
 		prog.step()
 		if onDone != nil {
 			onDone(i, r)
 		}
+	}
+	failJob := func(i int) {
+		failed[i] = true
+		e.live.failed.Add(1)
+		e.live.done.Add(1)
+		prog.step()
 	}
 
 	// Settle cache hits up front and coalesce duplicate hashes so each
@@ -216,9 +223,7 @@ func (e *Engine) run(ctx context.Context, jobs []Job, skip func(int) bool, onDon
 						err = fmt.Errorf("%w (wall-clock budget %v exceeded)", err, e.JobTimeout)
 					}
 					fail(err)
-					e.live.failed.Add(1)
-					e.live.done.Add(1)
-					prog.step()
+					failJob(i)
 					continue
 				}
 				r.ElapsedSeconds = elapsed.Seconds()
@@ -240,9 +245,16 @@ func (e *Engine) run(ctx context.Context, jobs []Job, skip func(int) bool, onDon
 	}
 	wg.Wait()
 
-	// Followers of a deduplicated hash share the primary's result.
+	// Followers of a deduplicated hash share the primary's outcome: its
+	// result, or its failure. A follower of a primary that never ran (the
+	// batch was cancelled) is not settled either.
 	for _, i := range followers {
-		settle(i, results[primary[hashes[i]]], &e.live.deduped)
+		switch p := primary[hashes[i]]; {
+		case settled[p]:
+			settle(i, results[p], &e.live.deduped)
+		case failed[p]:
+			failJob(i)
+		}
 	}
 
 	e.mu.Lock()

@@ -157,3 +157,38 @@ func TestOneLedger(t *testing.T) {
 		t.Errorf("no progress line counts all 13 jobs of the batch:\n%s", progress.String())
 	}
 }
+
+// TestFailedFollowersFail runs three copies of one failing job, and then
+// two copies of a good job in a batch cancelled before it starts. A
+// follower shares its primary's outcome: the failure counts three times
+// (nothing is deduped, and progress reaches 3/3), and the primary that
+// never ran leaves its follower unsettled too.
+func TestFailedFollowersFail(t *testing.T) {
+	var progress syncBuffer
+	eng := &Engine{Workers: 2, Progress: &progress}
+	bad := Job{Net: "bogus"}
+	if _, err := eng.Run(context.Background(), []Job{bad, bad, bad}); err == nil {
+		t.Fatal("the bogus network did not fail")
+	}
+	st, v := eng.Stats(), eng.Vars()
+	if st.Failed != 3 || st.Deduped != 0 || v.JobsDone != 3 {
+		t.Errorf("failed %d, deduped %d, done %d; want 3, 0, 3", st.Failed, st.Deduped, v.JobsDone)
+	}
+	if got, want := [5]int64{int64(st.Simulated), int64(st.CacheHits), int64(st.Deduped), int64(st.Skipped), int64(st.Failed)},
+		[5]int64{v.Simulated, v.CacheHits, v.Deduped, v.Skipped, v.Failed}; got != want {
+		t.Errorf("Stats %v and Vars %v disagree (simulated, hits, deduped, skipped, failed)", got, want)
+	}
+	if !strings.Contains(progress.String(), "sweep: 3/3 jobs") {
+		t.Errorf("no progress line counts all 3 jobs:\n%s", progress.String())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := eng.Run(ctx, []Job{tinyJob("MIN AD", 0.2), tinyJob("MIN AD", 0.2)})
+	if err == nil {
+		t.Fatal("the cancelled batch returned no error")
+	}
+	if v := eng.Vars(); v.JobsDone != 3 || v.Deduped != 0 || res[1].Hash != "" {
+		t.Errorf("cancelled batch: done %d, deduped %d, follower hash %q; want 3, 0 and no result", v.JobsDone, v.Deduped, res[1].Hash)
+	}
+}

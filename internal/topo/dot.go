@@ -17,12 +17,8 @@ func WriteDOT(w io.Writer, g *Graph) error {
 	fmt.Fprintln(bw, "graph network {")
 	fmt.Fprintln(bw, "  node [shape=circle];")
 	terms := make([]int, len(g.Routers))
-	for r := range g.Routers {
-		for _, in := range g.Routers[r].In {
-			if in.Kind == Terminal {
-				terms[r]++
-			}
-		}
+	for _, r := range g.NodeRouter {
+		terms[r]++
 	}
 	for r := range g.Routers {
 		label := fmt.Sprintf("R%d", r)

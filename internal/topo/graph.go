@@ -10,7 +10,6 @@ package topo
 import (
 	"fmt"
 	"hash/crc32"
-	"runtime"
 	"sync"
 )
 
@@ -49,7 +48,9 @@ func (k PortKind) String() string {
 }
 
 // OutPort describes the output side of a router port: where a flit sent on
-// this port arrives.
+// this port arrives. It is the only stored record of a channel: the input
+// side of every port is derived from the outputs that target it and from
+// the node tables (Inputs).
 type OutPort struct {
 	Kind     PortKind
 	Node     int32 // destination NodeID when Kind == Terminal
@@ -59,7 +60,7 @@ type OutPort struct {
 }
 
 // InPort describes the input side of a router port: where flits arriving on
-// this port come from.
+// this port come from. Graphs do not store it; Inputs derives it.
 type InPort struct {
 	Kind     PortKind
 	Node     int32 // source NodeID when Kind == Terminal
@@ -67,10 +68,11 @@ type InPort struct {
 	PeerPort int32 // output port index on Peer when Kind == Network
 }
 
-// Router holds the port tables for one router. In and Out may have
-// different lengths for asymmetric routers (e.g. butterfly stages).
+// Router holds the port table of one router: Out[p] is the output side of
+// port p. Port p's input side, which a channel or a node's injection
+// enters, has the same index, so every router has as many input ports as
+// output ports.
 type Router struct {
-	In  []InPort
 	Out []OutPort
 }
 
@@ -91,15 +93,14 @@ type Graph struct {
 	digest     uint64
 }
 
-// PortRun gives Routers consecutive routers Ports input and Ports output
-// ports each.
+// PortRun gives Routers consecutive routers Ports ports each.
 type PortRun struct{ Routers, Ports int }
 
 // NewGraph allocates an empty graph of the given node count whose routers
 // come in runs, in router order: a uniform network passes one run, a
 // two-level network (leaves, then middles) two. Every port table is a
-// fixed-capacity window of one In and one Out array per graph, all ports
-// Unused. Callers fill in the port tables and should finish with Validate.
+// fixed-capacity window of one Out array per graph, all ports Unused.
+// Callers fill in the port tables and should finish with Validate.
 func NewGraph(label string, nodes int, runs ...PortRun) *Graph {
 	routers, ports := 0, 0
 	for _, run := range runs {
@@ -115,12 +116,11 @@ func NewGraph(label string, nodes int, runs ...PortRun) *Graph {
 		InjPort:    make([]int, nodes),
 		EjPort:     make([]int, nodes),
 	}
-	in, out := make([]InPort, ports), make([]OutPort, ports)
+	out := make([]OutPort, ports)
 	r, off := 0, 0
 	for _, run := range runs {
 		for i := 0; i < run.Routers; i++ {
 			end := off + run.Ports
-			g.Routers[r].In = in[off:end:end]
 			g.Routers[r].Out = out[off:end:end]
 			r, off = r+1, end
 		}
@@ -128,25 +128,60 @@ func NewGraph(label string, nodes int, runs ...PortRun) *Graph {
 	return g
 }
 
+// portBase returns each router's first port in one numbering of every
+// port of the graph, router by router, with the total port count last.
+func (g *Graph) portBase() []int {
+	base := make([]int, len(g.Routers)+1)
+	for r := range g.Routers {
+		base[r+1] = base[r] + len(g.Routers[r].Out)
+	}
+	return base
+}
+
+// Inputs derives the input side of every port of a valid graph, in
+// router and port order: Inputs()[r][p] says where flits arriving on port
+// p of router r come from — the output that targets it, a node's
+// injection, or nothing. Each call builds a fresh table.
+func (g *Graph) Inputs() [][]InPort {
+	base := g.portBase()
+	slab := make([]InPort, base[len(g.Routers)])
+	in := make([][]InPort, len(g.Routers))
+	for r := range in {
+		in[r] = slab[base[r]:base[r+1]:base[r+1]]
+	}
+	for r := range g.Routers {
+		for p, out := range g.Routers[r].Out {
+			if out.Kind == Network {
+				in[out.Peer][out.PeerPort] = InPort{Kind: Network, Peer: int32(r), PeerPort: int32(p)}
+			}
+		}
+	}
+	for n, r := range g.NodeRouter {
+		in[r][g.InjPort[n]] = InPort{Kind: Terminal, Node: int32(n)}
+	}
+	return in
+}
+
 // Digest fingerprints the graph's full channel structure — every port's
 // kind, peer and latency, and every node's attachment — so that state
 // saved against one graph (a simulator snapshot) can refuse to load onto
 // another. It is computed on first use and remembered: call it only on a
-// finished graph. Snapshot files embed the value, so the walk below is
-// frozen.
+// finished graph. Snapshot files embed the value, so the walk below, the
+// derived input side included, is frozen.
 func (g *Graph) Digest() uint64 {
 	g.digestOnce.Do(func() {
 		h := crc32.NewIEEE()
 		fmt.Fprintf(h, "%s|%d|%d|", g.Label, g.NumNodes, len(g.Routers))
+		inputs := g.Inputs()
 		for r := range g.Routers {
-			rd := &g.Routers[r]
-			fmt.Fprintf(h, "r%d/%d;", len(rd.In), len(rd.Out))
-			for p := range rd.In {
-				ip := &rd.In[p]
+			out := g.Routers[r].Out
+			fmt.Fprintf(h, "r%d/%d;", len(out), len(out))
+			for p := range inputs[r] {
+				ip := &inputs[r][p]
 				fmt.Fprintf(h, "i%d,%d,%d,%d;", ip.Kind, ip.Node, ip.Peer, ip.PeerPort)
 			}
-			for p := range rd.Out {
-				op := &rd.Out[p]
+			for p := range out {
+				op := &out[p]
 				fmt.Fprintf(h, "o%d,%d,%d,%d,%d;", op.Kind, op.Node, op.Peer, op.PeerPort, op.Latency)
 			}
 		}
@@ -164,22 +199,17 @@ func (g *Graph) NumRouters() int { return len(g.Routers) }
 // AttachNode wires node n to router r using input port inPort (injection)
 // and output port outPort (ejection). The port slots must already exist.
 func (g *Graph) AttachNode(n NodeID, r RouterID, inPort, outPort, latency int) {
-	g.NodeRouter[n] = r
-	g.EjRouter[n] = r
-	g.InjPort[n] = inPort
-	g.EjPort[n] = outPort
-	g.Routers[r].In[inPort] = InPort{Kind: Terminal, Node: int32(n)}
-	g.Routers[r].Out[outPort] = OutPort{Kind: Terminal, Node: int32(n), Latency: int32(latency)}
+	g.AttachNodeSplit(n, r, inPort, r, outPort, latency)
 }
 
 // AttachNodeSplit wires node n with distinct injection and ejection
-// routers, as in unidirectional multistage networks (butterflies).
+// routers, as in unidirectional multistage networks (butterflies). The
+// injection side lives in the node tables alone.
 func (g *Graph) AttachNodeSplit(n NodeID, injR RouterID, inPort int, ejR RouterID, outPort, latency int) {
 	g.NodeRouter[n] = injR
 	g.EjRouter[n] = ejR
 	g.InjPort[n] = inPort
 	g.EjPort[n] = outPort
-	g.Routers[injR].In[inPort] = InPort{Kind: Terminal, Node: int32(n)}
 	g.Routers[ejR].Out[outPort] = OutPort{Kind: Terminal, Node: int32(n), Latency: int32(latency)}
 }
 
@@ -187,7 +217,6 @@ func (g *Graph) AttachNodeSplit(n NodeID, injR RouterID, inPort int, ejR RouterI
 // (toRouter, toInPort) with the given latency in cycles.
 func (g *Graph) Connect(from RouterID, fromOut int, to RouterID, toIn int, latency int) {
 	g.Routers[from].Out[fromOut] = OutPort{Kind: Network, Peer: int32(to), PeerPort: int32(toIn), Latency: int32(latency)}
-	g.Routers[to].In[toIn] = InPort{Kind: Network, Peer: int32(from), PeerPort: int32(fromOut)}
 }
 
 // ConnectBidi adds the two opposing channels of a bidirectional link using
@@ -197,71 +226,33 @@ func (g *Graph) ConnectBidi(a RouterID, aPort int, b RouterID, bPort int, latenc
 	g.Connect(b, bPort, a, aPort, latency)
 }
 
-// validateStripe is the number of routers from which Validate checks the
-// port tables in parallel stripes.
-const validateStripe = 1024
-
-// Validate checks structural invariants: every network channel is
-// consistent end to end, every node is attached exactly once, and channel
-// latencies are positive. It returns the first violation found, in router
-// order and then node order. From validateStripe routers up, the port
-// tables are checked over GOMAXPROCS contiguous router stripes; the
-// lowest failing stripe's first error is the one the sequential scan
-// would find first, so the result does not depend on the stripe count.
+// Validate checks the structural invariants of a finished graph and
+// returns the first violation, in router order and then node order:
+//   - every network output reaches an in-range peer router and port, and
+//     every output's latency is at least 1;
+//   - no input port is entered twice: by two channels, or by a channel and
+//     a node's injection, or by two nodes;
+//   - every terminal output names the node whose ejection tables point at
+//     it, and every node's ejection tables point at a terminal output
+//     naming it, so each node ejects exactly once;
+//   - every node injects at an in-range port.
+//
+// One pass over the output tables and one over the nodes, with a bitset
+// of the entered input ports, do all of it.
 func (g *Graph) Validate() error {
-	if g.NumNodes != len(g.NodeRouter) || g.NumNodes != len(g.InjPort) || g.NumNodes != len(g.EjPort) {
+	if g.NumNodes != len(g.NodeRouter) || g.NumNodes != len(g.EjRouter) || g.NumNodes != len(g.InjPort) || g.NumNodes != len(g.EjPort) {
 		return fmt.Errorf("topo: %s: node table sizes inconsistent", g.Label)
 	}
-	if err := g.validateRouters(runtime.GOMAXPROCS(0)); err != nil {
-		return err
+	base := g.portBase()
+	entered := make([]uint64, (base[len(g.Routers)]+63)/64)
+	enter := func(r int32, p int) bool {
+		i := base[r] + p
+		w, bit := &entered[i>>6], uint64(1)<<(i&63)
+		seen := *w&bit != 0
+		*w |= bit
+		return !seen
 	}
-	for n := 0; n < g.NumNodes; n++ {
-		r, er := g.NodeRouter[n], g.EjRouter[n]
-		if int(r) < 0 || int(r) >= len(g.Routers) || int(er) < 0 || int(er) >= len(g.Routers) {
-			return fmt.Errorf("topo: %s: node %d routers %d/%d out of range", g.Label, n, r, er)
-		}
-		ip, ep := g.InjPort[n], g.EjPort[n]
-		in := g.Routers[r].In
-		if ip < 0 || ip >= len(in) || in[ip].Kind != Terminal || in[ip].Node != int32(n) {
-			return fmt.Errorf("topo: %s: node %d injection port %d invalid", g.Label, n, ip)
-		}
-		out := g.Routers[er].Out
-		if ep < 0 || ep >= len(out) || out[ep].Kind != Terminal || out[ep].Node != int32(n) {
-			return fmt.Errorf("topo: %s: node %d ejection port %d invalid", g.Label, n, ep)
-		}
-	}
-	return nil
-}
-
-// validateRouters checks every router's port tables over up to stripes
-// contiguous stripes and returns the lowest router's first violation.
-func (g *Graph) validateRouters(stripes int) error {
-	nr := len(g.Routers)
-	if nr < validateStripe || stripes < 2 {
-		return g.validateRange(0, nr)
-	}
-	errs := make([]error, stripes)
-	var wg sync.WaitGroup
-	for s := range errs {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = g.validateRange(s*nr/stripes, (s+1)*nr/stripes)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateRange returns the first violation in the port tables of routers
-// [lo, hi).
-func (g *Graph) validateRange(lo, hi int) error {
-	for r := lo; r < hi; r++ {
+	for r := range g.Routers {
 		for p, out := range g.Routers[r].Out {
 			switch out.Kind {
 			case Network:
@@ -271,13 +262,11 @@ func (g *Graph) validateRange(lo, hi int) error {
 				if out.Peer < 0 || int(out.Peer) >= len(g.Routers) {
 					return fmt.Errorf("topo: %s: router %d out port %d peer %d out of range", g.Label, r, p, out.Peer)
 				}
-				peerIn := g.Routers[out.Peer].In
-				if out.PeerPort < 0 || int(out.PeerPort) >= len(peerIn) {
+				if out.PeerPort < 0 || int(out.PeerPort) >= len(g.Routers[out.Peer].Out) {
 					return fmt.Errorf("topo: %s: router %d out port %d peer port %d out of range", g.Label, r, p, out.PeerPort)
 				}
-				back := peerIn[out.PeerPort]
-				if back.Kind != Network || int(back.Peer) != r || int(back.PeerPort) != p {
-					return fmt.Errorf("topo: %s: channel %d.%d -> %d.%d not mirrored on input side",
+				if !enter(out.Peer, int(out.PeerPort)) {
+					return fmt.Errorf("topo: %s: router %d out port %d enters %d.%d, which another channel enters too",
 						g.Label, r, p, out.Peer, out.PeerPort)
 				}
 			case Terminal:
@@ -288,32 +277,26 @@ func (g *Graph) validateRange(lo, hi int) error {
 					return fmt.Errorf("topo: %s: router %d ejection port %d node %d out of range", g.Label, r, p, out.Node)
 				}
 				if g.EjRouter[out.Node] != RouterID(r) || g.EjPort[out.Node] != p {
-					return fmt.Errorf("topo: %s: ejection port %d.%d does not match node %d tables", g.Label, r, p, out.Node)
+					return fmt.Errorf("topo: %s: router %d ejection port %d does not match node %d tables", g.Label, r, p, out.Node)
 				}
 			}
 		}
-		for p, in := range g.Routers[r].In {
-			switch in.Kind {
-			case Network:
-				if in.Peer < 0 || int(in.Peer) >= len(g.Routers) {
-					return fmt.Errorf("topo: %s: router %d in port %d peer out of range", g.Label, r, p)
-				}
-				peerOut := g.Routers[in.Peer].Out
-				if in.PeerPort < 0 || int(in.PeerPort) >= len(peerOut) {
-					return fmt.Errorf("topo: %s: router %d in port %d peer port out of range", g.Label, r, p)
-				}
-				fwd := peerOut[in.PeerPort]
-				if fwd.Kind != Network || int(fwd.Peer) != r || int(fwd.PeerPort) != p {
-					return fmt.Errorf("topo: %s: channel into %d.%d not mirrored on output side", g.Label, r, p)
-				}
-			case Terminal:
-				if in.Node < 0 || int(in.Node) >= g.NumNodes {
-					return fmt.Errorf("topo: %s: router %d injection port %d node out of range", g.Label, r, p)
-				}
-				if g.NodeRouter[in.Node] != RouterID(r) || g.InjPort[in.Node] != p {
-					return fmt.Errorf("topo: %s: injection port %d.%d does not match node %d tables", g.Label, r, p, in.Node)
-				}
-			}
+	}
+	for n := 0; n < g.NumNodes; n++ {
+		r, er := g.NodeRouter[n], g.EjRouter[n]
+		if int(r) < 0 || int(r) >= len(g.Routers) || int(er) < 0 || int(er) >= len(g.Routers) {
+			return fmt.Errorf("topo: %s: node %d routers %d/%d out of range", g.Label, n, r, er)
+		}
+		ip := g.InjPort[n]
+		if ip < 0 || ip >= len(g.Routers[r].Out) {
+			return fmt.Errorf("topo: %s: node %d injection port %d.%d out of range", g.Label, n, r, ip)
+		}
+		if !enter(int32(r), ip) {
+			return fmt.Errorf("topo: %s: node %d injects at %d.%d, which a channel or another node enters too", g.Label, n, r, ip)
+		}
+		out, ep := g.Routers[er].Out, g.EjPort[n]
+		if ep < 0 || ep >= len(out) || out[ep].Kind != Terminal || out[ep].Node != int32(n) {
+			return fmt.Errorf("topo: %s: node %d ejection port %d.%d does not name it", g.Label, n, er, ep)
 		}
 	}
 	return nil

@@ -47,13 +47,11 @@ func checkSlimFly(t *testing.T, q int) {
 	// Regularity and bidirectional symmetry over the channel graph.
 	for r := 0; r < s.NumRouters; r++ {
 		deg := 0
-		for p, out := range g.Routers[r].Out {
+		for _, out := range g.Routers[r].Out {
 			if out.Kind != Network {
 				continue
 			}
 			deg++
-			back := g.Routers[out.Peer].Out[g.Routers[r].In[p].PeerPort]
-			_ = back
 			// Every network out-channel must have an opposing channel.
 			found := false
 			for _, ret := range g.Routers[out.Peer].Out {

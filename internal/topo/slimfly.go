@@ -131,19 +131,21 @@ func (s *SlimFly) build(f *gf) error {
 	addEdge := func(a, b int) {
 		s.adj[a] = append(s.adj[a], int32(b))
 	}
-	// Intra-block Cayley edges. The generator sets are symmetric
-	// (g ∈ X ⇒ -g ∈ X), so appending y+g for every g covers both
-	// directions of each undirected edge.
-	for xx := 0; xx < q; xx++ {
-		for y := 0; y < q; y++ {
-			for _, g := range x {
-				addEdge(s.routerID(0, xx, y), s.routerID(0, xx, f.add(y, g)))
-			}
-			for _, g := range xp {
-				addEdge(s.routerID(1, xx, y), s.routerID(1, xx, f.add(y, g)))
+	// Edges go in as block-0 Cayley, cross-block, block-1 Cayley, so every
+	// list is its Cayley run plus an ascending cross-block run on the side
+	// where the ids sort: sortInt32 below only orders the Cayley run. The
+	// generator sets are symmetric (g ∈ X ⇒ -g ∈ X), so appending y+g for
+	// every g covers both directions of each undirected Cayley edge.
+	cayley := func(block int, gens []int) {
+		for xx := 0; xx < q; xx++ {
+			for y := 0; y < q; y++ {
+				for _, g := range gens {
+					addEdge(s.routerID(block, xx, y), s.routerID(block, xx, f.add(y, g)))
+				}
 			}
 		}
 	}
+	cayley(0, x)
 	// Cross-block edges: (0,x,y) ~ (1,m,c) iff y = mx + c.
 	for xx := 0; xx < q; xx++ {
 		for m := 0; m < q; m++ {
@@ -154,6 +156,7 @@ func (s *SlimFly) build(f *gf) error {
 			}
 		}
 	}
+	cayley(1, xp)
 	for i := range s.adj {
 		if len(s.adj[i]) != deg {
 			return paramErr("slimfly", "q", q,
@@ -187,7 +190,7 @@ func (s *SlimFly) build(f *gf) error {
 		for t := 0; t < s.P; t++ {
 			g.AttachNode(NodeID(a*s.P+t), RouterID(a), t, t, 1)
 		}
-		in, out := g.Routers[a].In[s.P:], g.Routers[a].Out[s.P:]
+		out := g.Routers[a].Out[s.P:]
 		for i, b := range s.adj[a] {
 			k := cursor[b]
 			if int(k) >= len(s.adj[b]) || int(s.adj[b][k]) != a {
@@ -197,7 +200,6 @@ func (s *SlimFly) build(f *gf) error {
 			cursor[b] = k + 1
 			peerPort := int32(s.P) + k
 			out[i] = OutPort{Kind: Network, Peer: b, PeerPort: peerPort, Latency: 1}
-			in[i] = InPort{Kind: Network, Peer: b, PeerPort: peerPort}
 		}
 	}
 	if err := g.Validate(); err != nil {
@@ -336,7 +338,8 @@ func (s *SlimFly) RouterOrbits() ([]RouterID, []int) {
 		[]int{q * q, q, q * (q - 1)}
 }
 
-// sortInt32 sorts in place (insertion sort; lists are short).
+// sortInt32 sorts in place (insertion sort: only a list's short Cayley
+// run is out of order).
 func sortInt32(a []int32) {
 	for i := 1; i < len(a); i++ {
 		v := a[i]

@@ -12,10 +12,11 @@ func TestGraphValidateCatchesBrokenMirror(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("valid one-way channel rejected: %v", err)
 	}
-	// Corrupt the mirror.
-	g.Routers[1].In[0].PeerPort = 1
+	// A channel stored once has no mirror to disagree with; the input
+	// side breaks when a second channel enters the same input port.
+	g.Connect(1, 1, 1, 0, 1)
 	if err := g.Validate(); err == nil {
-		t.Fatal("broken mirror not detected")
+		t.Fatal("second channel into input 1.0 not detected")
 	}
 }
 
