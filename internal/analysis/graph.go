@@ -321,7 +321,7 @@ func analyze(g *topo.Graph, reps []topo.RouterID, sizes []int) (Metrics, int, er
 	}()
 	go func() {
 		defer wg.Done()
-		fied, _ := fiedlerRitz(lap, lambdaSteps, fiedlerBasisBytes)
+		fied, _ := fiedlerRitz(lap, lambdaSteps)
 		upper = bestCandidateCut(c, fied, injTerms, int64(g.NumNodes))
 	}()
 	sum, err := sweep(c, sources, ejTerms)
@@ -476,56 +476,17 @@ func spectralBisectionLower(l laplacian, injTerms, ejTerms []int64) float64 {
 // towards shift - lambda_2 from below, so stopping early would report a
 // lambda_2 that is too large.
 func lambda2(l laplacian, maxSteps int) (float64, int) {
-	t := lanczos(l, 1, maxSteps, 0)
+	t := lanczos(l, 1, maxSteps, false)
 	if !t.converged {
 		return 0, 0
 	}
 	return math.Max(l.shift-t.theta, 0), len(t.alpha)
 }
 
-// krylov is the state of one Lanczos recurrence on shift*I - L: the
-// current basis vector v, its predecessor prev (0 before the first step)
-// and scratch w. Its three methods are the only arithmetic of a step, so a
-// replay that feeds them the recorded alpha and beta rebuilds every basis
-// vector bit for bit.
-type krylov struct {
-	l          laplacian
-	v, w, prev []float64
-}
-
-func newKrylov(l laplacian, start int) *krylov {
-	v, w := powerStart(len(l.diag), start)
-	return &krylov{l, v, w, make([]float64, len(v))}
-}
-
-// product sets w = (shift*I - L) v, deflated, minus b*prev.
-func (k *krylov) product(b float64) {
-	k.l.apply(k.w, k.v)
-	deflate(k.w)
-	for i := range k.w {
-		k.w[i] -= b * k.prev[i]
-	}
-}
-
-// orthogonalize subtracts a*v from w.
-func (k *krylov) orthogonalize(a float64) {
-	for i := range k.w {
-		k.w[i] -= a * k.v[i]
-	}
-}
-
-// advance scales w by 1/b and makes it the next basis vector.
-func (k *krylov) advance(b float64) {
-	for i := range k.w {
-		k.w[i] /= b
-	}
-	k.prev, k.v, k.w = k.v, k.w, k.prev
-}
-
 // tridiag is what a Lanczos run leaves of its k steps: T_k's diagonal
 // alpha (k entries) and off-diagonal beta (k-1), T_k's top eigenvalue
 // theta with eigenvector z (z_k = 1), whether the stop rule fired, and
-// the basis v_1..v_k when the run kept it.
+// the basis v_1..v_k when the run keeps it.
 type tridiag struct {
 	alpha, beta, z []float64
 	theta          float64
@@ -543,23 +504,29 @@ type tridiag struct {
 // Ritz pair is within 1e-12 of the operator's scale (shift), which an
 // exact invariant subspace (beta_k ~ 0) reaches first. A run that hits
 // maxSteps returns its last T_k unconverged. Three R-vectors drive the
-// recurrence; the basis vectors are kept as well while there are at most
-// keep of them, and dropped (t.basis nil) by a run that outgrows keep.
-func lanczos(l laplacian, start, maxSteps, keep int) tridiag {
-	k := newKrylov(l, start)
+// recurrence; a run with keep set also keeps every basis vector.
+func lanczos(l laplacian, start, maxSteps int, keep bool) tridiag {
+	v, w := powerStart(len(l.diag), start)
+	prev := make([]float64, len(v))
 	var t tridiag
 	b := 0.0 // beta_{k-1}; prev is 0 on the first step
 	for step := 1; step <= maxSteps; step++ {
-		if step <= keep {
-			t.basis = append(t.basis, slices.Clone(k.v))
-		} else {
-			t.basis = nil
+		if keep {
+			t.basis = append(t.basis, slices.Clone(v))
 		}
-		k.product(b)
-		a := dot(k.w, k.v)
-		k.orthogonalize(a)
+		// w = (shift*I - L) v, deflated, minus beta_{k-1} v_{k-1} and
+		// alpha_k v.
+		l.apply(w, v)
+		deflate(w)
+		for i := range w {
+			w[i] -= b * prev[i]
+		}
+		a := dot(w, v)
+		for i := range w {
+			w[i] -= a * v[i]
+		}
 		t.alpha = append(t.alpha, a)
-		b = math.Sqrt(dot(k.w, k.w))
+		b = math.Sqrt(dot(w, w))
 		last := t.theta
 		t.theta, t.z = topRitz(t.alpha, t.beta)
 		if b*lastComponent(t.z) <= 1e-12*l.shift || math.Abs(t.theta-last) <= 1e-12*t.theta {
@@ -570,52 +537,28 @@ func lanczos(l laplacian, start, maxSteps, keep int) tridiag {
 			break
 		}
 		t.beta = append(t.beta, b)
-		k.advance(b)
+		for i := range w {
+			w[i] /= b
+		}
+		prev, v, w = v, w, prev
 	}
 	return t
 }
-
-// fiedlerBasisBytes caps the Lanczos basis fiedlerRitz keeps: 64 MiB is
-// every step of the 500-step cap up to 16k routers, and far more steps
-// than any family needs (53 on dragonfly h = 8) up to millions.
-const fiedlerBasisBytes = 64 << 20
 
 // fiedlerRitz returns the Ritz vector x = sum z_i v_i of the Lanczos run
 // from powerStart(r, 2) — an approximation of the Fiedler vector, the
 // candidate cut's spectral ordering — and the run's step count. The run
 // stops by lanczos's rule or at maxSteps; an unconverged run still yields
-// its last Ritz vector, and any ordering gives a real cut.
-// The run keeps its basis vectors while they fit in basisBytes and x sums
-// them. A run that outgrows the cap replays the recurrence instead, with
-// the recorded alpha and beta, which reproduces each v_i bit for bit, and
-// accumulates x as it goes, so its extra memory is O(R). Both sum the
-// same products in the same order.
-func fiedlerRitz(l laplacian, maxSteps, basisBytes int) ([]float64, int) {
-	r := len(l.diag)
-	t := lanczos(l, 2, maxSteps, basisBytes/(8*r))
-	x := make([]float64, r)
-	if t.basis != nil {
-		for i, vi := range t.basis[0] {
-			x[i] = t.z[0] * vi
-		}
-		for j, v := range t.basis[1:] {
-			for i, vi := range v {
-				x[i] += t.z[j+1] * vi
-			}
-		}
-		return x, len(t.alpha)
-	}
-	k := newKrylov(l, 2)
-	for i, vi := range k.v {
+// its last Ritz vector, and any ordering gives a real cut. The run keeps
+// its basis, at most maxSteps R-vectors, and x sums it.
+func fiedlerRitz(l laplacian, maxSteps int) ([]float64, int) {
+	t := lanczos(l, 2, maxSteps, true)
+	x := make([]float64, len(l.diag))
+	for i, vi := range t.basis[0] {
 		x[i] = t.z[0] * vi
 	}
-	b := 0.0
-	for j, bj := range t.beta {
-		k.product(b)
-		k.orthogonalize(t.alpha[j])
-		k.advance(bj)
-		b = bj
-		for i, vi := range k.v {
+	for j, v := range t.basis[1:] {
+		for i, vi := range v {
 			x[i] += t.z[j+1] * vi
 		}
 	}

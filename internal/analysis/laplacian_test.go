@@ -227,8 +227,7 @@ var spectralSink float64
 // BenchmarkSpectral runs both Lanczos runs — no sweep — on the two
 // flatbench points where they cost most per router. It reports the step
 // counts of the λ₂ and Fiedler runs and ns per operator application over
-// every application made (λ₂ steps and Fiedler steps; the Fiedler run
-// keeps its basis, so it replays nothing): the quick A/B twin of
+// every application made (λ₂ steps and Fiedler steps): the quick A/B twin of
 // analytic_points for a change to apply, lambda2 or fiedlerRitz.
 func BenchmarkSpectral(b *testing.B) {
 	for _, bc := range []struct {
@@ -254,11 +253,11 @@ func BenchmarkSpectral(b *testing.B) {
 			if steps == 0 {
 				steps = lambdaSteps
 			}
-			_, fsteps := fiedlerRitz(l, lambdaSteps, fiedlerBasisBytes)
+			_, fsteps := fiedlerRitz(l, lambdaSteps)
 			applies := steps + fsteps
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fied, _ := fiedlerRitz(l, lambdaSteps, fiedlerBasisBytes)
+				fied, _ := fiedlerRitz(l, lambdaSteps)
 				spectralSink += spectralBisectionLower(l, ones, ones) + fied[0]
 			}
 			b.ReportMetric(float64(steps), "lambda2_steps")

@@ -404,24 +404,20 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 	if vcs*depth > portSlots {
 		portSlots = vcs * depth
 	}
-	// Port p of a router is input p and output p, so the network has as
-	// many input ports as output ports. An input port is buffered when a
-	// channel or a node's injection enters it: one per network output and
-	// one per node.
-	var nOut, nSlots, nWords, nPsum int
+	inputs := g.Inputs()
+	var nIn, nOut, nSlots, nWords, nPsum int
 	for r := range g.Routers {
-		out := g.Routers[r].Out
+		in, out := inputs[r], g.Routers[r].Out
+		nIn += len(in)
 		nOut += len(out)
-		for p := range out {
-			if out[p].Kind == topo.Network {
+		for p := range in {
+			if in[p].Kind != topo.Unused {
 				nSlots += portSlots
 			}
 		}
-		nWords += routerWords(len(out)<<shift, len(out))
+		nWords += routerWords(len(in)<<shift, len(out))
 		nPsum += psumStride(len(out))
 	}
-	nIn := nOut
-	nSlots += g.NumNodes * portSlots
 	// State indices and flit counts are 32-bit: VC indices, ring slots, and
 	// queue estimates, which reserve a whole packet per routed input VC.
 	if nIn<<shift > math.MaxInt32/2 || nOut<<shift > math.MaxInt32 || nPsum > math.MaxInt32 || nSlots > math.MaxInt32 ||
@@ -467,24 +463,6 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		n.routers[r].outBase = int32(outBase)
 		outBase += len(g.Routers[r].Out)
 	}
-	// The input side comes from the outputs that enter it and from the
-	// node tables; input port p of router r sits at inSlab[outBase+p].
-	for r := range g.Routers {
-		ob := n.routers[r].outBase
-		for p, op := range g.Routers[r].Out {
-			if op.Kind == topo.Network {
-				inSlab[n.routers[op.Peer].outBase+op.PeerPort] = inPort{
-					kind:      topo.Network,
-					creditLat: op.Latency,
-					peer:      int32(r),
-					credOVC:   (ob + int32(p)) << shift,
-				}
-			}
-		}
-	}
-	for i, r := range g.NodeRouter {
-		inSlab[int(n.routers[r].outBase)+g.InjPort[i]].kind = topo.Terminal
-	}
 	maxLat := 1
 	var inOff, slotOff, wordOff, psumOff int
 	for r := range g.Routers {
@@ -492,7 +470,7 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		rt := &n.routers[r]
 		rt.id = topo.RouterID(r)
 		rt.rng = rng.New(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(r+1)))
-		nin, nout := len(rd.Out), len(rd.Out)
+		nin, nout := len(inputs[r]), len(rd.Out)
 		rt.in = carve(inSlab, inOff, nin)
 		rt.vq = carve(vqSlab, inOff<<shift, nin<<shift)
 		rt.reqNext = carve(nextSlab, inOff<<shift, nin<<shift)
@@ -514,8 +492,9 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		wordOff += routerWords(nin<<shift, nout)
 		rt.psum = carve(n.psum, psumOff, nout)
 		slot0 := slotOff
-		for p := range rt.in {
+		for p, in := range inputs[r] {
 			ip := &rt.in[p]
+			ip.kind = in.Kind
 			if ip.kind == topo.Unused {
 				continue
 			}
@@ -524,6 +503,9 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 			q0 := p << shift
 			switch ip.kind {
 			case topo.Network:
+				ip.peer = in.Peer
+				ip.creditLat = g.Routers[in.Peer].Out[in.PeerPort].Latency
+				ip.credOVC = (n.routers[in.Peer].outBase + in.PeerPort) << shift
 				for v := 0; v < vcs; v++ {
 					rt.vq[q0+v].base = base + int32(v*depth)
 					rt.vq[q0+v].cap = int32(depth)
