@@ -252,11 +252,21 @@ func run(o runOpts) error {
 	return obs.report(o)
 }
 
-// conflicts rejects flag sets that ask for two things at once: two run
-// modes, or an observer a mode cannot host — -analytic simulates no
-// network, and -sweep simulates many, so neither can fill one output
-// file.
+// conflicts rejects a count no run can use, and flag sets that ask for
+// two things at once: two run modes, or an observer a mode cannot host —
+// -analytic simulates no network, and -sweep simulates many, so neither
+// can fill one output file.
 func (o runOpts) conflicts() error {
+	switch {
+	case o.batch < 0:
+		return fmt.Errorf("-batch must be >= 0, got %d", o.batch)
+	case o.window < 0:
+		return fmt.Errorf("-window must be >= 0, got %d", o.window)
+	case o.chunk < 1:
+		return fmt.Errorf("-chunk must be >= 1, got %d", o.chunk)
+	case o.flitTrace != "" && o.traceCap < 1:
+		return fmt.Errorf("-tracecap must be >= 1, got %d", o.traceCap)
+	}
 	flags := []string{"-analytic", "-sweep", "-batch", "-collective", "-window", "-trace-in", "-checkpoint", "-restore"}
 	var on []string
 	for i, set := range []bool{o.analytic, o.sweep, o.batch > 0, o.collective != "",

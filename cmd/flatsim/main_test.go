@@ -21,7 +21,7 @@ func opts() runOpts {
 		Flags:   spec.Flags{Topo: "ff", K: 8, N: 2, Dims: 6, Taper: 2, Alg: "clos"},
 		pattern: "uniform",
 		load:    0.2, warmup: 200, measure: 200, seed: 1, buf: 32,
-		traceCap: 1 << 14,
+		chunk: 1, traceCap: 1 << 14,
 	}
 }
 
@@ -245,6 +245,36 @@ func TestRunErrors(t *testing.T) {
 		if err := run(o); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
+	}
+}
+
+// TestRunRejectsBadCounts holds flatsim to an error for a count no run
+// can use, where it would otherwise run another mode (a negative -batch
+// or -window is an open-loop point) or clamp the value (-chunk to 1,
+// -tracecap to one retained event).
+func TestRunRejectsBadCounts(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "run.json")
+	for _, c := range []struct {
+		flag string
+		set  func(o *runOpts)
+	}{
+		{"-batch", func(o *runOpts) { o.batch = -5 }},
+		{"-window", func(o *runOpts) { o.window = -2 }},
+		{"-chunk", func(o *runOpts) { o.collective, o.chunk = "alltoall", -3 }},
+		{"-tracecap", func(o *runOpts) { o.flitTrace, o.traceCap = trace, 0 }},
+	} {
+		o := opts()
+		o.K = 4
+		c.set(&o)
+		if err := run(o); err == nil || !strings.HasPrefix(err.Error(), c.flag+" must be") {
+			t.Errorf("%s: got %v, want a range error", c.flag, err)
+		}
+	}
+	// -tracecap sizes the flit tracer only; without -flittrace it is unused.
+	o := opts()
+	o.K, o.traceCap = 4, 0
+	if err := run(o); err != nil {
+		t.Errorf("-tracecap 0 without -flittrace: %v", err)
 	}
 }
 

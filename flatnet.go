@@ -29,10 +29,11 @@
 //	res, _ := flatnet.Run(ff, alg, flatnet.WithLoad(0.5))
 //	fmt.Println(res.AvgLatency, res.AcceptedRate)
 //
-// Run's options select the traffic pattern, windows, router
-// configuration and instrumentation (WithPattern, WithWarmup,
-// WithMeasure, WithCheck, WithTelemetry, ...); RunLoadPoint, LoadSweep
-// and RunBatch are the explicit-configuration entry points underneath.
+// Run's options select the traffic pattern, windows, seed and
+// instrumentation (WithPattern, WithWarmup, WithMeasure, WithSeed,
+// WithCheck, WithTelemetry, ...) on the paper's router; RunLoadPoint,
+// LoadSweep and RunBatch are the explicit-configuration entry points
+// underneath.
 //
 // The cmd/paperfigs binary regenerates every table and figure of the
 // paper's evaluation; see EXPERIMENTS.md for the index.
@@ -55,27 +56,15 @@ import (
 type (
 	// FlatFly is the paper's k-ary n-flat flattened butterfly.
 	FlatFly = topo.FlatFly
-	// OneDimFB is the single-dimension flattened butterfly generalized to
-	// arbitrary router counts (Fig. 14(b)).
-	OneDimFB = topo.OneDimFB
 	// Butterfly is a conventional k-ary n-fly.
 	Butterfly = topo.Butterfly
-	// FoldedClos is a two-level folded Clos / fat tree.
-	FoldedClos = topo.FoldedClos
-	// Hypercube is a binary hypercube.
-	Hypercube = topo.Hypercube
 	// GHC is a generalized hypercube.
 	GHC = topo.GHC
-	// Torus is a k-ary n-cube, the low-radix baseline of §1.
-	Torus = topo.Torus
 	// SlimFly is the MMS diameter-2 topology (Besta & Hoefler).
 	SlimFly = topo.SlimFly
 	// Dragonfly is the hierarchical group topology (Kim, Dally, Scott &
 	// Abts, ISCA 2008).
 	Dragonfly = topo.Dragonfly
-	// ParamError is the structured validation error every topology
-	// constructor returns for an invalid parameter.
-	ParamError = topo.ParamError
 	// Topology is the interface all of the above satisfy.
 	Topology = topo.Topology
 	// Graph is the directed channel graph the simulator consumes.
@@ -84,10 +73,6 @@ type (
 	NodeID = topo.NodeID
 	// RouterID identifies a router.
 	RouterID = topo.RouterID
-	// FFOption configures NewFlatFly.
-	FFOption = topo.FlatFlyOption
-	// FFConfig is one (k, n) flattened-butterfly configuration (Table 4).
-	FFConfig = topo.FlatFlyConfig
 )
 
 // Topology constructors.
@@ -98,22 +83,14 @@ var (
 	NewOneDimFB = topo.NewOneDimFB
 	// WithMultiplicity doubles (or more) every inter-router link (Fig 14a).
 	WithMultiplicity = topo.WithMultiplicity
-	// WithChannelLatency sets inter-router channel latency in cycles.
-	WithChannelLatency = topo.WithChannelLatency
 	// NewButterfly builds a k-ary n-fly.
 	NewButterfly = topo.NewButterfly
-	// NewDilatedButterfly builds a k-ary n-fly with replicated channels
-	// (the §6 dilated-butterfly alternative).
-	NewDilatedButterfly = topo.NewDilatedButterfly
 	// NewFoldedClos builds a folded Clos with explicit parameters.
 	NewFoldedClos = topo.NewFoldedClos
 	// TaperedClosForNodes builds the §3.3 equal-bisection folded Clos.
 	TaperedClosForNodes = topo.TaperedClosForNodes
 	// NewHypercube builds a binary hypercube.
 	NewHypercube = topo.NewHypercube
-	// NewConcentratedHypercube builds a hypercube with several terminals
-	// per router (the paper's footnote 10 configuration).
-	NewConcentratedHypercube = topo.NewConcentratedHypercube
 	// NewGHC builds a generalized hypercube.
 	NewGHC = topo.NewGHC
 	// NewTorus builds a k-ary n-cube.
@@ -121,9 +98,6 @@ var (
 	// NewSlimFly builds the MMS Slim Fly over GF(q) with p terminals per
 	// router (p = 0 selects the balanced default).
 	NewSlimFly = topo.NewSlimFly
-	// SlimFlyDefaultConc is the balanced terminals-per-router for a field
-	// size: ceil(k'/2).
-	SlimFlyDefaultConc = topo.SlimFlyDefaultConc
 	// NewDragonfly builds a dragonfly with p terminals per router, a
 	// routers per group and h global channels per router (a = 0 and
 	// p = 0 select the balanced a = 2h, p = h).
@@ -157,15 +131,13 @@ type (
 	ClosedLoopConfig = sim.ClosedLoopConfig
 	// ClosedLoopResult reports a closed-loop run.
 	ClosedLoopResult = sim.ClosedLoopResult
-	// LoadPointResult is one measured (load, latency, throughput) sample.
-	LoadPointResult = sim.LoadPointResult
 	// BatchConfig describes one Fig. 5 batch experiment.
 	BatchConfig = sim.BatchConfig
 	// BatchResult is one Fig. 5 batch experiment result.
 	BatchResult = sim.BatchResult
 	// Network is an instantiated simulation.
 	Network = sim.Network
-	// Packet is a single-flit packet.
+	// Packet is one packet in flight, of Config.PacketSize flits.
 	Packet = sim.Packet
 	// Hooks is a set of packet and pipeline callbacks for
 	// Network.AttachHooks, e.g. Hooks{Deliver: ...} to watch deliveries.
@@ -176,26 +148,9 @@ type (
 	RouterView = sim.RouterView
 	// TraceEntry is one packet arrival in a traffic trace.
 	TraceEntry = sim.TraceEntry
-	// ChannelLoad reports per-channel traffic for utilization analysis.
-	ChannelLoad = sim.ChannelLoad
-	// Transfer tracks one measured multi-packet transfer injected into a
-	// live network via Network.StartTransfer — the primitive behind the
-	// nocd co-simulation service (internal/nocsvc).
-	Transfer = sim.Transfer
 	// CollectiveConfig describes one collective schedule (all-to-all or
 	// ring all-reduce) run to end-to-end completion.
 	CollectiveConfig = sim.CollectiveConfig
-	// CollectiveResult reports a completed collective schedule.
-	CollectiveResult = sim.CollectiveResult
-	// TraceScanner streams a JSONL workload trace with bounded memory;
-	// feed it to Network.ReplayTrace.
-	TraceScanner = sim.TraceScanner
-)
-
-// Collective kinds for CollectiveConfig.Kind.
-const (
-	CollectiveAllToAll  = sim.CollectiveAllToAll
-	CollectiveAllReduce = sim.CollectiveAllReduce
 )
 
 // Simulator entry points.
@@ -212,12 +167,10 @@ var (
 	SaturationThroughput = sim.SaturationThroughput
 	// RunBatch executes the Fig. 5 batch experiment.
 	RunBatch = sim.RunBatch
-	// WriteWorkloadJSONL and ReadWorkloadJSONL serialize workload traces
-	// in the JSONL format ({"cycle":C,"src":S,"dst":D,"size":K} lines);
-	// NewTraceScanner streams one for Network.ReplayTrace without
-	// holding it in memory.
+	// WriteWorkloadJSONL writes a workload trace in the JSONL format
+	// ({"cycle":C,"src":S,"dst":D,"size":K} lines); NewTraceScanner
+	// streams one for Network.ReplayTrace without holding it in memory.
 	WriteWorkloadJSONL = sim.WriteTraceJSONL
-	ReadWorkloadJSONL  = sim.ReadTraceJSONL
 	NewTraceScanner    = sim.NewTraceScanner
 	// RunCollective executes an all-to-all or ring all-reduce schedule
 	// and measures its end-to-end completion cycles.
@@ -241,17 +194,11 @@ type (
 	// Probes is a network's attached probe registry: occupancy,
 	// stall/allocator counters and windowed per-channel load series.
 	Probes = sim.Probes
-	// ProbeChannel is one instrumented channel's windowed load view.
-	ProbeChannel = sim.ProbeChannel
 	// Tracer is a ring-buffered flit pipeline event tracer.
 	Tracer = telemetry.Tracer
 	// FlitEvent is one flit pipeline event (inject, route, VC alloc,
 	// crossbar, eject).
 	FlitEvent = telemetry.FlitEvent
-	// TelemetryRegistry names counters and gauges for a metrics endpoint.
-	TelemetryRegistry = telemetry.Registry
-	// TelemetryServer is a live /debug/vars + /debug/pprof HTTP endpoint.
-	TelemetryServer = telemetry.Server
 )
 
 var (
@@ -281,11 +228,6 @@ type (
 	// CheckConfig parameterizes the sanitizer (stride, watchdog window,
 	// in-order checking, violation cap).
 	CheckConfig = check.Config
-	// CheckViolation is one recorded invariant violation with cycle and
-	// channel context.
-	CheckViolation = check.Violation
-	// Sanitizer is an attached runtime checker.
-	Sanitizer = check.Sanitizer
 )
 
 var (
@@ -306,10 +248,6 @@ type (
 	// node injects) plus the destination process (where packets go).
 	// Install one with Network.SetSource or Run's WithSource.
 	Source = traffic.Source
-	// PatternCtx parameterizes BuildPattern/BuildWorkload — network size,
-	// seed, concentration for the group patterns, hot set for
-	// hotspot/incast.
-	PatternCtx = traffic.BuildCtx
 	// UnknownPatternError reports a pattern name missing from the
 	// registry, listing the known names.
 	UnknownPatternError = traffic.UnknownPatternError
@@ -320,18 +258,6 @@ var (
 	NewUniform = traffic.NewUniform
 	// NewWorstCase is the §3.2 adversarial pattern (router i to i+1).
 	NewWorstCase = traffic.NewWorstCase
-	// NewBitComplement, NewTranspose, NewShuffle, NewTornado, NewRandPerm
-	// and NewFixed are additional standard patterns.
-	NewBitComplement = traffic.NewBitComplement
-	NewTranspose     = traffic.NewTranspose
-	NewShuffle       = traffic.NewShuffle
-	NewTornado       = traffic.NewTornado
-	NewRandPerm      = traffic.NewRandPerm
-	NewFixed         = traffic.NewFixed
-	// NewHotspot skews a fraction of uniform traffic onto a hot node set;
-	// NewIncast is its many-to-one degenerate (every node to one sink).
-	NewHotspot = traffic.NewHotspot
-	NewIncast  = traffic.NewIncast
 	// NewBernoulliSource wraps a pattern in the default memoryless
 	// Bernoulli arrival process — the paper's open-loop injection (§3.2).
 	NewBernoulliSource = traffic.NewBernoulli
@@ -339,17 +265,14 @@ var (
 	// arrival process: bursts at a peak rate with the duty cycle chosen
 	// so the long-run average equals the offered load.
 	NewOnOffSource = traffic.NewOnOff
-	// BuildPattern constructs a registry pattern by name ("uniform",
-	// "hotspot", sweep short forms UR/HS/..., see PatternNames);
-	// BuildWorkload wraps it in the Bernoulli arrival process.
-	BuildPattern  = traffic.Build
+	// BuildWorkload builds a registry pattern by name ("uniform",
+	// "hotspot", sweep short forms UR/HS/..., see PatternNames) and wraps
+	// it in the Bernoulli arrival process.
 	BuildWorkload = traffic.BuildSource
 	// PatternNames lists the registry's canonical pattern names.
 	PatternNames = traffic.Names
-	// CanonicalPattern resolves a name or alias to its registry name;
 	// PatternAliases returns the short-form alias table (UR, WC, HS, ...).
-	CanonicalPattern = traffic.Canonical
-	PatternAliases   = traffic.Aliases
+	PatternAliases = traffic.Aliases
 )
 
 // Routing algorithms.
@@ -372,39 +295,11 @@ var (
 	NewFoldedClosAdaptive = routing.NewFoldedClosAdaptive
 	// NewECube is hypercube dimension-order routing.
 	NewECube = routing.NewECube
-	// NewGHCMinAdaptive is minimal adaptive GHC routing.
-	NewGHCMinAdaptive = routing.NewGHCMinAdaptive
 	// NewTorusDOR is dateline dimension-order torus routing.
 	NewTorusDOR = routing.NewTorusDOR
-	// NewSlimFlyAlgorithm constructs Slim Fly routing by name:
-	// "min", "val", "ugal" or "ugal-s".
-	NewSlimFlyAlgorithm = routing.NewSlimFlyAlgorithm
-	// NewDragonflyAlgorithm constructs dragonfly routing by name:
-	// "min", "val", "ugal" or "ugal-s".
-	NewDragonflyAlgorithm = routing.NewDragonflyAlgorithm
 )
 
 // Cost and power models (§4, §5.3).
-type (
-	// CostModel holds the Table 2 constants.
-	CostModel = cost.Model
-	// Packaging holds the Table 3 constants.
-	Packaging = cost.Packaging
-	// CostBreakdown is a priced bill of materials.
-	CostBreakdown = cost.Breakdown
-	// CostComparison compares the four §4.3 topologies at one size.
-	CostComparison = cost.Comparison
-	// PowerModel holds the Table 5 constants.
-	PowerModel = power.Model
-	// PowerComparison compares per-node power at one size.
-	PowerComparison = power.Comparison
-	// ModernPowerComparison compares the flattened butterfly against
-	// Slim Fly and dragonfly at one size.
-	ModernPowerComparison = power.ModernComparison
-	// BOM is a topology's bill of materials.
-	BOM = cost.BOM
-)
-
 var (
 	// DefaultCostModel returns the Table 2 constants.
 	DefaultCostModel = cost.DefaultModel
@@ -428,46 +323,27 @@ var (
 	FlatFlyBOM = cost.FlatFlyBOM
 	// GHCBOM builds a generalized-hypercube bill of materials (§2.3).
 	GHCBOM = cost.GHCBOM
-	// DilatedButterflyBOM prices the §6 dilated-butterfly alternative.
-	DilatedButterflyBOM = cost.DilatedButterflyBOM
-	// FoldedClosBOM, ButterflyBOM and HypercubeBOM build the comparison
-	// topologies' bills of materials.
-	FoldedClosBOM = cost.FoldedClosBOM
-	ButterflyBOM  = cost.ButterflyBOM
-	HypercubeBOM  = cost.HypercubeBOM
 	// SlimFlyBOM and DragonflyBOM build the modern comparison
 	// topologies' bills of materials under the paper's packaging model.
 	SlimFlyBOM   = cost.SlimFlyBOM
 	DragonflyBOM = cost.DragonflyBOM
 	// ComparePowerModern evaluates FB vs Slim Fly vs dragonfly per-node
-	// power at one size; PowerSweepModern runs it across sizes.
+	// power at one size.
 	ComparePowerModern = power.CompareModern
-	PowerSweepModern   = power.SweepModern
 	// PriceBOM applies the cost model to a bill of materials.
 	PriceBOM = cost.Price
 )
 
 // Physical packaging layout (§4.2, Figs. 8-9) and wire delay (§5.2).
-type (
-	// Placement assigns routers to cabinets on a floor plan.
-	Placement = layout.Placement
-	// FloorPlan arranges cabinets on the machine-room floor.
-	FloorPlan = layout.FloorPlan
-	// CableStats summarizes measured cable lengths.
-	CableStats = layout.CableStats
-	// WireDelayComparison is the §5.2 FB-vs-Clos wire-distance study.
-	WireDelayComparison = layout.WireDelayComparison
-)
+// CableStats summarizes measured cable lengths.
+type CableStats = layout.CableStats
 
 var (
-	// NewFloorPlan lays out cabinets near-square.
-	NewFloorPlan = layout.NewFloorPlan
-	// PlaceFlatFly, PlaceFoldedClos, PlaceHypercube and PlaceButterfly
-	// package each topology per the paper's Figs. 8-9.
+	// PlaceFlatFly, PlaceFoldedClos and PlaceHypercube package each
+	// topology per the paper's Figs. 8-9.
 	PlaceFlatFly    = layout.PlaceFlatFly
 	PlaceFoldedClos = layout.PlaceFoldedClos
 	PlaceHypercube  = layout.PlaceHypercube
-	PlaceButterfly  = layout.PlaceButterfly
 	// CompareWireDelay runs the §5.2 wire-delay study.
 	CompareWireDelay = layout.CompareWireDelay
 )

@@ -397,19 +397,6 @@ func TestGHCBOMSection23(t *testing.T) {
 	}
 }
 
-func TestHypercubeAvgGlobalLength(t *testing.T) {
-	p := DefaultPackaging()
-	// (E-1)/log2(E) for E > 1; degenerate inputs fall back to E.
-	e := p.Edge(4096)
-	want := (e - 1) / (math.Log2(e))
-	if got := p.HypercubeAvgGlobalLength(4096); math.Abs(got-want) > 1e-9 {
-		t.Errorf("HypercubeAvgGlobalLength = %v, want %v", got, want)
-	}
-	if got := p.HypercubeAvgGlobalLength(1); got > 1 {
-		t.Errorf("tiny machine should return E itself, got %v", got)
-	}
-}
-
 func TestDilatedButterflyBOMSection6(t *testing.T) {
 	// §6: dilating the butterfly "significantly increase[s] the cost of
 	// the network with additional links as well as routers" — at 4K the

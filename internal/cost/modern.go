@@ -3,23 +3,9 @@ package cost
 import (
 	"fmt"
 	"math"
-)
 
-// isPrimePower reports whether q = p^m for a prime p and m >= 1.
-func isPrimePower(q int) bool {
-	if q < 2 {
-		return false
-	}
-	for f := 2; f*f <= q; f++ {
-		if q%f == 0 {
-			for q%f == 0 {
-				q /= f
-			}
-			return q == 1
-		}
-	}
-	return true // q itself is prime
-}
+	"flatnet/internal/topo"
+)
 
 // slimFlyConfig selects the smallest MMS field size q whose Slim Fly at
 // the default concentration reaches n terminals within the packaging
@@ -27,7 +13,7 @@ func isPrimePower(q int) bool {
 // ceil(k'/2) terminals each, so the router uses k' + ceil(k'/2) ports.
 func slimFlyConfig(n, radix int) (q, kPrime, conc int, err error) {
 	for q = 5; ; q += 2 {
-		if q%4 == 0 || !isPrimePower(q) {
+		if _, _, ok := topo.PrimePower(q); !ok {
 			continue
 		}
 		delta := 1
@@ -35,7 +21,7 @@ func slimFlyConfig(n, radix int) (q, kPrime, conc int, err error) {
 			delta = -1
 		}
 		kPrime = (3*q - delta) / 2
-		conc = (kPrime + 1) / 2
+		conc = topo.SlimFlyDefaultConc(q)
 		if kPrime+conc > radix {
 			return 0, 0, 0, fmt.Errorf("cost: no Slim Fly configuration reaches %d nodes within radix %d", n, radix)
 		}

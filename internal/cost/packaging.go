@@ -77,16 +77,6 @@ func (p Packaging) HypercubeCableLengths(n, dims int) []float64 {
 	return out
 }
 
-// HypercubeAvgGlobalLength evaluates the paper's closed-form estimate of
-// the hypercube's average cable length, (E-1)/log2(E), used in Fig 10(b).
-func (p Packaging) HypercubeAvgGlobalLength(n int) float64 {
-	e := p.Edge(n)
-	if e <= 1 {
-		return e
-	}
-	return (e - 1) / math.Log2(e)
-}
-
 // bits returns floor(log2(v)).
 func bits(v int) int {
 	b := 0

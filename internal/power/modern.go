@@ -40,16 +40,3 @@ func CompareModern(n int, m Model, p cost.Packaging) (ModernComparison, error) {
 		Dragonfly: Price(df, m, p, true),
 	}, nil
 }
-
-// SweepModern evaluates the modern-topology comparison across sizes.
-func SweepModern(sizes []int, m Model, p cost.Packaging) ([]ModernComparison, error) {
-	out := make([]ModernComparison, 0, len(sizes))
-	for _, n := range sizes {
-		c, err := CompareModern(n, m, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}

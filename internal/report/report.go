@@ -1,6 +1,6 @@
-// Package report renders experiment results as aligned text tables and
-// ASCII line charts, so cmd/paperfigs output files carry a human-readable
-// picture of each figure next to the raw data columns.
+// Package report renders experiment results as ASCII line charts, so
+// cmd/paperfigs output files carry a human-readable picture of each
+// figure next to the raw data columns.
 package report
 
 import (
@@ -9,85 +9,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Table is a column-aligned text table.
-type Table struct {
-	Headers []string
-	Rows    [][]string
-}
-
-// NewTable creates a table with the given headers.
-func NewTable(headers ...string) *Table {
-	return &Table{Headers: headers}
-}
-
-// Add appends one row; missing cells render empty, extra cells are kept.
-func (t *Table) Add(cells ...string) {
-	t.Rows = append(t.Rows, cells)
-}
-
-// AddF appends one row of formatted values.
-func (t *Table) AddF(format string, vals ...interface{}) {
-	t.Add(strings.Split(fmt.Sprintf(format, vals...), "\t")...)
-}
-
-// Render writes the table with two-space column separation.
-func (t *Table) Render(w io.Writer) error {
-	cols := len(t.Headers)
-	for _, r := range t.Rows {
-		if len(r) > cols {
-			cols = len(r)
-		}
-	}
-	widths := make([]int, cols)
-	measure := func(cells []string) {
-		for i, c := range cells {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	measure(t.Headers)
-	for _, r := range t.Rows {
-		measure(r)
-	}
-	writeRow := func(cells []string) error {
-		var sb strings.Builder
-		for i := 0; i < cols; i++ {
-			cell := ""
-			if i < len(cells) {
-				cell = cells[i]
-			}
-			sb.WriteString(cell)
-			if i < cols-1 {
-				sb.WriteString(strings.Repeat(" ", widths[i]-len(cell)+2))
-			}
-		}
-		_, err := fmt.Fprintln(w, strings.TrimRight(sb.String(), " "))
-		return err
-	}
-	if len(t.Headers) > 0 {
-		if err := writeRow(t.Headers); err != nil {
-			return err
-		}
-		var sb strings.Builder
-		for i := 0; i < cols; i++ {
-			sb.WriteString(strings.Repeat("-", widths[i]))
-			if i < cols-1 {
-				sb.WriteString("  ")
-			}
-		}
-		if _, err := fmt.Fprintln(w, sb.String()); err != nil {
-			return err
-		}
-	}
-	for _, r := range t.Rows {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Series is one labeled line on a chart. NaN values mark gaps (e.g.
 // saturated load points).

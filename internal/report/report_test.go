@@ -6,51 +6,6 @@ import (
 	"testing"
 )
 
-func TestTableAlignment(t *testing.T) {
-	tb := NewTable("name", "value")
-	tb.Add("alpha", "1")
-	tb.Add("b", "22222")
-	var sb strings.Builder
-	if err := tb.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d lines: %q", len(lines), sb.String())
-	}
-	// The value column must start at the same offset in every row.
-	idx := strings.Index(lines[0], "value")
-	if idx < 0 {
-		t.Fatal("header missing")
-	}
-	if lines[2][idx:idx+1] != "1" {
-		t.Errorf("row 1 misaligned: %q", lines[2])
-	}
-	if lines[3][idx:idx+1] != "2" {
-		t.Errorf("row 2 misaligned: %q", lines[3])
-	}
-}
-
-func TestTableAddF(t *testing.T) {
-	tb := NewTable("a", "b")
-	tb.AddF("%d\t%.2f", 5, 1.5)
-	if len(tb.Rows) != 1 || tb.Rows[0][0] != "5" || tb.Rows[0][1] != "1.50" {
-		t.Fatalf("AddF produced %v", tb.Rows)
-	}
-}
-
-func TestTableRaggedRows(t *testing.T) {
-	tb := NewTable("a")
-	tb.Add("x", "extra")
-	var sb strings.Builder
-	if err := tb.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "extra") {
-		t.Error("extra cell dropped")
-	}
-}
-
 func TestChartBasics(t *testing.T) {
 	c := Chart{Title: "test", XLabel: "load", Width: 40, Height: 10}
 	var sb strings.Builder

@@ -111,14 +111,6 @@ func (r *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n elements using the provided swap function.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Split returns a new Source whose stream is deterministically derived from
 // this one, for handing independent streams to sub-components.
 func (r *Source) Split() *Source {

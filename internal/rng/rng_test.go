@@ -155,19 +155,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(5)
-	vals := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	seen := make(map[int]bool)
-	for _, v := range vals {
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("shuffle lost elements: %v", vals)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(1)
 	child := parent.Split()

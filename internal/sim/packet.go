@@ -5,8 +5,9 @@
 // methodology, and batch experiments for studying transient load
 // imbalance.
 //
-// Packets are single-flit (the paper's configuration; §3.2 note 2 states
-// packet size does not change the comparisons). Routers are given
+// Packets are Config.PacketSize flits long: one by default (the paper's
+// configuration; §3.2 note 2 states packet size does not change the
+// comparisons), longer ones move by wormhole switching. Routers are given
 // configurable switch speedup so that, as in the paper, the router itself
 // is not the network bottleneck — channel bandwidth is.
 package sim
@@ -29,7 +30,8 @@ const (
 	PhaseMinimal
 )
 
-// Packet is a single-flit packet traversing the network.
+// Packet is one packet traversing the network, Config.PacketSize flits
+// long.
 //
 // The fields are ordered so the struct is exactly 64 bytes — one cache
 // line, and one allocator size class, so packets never straddle lines

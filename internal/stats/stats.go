@@ -1,5 +1,5 @@
 // Package stats provides the measurement accumulators used by the
-// simulator: running means, histograms, percentiles and rate meters.
+// simulator: running means, histograms, percentiles and time series.
 //
 // The simulator records per-packet latencies and per-node delivery counts;
 // this package turns those raw observations into the latency and throughput
@@ -83,26 +83,6 @@ func (a *Accumulator) Max() float64 {
 
 // Reset discards all samples.
 func (a *Accumulator) Reset() { *a = Accumulator{} }
-
-// Merge folds the samples of other into a.
-func (a *Accumulator) Merge(other *Accumulator) {
-	if other.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *other
-		return
-	}
-	if other.min < a.min {
-		a.min = other.min
-	}
-	if other.max > a.max {
-		a.max = other.max
-	}
-	a.n += other.n
-	a.sum += other.sum
-	a.sumSq += other.sumSq
-}
 
 // String summarises the accumulator for logs and debug output.
 func (a *Accumulator) String() string {
@@ -197,86 +177,6 @@ func (h *Histogram) Reset() {
 		h.bins[i] = 0
 	}
 	h.overflow, h.n, h.total, h.max = 0, 0, 0, 0
-}
-
-// RateMeter measures an event rate over a window of cycles, e.g. accepted
-// flits per node per cycle for throughput measurement.
-type RateMeter struct {
-	events int64
-	start  int64
-	end    int64
-}
-
-// NewRateMeter returns a meter measuring from cycle start (inclusive).
-func NewRateMeter(start int64) *RateMeter {
-	return &RateMeter{start: start, end: start}
-}
-
-// Record counts n events at the given cycle.
-func (m *RateMeter) Record(cycle int64, n int) {
-	m.events += int64(n)
-	if cycle+1 > m.end {
-		m.end = cycle + 1
-	}
-}
-
-// Events returns the number of recorded events.
-func (m *RateMeter) Events() int64 { return m.events }
-
-// Window returns the number of cycles covered, at least 0.
-func (m *RateMeter) Window() int64 {
-	if m.end < m.start {
-		return 0
-	}
-	return m.end - m.start
-}
-
-// Rate returns events per cycle over the observed window.
-func (m *RateMeter) Rate() float64 {
-	w := m.Window()
-	if w == 0 {
-		return 0
-	}
-	return float64(m.events) / float64(w)
-}
-
-// Series is an ordered set of (x, y) points, used to assemble the data
-// behind a paper figure. X values are kept in insertion order.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Append adds a point to the series.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
-// YAt returns the y value for the first point with the given x, and whether
-// one exists.
-func (s *Series) YAt(x float64) (float64, bool) {
-	for i, xv := range s.X {
-		if xv == x {
-			return s.Y[i], true
-		}
-	}
-	return 0, false
-}
-
-// MaxY returns the largest y value, or 0 for an empty series.
-func (s *Series) MaxY() float64 {
-	max := 0.0
-	for i, y := range s.Y {
-		if i == 0 || y > max {
-			max = y
-		}
-	}
-	return max
 }
 
 // Quantile returns the q-th (0..1) quantile of data by linear interpolation.

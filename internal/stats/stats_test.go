@@ -41,34 +41,6 @@ func TestAccumulatorReset(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMerge(t *testing.T) {
-	var a, b, all Accumulator
-	vals := []float64{1, 2, 3, 4, 5, 6}
-	for i, v := range vals {
-		all.Add(v)
-		if i < 3 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() || !almostEqual(a.Mean(), all.Mean(), 1e-12) ||
-		a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatalf("merge mismatch: %v vs %v", a.String(), all.String())
-	}
-	var empty Accumulator
-	a.Merge(&empty)
-	if a.Count() != all.Count() {
-		t.Fatal("merging empty changed count")
-	}
-	var dst Accumulator
-	dst.Merge(&all)
-	if dst.Count() != all.Count() || dst.Mean() != all.Mean() {
-		t.Fatal("merge into empty failed")
-	}
-}
-
 // bounded maps an arbitrary generated float into a numerically sane range
 // so that sums and squares cannot overflow to +/-Inf.
 func bounded(v float64) float64 {
@@ -76,29 +48,6 @@ func bounded(v float64) float64 {
 		return 0
 	}
 	return math.Mod(v, 1e6)
-}
-
-func TestAccumulatorMergeMatchesSequential(t *testing.T) {
-	check := func(xs, ys []float64) bool {
-		var a, b, seq Accumulator
-		for _, v := range xs {
-			v = bounded(v)
-			a.Add(v)
-			seq.Add(v)
-		}
-		for _, v := range ys {
-			v = bounded(v)
-			b.Add(v)
-			seq.Add(v)
-		}
-		a.Merge(&b)
-		return a.Count() == seq.Count() &&
-			almostEqual(a.Sum(), seq.Sum(), 1e-6*(1+math.Abs(seq.Sum()))) &&
-			a.Min() == seq.Min() && a.Max() == seq.Max()
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestVarianceNonNegative(t *testing.T) {
@@ -188,49 +137,6 @@ func TestHistogramPercentileMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRateMeter(t *testing.T) {
-	m := NewRateMeter(100)
-	m.Record(100, 2)
-	m.Record(101, 1)
-	m.Record(103, 1)
-	if m.Events() != 4 {
-		t.Fatalf("events = %d", m.Events())
-	}
-	if m.Window() != 4 {
-		t.Fatalf("window = %d", m.Window())
-	}
-	if !almostEqual(m.Rate(), 1.0, 1e-12) {
-		t.Fatalf("rate = %v", m.Rate())
-	}
-}
-
-func TestRateMeterEmpty(t *testing.T) {
-	m := NewRateMeter(5)
-	if m.Rate() != 0 || m.Window() != 0 {
-		t.Fatal("empty meter should report zero rate")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Name = "test"
-	s.Append(0.1, 10)
-	s.Append(0.2, 30)
-	s.Append(0.3, 20)
-	if s.Len() != 3 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	if y, ok := s.YAt(0.2); !ok || y != 30 {
-		t.Fatalf("YAt(0.2) = %v,%v", y, ok)
-	}
-	if _, ok := s.YAt(0.5); ok {
-		t.Fatal("YAt should miss for absent x")
-	}
-	if s.MaxY() != 30 {
-		t.Fatalf("MaxY = %v", s.MaxY())
 	}
 }
 

@@ -15,21 +15,8 @@ type gf struct {
 	log []int
 }
 
-// isPrime reports whether n is prime (trial division; n is small).
-func isPrime(n int) bool {
-	if n < 2 {
-		return false
-	}
-	for d := 2; d*d <= n; d++ {
-		if n%d == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// primePower factors q as p^m with p prime, or reports failure.
-func primePower(q int) (p, m int, ok bool) {
+// PrimePower factors q as p^m with p prime, or reports failure.
+func PrimePower(q int) (p, m int, ok bool) {
 	if q < 2 {
 		return 0, 0, false
 	}
@@ -51,7 +38,7 @@ func primePower(q int) (p, m int, ok bool) {
 
 // newGF constructs GF(q), or reports false when q is not a prime power.
 func newGF(q int) (*gf, bool) {
-	p, m, ok := primePower(q)
+	p, m, ok := PrimePower(q)
 	if !ok {
 		return nil, false
 	}

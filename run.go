@@ -1,16 +1,19 @@
 package flatnet
 
-import "fmt"
+import (
+	"fmt"
+
+	"flatnet/internal/sim"
+)
 
 // Option configures one flatnet.Run measurement. Options are applied in
 // order; later options override earlier ones.
 type Option func(*runOptions)
 
 type runOptions struct {
-	cfg     Config
-	rc      RunConfig
-	loadSet bool
-	check   *CheckConfig
+	cfg   Config
+	rc    RunConfig
+	check *CheckConfig
 }
 
 // attach chains f onto the run's Attach hook, after what is installed.
@@ -22,7 +25,7 @@ func (o *runOptions) attach(f func(n *Network)) {
 // WithLoad sets the offered load in flits per node per cycle (fraction
 // of capacity for unit-capacity networks). Default 0.5.
 func WithLoad(load float64) Option {
-	return func(o *runOptions) { o.rc.Load = load; o.loadSet = true }
+	return func(o *runOptions) { o.rc.Load = load }
 }
 
 // WithPattern sets the traffic pattern, injected under the default
@@ -50,22 +53,8 @@ func WithMeasure(cycles int) Option {
 	return func(o *runOptions) { o.rc.Measure = cycles }
 }
 
-// WithMaxCycles bounds the total simulation; a run whose labeled packets
-// have not drained by then reports Saturated. Default: the RunLoadPoint
-// default of 20x the warm-up plus measurement windows.
-func WithMaxCycles(cycles int) Option {
-	return func(o *runOptions) { o.rc.MaxCycles = cycles }
-}
-
-// WithConfig replaces the router microarchitecture configuration
-// (buffering, switch speedup, packet size, seed). Default:
-// DefaultConfig, the paper's §3.2 router.
-func WithConfig(cfg Config) Option {
-	return func(o *runOptions) { o.cfg = cfg }
-}
-
-// WithSeed sets the seed driving every random stream of the run,
-// keeping the rest of the configuration.
+// WithSeed sets the seed driving every random stream of the run.
+// Default: DefaultConfig's seed.
 func WithSeed(seed uint64) Option {
 	return func(o *runOptions) { o.cfg.Seed = seed }
 }
@@ -117,12 +106,12 @@ func WithObserve(f func(n *Network)) Option {
 //
 // Run is a convenience front end over RunLoadPoint; sweeps and batch
 // experiments use LoadSweep and RunBatch directly.
-func Run(t Topology, alg Algorithm, opts ...Option) (LoadPointResult, error) {
+func Run(t Topology, alg Algorithm, opts ...Option) (sim.LoadPointResult, error) {
 	if t == nil {
-		return LoadPointResult{}, fmt.Errorf("flatnet: nil topology")
+		return sim.LoadPointResult{}, fmt.Errorf("flatnet: nil topology")
 	}
 	if alg == nil {
-		return LoadPointResult{}, fmt.Errorf("flatnet: nil algorithm")
+		return sim.LoadPointResult{}, fmt.Errorf("flatnet: nil algorithm")
 	}
 	g := t.Graph()
 	o := runOptions{cfg: DefaultConfig()}
