@@ -113,15 +113,19 @@ flatbench-check:
 # PR's performance claim is a diff of that file: `make bench-record PR=16`.
 # It runs the suite three times (~5 minutes each) and records each value as
 # the median of the three with their min/max spread; a run with failed
-# operations stops it before anything is recorded.
+# operations stops it before anything is recorded. The record also holds
+# the wall time of `paperfigs -quick -fig all`, total and per figure
+# (median of three runs, ~15 s in all).
 bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=<number>"; exit 2; }
 	for i in 1 2 3; do bash bench/run.sh -seed 1 -trace 1 -out .bench_build/record$$i.json || exit 1; done
-	$(GO) run ./cmd/benchrecord -pr $(PR) -in .bench_build/record1.json,.bench_build/record2.json,.bench_build/record3.json
+	$(GO) build -o .bench_build/paperfigs ./cmd/paperfigs
+	$(GO) run ./cmd/benchrecord -pr $(PR) -in .bench_build/record1.json,.bench_build/record2.json,.bench_build/record3.json -paperfigs .bench_build/paperfigs
 
 # bench-diff prints the trajectory's last two records side by side: the
-# end-to-end metrics of every workload and the per-layer rows that moved
-# by more than 10 %, a move inside either record's spread marked noise.
+# end-to-end metrics of every workload, the per-layer rows that moved by
+# more than 10 % and the paperfigs times, a move inside either record's
+# spread marked noise.
 bench-diff:
 	@$(GO) run ./cmd/benchrecord -diff
 

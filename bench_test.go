@@ -1,12 +1,13 @@
 // Benchmarks of the engine itself: the cycle core's raw rate on two
-// workloads, the snapshot round trip, the zero-overhead-when-off guards
-// for telemetry and the sanitizer, and four ablations of §3's router
-// parameters. The paper's figure claims are asserted once, by the claims
+// workloads, one warmed 4096-terminal network's memory, the snapshot
+// round trip, the zero-overhead-when-off guards for telemetry and the
+// sanitizer, and four ablations of §3's router parameters. The paper's figure claims are asserted once, by the claims
 // table in internal/experiments.
 package flatnet_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"flatnet"
@@ -86,6 +87,46 @@ func BenchmarkSimulatorCyclesWC(b *testing.B) {
 		cycleAt(b, n, 0.4)
 	}
 	b.ReportMetric(float64(ff.NumNodes), "nodes")
+}
+
+// BenchmarkNetworkFootprint reports what one warmed 4096-terminal network
+// holds on the heap: a 64-ary 2-flat under CLOS AD, 600 cycles of 50 %
+// uniform load (flatbench core_4k_par's network), built on a graph made
+// beforehand. heap_MB/network is the live heap the network adds;
+// calendar_events the summed capacity of its event lists after warm-up
+// and calendar_pending the events pending in them, which the capacity
+// follows. It logs memory only and gates nothing.
+func BenchmarkNetworkFootprint(b *testing.B) {
+	ff, err := flatnet.NewFlatFly(64, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var heap, capacity, pending float64
+	for i := 0; i < b.N; i++ {
+		before := liveHeap()
+		n, err := flatnet.NewNetwork(ff.Graph(), flatnet.NewClosAD(ff), flatnet.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		injectUniform(b, n)
+		for c := 0; c < 600; c++ {
+			cycle(b, n)
+		}
+		heap += float64(liveHeap() - before)
+		c, p, _ := n.CalendarFootprint()
+		capacity += float64(c)
+		pending += float64(p)
+		runtime.KeepAlive(n)
+	}
+	b.ReportMetric(heap/float64(b.N)/(1<<20), "heap_MB/network")
+	b.ReportMetric(capacity/float64(b.N), "calendar_events")
+	b.ReportMetric(pending/float64(b.N), "calendar_pending")
 }
 
 // BenchmarkSnapshotRestore measures the checkpoint/restore round trip

@@ -19,19 +19,28 @@
 //
 // prints the last two records side by side: per workload the four
 // end-to-end metrics, and every per-layer row that moved by more than
-// 10 %. A move that lands inside either record's spread is marked noise;
-// records of a single run have no spread, so nothing in them is.
+// 10 %; then the paperfigs wall times, when both records hold them. A move
+// that lands inside either record's spread is marked noise; records of a
+// single run have no spread, so nothing in them is.
+//
+// With -paperfigs BIN the record also holds the wall time of the first
+// end-to-end number a user waits for, `BIN -quick -fig all`: the total and
+// each figure's, as the median (and spread) of three runs. A figure's time
+// runs from its "generating" line on stderr to the next one.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"sort"
 	"strings"
+	"time"
 )
 
 // suite is the part of `flatbench -out` a record keeps.
@@ -63,6 +72,107 @@ type record struct {
 	Runs      int             `json:"runs,omitempty"`
 	Manifest  json.RawMessage `json:"manifest,omitempty"`
 	Workloads []workload      `json:"workloads"`
+	// Paperfigs is the wall time of `paperfigs -quick -fig all`; records
+	// made without -paperfigs have none.
+	Paperfigs *paperfigsTimes `json:"paperfigs_quick,omitempty"`
+}
+
+// paperfigsTimes is the wall time of `paperfigs -quick -fig all` over
+// Runs runs: the whole run and each figure in the order it ran.
+type paperfigsTimes struct {
+	Runs    int       `json:"runs"`
+	Total   figTime   `json:"total"`
+	Figures []figTime `json:"figures"`
+}
+
+// figTime is one figure's (or the whole run's) median seconds and the
+// [min, max] of the runs, to the millisecond.
+type figTime struct {
+	ID     string     `json:"id"`
+	S      float64    `json:"s"`
+	Spread [2]float64 `json:"spread"`
+}
+
+// figRuns is how many times -paperfigs runs the regeneration.
+const figRuns = 3
+
+// timePaperfigs runs `bin -quick -fig all` figRuns times into scratch
+// directories and folds the wall times into their medians.
+func timePaperfigs(bin string) (*paperfigsTimes, error) {
+	var totals []float64
+	var ids []string
+	perFig := map[string][]float64{}
+	for i := 0; i < figRuns; i++ {
+		dir, err := os.MkdirTemp("", "paperfigs-quick")
+		if err != nil {
+			return nil, err
+		}
+		total, figs, err := runPaperfigs(bin, dir)
+		os.RemoveAll(dir)
+		if err != nil {
+			return nil, err
+		}
+		totals = append(totals, total)
+		for _, f := range figs {
+			if _, seen := perFig[f.ID]; !seen {
+				ids = append(ids, f.ID)
+			}
+			perFig[f.ID] = append(perFig[f.ID], f.S)
+		}
+	}
+	fold := func(id string, xs []float64) figTime {
+		ms := func(s float64) float64 { return math.Round(s*1e3) / 1e3 }
+		mid, spread := median(xs)
+		return figTime{ID: id, S: ms(mid), Spread: [2]float64{ms(spread[0]), ms(spread[1])}}
+	}
+	t := &paperfigsTimes{Runs: figRuns, Total: fold("all", totals)}
+	for _, id := range ids {
+		t.Figures = append(t.Figures, fold(id, perFig[id]))
+	}
+	return t, nil
+}
+
+// runPaperfigs runs one quick regeneration into dir and returns its wall
+// time and each figure's, in seconds.
+func runPaperfigs(bin, dir string) (total float64, figs []figTime, err error) {
+	cmd := exec.Command(bin, "-quick", "-fig", "all", "-out", dir)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		return 0, nil, err
+	}
+	start := time.Now()
+	if err := cmd.Start(); err != nil {
+		return 0, nil, err
+	}
+	since := func() float64 { return time.Since(start).Seconds() }
+	figs = figureStarts(stderr, since)
+	if err := cmd.Wait(); err != nil {
+		return 0, nil, fmt.Errorf("%s -quick -fig all: %w", bin, err)
+	}
+	total = since()
+	// A figure runs until the next one starts; the last until exit.
+	for i := range figs {
+		end := total
+		if i+1 < len(figs) {
+			end = figs[i+1].S
+		}
+		figs[i].S = end - figs[i].S
+	}
+	return total, figs, nil
+}
+
+// figureStarts reads paperfigs' stderr and returns, for each
+// "generating ID -> FILE" line, the figure's ID and the time clock read
+// when the line arrived.
+func figureStarts(r io.Reader, clock func() float64) []figTime {
+	var figs []figTime
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		if f := strings.Fields(sc.Text()); len(f) >= 2 && f[0] == "generating" {
+			figs = append(figs, figTime{ID: f[1], S: clock()})
+		}
+	}
+	return figs
 }
 
 type workload struct {
@@ -160,8 +270,9 @@ func add(recs []record, r record) []record {
 	return kept
 }
 
-// run records the suite reports ins as PR pr's entry in trajectory.
-func run(pr int, ins []string, trajectory string) error {
+// run records the suite reports ins, and the paperfigs times figs when
+// not nil, as PR pr's entry in trajectory.
+func run(pr int, ins []string, figs *paperfigsTimes, trajectory string) error {
 	if pr <= 0 {
 		return fmt.Errorf("-pr must name the PR being recorded")
 	}
@@ -181,6 +292,7 @@ func run(pr int, ins []string, trajectory string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", strings.Join(ins, ","), err)
 	}
+	rec.Paperfigs = figs
 	recs, err := load(trajectory)
 	if err != nil {
 		return err
@@ -230,13 +342,15 @@ func diff(w io.Writer, trajectory string) error {
 	for _, wl := range old.Workloads {
 		before[wl.Workload] = wl
 	}
-	row := func(was, wl workload, name string, a, b float64) {
+	row := func(name string, a, b float64, sa, sb [2]float64) {
 		fmt.Fprintf(w, "  %-36s %14.6g %14.6g %+8.1f%%", name, a, b, 100*(b/a-1))
-		sa, sb := was.spread(name, a), wl.spread(name, b)
 		if sa[0] <= b && b <= sa[1] || sb[0] <= a && a <= sb[1] {
 			fmt.Fprint(w, "  noise")
 		}
 		fmt.Fprintln(w)
+	}
+	metricRow := func(was, wl workload, name string, a, b float64) {
+		row(name, a, b, was.spread(name, a), wl.spread(name, b))
 	}
 	fmt.Fprintf(w, "%-38s %14s %14s %9s\n", "", fmt.Sprintf("PR %d", old.PR), fmt.Sprintf("PR %d", cur.PR), "change")
 	for _, wl := range cur.Workloads {
@@ -257,7 +371,7 @@ func diff(w io.Writer, trajectory string) error {
 			a, inOld := was.EndToEnd[name]
 			b, inCur := wl.EndToEnd[name]
 			if inOld && inCur {
-				row(was, wl, name, a, b)
+				metricRow(was, wl, name, a, b)
 			}
 		}
 		var moved []string
@@ -268,7 +382,21 @@ func diff(w io.Writer, trajectory string) error {
 		}
 		sort.Strings(moved)
 		for _, name := range moved {
-			row(was, wl, name, was.PerLayer[name], wl.PerLayer[name])
+			metricRow(was, wl, name, was.PerLayer[name], wl.PerLayer[name])
+		}
+	}
+	if old.Paperfigs != nil && cur.Paperfigs != nil {
+		fmt.Fprintln(w, "paperfigs -quick -fig all (s)")
+		a, b := old.Paperfigs.Total, cur.Paperfigs.Total
+		row("total", a.S, b.S, a.Spread, b.Spread)
+		before := map[string]figTime{}
+		for _, f := range old.Paperfigs.Figures {
+			before[f.ID] = f
+		}
+		for _, f := range cur.Paperfigs.Figures {
+			if was, ok := before[f.ID]; ok && was.S > 0 { // analytic tables take under a millisecond
+				row("fig "+f.ID, was.S, f.S, was.Spread, f.Spread)
+			}
 		}
 	}
 	return nil
@@ -278,12 +406,19 @@ func main() {
 	pr := flag.Int("pr", 0, "number of the PR this run records")
 	in := flag.String("in", ".bench_build/record.json", "comma-separated suite reports, each written by `bash bench/run.sh -seed 1 -trace 1 -out FILE`; the record keeps their median and spread")
 	show := flag.Bool("diff", false, "print the last two records side by side and record nothing")
+	paperfigs := flag.String("paperfigs", "", "paperfigs binary whose `-quick -fig all` wall time (total and per figure, median of 3 runs) the record also holds")
 	flag.Parse()
 	var err error
-	if *show {
+	switch {
+	case *show:
 		err = diff(os.Stdout, "BENCH_flatbench.json")
-	} else {
-		err = run(*pr, strings.Split(*in, ","), "BENCH_flatbench.json")
+	case *paperfigs != "":
+		var figs *paperfigsTimes
+		if figs, err = timePaperfigs(*paperfigs); err == nil {
+			err = run(*pr, strings.Split(*in, ","), figs, "BENCH_flatbench.json")
+		}
+	default:
+		err = run(*pr, strings.Split(*in, ","), nil, "BENCH_flatbench.json")
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchrecord:", err)

@@ -28,7 +28,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pr := range []int{16, 13, 16} {
-		if err := run(pr, []string{in}, trajectory); err != nil {
+		if err := run(pr, []string{in}, nil, trajectory); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,13 +54,13 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Errorf("per-layer rows %v, want the one measured row", w.PerLayer)
 	}
 
-	if err := run(0, []string{in}, trajectory); err == nil {
+	if err := run(0, []string{in}, nil, trajectory); err == nil {
 		t.Error("a record without a PR number was accepted")
 	}
 	if err := os.WriteFile(in, []byte(`{"workloads": []}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(17, []string{in}, trajectory); err == nil {
+	if err := run(17, []string{in}, nil, trajectory); err == nil {
 		t.Error("an empty suite report was recorded")
 	}
 }
@@ -144,7 +144,7 @@ func TestRecordMedianSpread(t *testing.T) {
 		}
 		return ins
 	}
-	if err := run(25, write(suiteRun(26, 42, 120, "d1"), suiteRun(24, 43, 130, "d1"), suiteRun(25, 41, 110, "d1")), trajectory); err != nil {
+	if err := run(25, write(suiteRun(26, 42, 120, "d1"), suiteRun(24, 43, 130, "d1"), suiteRun(25, 41, 110, "d1")), nil, trajectory); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := load(trajectory)
@@ -167,7 +167,7 @@ func TestRecordMedianSpread(t *testing.T) {
 	if f := r.Workloads[1].Failed; f != 3 {
 		t.Errorf("core_ur failed %d over three runs, want 3", f)
 	}
-	if err := run(26, write(suiteRun(26, 42, 120, "d1"), suiteRun(26, 42, 120, "d2")), trajectory); err == nil ||
+	if err := run(26, write(suiteRun(26, 42, 120, "d1"), suiteRun(26, 42, 120, "d2")), nil, trajectory); err == nil ||
 		!strings.Contains(err.Error(), "sim_digest d2 in run 2") {
 		t.Errorf("runs with different digests: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestRecordMedianSpread(t *testing.T) {
 	// work_per_s 25 -> 36.5 leaves both spreads. peak_rss_mb 42 -> 42.5
 	// lands inside the old spread, and the per-layer row 120 -> 105 moves
 	// by more than a tenth but the old median lies inside the new spread.
-	if err := run(29, write(suiteRun(36, 42.5, 100, "d3"), suiteRun(37, 42.4, 105, "d3"), suiteRun(36.5, 42.6, 125, "d3")), trajectory); err != nil {
+	if err := run(29, write(suiteRun(36, 42.5, 100, "d3"), suiteRun(37, 42.4, 105, "d3"), suiteRun(36.5, 42.6, 125, "d3")), nil, trajectory); err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
@@ -191,6 +191,79 @@ func TestRecordMedianSpread(t *testing.T) {
 	for name, noise := range map[string]bool{"work_per_s": false, "peak_rss_mb": true, "analysis.analyze_ms.dragonfly": true} {
 		if l, ok := lines[name]; !ok || strings.HasSuffix(l, "noise") != noise {
 			t.Errorf("%s: want noise %t, got line %q in\n%s", name, noise, l, out.String())
+		}
+	}
+}
+
+// TestPaperfigsTiming reads figure starts from a paperfigs stderr on a
+// scripted clock, records times beside a suite and prints both records'
+// times in -diff.
+func TestPaperfigsTiming(t *testing.T) {
+	stderr := strings.Join([]string{
+		"generating 2 -> q/fig2.txt",
+		"sweep: 4 jobs",
+		"generating t1 -> q/table1.txt",
+		"generating 4a -> q/fig4a.txt",
+		"paperfigs: engine totals: 30 jobs",
+	}, "\n")
+	clock := []float64{0.5, 1.25, 4.25}
+	figs := figureStarts(strings.NewReader(stderr), func() float64 {
+		now := clock[0]
+		clock = clock[1:]
+		return now
+	})
+	want := []figTime{{ID: "2", S: 0.5}, {ID: "t1", S: 1.25}, {ID: "4a", S: 4.25}}
+	if fmt.Sprint(figs) != fmt.Sprint(want) {
+		t.Fatalf("figure starts %v, want %v", figs, want)
+	}
+
+	// A stand-in paperfigs: figure "2" takes ~0.2 s, "t1" next to nothing.
+	bin := filepath.Join(t.TempDir(), "paperfigs")
+	script := "#!/bin/sh\necho 'generating 2 -> q/fig2.txt' >&2\nsleep 0.2\necho 'generating t1 -> q/table1.txt' >&2\n"
+	if err := os.WriteFile(bin, []byte(script), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	total, figs, err := runPaperfigs(bin, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(figs) != 2 || figs[0].ID != "2" || figs[0].S < 0.2 || figs[1].ID != "t1" || figs[0].S+figs[1].S > total {
+		t.Fatalf("stand-in run: total %g s, figures %v; want fig 2 >= 0.2 s and the figures within the total", total, figs)
+	}
+
+	dir := t.TempDir()
+	in, trajectory := filepath.Join(dir, "suite.json"), filepath.Join(dir, "BENCH_flatbench.json")
+	if err := os.WriteFile(in, []byte(suiteJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	times := func(total, fig4a float64) *paperfigsTimes {
+		return &paperfigsTimes{Runs: 3, Total: figTime{ID: "all", S: total, Spread: [2]float64{total, total}},
+			Figures: []figTime{{ID: "4a", S: fig4a, Spread: [2]float64{fig4a - 0.1, fig4a + 0.1}}}}
+	}
+	if err := run(41, []string{in}, times(5, 1), trajectory); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(42, []string{in}, times(4, 1.05), trajectory); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := load(trajectory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := recs[1].Paperfigs; p == nil || p.Total.S != 4 || len(p.Figures) != 1 || p.Figures[0].S != 1.05 {
+		t.Fatalf("record holds paperfigs times %+v", p)
+	}
+	var out strings.Builder
+	if err := diff(&out, trajectory); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"paperfigs -quick -fig all (s)",
+		"total                                             5              4    -20.0%\n",
+		"fig 4a                                            1           1.05     +5.0%  noise",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("diff output lacks %q:\n%s", want, out.String())
 		}
 	}
 }

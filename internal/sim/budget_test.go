@@ -11,12 +11,14 @@ import (
 	"flatnet/internal/traffic"
 )
 
-// TestRestoreAllocBudget holds Restore to a few thousand heap objects on
-// the network BenchmarkSnapshotRestore measures (the warmed 32-ary
+// TestRestoreAllocBudget holds Restore to about a hundred heap objects
+// on the network BenchmarkSnapshotRestore measures (the warmed 32-ary
 // 2-flat under CLOS AD at 50 % uniform load). What is left is sim.New's
-// slabs, one Packet per live packet and the calendar lists; decoding
-// itself allocates nothing. (A Reader that took each varint byte through
-// io.ReadFull made this 92 000.)
+// slabs (the routers' and sources' random streams among them), one
+// packet chunk per 256 live packets, the calendar blocks and the source
+// backlogs' segments; decoding itself allocates nothing. (A Reader that
+// took each varint byte through io.ReadFull made this 92 000; one Packet
+// and one rng.Source per object made it 3024.)
 func TestRestoreAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warms a 1024-terminal network")
@@ -52,8 +54,66 @@ func TestRestoreAllocBudget(t *testing.T) {
 		r.Close()
 	})
 	t.Logf("Restore of a %d-byte snapshot: %.0f allocations", buf.Len(), allocs)
-	if allocs > 8000 {
-		t.Fatalf("Restore of a %d-byte snapshot allocates %.0f objects, budget 8000", buf.Len(), allocs)
+	if allocs > 100 {
+		t.Fatalf("Restore of a %d-byte snapshot allocates %.0f objects, budget 100", buf.Len(), allocs)
+	}
+}
+
+// TestCalendarTracksInFlight holds the event calendar to the events in
+// flight: every list returns its block to the arena when its cycle
+// drains, and a list grows by doubling from the smallest block, so at
+// every cycle the lists' summed capacity is at most twice the events
+// pending plus one smallest block per non-empty list. A calendar whose
+// slots keep the capacity of the busiest cycle they ever drained holds
+// several times that. It runs on the warmed 64-ary 2-flat of flatbench's
+// core_4k_par (CLOS AD, uniform load 0.5) and on a 16-ary 2-flat at load
+// 0.9, past MIN AD's saturation on the worst-case pattern.
+func TestCalendarTracksInFlight(t *testing.T) {
+	for _, c := range []struct {
+		k       int
+		alg     string
+		pattern func(*topo.FlatFly) traffic.Pattern
+		load    float64
+		short   bool
+	}{
+		{64, "clos", func(ff *topo.FlatFly) traffic.Pattern { return traffic.NewUniform(ff.NumNodes) }, 0.5, false},
+		{16, "min", func(ff *topo.FlatFly) traffic.Pattern { return traffic.NewWorstCase(ff.K, ff.NumRouters) }, 0.9, true},
+	} {
+		if testing.Short() && !c.short {
+			continue
+		}
+		ff, err := topo.NewFlatFly(c.k, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alg, err := routing.NewFlatFlyAlgorithm(c.alg, ff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := sim.New(ff.Graph(), alg, sim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.MustInstall(t, n, c.pattern(ff))
+		for i := 0; i < 600; i++ {
+			sim.MustGenerate(t, n, c.load)
+			n.Step()
+		}
+		peak := 0
+		for i := 0; i < 200; i++ {
+			sim.MustGenerate(t, n, c.load)
+			n.Step()
+			capacity, pending, lists := n.CalendarFootprint()
+			if limit := 2*pending + sim.MinCalendarBlock*lists; capacity > limit {
+				t.Fatalf("%d-ary 2-flat %s at load %.1f, cycle %d: calendar lists hold capacity for %d events with %d pending in %d lists (limit %d)",
+					c.k, alg.Name(), c.load, n.Cycle(), capacity, pending, lists, limit)
+			}
+			peak = max(peak, pending)
+		}
+		if peak == 0 {
+			t.Fatalf("%d-ary 2-flat %s: no event pending in 200 cycles", c.k, alg.Name())
+		}
+		n.Close()
 	}
 }
 

@@ -107,7 +107,7 @@ func (n *Network) Graph() *topo.Graph { return n.g }
 // every virtual channel free — the end-of-run invariant Finalize checks.
 func (n *Network) Quiescent() bool {
 	for i := range n.sources {
-		if n.sources[i].cur != nil || !n.sources[i].empty() {
+		if n.sources[i].cur != 0 || !n.sources[i].empty() {
 			return false
 		}
 	}
@@ -152,7 +152,7 @@ func (n *Network) AuditChannels(visit func(ChannelAudit)) {
 	credits := map[int32]int{} // network-wide output VC index -> count
 	for i := range n.cal {
 		for _, ev := range n.cal[i].flits {
-			flits[int64(ev.router)<<32|int64(ev.in>>1)]++
+			flits[int64(ev.router)<<32|int64(ev.ivc)]++
 		}
 		for _, ev := range n.cal[i].credits {
 			credits[ev.ovc]++
@@ -167,7 +167,7 @@ func (n *Network) AuditChannels(visit func(ChannelAudit)) {
 			}
 			down := &n.routers[op.peer]
 			for v := 0; v < n.vcs; v++ {
-				ivc := int32(op.peerIn>>1) + int32(v)
+				ivc := op.peerIn + int32(v)
 				ovc := int32(p)<<n.vcShift + int32(v)
 				visit(ChannelAudit{
 					Router:          topo.RouterID(r),
@@ -178,7 +178,7 @@ func (n *Network) AuditChannels(visit func(ChannelAudit)) {
 					Buffered:        int(down.vq[ivc].count),
 					FlitsInFlight:   flits[int64(op.peer)<<32|int64(ivc)],
 					CreditsInFlight: credits[(rt.outBase+int32(p))<<n.vcShift+int32(v)],
-					Owner:           rt.ovc[ovc].owner,
+					Owner:           n.arena.ptr(rt.ovc[ovc].owner),
 				})
 			}
 		}
@@ -193,30 +193,32 @@ func (n *Network) AuditChannels(visit func(ChannelAudit)) {
 // per-packet state from it, and must not retain p. O(buffers +
 // calendar), like AuditChannels.
 func (n *Network) AuditPackets(visit func(p *Packet, injected, ejected int)) {
-	alive := map[*Packet]int{} // flits buffered or in flight
+	alive := make([]int32, n.arena.next) // by handle: flits buffered or in flight
 	for r := range n.routers {
 		rt := &n.routers[r]
 		n.eachInputVC(rt, func(_, _ int, q *vcq) {
 			for k := int32(0); k < q.count; k++ {
-				alive[rt.nth(q, k).pkt]++
+				alive[rt.nth(q, k).pkt()]++
 			}
 		})
 	}
-	n.eachEvent(func(_ int, _ uint64, _ bool, _, _, _ int32, p *Packet) {
-		if p != nil {
-			alive[p]++
+	n.eachEvent(func(_ int, _ uint64, _ bool, _, _, _ int32, h int32) {
+		if h != 0 {
+			alive[h]++
 		}
 	})
 	for i := range n.sources {
-		if s := &n.sources[i]; s.cur != nil {
+		if s := &n.sources[i]; s.cur != 0 {
 			if injected := n.cfg.PacketSize - int(s.remaining); injected > 0 {
-				visit(s.cur, injected, injected-alive[s.cur])
+				visit(n.arena.pkt(s.cur), injected, injected-int(alive[s.cur]))
 			}
-			delete(alive, s.cur)
+			alive[s.cur] = 0
 		}
 	}
-	for p, flits := range alive {
-		visit(p, n.cfg.PacketSize, n.cfg.PacketSize-flits)
+	for h, flits := range alive {
+		if flits > 0 {
+			visit(n.arena.pkt(int32(h)), n.cfg.PacketSize, n.cfg.PacketSize-int(flits))
+		}
 	}
 }
 
@@ -280,15 +282,19 @@ func (n *Network) InjectFault(k FaultKind, r topo.RouterID, port, vc int) error 
 	case FaultDupCredit:
 		ov.credits++
 	case FaultFreeVC:
-		if ov.owner == nil {
+		if ov.owner == 0 {
 			return fmt.Errorf("sim: router %d out port %d vc %d is not owned", r, port, vc)
 		}
-		ov.owner = nil
+		ov.owner = 0
 	case FaultSeizeVC:
-		if ov.owner != nil {
+		if ov.owner != 0 {
 			return fmt.Errorf("sim: router %d out port %d vc %d is already owned", r, port, vc)
 		}
-		ov.owner = &Packet{ID: -1}
+		// The owner is a phantom packet with ID -1: a handle of the slab
+		// that no flit carries, so nothing ever releases or frees it.
+		ph := n.arena.allocPacket()
+		*n.arena.pkt(ph) = Packet{ID: -1}
+		ov.owner = ph
 	default:
 		return fmt.Errorf("sim: unknown fault kind %d", k)
 	}

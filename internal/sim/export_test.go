@@ -14,6 +14,10 @@ import (
 // observationally identical; worklist_test.go holds them to it.
 func SetStepAll(n *Network, v bool) { n.stepAll = v }
 
+// MinCalendarBlock is the capacity, in events, of the smallest block a
+// calendar list takes from the arena.
+const MinCalendarBlock = 1 << minBlockClass
+
 // MustInstall installs pattern p under the Bernoulli arrival process, the
 // paper's open-loop injection, failing the test if SetSource refuses.
 func MustInstall(t testing.TB, n *Network, p traffic.Pattern) {

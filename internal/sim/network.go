@@ -48,11 +48,25 @@ func DefaultConfig() Config {
 	return Config{Seed: 1, BufPerPort: 32, Speedup: 0, PacketSize: 1}
 }
 
-// flit is one flow-control unit of a packet.
-type flit struct {
-	pkt  *Packet
-	tail bool
+// flit is one flow-control unit of a packet: the packet's handle (see
+// arena) shifted left one, with bit 0 set on the packet's tail flit. A
+// ring slot is 4 bytes and holds no pointer.
+type flit uint32
+
+// mkFlit packs packet handle pkt and the tail mark into a flit.
+func mkFlit(pkt int32, tail bool) flit {
+	f := flit(pkt) << 1
+	if tail {
+		f |= 1
+	}
+	return f
 }
+
+// pkt returns the handle of the flit's packet.
+func (f flit) pkt() int32 { return int32(f >> 1) }
+
+// tail reports whether f is its packet's tail flit.
+func (f flit) tail() bool { return f&1 != 0 }
 
 // vcq is the header of one virtual-channel buffer: a fixed-capacity flit
 // FIFO. The flit at the head of the queue lives in the header itself; the
@@ -65,25 +79,25 @@ type flit struct {
 // within one input VC.
 //
 // Headers are indexed by input-VC index ivc = port<<vcShift | vc, which is
-// also the switch allocator's request key. A header is 32 bytes so two
-// share a cache line and none straddles one (TestHotLayoutSizes).
+// also the switch allocator's request key. A header is padded to 32 bytes
+// so two share a cache line and none straddles one (TestHotLayoutSizes).
 type vcq struct {
-	hpkt  *Packet // packet of the flit at the head of the queue, valid while count > 0
-	base  int32   // first slot of this VC's ring in router.flits
-	cap   int32   // queue capacity; 0 for the padding VCs of a terminal port
-	head  int32   // ring position of the second flit in the queue
-	count int32   // flits queued, the head flit included
-	out   int32   // the routing decision as an output-VC index (port<<vcShift | vc), valid when routed
+	hflit flit  // the flit at the head of the queue, valid while count > 0
+	base  int32 // first slot of this VC's ring in router.flits
+	cap   int32 // queue capacity; 0 for the padding VCs of a terminal port
+	head  int32 // ring position of the second flit in the queue
+	count int32 // flits queued, the head flit included
+	out   int32 // the routing decision as an output-VC index (port<<vcShift | vc), valid when routed
 
-	htail    bool // the head flit is a tail flit
 	routed   bool // current packet has a routing decision
 	headSent bool // current packet's head flit has departed
+	_        [6]byte
 }
 
 // push appends f to q. The ring wraps by compare, not by division.
 func (rt *router) push(q *vcq, f flit) {
 	if q.count == 0 {
-		q.hpkt, q.htail = f.pkt, f.tail
+		q.hflit = f
 	} else {
 		pos := q.head + q.count - 1
 		if pos >= q.cap {
@@ -97,25 +111,22 @@ func (rt *router) push(q *vcq, f flit) {
 // pop removes and returns the flit at the head of q, promoting the next
 // flit from the ring into the header. A ring that empties restarts at
 // slot 0, so a lightly loaded VC keeps reusing one cache line instead of
-// cycling through its whole ring.
+// cycling through its whole ring. A vacated slot keeps its stale flit:
+// push, pop and nth only read the count-1 slots behind the header.
 func (rt *router) pop(q *vcq) flit {
-	f := flit{pkt: q.hpkt, tail: q.htail}
+	f := q.hflit
 	q.count--
 	if q.count > 0 {
-		slot := &rt.flits[q.base+q.head]
-		q.hpkt, q.htail = slot.pkt, slot.tail
-		*slot = flit{}
+		q.hflit = rt.flits[q.base+q.head]
 		q.head++
 		if q.head == q.cap || q.count == 1 {
 			q.head = 0
 		}
-	} else {
-		q.hpkt = nil
 	}
 	// A tail flit ends the packet's routing decision; anything else means
 	// the packet's head has now departed.
-	q.headSent = !f.tail
-	if f.tail {
+	q.headSent = !f.tail()
+	if f.tail() {
 		q.routed = false
 	}
 	return f
@@ -124,7 +135,7 @@ func (rt *router) pop(q *vcq) flit {
 // nth returns the k-th flit of q counting from the head, k in [0, count).
 func (rt *router) nth(q *vcq, k int32) flit {
 	if k == 0 {
-		return flit{pkt: q.hpkt, tail: q.htail}
+		return q.hflit
 	}
 	pos := q.head + k - 1
 	if pos >= q.cap {
@@ -150,11 +161,11 @@ type inPort struct {
 // port's queue estimate in router.psum, where a routing algorithm can
 // compare a router's ports without visiting one outPort line each.
 type outPort struct {
-	nextFree  int64  // first cycle at which the channel can transmit another flit
-	flitsSent int64  // traffic counter for utilization reporting
-	peer      int32  // downstream router (Network outputs)
-	peerIn    uint32 // flit-event address of the downstream port's VC 0: (peerPort<<vcShift)<<1
-	node      int32  // attached node (Terminal outputs)
+	nextFree  int64 // first cycle at which the channel can transmit another flit
+	flitsSent int64 // traffic counter for utilization reporting
+	peer      int32 // downstream router (Network outputs)
+	peerIn    int32 // input-VC index of the downstream port's VC 0: peerPort<<vcShift
+	node      int32 // attached node (Terminal outputs)
 	latency   int32
 	psumAt    int32 // index in Network.psum of this port's queue estimate, for credit events, which do not name the router
 	rr        int32 // round-robin pointer for switch allocation: the last granted request key
@@ -170,9 +181,9 @@ type outPort struct {
 // outVC is the per-output-VC flow-control state, indexed like vcq by
 // ovc = port<<vcShift | vc.
 type outVC struct {
-	owner   *Packet // packet holding the downstream VC (wormhole); nil means free
-	credits int32   // free slots downstream; unused for Terminal outputs
-	pending int32   // queue estimate (routed here + in flight + downstream occupancy)
+	owner   int32 // handle of the packet holding the downstream VC (wormhole); 0 means free
+	credits int32 // free slots downstream; unused for Terminal outputs
+	pending int32 // queue estimate (routed here + in flight + downstream occupancy)
 }
 
 // router holds one router's views into the network-wide state slabs plus
@@ -256,11 +267,11 @@ func (n *Network) eachInputVC(rt *router, visit func(port, vc int, q *vcq)) {
 // scheduling order as long as each list keeps its own scheduling order
 // (DESIGN.md §10). The element sizes are guarded by TestHotLayoutSizes.
 
-// flitEv is a flit arriving at an input VC.
+// flitEv is a flit arriving at input VC ivc of router.
 type flitEv struct {
-	pkt    *Packet
 	router int32
-	in     uint32 // ivc<<1 | tail
+	ivc    int32
+	f      flit
 }
 
 // creditEv is a credit returning to an output VC.
@@ -275,15 +286,12 @@ type creditEv struct {
 
 // deliverEv is a flit leaving an ejection channel.
 type deliverEv struct {
-	pkt  *Packet
+	f    flit
 	node int32 // the ejection channel's terminal
-	// dt is delay<<1 | tail, where delay is the cycles between traverse
-	// and delivery. Only Snapshot reads the delay: the file format pins it.
-	dt int32
+	// delay is the cycles between traverse and delivery. Only Snapshot
+	// reads it: the file format pins it.
+	delay int32
 }
-
-func (ev *deliverEv) tail() bool   { return ev.dt&1 != 0 }
-func (ev *deliverEv) delay() int64 { return int64(ev.dt >> 1) }
 
 // calSlot is one cycle of the calendar ring.
 type calSlot struct {
@@ -456,7 +464,12 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 	if cfg.AgeArbiter {
 		grantedSlab = make([]bool, nIn<<shift)
 	}
-	master := rng.New(cfg.Seed)
+	// Every router's and source's random stream is carved from one slab;
+	// Reseed gives each the stream rng.New (routers) or master.Split
+	// (sources) would.
+	rngSlab := make([]rng.Source, len(g.Routers)+g.NumNodes)
+	var master rng.Source
+	master.Reseed(cfg.Seed)
 	n.routers = make([]router, len(g.Routers))
 	outBase := 0
 	for r := range g.Routers {
@@ -469,7 +482,8 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		rd := &g.Routers[r]
 		rt := &n.routers[r]
 		rt.id = topo.RouterID(r)
-		rt.rng = rng.New(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(r+1)))
+		rt.rng = &rngSlab[r]
+		rt.rng.Reseed(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(r+1)))
 		nin, nout := len(inputs[r]), len(rd.Out)
 		rt.in = carve(inSlab, inOff, nin)
 		rt.vq = carve(vqSlab, inOff<<shift, nin<<shift)
@@ -523,7 +537,7 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 			op.kind = rd.Out[p].Kind
 			op.router = int32(r)
 			op.peer = int32(rd.Out[p].Peer)
-			op.peerIn = uint32(rd.Out[p].PeerPort) << shift << 1
+			op.peerIn = rd.Out[p].PeerPort << shift
 			op.node = int32(rd.Out[p].Node)
 			op.latency = int32(rd.Out[p].Latency)
 			op.psumAt = int32(psumOff + p)
@@ -547,7 +561,8 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 	n.sources = make([]source, g.NumNodes)
 	for i := range n.sources {
 		s := &n.sources[i]
-		s.rng = master.Split()
+		s.rng = &rngSlab[len(g.Routers)+i]
+		s.rng.Reseed(master.Uint64())
 		s.router = int32(g.NodeRouter[i])
 		s.ivc = int32(g.InjPort[i]) << shift
 	}
@@ -587,8 +602,8 @@ func (n *Network) slot(delay int) *calSlot {
 // The schedule helpers take scalars and build the element in place: an
 // event struct passed by value is assembled on the stack with narrow
 // stores and reloaded wide, a store-forwarding stall on every flit hop.
-func (n *Network) scheduleFlit(delay int, router int32, in uint32, pkt *Packet) {
-	n.slot(delay).addFlit(&n.arena, flitEv{pkt: pkt, router: router, in: in})
+func (n *Network) scheduleFlit(delay int, router, ivc int32, f flit) {
+	n.slot(delay).addFlit(&n.arena, flitEv{router: router, ivc: ivc, f: f})
 }
 
 // scheduleCredit enqueues a credit return to network-wide output VC ovc.
@@ -597,12 +612,8 @@ func (n *Network) scheduleCredit(delay int, ovc int32) {
 }
 
 // scheduleDeliver enqueues a delivery at node's ejection channel.
-func (n *Network) scheduleDeliver(delay int, node int32, tail bool, pkt *Packet) {
-	dt := int32(delay) << 1
-	if tail {
-		dt |= 1
-	}
-	n.slot(delay).addDeliver(&n.arena, deliverEv{pkt: pkt, node: node, dt: dt})
+func (n *Network) scheduleDeliver(delay int, node int32, f flit) {
+	n.slot(delay).addDeliver(&n.arena, deliverEv{f: f, node: node, delay: int32(delay)})
 }
 
 // The add helpers append to one of a slot's lists, growing it through
@@ -732,16 +743,19 @@ func (n *Network) advanceCycle() {
 
 // processEvents applies flit arrivals, credit returns and deliveries
 // scheduled for the current cycle, one homogeneous list after another.
+// Each drained list's block goes back to its arena pool, so the calendar
+// holds arrays only for the cycles that have events pending, not one per
+// slot sized for the busiest cycle the slot ever saw.
 func (n *Network) processEvents() {
 	s := &n.cal[n.calPos]
 	for i := range s.flits {
 		ev := &s.flits[i]
 		rt := &n.routers[ev.router]
-		ivc := int32(ev.in >> 1)
-		rt.push(&rt.vq[ivc], flit{pkt: ev.pkt, tail: ev.in&1 != 0})
-		n.wakeVC(rt, ivc)
+		rt.push(&rt.vq[ev.ivc], ev.f)
+		n.wakeVC(rt, ev.ivc)
 	}
-	s.flits = s.flits[:0]
+	n.arena.flits.put(s.flits)
+	s.flits = nil
 	for _, ev := range s.credits {
 		ov := &n.ovc[ev.ovc]
 		ov.credits++
@@ -754,11 +768,13 @@ func (n *Network) processEvents() {
 			}
 		}
 	}
-	s.credits = s.credits[:0]
+	n.arena.credits.put(s.credits)
+	s.credits = nil
 	for i := range s.delivers {
 		n.deliverEvent(&s.delivers[i])
 	}
-	s.delivers = s.delivers[:0]
+	n.arena.delivers.put(s.delivers)
+	s.delivers = nil
 }
 
 // creditTarget resolves a network-wide output-VC index to its router,
@@ -773,7 +789,7 @@ func (n *Network) creditTarget(ovc int32) (router int32, port, vc int) {
 // accounting, and packet recycling into the arena.
 func (n *Network) deliverEvent(ev *deliverEv) {
 	n.flitsDelivered++
-	pkt, tail := ev.pkt, ev.tail()
+	pkt, tail := n.arena.pkt(ev.f.pkt()), ev.f.tail()
 	for _, h := range n.hooks {
 		if h.Eject != nil {
 			h.Eject(pkt, n.g.EjRouter[ev.node], n.g.EjPort[ev.node], tail)
@@ -794,7 +810,7 @@ func (n *Network) deliverEvent(ev *deliverEv) {
 			h.Deliver(pkt, n.cycle)
 		}
 	}
-	n.arena.freePacket(pkt)
+	n.arena.freePacket(ev.f.pkt())
 }
 
 // inject moves flits from source backlogs into their routers' terminal
@@ -825,7 +841,7 @@ func (n *Network) inject() {
 // the worklist).
 func (n *Network) injectSource(i int) bool {
 	s := &n.sources[i]
-	if s.cur == nil {
+	if s.cur == 0 {
 		if s.empty() {
 			return false // drop from the worklist
 		}
@@ -837,7 +853,8 @@ func (n *Network) injectSource(i int) bool {
 		if a.xfer {
 			xfer = s.popTransfer()
 		}
-		p := n.arena.allocPacket()
+		s.cur = n.arena.allocPacket()
+		p := n.arena.pkt(s.cur)
 		p.ID = n.nextID
 		n.nextID++
 		p.Src = topo.NodeID(i)
@@ -850,7 +867,6 @@ func (n *Network) injectSource(i int) bool {
 		p.InjectCycle = a.ts
 		p.NetworkCycle = n.cycle
 		p.Measured = a.ts >= n.measStart && a.ts < n.measEnd
-		s.cur = p
 		s.remaining = int32(n.cfg.PacketSize)
 		n.injected++
 		if xfer != nil {
@@ -869,18 +885,18 @@ func (n *Network) injectSource(i int) bool {
 	}
 	s.remaining--
 	tail := s.remaining == 0
-	rt.push(q, flit{pkt: s.cur, tail: tail})
+	rt.push(q, mkFlit(s.cur, tail))
 	n.wakeVC(rt, s.ivc)
 	n.flitsInjected++
 	for _, h := range n.hooks {
 		if h.Inject != nil {
-			h.Inject(s.cur, rt.id, int(s.ivc>>n.vcShift), tail)
+			h.Inject(n.arena.pkt(s.cur), rt.id, int(s.ivc>>n.vcShift), tail)
 		}
 	}
 	if tail {
-		s.cur = nil
+		s.cur = 0
 	}
-	return s.cur != nil || !s.empty()
+	return s.cur != 0 || !s.empty()
 }
 
 // PacketSize returns the configured flits per packet.
@@ -899,6 +915,27 @@ func (n *Network) Inventory() (buffered, inFlight int) {
 		inFlight += len(n.cal[i].flits) + len(n.cal[i].delivers)
 	}
 	return buffered, inFlight
+}
+
+// CalendarFootprint reports what the event calendar holds: the summed
+// capacity of its event lists, the events pending in them, and how many
+// lists hold any. A drained list returns its block to the arena, so
+// capacity follows the events in flight.
+func (n *Network) CalendarFootprint() (capacity, pending, lists int) {
+	count := func(c, l int) {
+		capacity += c
+		pending += l
+		if l > 0 {
+			lists++
+		}
+	}
+	for i := range n.cal {
+		s := &n.cal[i]
+		count(cap(s.flits), len(s.flits))
+		count(cap(s.credits), len(s.credits))
+		count(cap(s.delivers), len(s.delivers))
+	}
+	return capacity, pending, lists
 }
 
 // Totals returns lifetime counters: packets materialized into the network

@@ -34,9 +34,11 @@ const (
 // long.
 //
 // The fields are ordered so the struct is exactly 64 bytes — one cache
-// line, and one allocator size class, so packets never straddle lines
-// (TestHotLayoutSizes guards it). Phase, Measured and Inter share a word;
-// DimMask and xslot share another.
+// line; packets live in page-aligned chunks of the network's packet slab
+// (see arena), so none straddles a line (TestHotLayoutSizes guards the
+// size). Phase, Measured and Inter share a word; DimMask and xslot share
+// another. A Packet holds no pointer, so the slab is never scanned by the
+// collector (TestHotStateIsPointerFree).
 type Packet struct {
 	ID  int64
 	Src topo.NodeID

@@ -53,7 +53,7 @@ func (n *Network) routeRouter(rt *router, seq bool) {
 			ivc := int32(w<<6 + bits.TrailingZeros64(word))
 			q := &rt.vq[ivc]
 			if !q.routed {
-				pkt := q.hpkt
+				pkt := n.arena.pkt(q.hflit.pkt())
 				dec := n.alg.Route(&n.view, pkt)
 				q.out = int32(dec.Port)<<shift | int32(dec.VC)
 				q.routed = true
@@ -74,14 +74,14 @@ func (n *Network) routeRouter(rt *router, seq bool) {
 			if op.kind == topo.Network {
 				// No bid without downstream space, nor for a head whose
 				// downstream VC another packet still owns.
-				if ov := &rt.ovc[q.out]; ov.credits <= 0 || !q.headSent && ov.owner != nil {
+				if ov := &rt.ovc[q.out]; ov.credits <= 0 || !q.headSent && ov.owner != 0 {
 					for _, h := range n.hooks {
 						if h.Stall != nil {
 							cause := StallVC
 							if ov.credits <= 0 {
 								cause = StallCredit
 							}
-							h.Stall(q.hpkt, rt.id, int(port), int(q.out&n.vcMask), cause)
+							h.Stall(n.arena.pkt(q.hflit.pkt()), rt.id, int(port), int(q.out&n.vcMask), cause)
 						}
 					}
 					continue

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -485,12 +486,14 @@ func TestHotLayoutSizes(t *testing.T) {
 		got, want uintptr
 	}{
 		{"Packet", unsafe.Sizeof(Packet{}), 64},
-		{"flitEv", unsafe.Sizeof(flitEv{}), 16},
+		{"flit", unsafe.Sizeof(flit(0)), 4},
+		{"flitEv", unsafe.Sizeof(flitEv{}), 12},
 		{"creditEv", unsafe.Sizeof(creditEv{}), 8},
-		{"deliverEv", unsafe.Sizeof(deliverEv{}), 16},
+		{"deliverEv", unsafe.Sizeof(deliverEv{}), 12},
 		{"vcq", unsafe.Sizeof(vcq{}), 32},
 		{"outPort", unsafe.Sizeof(outPort{}), 64},
-		{"outVC", unsafe.Sizeof(outVC{}), 16},
+		{"outVC", unsafe.Sizeof(outVC{}), 12},
+		{"pktChunk", unsafe.Sizeof(pktChunk{}), 256 * 64},
 		{"source", unsafe.Sizeof(source{}), 64},
 		{"arrival", unsafe.Sizeof(arrival{}), 16},
 	} {
@@ -505,6 +508,31 @@ func TestHotLayoutSizes(t *testing.T) {
 		if got := psumStride(c.ports); got != c.want {
 			t.Errorf("psumStride(%d ports) = %d int32s, want %d", c.ports, got, c.want)
 		}
+	}
+}
+
+// TestHotStateIsPointerFree holds the cycle core's per-flit and
+// per-packet state free of pointers (DESIGN.md §10): packets are
+// addressed by slab handle, so the flit rings, the calendar blocks, the
+// VC headers and the packet chunks are noscan memory — the collector
+// never marks them and a store into them takes no write barrier.
+func TestHotStateIsPointerFree(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s: the type holds a pointer", path, ty.Kind())
+		}
+	}
+	for _, v := range []any{flit(0), flitEv{}, creditEv{}, deliverEv{}, vcq{}, outVC{}, arrival{}, Packet{}, pktChunk{}} {
+		walk(reflect.TypeOf(v).Name(), reflect.TypeOf(v))
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // identical bytes. Two orderings make that hold:
 //
 //   - Packets are indexed in a fixed collection order (input buffers,
-//     then VC owners, then events, then source heads), so pointer
-//     identity never leaks into the stream.
+//     then VC owners, then events, then source heads), so which slab
+//     handle a packet holds never leaks into the stream.
 //   - Events are written by ascending due cycle; within a cycle, flit
 //     and credit events in their interleaved scheduling order
 //     (creditEv.pos), then deliveries in scheduling order — the
@@ -91,23 +91,22 @@ const (
 // eachEvent visits every pending calendar event in the file's order (see
 // the file comment), in the file's fields: the due cycle as a delta from
 // now; vc is the virtual channel of a flit or credit and the scheduling
-// delay of a delivery; pkt is nil for a credit.
-func (n *Network) eachEvent(visit func(delta int, kind uint64, tail bool, vc, router, port int32, pkt *Packet)) {
+// delay of a delivery; pkt is the packet's handle, 0 for a credit.
+func (n *Network) eachEvent(visit func(delta int, kind uint64, tail bool, vc, router, port int32, pkt int32)) {
 	for delta := range n.cal {
 		s := n.slot(delta)
 		s.eachArrival(func(fe *flitEv, ce *creditEv) {
 			if fe != nil {
-				ivc := int32(fe.in >> 1)
-				visit(delta, evFlit, fe.in&1 != 0, ivc&n.vcMask, fe.router, ivc>>n.vcShift, fe.pkt)
+				visit(delta, evFlit, fe.f.tail(), fe.ivc&n.vcMask, fe.router, fe.ivc>>n.vcShift, fe.f.pkt())
 				return
 			}
 			r, port, vc := n.creditTarget(ce.ovc)
-			visit(delta, evCredit, false, int32(vc), r, int32(port), nil)
+			visit(delta, evCredit, false, int32(vc), r, int32(port), 0)
 		})
 		for i := range s.delivers {
 			ev := &s.delivers[i]
-			visit(delta, evDeliver, ev.tail(), int32(ev.delay()),
-				int32(n.g.EjRouter[ev.node]), int32(n.g.EjPort[ev.node]), ev.pkt)
+			visit(delta, evDeliver, ev.f.tail(), ev.delay,
+				int32(n.g.EjRouter[ev.node]), int32(n.g.EjPort[ev.node]), ev.f.pkt())
 		}
 	}
 }
@@ -142,44 +141,43 @@ func (n *Network) Snapshot(w io.Writer) error {
 		wlHas, wlName, wlState = true, n.pendingWl.name, n.pendingWl.state
 	}
 
-	// Index every live packet in collection order. The order is a pure
-	// function of simulation state, so identical states yield identical
-	// indices (and identical bytes).
-	pktIdx := make(map[*Packet]int)
-	var pkts []*Packet
-	addPkt := func(p *Packet) int {
-		if i, ok := pktIdx[p]; ok {
-			return i
+	// Index every live packet in collection order, keyed by handle. The
+	// order is a pure function of simulation state, so identical states
+	// yield identical indices (and identical bytes) whichever handles the
+	// packets hold.
+	idx := make([]int32, n.arena.next) // by handle: 1 + collection index, 0 = not collected
+	var pkts []int32
+	addPkt := func(h int32) {
+		if idx[h] == 0 {
+			pkts = append(pkts, h)
+			idx[h] = int32(len(pkts))
 		}
-		i := len(pkts)
-		pktIdx[p] = i
-		pkts = append(pkts, p)
-		return i
 	}
+	pktIdx := func(h int32) int64 { return int64(idx[h]) - 1 }
 	for r := range n.routers {
 		rt := &n.routers[r]
 		n.eachInputVC(rt, func(_, _ int, q *vcq) {
 			for k := int32(0); k < q.count; k++ {
-				addPkt(rt.nth(q, k).pkt)
+				addPkt(rt.nth(q, k).pkt())
 			}
 		})
 		for p := range rt.out {
 			for v := 0; v < n.vcs; v++ {
-				if o := rt.ovc[p<<n.vcShift+v].owner; o != nil {
+				if o := rt.ovc[p<<n.vcShift+v].owner; o != 0 {
 					addPkt(o)
 				}
 			}
 		}
 	}
 	nev := 0
-	n.eachEvent(func(_ int, _ uint64, _ bool, _, _, _ int32, pkt *Packet) {
+	n.eachEvent(func(_ int, _ uint64, _ bool, _, _, _ int32, pkt int32) {
 		nev++
-		if pkt != nil {
+		if pkt != 0 {
 			addPkt(pkt)
 		}
 	})
 	for i := range n.sources {
-		if n.sources[i].cur != nil {
+		if n.sources[i].cur != 0 {
 			addPkt(n.sources[i].cur)
 		}
 	}
@@ -204,8 +202,8 @@ func (n *Network) Snapshot(w io.Writer) error {
 	}
 	type livePair struct{ pkt, xfer int }
 	var pairs []livePair
-	for i, p := range pkts {
-		if t := n.transferOf(p); t != nil {
+	for i, h := range pkts {
+		if t := n.transferOf(n.arena.pkt(h)); t != nil {
 			pairs = append(pairs, livePair{pkt: i, xfer: addXfer(t)})
 		}
 	}
@@ -243,7 +241,8 @@ func (n *Network) Snapshot(w io.Writer) error {
 
 	sw.Section(secPackets)
 	sw.Uvarint(uint64(len(pkts)))
-	for _, p := range pkts {
+	for _, h := range pkts {
+		p := n.arena.pkt(h)
 		sw.Varint(p.ID)
 		sw.Uvarint(uint64(p.Src))
 		sw.Uvarint(uint64(p.Dst))
@@ -284,8 +283,8 @@ func (n *Network) Snapshot(w io.Writer) error {
 			sw.Uvarint(uint64(q.count))
 			for k := int32(0); k < q.count; k++ {
 				f := rt.nth(q, k)
-				sw.Uvarint(uint64(pktIdx[f.pkt]))
-				sw.Bool(f.tail)
+				sw.Uvarint(uint64(pktIdx(f.pkt())))
+				sw.Bool(f.tail())
 			}
 			sw.Bool(q.routed)
 			sw.Bool(q.headSent)
@@ -302,8 +301,8 @@ func (n *Network) Snapshot(w io.Writer) error {
 					ov := &rt.ovc[p<<n.vcShift+v]
 					sw.Varint(int64(ov.credits))
 					sw.Varint(int64(ov.pending))
-					if ov.owner != nil {
-						sw.Varint(int64(pktIdx[ov.owner]))
+					if ov.owner != 0 {
+						sw.Varint(pktIdx(ov.owner))
 					} else {
 						sw.Varint(-1)
 					}
@@ -330,8 +329,8 @@ func (n *Network) Snapshot(w io.Writer) error {
 		for _, word := range st {
 			sw.U64(word)
 		}
-		if s.cur != nil {
-			sw.Varint(int64(pktIdx[s.cur]))
+		if s.cur != 0 {
+			sw.Varint(pktIdx(s.cur))
 		} else {
 			sw.Varint(-1)
 		}
@@ -348,15 +347,15 @@ func (n *Network) Snapshot(w io.Writer) error {
 
 	sw.Section(secEvents)
 	sw.Uvarint(uint64(nev))
-	n.eachEvent(func(delta int, kind uint64, tail bool, vc, router, port int32, pkt *Packet) {
+	n.eachEvent(func(delta int, kind uint64, tail bool, vc, router, port int32, pkt int32) {
 		sw.Uvarint(uint64(delta))
 		sw.Uvarint(kind)
 		sw.Bool(tail)
 		sw.Varint(int64(vc))
 		sw.Uvarint(uint64(router))
 		sw.Varint(int64(port))
-		if pkt != nil {
-			sw.Varint(int64(pktIdx[pkt]))
+		if pkt != 0 {
+			sw.Varint(pktIdx(pkt))
 		} else {
 			sw.Varint(-1)
 		}
@@ -451,9 +450,10 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 
 	r.Section(secPackets)
 	npkt := r.Count(maxPackets, "packet")
-	pkts := make([]*Packet, npkt)
+	pkts := make([]int32, npkt) // handles, in the file's packet order
 	for i := 0; i < npkt; i++ {
-		p := &Packet{}
+		pkts[i] = n.arena.allocPacket()
+		p := n.arena.pkt(pkts[i])
 		p.ID = r.Varint()
 		p.Src = topo.NodeID(r.Count(g.NumNodes-1, "packet source"))
 		p.Dst = topo.NodeID(r.Count(g.NumNodes-1, "packet destination"))
@@ -467,25 +467,24 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 		if r.Err() == nil && (p.Inter < -1 || p.Hops < 0) {
 			return nil, fmt.Errorf("sim: snapshot packet %d has invalid routing state", i)
 		}
-		pkts[i] = p
 	}
-	pktAt := func(what string) *Packet {
+	pktAt := func(what string) int32 {
 		i := r.Count(npkt-1, what)
 		if r.Err() != nil {
-			return nil
+			return 0
 		}
 		return pkts[i]
 	}
-	optPkt := func(what string) *Packet {
+	optPkt := func(what string) int32 {
 		v := r.Varint()
 		if r.Err() != nil || v == -1 {
-			return nil
+			return 0
 		}
 		if v < 0 || v >= int64(npkt) {
 			if r.Err() == nil {
 				err = fmt.Errorf("sim: snapshot %s index %d out of range", what, v)
 			}
-			return nil
+			return 0
 		}
 		return pkts[v]
 	}
@@ -509,11 +508,12 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 	}
 	npairs := r.Count(npkt, "live transfer pair")
 	for i := 0; i < npairs; i++ {
-		p := pktAt("transfer packet")
+		h := pktAt("transfer packet")
 		x := r.Count(nx-1, "transfer")
 		if r.Err() != nil {
 			break
 		}
+		p := n.arena.pkt(h)
 		if p.xslot != 0 { // a corrupt snapshot repeating a pair: the last one wins
 			n.xfers.tab[p.xslot-1] = xfers[x]
 			continue
@@ -537,7 +537,7 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 				if r.Err() != nil {
 					return
 				}
-				rt.push(q, flit{pkt: pk, tail: tail})
+				rt.push(q, mkFlit(pk, tail))
 			}
 			q.routed = r.Bool()
 			q.headSent = r.Bool()
@@ -639,7 +639,7 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 				s.push(arrival{ts: ts, dst: int32(dst)})
 			}
 		}
-		if s.cur != nil || !s.empty() {
+		if s.cur != 0 || !s.empty() {
 			n.wakeSource(i)
 		}
 	}
@@ -665,18 +665,14 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 		switch kind {
 		case evFlit:
 			if port < 0 || port >= int64(len(rt.in)) ||
-				vc < 0 || vc >= int64(n.inVCs(&rt.in[port])) || pkt == nil {
+				vc < 0 || vc >= int64(n.inVCs(&rt.in[port])) || pkt == 0 {
 				return nil, fmt.Errorf("sim: snapshot flit event %d is malformed", k)
 			}
-			in := uint32(port)<<n.vcShift<<1 | uint32(vc)<<1
-			if tail {
-				in |= 1
-			}
-			s.addFlit(&n.arena, flitEv{pkt: pkt, router: int32(router), in: in})
+			s.addFlit(&n.arena, flitEv{router: int32(router), ivc: int32(port)<<n.vcShift | int32(vc), f: mkFlit(pkt, tail)})
 		case evCredit:
 			if port < 0 || port >= int64(len(rt.out)) ||
 				rt.out[port].kind != topo.Network ||
-				vc < 0 || vc >= int64(n.vcs) || pkt != nil {
+				vc < 0 || vc >= int64(n.vcs) || pkt != 0 {
 				return nil, fmt.Errorf("sim: snapshot credit event %d is malformed", k)
 			}
 			s.addCredit(&n.arena, (rt.outBase+int32(port))<<n.vcShift+int32(vc))
@@ -685,14 +681,10 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 			// it back but Snapshot, so bound it to the calendar ring.
 			if port < 0 || port >= int64(len(rt.out)) ||
 				rt.out[port].kind != topo.Terminal ||
-				vc < 0 || vc >= int64(n.calLen) || pkt == nil {
+				vc < 0 || vc >= int64(n.calLen) || pkt == 0 {
 				return nil, fmt.Errorf("sim: snapshot delivery event %d is malformed", k)
 			}
-			dt := int32(vc) << 1
-			if tail {
-				dt |= 1
-			}
-			s.addDeliver(&n.arena, deliverEv{pkt: pkt, node: rt.out[port].node, dt: dt})
+			s.addDeliver(&n.arena, deliverEv{f: mkFlit(pkt, tail), node: rt.out[port].node, delay: int32(vc)})
 		default:
 			return nil, fmt.Errorf("sim: snapshot event %d has unknown kind %d", k, kind)
 		}

@@ -32,9 +32,10 @@ import (
 type source struct {
 	rng *rng.Source
 
-	// cur is the packet currently streaming its flits into the terminal
-	// input buffer; remaining counts its flits yet to inject.
-	cur *Packet
+	// cur is the handle of the packet currently streaming its flits into
+	// the terminal input buffer, 0 when none; remaining counts its flits
+	// yet to inject.
+	cur int32
 
 	hd   []arrival
 	more *overflow // nil until the backlog outgrows hd or carries a transfer

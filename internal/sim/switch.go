@@ -108,7 +108,7 @@ func (n *Network) grantRoundRobin(rt *router, op *outPort, nreq int32) int32 {
 				if ov.credits <= 0 {
 					continue // credit consumed by an earlier grant this cycle
 				}
-				if !q.headSent && ov.owner != nil {
+				if !q.headSent && ov.owner != 0 {
 					continue // VC acquired by an earlier grant this cycle
 				}
 			}
@@ -161,11 +161,11 @@ scan:
 				if ov.credits <= 0 {
 					continue
 				}
-				if !q.headSent && ov.owner != nil {
+				if !q.headSent && ov.owner != 0 {
 					continue
 				}
 			}
-			pkt := q.hpkt
+			pkt := n.arena.pkt(q.hflit.pkt())
 			if best < 0 || pkt.InjectCycle < bestAge ||
 				(pkt.InjectCycle == bestAge && pkt.ID < bestID) {
 				best, bestAge, bestID = key, pkt.InjectCycle, pkt.ID
@@ -221,30 +221,27 @@ func (n *Network) traverse(rt *router, ivc int32) {
 	}
 	for _, h := range n.hooks {
 		if h.Traverse != nil {
-			h.Traverse(f.pkt, ov.owner, rt.id, port, vc, int(ov.credits), isHead, f.tail)
+			h.Traverse(n.arena.pkt(f.pkt()), n.arena.ptr(ov.owner), rt.id, port, vc, int(ov.credits), isHead, f.tail())
 		}
 	}
 	if !network {
 		ov.pending--
 		rt.psum[port]--
-		n.scheduleDeliver(delay, op.node, f.tail, f.pkt)
+		n.scheduleDeliver(delay, op.node, f)
 		return
 	}
 	// Wormhole VC allocation: the head flit acquires the downstream VC,
 	// the tail flit releases it (a single-flit packet does both in one
 	// traversal, leaving it free).
-	if isHead && !f.tail {
-		ov.owner = f.pkt
-	} else if f.tail && !isHead {
-		ov.owner = nil
+	tail := f.tail()
+	if isHead && !tail {
+		ov.owner = f.pkt()
+	} else if tail && !isHead {
+		ov.owner = 0
 	}
 	if isHead {
-		f.pkt.Hops++
-	}
-	in := op.peerIn | uint32(vc)<<1
-	if f.tail {
-		in |= 1
+		n.arena.pkt(f.pkt()).Hops++
 	}
 	// The next router's pipeline delay is charged on arrival.
-	n.scheduleFlit(delay+n.cfg.RouterDelay, op.peer, in, f.pkt)
+	n.scheduleFlit(delay+n.cfg.RouterDelay, op.peer, op.peerIn+int32(vc), f)
 }
