@@ -372,6 +372,13 @@ func TestRunCheckpointRestore(t *testing.T) {
 	if err := run(o); err != nil {
 		t.Fatalf("restore under -check: %v", err)
 	}
+	// A snapshot of an older format version is declined by name.
+	o = opts()
+	o.Alg, o.seed, o.warmup = "ugal", 24, 300
+	o.restore = filepath.Join("..", "..", "internal", "sweep", "testdata", "parkeyed_ff_k8.snap")
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "format version 2") {
+		t.Fatalf("restore of a version-2 snapshot: %v, want an error naming format version 2", err)
+	}
 }
 
 func TestRunTraceReplay(t *testing.T) {

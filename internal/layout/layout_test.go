@@ -151,22 +151,6 @@ func TestPlaceHypercubeLowDimsLocal(t *testing.T) {
 	}
 }
 
-func TestPlaceButterfly(t *testing.T) {
-	b, err := topo.NewButterfly(8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := cost.DefaultPackaging()
-	pl, err := PlaceButterfly(b, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := pl.Stats()
-	if st.Channels != b.Graph().CountChannels() {
-		t.Fatalf("channels = %d, want %d", st.Channels, b.Graph().CountChannels())
-	}
-}
-
 func TestLinkLengthRejectsNonNetwork(t *testing.T) {
 	f, err := topo.NewFlatFly(4, 2)
 	if err != nil {

@@ -71,26 +71,6 @@ func PlaceHypercube(h *topo.Hypercube, p cost.Packaging) (*Placement, error) {
 	return place(h.Graph(), plan, cab, p), nil
 }
 
-// PlaceButterfly packages a conventional butterfly: terminal-bearing
-// stage-0 and last-stage routers live with their nodes; middle stages are
-// placed round-robin across the same cabinets (their channels all span
-// the floor regardless).
-func PlaceButterfly(b *topo.Butterfly, p cost.Packaging) (*Placement, error) {
-	nodesPerRouter := b.K
-	routersPerCabinet := p.NodesPerCabinet / nodesPerRouter
-	if routersPerCabinet < 1 {
-		routersPerCabinet = 1
-	}
-	cabinets := (b.RoutersPerStage + routersPerCabinet - 1) / routersPerCabinet
-	plan := NewFloorPlan(cabinets, p)
-	cab := make([]int, b.NumRouters)
-	for r := range cab {
-		_, pos := b.StageOf(topo.RouterID(r))
-		cab[r] = pos / routersPerCabinet
-	}
-	return place(b.Graph(), plan, cab, p), nil
-}
-
 // WireDelayComparison is the §5.2 study: the physical distance a packet
 // covers under each topology's routing for local (worst-case pattern)
 // traffic. The flattened butterfly takes the minimal Manhattan route; the

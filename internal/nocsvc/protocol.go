@@ -59,9 +59,6 @@ const (
 	VerbClone = "clone_session"
 )
 
-// verbs lists every verb DecodeRequest accepts.
-var verbs = []string{VerbOpen, VerbEstimate, VerbBatch, VerbClose, VerbStats, VerbCheckpoint, VerbClone}
-
 // Error codes carried in failure responses.
 const (
 	// CodeBadRequest marks malformed JSON, missing or out-of-range
@@ -83,10 +80,6 @@ const (
 	// CodeOverloaded marks a request rejected by per-session backpressure:
 	// the session's bounded inflight queue is full.
 	CodeOverloaded = "overloaded"
-	// CodeSaturated marks an estimate whose transfer failed to deliver
-	// within the per-estimate cycle budget — the session's background load
-	// has saturated the network.
-	CodeSaturated = "saturated"
 	// CodeLineTooLong marks a request line exceeding MaxLineBytes.
 	CodeLineTooLong = "line_too_long"
 	// CodeShutdown marks a request caught by server or session shutdown.

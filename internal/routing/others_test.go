@@ -322,46 +322,6 @@ func TestConcentratedHypercubeFootnote10(t *testing.T) {
 	}
 }
 
-func TestOneDimExpandedNetworkRouting(t *testing.T) {
-	// The Fig 14(b) expanded network (5 routers on radix-8 parts, 20
-	// nodes) is simulatable: minimal routing collapses to ~1/c on the
-	// worst-case pattern while the UGAL-style router load-balances it.
-	f, err := topo.NewOneDimFB(5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Graph().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	wc := traffic.NewWorstCase(4, 5)
-	min, err := sim.SaturationThroughput(f.Graph(), NewOneDimMinimal(f), sim.DefaultConfig(), wc, 600, 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min < 0.18 || min > 0.35 {
-		t.Errorf("expanded 1-D minimal WC throughput = %.3f, want ~0.25", min)
-	}
-	ugal, err := sim.SaturationThroughput(f.Graph(), NewOneDimUGAL(f), sim.DefaultConfig(), wc, 600, 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ugal < 1.5*min {
-		t.Errorf("expanded 1-D UGAL WC throughput %.3f should beat minimal %.3f", ugal, min)
-	}
-	// Uniform traffic stays near full rate for both.
-	ur, err := sim.SaturationThroughput(f.Graph(), NewOneDimUGAL(f), sim.DefaultConfig(),
-		traffic.NewUniform(f.NumNodes), 600, 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ur < 0.85 {
-		t.Errorf("expanded 1-D UR throughput = %.3f, want ~1.0", ur)
-	}
-	if NewOneDimMinimal(f).Name() == NewOneDimUGAL(f).Name() {
-		t.Error("names should differ")
-	}
-}
-
 func TestDilatedButterflySection6(t *testing.T) {
 	// §6 related work: "Dilated butterflies can be created where the
 	// bandwidth of the channels in the butterflies are increased" to add

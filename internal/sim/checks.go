@@ -202,11 +202,14 @@ func (n *Network) AuditPackets(visit func(p *Packet, injected, ejected int)) {
 			}
 		})
 	}
-	n.eachEvent(func(_ int, _ uint64, _ bool, _, _, _ int32, h int32) {
-		if h != 0 {
-			alive[h]++
+	for i := range n.cal {
+		for _, ev := range n.cal[i].flits {
+			alive[ev.f.pkt()]++
 		}
-	})
+		for _, ev := range n.cal[i].delivers {
+			alive[ev.f.pkt()]++
+		}
+	}
 	for i := range n.sources {
 		if s := &n.sources[i]; s.cur != 0 {
 			if injected := n.cfg.PacketSize - int(s.remaining); injected > 0 {

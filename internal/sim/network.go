@@ -277,20 +277,12 @@ type flitEv struct {
 // creditEv is a credit returning to an output VC.
 type creditEv struct {
 	ovc int32 // network-wide output-VC index
-	// pos is the length of the slot's flit list when the credit was
-	// scheduled. Nothing on the hot path reads it; Snapshot uses it to
-	// write flits and credits back in their interleaved scheduling order,
-	// which the file format pins.
-	pos uint32
 }
 
 // deliverEv is a flit leaving an ejection channel.
 type deliverEv struct {
 	f    flit
 	node int32 // the ejection channel's terminal
-	// delay is the cycles between traverse and delivery. Only Snapshot
-	// reads it: the file format pins it.
-	delay int32
 }
 
 // calSlot is one cycle of the calendar ring.
@@ -613,7 +605,7 @@ func (n *Network) scheduleCredit(delay int, ovc int32) {
 
 // scheduleDeliver enqueues a delivery at node's ejection channel.
 func (n *Network) scheduleDeliver(delay int, node int32, f flit) {
-	n.slot(delay).addDeliver(&n.arena, deliverEv{f: f, node: node, delay: int32(delay)})
+	n.slot(delay).addDeliver(&n.arena, deliverEv{f: f, node: node})
 }
 
 // The add helpers append to one of a slot's lists, growing it through
@@ -627,30 +619,11 @@ func (s *calSlot) addFlit(a *arena, ev flitEv) {
 	s.flits = append(s.flits, ev)
 }
 
-// addCredit appends a credit and stamps its position among the slot's
-// flits (see creditEv.pos).
 func (s *calSlot) addCredit(a *arena, ovc int32) {
 	if len(s.credits) == cap(s.credits) {
 		a.growCredits(s)
 	}
-	s.credits = append(s.credits, creditEv{ovc: ovc, pos: uint32(len(s.flits))})
-}
-
-// eachArrival visits the slot's flit arrivals and credit returns in the
-// order they were scheduled, interleaved as a single tagged list would
-// hold them: a credit stamped pos follows the first pos flits. Exactly
-// one argument of visit is non-nil per call.
-func (s *calSlot) eachArrival(visit func(*flitEv, *creditEv)) {
-	f := 0
-	for c := range s.credits {
-		for ; f < len(s.flits) && f < int(s.credits[c].pos); f++ {
-			visit(&s.flits[f], nil)
-		}
-		visit(nil, &s.credits[c])
-	}
-	for ; f < len(s.flits); f++ {
-		visit(&s.flits[f], nil)
-	}
+	s.credits = append(s.credits, creditEv{ovc: ovc})
 }
 
 func (s *calSlot) addDeliver(a *arena, ev deliverEv) {

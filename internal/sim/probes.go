@@ -253,9 +253,8 @@ func (p *Probes) Channels() []ProbeChannel {
 }
 
 // TopChannels returns the k busiest network channels by probed flit
-// count, descending — the live-telemetry analogue of
-// Network.TopChannels, but computed from the windowed series so it
-// works mid-run without walking router state.
+// count, descending. It reads the windowed series, so it works mid-run
+// without walking router state.
 func (p *Probes) TopChannels(k int) []ProbeChannel {
 	all := p.Channels()
 	filtered := all[:0]

@@ -488,8 +488,8 @@ func TestHotLayoutSizes(t *testing.T) {
 		{"Packet", unsafe.Sizeof(Packet{}), 64},
 		{"flit", unsafe.Sizeof(flit(0)), 4},
 		{"flitEv", unsafe.Sizeof(flitEv{}), 12},
-		{"creditEv", unsafe.Sizeof(creditEv{}), 8},
-		{"deliverEv", unsafe.Sizeof(deliverEv{}), 12},
+		{"creditEv", unsafe.Sizeof(creditEv{}), 4},
+		{"deliverEv", unsafe.Sizeof(deliverEv{}), 8},
 		{"vcq", unsafe.Sizeof(vcq{}), 32},
 		{"outPort", unsafe.Sizeof(outPort{}), 64},
 		{"outVC", unsafe.Sizeof(outVC{}), 12},

@@ -23,15 +23,17 @@ import (
 //   - Packets are indexed in a fixed collection order (input buffers,
 //     then VC owners, then events, then source heads), so which slab
 //     handle a packet holds never leaks into the stream.
-//   - Events are written by ascending due cycle; within a cycle, flit
-//     and credit events in their interleaved scheduling order
-//     (creditEv.pos), then deliveries in scheduling order — the
-//     calendar walked slot by slot.
+//   - Events are written by ascending due cycle, each calendar slot's
+//     three lists in the order processEvents drains them: flit
+//     arrivals, then credit returns, then deliveries, each list in its
+//     scheduling order.
+//
+// Event records, round-robin pointers and input-VC keys are stored in
+// the core's own encodings (network-wide output-VC index, port<<vcShift
+// | vc), which the digest's VC count fixes.
 //
 // Packet IDs are opaque: a live packet's ID only has to be below nextID,
-// which the file carries. Snapshots written by the retired parallel
-// scheduler key IDs as cycle·N + src with nextID already raised above
-// them, and restore like any other.
+// which the file carries.
 //
 // Restored state that is provably empty between Steps (the greedy fold
 // list, request lists, arena freelists) is simply recomputed or left at
@@ -79,36 +81,6 @@ func (n *Network) snapshotCaps() (maxEvents, maxPackets int) {
 	// a source's mid-injection slot.
 	maxPackets = bufFlits + maxEvents + len(n.sources) + 16
 	return maxEvents, maxPackets
-}
-
-// Event kind tags of the snapshot's event section.
-const (
-	evFlit = iota
-	evCredit
-	evDeliver
-)
-
-// eachEvent visits every pending calendar event in the file's order (see
-// the file comment), in the file's fields: the due cycle as a delta from
-// now; vc is the virtual channel of a flit or credit and the scheduling
-// delay of a delivery; pkt is the packet's handle, 0 for a credit.
-func (n *Network) eachEvent(visit func(delta int, kind uint64, tail bool, vc, router, port int32, pkt int32)) {
-	for delta := range n.cal {
-		s := n.slot(delta)
-		s.eachArrival(func(fe *flitEv, ce *creditEv) {
-			if fe != nil {
-				visit(delta, evFlit, fe.f.tail(), fe.ivc&n.vcMask, fe.router, fe.ivc>>n.vcShift, fe.f.pkt())
-				return
-			}
-			r, port, vc := n.creditTarget(ce.ovc)
-			visit(delta, evCredit, false, int32(vc), r, int32(port), 0)
-		})
-		for i := range s.delivers {
-			ev := &s.delivers[i]
-			visit(delta, evDeliver, ev.f.tail(), ev.delay,
-				int32(n.g.EjRouter[ev.node]), int32(n.g.EjPort[ev.node]), ev.f.pkt())
-		}
-	}
 }
 
 // Snapshot writes the network's complete state to w in the
@@ -169,13 +141,15 @@ func (n *Network) Snapshot(w io.Writer) error {
 			}
 		}
 	}
-	nev := 0
-	n.eachEvent(func(_ int, _ uint64, _ bool, _, _, _ int32, pkt int32) {
-		nev++
-		if pkt != 0 {
-			addPkt(pkt)
+	for delta := range n.cal {
+		s := n.slot(delta)
+		for _, ev := range s.flits {
+			addPkt(ev.f.pkt())
 		}
-	})
+		for _, ev := range s.delivers {
+			addPkt(ev.f.pkt())
+		}
+	}
 	for i := range n.sources {
 		if n.sources[i].cur != 0 {
 			addPkt(n.sources[i].cur)
@@ -314,9 +288,7 @@ func (n *Network) Snapshot(w io.Writer) error {
 			default:
 				continue // Unused ports carry no state
 			}
-			// The file stores the round-robin pointer in its original
-			// request-key encoding, inport*(vcs+1) + vc.
-			sw.Varint(int64(op.rr>>n.vcShift)*int64(n.vcs+1) + int64(op.rr&n.vcMask))
+			sw.Uvarint(uint64(op.rr))
 			sw.Varint(op.nextFree)
 			sw.Varint(op.flitsSent)
 		}
@@ -336,30 +308,34 @@ func (n *Network) Snapshot(w io.Writer) error {
 		}
 		sw.Varint(int64(s.remaining))
 		sw.Uvarint(uint64(s.backlogLen()))
-		// The file keeps "no destination yet" as a (0, false) pair.
 		s.eachPending(func(a arrival, t *Transfer) {
 			sw.Varint(a.ts)
-			sw.Varint(int64(max(a.dst, 0)))
-			sw.Bool(a.dst >= 0)
+			sw.Varint(int64(a.dst))
 			sw.Varint(int64(addXfer(t)))
 		})
 	}
 
 	sw.Section(secEvents)
-	sw.Uvarint(uint64(nev))
-	n.eachEvent(func(delta int, kind uint64, tail bool, vc, router, port int32, pkt int32) {
-		sw.Uvarint(uint64(delta))
-		sw.Uvarint(kind)
-		sw.Bool(tail)
-		sw.Varint(int64(vc))
-		sw.Uvarint(uint64(router))
-		sw.Varint(int64(port))
-		if pkt != 0 {
-			sw.Varint(pktIdx(pkt))
-		} else {
-			sw.Varint(-1)
+	for delta := range n.cal {
+		s := n.slot(delta)
+		sw.Uvarint(uint64(len(s.flits)))
+		for _, ev := range s.flits {
+			sw.Uvarint(uint64(ev.router))
+			sw.Uvarint(uint64(ev.ivc))
+			sw.Uvarint(uint64(pktIdx(ev.f.pkt())))
+			sw.Bool(ev.f.tail())
 		}
-	})
+		sw.Uvarint(uint64(len(s.credits)))
+		for _, ev := range s.credits {
+			sw.Uvarint(uint64(ev.ovc))
+		}
+		sw.Uvarint(uint64(len(s.delivers)))
+		for _, ev := range s.delivers {
+			sw.Uvarint(uint64(ev.node))
+			sw.Uvarint(uint64(pktIdx(ev.f.pkt())))
+			sw.Bool(ev.f.tail())
+		}
+	}
 
 	sw.Section(secWorkload)
 	sw.Bool(wlHas)
@@ -586,13 +562,11 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 				return nil, fmt.Errorf("sim: snapshot router %d out %d has invalid flow-control state: queue estimate %d overflows", ri, p, psum)
 			}
 			rt.psum[p] = int32(psum)
-			// Back from the file's inport*(vcs+1) + vc encoding to a
-			// request key.
-			rr := r.Varint()
-			if r.Err() == nil && (rr < 0 || rr/int64(n.vcs+1) >= int64(len(rt.in)) || rr%int64(n.vcs+1) >= int64(n.vcs)) {
+			rr := r.Uvarint()
+			if r.Err() == nil && (rr>>n.vcShift >= uint64(len(rt.in)) || int32(rr)&n.vcMask >= int32(n.vcs)) {
 				return nil, fmt.Errorf("sim: snapshot router %d out %d has invalid round-robin pointer %d", ri, p, rr)
 			}
-			op.rr = int32(rr/int64(n.vcs+1))<<n.vcShift | int32(rr%int64(n.vcs+1))
+			op.rr = int32(rr)
 			op.nextFree = r.Varint()
 			op.flitsSent = r.Varint()
 		}
@@ -618,17 +592,13 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 		nb := r.Count(1<<30, "backlog arrival")
 		for k := 0; k < nb; k++ {
 			ts := r.Varint()
-			dst := r.Varint()
-			hasDst := r.Bool()
+			dst := r.Varint() // -1: drawn when the packet materializes
 			xi := r.Varint()
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			if hasDst && (dst < 0 || dst >= int64(g.NumNodes)) || !hasDst && dst != 0 {
+			if dst < -1 || dst >= int64(g.NumNodes) {
 				return nil, fmt.Errorf("sim: snapshot source %d backlog destination %d out of range", i, dst)
-			}
-			if !hasDst {
-				dst = -1
 			}
 			if xi >= int64(nx) {
 				return nil, fmt.Errorf("sim: snapshot source %d backlog transfer index %d out of range", i, xi)
@@ -645,48 +615,46 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 	}
 
 	r.Section(secEvents)
-	nev := r.Count(maxEvents, "event")
-	for k := 0; k < nev; k++ {
-		delta := r.Count(n.calLen-1, "event due delta")
-		kind := r.Uvarint()
-		tail := r.Bool()
-		vc := r.Varint()
-		router := r.Count(len(n.routers)-1, "event router")
-		port := r.Varint()
-		pkt := optPkt("event packet")
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if err != nil {
-			return nil, err
-		}
-		rt := &n.routers[router]
+	budget := maxEvents // events left for the remaining lists
+	count := func(what string) int {
+		c := r.Count(budget, what)
+		budget -= c
+		return c
+	}
+	for delta := 0; delta < n.calLen; delta++ {
 		s := n.slot(delta)
-		switch kind {
-		case evFlit:
-			if port < 0 || port >= int64(len(rt.in)) ||
-				vc < 0 || vc >= int64(n.inVCs(&rt.in[port])) || pkt == 0 {
-				return nil, fmt.Errorf("sim: snapshot flit event %d is malformed", k)
+		for k, nf := 0, count("flit event"); k < nf; k++ {
+			router := r.Count(len(n.routers)-1, "flit event router")
+			rt := &n.routers[router]
+			ivc := int32(r.Count(len(rt.in)<<n.vcShift-1, "flit event input VC"))
+			pkt := pktAt("flit event packet")
+			tail := r.Bool()
+			if r.Err() != nil {
+				return nil, r.Err()
 			}
-			s.addFlit(&n.arena, flitEv{router: int32(router), ivc: int32(port)<<n.vcShift | int32(vc), f: mkFlit(pkt, tail)})
-		case evCredit:
-			if port < 0 || port >= int64(len(rt.out)) ||
-				rt.out[port].kind != topo.Network ||
-				vc < 0 || vc >= int64(n.vcs) || pkt != 0 {
-				return nil, fmt.Errorf("sim: snapshot credit event %d is malformed", k)
+			if ivc&n.vcMask >= int32(n.inVCs(&rt.in[ivc>>n.vcShift])) {
+				return nil, fmt.Errorf("sim: snapshot flit event to router %d input VC %d is malformed", router, ivc)
 			}
-			s.addCredit(&n.arena, (rt.outBase+int32(port))<<n.vcShift+int32(vc))
-		case evDeliver:
-			// vc carries the scheduling delay for deliveries; nothing reads
-			// it back but Snapshot, so bound it to the calendar ring.
-			if port < 0 || port >= int64(len(rt.out)) ||
-				rt.out[port].kind != topo.Terminal ||
-				vc < 0 || vc >= int64(n.calLen) || pkt == 0 {
-				return nil, fmt.Errorf("sim: snapshot delivery event %d is malformed", k)
+			s.addFlit(&n.arena, flitEv{router: int32(router), ivc: ivc, f: mkFlit(pkt, tail)})
+		}
+		for k, nc := 0, count("credit event"); k < nc; k++ {
+			ovc := int32(r.Count(len(n.outs)<<n.vcShift-1, "credit event output VC"))
+			if r.Err() != nil {
+				return nil, r.Err()
 			}
-			s.addDeliver(&n.arena, deliverEv{f: mkFlit(pkt, tail), node: rt.out[port].node, delay: int32(vc)})
-		default:
-			return nil, fmt.Errorf("sim: snapshot event %d has unknown kind %d", k, kind)
+			if n.outs[ovc>>n.vcShift].kind != topo.Network || ovc&n.vcMask >= int32(n.vcs) {
+				return nil, fmt.Errorf("sim: snapshot credit event to output VC %d is malformed", ovc)
+			}
+			s.addCredit(&n.arena, ovc)
+		}
+		for k, nd := 0, count("delivery event"); k < nd; k++ {
+			node := r.Count(g.NumNodes-1, "delivery event node")
+			pkt := pktAt("delivery event packet")
+			tail := r.Bool()
+			if r.Err() != nil {
+				return nil, r.Err()
+			}
+			s.addDeliver(&n.arena, deliverEv{f: mkFlit(pkt, tail), node: int32(node)})
 		}
 	}
 	if err != nil {

@@ -444,8 +444,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // pinnedSnapshot builds the fixed-seed network behind
 // testdata/pinned_clos_k4.snap and returns its snapshot bytes: a 4-ary
 // 2-flat under CLOS AD with two-flit packets, stepped to mid-load so the
-// file holds buffered flits, owned VCs, staged deliveries and
-// interleaved flit and credit events.
+// file holds buffered flits, owned VCs, staged deliveries and calendar
+// slots with flit, credit and delivery events pending together.
 func pinnedSnapshot(t *testing.T) []byte {
 	t.Helper()
 	ff, err := topo.NewFlatFly(4, 2)
@@ -474,10 +474,11 @@ func pinnedSnapshot(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestSnapshotBytesPinned holds the snapshot encoding to a file written
-// before the cycle core's data-layout pass: the in-memory layout of
-// calendars, buffers and request keys may change, the bytes of a
-// snapshot (canonical event order included) may not.
+// TestSnapshotBytesPinned holds the snapshot encoding to a version-3
+// file: the in-memory layout of the cycle core may change, the bytes of
+// a snapshot (canonical event order included) may not without a bump of
+// snapshot.Version, and the file is then regenerated from
+// pinnedSnapshot's unchanged configuration.
 func TestSnapshotBytesPinned(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "pinned_clos_k4.snap"))
 	if err != nil {
@@ -550,92 +551,5 @@ func TestSnapshotDigestIsPerGraph(t *testing.T) {
 	_, err = sim.Restore(bytes.NewReader(buf.Bytes()), other.Graph(), alg(other), sim.DefaultConfig())
 	if err == nil || !strings.Contains(err.Error(), "topology digest") {
 		t.Fatalf("restore onto a graph with one shorter channel: %v, want a topology digest mismatch", err)
-	}
-}
-
-// TestRestoreParallelKeyedSnapshot restores testdata/parkeyed_ff_k8.snap,
-// written by the retired parallel scheduler (PR 6 to PR 23) just before it
-// was deleted: an 8-ary 2-flat under UGAL, 2-flit packets, age arbiter,
-// SetWorkers(4), 300 cycles at uniform load 0.9, so its live packets carry
-// cycle·N + src IDs below a raised nextID. It is the one input the old
-// scheduler could produce that this tree must still accept (a warm store
-// written by a sweep whose jobs ran four cycle-core workers): restored and
-// run on, it must match a straight-through run of the same configuration
-// exactly.
-func TestRestoreParallelKeyedSnapshot(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "parkeyed_ff_k8.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff, err := topo.NewFlatFly(8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newAlg := func() sim.Algorithm {
-		alg, err := routing.NewFlatFlyAlgorithm("ugal", ff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-	cfg := sim.Config{Seed: 24, BufPerPort: 32, PacketSize: 2, AgeArbiter: true}
-	run := func(n *sim.Network, cycles int) {
-		for i := 0; i < cycles; i++ {
-			sim.MustGenerate(t, n, 0.9)
-			n.Step()
-		}
-	}
-
-	a, err := sim.New(ff.Graph(), newAlg(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.MustInstall(t, a, traffic.NewUniform(a.NumNodes()))
-	run(a, 300)
-	var seq bytes.Buffer
-	if err := a.Snapshot(&seq); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(fixture, seq.Bytes()) {
-		t.Fatal("the fixture equals a sequential snapshot: it does not carry the parallel ID keying")
-	}
-	var want []delivery
-	a.AttachHooks(&sim.Hooks{Deliver: recordInto(&want)})
-	run(a, 500)
-
-	b, err := sim.Restore(bytes.NewReader(fixture), ff.Graph(), newAlg(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Backlog() == 0 {
-		t.Fatal("the fixture holds no source backlog")
-	}
-	var resnap bytes.Buffer
-	if err := b.Snapshot(&resnap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fixture, resnap.Bytes()) {
-		t.Fatalf("restore-then-snapshot of the fixture is not byte-identical (%d vs %d bytes)", len(fixture), resnap.Len())
-	}
-	sim.MustInstall(t, b, traffic.NewUniform(b.NumNodes()))
-	var got []delivery
-	b.AttachHooks(&sim.Hooks{Deliver: recordInto(&got)})
-	run(b, 500)
-
-	if len(want) == 0 {
-		t.Fatal("the straight-through run delivered nothing after the snapshot point")
-	}
-	diffDeliveries(t, want, got, "parallel-keyed fixture")
-	if ac, bc := readCounters(a), readCounters(b); ac != bc {
-		t.Fatalf("counters diverged:\n  straight: %+v\n  restored: %+v", ac, bc)
-	}
-	al, bl := a.ChannelLoads(), b.ChannelLoads()
-	if len(al) != len(bl) {
-		t.Fatalf("channel counts differ: %d vs %d", len(al), len(bl))
-	}
-	for i := range al {
-		if al[i] != bl[i] {
-			t.Fatalf("channel load %d diverged: straight %+v, restored %+v", i, al[i], bl[i])
-		}
 	}
 }

@@ -115,24 +115,6 @@ func trimSpace(b []byte) []byte {
 	return b
 }
 
-// ReadTraceJSONL slurps a whole JSONL workload trace. Prefer
-// Network.ReplayTrace with a TraceScanner for traces too large to hold
-// in memory.
-func ReadTraceJSONL(r io.Reader) ([]TraceEntry, error) {
-	t := NewTraceScanner(r)
-	var out []TraceEntry
-	for {
-		e, err := t.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-}
-
 // replayHorizon is how many cycles ahead of the network's clock
 // ReplayTrace pre-loads arrivals. It bounds the replay's memory to the
 // traffic of one horizon window plus whatever backlog the network

@@ -40,12 +40,28 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	if err := sim.WriteTraceJSONL(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := sim.ReadTraceJSONL(&buf)
+	out, err := readTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip diverged:\n in: %+v\nout: %+v", in, out)
+	}
+}
+
+// readTrace reads a whole JSONL workload trace through a TraceScanner.
+func readTrace(r io.Reader) ([]sim.TraceEntry, error) {
+	sc := sim.NewTraceScanner(r)
+	var out []sim.TraceEntry
+	for {
+		e, err := sc.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
 	}
 }
 
@@ -60,13 +76,13 @@ func TestTraceScannerRejects(t *testing.T) {
 		{"float cycle", `{"cycle":1.5,"src":0,"dst":2}` + "\n"},
 	}
 	for _, c := range cases {
-		if _, err := sim.ReadTraceJSONL(strings.NewReader(c.in)); err == nil {
+		if _, err := readTrace(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
 	// Blank lines and unknown fields are tolerated.
 	ok := "\n" + `{"cycle":2,"src":1,"dst":0,"note":"x"}` + "\n\n"
-	out, err := sim.ReadTraceJSONL(strings.NewReader(ok))
+	out, err := readTrace(strings.NewReader(ok))
 	if err != nil || len(out) != 1 {
 		t.Fatalf("lenient parse failed: %v, %d entries", err, len(out))
 	}
@@ -212,7 +228,7 @@ func FuzzTraceReplay(f *testing.F) {
 	f.Add([]byte(`{"cycle":999999999999999999999,"src":1,"dst":1}` + "\n"))
 	f.Add([]byte(`{"cycle":5,"src":0,"dst":0}` + "\n" + `{"cycle":7,"src":3,"ds`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := sim.ReadTraceJSONL(bytes.NewReader(data))
+		entries, err := readTrace(bytes.NewReader(data))
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "sim: trace line ") {
 				t.Fatalf("unstructured error: %v", err)
@@ -223,7 +239,7 @@ func FuzzTraceReplay(f *testing.F) {
 		if err := sim.WriteTraceJSONL(&buf, entries); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		back, err := sim.ReadTraceJSONL(bytes.NewReader(buf.Bytes()))
+		back, err := readTrace(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("canonical re-read failed: %v", err)
 		}

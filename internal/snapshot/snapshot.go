@@ -40,8 +40,9 @@ const Magic = "FNETSNAP"
 // build, and silently misreading a stale checkpoint is worse than
 // asking the caller to regenerate it. Version 2 added the workload
 // section (per-source arrival-process state) and dropped the per-source
-// burst bit.
-const Version = 2
+// burst bit. Version 3 writes the event calendar, round-robin pointers
+// and backlog destinations in the cycle core's own layout.
+const Version = 3
 
 // maxStringLen bounds String allocations against hostile length
 // prefixes. Snapshot strings are short identifiers (algorithm names,

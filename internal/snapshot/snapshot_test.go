@@ -378,7 +378,7 @@ func TestReaderStreamErrors(t *testing.T) {
 		}
 	}
 	// A stream that ends inside the trailer says so.
-	r, err = NewReader(bytes.NewReader([]byte(Magic + "\x02\x05\xaa\xbb")))
+	r, err = NewReader(bytes.NewReader(append([]byte(Magic), Version, 0x05, 0xaa, 0xbb)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +12,8 @@ import (
 	"testing"
 
 	"flatnet/internal/check"
+	"flatnet/internal/sim"
+	"flatnet/internal/snapshot"
 )
 
 // Every Job field is warm-shaping (it changes the warm key), measurement
@@ -193,41 +197,79 @@ func TestCheckedRunsSanitized(t *testing.T) {
 	}
 }
 
-// TestWarmCorruptSnapshotFallsBack ensures a damaged stored snapshot is
-// discarded and replaced by a cold run with the correct result.
+// TestWarmCorruptSnapshotFallsBack ensures a stored snapshot this build
+// cannot resume is declined with sim.ErrResume, never misread: it is
+// discarded and replaced by a cold run with the correct result. The
+// cases are damaged bytes and testdata/parkeyed_ff_k8.snap, a real
+// version-2 stream of the fixture job's network (an 8-ary 2-flat under
+// UGAL, 2-flit packets, age arbiter, 300 cycles at uniform load 0.9),
+// written by a build whose parallel scheduler keyed packet IDs by cycle
+// and source.
 func TestWarmCorruptSnapshotFallsBack(t *testing.T) {
-	ws, err := OpenWarmStore(t.TempDir())
+	v2, err := os.ReadFile(filepath.Join("testdata", "parkeyed_ff_k8.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := tinyJob("CLOS AD", 0.3).Normalize()
-	coldRes, err := j.Run(nil)
-	if err != nil {
-		t.Fatal(err)
+	v2Job := Job{
+		Net: "flatfly", K: 8, N: 2, Alg: "UGAL", Pattern: "UR", Load: 0.9,
+		Warmup: 300, Measure: 100, MaxCycles: 2000, Seed: 24,
+		BufPerPort: 32, PacketSize: 2, AgeArbiter: true,
 	}
-	if err := ws.Put(j.WarmKey(), []byte("not a snapshot")); err != nil {
-		t.Fatal(err)
-	}
-	res, err := j.run(nil, false, ws)
-	if err != nil {
-		t.Fatalf("corrupt warm snapshot should fall back, got: %v", err)
-	}
-	if res.WarmStart || !res.WarmSaved {
-		t.Fatalf("want cold fallback that re-deposits, got WarmStart=%v WarmSaved=%v", res.WarmStart, res.WarmSaved)
-	}
-	if !reflect.DeepEqual(res.Point, coldRes.Point) {
-		t.Fatalf("fallback result diverges from cold: %+v vs %+v", res.Point, coldRes.Point)
-	}
-	// The replacement snapshot must now be valid and hit.
-	res2, err := j.run(nil, false, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.WarmStart {
-		t.Fatal("replacement snapshot did not warm-start")
-	}
-	if !reflect.DeepEqual(res2.Point, coldRes.Point) {
-		t.Fatalf("warm-started result diverges from cold: %+v vs %+v", res2.Point, coldRes.Point)
+	for _, c := range []struct {
+		name string
+		job  Job
+		data []byte
+		why  string // in the decline's error
+	}{
+		{"garbage", tinyJob("CLOS AD", 0.3), []byte("not a snapshot"), "bad magic"},
+		{"format v2", v2Job, v2, "format version 2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ws, err := OpenWarmStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := c.job.Normalize()
+			coldRes, err := j.Run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.simulate(sim.RunHooks{}, bytes.NewReader(c.data), nil); !errors.Is(err, sim.ErrResume) || !strings.Contains(err.Error(), c.why) {
+				t.Fatalf("resuming from the stored bytes: %v, want sim.ErrResume naming %q", err, c.why)
+			}
+			if err := ws.Put(j.WarmKey(), c.data); err != nil {
+				t.Fatal(err)
+			}
+			res, err := j.run(nil, false, ws)
+			if err != nil {
+				t.Fatalf("a declined warm snapshot should fall back, got: %v", err)
+			}
+			if res.WarmStart || !res.WarmSaved {
+				t.Fatalf("want cold fallback that re-deposits, got WarmStart=%v WarmSaved=%v", res.WarmStart, res.WarmSaved)
+			}
+			if !reflect.DeepEqual(res.Point, coldRes.Point) {
+				t.Fatalf("fallback result diverges from cold: %+v vs %+v", res.Point, coldRes.Point)
+			}
+			// The declined bytes are gone, replaced by a current-version
+			// snapshot that warm-starts.
+			data, ok := ws.Get(j.WarmKey())
+			if !ok || bytes.Equal(data, c.data) {
+				t.Fatal("the declined snapshot was not replaced")
+			}
+			if r, err := snapshot.NewReader(bytes.NewReader(data)); err != nil || r.Version() != snapshot.Version {
+				t.Fatalf("re-deposited snapshot: %v, want format version %d", err, snapshot.Version)
+			}
+			res2, err := j.run(nil, false, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res2.WarmStart {
+				t.Fatal("replacement snapshot did not warm-start")
+			}
+			if !reflect.DeepEqual(res2.Point, coldRes.Point) {
+				t.Fatalf("warm-started result diverges from cold: %+v vs %+v", res2.Point, coldRes.Point)
+			}
+		})
 	}
 }
 

@@ -112,34 +112,6 @@ func TestTracerRingWrap(t *testing.T) {
 	}
 }
 
-func TestTracerPacketFilter(t *testing.T) {
-	tr := NewTracer(64)
-	tr.FilterPackets(1)
-	for _, ev := range testEvents(20) { // packets 0..3
-		tr.Record(ev)
-	}
-	if tr.Dropped() != 0 {
-		t.Errorf("filtered-out events counted as dropped: %d", tr.Dropped())
-	}
-	evs := tr.Events()
-	if len(evs) != 5 {
-		t.Fatalf("got %d events, want 5 (packet 1 only)", len(evs))
-	}
-	for _, ev := range evs {
-		if ev.Packet != 1 {
-			t.Errorf("event for packet %d leaked through filter", ev.Packet)
-		}
-	}
-	if got := tr.PacketEvents(1); !reflect.DeepEqual(got, evs) {
-		t.Error("PacketEvents(1) disagrees with Events()")
-	}
-	tr.FilterPackets() // remove filter
-	tr.Record(FlitEvent{Packet: 99})
-	if got := len(tr.PacketEvents(99)); got != 1 {
-		t.Errorf("after filter removal packet 99 events = %d, want 1", got)
-	}
-}
-
 func TestEventKindRoundTrip(t *testing.T) {
 	for k := EventKind(0); k < numEventKinds; k++ {
 		got, err := ParseEventKind(k.String())

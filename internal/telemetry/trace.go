@@ -61,9 +61,7 @@ type FlitEvent struct {
 
 // Tracer records flit pipeline events into a fixed-capacity ring buffer:
 // when full, the oldest events are overwritten, so a long run retains
-// its most recent history at bounded memory. An optional packet filter
-// restricts recording to chosen packet IDs, the tool for following a
-// single packet's journey.
+// its most recent history at bounded memory.
 //
 // A Tracer is written from the simulation goroutine only; read it after
 // the run (or from the same goroutine).
@@ -72,7 +70,6 @@ type Tracer struct {
 	head    int // index of the oldest retained event
 	n       int
 	dropped int64
-	only    map[int64]struct{} // nil = record every packet
 }
 
 // NewTracer returns a tracer retaining at most capacity events
@@ -84,27 +81,8 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{ring: make([]FlitEvent, capacity)}
 }
 
-// FilterPackets restricts recording to the given packet IDs. Calling it
-// with no IDs removes the filter.
-func (t *Tracer) FilterPackets(ids ...int64) {
-	if len(ids) == 0 {
-		t.only = nil
-		return
-	}
-	t.only = make(map[int64]struct{}, len(ids))
-	for _, id := range ids {
-		t.only[id] = struct{}{}
-	}
-}
-
 // Record appends an event, evicting the oldest if the ring is full.
-// Filtered-out events are ignored without counting as dropped.
 func (t *Tracer) Record(ev FlitEvent) {
-	if t.only != nil {
-		if _, ok := t.only[ev.Packet]; !ok {
-			return
-		}
-	}
 	if t.n < len(t.ring) {
 		t.ring[(t.head+t.n)%len(t.ring)] = ev
 		t.n++

@@ -299,16 +299,12 @@ func TestOneDimHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.RouterOf(9) != 2 {
-		t.Errorf("RouterOf(9) = %d, want 2", f.RouterOf(9))
+	// Terminals fill routers in order, and port c+j reaches router j.
+	if r := f.Graph().NodeRouter[9]; r != 2 {
+		t.Errorf("node 9 attaches to router %d, want 2", r)
 	}
-	if f.PortTo(3) != 4+3 {
-		t.Errorf("PortTo(3) = %d, want 7", f.PortTo(3))
-	}
-	// The port actually reaches the router.
-	out := f.Graph().Routers[0].Out[f.PortTo(3)]
-	if out.Peer != 3 {
-		t.Errorf("PortTo(3) reaches router %d", out.Peer)
+	if out := f.Graph().Routers[0].Out[4+3]; out.Peer != 3 {
+		t.Errorf("router 0 port 7 reaches router %d, want 3", out.Peer)
 	}
 }
 

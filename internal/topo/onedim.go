@@ -57,12 +57,3 @@ func (f *OneDimFB) Name() string {
 
 // Graph returns the channel graph.
 func (f *OneDimFB) Graph() *Graph { return f.g }
-
-// RouterOf returns the router a node attaches to.
-func (f *OneDimFB) RouterOf(node NodeID) RouterID {
-	return RouterID(int(node) / f.Concentration)
-}
-
-// PortTo returns the port on router r that reaches router j; r and j must
-// differ.
-func (f *OneDimFB) PortTo(j RouterID) int { return f.Concentration + int(j) }
