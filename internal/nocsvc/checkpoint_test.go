@@ -214,3 +214,69 @@ func TestCheckpointVerbValidation(t *testing.T) {
 		t.Fatalf("stats after errors: %+v", resp)
 	}
 }
+
+// TestCheckpointAfterSaturatedEstimate checkpoints a session whose last
+// estimate ran out of its cycle budget, so the checkpoint holds that
+// transfer's packets still queued and in flight. The origin and two
+// clones then answer the same estimates, which are pinned: the clones
+// carry the abandoned packets as ordinary traffic, and they must delay
+// the later estimates exactly as the origin's tracked ones do.
+func TestCheckpointAfterSaturatedEstimate(t *testing.T) {
+	_, addr := startServer(t, nocsvc.ServerConfig{EstimateBudget: 48})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	sess, err := c.OpenSession(client.OpenParams{
+		Topology: "flatfly", K: 4, N: 2,
+		Load: 0.2, Warmup: 200, Seed: 3, Pattern: "UR",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sat, err := sess.Estimate(2, 13, 640)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sat.Saturated || sat.Packets < 2 {
+		t.Fatalf("estimate %+v: want a saturated multi-packet transfer", sat)
+	}
+	ckpt, err := sess.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	items := []client.EstimateParams{
+		{Src: 2, Dst: 7, Bytes: 16}, {Src: 13, Dst: 2, Bytes: 64},
+		{Src: 0, Dst: 15, Bytes: 32}, {Src: 2, Dst: 13, Bytes: 48},
+		{Src: 9, Dst: 4, Bytes: 16}, {Src: 5, Dst: 10, Bytes: 128},
+		{Src: 2, Dst: 1, Bytes: 16}, {Src: 14, Dst: 3, Bytes: 80},
+	}
+	want := []client.EstimateResult{
+		{Cycles: 48, Packets: 2, Saturated: true}, {Cycles: 11, Hops: 1, Packets: 8},
+		{Cycles: 6, Hops: 1, Packets: 4}, {Cycles: 8, Hops: 1, Packets: 6},
+		{Cycles: 3, Hops: 1, Packets: 2}, {Cycles: 19, Hops: 1, Packets: 16},
+		{Cycles: 3, Packets: 2}, {Cycles: 14, Hops: 1, Packets: 10},
+	}
+	answer := func(s *client.Session, who string) {
+		t.Helper()
+		got, err := s.BatchEstimate(items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s answered\n%#v\nwant\n%#v", who, got, want)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		cl, err := c.CloneSession(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer(cl, fmt.Sprintf("clone %d", i))
+		cl.Close() //nolint:errcheck
+	}
+	answer(sess, "origin")
+}
