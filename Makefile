@@ -42,14 +42,19 @@ oneloop:
 # and tracer hook sets) no internal/sim file may name the telemetry
 # package or reach into an observer's state from the network; no
 # internal/sim file may hold a single-slot onDeliver/onMaterialize
-# callback; and no Go file outside bench/ may call the single-slot
-# OnDeliver/OnMaterialize or the in-memory LoadTrace replay.
+# callback; no Go file outside bench/ may call the single-slot
+# OnDeliver/OnMaterialize or the in-memory LoadTrace replay; and no
+# internal/sim file but trace.go/tracejsonl.go may call InjectAt: trace
+# replay is its one user, and a harness that tracks its own injections
+# (RunClosedLoop, RunCollective) starts transfers.
 onehook:
 	@out=$$(grep -nE 'telemetry\.|n\.tracer|n\.checks|n\.probes\.' internal/sim/*.go | grep -vE '^internal/sim/probes\.go:|_test\.go:'); \
 	if [ -n "$$out" ]; then echo "observe the pipeline through sim.Hooks, not:"; echo "$$out"; exit 1; fi
 	@out=$$({ grep -nE 'onDeliver|onMaterialize' internal/sim/*.go | grep -v '_test\.go:'; \
 		grep -rnE '\.(OnDeliver|OnMaterialize|LoadTrace)\(' --include='*.go' . | grep -v '^\./bench/'; }); \
 	if [ -n "$$out" ]; then echo "watch packets through Hooks.Materialize/Deliver and replay through ReplayTrace, not:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -nE 'InjectAt\(' internal/sim/*.go | grep -vE '^internal/sim/(trace|tracejsonl)\.go:|_test\.go:'); \
+	if [ -n "$$out" ]; then echo "InjectAt is trace replay's; track an injection with StartTransfer, not:"; echo "$$out"; exit 1; fi
 
 # oneslab fails if a channel graph's port table is allocated anywhere
 # but topo.NewGraph, which carves every router's Out row from one slab per

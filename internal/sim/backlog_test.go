@@ -28,33 +28,21 @@ func backlogStorage(s *source) (segs, bytes int) {
 	return segs, bytes
 }
 
-// pendingEntry is one backlog arrival as the reference FIFO keeps it.
-type pendingEntry struct {
-	ts   int64
-	dst  int32
-	xfer *Transfer
-}
-
-func pendingOf(s *source) []pendingEntry {
-	var out []pendingEntry
-	s.eachPending(func(a arrival, t *Transfer) {
-		if a.xfer != (t != nil) {
-			panic("eachPending: transfer flag and handle disagree")
-		}
-		out = append(out, pendingEntry{a.ts, a.dst, t})
-	})
+func pendingOf(s *source) []arrival {
+	var out []arrival
+	s.eachPending(func(a arrival) { out = append(out, a) })
 	return out
 }
 
 // TestSourceBacklogModel drives one source's backlog at random against a
-// plain-slice FIFO: every kind of push, pops with their transfer credit,
-// peeks, the length and the in-order walk must agree at every step, while
+// plain-slice FIFO: every kind of push, pops, peeks, the length and the
+// in-order walk must agree at every step, while
 // the backlog swings between empty and several thousand arrivals so the
 // head and the tail cross every segment size and the spare is reused.
 func TestSourceBacklogModel(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))
 	var s source
-	var ref []pendingEntry
+	var ref []arrival
 	var ts int64
 	check := func(step int) {
 		t.Helper()
@@ -84,26 +72,21 @@ func TestSourceBacklogModel(t *testing.T) {
 				case 0:
 					dst := int32(rnd.Intn(64))
 					s.pushTraced(ts, topo.NodeID(dst))
-					ref = append(ref, pendingEntry{ts, dst, nil})
+					ref = append(ref, arrival{ts: ts, dst: dst})
 				case 1:
-					// What StartTransfer does: a run of identical arrivals.
-					tr := &Transfer{packets: 1 + rnd.Intn(7)}
-					dst := int32(rnd.Intn(64))
-					for i := 0; i < tr.packets; i++ {
-						s.pushTransfer(ts, dst, tr)
-						ref = append(ref, pendingEntry{ts, dst, tr})
+					// What StartTransfer does: a run of identical arrivals
+					// naming their transfer's row.
+					a := arrival{ts: ts, dst: int32(rnd.Intn(64)), xslot: int32(1 + rnd.Intn(9))}
+					for i := rnd.Intn(7); i >= 0; i-- {
+						s.push(a)
+						ref = append(ref, a)
 					}
 				default:
 					s.pushTimestamp(ts)
-					ref = append(ref, pendingEntry{ts, -1, nil})
+					ref = append(ref, arrival{ts: ts, dst: -1})
 				}
 			} else if len(ref) > 0 {
-				a := s.pop()
-				var tr *Transfer
-				if a.xfer {
-					tr = s.popTransfer()
-				}
-				if got := (pendingEntry{a.ts, a.dst, tr}); got != ref[0] {
+				if got := s.pop(); got != ref[0] {
 					t.Fatalf("step %d: popped %+v, want %+v", step, got, ref[0])
 				}
 				ref = ref[1:]
@@ -119,31 +102,19 @@ func TestSourceBacklogModel(t *testing.T) {
 						t.Fatalf("step %d: walk entry %d is %+v, want %+v", step, i, got[i], ref[i])
 					}
 				}
-				// A transfer whose last arrival has been popped is released
-				// at once: only the live runs hold a handle.
-				if o := s.more; o != nil {
-					for i, r := range o.runs[:cap(o.runs)] {
-						if live := i >= o.rh && i < len(o.runs); !live && r.t != nil {
-							t.Fatalf("step %d: finished transfer still reachable at run slot %d (live %d..%d)", step, i, o.rh, len(o.runs))
-						}
-					}
-				}
 			}
 		}
 	}
 	if step < 20000 {
 		t.Fatalf("model ran only %d steps", step)
 	}
-	if o := s.more; len(o.runs) != 0 || o.rh != 0 {
-		t.Fatalf("empty backlog still holds %d transfer runs (head %d)", len(o.runs), o.rh)
-	}
 }
 
 // TestBacklogSurvivesSnapshot checks the backlog through the file format:
 // pattern, traced (one in the future) and transfer arrivals, queued deep
 // enough to span several segments with the head mid-segment, restore
-// entry for entry, materialize with the same destinations, and credit the
-// same transfers.
+// entry for entry (a transfer's arrivals as ordinary ones) and
+// materialize and deliver exactly as the straight run does.
 func TestBacklogSurvivesSnapshot(t *testing.T) {
 	f := testFF(t, 4, 2)
 	g := f.Graph()
@@ -193,28 +164,24 @@ func TestBacklogSurvivesSnapshot(t *testing.T) {
 	}
 	MustInstall(t, b, traffic.NewUniform(g.NumNodes))
 
-	// Entry for entry, with restored handles paired to the originals in
-	// order of first appearance.
-	twin := map[*Transfer]*Transfer{}
+	// Entry for entry, a transfer's arrivals restored untagged.
+	queued := map[int32]bool{}
 	for i := range a.sources {
 		pa, pb := pendingOf(&a.sources[i]), pendingOf(&b.sources[i])
 		if len(pa) != len(pb) {
 			t.Fatalf("source %d: restored backlog holds %d arrivals, want %d", i, len(pb), len(pa))
 		}
 		for k := range pa {
-			if pa[k].ts != pb[k].ts || pa[k].dst != pb[k].dst || (pa[k].xfer == nil) != (pb[k].xfer == nil) {
-				t.Fatalf("source %d arrival %d: restored %+v, want %+v", i, k, pb[k], pa[k])
+			if pb[k] != (arrival{ts: pa[k].ts, dst: pa[k].dst}) {
+				t.Fatalf("source %d arrival %d: restored %+v, want %+v untagged", i, k, pb[k], pa[k])
 			}
-			if ta, tb := pa[k].xfer, pb[k].xfer; ta != nil {
-				if old, ok := twin[ta]; ok && old != tb {
-					t.Fatalf("source %d arrival %d: one transfer restored as two handles", i, k)
-				}
-				twin[ta] = tb
+			if pa[k].xslot != 0 {
+				queued[pa[k].xslot] = true
 			}
 		}
 	}
-	if len(twin) < 3 {
-		t.Fatalf("only %d transfers were still queued at the snapshot; the scenario should hold at least 3", len(twin))
+	if len(queued) < 3 {
+		t.Fatalf("only %d transfers were still queued at the snapshot; the scenario should hold at least 3", len(queued))
 	}
 
 	type delivered struct {
@@ -239,24 +206,20 @@ func TestBacklogSurvivesSnapshot(t *testing.T) {
 			t.Fatalf("delivery %d: restored %+v, straight %+v", i, db[i], da[i])
 		}
 	}
-	for _, tr := range handles {
+	for i, tr := range handles {
 		if !tr.Done() {
-			t.Fatalf("transfer %d->%d not done after drain", tr.src, tr.dst)
+			t.Fatalf("transfer %d not done after drain", i)
 		}
 	}
-	for ta, tb := range twin {
-		if *ta != *tb {
-			t.Fatalf("transfer %d->%d: restored handle ended as %+v, original as %+v", ta.src, ta.dst, *tb, *ta)
-		}
-	}
-	if a.PendingTransfers() != 0 || b.PendingTransfers() != 0 {
-		t.Fatalf("slot tables hold %d and %d packets after drain", a.PendingTransfers(), b.PendingTransfers())
+	if len(a.xfers.free) != len(a.xfers.tab) || b.xfers != nil {
+		t.Fatal("a slot table still holds a transfer after the drain")
 	}
 }
 
-// TestTransferRelease runs transfers back to back on one network: the
-// tracking map must drain and no source may accumulate run entries (a
-// finished transfer must not stay reachable from the network).
+// TestTransferRelease runs transfers back to back on one network: each
+// holds one row of the slot table until its last delivery, so the table
+// stays as long as the most transfers ever live at once and a finished
+// transfer is not reachable from the network.
 func TestTransferRelease(t *testing.T) {
 	f := testFF(t, 4, 2)
 	g := f.Graph()
@@ -271,8 +234,8 @@ func TestTransferRelease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every third transfer is queued behind the previous one, so
-		// a run list is sometimes two deep.
+		// Every third transfer is left in flight while the next one
+		// starts, so two rows are sometimes live.
 		if i%3 != 0 {
 			stepUntilDone(t, n, tr, 0, 1000)
 		}
@@ -280,31 +243,12 @@ func TestTransferRelease(t *testing.T) {
 	for !n.Quiescent() {
 		n.Step()
 	}
-	if n.PendingTransfers() != 0 {
-		t.Fatalf("slot table holds %d packets", n.PendingTransfers())
-	}
-	// The table is as long as the most transfer packets ever in flight
-	// at once (a handful here), and freed rows release their transfers.
-	if len(n.xfers.tab) > 16 {
+	if len(n.xfers.tab) > 2 {
 		t.Fatalf("slot table grew to %d rows after 10000 transfers", len(n.xfers.tab))
 	}
 	for _, x := range n.xfers.tab {
 		if x != nil {
 			t.Fatal("slot table still reaches a finished transfer")
-		}
-	}
-	for i := range n.sources {
-		o := n.sources[i].more
-		if o == nil {
-			continue
-		}
-		if len(o.runs) != 0 || cap(o.runs) > 8 {
-			t.Fatalf("source %d run list has length %d, capacity %d after 10000 transfers", i, len(o.runs), cap(o.runs))
-		}
-		for _, r := range o.runs[:cap(o.runs)] {
-			if r.t != nil {
-				t.Fatalf("source %d still reaches a finished transfer", i)
-			}
 		}
 	}
 }

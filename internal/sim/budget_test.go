@@ -193,7 +193,8 @@ func TestSnapshotEveryPrefixAndBitFlip(t *testing.T) {
 		sim.MustGenerate(t, n, 0.3)
 		n.Step()
 	}
-	if _, err := n.StartTransfer(3, 12, 4); err != nil {
+	tr, err := n.StartTransfer(3, 12, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := n.InjectAt(3, n.Cycle()+50, 9); err != nil {
@@ -204,8 +205,8 @@ func TestSnapshotEveryPrefixAndBitFlip(t *testing.T) {
 	}
 	sim.MustGenerate(t, n, 0.3)
 	n.Step()
-	if n.Backlog() < 4 || n.PendingTransfers() != 1 {
-		t.Fatalf("scenario holds backlog %d, %d transfer packets in flight; want queued transfer arrivals and one in flight", n.Backlog(), n.PendingTransfers())
+	if n.Backlog() < 4 || tr.Done() {
+		t.Fatalf("scenario holds backlog %d, transfer done %v; want queued transfer arrivals and the transfer in flight", n.Backlog(), tr.Done())
 	}
 	var buf bytes.Buffer
 	if err := n.Snapshot(&buf); err != nil {

@@ -19,7 +19,7 @@ import (
 // detaching one leaves the others running. A network with no set
 // attached pays one empty-list check per site (BenchmarkTelemetryOff).
 // Callbacks run inside Step, must not retain a packet and only observe,
-// except that Deliver may schedule arrivals with InjectAt (RunClosedLoop).
+// except that Deliver may start transfers (RunClosedLoop).
 type Hooks struct {
 	// Materialize fires when a packet arrival becomes a packet at its
 	// source: its ID assigned and its destination drawn.

@@ -38,7 +38,7 @@ type ClosedLoopResult struct {
 	Completed int64
 }
 
-// closedTxn tracks one in-flight transaction leg.
+// closedTxn is what one in-flight transaction leg carries.
 type closedTxn struct {
 	origin  topo.NodeID
 	started int64
@@ -46,8 +46,9 @@ type closedTxn struct {
 }
 
 // RunClosedLoop executes the request-reply workload on a fresh Network.
-// All traffic is trace-injected, so the configured Pattern is consulted
-// only by the harness (for request destinations), never by the sources.
+// Every request and every reply is a one-packet transfer, so the
+// configured Pattern is consulted only by the harness (for request
+// destinations), never by the sources.
 func RunClosedLoop(g *topo.Graph, alg Algorithm, cfg Config, clc ClosedLoopConfig) (ClosedLoopResult, error) {
 	if clc.Window < 1 {
 		return ClosedLoopResult{}, fmt.Errorf("sim: closed-loop window must be >= 1")
@@ -65,11 +66,9 @@ func RunClosedLoop(g *topo.Graph, alg Algorithm, cfg Config, clc ClosedLoopConfi
 	defer h.close()
 	n := h.n
 
-	// Transactions are matched to packets at materialization: source
-	// queues are FIFO, so the k-th materialized packet of a node is its
-	// k-th scheduled transaction leg.
-	pending := make([][]closedTxn, g.NumNodes)
-	live := make(map[int64]closedTxn, g.NumNodes*clc.Window)
+	// legs maps each leg's transfer to its transaction; the delivered
+	// packet names its transfer.
+	legs := make(map[*Transfer]closedTxn, g.NumNodes*clc.Window)
 
 	destRNG := rng.New(cfg.Seed ^ 0xc10de1009)
 	hist := stats.NewHistogram(1 << 14)
@@ -79,44 +78,36 @@ func RunClosedLoop(g *topo.Graph, alg Algorithm, cfg Config, clc ClosedLoopConfi
 	var hookErr error
 
 	send := func(from topo.NodeID, to topo.NodeID, t closedTxn) {
-		if err := n.InjectAt(from, n.Cycle(), to); err != nil {
+		tr, err := n.StartTransfer(from, to, 1)
+		if err != nil {
 			hookErr = err
 			return
 		}
-		pending[from] = append(pending[from], t)
+		legs[tr] = t
 	}
 	issue := func(origin topo.NodeID) {
 		dst := clc.Pattern.Dest(origin, destRNG)
 		send(origin, dst, closedTxn{origin: origin, started: n.Cycle()})
 	}
 
-	n.AttachHooks(&Hooks{
-		Materialize: func(p *Packet) {
-			q := pending[p.Src]
-			if len(q) == 0 {
-				return
+	n.AttachHooks(&Hooks{Deliver: func(p *Packet, cycle int64) {
+		tr := n.transferOf(p)
+		t, ok := legs[tr]
+		if !ok {
+			return
+		}
+		delete(legs, tr)
+		if t.isReply {
+			if cycle >= measStart && cycle < measEnd {
+				hist.Add(int(cycle - t.started))
+				completed++
 			}
-			live[p.ID] = q[0]
-			pending[p.Src] = q[1:]
-		},
-		Deliver: func(p *Packet, cycle int64) {
-			t, ok := live[p.ID]
-			if !ok {
-				return
-			}
-			delete(live, p.ID)
-			if t.isReply {
-				if cycle >= measStart && cycle < measEnd {
-					hist.Add(int(cycle - t.started))
-					completed++
-				}
-				issue(t.origin)
-				return
-			}
-			// Request delivered: destination sends the reply.
-			send(p.Dst, t.origin, closedTxn{origin: t.origin, started: t.started, isReply: true})
-		},
-	})
+			issue(t.origin)
+			return
+		}
+		// Request delivered: destination sends the reply.
+		send(p.Dst, t.origin, closedTxn{origin: t.origin, started: t.started, isReply: true})
+	}})
 
 	for node := 0; node < g.NumNodes; node++ {
 		for w := 0; w < clc.Window; w++ {

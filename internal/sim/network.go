@@ -348,11 +348,12 @@ type Network struct {
 	measStart, measEnd int64 // packets injected in [measStart, measEnd) are measured
 	statsStart         int64 // start of the channel-utilization window
 
-	// xfers is the slot table of in-flight transfer packets
-	// (StartTransfer); nil until the first transfer. A packet without a
-	// transfer has xslot 0, so ordinary runs pay one field test per
-	// delivery. It is one pointer wide so the delivery counters below
-	// keep their offsets (two slice headers here cost sweep_warm ~5 %).
+	// xfers is the slot table of live transfers (StartTransfer), one row
+	// each from start to last delivery; nil until the first transfer. A
+	// packet without a transfer has xslot 0, so ordinary runs pay one
+	// field test per delivery. It is one pointer wide so the delivery
+	// counters below keep their offsets (two slice headers here cost
+	// sweep_warm ~5 %).
 	xfers *xferSlots
 
 	// hooks and packetHooks are the attached hook sets (AttachHooks),
@@ -775,13 +776,13 @@ func (n *Network) deliverEvent(ev *deliverEv) {
 	if pkt.Measured {
 		n.measDelivered++
 	}
-	if pkt.xslot != 0 {
-		n.completeTransfer(pkt)
-	}
 	for _, h := range n.packetHooks {
 		if h.Deliver != nil {
 			h.Deliver(pkt, n.cycle)
 		}
+	}
+	if pkt.xslot != 0 {
+		n.completeTransfer(pkt)
 	}
 	n.arena.freePacket(ev.f.pkt())
 }
@@ -822,10 +823,6 @@ func (n *Network) injectSource(i int) bool {
 			return true // the next (trace) arrival is in the future
 		}
 		a := s.pop()
-		var xfer *Transfer
-		if a.xfer {
-			xfer = s.popTransfer()
-		}
 		s.cur = n.arena.allocPacket()
 		p := n.arena.pkt(s.cur)
 		p.ID = n.nextID
@@ -840,11 +837,9 @@ func (n *Network) injectSource(i int) bool {
 		p.InjectCycle = a.ts
 		p.NetworkCycle = n.cycle
 		p.Measured = a.ts >= n.measStart && a.ts < n.measEnd
+		p.xslot = a.xslot
 		s.remaining = int32(n.cfg.PacketSize)
 		n.injected++
-		if xfer != nil {
-			n.registerTransfer(p, xfer)
-		}
 		for _, h := range n.packetHooks {
 			if h.Materialize != nil {
 				h.Materialize(p)

@@ -50,8 +50,8 @@ type Packet struct {
 	Inter    int32  // intermediate router for two-phase routes; -1 when unset
 	DimMask  uint32 // remaining-dimension bitmask for ascent-style routes
 
-	// xslot is 1 + the packet's row in the slot table Network.xfers when
-	// it carries a transfer (StartTransfer), 0 when it does not.
+	// xslot is 1 + the row of the packet's transfer (StartTransfer) in
+	// the slot table Network.xfers, copied from its arrival; 0 for none.
 	xslot int32
 
 	Hops int // inter-router channels traversed so far

@@ -12,10 +12,15 @@ import (
 // This file implements deterministic checkpoint/restore of a Network
 // (DESIGN.md §14). Snapshot serialises the complete simulation state
 // between Steps — router buffers and credits, calendar events, in-flight
-// packets, worklists, RNG streams, transfer maps, harness counters —
-// into the internal/snapshot container; Restore rebuilds an equivalent
-// Network such that restore-then-run is bit-identical to running the
-// original straight through.
+// packets, worklists, RNG streams, harness counters — into the
+// internal/snapshot container; Restore rebuilds an equivalent Network
+// such that restore-then-run is bit-identical to running the original
+// straight through.
+//
+// Transfers (StartTransfer) are not written: no caller of Restore holds
+// a handle to read, so a transfer's queued arrivals and live packets
+// are written as ordinary ones, with the same endpoints and timestamps,
+// and deliver exactly as they would have.
 //
 // The format is canonical: identical state always serialises to
 // identical bytes. Two orderings make that hold:
@@ -44,7 +49,6 @@ const (
 	secDigest uint64 = iota + 1
 	secScalars
 	secPackets
-	secTransfers
 	secRouters
 	secSources
 	secEvents
@@ -156,32 +160,6 @@ func (n *Network) Snapshot(w io.Writer) error {
 		}
 	}
 
-	// Transfers, in (source backlog, then live packet) collection order.
-	xferIdx := make(map[*Transfer]int)
-	var xfers []*Transfer
-	addXfer := func(t *Transfer) int {
-		if t == nil {
-			return -1
-		}
-		if i, ok := xferIdx[t]; ok {
-			return i
-		}
-		i := len(xfers)
-		xferIdx[t] = i
-		xfers = append(xfers, t)
-		return i
-	}
-	for i := range n.sources {
-		n.sources[i].eachPending(func(_ arrival, t *Transfer) { addXfer(t) })
-	}
-	type livePair struct{ pkt, xfer int }
-	var pairs []livePair
-	for i, h := range pkts {
-		if t := n.transferOf(n.arena.pkt(h)); t != nil {
-			pairs = append(pairs, livePair{pkt: i, xfer: addXfer(t)})
-		}
-	}
-
 	sw := snapshot.NewWriter(w)
 
 	sw.Section(secDigest)
@@ -227,23 +205,6 @@ func (n *Network) Snapshot(w io.Writer) error {
 		sw.Varint(p.InjectCycle)
 		sw.Varint(p.NetworkCycle)
 		sw.Bool(p.Measured)
-	}
-
-	sw.Section(secTransfers)
-	sw.Uvarint(uint64(len(xfers)))
-	for _, t := range xfers {
-		sw.Uvarint(uint64(t.src))
-		sw.Uvarint(uint64(t.dst))
-		sw.Varint(int64(t.packets))
-		sw.Varint(t.start)
-		sw.Varint(int64(t.delivered))
-		sw.Varint(t.lastCycle)
-		sw.Varint(int64(t.lastHops))
-	}
-	sw.Uvarint(uint64(len(pairs)))
-	for _, pr := range pairs {
-		sw.Uvarint(uint64(pr.pkt))
-		sw.Uvarint(uint64(pr.xfer))
 	}
 
 	sw.Section(secRouters)
@@ -308,10 +269,9 @@ func (n *Network) Snapshot(w io.Writer) error {
 		}
 		sw.Varint(int64(s.remaining))
 		sw.Uvarint(uint64(s.backlogLen()))
-		s.eachPending(func(a arrival, t *Transfer) {
+		s.eachPending(func(a arrival) {
 			sw.Varint(a.ts)
 			sw.Varint(int64(a.dst))
-			sw.Varint(int64(addXfer(t)))
 		})
 	}
 
@@ -465,38 +425,6 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 		return pkts[v]
 	}
 
-	r.Section(secTransfers)
-	nx := r.Count(maxPackets+(1<<20), "transfer")
-	xfers := make([]*Transfer, 0, min(nx, 4096))
-	for i := 0; i < nx; i++ {
-		t := &Transfer{}
-		t.src = topo.NodeID(r.Count(g.NumNodes-1, "transfer source"))
-		t.dst = topo.NodeID(r.Count(g.NumNodes-1, "transfer destination"))
-		t.packets = int(r.Varint())
-		t.start = r.Varint()
-		t.delivered = int(r.Varint())
-		t.lastCycle = r.Varint()
-		t.lastHops = int(r.Varint())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		xfers = append(xfers, t)
-	}
-	npairs := r.Count(npkt, "live transfer pair")
-	for i := 0; i < npairs; i++ {
-		h := pktAt("transfer packet")
-		x := r.Count(nx-1, "transfer")
-		if r.Err() != nil {
-			break
-		}
-		p := n.arena.pkt(h)
-		if p.xslot != 0 { // a corrupt snapshot repeating a pair: the last one wins
-			n.xfers.tab[p.xslot-1] = xfers[x]
-			continue
-		}
-		n.registerTransfer(p, xfers[x])
-	}
-
 	r.Section(secRouters)
 	for ri := range n.routers {
 		rt := &n.routers[ri]
@@ -593,21 +521,13 @@ func Restore(rd io.Reader, g *topo.Graph, alg Algorithm, cfg Config) (*Network, 
 		for k := 0; k < nb; k++ {
 			ts := r.Varint()
 			dst := r.Varint() // -1: drawn when the packet materializes
-			xi := r.Varint()
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
 			if dst < -1 || dst >= int64(g.NumNodes) {
 				return nil, fmt.Errorf("sim: snapshot source %d backlog destination %d out of range", i, dst)
 			}
-			if xi >= int64(nx) {
-				return nil, fmt.Errorf("sim: snapshot source %d backlog transfer index %d out of range", i, xi)
-			}
-			if xi >= 0 {
-				s.pushTransfer(ts, int32(dst), xfers[xi])
-			} else {
-				s.push(arrival{ts: ts, dst: int32(dst)})
-			}
+			s.push(arrival{ts: ts, dst: int32(dst)})
 		}
 		if s.cur != 0 || !s.empty() {
 			n.wakeSource(i)

@@ -28,7 +28,7 @@ import (
 // len(hd) == 0.
 //
 // A source is 64 bytes, one cache line (TestHotLayoutSizes); everything
-// only a long or transfer-carrying backlog needs lives behind more.
+// only a long backlog needs lives behind more.
 type source struct {
 	rng *rng.Source
 
@@ -38,7 +38,7 @@ type source struct {
 	cur int32
 
 	hd   []arrival
-	more *overflow // nil until the backlog outgrows hd or carries a transfer
+	more *overflow // nil until the backlog outgrows hd
 	head int32
 
 	remaining int32
@@ -56,11 +56,11 @@ type source struct {
 // The struct is 16 bytes and holds no pointer, so the runtime allocates
 // backlog segments as noscan memory: the collector never marks them and
 // stores into them need no write barrier. That is why a transfer arrival
-// carries a flag and not its *Transfer (see overflow.runs).
+// names its transfer by slot-table row and not by *Transfer.
 type arrival struct {
-	ts   int64
-	dst  int32 // destination node; negative means "draw at materialization"
-	xfer bool  // credited to a transfer: the oldest unfinished run of overflow.runs
+	ts    int64
+	dst   int32 // destination node; negative means "draw at materialization"
+	xslot int32 // 1 + the row of its transfer in Network.xfers, 0 for none
 }
 
 // Segment sizes, in arrivals. The smallest is one cache line, so an idle
@@ -78,26 +78,6 @@ const (
 type overflow struct {
 	segs  [][]arrival // segments behind source.hd, oldest first; the last is the tail
 	spare []arrival   // the most recently drained segment, empty, for the next growth
-
-	// runs[rh:] are the transfers with arrivals still in this backlog,
-	// oldest first. The arrivals of one StartTransfer are contiguous and
-	// identical, so the backlog stores a flag per arrival and the handle
-	// once per run; a run is dropped, and its handle released, when its
-	// last arrival materializes.
-	runs []xferRun
-	rh   int
-}
-
-type xferRun struct {
-	t    *Transfer
-	left int // arrivals of t still queued
-}
-
-func (s *source) overflow() *overflow {
-	if s.more == nil {
-		s.more = &overflow{}
-	}
-	return s.more
 }
 
 func (s *source) empty() bool { return len(s.hd) == 0 }
@@ -136,7 +116,10 @@ func (s *source) grow(full int) *[]arrival {
 		s.hd = seg
 		return &s.hd
 	}
-	o := s.overflow()
+	if s.more == nil {
+		s.more = &overflow{}
+	}
+	o := s.more
 	o.segs = append(o.segs, seg)
 	return &o.segs[len(o.segs)-1]
 }
@@ -152,19 +135,6 @@ func (n *Network) pushArrival(i int, ts int64) {
 
 func (s *source) pushTraced(t int64, dst topo.NodeID) {
 	s.push(arrival{ts: t, dst: int32(dst)})
-}
-
-// pushTransfer enqueues one arrival of transfer t, extending t's run if
-// it is the newest one. (Runs are consumed by flagged arrivals in order,
-// so merging two runs of one transfer never changes who is credited.)
-func (s *source) pushTransfer(ts int64, dst int32, t *Transfer) {
-	o := s.overflow()
-	if k := len(o.runs); k > o.rh && o.runs[k-1].t == t {
-		o.runs[k-1].left++
-	} else {
-		o.runs = append(o.runs, xferRun{t: t, left: 1})
-	}
-	s.push(arrival{ts: ts, dst: dst, xfer: true})
 }
 
 func (s *source) peekTS() int64 { return s.hd[s.head].ts }
@@ -198,40 +168,11 @@ func (s *source) retireHead() {
 	o.segs = o.segs[:k]
 }
 
-// popTransfer returns the transfer the flagged arrival just popped is
-// credited to, and releases the handle with the run's last arrival.
-func (s *source) popTransfer() *Transfer {
-	o := s.more
-	r := &o.runs[o.rh]
-	t := r.t
-	if r.left--; r.left == 0 {
-		*r = xferRun{}
-		// Slide the live runs down once half the slice is spent, so a
-		// source that always has a transfer queued stays bounded.
-		if o.rh++; 2*o.rh >= len(o.runs) {
-			k := copy(o.runs, o.runs[o.rh:])
-			clear(o.runs[k:])
-			o.runs, o.rh = o.runs[:k], 0
-		}
-	}
-	return t
-}
-
-// eachPending visits the backlog oldest first, with the transfer each
-// arrival is credited to (nil for most).
-func (s *source) eachPending(visit func(a arrival, t *Transfer)) {
-	run, used := 0, 0
+// eachPending visits the backlog oldest first.
+func (s *source) eachPending(visit func(a arrival)) {
 	walk := func(seg []arrival) {
 		for _, a := range seg {
-			var t *Transfer
-			if a.xfer {
-				r := &s.more.runs[s.more.rh+run]
-				t = r.t
-				if used++; used == r.left {
-					run, used = run+1, 0
-				}
-			}
-			visit(a, t)
+			visit(a)
 		}
 	}
 	walk(s.hd[s.head:])

@@ -16,9 +16,7 @@ import (
 // A Transfer is owned by whoever owns the Network: it is not safe for
 // concurrent use from other goroutines while the network is stepping.
 type Transfer struct {
-	src, dst topo.NodeID
-	packets  int
-
+	packets   int
 	start     int64 // cycle the transfer entered its source queue
 	delivered int   // packets fully delivered so far
 	lastCycle int64 // cycle the most recent packet finished delivery
@@ -27,13 +25,6 @@ type Transfer struct {
 
 // Done reports whether every packet of the transfer has been delivered.
 func (t *Transfer) Done() bool { return t.delivered >= t.packets }
-
-// Delivered returns how many of the transfer's packets have been
-// delivered so far.
-func (t *Transfer) Delivered() int { return t.delivered }
-
-// Packets returns the transfer's packet count.
-func (t *Transfer) Packets() int { return t.packets }
 
 // Latency returns the cycles from the transfer's source-queue arrival to
 // the delivery of its most recent packet — for a completed transfer, the
@@ -55,10 +46,14 @@ func (t *Transfer) Hops() int { return t.lastHops }
 // background traffic for channels and buffers exactly like any other
 // packets, so the latency the handle reports is congestion-aware. The
 // caller advances the network (Step, with Generate for background
-// load) until Done.
+// load) until Done. A Deliver hook may start transfers too.
 //
+// The transfer holds one row of the network's slot table from here to
+// its last delivery; its arrivals and then its packets carry the row.
 // Transfers never count toward the measurement window: MeasuredCounts
-// and warm-up/measure/drain accounting are unaffected.
+// and warm-up/measure/drain accounting are unaffected. Snapshots do not
+// carry transfers: restored, a transfer's queued arrivals and live
+// packets are ordinary ones with the same endpoints and timestamps.
 func (n *Network) StartTransfer(src, dst topo.NodeID, packets int) (*Transfer, error) {
 	if int(src) < 0 || int(src) >= n.g.NumNodes {
 		return nil, fmt.Errorf("sim: transfer source %d out of [0,%d)", src, n.g.NumNodes)
@@ -69,26 +64,26 @@ func (n *Network) StartTransfer(src, dst topo.NodeID, packets int) (*Transfer, e
 	if packets < 1 {
 		return nil, fmt.Errorf("sim: transfer needs at least 1 packet, got %d", packets)
 	}
-	t := &Transfer{src: src, dst: dst, packets: packets, start: n.cycle}
+	t := &Transfer{packets: packets, start: n.cycle}
+	a := arrival{ts: n.cycle, dst: int32(dst), xslot: n.addTransfer(t)}
 	s := &n.sources[src]
 	for i := 0; i < packets; i++ {
-		s.pushTransfer(n.cycle, int32(dst), t)
+		s.push(a)
 	}
 	n.wakeSource(int(src))
 	return t, nil
 }
 
-// xferSlots holds the handles of in-flight transfer packets, indexed by
-// Packet.xslot-1; free lists the vacated rows.
+// xferSlots holds the live transfers, indexed by xslot-1; free lists the
+// vacated rows.
 type xferSlots struct {
 	tab  []*Transfer
 	free []int32
 }
 
-// registerTransfer associates a freshly materialized packet with its
-// transfer by giving it a row of the slot table; called from
-// injectSource for tagged arrivals only.
-func (n *Network) registerTransfer(p *Packet, t *Transfer) {
+// addTransfer gives t a row of the slot table and returns row + 1, the
+// xslot its arrivals and packets carry.
+func (n *Network) addTransfer(t *Transfer) int32 {
 	x := n.xfers
 	if x == nil {
 		x = new(xferSlots)
@@ -98,11 +93,10 @@ func (n *Network) registerTransfer(p *Packet, t *Transfer) {
 		slot := x.free[k-1]
 		x.free = x.free[:k-1]
 		x.tab[slot] = t
-		p.xslot = slot + 1
-		return
+		return slot + 1
 	}
 	x.tab = append(x.tab, t)
-	p.xslot = int32(len(x.tab))
+	return int32(len(x.tab))
 }
 
 // transferOf returns a packet's transfer, or nil.
@@ -114,25 +108,18 @@ func (n *Network) transferOf(p *Packet) *Transfer {
 }
 
 // completeTransfer credits a delivered transfer packet to its transfer
-// and frees its slot; called from deliverEvent on tail-flit delivery,
-// just before the packet is recycled (which zeroes xslot).
+// and frees the transfer's row with its last packet; called from
+// deliverEvent on tail-flit delivery, after the Deliver hooks (which
+// may look the transfer up) and before the packet is recycled.
 func (n *Network) completeTransfer(p *Packet) {
 	x := n.xfers
 	slot := p.xslot - 1
 	t := x.tab[slot]
-	x.tab[slot] = nil
-	x.free = append(x.free, slot)
 	t.delivered++
 	t.lastCycle = n.cycle
 	t.lastHops = p.Hops
-}
-
-// PendingTransfers returns how many transfer packets are currently
-// materialized in the network (injected but not yet delivered). Used by
-// tests to prove the slot table drains.
-func (n *Network) PendingTransfers() int {
-	if n.xfers == nil {
-		return 0
+	if t.Done() {
+		x.tab[slot] = nil
+		x.free = append(x.free, slot)
 	}
-	return len(n.xfers.tab) - len(n.xfers.free)
 }

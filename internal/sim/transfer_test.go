@@ -15,7 +15,7 @@ func stepUntilDone(t *testing.T, n *Network, tr *Transfer, load float64, budget 
 	for !tr.Done() {
 		if n.Cycle() >= deadline {
 			t.Fatalf("transfer not done after %d cycles (%d/%d delivered)",
-				budget, tr.Delivered(), tr.Packets())
+				budget, tr.delivered, tr.packets)
 		}
 		if load > 0 {
 			MustGenerate(t, n, load)
@@ -53,8 +53,8 @@ func TestTransferZeroLoadLatency(t *testing.T) {
 			}
 		}
 	}
-	if n.PendingTransfers() != 0 {
-		t.Fatalf("tracking map holds %d packets after completion", n.PendingTransfers())
+	if len(n.xfers.free) != len(n.xfers.tab) {
+		t.Fatalf("slot table holds %d transfers after completion", len(n.xfers.tab)-len(n.xfers.free))
 	}
 }
 
@@ -80,8 +80,8 @@ func TestTransferMultiPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepUntilDone(t, n, many, 0, 1000)
-	if many.Delivered() != burst {
-		t.Fatalf("delivered %d of %d", many.Delivered(), burst)
+	if many.delivered != burst {
+		t.Fatalf("delivered %d of %d", many.delivered, burst)
 	}
 	want := one.Latency() + burst - 1
 	if many.Latency() != want {

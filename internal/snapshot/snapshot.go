@@ -41,8 +41,10 @@ const Magic = "FNETSNAP"
 // asking the caller to regenerate it. Version 2 added the workload
 // section (per-source arrival-process state) and dropped the per-source
 // burst bit. Version 3 writes the event calendar, round-robin pointers
-// and backlog destinations in the cycle core's own layout.
-const Version = 3
+// and backlog destinations in the cycle core's own layout. Version 4
+// drops the transfer section and the per-arrival transfer index: a
+// restored transfer's arrivals and packets are ordinary ones.
+const Version = 4
 
 // maxStringLen bounds String allocations against hostile length
 // prefixes. Snapshot strings are short identifiers (algorithm names,

@@ -38,9 +38,6 @@ func (a *Accumulator) Add(v float64) {
 // Count returns the number of samples recorded.
 func (a *Accumulator) Count() int { return a.n }
 
-// Sum returns the total of all samples.
-func (a *Accumulator) Sum() float64 { return a.sum }
-
 // Mean returns the sample mean, or 0 for an empty accumulator.
 func (a *Accumulator) Mean() float64 {
 	if a.n == 0 {
@@ -81,9 +78,6 @@ func (a *Accumulator) Max() float64 {
 	return a.max
 }
 
-// Reset discards all samples.
-func (a *Accumulator) Reset() { *a = Accumulator{} }
-
 // String summarises the accumulator for logs and debug output.
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f",
@@ -93,16 +87,15 @@ func (a *Accumulator) String() string {
 // Histogram counts integer-valued samples (e.g. packet latencies in cycles)
 // in unit-width bins so that exact percentiles can be extracted.
 type Histogram struct {
-	bins     []int64 // bins[i] counts samples with value i, up to cap
-	overflow int64   // samples >= len(bins)
-	n        int64
-	total    int64 // sum of all sample values, including overflowed ones
-	max      int   // largest sample seen, exact even for overflowed samples
+	bins  []int64 // bins[i] counts samples with value i, up to cap
+	n     int64
+	total int64 // sum of all sample values, including overflowed ones
+	max   int   // largest sample seen, exact even for overflowed samples
 }
 
 // NewHistogram returns a histogram covering [0, maxValue]; larger samples
-// are tallied in a single overflow bin (their exact values still contribute
-// to the mean).
+// fall in no bin, so a percentile that reaches them reports maxValue+1
+// (their exact values still contribute to the mean).
 func NewHistogram(maxValue int) *Histogram {
 	if maxValue < 0 {
 		maxValue = 0
@@ -117,8 +110,6 @@ func (h *Histogram) Add(v int) {
 	}
 	if v < len(h.bins) {
 		h.bins[v]++
-	} else {
-		h.overflow++
 	}
 	if v > h.max {
 		h.max = v
@@ -133,9 +124,6 @@ func (h *Histogram) Max() int { return h.max }
 
 // Count returns the number of samples recorded.
 func (h *Histogram) Count() int64 { return h.n }
-
-// Overflow returns the number of samples beyond the histogram range.
-func (h *Histogram) Overflow() int64 { return h.overflow }
 
 // Mean returns the exact sample mean (overflowed samples included).
 func (h *Histogram) Mean() float64 {
@@ -169,14 +157,6 @@ func (h *Histogram) Percentile(p float64) int {
 		}
 	}
 	return len(h.bins)
-}
-
-// Reset discards all samples, keeping the bin range.
-func (h *Histogram) Reset() {
-	for i := range h.bins {
-		h.bins[i] = 0
-	}
-	h.overflow, h.n, h.total, h.max = 0, 0, 0, 0
 }
 
 // Quantile returns the q-th (0..1) quantile of data by linear interpolation.

@@ -32,15 +32,6 @@ func TestAccumulatorBasics(t *testing.T) {
 	}
 }
 
-func TestAccumulatorReset(t *testing.T) {
-	var a Accumulator
-	a.Add(10)
-	a.Reset()
-	if a.Count() != 0 || a.Sum() != 0 {
-		t.Fatal("Reset did not clear accumulator")
-	}
-}
-
 // bounded maps an arbitrary generated float into a numerically sane range
 // so that sums and squares cannot overflow to +/-Inf.
 func bounded(v float64) float64 {
@@ -90,9 +81,6 @@ func TestHistogramOverflow(t *testing.T) {
 	h := NewHistogram(4)
 	h.Add(100)
 	h.Add(2)
-	if h.Overflow() != 1 {
-		t.Fatalf("overflow = %d", h.Overflow())
-	}
 	if !almostEqual(h.Mean(), 51, 1e-12) {
 		t.Fatalf("mean should include overflow values exactly, got %v", h.Mean())
 	}
@@ -106,16 +94,6 @@ func TestHistogramNegativeClamp(t *testing.T) {
 	h.Add(-3)
 	if h.Count() != 1 || h.Percentile(1) != 0 {
 		t.Fatal("negative sample should clamp to 0")
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram(4)
-	h.Add(3)
-	h.Add(99)
-	h.Reset()
-	if h.Count() != 0 || h.Overflow() != 0 || h.Mean() != 0 {
-		t.Fatal("Reset did not clear histogram")
 	}
 }
 

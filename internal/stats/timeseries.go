@@ -98,20 +98,3 @@ func (t *TimeSeries) Rate() float64 {
 	span := t.latest().Start + t.window - oldest.Start
 	return float64(t.Retained()) / float64(span)
 }
-
-// LatestRate returns the event rate of the most recent bucket alone, or
-// 0 for an empty series. The newest bucket may still be filling, so this
-// is a lower bound on the current rate.
-func (t *TimeSeries) LatestRate() float64 {
-	if len(t.buckets) == 0 {
-		return 0
-	}
-	return float64(t.latest().Count) / float64(t.window)
-}
-
-// Reset discards all buckets and counts, keeping window and depth.
-func (t *TimeSeries) Reset() {
-	t.buckets = t.buckets[:0]
-	t.head = 0
-	t.total, t.evicted = 0, 0
-}

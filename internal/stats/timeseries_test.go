@@ -34,9 +34,6 @@ func TestTimeSeriesSparse(t *testing.T) {
 	if got := ts.Rate(); got != 0.2 {
 		t.Errorf("Rate = %v, want 0.2", got)
 	}
-	if got := ts.LatestRate(); got != 1.0 {
-		t.Errorf("LatestRate = %v, want 1.0", got)
-	}
 }
 
 func TestTimeSeriesEviction(t *testing.T) {
@@ -78,7 +75,7 @@ func TestTimeSeriesLateSampleFolds(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesResetAndClamp(t *testing.T) {
+func TestTimeSeriesClamp(t *testing.T) {
 	ts := NewTimeSeries(0, 0) // clamps to window 1, depth 1
 	if ts.Window() != 1 {
 		t.Errorf("Window = %d, want 1", ts.Window())
@@ -87,13 +84,5 @@ func TestTimeSeriesResetAndClamp(t *testing.T) {
 	ts.Record(4, 1) // evicts the only bucket
 	if ts.Retained() != 1 || ts.Total() != 8 {
 		t.Errorf("Retained/Total = %d/%d, want 1/8", ts.Retained(), ts.Total())
-	}
-	ts.Reset()
-	if ts.Len() != 0 || ts.Total() != 0 || ts.Rate() != 0 || ts.LatestRate() != 0 {
-		t.Error("Reset did not clear the series")
-	}
-	ts.Record(5, 2)
-	if ts.Retained() != 2 {
-		t.Errorf("post-reset Retained = %d, want 2", ts.Retained())
 	}
 }

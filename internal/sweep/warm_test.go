@@ -200,13 +200,19 @@ func TestCheckedRunsSanitized(t *testing.T) {
 // TestWarmCorruptSnapshotFallsBack ensures a stored snapshot this build
 // cannot resume is declined with sim.ErrResume, never misread: it is
 // discarded and replaced by a cold run with the correct result. The
-// cases are damaged bytes and testdata/parkeyed_ff_k8.snap, a real
-// version-2 stream of the fixture job's network (an 8-ary 2-flat under
-// UGAL, 2-flit packets, age arbiter, 300 cycles at uniform load 0.9),
-// written by a build whose parallel scheduler keyed packet IDs by cycle
-// and source.
+// cases are damaged bytes and two real streams of older formats:
+// testdata/parkeyed_ff_k8.snap, version 2, of the v2 job's network (an
+// 8-ary 2-flat under UGAL, 2-flit packets, age arbiter, 300 cycles at
+// uniform load 0.9), written by a build whose parallel scheduler keyed
+// packet IDs by cycle and source; and testdata/v3_ff_k4.snap, version 3,
+// the warm-up of tinyJob("CLOS AD", 0.3), written by the last build that
+// stored transfers in snapshots.
 func TestWarmCorruptSnapshotFallsBack(t *testing.T) {
 	v2, err := os.ReadFile(filepath.Join("testdata", "parkeyed_ff_k8.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := os.ReadFile(filepath.Join("testdata", "v3_ff_k4.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +229,7 @@ func TestWarmCorruptSnapshotFallsBack(t *testing.T) {
 	}{
 		{"garbage", tinyJob("CLOS AD", 0.3), []byte("not a snapshot"), "bad magic"},
 		{"format v2", v2Job, v2, "format version 2"},
+		{"format v3", tinyJob("CLOS AD", 0.3), v3, "format version 3"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ws, err := OpenWarmStore(t.TempDir())

@@ -118,8 +118,3 @@ func (t *Tracer) PacketEvents(packet int64) []FlitEvent {
 	}
 	return out
 }
-
-// Reset discards all events, keeping capacity and filter.
-func (t *Tracer) Reset() {
-	t.head, t.n, t.dropped = 0, 0, 0
-}
