@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,21 +10,22 @@ import (
 	"flatnet/internal/traffic"
 )
 
-// backlogStorage reports the segments a source holds (head, queued and
-// spare) and their total size in bytes.
+// backlogStorage reports the segments a source's backlog holds (its head
+// window, its stream chunks and the spare chunk) and their total size in
+// bytes.
 func backlogStorage(s *source) (segs, bytes int) {
-	count := func(seg []arrival) {
-		if cap(seg) > 0 {
+	count := func(size int) {
+		if size > 0 {
 			segs++
-			bytes += cap(seg) * 16
+			bytes += size
 		}
 	}
-	count(s.hd)
+	count(cap(s.hd) * 16)
 	if o := s.more; o != nil {
-		for _, seg := range o.segs {
-			count(seg)
+		for _, c := range o.chunks {
+			count(cap(c))
 		}
-		count(o.spare)
+		count(cap(o.spare))
 	}
 	return segs, bytes
 }
@@ -36,9 +38,14 @@ func pendingOf(s *source) []arrival {
 
 // TestSourceBacklogModel drives one source's backlog at random against a
 // plain-slice FIFO: every kind of push, pops, peeks, the length and the
-// in-order walk must agree at every step, while
-// the backlog swings between empty and several thousand arrivals so the
-// head and the tail cross every segment size and the spare is reused.
+// in-order walk must agree at every step, while the backlog swings
+// between empty and several thousand arrivals, so the window grows,
+// compacts, spills and refills and the stream crosses every chunk size
+// and reuses its spare. Timestamps mostly creep forward as a saturated
+// source's do, but now and then jump by 2^32 or more, step back, or swing
+// across the whole int64 range, so every header width is encoded. The
+// test also counts the boundary cases of the two-part FIFO and fails if
+// the random walk stopped reaching one.
 func TestSourceBacklogModel(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))
 	var s source
@@ -53,9 +60,55 @@ func TestSourceBacklogModel(t *testing.T) {
 			t.Fatalf("step %d: peek %d, want %d", step, s.peekTS(), ref[0].ts)
 		}
 	}
+	streamLen := func() int {
+		if s.more == nil {
+			return 0
+		}
+		return s.more.n
+	}
+	chunks := func() int {
+		if s.more == nil {
+			return 0
+		}
+		return len(s.more.chunks)
+	}
+	// Boundary cases reached, by name.
+	seen := map[string]int{}
+	var lastTS int64
+	lastPayload := false
+	push := func(a arrival) {
+		behind := streamLen() > 0 && len(s.hd)-int(s.head) < cap(s.hd)
+		n0, c0 := streamLen(), chunks()
+		s.push(a)
+		ref = append(ref, a)
+		payload := a.dst != -1 || a.xslot != 0
+		if streamLen() > n0 {
+			if behind {
+				seen["push behind the stream with room in the window"]++
+			}
+			if d := a.ts - lastTS; d >= 1<<32 {
+				seen["delta >= 2^32"]++
+			} else if d < 0 {
+				seen["negative delta"]++
+			}
+			if d := a.ts - lastTS; d >= 1<<62 || d < -(1<<62) {
+				seen["delta beyond 62 bits"]++
+			}
+			if chunks() > c0 {
+				if payload {
+					seen["payload first in a chunk"]++
+				}
+				if c0 > 0 && lastPayload {
+					seen["payload last in a chunk"]++
+				}
+			}
+			lastPayload = payload
+		}
+		lastTS = a.ts
+	}
 	// target swings the backlog up and down so growth, drain-to-empty and
 	// the never-quite-empty regime all occur.
-	targets := []int{0, 3, 9, 40, 3000, 1, 700, 0, 5000, 2, 2, 1500, 0}
+	targets := []int{0, 3, 9, 40, 3000, 1, 700, 0, 5000, 2, 2, 1500, 0, 100, 64, 200, 0}
 	step := 0
 	for _, target := range targets {
 		for phase := 0; phase < 4000 && (phase < 200 || len(ref) != target); phase++ {
@@ -67,29 +120,38 @@ func TestSourceBacklogModel(t *testing.T) {
 				pushBias = 20
 			}
 			if rnd.Intn(100) < pushBias {
-				ts += int64(rnd.Intn(3))
+				switch rnd.Intn(60) {
+				case 0:
+					ts += 1<<32 + rnd.Int63n(1<<40)
+				case 1:
+					ts -= 1 + rnd.Int63n(1<<20)
+				case 2:
+					ts ^= math.MinInt64 // a delta near ±2^63
+				default:
+					ts += int64(rnd.Intn(3))
+				}
 				switch rnd.Intn(6) {
 				case 0:
-					dst := int32(rnd.Intn(64))
-					s.pushTraced(ts, topo.NodeID(dst))
-					ref = append(ref, arrival{ts: ts, dst: dst})
+					push(arrival{ts: ts, dst: int32(rnd.Intn(64))})
 				case 1:
 					// What StartTransfer does: a run of identical arrivals
 					// naming their transfer's row.
 					a := arrival{ts: ts, dst: int32(rnd.Intn(64)), xslot: int32(1 + rnd.Intn(9))}
 					for i := rnd.Intn(7); i >= 0; i-- {
-						s.push(a)
-						ref = append(ref, a)
+						push(a)
 					}
 				default:
-					s.pushTimestamp(ts)
-					ref = append(ref, arrival{ts: ts, dst: -1})
+					push(arrival{ts: ts, dst: -1})
 				}
 			} else if len(ref) > 0 {
+				refill := int(s.head) == len(s.hd)-1 && streamLen() > 0
 				if got := s.pop(); got != ref[0] {
 					t.Fatalf("step %d: popped %+v, want %+v", step, got, ref[0])
 				}
 				ref = ref[1:]
+				if refill && streamLen() == 0 {
+					seen["refill that empties the stream"]++
+				}
 			}
 			check(step)
 			if step%97 == 0 {
@@ -108,6 +170,17 @@ func TestSourceBacklogModel(t *testing.T) {
 	if step < 20000 {
 		t.Fatalf("model ran only %d steps", step)
 	}
+	for _, c := range []string{
+		"push behind the stream with room in the window",
+		"refill that empties the stream",
+		"delta >= 2^32", "negative delta", "delta beyond 62 bits",
+		"payload first in a chunk", "payload last in a chunk",
+	} {
+		if seen[c] == 0 {
+			t.Errorf("the model never reached: %s", c)
+		}
+	}
+	t.Logf("boundary cases reached: %v", seen)
 }
 
 // TestBacklogSurvivesSnapshot checks the backlog through the file format:

@@ -119,12 +119,15 @@ func TestCalendarTracksInFlight(t *testing.T) {
 
 // TestSaturatedBacklogAllocBudget runs one load point far past
 // saturation — MIN AD on the worst-case pattern saturates at 1/k, and
-// the offered load is 0.9 — and holds everything the run allocates to
-// twice what its final source backlog occupies, plus what building the
-// network allocated. The backlog is the only thing in a saturated run
-// that grows, so this is a bound on how its storage grows: segments that
-// are never copied stay under it; a backlog that regrows by copying
-// allocates several times its final size and does not.
+// the offered load is 0.9 — and holds the source backlogs to their two
+// budgets. Live storage: the head windows plus at most 2 bytes per
+// queued arrival (a saturated source's arrivals are a cycle or two
+// apart, one byte each in the stream; 16-byte arrivals held 16). Growth:
+// everything the run allocates, less the packet slab that holds the
+// packets in flight, is at most twice the backlogs' final storage, so
+// the stream grows by chunks that are never copied; a backlog that
+// regrows by copying allocates several times its final size and does
+// not.
 func TestSaturatedBacklogAllocBudget(t *testing.T) {
 	ff, err := topo.NewFlatFly(16, 2)
 	if err != nil {
@@ -139,7 +142,6 @@ func TestSaturatedBacklogAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.TotalAlloc
 	}
-	before := allocated()
 	n, err := sim.New(ff.Graph(), alg, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -151,17 +153,61 @@ func TestSaturatedBacklogAllocBudget(t *testing.T) {
 		sim.MustGenerate(t, n, 0.9)
 		n.Step()
 	}
-	ran := allocated()
+	run := int64(allocated()-built) - sim.PacketSlabBytes(n)
 
 	backlog := n.Backlog()
 	if backlog < int64(n.NumNodes())*1000 {
 		t.Fatalf("backlog of %d arrivals after 2000 cycles: the load point did not saturate", backlog)
 	}
-	construction, run := built-before, ran-built
-	t.Logf("final backlog %d arrivals (%d bytes), run allocated %d bytes, construction %d", backlog, backlog*16, run, construction)
-	if budget := 2*uint64(backlog)*16 + construction; run > budget {
-		t.Fatalf("saturated run allocated %d bytes for a final backlog of %d arrivals (%d bytes at 16 B each); budget is twice that plus the %d bytes of construction",
-			run, backlog, backlog*16, construction)
+	windows, streams := sim.BacklogStorage(n)
+	t.Logf("final backlog %d arrivals in %d bytes of windows and %d of streams (%.2f B/arrival); run allocated %d bytes besides the packet slab",
+		backlog, windows, streams, float64(streams)/float64(backlog), run)
+	if streams > 2*backlog {
+		t.Fatalf("backlog of %d arrivals holds %d bytes of streams besides its windows; budget is 2 bytes per arrival", backlog, streams)
+	}
+	if storage := windows + streams; run > 2*storage {
+		t.Fatalf("saturated run allocated %d bytes for %d bytes of final backlog storage; budget is twice that", run, storage)
+	}
+}
+
+// TestSaturatedLiveHeap runs a full-scale load point past saturation —
+// the 32-ary 2-flat under MIN AD on the worst-case pattern at load 0.9,
+// with windows of 2000/2000 cycles and the 30 000-cycle cap — and holds
+// the live heap at its end, the network and its 26 million queued
+// arrivals, to 64 MB (16-byte arrivals held 434 MB).
+func TestSaturatedLiveHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 30 000 cycles of a 1024-terminal network")
+	}
+	ff, err := topo.NewFlatFly(32, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := routing.NewFlatFlyAlgorithm("min", ff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live uint64
+	var backlog int64
+	res, err := sim.RunLoadPoint(ff.Graph(), alg, sim.DefaultConfig(), sim.RunConfig{
+		Load: 0.9, Source: traffic.NewBernoulli(traffic.NewWorstCase(ff.K, ff.NumRouters)),
+		Warmup: 2000, Measure: 2000, MaxCycles: 30000,
+		Observe: func(n *sim.Network) {
+			runtime.GC()
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			live, backlog = m.HeapAlloc, n.Backlog()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Saturated || backlog < 20_000_000 {
+		t.Fatalf("run ended saturated=%v with %d queued arrivals; the scenario should saturate with over 20 million", res.Saturated, backlog)
+	}
+	t.Logf("%d queued arrivals, %.1f MB live", backlog, float64(live)/1e6)
+	if live > 64<<20 {
+		t.Fatalf("%.1f MB live at the end of the run, budget 64 MiB", float64(live)/(1<<20))
 	}
 }
 

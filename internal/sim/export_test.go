@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
@@ -73,4 +74,25 @@ func CheckQueueEstRows(n *Network) error {
 // the port's row entry: the state a hostile snapshot describes.
 func ForgePending(n *Network, r topo.RouterID, port, vc int, pending int32) {
 	n.routers[r].ovc[port<<n.vcShift|vc].pending = pending
+}
+
+// BacklogStorage returns the bytes the sources' backlogs hold: their head
+// windows, and their stream chunks with the spares.
+func BacklogStorage(n *Network) (windows, streams int64) {
+	for i := range n.sources {
+		s := &n.sources[i]
+		windows += int64(cap(s.hd)) * 16
+		if o := s.more; o != nil {
+			for _, c := range o.chunks {
+				streams += int64(cap(c))
+			}
+			streams += int64(cap(o.spare))
+		}
+	}
+	return windows, streams
+}
+
+// PacketSlabBytes returns the size of the network's packet slab.
+func PacketSlabBytes(n *Network) int64 {
+	return int64(len(n.arena.chunks)) * int64(unsafe.Sizeof(pktChunk{}))
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flatnet/internal/rng"
@@ -15,17 +16,17 @@ import (
 // this is statistically identical to drawing at arrival time and keeps
 // memory proportional to backlog length, not packet size.
 //
-// The backlog of pending arrivals is a FIFO of segments: hd[head:] holds
-// the oldest arrivals, more.segs the segments behind it in order, and
-// the last segment of all is the tail that push appends to. Segments are
-// never copied or regrown: a full tail gets a new segment behind it,
-// twice its size (4 entries up to 1024), and a drained head segment
-// becomes the spare the next growth reuses. So a saturated source, which
-// queues one arrival per offered packet for the whole run, allocates at
-// most twice its final backlog, once; a source whose short backlog never
-// quite drains alternates between two small segments; and a source that
-// does drain keeps refilling the one segment it has. An empty backlog is
-// len(hd) == 0.
+// The backlog of pending arrivals is a FIFO in two parts. hd[head:] is
+// the head window, the oldest arrivals decoded, where pop and peekTS read
+// them. The window starts at minSegment arrivals and doubles up to
+// maxSegment; a full window whose front half has drained is compacted in
+// place instead, so a short backlog that never quite drains keeps one
+// small window. What does not fit a full window goes to the byte stream
+// behind more, and once that stream holds anything every push goes
+// behind it, so the window always holds the oldest arrivals; a drained
+// window refills from the stream. So a saturated source, which queues one
+// arrival per offered packet for the whole run, holds its window plus
+// about a byte per queued arrival. An empty backlog is len(hd) == 0.
 //
 // A source is 64 bytes, one cache line (TestHotLayoutSizes); everything
 // only a long backlog needs lives behind more.
@@ -38,7 +39,7 @@ type source struct {
 	cur int32
 
 	hd   []arrival
-	more *overflow // nil until the backlog outgrows hd
+	more *overflow // nil until the backlog first outgrows a full window
 	head int32
 
 	remaining int32
@@ -54,7 +55,7 @@ type source struct {
 // and transfer arrivals carry it explicitly.
 //
 // The struct is 16 bytes and holds no pointer, so the runtime allocates
-// backlog segments as noscan memory: the collector never marks them and
+// head windows as noscan memory: the collector never marks them and
 // stores into them need no write barrier. That is why a transfer arrival
 // names its transfer by slot-table row and not by *Transfer.
 type arrival struct {
@@ -63,21 +64,41 @@ type arrival struct {
 	xslot int32 // 1 + the row of its transfer in Network.xfers, 0 for none
 }
 
-// Segment sizes, in arrivals. The smallest is one cache line, so an idle
-// terminal costs 64 bytes; the cap keeps the directory of a long backlog
-// short (one entry per 16 kB) without holding a drained source at more
-// than two such segments. Fixed 2 kB segments were measured and lost:
-// core_ur -8 %, core_4k_par -10 % and +43 % RSS (DESIGN.md §10).
+// Head window sizes, in arrivals, and stream chunk sizes, in bytes. The
+// smallest window is one cache line, so an idle terminal costs 64 bytes;
+// a full window is 1 kB, enough that the stream is decoded 64 arrivals
+// at a time, and the sources that never queue more than that (every
+// unsaturated one) never touch the stream. Chunks stop growing at 1 kB
+// for the same reason segments did: a drained source keeps its window
+// and one spare chunk (DESIGN.md §10).
 const (
 	minSegment = 4
-	maxSegment = 1024
+	maxSegment = 64
+	minChunk   = 64
+	maxChunk   = 1024
 )
 
-// overflow is the part of a source's backlog that does not fit its
-// 64-byte header.
+// maxEncoded bounds one encoded arrival: a 65-bit header takes 10 bytes,
+// an int32 varint and a uint32 uvarint 5 each.
+const maxEncoded = 20
+
+// overflow is the part of a source's backlog behind its head window: a
+// byte stream of encoded arrivals, oldest first. Each arrival is the
+// LEB128 uvarint of zigzag(ts - previous ts)<<1 | payload, a 65-bit value
+// so that any int64 delta fits (one byte for the same-cycle and
+// next-cycle arrivals a saturated source queues); a payload arrival, one
+// with a destination or a transfer, follows it with dst as a varint and
+// xslot as a uvarint. The stream lives in chunks that double from
+// minChunk to maxChunk bytes and are never copied or regrown: a full tail
+// gets a new chunk behind it, and a drained head chunk becomes the spare
+// that the next one reuses. An arrival never straddles two chunks.
 type overflow struct {
-	segs  [][]arrival // segments behind source.hd, oldest first; the last is the tail
-	spare []arrival   // the most recently drained segment, empty, for the next growth
+	chunks [][]byte // oldest first; the last is the tail that put appends to
+	spare  []byte   // the largest drained chunk, empty, for the next one
+	n      int      // arrivals in the stream
+	rd     int      // read offset into chunks[0]
+	rts    int64    // timestamp the next read delta is relative to
+	wts    int64    // timestamp the next written delta is relative to
 }
 
 func (s *source) empty() bool { return len(s.hd) == 0 }
@@ -85,43 +106,153 @@ func (s *source) empty() bool { return len(s.hd) == 0 }
 func (s *source) backlogLen() int {
 	n := len(s.hd) - int(s.head)
 	if s.more != nil {
-		for _, seg := range s.more.segs {
-			n += len(seg)
-		}
+		n += s.more.n
 	}
 	return n
 }
 
 func (s *source) push(a arrival) {
-	tail := &s.hd
-	if o := s.more; o != nil && len(o.segs) > 0 {
-		tail = &o.segs[len(o.segs)-1]
+	if o := s.more; o != nil && o.n > 0 || len(s.hd) == cap(s.hd) && !s.makeRoom() {
+		s.spill(a)
+		return
 	}
-	if len(*tail) == cap(*tail) {
-		tail = s.grow(cap(*tail))
-	}
-	*tail = append(*tail, a)
+	s.hd = append(s.hd, a)
 }
 
-// grow starts a new tail segment behind a full one of the given size (0
-// on a source's first arrival) and returns it.
-func (s *source) grow(full int) *[]arrival {
-	var seg []arrival
-	if o := s.more; o != nil && o.spare != nil {
-		seg, o.spare = o.spare, nil
-	} else {
-		seg = make([]arrival, 0, min(max(2*full, minSegment), maxSegment))
+// makeRoom frees space in the full head window: it compacts the window in
+// place when at least half of it has drained, doubles it below
+// maxSegment, and otherwise reports false.
+func (s *source) makeRoom() bool {
+	live := len(s.hd) - int(s.head)
+	switch {
+	case s.head > 0 && 2*int(s.head) >= len(s.hd):
+		copy(s.hd, s.hd[s.head:])
+		s.hd = s.hd[:live]
+	case cap(s.hd) < maxSegment:
+		w := make([]arrival, live, max(2*cap(s.hd), minSegment))
+		copy(w, s.hd[s.head:])
+		s.hd = w
+	default:
+		return false
 	}
-	if full == 0 {
-		s.hd = seg
-		return &s.hd
-	}
-	if s.more == nil {
-		s.more = &overflow{}
-	}
+	s.head = 0
+	return true
+}
+
+// spill appends a to the stream behind the head window.
+func (s *source) spill(a arrival) {
 	o := s.more
-	o.segs = append(o.segs, seg)
-	return &o.segs[len(o.segs)-1]
+	if o == nil {
+		o = &overflow{}
+		s.more = o
+	}
+	if o.n == 0 {
+		// A new stream: its deltas start from the newest arrival in the
+		// (full) window.
+		o.wts = s.hd[len(s.hd)-1].ts
+		o.rts = o.wts
+	}
+	if k := len(o.chunks); k == 0 || cap(o.chunks[k-1])-len(o.chunks[k-1]) < maxEncoded {
+		o.chunks = append(o.chunks, o.newChunk())
+	}
+	tail := &o.chunks[len(o.chunks)-1]
+	*tail = appendArrival(*tail, a, o.wts)
+	o.wts = a.ts
+	o.n++
+}
+
+// newChunk returns an empty chunk twice the size of the tail (minChunk
+// for the first), capped at maxChunk: the spare if it is large enough.
+func (o *overflow) newChunk() []byte {
+	size := minChunk
+	if k := len(o.chunks); k > 0 {
+		size = min(2*cap(o.chunks[k-1]), maxChunk)
+	}
+	if cap(o.spare) >= size {
+		c := o.spare
+		o.spare = nil
+		return c
+	}
+	return make([]byte, 0, size)
+}
+
+// take moves the oldest arrivals of the stream into w, as many as fit,
+// and returns how many it moved. A drained stream keeps its last chunk
+// as the spare.
+func (o *overflow) take(w []arrival) int {
+	k := min(len(w), o.n)
+	c, off, ts := o.chunks[0], o.rd, o.rts
+	for i := 0; i < k; i++ {
+		if off == len(c) {
+			o.retire()
+			c, off = o.chunks[0], 0
+		}
+		w[i], off = readArrival(c, off, ts)
+		ts = w[i].ts
+	}
+	o.rd, o.rts = off, ts
+	if o.n -= k; o.n == 0 {
+		o.retire()
+		o.rd = 0
+	}
+	return k
+}
+
+// retire drops the drained head chunk, keeping it as the spare if it is
+// the larger.
+func (o *overflow) retire() {
+	if c := o.chunks[0]; cap(c) > cap(o.spare) {
+		o.spare = c[:0]
+	}
+	k := copy(o.chunks, o.chunks[1:])
+	o.chunks[k] = nil
+	o.chunks = o.chunks[:k]
+}
+
+// appendArrival appends a's encoding, its timestamp relative to prev, to
+// b.
+func appendArrival(b []byte, a arrival, prev int64) []byte {
+	d := a.ts - prev
+	zz := uint64(d<<1) ^ uint64(d>>63)
+	var payload byte
+	if a.dst != -1 || a.xslot != 0 {
+		payload = 1
+	}
+	// The header's low 7 bits, then the rest as an ordinary uvarint: the
+	// LEB128 of zz<<1 | payload without losing zz's top bit.
+	first := byte(zz<<1)&0x7e | payload
+	if rest := zz >> 6; rest != 0 {
+		b = binary.AppendUvarint(append(b, first|0x80), rest)
+	} else {
+		b = append(b, first)
+	}
+	if payload != 0 {
+		b = binary.AppendVarint(b, int64(a.dst))
+		b = binary.AppendUvarint(b, uint64(uint32(a.xslot)))
+	}
+	return b
+}
+
+// readArrival decodes the arrival at b[off:], whose timestamp is relative
+// to prev, and returns it with the offset just past it.
+func readArrival(b []byte, off int, prev int64) (arrival, int) {
+	h := b[off]
+	off++
+	zz := uint64(h>>1) & 0x3f
+	if h&0x80 != 0 {
+		rest, k := binary.Uvarint(b[off:])
+		zz |= rest << 6
+		off += k
+	}
+	a := arrival{ts: prev + (int64(zz>>1) ^ -int64(zz&1)), dst: -1}
+	if h&1 != 0 {
+		dst, k := binary.Varint(b[off:])
+		off += k
+		xslot, k := binary.Uvarint(b[off:])
+		off += k
+		a.dst, a.xslot = int32(dst), int32(xslot)
+	}
+	return a, off
 }
 
 func (s *source) pushTimestamp(t int64) { s.push(arrival{ts: t, dst: -1}) }
@@ -149,37 +280,38 @@ func (s *source) pop() (a arrival) {
 	return a
 }
 
-// retireHead replaces the drained head segment with the next one, keeping
-// it as the spare; with no segment behind it the backlog is empty and the
-// segment restarts. Outlined so that pop itself inlines into injectSource.
+// retireHead refills the drained head window from the stream; with the
+// stream empty the backlog is empty and the window restarts. Outlined so
+// that pop itself inlines into injectSource.
 //
 //go:noinline
 func (s *source) retireHead() {
 	s.head = 0
-	o := s.more
-	if o == nil || len(o.segs) == 0 {
-		s.hd = s.hd[:0]
+	if o := s.more; o != nil && o.n > 0 {
+		s.hd = s.hd[:o.take(s.hd[:cap(s.hd)])]
 		return
 	}
-	o.spare = s.hd[:0]
-	s.hd = o.segs[0]
-	k := copy(o.segs, o.segs[1:])
-	o.segs[k] = nil
-	o.segs = o.segs[:k]
+	s.hd = s.hd[:0]
 }
 
 // eachPending visits the backlog oldest first.
 func (s *source) eachPending(visit func(a arrival)) {
-	walk := func(seg []arrival) {
-		for _, a := range seg {
-			visit(a)
-		}
+	for _, a := range s.hd[s.head:] {
+		visit(a)
 	}
-	walk(s.hd[s.head:])
-	if s.more != nil {
-		for _, seg := range s.more.segs {
-			walk(seg)
+	o := s.more
+	if o == nil {
+		return
+	}
+	ci, off, ts := 0, o.rd, o.rts
+	for i := 0; i < o.n; i++ {
+		if off == len(o.chunks[ci]) {
+			ci, off = ci+1, 0
 		}
+		var a arrival
+		a, off = readArrival(o.chunks[ci], off, ts)
+		ts = a.ts
+		visit(a)
 	}
 }
 
