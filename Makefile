@@ -119,8 +119,8 @@ flatbench-check:
 # It runs the suite three times (~5 minutes each) and records each value as
 # the median of the three with their min/max spread; a run with failed
 # operations stops it before anything is recorded. The record also holds
-# the wall time of `paperfigs -quick -fig all`, total and per figure
-# (median of three runs, ~15 s in all).
+# the wall time of `paperfigs -quick -fig all`, total and per figure, and
+# its peak RSS (median of three runs, ~15 s in all).
 bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=<number>"; exit 2; }
 	for i in 1 2 3; do bash bench/run.sh -seed 1 -trace 1 -out .bench_build/record$$i.json || exit 1; done
@@ -129,7 +129,7 @@ bench-record:
 
 # bench-diff prints the trajectory's last two records side by side: the
 # end-to-end metrics of every workload, the per-layer rows that moved by
-# more than 10 % and the paperfigs times, a move inside either record's
+# more than 10 % and the paperfigs times and peak RSS, a move inside either record's
 # spread marked noise.
 bench-diff:
 	@$(GO) run ./cmd/benchrecord -diff

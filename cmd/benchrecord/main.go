@@ -19,14 +19,18 @@
 //
 // prints the last two records side by side: per workload the four
 // end-to-end metrics, and every per-layer row that moved by more than
-// 10 %; then the paperfigs wall times, when both records hold them. A move
+// 10 %; then the paperfigs wall times and peak RSS, when both records
+// hold them. A move
 // that lands inside either record's spread is marked noise; records of a
 // single run have no spread, so nothing in them is.
 //
 // With -paperfigs BIN the record also holds the wall time of the first
 // end-to-end number a user waits for, `BIN -quick -fig all`: the total and
 // each figure's, as the median (and spread) of three runs. A figure's time
-// runs from its "generating" line on stderr to the next one.
+// runs from its "generating" line on stderr to the next one. Beside the
+// times it holds the run's peak resident set (the child's Maxrss), the
+// memory a user of the regeneration needs, as the median and spread of
+// the same runs.
 package main
 
 import (
@@ -40,6 +44,7 @@ import (
 	"os/exec"
 	"sort"
 	"strings"
+	"syscall"
 	"time"
 )
 
@@ -72,17 +77,27 @@ type record struct {
 	Runs      int             `json:"runs,omitempty"`
 	Manifest  json.RawMessage `json:"manifest,omitempty"`
 	Workloads []workload      `json:"workloads"`
-	// Paperfigs is the wall time of `paperfigs -quick -fig all`; records
-	// made without -paperfigs have none.
+	// Paperfigs is the wall time and peak RSS of `paperfigs -quick -fig
+	// all`; records made without -paperfigs have none.
 	Paperfigs *paperfigsTimes `json:"paperfigs_quick,omitempty"`
 }
 
 // paperfigsTimes is the wall time of `paperfigs -quick -fig all` over
-// Runs runs: the whole run and each figure in the order it ran.
+// Runs runs, the whole run and each figure in the order it ran, and the
+// run's peak RSS (records made before it was kept have none).
 type paperfigsTimes struct {
 	Runs    int       `json:"runs"`
 	Total   figTime   `json:"total"`
 	Figures []figTime `json:"figures"`
+	PeakRSS *peakRSS  `json:"peak_rss,omitempty"`
+}
+
+// peakRSS is the median over the runs of a process's peak resident set,
+// in MB (MiB, as flatbench's peak_rss_mb), and the [min, max] of the
+// runs.
+type peakRSS struct {
+	MB     float64    `json:"mb"`
+	Spread [2]float64 `json:"spread"`
 }
 
 // figTime is one figure's (or the whole run's) median seconds and the
@@ -99,7 +114,7 @@ const figRuns = 3
 // timePaperfigs runs `bin -quick -fig all` figRuns times into scratch
 // directories and folds the wall times into their medians.
 func timePaperfigs(bin string) (*paperfigsTimes, error) {
-	var totals []float64
+	var totals, rss []float64
 	var ids []string
 	perFig := map[string][]float64{}
 	for i := 0; i < figRuns; i++ {
@@ -107,13 +122,13 @@ func timePaperfigs(bin string) (*paperfigsTimes, error) {
 		if err != nil {
 			return nil, err
 		}
-		total, figs, err := runPaperfigs(bin, dir)
+		r, err := runPaperfigs(bin, dir)
 		os.RemoveAll(dir)
 		if err != nil {
 			return nil, err
 		}
-		totals = append(totals, total)
-		for _, f := range figs {
+		totals, rss = append(totals, r.total), append(rss, r.rssMB)
+		for _, f := range r.figs {
 			if _, seen := perFig[f.ID]; !seen {
 				ids = append(ids, f.ID)
 			}
@@ -125,40 +140,51 @@ func timePaperfigs(bin string) (*paperfigsTimes, error) {
 		mid, spread := median(xs)
 		return figTime{ID: id, S: ms(mid), Spread: [2]float64{ms(spread[0]), ms(spread[1])}}
 	}
-	t := &paperfigsTimes{Runs: figRuns, Total: fold("all", totals)}
+	mb, spread := median(rss)
+	t := &paperfigsTimes{Runs: figRuns, Total: fold("all", totals), PeakRSS: &peakRSS{MB: mb, Spread: spread}}
 	for _, id := range ids {
 		t.Figures = append(t.Figures, fold(id, perFig[id]))
 	}
 	return t, nil
 }
 
-// runPaperfigs runs one quick regeneration into dir and returns its wall
-// time and each figure's, in seconds.
-func runPaperfigs(bin, dir string) (total float64, figs []figTime, err error) {
+// paperfigsRun is one quick regeneration: its wall time and each
+// figure's, in seconds, and its peak resident set in MB.
+type paperfigsRun struct {
+	total, rssMB float64
+	figs         []figTime
+}
+
+// runPaperfigs runs one quick regeneration into dir.
+func runPaperfigs(bin, dir string) (paperfigsRun, error) {
 	cmd := exec.Command(bin, "-quick", "-fig", "all", "-out", dir)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
-		return 0, nil, err
+		return paperfigsRun{}, err
 	}
 	start := time.Now()
 	if err := cmd.Start(); err != nil {
-		return 0, nil, err
+		return paperfigsRun{}, err
 	}
 	since := func() float64 { return time.Since(start).Seconds() }
-	figs = figureStarts(stderr, since)
+	r := paperfigsRun{figs: figureStarts(stderr, since)}
 	if err := cmd.Wait(); err != nil {
-		return 0, nil, fmt.Errorf("%s -quick -fig all: %w", bin, err)
+		return paperfigsRun{}, fmt.Errorf("%s -quick -fig all: %w", bin, err)
 	}
-	total = since()
+	r.total = since()
+	// Linux reports Maxrss in kilobytes.
+	if ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage); ok {
+		r.rssMB = float64(ru.Maxrss) / 1024
+	}
 	// A figure runs until the next one starts; the last until exit.
-	for i := range figs {
-		end := total
-		if i+1 < len(figs) {
-			end = figs[i+1].S
+	for i := range r.figs {
+		end := r.total
+		if i+1 < len(r.figs) {
+			end = r.figs[i+1].S
 		}
-		figs[i].S = end - figs[i].S
+		r.figs[i].S = end - r.figs[i].S
 	}
-	return total, figs, nil
+	return r, nil
 }
 
 // figureStarts reads paperfigs' stderr and returns, for each
@@ -398,6 +424,9 @@ func diff(w io.Writer, trajectory string) error {
 				row("fig "+f.ID, was.S, f.S, was.Spread, f.Spread)
 			}
 		}
+		if a, b := old.Paperfigs.PeakRSS, cur.Paperfigs.PeakRSS; a != nil && b != nil {
+			row("peak_rss_mb", a.MB, b.MB, a.Spread, b.Spread)
+		}
 	}
 	return nil
 }
@@ -406,7 +435,7 @@ func main() {
 	pr := flag.Int("pr", 0, "number of the PR this run records")
 	in := flag.String("in", ".bench_build/record.json", "comma-separated suite reports, each written by `bash bench/run.sh -seed 1 -trace 1 -out FILE`; the record keeps their median and spread")
 	show := flag.Bool("diff", false, "print the last two records side by side and record nothing")
-	paperfigs := flag.String("paperfigs", "", "paperfigs binary whose `-quick -fig all` wall time (total and per figure, median of 3 runs) the record also holds")
+	paperfigs := flag.String("paperfigs", "", "paperfigs binary whose `-quick -fig all` wall time (total and per figure) and peak RSS, median of 3 runs, the record also holds")
 	flag.Parse()
 	var err error
 	switch {

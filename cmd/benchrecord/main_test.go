@@ -196,8 +196,9 @@ func TestRecordMedianSpread(t *testing.T) {
 }
 
 // TestPaperfigsTiming reads figure starts from a paperfigs stderr on a
-// scripted clock, records times beside a suite and prints both records'
-// times in -diff.
+// scripted clock, takes a stand-in run's times and peak RSS, records
+// them beside a suite and prints both records' times and peak RSS in
+// -diff.
 func TestPaperfigsTiming(t *testing.T) {
 	stderr := strings.Join([]string{
 		"generating 2 -> q/fig2.txt",
@@ -223,12 +224,16 @@ func TestPaperfigsTiming(t *testing.T) {
 	if err := os.WriteFile(bin, []byte(script), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	total, figs, err := runPaperfigs(bin, t.TempDir())
+	r, err := runPaperfigs(bin, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(figs) != 2 || figs[0].ID != "2" || figs[0].S < 0.2 || figs[1].ID != "t1" || figs[0].S+figs[1].S > total {
-		t.Fatalf("stand-in run: total %g s, figures %v; want fig 2 >= 0.2 s and the figures within the total", total, figs)
+	if figs := r.figs; len(figs) != 2 || figs[0].ID != "2" || figs[0].S < 0.2 || figs[1].ID != "t1" || figs[0].S+figs[1].S > r.total {
+		t.Fatalf("stand-in run: total %g s, figures %v; want fig 2 >= 0.2 s and the figures within the total", r.total, figs)
+	}
+	// The shell and its sleep hold a few hundred kB to a few MB.
+	if r.rssMB <= 0 || r.rssMB > 64 {
+		t.Fatalf("stand-in run: peak RSS %g MB, want the child's resident set", r.rssMB)
 	}
 
 	dir := t.TempDir()
@@ -236,21 +241,23 @@ func TestPaperfigsTiming(t *testing.T) {
 	if err := os.WriteFile(in, []byte(suiteJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	times := func(total, fig4a float64) *paperfigsTimes {
+	times := func(total, fig4a, rss float64) *paperfigsTimes {
 		return &paperfigsTimes{Runs: 3, Total: figTime{ID: "all", S: total, Spread: [2]float64{total, total}},
-			Figures: []figTime{{ID: "4a", S: fig4a, Spread: [2]float64{fig4a - 0.1, fig4a + 0.1}}}}
+			Figures: []figTime{{ID: "4a", S: fig4a, Spread: [2]float64{fig4a - 0.1, fig4a + 0.1}}},
+			PeakRSS: &peakRSS{MB: rss, Spread: [2]float64{rss - 1, rss + 1}}}
 	}
-	if err := run(41, []string{in}, times(5, 1), trajectory); err != nil {
+	if err := run(41, []string{in}, times(5, 1, 40), trajectory); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(42, []string{in}, times(4, 1.05), trajectory); err != nil {
+	if err := run(42, []string{in}, times(4, 1.05, 20), trajectory); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := load(trajectory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := recs[1].Paperfigs; p == nil || p.Total.S != 4 || len(p.Figures) != 1 || p.Figures[0].S != 1.05 {
+	if p := recs[1].Paperfigs; p == nil || p.Total.S != 4 || len(p.Figures) != 1 || p.Figures[0].S != 1.05 ||
+		p.PeakRSS == nil || *p.PeakRSS != (peakRSS{MB: 20, Spread: [2]float64{19, 21}}) {
 		t.Fatalf("record holds paperfigs times %+v", p)
 	}
 	var out strings.Builder
@@ -261,6 +268,7 @@ func TestPaperfigsTiming(t *testing.T) {
 		"paperfigs -quick -fig all (s)",
 		"total                                             5              4    -20.0%\n",
 		"fig 4a                                            1           1.05     +5.0%  noise",
+		"peak_rss_mb                                      40             20    -50.0%\n",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("diff output lacks %q:\n%s", want, out.String())

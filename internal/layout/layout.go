@@ -72,12 +72,6 @@ func (f FloorPlan) Center(i int) Point {
 	}
 }
 
-// Edge returns the longer side of the floor, comparable to the paper's
-// E = sqrt(N/D).
-func (f FloorPlan) Edge() float64 {
-	return math.Max(float64(f.Cols)*f.PitchX, float64(f.Rows)*f.PitchY)
-}
-
 // Placement assigns every router of a topology to a cabinet.
 type Placement struct {
 	Plan      FloorPlan

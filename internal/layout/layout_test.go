@@ -46,9 +46,15 @@ func TestFloorPlanEdgeTracksAnalyticE(t *testing.T) {
 	p := cost.DefaultPackaging()
 	f := NewFloorPlan(8, p)
 	analytic := p.Edge(1024)
-	if f.Edge() < analytic/2 || f.Edge() > analytic*2 {
-		t.Errorf("floor edge %.2f vs analytic E %.2f", f.Edge(), analytic)
+	if e := floorEdge(f); e < analytic/2 || e > analytic*2 {
+		t.Errorf("floor edge %.2f vs analytic E %.2f", e, analytic)
 	}
+}
+
+// floorEdge returns the longer side of the floor, comparable to the
+// paper's E = sqrt(N/D).
+func floorEdge(f FloorPlan) float64 {
+	return math.Max(float64(f.Cols)*f.PitchX, float64(f.Rows)*f.PitchY)
 }
 
 func TestPlaceFlatFlyDim1Local(t *testing.T) {
@@ -103,7 +109,7 @@ func TestPlaceFlatFlyMeasuredLavgNearAnalytic(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := pl.Stats()
-	analytic := pl.Plan.Edge() / 3
+	analytic := floorEdge(pl.Plan) / 3
 	if st.AvgLength < analytic/2 || st.AvgLength > analytic*2.5 {
 		t.Errorf("measured Lavg %.2f vs analytic E/3 %.2f", st.AvgLength, analytic)
 	}

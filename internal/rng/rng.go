@@ -111,12 +111,6 @@ func (r *Source) Perm(n int) []int {
 	return p
 }
 
-// Split returns a new Source whose stream is deterministically derived from
-// this one, for handing independent streams to sub-components.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
-}
-
 // State returns the generator's raw xoshiro256** state, for
 // checkpointing. Restoring it with SetState resumes the stream exactly.
 func (r *Source) State() [4]uint64 {

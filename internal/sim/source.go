@@ -66,11 +66,10 @@ type arrival struct {
 
 // Head window sizes, in arrivals, and stream chunk sizes, in bytes. The
 // smallest window is one cache line, so an idle terminal costs 64 bytes;
-// a full window is 1 kB, enough that the stream is decoded 64 arrivals
-// at a time, and the sources that never queue more than that (every
-// unsaturated one) never touch the stream. Chunks stop growing at 1 kB
-// for the same reason segments did: a drained source keeps its window
-// and one spare chunk (DESIGN.md §10).
+// a full window is 1 kB, so the stream is decoded 64 arrivals at a time
+// and the sources that never queue more than that (every unsaturated
+// one) never touch it. Chunks stop at 1 kB so that a drained source holds
+// at most its window and one spare chunk (DESIGN.md §10).
 const (
 	minSegment = 4
 	maxSegment = 64
@@ -93,12 +92,12 @@ const maxEncoded = 20
 // gets a new chunk behind it, and a drained head chunk becomes the spare
 // that the next one reuses. An arrival never straddles two chunks.
 type overflow struct {
-	chunks [][]byte // oldest first; the last is the tail that put appends to
+	chunks [][]byte // oldest first; the last is the tail that spill appends to
 	spare  []byte   // the largest drained chunk, empty, for the next one
 	n      int      // arrivals in the stream
 	rd     int      // read offset into chunks[0]
-	rts    int64    // timestamp the next read delta is relative to
-	wts    int64    // timestamp the next written delta is relative to
+	rts    int64    // timestamp of the last arrival read; the next delta read is relative to it
+	wts    int64    // timestamp of the last arrival written; equal to rts while n == 0
 }
 
 func (s *source) empty() bool { return len(s.hd) == 0 }
@@ -145,12 +144,6 @@ func (s *source) spill(a arrival) {
 	if o == nil {
 		o = &overflow{}
 		s.more = o
-	}
-	if o.n == 0 {
-		// A new stream: its deltas start from the newest arrival in the
-		// (full) window.
-		o.wts = s.hd[len(s.hd)-1].ts
-		o.rts = o.wts
 	}
 	if k := len(o.chunks); k == 0 || cap(o.chunks[k-1])-len(o.chunks[k-1]) < maxEncoded {
 		o.chunks = append(o.chunks, o.newChunk())

@@ -84,9 +84,6 @@ func (f *gf) neg(a int) int {
 	return r
 }
 
-// sub returns a-b in the field.
-func (f *gf) sub(a, b int) int { return f.add(a, f.neg(b)) }
-
 // mul returns a*b via the exp/log tables.
 func (f *gf) mul(a, b int) int {
 	if a == 0 || b == 0 {

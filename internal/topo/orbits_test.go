@@ -88,7 +88,7 @@ func TestSlimFlyOrbits(t *testing.T) {
 				if block == 0 {
 					return RouterID(s.routerID(0, f.add(u, a), f.add(v, b)))
 				}
-				return RouterID(s.routerID(1, u, f.sub(f.add(v, b), f.mul(u, a))))
+				return RouterID(s.routerID(1, u, f.add(f.add(v, b), f.neg(f.mul(u, a)))))
 			}
 		}
 		scale := func(mu int) perm {
