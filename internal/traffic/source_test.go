@@ -30,7 +30,7 @@ func TestSourceProperty(t *testing.T) {
 		}
 		rs := make([]*rng.Source, nodes)
 		for i := range rs {
-			rs[i] = master.Split()
+			rs[i] = rng.New(master.Uint64())
 		}
 		total := 0
 		for c := 0; c < cycles; c++ {
@@ -79,7 +79,7 @@ func TestOnOffRateAndState(t *testing.T) {
 	master := rng.New(77)
 	rs := make([]*rng.Source, nodes)
 	for i := range rs {
-		rs[i] = master.Split()
+		rs[i] = rng.New(master.Uint64())
 	}
 	step := func(s Source) []int {
 		out := make([]int, nodes)
