@@ -81,13 +81,9 @@ func ForgePending(n *Network, r topo.RouterID, port, vc int, pending int32) {
 func BacklogStorage(n *Network) (windows, streams int64) {
 	for i := range n.sources {
 		s := &n.sources[i]
-		windows += int64(cap(s.hd)) * 16
-		if o := s.more; o != nil {
-			for _, c := range o.chunks {
-				streams += int64(cap(c))
-			}
-			streams += int64(cap(o.spare))
-		}
+		_, total := backlogStorage(s)
+		w := int64(cap(s.hd)) * 16
+		windows, streams = windows+w, streams+int64(total)-w
 	}
 	return windows, streams
 }
