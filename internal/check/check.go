@@ -364,7 +364,7 @@ func (s *Sanitizer) eject(p *sim.Packet, r topo.RouterID, port int, tail bool) {
 		s.report(Violation{Kind: KindWholeness, Router: r, Port: port,
 			Detail: fmt.Sprintf("packet %d ejected %d flits but injected only %d", p.ID, ps.ejected, ps.injected)})
 	}
-	if s.g.EjRouter[p.Dst] != r || s.g.EjPort[p.Dst] != port {
+	if s.g.EjRouter[p.Dst] != r || int(s.g.EjPort[p.Dst]) != port {
 		s.report(Violation{Kind: KindMisdelivery, Router: r, Port: port,
 			Detail: fmt.Sprintf("packet %d for node %d ejected at router %d port %d, expected router %d port %d",
 				p.ID, p.Dst, r, port, s.g.EjRouter[p.Dst], s.g.EjPort[p.Dst])})

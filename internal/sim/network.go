@@ -529,18 +529,20 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 			op := &rt.out[p]
 			op.kind = rd.Out[p].Kind
 			op.router = int32(r)
-			op.peer = int32(rd.Out[p].Peer)
 			op.peerIn = rd.Out[p].PeerPort << shift
-			op.node = int32(rd.Out[p].Node)
 			op.latency = int32(rd.Out[p].Latency)
 			op.psumAt = int32(psumOff + p)
 			if int(op.latency) > maxLat {
 				maxLat = int(op.latency)
 			}
-			if op.kind == topo.Network {
+			switch op.kind {
+			case topo.Network:
+				op.peer = rd.Out[p].Peer
 				for v := 0; v < vcs; v++ {
 					rt.ovc[p<<shift+v].credits = int32(depth)
 				}
+			case topo.Terminal:
+				op.node = rd.Out[p].Peer
 			}
 		}
 		psumOff += psumStride(nout)
@@ -557,7 +559,7 @@ func New(g *topo.Graph, alg Algorithm, cfg Config) (*Network, error) {
 		s.rng = &rngSlab[len(g.Routers)+i]
 		s.rng.Reseed(master.Uint64())
 		s.router = int32(g.NodeRouter[i])
-		s.ivc = int32(g.InjPort[i]) << shift
+		s.ivc = g.InjPort[i] << shift
 	}
 	n.cal = make([]calSlot, n.calLen)
 	n.activeR = make([]uint64, (len(g.Routers)+63)/64)
@@ -766,7 +768,7 @@ func (n *Network) deliverEvent(ev *deliverEv) {
 	pkt, tail := n.arena.pkt(ev.f.pkt()), ev.f.tail()
 	for _, h := range n.hooks {
 		if h.Eject != nil {
-			h.Eject(pkt, n.g.EjRouter[ev.node], n.g.EjPort[ev.node], tail)
+			h.Eject(pkt, n.g.EjRouter[ev.node], int(n.g.EjPort[ev.node]), tail)
 		}
 	}
 	if !tail {

@@ -66,10 +66,10 @@ type Probes struct {
 	detach func()
 }
 
-// AttachProbes builds a fresh probe registry over the network's channels
-// and attaches its hook set. Probes returns the registry attached last;
-// DetachProbes detaches it again. A registry attached earlier keeps
-// counting alongside.
+// AttachProbes builds a fresh probe registry over the network's channels,
+// attaches its hook set and returns the registry. DetachProbes detaches
+// the registry attached last. A registry attached earlier keeps counting
+// alongside.
 func (n *Network) AttachProbes(cfg ProbeConfig) *Probes {
 	stride := cfg.Stride
 	if stride <= 0 {
@@ -117,10 +117,8 @@ func (n *Network) AttachProbes(cfg ProbeConfig) *Probes {
 	return p
 }
 
-// Probes returns the probe registry attached last, or nil.
-func (n *Network) Probes() *Probes { return n.probes }
-
-// DetachProbes detaches the registry Probes returns; other hook sets stay.
+// DetachProbes detaches the registry AttachProbes returned last; other
+// hook sets stay.
 func (n *Network) DetachProbes() {
 	if n.probes != nil {
 		n.probes.detach()
@@ -203,9 +201,6 @@ func (n *Network) sampleProbes(p *Probes) {
 		}
 	}
 }
-
-// Stride returns the sampling period in cycles.
-func (p *Probes) Stride() int64 { return p.stride }
 
 // MeanBufferedFlits returns the mean number of flits buffered across the
 // whole network per sample point.

@@ -20,8 +20,8 @@ func TestProbeSamplingStride(t *testing.T) {
 		}
 		MustInstall(t, n, traffic.NewUniform(16))
 		p := n.AttachProbes(ProbeConfig{Stride: stride})
-		if p.Stride() != int64(stride) {
-			t.Fatalf("stride %d: Stride() = %d", stride, p.Stride())
+		if p.stride != int64(stride) {
+			t.Fatalf("stride %d: registry stride = %d", stride, p.stride)
 		}
 		const cycles = 256
 		for i := 0; i < cycles; i++ {
@@ -42,7 +42,7 @@ func TestProbeDefaultsAndDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Probes() != nil {
+	if n.probes != nil {
 		t.Fatal("fresh network has probes attached")
 	}
 	detach := n.AttachHooks(&Hooks{})
@@ -54,11 +54,11 @@ func TestProbeDefaultsAndDetach(t *testing.T) {
 	tr := telemetry.NewTracer(1 << 10)
 	n.AttachTracer(tr)
 	p := n.AttachProbes(ProbeConfig{})
-	if p.Stride() != 64 {
-		t.Errorf("default stride = %d, want 64", p.Stride())
+	if p.stride != 64 {
+		t.Errorf("default stride = %d, want 64", p.stride)
 	}
-	if n.Probes() != p {
-		t.Error("Probes() does not return the attached registry")
+	if n.probes != p {
+		t.Error("the network does not hold the attached registry")
 	}
 	// Every non-unused output channel is instrumented.
 	want := 0
@@ -73,7 +73,7 @@ func TestProbeDefaultsAndDetach(t *testing.T) {
 		t.Errorf("instrumented %d channels, want %d", got, want)
 	}
 	n.DetachProbes()
-	if n.Probes() != nil {
+	if n.probes != nil {
 		t.Error("DetachProbes left probes attached")
 	}
 	// Only the probes' own set went: the tracer attached before them
@@ -281,31 +281,30 @@ func TestTracerPipelineOrder(t *testing.T) {
 }
 
 // TestRunLoadPointTelemetry exercises the instrumentation plumbing end
-// to end: probes and tracer installed through Attach, read back through
-// Observe.
+// to end: probes and tracer installed through Attach, Observe called on
+// the finished run.
 func TestRunLoadPointTelemetry(t *testing.T) {
 	f := testFF(t, 4, 2)
 	tr := telemetry.NewTracer(1 << 14)
-	var observed *Probes
+	var probes *Probes
+	observed := false
 	res, err := RunLoadPoint(f.Graph(), &minimalAlg{f}, DefaultConfig(), RunConfig{
 		Load: 0.2, Source: traffic.NewBernoulli(traffic.NewUniform(16)),
 		Warmup: 200, Measure: 200,
 		RunHooks: RunHooks{Attach: func(n *Network) {
-			n.AttachProbes(ProbeConfig{Stride: 16})
+			probes = n.AttachProbes(ProbeConfig{Stride: 16})
 			n.AttachTracer(tr)
 		}},
-		Observe: func(n *Network) {
-			observed = n.Probes()
-		},
+		Observe: func(*Network) { observed = true },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if observed == nil {
+	if !observed {
 		t.Fatal("Observe hook not called")
 	}
-	if observed.Samples == 0 || observed.Grants == 0 {
-		t.Errorf("probes recorded nothing: samples %d grants %d", observed.Samples, observed.Grants)
+	if probes.Samples == 0 || probes.Grants == 0 {
+		t.Errorf("probes recorded nothing: samples %d grants %d", probes.Samples, probes.Grants)
 	}
 	if tr.Len() == 0 {
 		t.Error("tracer recorded nothing")

@@ -246,7 +246,7 @@ func TestSnapshotRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer probed.Close()
-	probed.AttachProbes(sim.ProbeConfig{Stride: 4})
+	probes := probed.AttachProbes(sim.ProbeConfig{Stride: 4})
 	n, err := sim.New(ff.Graph(), alg, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -265,8 +265,8 @@ func TestSnapshotRejects(t *testing.T) {
 	if err := probed.Snapshot(&probedBuf); err != nil {
 		t.Fatal(err)
 	}
-	if probed.Probes().Grants == 0 || !bytes.Equal(buf.Bytes(), probedBuf.Bytes()) {
-		t.Fatalf("probed snapshot (%d grants probed) differs from its unprobed twin's", probed.Probes().Grants)
+	if probes.Grants == 0 || !bytes.Equal(buf.Bytes(), probedBuf.Bytes()) {
+		t.Fatalf("probed snapshot (%d grants probed) differs from its unprobed twin's", probes.Grants)
 	}
 	n.Close()
 	if err := n.Snapshot(&bytes.Buffer{}); err == nil {

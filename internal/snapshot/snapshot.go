@@ -172,9 +172,6 @@ func (w *Writer) Section(tag uint64) {
 	w.Uvarint(tag)
 }
 
-// Err returns the first error encountered, if any.
-func (w *Writer) Err() error { return w.err }
-
 // Close writes the CRC32 trailer and flushes. It does not close the
 // underlying stream.
 func (w *Writer) Close() error {
@@ -194,11 +191,10 @@ func (w *Writer) Close() error {
 // sticky: after the first failure every read returns the zero value,
 // and Err / Finish report what went wrong.
 type Reader struct {
-	r       io.Reader
-	rerr    error  // the stream's own error, surfaced once the buffer runs dry
-	crc     uint32 // of everything consumed before buf[sum]
-	err     error
-	version uint64
+	r    io.Reader
+	rerr error  // the stream's own error, surfaced once the buffer runs dry
+	crc  uint32 // of everything consumed before buf[sum]
+	err  error
 	// buf[pos:end] is read from the stream and not yet decoded;
 	// buf[sum:pos] is decoded and not yet folded into crc. A failed
 	// reader holds an empty buffer, so decoding falls through to the
@@ -220,18 +216,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if sr.err == nil && string(magic[:]) != Magic {
 		sr.fail(errors.New("snapshot: bad magic (not a flatnet snapshot)"))
 	}
-	sr.version = sr.Uvarint()
-	if sr.err == nil && sr.version != Version {
-		sr.fail(fmt.Errorf("snapshot: format version %d, this build reads version %d", sr.version, Version))
+	if v := sr.Uvarint(); sr.err == nil && v != Version {
+		sr.fail(fmt.Errorf("snapshot: format version %d, this build reads version %d", v, Version))
 	}
 	if sr.err != nil {
 		return nil, sr.err
 	}
 	return sr, nil
 }
-
-// Version reports the stream's format version.
-func (r *Reader) Version() uint64 { return r.version }
 
 // fail records the first error and empties the buffer.
 func (r *Reader) fail(err error) {

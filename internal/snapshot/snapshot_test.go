@@ -302,12 +302,13 @@ func TestBufferedRoundTrip(t *testing.T) {
 		decode(r)
 	}
 
-	// A Writer whose stream fails reports the first failure from Close
-	// and stops writing; a short write counts as one.
+	// A Writer whose stream fails reports the first failure from Close,
+	// again from a second Close, and stops writing; a short write counts
+	// as one.
 	fw := &failingWriter{failAt: 2, err: errors.New("disk full")}
 	w := NewWriter(fw)
 	w.Bytes(make([]byte, 4*bufSize))
-	if err := w.Close(); err != fw.err || w.Err() != fw.err || fw.calls != 2 {
+	if err := w.Close(); err != fw.err || w.Close() != fw.err || fw.calls != 2 {
 		t.Fatalf("failing stream: Close returned %v after %d writes", err, fw.calls)
 	}
 	w = NewWriter(&failingWriter{failAt: 1})

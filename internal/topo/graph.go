@@ -10,6 +10,7 @@ package topo
 import (
 	"fmt"
 	"hash/crc32"
+	"strconv"
 	"sync"
 )
 
@@ -17,7 +18,7 @@ import (
 type NodeID int
 
 // RouterID identifies a router in [0, NumRouters).
-type RouterID int
+type RouterID int32
 
 // PortKind classifies one side of a router port.
 type PortKind uint8
@@ -50,11 +51,11 @@ func (k PortKind) String() string {
 // OutPort describes the output side of a router port: where a flit sent on
 // this port arrives. It is the only stored record of a channel: the input
 // side of every port is derived from the outputs that target it and from
-// the node tables (Inputs).
+// the node tables (Inputs). Peer names a router or a node by Kind, so
+// every reader of it branches on Kind.
 type OutPort struct {
 	Kind     PortKind
-	Node     int32 // destination NodeID when Kind == Terminal
-	Peer     int32 // downstream RouterID when Kind == Network
+	Peer     int32 // downstream RouterID when Kind == Network, destination NodeID when Kind == Terminal
 	PeerPort int32 // input port index on Peer when Kind == Network
 	Latency  int32 // channel traversal time in cycles (>= 1)
 }
@@ -85,8 +86,8 @@ type Graph struct {
 	Routers    []Router
 	NodeRouter []RouterID // NodeRouter[n] = router node n injects at
 	EjRouter   []RouterID // EjRouter[n] = router node n ejects from (== NodeRouter except in unidirectional multistage networks)
-	InjPort    []int      // InjPort[n] = input port index of node n on NodeRouter[n]
-	EjPort     []int      // EjPort[n] = output port index of node n on EjRouter[n]
+	InjPort    []int32    // InjPort[n] = input port index of node n on NodeRouter[n]
+	EjPort     []int32    // EjPort[n] = output port index of node n on EjRouter[n]
 
 	// Digest's memo: a graph is read-only once built.
 	digestOnce sync.Once
@@ -113,8 +114,8 @@ func NewGraph(label string, nodes int, runs ...PortRun) *Graph {
 		Routers:    make([]Router, routers),
 		NodeRouter: make([]RouterID, nodes),
 		EjRouter:   make([]RouterID, nodes),
-		InjPort:    make([]int, nodes),
-		EjPort:     make([]int, nodes),
+		InjPort:    make([]int32, nodes),
+		EjPort:     make([]int32, nodes),
 	}
 	out := make([]OutPort, ports)
 	r, off := 0, 0
@@ -167,28 +168,76 @@ func (g *Graph) Inputs() [][]InPort {
 // saved against one graph (a simulator snapshot) can refuse to load onto
 // another. It is computed on first use and remembered: call it only on a
 // finished graph. Snapshot files embed the value, so the walk below, the
-// derived input side included, is frozen.
+// derived input side included, is frozen: the CRC-32 of
+//
+//	label|nodes|routers|
+//	then per router  r<ports>/<ports>;
+//	                 i<kind>,<node>,<peer>,<peerport>; per input port
+//	                 o<kind>,<node>,<peer>,<peerport>,<latency>; per output port
+//	then per node    n<router>,<ejrouter>,<injport>,<ejport>;
+//
+// with every number in decimal. An output names its node and peer as two
+// fields, as the port tables once stored them: a terminal output prints
+// (node, peer) = (Peer, 0).
 func (g *Graph) Digest() uint64 {
 	g.digestOnce.Do(func() {
-		h := crc32.NewIEEE()
-		fmt.Fprintf(h, "%s|%d|%d|", g.Label, g.NumNodes, len(g.Routers))
+		var crc uint32
+		b := make([]byte, 0, 8192)
+		num := func(v int64, sep byte) {
+			b = strconv.AppendInt(b, v, 10)
+			b = append(b, sep)
+		}
+		flush := func() {
+			crc = crc32.Update(crc, crc32.IEEETable, b)
+			b = b[:0]
+		}
+		b = append(b, g.Label...)
+		b = append(b, '|')
+		num(int64(g.NumNodes), '|')
+		num(int64(len(g.Routers)), '|')
 		inputs := g.Inputs()
 		for r := range g.Routers {
 			out := g.Routers[r].Out
-			fmt.Fprintf(h, "r%d/%d;", len(out), len(out))
+			b = append(b, 'r')
+			num(int64(len(out)), '/')
+			num(int64(len(out)), ';')
 			for p := range inputs[r] {
 				ip := &inputs[r][p]
-				fmt.Fprintf(h, "i%d,%d,%d,%d;", ip.Kind, ip.Node, ip.Peer, ip.PeerPort)
+				b = append(b, 'i')
+				num(int64(ip.Kind), ',')
+				num(int64(ip.Node), ',')
+				num(int64(ip.Peer), ',')
+				num(int64(ip.PeerPort), ';')
 			}
 			for p := range out {
 				op := &out[p]
-				fmt.Fprintf(h, "o%d,%d,%d,%d,%d;", op.Kind, op.Node, op.Peer, op.PeerPort, op.Latency)
+				node, peer := int32(0), op.Peer
+				if op.Kind == Terminal {
+					node, peer = op.Peer, 0
+				}
+				b = append(b, 'o')
+				num(int64(op.Kind), ',')
+				num(int64(node), ',')
+				num(int64(peer), ',')
+				num(int64(op.PeerPort), ',')
+				num(int64(op.Latency), ';')
+			}
+			if len(b) >= 4096 {
+				flush()
 			}
 		}
 		for i := 0; i < g.NumNodes; i++ {
-			fmt.Fprintf(h, "n%d,%d,%d,%d;", g.NodeRouter[i], g.EjRouter[i], g.InjPort[i], g.EjPort[i])
+			b = append(b, 'n')
+			num(int64(g.NodeRouter[i]), ',')
+			num(int64(g.EjRouter[i]), ',')
+			num(int64(g.InjPort[i]), ',')
+			num(int64(g.EjPort[i]), ';')
+			if len(b) >= 4096 {
+				flush()
+			}
 		}
-		g.digest = uint64(h.Sum32())
+		flush()
+		g.digest = uint64(crc)
 	})
 	return g.digest
 }
@@ -208,9 +257,9 @@ func (g *Graph) AttachNode(n NodeID, r RouterID, inPort, outPort, latency int) {
 func (g *Graph) AttachNodeSplit(n NodeID, injR RouterID, inPort int, ejR RouterID, outPort, latency int) {
 	g.NodeRouter[n] = injR
 	g.EjRouter[n] = ejR
-	g.InjPort[n] = inPort
-	g.EjPort[n] = outPort
-	g.Routers[ejR].Out[outPort] = OutPort{Kind: Terminal, Node: int32(n), Latency: int32(latency)}
+	g.InjPort[n] = int32(inPort)
+	g.EjPort[n] = int32(outPort)
+	g.Routers[ejR].Out[outPort] = OutPort{Kind: Terminal, Peer: int32(n), Latency: int32(latency)}
 }
 
 // Connect adds a unidirectional channel from (fromRouter, fromOutPort) to
@@ -273,11 +322,11 @@ func (g *Graph) Validate() error {
 				if out.Latency < 1 {
 					return fmt.Errorf("topo: %s: router %d ejection port %d latency %d < 1", g.Label, r, p, out.Latency)
 				}
-				if out.Node < 0 || int(out.Node) >= g.NumNodes {
-					return fmt.Errorf("topo: %s: router %d ejection port %d node %d out of range", g.Label, r, p, out.Node)
+				if out.Peer < 0 || int(out.Peer) >= g.NumNodes {
+					return fmt.Errorf("topo: %s: router %d ejection port %d node %d out of range", g.Label, r, p, out.Peer)
 				}
-				if g.EjRouter[out.Node] != RouterID(r) || g.EjPort[out.Node] != p {
-					return fmt.Errorf("topo: %s: router %d ejection port %d does not match node %d tables", g.Label, r, p, out.Node)
+				if g.EjRouter[out.Peer] != RouterID(r) || int(g.EjPort[out.Peer]) != p {
+					return fmt.Errorf("topo: %s: router %d ejection port %d does not match node %d tables", g.Label, r, p, out.Peer)
 				}
 			}
 		}
@@ -287,15 +336,15 @@ func (g *Graph) Validate() error {
 		if int(r) < 0 || int(r) >= len(g.Routers) || int(er) < 0 || int(er) >= len(g.Routers) {
 			return fmt.Errorf("topo: %s: node %d routers %d/%d out of range", g.Label, n, r, er)
 		}
-		ip := g.InjPort[n]
+		ip := int(g.InjPort[n])
 		if ip < 0 || ip >= len(g.Routers[r].Out) {
 			return fmt.Errorf("topo: %s: node %d injection port %d.%d out of range", g.Label, n, r, ip)
 		}
 		if !enter(int32(r), ip) {
 			return fmt.Errorf("topo: %s: node %d injects at %d.%d, which a channel or another node enters too", g.Label, n, r, ip)
 		}
-		out, ep := g.Routers[er].Out, g.EjPort[n]
-		if ep < 0 || ep >= len(out) || out[ep].Kind != Terminal || out[ep].Node != int32(n) {
+		out, ep := g.Routers[er].Out, int(g.EjPort[n])
+		if ep < 0 || ep >= len(out) || out[ep].Kind != Terminal || out[ep].Peer != int32(n) {
 			return fmt.Errorf("topo: %s: node %d ejection port %d.%d does not name it", g.Label, n, er, ep)
 		}
 	}

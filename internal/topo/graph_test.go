@@ -11,14 +11,24 @@ import (
 
 // TestPortLayoutSizes guards the channel graph's port-table layout
 // (DESIGN.md §10): every port of every router is one stored OutPort (the
-// input side is derived), so a field added to it, or a field widened back
-// to int, multiplies straight into construction time and memory.
+// input side is derived) and every node one entry in each of four node
+// tables, so a field added to either, or a field widened back to int,
+// multiplies straight into construction time and memory.
 func TestPortLayoutSizes(t *testing.T) {
-	if got := unsafe.Sizeof(OutPort{}); got != 20 {
-		t.Errorf("sizeof(OutPort) = %d bytes, want 20", got)
+	if got := unsafe.Sizeof(OutPort{}); got != 16 {
+		t.Errorf("sizeof(OutPort) = %d bytes, want 16", got)
 	}
 	if got := unsafe.Sizeof(Router{}); got != unsafe.Sizeof([]OutPort{}) {
 		t.Errorf("sizeof(Router) = %d bytes, want one port-table header", got)
+	}
+	var g Graph
+	for name, got := range map[string]uintptr{
+		"NodeRouter": unsafe.Sizeof(g.NodeRouter[0]), "EjRouter": unsafe.Sizeof(g.EjRouter[0]),
+		"InjPort": unsafe.Sizeof(g.InjPort[0]), "EjPort": unsafe.Sizeof(g.EjPort[0]),
+	} {
+		if got != 4 {
+			t.Errorf("sizeof(%s[0]) = %d bytes, want 4", name, got)
+		}
 	}
 }
 
@@ -129,7 +139,7 @@ func TestValidateRejectsCorruption(t *testing.T) {
 		}},
 		{"node attached twice", func(g *Graph, s corruptSite) string {
 			er, ep, m := g.EjRouter[s.n], g.EjPort[s.n], s.n+1
-			g.AttachNodeSplit(NodeID(s.n), g.NodeRouter[m], g.InjPort[m], g.EjRouter[m], g.EjPort[m], 1)
+			g.AttachNodeSplit(NodeID(s.n), g.NodeRouter[m], int(g.InjPort[m]), g.EjRouter[m], int(g.EjPort[m]), 1)
 			return fmt.Sprintf("router %d ejection port %d does not match node %d tables", er, ep, s.n)
 		}},
 		{"network latency 0", func(g *Graph, s corruptSite) string {
@@ -141,8 +151,12 @@ func TestValidateRejectsCorruption(t *testing.T) {
 			return fmt.Sprintf("router %d ejection port %d latency 0 < 1", g.EjRouter[s.n], g.EjPort[s.n])
 		}},
 		{"terminal output names the wrong node", func(g *Graph, s corruptSite) string {
-			ejection(g, s.n).Node = int32(s.n + 1)
+			ejection(g, s.n).Peer = int32(s.n + 1)
 			return fmt.Sprintf("router %d ejection port %d does not match node %d tables", g.EjRouter[s.n], g.EjPort[s.n], s.n+1)
+		}},
+		{"terminal output names a node out of range", func(g *Graph, s corruptSite) string {
+			ejection(g, s.n).Peer = int32(g.NumNodes)
+			return fmt.Sprintf("router %d ejection port %d node %d out of range", g.EjRouter[s.n], g.EjPort[s.n], g.NumNodes)
 		}},
 	} {
 		for _, f := range familyGraphs {

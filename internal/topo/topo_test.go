@@ -89,8 +89,8 @@ func TestButterflyDestinationPath(t *testing.T) {
 				t.Fatalf("src %d dst %d: reached router %d, want %d", src, dst, r, b.EjectRouter(NodeID(dst)))
 			}
 			out := g.Routers[r].Out[b.OutputFor(b.N-1, NodeID(dst))]
-			if out.Kind != Terminal || int(out.Node) != dst {
-				t.Fatalf("src %d dst %d: final hop reaches %v %d", src, dst, out.Kind, out.Node)
+			if out.Kind != Terminal || int(out.Peer) != dst {
+				t.Fatalf("src %d dst %d: final hop reaches %v %d", src, dst, out.Kind, out.Peer)
 			}
 		}
 	}
@@ -118,7 +118,7 @@ func TestButterflyPathUniqueProperty(t *testing.T) {
 			r = RouterID(out.Peer)
 		}
 		out := g.Routers[r].Out[b.OutputFor(b.N-1, dst)]
-		return out.Kind == Terminal && NodeID(out.Node) == dst
+		return out.Kind == Terminal && NodeID(out.Peer) == dst
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

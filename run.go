@@ -77,9 +77,10 @@ func WithCheck(cfg CheckConfig) Option {
 
 // WithTelemetry attaches router-pipeline probes (per-VC occupancy,
 // credit-stall and allocator counters, windowed per-channel loads) to
-// the run's network; read them back via WithObserve and Network.Probes.
-func WithTelemetry(cfg ProbeConfig) Option {
-	return func(o *runOptions) { o.attach(func(n *Network) { n.AttachProbes(cfg) }) }
+// the run's network and hands the registry to got before the run
+// starts; read its counters once Run returns or from WithObserve.
+func WithTelemetry(cfg ProbeConfig, got func(*Probes)) Option {
+	return func(o *runOptions) { o.attach(func(n *Network) { got(n.AttachProbes(cfg)) }) }
 }
 
 // WithTracer streams every flit pipeline event of the run into tr.

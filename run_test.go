@@ -75,22 +75,23 @@ func TestRunWithCheckAndTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var probed *flatnet.Probes
+	observed := false
 	a, b := flatnet.NewTracer(1<<16), flatnet.NewTracer(1<<16)
 	res, err := flatnet.Run(ff, flatnet.NewMinAD(ff),
 		flatnet.WithLoad(0.4), flatnet.WithWarmup(300), flatnet.WithMeasure(300),
 		flatnet.WithTracer(a),
 		flatnet.WithCheck(flatnet.CheckConfig{}),
-		flatnet.WithTelemetry(flatnet.ProbeConfig{}),
+		flatnet.WithTelemetry(flatnet.ProbeConfig{}, func(p *flatnet.Probes) { probed = p }),
 		flatnet.WithTracer(b),
-		flatnet.WithObserve(func(n *flatnet.Network) { probed = n.Probes() }))
+		flatnet.WithObserve(func(*flatnet.Network) { observed = probed != nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res != base {
 		t.Fatalf("instrumentation perturbed the run:\n got %+v\nwant %+v", res, base)
 	}
-	if probed == nil || probed.Samples == 0 {
-		t.Fatal("probes not attached or never sampled")
+	if !observed || probed.Samples == 0 {
+		t.Fatal("probes not attached before the run, or never sampled")
 	}
 	if a.Len() == 0 || !reflect.DeepEqual(a.Events(), b.Events()) {
 		t.Fatalf("two tracers on one run recorded %d and %d events (or different streams)", a.Len(), b.Len())
